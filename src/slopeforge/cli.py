@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import docio, families, render
 from .model import EmbeddingError, find_real_real_face
-from .onebend import OneBendError, draw_onebend
+from .onebend import OneBendError, _run_pipeline, draw_onebend
 from .ordering import OrderingError, canonical_order, st_order
 from .reembed import ReembedError, normalize_embedding
 from .twobend import TwoBendError, draw_twobend
@@ -193,21 +193,12 @@ def _cmd_draw(args) -> int:
 
 def _traced_onebend(g, trace_dir: str):
     """Run the 1-bend pipeline and dump every intermediate drawing as SVG."""
-    from .onebend import OneBendDrawer, _finalize
-
-    norm = normalize_embedding(g)
-    plane = norm.plane.copy()
-    face, (tail, head), _ = find_real_real_face(plane)
-    if set(face.darts) != set(plane.outer_face().darts):
-        plane = plane.with_outer(face.darts[0])
-    delta = canonical_order(plane, head, tail)
-    drawer = OneBendDrawer(plane, delta, check_steps=False)
-    gamma = drawer.run()
+    drawer, drawing = _run_pipeline(g)
     os.makedirs(trace_dir, exist_ok=True)
     for i, snapshot in enumerate(drawer.trace):
         with open(os.path.join(trace_dir, f"step{i:03d}.svg"), "w") as fh:
             fh.write(render.render_segments_svg(snapshot))
-    return _finalize(norm, plane, gamma)
+    return drawing
 
 
 def _cmd_validate(args) -> int:

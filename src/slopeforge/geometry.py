@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 Rat = Fraction
 RatLike = Union[int, str, Fraction]
@@ -148,6 +148,24 @@ def on_segment(p: Point, seg: Segment) -> bool:
         return False
     lo_x, lo_y, hi_x, hi_y = seg.bbox()
     return lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y
+
+
+def strip_collinear(pts: List[Point]) -> List[Point]:
+    """The polyline without repeated points and without interior points
+    that it passes straight through; corners and reversals stay."""
+    out = [pts[0]]
+    for p in pts[1:]:
+        if p != out[-1]:
+            out.append(p)
+    cleaned = [out[0]]
+    for b, c in zip(out[1:-1], out[2:]):
+        a = cleaned[-1]
+        d1, d2 = (b.x - a.x, b.y - a.y), (c.x - b.x, c.y - b.y)
+        if cross(d1, d2) == 0 and dot(d1, d2) > 0:
+            continue
+        cleaned.append(b)
+    cleaned.append(out[-1])
+    return cleaned
 
 
 class IntersectKind(Enum):

@@ -15,11 +15,13 @@ whose natural port is the opposite of its partner fragment's port; using
 any other port spends the edge's single bend as a corner at the crossing.
 A per-step checker validates the construction invariants (slopes, bend
 budget, base-edge geometry, horizontal structure, free ports, dummy port
-patterns) after every insertion.
+patterns) after every insertion: in full after the base and the final
+vertex, and for the edges each step drew in between.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -35,8 +37,9 @@ from .geometry import (
     line_intersection,
     octant,
     slope_of,
+    strip_collinear,
 )
-from .model import EmbeddedGraph, PlaneGraph, find_real_real_face
+from .model import EmbeddedGraph, PlaneGraph, connectivity, find_real_real_face
 from .ordering import CanonicalOrdering, canonical_order
 from .reembed import normalize_embedding
 
@@ -88,9 +91,10 @@ class Gamma:
     def drawn_edges(self) -> List[str]:
         return sorted(self.polylines)
 
-    def segments(self) -> List[Tuple[str, Segment]]:
+    def segments(self, edges: Optional[Set[str]] = None) -> List[Tuple[str, Segment]]:
+        """Segments of the drawn edges, or of `edges` only, in edge order."""
         out = []
-        for e in self.drawn_edges():
+        for e in self.drawn_edges() if edges is None else sorted(edges):
             pts = self.polylines[e]
             for i in range(len(pts) - 1):
                 out.append((e, Segment(pts[i], pts[i + 1])))
@@ -520,6 +524,7 @@ class OneBendDrawer:
         self.check_steps = check_steps
         self.g = Gamma(plane=plane, v1=delta.v1, v2=delta.v2)
         self.trace: List[Dict[str, List[Point]]] = []
+        self._checked: Set[str] = set()  # edges drawn at the last check
 
     # -- public -------------------------------------------------------------
 
@@ -530,7 +535,7 @@ class OneBendDrawer:
             self._add_set(sets[i])
             self._post_step(f"set {i}")
         self._place_final(sets[-1].vertices[0])
-        self._post_step("final")
+        self._post_step("final", full=True)
         return self.g
 
     # -- base ---------------------------------------------------------------
@@ -557,7 +562,7 @@ class OneBendDrawer:
             prev = z
         g.polylines[self._edge_between(prev, v2)] = [g.pos[prev], g.pos[v2]]
         g.contour = [v1] + list(members) + [v2]
-        self._post_step("base")
+        self._post_step("base", full=True)
 
     def _edge_between(self, a: str, b: str) -> str:
         for e in self.plane.rotation[a]:
@@ -608,8 +613,6 @@ class OneBendDrawer:
         return e
 
     def _place_with_repairs(self, v, plans_l, plans_r, middle_options) -> None:
-        import itertools
-
         last_error = None
         combos = list(itertools.product(*middle_options)) if middle_options else [()]
         for pl in plans_l:
@@ -1104,10 +1107,15 @@ class OneBendDrawer:
 
     # -- checks -----------------------------------------------------------------
 
-    def _post_step(self, label: str) -> None:
-        self.trace.append({e: list(p) for e, p in self.g.polylines.items()})
+    def _post_step(self, label: str, full: bool = False) -> None:
+        """Check the invariants after a step: in full when asked, otherwise
+        only what the edges drawn since the last check can have broken."""
+        g = self.g
+        self.trace.append({e: list(p) for e, p in g.polylines.items()})
         if self.check_steps:
-            problems = check_gamma(self.g)
+            drawn = set(g.polylines)
+            problems = check_gamma(g) if full else check_step(g, drawn - self._checked)
+            self._checked = drawn
             if problems:
                 raise OneBendError(f"invariants broken after {label}: {problems[:4]}")
 
@@ -1144,10 +1152,39 @@ def check_gamma(g: Gamma) -> List[str]:
     return problems
 
 
-def _check_rotations(g: Gamma) -> List[str]:
-    """Drawn edge ends must respect every vertex's input rotation."""
+def check_step(g: Gamma, new: Set[str]) -> List[str]:
+    """check_gamma for a step that drew the edges `new`.
+
+    Exact when check_gamma passed on the drawing before the step and the
+    drawing has changed since only by the new edges and by stretches that
+    _check_stretch accepted.  A stretch keeps every segment's slope, every
+    bend count and every port direction at a vertex, and _check_stretch
+    keeps the old segments simple; so P1, P2, the rotations and simplicity
+    can only break at a new edge.  P3 to P6 depend on the contour and the
+    base edge, which every stretch moves, and are checked in full.  The
+    problems reported are then exactly those of check_gamma.
+    """
+    new_ends = {v for e in new for v in g.plane.edges[e]}
+    problems: List[str] = []
+    problems.extend(_check_p1(g, new))
+    problems.extend(_check_p2(g, new))
+    problems.extend(_check_p3(g))
+    problems.extend(_check_p4(g))
+    problems.extend(_check_p5(g))
+    problems.extend(_check_p6(g))
+    problems.extend(_check_rotations(g, new_ends))
+    segs = g.segments()
+    problems.extend(
+        _improper_pairs(g, segs, [_RESHAPED if e in new else _STATIONARY for e, _ in segs])
+    )
+    return problems
+
+
+def _check_rotations(g: Gamma, vertices: Optional[Set[str]] = None) -> List[str]:
+    """Drawn edge ends must respect the input rotation at every vertex
+    (or at the placed ones among `vertices`)."""
     out = []
-    for v in sorted(g.placed):
+    for v in sorted(g.placed if vertices is None else g.placed & vertices):
         drawn_cyc = _drawn_cyclic(g, v)
         if drawn_cyc is None or len(drawn_cyc) <= 2:
             continue
@@ -1156,18 +1193,18 @@ def _check_rotations(g: Gamma) -> List[str]:
     return out
 
 
-def _check_p1(g: Gamma) -> List[str]:
+def _check_p1(g: Gamma, edges: Optional[Set[str]] = None) -> List[str]:
     out = []
-    for e, seg in g.segments():
+    for e, seg in g.segments(edges):
         if slope_of(seg).kind is SlopeKind.OTHER:
             out.append(f"P1: segment of {e} off the canonical slopes")
     return out
 
 
-def _check_p2(g: Gamma) -> List[str]:
+def _check_p2(g: Gamma, edges: Optional[Set[str]] = None) -> List[str]:
     out = []
     seen: Set[str] = set()
-    for e in g.drawn_edges():
+    for e in g.drawn_edges() if edges is None else sorted(edges):
         orig = g.plane.original_edge_of(e)
         if orig in seen:
             continue
@@ -1223,8 +1260,6 @@ def _check_p4(g: Gamma) -> List[str]:
         iu, iv = contour.index(u), contour.index(v)
         path = contour[iu : iv + 1]
         segs = _contour_path_segments(g, path)
-        if u not in (g.v1,) and v not in (g.v2,):
-            pass
         # (b) both real attachable: a horizontal segment exists, or nothing
         # on the path could ever block a stretch (no verticals at all).
         if (
@@ -1482,8 +1517,12 @@ def _improper_pairs(g: Gamma, segs: List[Tuple[str, Segment]], groups: List[int]
 def draw_onebend(g: EmbeddedGraph, check_steps: bool = True) -> PolylineDrawing:
     """1-bend, 4-slope, embedding-preserving drawing of a 3-connected cubic
     1-plane graph."""
-    from .model import connectivity
+    return _run_pipeline(g, check_steps)[1]
 
+
+def _run_pipeline(g: EmbeddedGraph, check_steps: bool = True) -> Tuple[OneBendDrawer, PolylineDrawing]:
+    """Check the input, normalize it, run the drawer along a canonical
+    ordering and finalize; the drawer is returned for its step trace."""
     degs = g.degrees()
     if any(d != 3 for d in degs.values()):
         raise OneBendError("input must be cubic")
@@ -1491,7 +1530,7 @@ def draw_onebend(g: EmbeddedGraph, check_steps: bool = True) -> PolylineDrawing:
         raise OneBendError("input must be 3-connected")
     norm = normalize_embedding(g)
     plane = norm.plane.copy()
-    face, (tail, head), edge_id = find_real_real_face(plane)
+    face, (tail, head), _ = find_real_real_face(plane)
     if set(face.darts) != set(plane.outer_face().darts):
         plane = plane.with_outer(face.darts[0])
     # The outer walk passes the base edge right-to-left, so the dart's head
@@ -1499,7 +1538,7 @@ def draw_onebend(g: EmbeddedGraph, check_steps: bool = True) -> PolylineDrawing:
     delta = canonical_order(plane, head, tail)
     drawer = OneBendDrawer(plane, delta, check_steps=check_steps)
     gamma = drawer.run()
-    return _finalize(norm, plane, gamma)
+    return drawer, _finalize(norm, plane, gamma)
 
 
 def _finalize(norm: EmbeddedGraph, plane: PlaneGraph, gamma: Gamma) -> PolylineDrawing:
@@ -1511,23 +1550,6 @@ def _finalize(norm: EmbeddedGraph, plane: PlaneGraph, gamma: Gamma) -> PolylineD
             raise OneBendError(f"edge {orig} never drawn")
         if pts[0] != gamma.pos[a]:
             pts.reverse()
-        polylines[orig] = _strip_collinear(pts)
+        polylines[orig] = strip_collinear(pts)
     positions = {v: gamma.pos[v] for v in target.vertices}
     return PolylineDrawing(graph=target, positions=positions, polylines=polylines)
-
-
-def _strip_collinear(pts: List[Point]) -> List[Point]:
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p != out[-1]:
-            out.append(p)
-    pts = out
-    cleaned = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        a, b, c = cleaned[-1], pts[i], pts[i + 1]
-        cross = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
-        if cross == 0:
-            continue
-        cleaned.append(b)
-    cleaned.append(pts[-1])
-    return cleaned

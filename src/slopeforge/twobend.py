@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import graphutil
 from .drawing import PolylineDrawing
-from .geometry import Point
+from .geometry import Point, strip_collinear
 from .model import EmbeddedGraph, EmbeddingError, PlaneGraph
 from .ordering import StOrdering, st_order
 from .reembed import normalize_embedding
@@ -924,24 +924,6 @@ def draw_twobend(g: EmbeddedGraph, check_steps: bool = False) -> PolylineDrawing
             if pa[-1] != pb[0]:
                 raise TwoBendError(f"fragments of {orig} do not meet at their crossing")
             joined = pa + pb[1:]
-            polylines[orig] = _strip_collinear(joined)
+            polylines[orig] = strip_collinear(joined)
     positions = {v: assembled.pos[v] for v in norm.vertices}
     return PolylineDrawing(graph=norm, positions=positions, polylines=polylines)
-
-
-def _strip_collinear(pts: List[Point]) -> List[Point]:
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p != out[-1]:
-            out.append(p)
-    pts = out
-    cleaned = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        a, b, c = cleaned[-1], pts[i], pts[i + 1]
-        cross = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
-        dot = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)
-        if cross == 0 and dot > 0:
-            continue
-        cleaned.append(b)
-    cleaned.append(pts[-1])
-    return cleaned

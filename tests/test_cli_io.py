@@ -77,10 +77,12 @@ class TestCli:
         code, report_json = run_cli(["validate", "--profile", "twobend"], drawing_json)
         assert code == 0
 
-    def test_draw_rejects_bad_input(self):
+    def test_draw_rejects_bad_input(self, tmp_path, capsys):
         code, graph_json = run_cli(["gen", "--family", "2reg", "--k", "2"])
-        code, _ = run_cli(["draw", "--mode", "onebend"], graph_json)
-        assert code == 2  # 2-regular input is not cubic
+        for trace in ([], ["--trace", str(tmp_path / "steps")]):
+            code, _ = run_cli(["draw", "--mode", "onebend", *trace], graph_json)
+            assert code == 2  # 2-regular input is not cubic
+            assert "input must be cubic" in capsys.readouterr().err
 
     def test_normalize_command(self):
         code, graph_json = run_cli(["gen", "--family", "crossedk4"])

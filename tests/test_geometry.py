@@ -18,6 +18,7 @@ from slopeforge.geometry import (
     octant,
     slope_of,
     sort_directions_ccw,
+    strip_collinear,
 )
 
 
@@ -236,3 +237,11 @@ class TestAngles:
         ]
         assert min_angle_eighths_lower_bound(dirs45) == 1
         assert min_angle_eighths_lower_bound([(Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))]) is None
+
+
+class TestStripCollinear:
+    def test_drops_straight_through_points_only(self):
+        corner = [P(0, 0), P(2, 0), P(2, 0), P(4, 0), P(4, 3)]
+        assert strip_collinear(corner) == [P(0, 0), P(4, 0), P(4, 3)]
+        reversal = [P(0, 0), P(3, 3), P(1, 1)]
+        assert strip_collinear(reversal) == reversal

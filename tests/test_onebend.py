@@ -21,6 +21,7 @@ from slopeforge.onebend import (
     _check_simple,
     _check_stretch,
     check_gamma,
+    check_step,
     draw_onebend,
     stretch,
 )
@@ -39,6 +40,17 @@ def build_drawer(g, check=True):
         plane = plane.with_outer(face.darts[0])
     delta = canonical_order(plane, head, tail)
     return OneBendDrawer(plane, delta, check_steps=check)
+
+
+def _base_s_t_plane():
+    """Base edge v1-v2, an edge s from v1 to a, and a free edge t from c to b."""
+    return PlaneGraph(
+        vertices=["v1", "v2", "a", "b", "c"],
+        real={"v1", "v2", "a", "b", "c"},
+        edges={"base": ("v1", "v2"), "s": ("v1", "a"), "t": ("c", "b")},
+        rotation={"v1": ["base", "s"], "v2": ["base"], "a": ["s"], "b": ["t"], "c": ["t"]},
+        fragment_of={},
+    )
 
 
 class TestBase:
@@ -110,14 +122,7 @@ class TestStretchCheck:
     def _stretched_gamma(shift):
         """Base v1-v2, a stationary edge s with a horizontal at y=4, and an
         edge t that a stretch translated by `shift` along that line."""
-        plane = PlaneGraph(
-            vertices=["v1", "v2", "a", "b", "c"],
-            real={"v1", "v2", "a", "b", "c"},
-            edges={"base": ("v1", "v2"), "s": ("v1", "a"), "t": ("c", "b")},
-            rotation={"v1": ["base", "s"], "v2": ["base"], "a": ["s"], "b": ["t"], "c": ["t"]},
-            fragment_of={},
-        )
-        g = Gamma(plane=plane, v1="v1", v2="v2")
+        g = Gamma(plane=_base_s_t_plane(), v1="v1", v2="v2")
         g.pos = {
             "v1": Point(F(0), F(0)), "v2": Point(F(10) + shift, F(0)), "a": Point(F(4), F(4)),
             "c": Point(F(-4) + shift, F(4)), "b": Point(F(-2) + shift, F(4)),
@@ -139,6 +144,79 @@ class TestStretchCheck:
         assert _check_simple(after)
         clear, left = self._stretched_gamma(F(1))
         assert _check_stretch(clear, left) == [] == _check_simple(clear)
+
+
+class TestStepCheck:
+    def test_agrees_with_full_check_at_every_step(self, monkeypatch):
+        seen = []
+        real_check_step = onebend.check_step
+
+        def both(g, new):
+            problems = real_check_step(g, new)
+            seen.append((problems, check_gamma(g)))
+            return problems
+
+        monkeypatch.setattr(onebend, "check_step", both)
+        graphs = []
+        for seed in range(60, 84):
+            target = (12, 16, 20, 24)[seed % 4]
+            graphs += gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)
+        for g in graphs:
+            draw_onebend(g, check_steps=True)
+        assert len(graphs) >= 20 and len(seen) >= 100
+        assert all(step == full for step, full in seen)
+
+    def test_full_check_after_base_and_final(self, monkeypatch):
+        drawer = build_drawer(gen_corpus(seed=61, n_target=16, profile="cubic3con", count=1)[0])
+        full, steps = [], []
+        real_check_gamma, real_check_step = onebend.check_gamma, onebend.check_step
+
+        def counted_full(g):
+            full.append(len(drawer.trace))
+            return real_check_gamma(g)
+
+        def counted_step(g, new):
+            steps.append(len(drawer.trace))
+            return real_check_step(g, new)
+
+        monkeypatch.setattr(onebend, "check_gamma", counted_full)
+        monkeypatch.setattr(onebend, "check_step", counted_step)
+        drawer.run()
+        n = len(drawer.trace)
+        assert full == [1, n]
+        assert steps == list(range(2, n))
+
+    @staticmethod
+    def _gamma_with_new_edge(t_pts):
+        """Base v1-v2, an old edge s with a horizontal at y=4, and an edge t
+        just drawn along t_pts."""
+        g = Gamma(plane=_base_s_t_plane(), v1="v1", v2="v2")
+        t_pts = [Point(F(x), F(y)) for x, y in t_pts]
+        g.pos = {
+            "v1": Point(F(0), F(0)), "v2": Point(F(10), F(0)), "a": Point(F(4), F(4)),
+            "c": t_pts[0], "b": t_pts[-1],
+        }
+        g.polylines = {
+            "base": [g.pos["v1"], Point(F(5), F(-5)), g.pos["v2"]],
+            "s": [g.pos["v1"], Point(F(0), F(4)), g.pos["a"]],
+            "t": t_pts,
+        }
+        g.placed = set(g.pos)
+        return g
+
+    def test_rejects_new_edge_crossing_an_old_segment(self):
+        clear = self._gamma_with_new_edge([(6, 2), (6, 3)])
+        assert check_step(clear, {"t"}) == [] == check_gamma(clear)
+        crossing = self._gamma_with_new_edge([(2, 2), (2, 6)])
+        problems = check_step(crossing, {"t"})
+        assert "simple: t and s intersect improperly (proper_crossing)" in problems
+        assert problems == check_gamma(crossing)
+
+    def test_rejects_new_edge_off_the_slopes(self):
+        g = self._gamma_with_new_edge([(6, 2), (6, 3), (7, 5), (7, 6)])
+        problems = check_step(g, {"t"})
+        assert "P1: segment of t off the canonical slopes" in problems
+        assert problems == check_gamma(g)
 
 
 class TestPipeline:
