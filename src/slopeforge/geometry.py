@@ -8,11 +8,12 @@ angle/resolution claims can be decided by sign tests instead of epsilons.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 Rat = Fraction
 RatLike = Union[int, str, Fraction]
@@ -226,6 +227,59 @@ def intersect(s1: Segment, s2: Segment) -> Intersection:
     return Intersection(IntersectKind.PROPER_CROSSING, p)
 
 
+# Sweep boxes live on the grid of step 2**-_GRID_BITS: integer keys sort and
+# compare fast, and a grid this fine keeps the boxes of segments that pass
+# close to each other apart, so few DISJOINT pairs reach intersect.
+_GRID_BITS = 16
+
+
+def _grid_box(seg: Segment) -> Tuple[int, int, int, int]:
+    """The bounding box of seg with every coordinate v replaced by
+    floor(v * 2**_GRID_BITS).  Floor is monotone, so two grid boxes are
+    disjoint only if the exact boxes are."""
+    a, b = seg.a, seg.b
+    ax = (a.x.numerator << _GRID_BITS) // a.x.denominator
+    bx = (b.x.numerator << _GRID_BITS) // b.x.denominator
+    ay = (a.y.numerator << _GRID_BITS) // a.y.denominator
+    by = (b.y.numerator << _GRID_BITS) // b.y.denominator
+    if ax > bx:
+        ax, bx = bx, ax
+    if ay > by:
+        ay, by = by, ay
+    return ax, ay, bx, by
+
+
+def segment_hits(
+    segs: Sequence[Segment], groups: Optional[Sequence[object]] = None
+) -> Iterator[Tuple[int, int, Intersection]]:
+    """Every pair of segments that is not DISJOINT, as (i, j, intersect(...)).
+
+    A sweep in x over the segments' boxes, with integer keys that never
+    separate two segments that meet, hands each candidate pair to the
+    exact intersect.  Pairs come in sweep order, and j is the segment that
+    entered the sweep first.  A pair whose `groups` entries are equal and
+    not None is skipped.
+    """
+    boxes = [_grid_box(s) for s in segs]
+    if groups is None:
+        groups = [None] * len(segs)
+    active: List[int] = []
+    for i in sorted(range(len(segs)), key=lambda k: boxes[k][0]):
+        lo_x, lo_y, _, hi_y = boxes[i]
+        group = groups[i]
+        active = [j for j in active if boxes[j][2] >= lo_x]
+        for j in active:
+            if group is not None and groups[j] == group:
+                continue
+            box = boxes[j]
+            if hi_y < box[1] or box[3] < lo_y:
+                continue
+            res = intersect(segs[i], segs[j])
+            if res.kind is not IntersectKind.DISJOINT:
+                yield i, j, res
+        active.append(i)
+
+
 # ---------------------------------------------------------------------------
 # Angles.  Directions on canonical slopes have octant indices 0..7 counting
 # counterclockwise from east; the angle between two such directions is an
@@ -327,8 +381,6 @@ def _half_turn(d: Direction) -> int:
 
 
 def sort_directions_ccw(dirs: list) -> list:
-    import functools
-
     return sorted(dirs, key=functools.cmp_to_key(angular_compare))
 
 

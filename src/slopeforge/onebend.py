@@ -33,9 +33,9 @@ from .geometry import (
     Point,
     Segment,
     SlopeKind,
-    intersect,
     line_intersection,
     octant,
+    segment_hits,
     slope_of,
     strip_collinear,
 )
@@ -490,23 +490,17 @@ def _blockers(
 
     The new polylines may meet the drawing only at allowed_points (the
     connection anchors); anything else, including a new vertex landing on
-    an existing point, blocks the placement.
+    an existing point, blocks the placement.  Each blocked segment is
+    reported once, in drawing order.
     """
-    out = []
-    boxes = [ns.bbox() for ns in new_segments]
-    for e, seg in g.segments():
-        b = seg.bbox()
-        for ns, nb in zip(new_segments, boxes):
-            if b[2] < nb[0] or nb[2] < b[0] or b[3] < nb[1] or nb[3] < b[1]:
-                continue
-            res = intersect(seg, ns)
-            if res.kind is IntersectKind.DISJOINT:
-                continue
-            if res.point is not None and res.point in allowed_points:
-                continue
-            out.append((e, seg))
-            break
-    return out
+    drawn = g.segments()
+    segs = [s for _, s in drawn] + new_segments
+    groups = [0] * len(drawn) + [1] * len(new_segments)
+    blocked = set()
+    for i, j, res in segment_hits(segs, groups):
+        if res.point is None or res.point not in allowed_points:
+            blocked.add(min(i, j))
+    return [drawn[k] for k in sorted(blocked)]
 
 
 # ---------------------------------------------------------------------------
@@ -1423,17 +1417,9 @@ def _cyclic_subsequence(sub: List[str], full: List[str]) -> bool:
     return False
 
 
-def _float_box(seg: Segment):
-    ax, ay, bx, by = float(seg.a.x), float(seg.a.y), float(seg.b.x), float(seg.b.y)
-    lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
-    lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
-    pad_x = 1e-9 * (abs(hi_x) + 1)
-    pad_y = 1e-9 * (abs(hi_y) + 1)
-    return (lo_x - pad_x, lo_y - pad_y, hi_x + pad_x, hi_y + pad_y)
-
-
-# Segment groups of a stretch (see _check_stretch).
-_STATIONARY, _TRANSLATED, _RESHAPED = 0, 1, 2
+# Segment groups of a stretch (see _check_stretch); segment_hits skips the
+# pairs inside one group except _RESHAPED.
+_STATIONARY, _TRANSLATED, _RESHAPED = 0, 1, None
 
 
 def _check_simple(g: Gamma) -> List[str]:
@@ -1466,39 +1452,24 @@ def _check_stretch(g: Gamma, left: Set[str]) -> List[str]:
     return _improper_pairs(g, segs, groups)
 
 
-def _improper_pairs(g: Gamma, segs: List[Tuple[str, Segment]], groups: List[int]) -> List[str]:
+def _improper_pairs(
+    g: Gamma, segs: List[Tuple[str, Segment]], groups: List[Optional[int]]
+) -> List[str]:
     """Sweep the segments for the first improper intersection, skipping
     pairs within one _STATIONARY or _TRANSLATED group; then test vertex
     coincidence."""
     out = []
-    boxes = [_float_box(s) for _, s in segs]
-    order = sorted(range(len(segs)), key=lambda i: boxes[i][0])
-    active: List[int] = []
-    for idx in order:
-        e1, s1 = segs[idx]
-        b1 = boxes[idx]
-        g1 = groups[idx]
-        active = [j for j in active if boxes[j][2] >= b1[0]]
-        for j in active:
-            if g1 == groups[j] != _RESHAPED:
+    for i, j, res in segment_hits([s for _, s in segs], groups):
+        e1, e2 = segs[i][0], segs[j][0]
+        if res.kind is IntersectKind.SHARED_ENDPOINT:
+            if e1 == e2:
                 continue
-            e2, s2 = segs[j]
-            b2 = boxes[j]
-            if b1[3] < b2[1] or b2[3] < b1[1]:
+            pt = res.point
+            common = set(g.plane.edges[e1]) & set(g.plane.edges[e2])
+            if any(g.pos.get(vv) == pt for vv in common):
                 continue
-            res = intersect(s1, s2)
-            if res.kind is IntersectKind.DISJOINT:
-                continue
-            if res.kind is IntersectKind.SHARED_ENDPOINT:
-                if e1 == e2:
-                    continue
-                pt = res.point
-                common = set(g.plane.edges[e1]) & set(g.plane.edges[e2])
-                if any(g.pos.get(vv) == pt for vv in common):
-                    continue
-            out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")
-            return out
-        active.append(idx)
+        out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")
+        return out
     seen_pos: Dict[Point, str] = {}
     for v in sorted(g.placed):
         p = g.pos[v]

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import graphutil
 from .drawing import PolylineDrawing
-from .geometry import Point, strip_collinear
+from .geometry import IntersectKind, Point, Segment, segment_hits, strip_collinear
 from .model import EmbeddedGraph, EmbeddingError, PlaneGraph
 from .ordering import StOrdering, st_order
 from .reembed import normalize_embedding
@@ -370,7 +370,7 @@ def _dedup_collinear(e: OrthoEdge) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_invariants(d: OrthoDrawing, require_all: bool = True) -> List[str]:
+def check_invariants(d: OrthoDrawing) -> List[str]:
     problems: List[str] = []
     # I1a: orthogonal segments and catalog shapes.
     for e in d.edges.values():
@@ -434,32 +434,25 @@ def _cyclic_equal(a: List[str], b: List[str]) -> bool:
 
 
 def _planarity_problems(d: OrthoDrawing) -> List[str]:
-    from .geometry import IntersectKind, Segment, intersect
-
     segs: List[Tuple[str, int, Segment]] = []
     for eid in sorted(d.edges):
         pts = d.edges[eid].points
         for i in range(len(pts) - 1):
             segs.append((eid, i, Segment(pts[i], pts[i + 1])))
+    hits = sorted(
+        (min(i, j), max(i, j), res) for i, j, res in segment_hits([s for _, _, s in segs])
+    )
     problems = []
-    for i in range(len(segs)):
-        e1, i1, s1 = segs[i]
-        for j in range(i + 1, len(segs)):
-            e2, i2, s2 = segs[j]
-            b1, b2 = s1.bbox(), s2.bbox()
-            if b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1]:
+    for i, j, res in hits:
+        (e1, i1, _), (e2, i2, _) = segs[i], segs[j]
+        if e1 == e2 and abs(i1 - i2) == 1 and res.kind is IntersectKind.SHARED_ENDPOINT:
+            continue
+        if e1 != e2 and res.kind is IntersectKind.SHARED_ENDPOINT:
+            ea, eb = d.edges[e1], d.edges[e2]
+            shared = {ea.tail, ea.head} & {eb.tail, eb.head}
+            if any(d.pos[v] == res.point for v in shared):
                 continue
-            res = intersect(s1, s2)
-            if res.kind is IntersectKind.DISJOINT:
-                continue
-            if e1 == e2 and abs(i1 - i2) == 1 and res.kind is IntersectKind.SHARED_ENDPOINT:
-                continue
-            if e1 != e2 and res.kind is IntersectKind.SHARED_ENDPOINT:
-                ea, eb = d.edges[e1], d.edges[e2]
-                shared = {ea.tail, ea.head} & {eb.tail, eb.head}
-                if any(d.pos[v] == res.point for v in shared):
-                    continue
-            problems.append(f"I1: {e1} and {e2} intersect ({res.kind.value})")
+        problems.append(f"I1: {e1} and {e2} intersect ({res.kind.value})")
     return problems
 
 

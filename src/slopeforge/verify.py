@@ -8,6 +8,7 @@ an epsilon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -20,8 +21,11 @@ from .geometry import (
     Segment,
     SlopeKind,
     CANONICAL_SLOPES,
-    intersect,
+    angular_compare,
     min_angle_eighths_lower_bound,
+    on_segment,
+    orient,
+    segment_hits,
     slope_of,
     sort_directions_ccw,
 )
@@ -56,29 +60,6 @@ class DrawingError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_hits(d: PolylineDrawing):
-    """All non-disjoint segment pairs, with a bbox sweep as prefilter."""
-    segs = d.all_segments()
-    boxes = [seg.bbox() for _, _, seg in segs]
-    order = sorted(range(len(segs)), key=lambda i: boxes[i][0])
-    active: List[int] = []
-    hits = []
-    for idx in order:
-        e, si, seg = segs[idx]
-        b1 = boxes[idx]
-        active = [j for j in active if boxes[j][2] >= b1[0]]
-        for j in active:
-            e2, sj, seg2 = segs[j]
-            b2 = boxes[j]
-            if b1[3] < b2[1] or b2[3] < b1[1]:
-                continue
-            res = intersect(seg, seg2)
-            if res.kind is not IntersectKind.DISJOINT:
-                hits.append(((e, si, seg), (e2, sj, seg2), res))
-        active.append(idx)
-    return hits
-
-
 @dataclass
 class Interactions:
     violations: List[str]
@@ -90,8 +71,6 @@ class Interactions:
 def _corner_crossing(d: PolylineDrawing, corner_edge: str, pt: Point, other_seg: Segment) -> bool:
     """A polyline corner lying inside another edge's segment is a genuine
     crossing when the two corner segments leave on opposite sides."""
-    from .geometry import orient
-
     pts = d.polylines[corner_edge]
     if pt not in pts[1:-1]:
         return False
@@ -110,10 +89,6 @@ def _corner_corner_crossing(d: PolylineDrawing, e1: str, e2: str, pt: Point) -> 
     d1a, d1b = _edge_dirs_at(d, e1, pt)
     d2a, d2b = _edge_dirs_at(d, e2, pt)
     labeled = [(d1a, 1), (d1b, 1), (d2a, 2), (d2b, 2)]
-    import functools
-
-    from .geometry import angular_compare
-
     labeled.sort(key=functools.cmp_to_key(lambda p, q: angular_compare(p[0], q[0])))
     owners = [o for _, o in labeled]
     return owners in ([1, 2, 1, 2], [2, 1, 2, 1])
@@ -123,7 +98,9 @@ def _analyze(d: PolylineDrawing) -> Interactions:
     """Classify all segment interactions of a drawing."""
     violations: List[str] = []
     crossings: Dict[Point, List[Tuple[str, int, Segment]]] = {}
-    for (e1, i1, s1), (e2, i2, s2), res in _pairwise_hits(d):
+    segs = d.all_segments()
+    for i, j, res in segment_hits([seg for _, _, seg in segs]):
+        (e1, i1, s1), (e2, i2, s2) = segs[i], segs[j]
         if e1 == e2:
             if abs(i1 - i2) == 1:
                 if res.kind is not IntersectKind.SHARED_ENDPOINT:
@@ -209,14 +186,7 @@ def count_slopes(d: PolylineDrawing) -> int:
 
 
 def slope_set(d: PolylineDrawing) -> Set[SlopeKind]:
-    kinds: Set[SlopeKind] = set()
-    other_vecs: Set[Tuple[int, int]] = set()
-    for _, _, seg in d.all_segments():
-        s = slope_of(seg)
-        if s.kind is SlopeKind.OTHER:
-            other_vecs.add(s.vec)
-        kinds.add(s.kind)
-    return kinds
+    return {slope_of(seg).kind for _, _, seg in d.all_segments()}
 
 
 def distinct_slope_count(d: PolylineDrawing) -> int:
@@ -278,8 +248,6 @@ def _edge_dirs_at(d: PolylineDrawing, e: str, pt: Point) -> List[Direction]:
             (pts[i - 1].x - pt.x, pts[i - 1].y - pt.y),
             (pts[i + 1].x - pt.x, pts[i + 1].y - pt.y),
         ]
-    from .geometry import on_segment
-
     for i in range(len(pts) - 1):
         seg = Segment(pts[i], pts[i + 1])
         if on_segment(pt, seg):
@@ -399,8 +367,6 @@ def _frag_dirs_at(pts: List[Point], pt: Point) -> Tuple[Direction, Direction]:
             (pts[i - 1].x - pt.x, pts[i - 1].y - pt.y),
             (pts[i + 1].x - pt.x, pts[i + 1].y - pt.y),
         )
-    from .geometry import on_segment
-
     for i in range(len(pts) - 1):
         if pts[i] != pt and pts[i + 1] != pt and on_segment(pt, Segment(pts[i], pts[i + 1])):
             return (
@@ -411,10 +377,6 @@ def _frag_dirs_at(pts: List[Point], pt: Point) -> Tuple[Direction, Direction]:
 
 
 def _sort_edge_dirs_ccw(dir_edges: Sequence[Tuple[Direction, str]]):
-    import functools
-
-    from .geometry import angular_compare
-
     return sorted(dir_edges, key=functools.cmp_to_key(lambda p, q: angular_compare(p[0], q[0])))
 
 
@@ -433,7 +395,7 @@ def _plane_polylines(plane: PlaneGraph, positions: Dict[str, Point], d: Polyline
         else:
             # Fragment: cut the original polyline at the crossing point.
             cut = pa if va not in plane.real else pb
-            idx, frac_pt = _locate_on_polyline(pts, cut)
+            idx = _locate_on_polyline(pts, cut)
             first = pts[: idx + 1] + [cut]
             second = [cut] + pts[idx + 1 :]
             piece = first if (first[0] == pa or first[0] == pb) else second
@@ -443,12 +405,10 @@ def _plane_polylines(plane: PlaneGraph, positions: Dict[str, Point], d: Polyline
     return out
 
 
-def _locate_on_polyline(pts: List[Point], p: Point) -> Tuple[int, Point]:
-    from .geometry import on_segment
-
+def _locate_on_polyline(pts: List[Point], p: Point) -> int:
     for i in range(len(pts) - 1):
         if on_segment(p, Segment(pts[i], pts[i + 1])):
-            return i, p
+            return i
     raise DrawingError(f"point {p} not on polyline")
 
 

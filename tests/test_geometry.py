@@ -7,6 +7,7 @@ import pytest
 
 from slopeforge.geometry import (
     AngleClass,
+    Intersection,
     IntersectKind,
     Point,
     Segment,
@@ -16,6 +17,7 @@ from slopeforge.geometry import (
     intersect,
     min_angle_eighths_lower_bound,
     octant,
+    segment_hits,
     slope_of,
     sort_directions_ccw,
     strip_collinear,
@@ -245,3 +247,100 @@ class TestStripCollinear:
         assert strip_collinear(corner) == [P(0, 0), P(4, 0), P(4, 3)]
         reversal = [P(0, 0), P(3, 3), P(1, 1)]
         assert strip_collinear(reversal) == reversal
+
+
+def _brute_hits(segs, groups=None):
+    """The oracle: intersect on every pair, keyed by (lower, higher) index."""
+    out = {}
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            if groups is not None and groups[i] is not None and groups[i] == groups[j]:
+                continue
+            res = intersect(segs[i], segs[j])
+            if res.kind is not IntersectKind.DISJOINT:
+                out[(i, j)] = res
+    return out
+
+
+def _swept_hits(segs, groups=None):
+    out = {}
+    for i, j, res in segment_hits(segs, groups):
+        key = (min(i, j), max(i, j))
+        assert i != j and key not in out
+        out[key] = res
+    return out
+
+
+def _segment_soup(rng, n, den):
+    """n segments on coordinates of denominator den in [0, 8]: free ones, and
+    ones that share an endpoint with, start on, overlap, or stop 2**-20 or
+    2**-24 short of an earlier segment."""
+
+    def free_point():
+        return P(Fraction(rng.randint(0, 8 * den), den), Fraction(rng.randint(0, 8 * den), den))
+
+    segs = []
+    while len(segs) < n:
+        kind = rng.randrange(5) if segs else 0
+        b = free_point()
+        if kind == 0:
+            a = free_point()
+        else:
+            old = segs[rng.randrange(len(segs))]
+            t = Fraction(rng.randint(0, 4), 4)
+            on = P(old.a.x + t * (old.b.x - old.a.x), old.a.y + t * (old.b.y - old.a.y))
+            if kind == 1:
+                a = old.a
+            elif kind == 2:
+                a = on
+            elif kind == 3:
+                a = on
+                b = P(on.x + 2 * (old.b.x - old.a.x), on.y + 2 * (old.b.y - old.a.y))
+            else:
+                eps = Fraction(1, 2 ** rng.choice((20, 24)))
+                a = on.shifted(rng.choice((-1, 1)) * eps, rng.choice((-1, 0, 1)) * eps)
+        if a != b:
+            segs.append(Segment(a, b))
+    return segs
+
+
+class TestSegmentHits:
+    def test_matches_brute_force_at_1bend_denominators(self):
+        rng = random.Random(21)
+        kinds = set()
+        for _ in range(6):
+            segs = _segment_soup(rng, 50, 10**14 + rng.randint(0, 10**6))
+            want = _brute_hits(segs)
+            assert _swept_hits(segs) == want
+            kinds |= {res.kind for res in want.values()}
+        assert kinds == set(IntersectKind) - {IntersectKind.DISJOINT}
+
+    def test_matches_brute_force_beyond_float_range(self):
+        big = 2 ** 1100
+        with pytest.raises(OverflowError):
+            float(big)
+        rng = random.Random(22)
+        for _ in range(3):
+            segs = _segment_soup(rng, 40, rng.choice((3, 10**14 + 7)))
+            scaled = [Segment(P(s.a.x * big, s.a.y * big), P(s.b.x * big, s.b.y * big)) for s in segs]
+            hits = _swept_hits(scaled)
+            assert hits == _brute_hits(scaled)
+            assert {k: r.kind for k, r in hits.items()} == {k: r.kind for k, r in _swept_hits(segs).items()}
+
+    def test_finer_than_the_box_grid(self):
+        eps = Fraction(1, 2 ** 20)
+        base = S(0, 0, 1, 0)
+        touching = Segment(P(Fraction(1, 2), 0), P(Fraction(1, 2), 1))
+        missing = Segment(P(Fraction(1, 2), eps), P(Fraction(1, 2), 1))
+        beyond = Segment(P(1 + eps, 0), P(2, 0))
+        assert _swept_hits([base, touching, missing, beyond]) == {
+            (0, 1): Intersection(IntersectKind.TOUCH, P(Fraction(1, 2), 0)),
+            (1, 2): Intersection(IntersectKind.OVERLAP),
+        }
+
+    def test_skips_pairs_inside_one_group(self):
+        rng = random.Random(23)
+        for _ in range(6):
+            segs = _segment_soup(rng, 50, 10**14 + rng.randint(0, 10**6))
+            groups = [rng.choice((None, 0, 1, "x")) for _ in segs]
+            assert _swept_hits(segs, groups) == _brute_hits(segs, groups)

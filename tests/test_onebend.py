@@ -12,12 +12,13 @@ from slopeforge.families import (
     gen_k4_embedded,
     gen_prism,
 )
-from slopeforge.geometry import Point, SlopeKind
+from slopeforge.geometry import Point, Segment, SlopeKind
 from slopeforge.model import PlaneGraph, find_real_real_face
 from slopeforge.onebend import (
     Gamma,
     OneBendDrawer,
     OneBendError,
+    _blockers,
     _check_simple,
     _check_stretch,
     check_gamma,
@@ -217,6 +218,73 @@ class TestStepCheck:
         problems = check_step(g, {"t"})
         assert "P1: segment of t off the canonical slopes" in problems
         assert problems == check_gamma(g)
+
+    @staticmethod
+    def _gamma_with_third_edge_at_v1(port_end):
+        """Base v1-v2 and an edge s from v1 to a drawn before; an edge u just
+        drawn from v1 to c = port_end.  The rotation at v1 is base, s, u, and
+        base leaves v1 on SE and s on N, so u must leave between N and SE."""
+        plane = PlaneGraph(
+            vertices=["v1", "v2", "a", "c"],
+            real={"v1", "v2", "a", "c"},
+            edges={"base": ("v1", "v2"), "s": ("v1", "a"), "u": ("v1", "c")},
+            rotation={"v1": ["base", "s", "u"], "v2": ["base"], "a": ["s"], "c": ["u"]},
+            fragment_of={},
+        )
+        g = Gamma(plane=plane, v1="v1", v2="v2")
+        g.pos = {
+            "v1": Point(F(0), F(0)), "v2": Point(F(10), F(0)), "a": Point(F(4), F(4)),
+            "c": Point(F(port_end[0]), F(port_end[1])),
+        }
+        g.polylines = {
+            "base": [g.pos["v1"], Point(F(5), F(-5)), g.pos["v2"]],
+            "s": [g.pos["v1"], Point(F(0), F(4)), g.pos["a"]],
+            "u": [g.pos["v1"], g.pos["c"]],
+        }
+        g.placed = set(g.pos)
+        return g
+
+    def test_rejects_new_edge_out_of_rotation_order(self):
+        in_order = self._gamma_with_third_edge_at_v1((-2, 0))
+        assert check_step(in_order, {"u"}) == [] == check_gamma(in_order)
+        out_of_order = self._gamma_with_third_edge_at_v1((2, 2))
+        problems = check_step(out_of_order, {"u"})
+        assert "rotation at v1 not preserved" in problems
+        assert problems == check_gamma(out_of_order)
+
+
+class TestBlockers:
+    @staticmethod
+    def _drawing():
+        """Segments in drawing order: base (0,0)-(5,-5) and (5,-5)-(10,0),
+        s (0,0)-(0,4) and (0,4)-(4,4), t (6,2)-(6,3)."""
+        return TestStepCheck._gamma_with_new_edge([(6, 2), (6, 3)])
+
+    @staticmethod
+    def _segs(*coords):
+        return [Segment(Point(F(x1), F(y1)), Point(F(x2), F(y2))) for x1, y1, x2, y2 in coords]
+
+    def test_blocked_segments_once_each_in_drawing_order(self):
+        g = self._drawing()
+        drawn = g.segments()
+        new = self._segs((3, 6, 3, -10), (1, 5, 1, 3))
+        assert _blockers(g, new, set()) == [drawn[0], drawn[3]]
+
+    def test_hits_at_allowed_points_do_not_block(self):
+        g = self._drawing()
+        a = g.pos["a"]
+        new = self._segs((4, 4, 4, 8), (4, 8, 8, 8))
+        assert _blockers(g, new, {a}) == []
+        assert _blockers(g, new, set()) == [g.segments()[3]]
+
+    def test_new_vertex_on_an_existing_point_blocks(self):
+        g = self._drawing()
+        drawn = g.segments()
+        allowed = {g.pos["a"]}
+        on_s = self._segs((4, 4, 2, 6), (2, 6, 2, 4))
+        assert _blockers(g, on_s, allowed) == [drawn[3]]
+        on_v2 = self._segs((4, 4, 10, 10), (10, 10, 10, 0))
+        assert _blockers(g, on_v2, allowed) == [drawn[1]]
 
 
 class TestPipeline:

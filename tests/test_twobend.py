@@ -65,6 +65,17 @@ class TestDrawLiu:
         shapes = sorted(e.shape() for e in d.edges.values())
         assert set(shapes) <= {"I", "L", "C"}
 
+    def test_edge_moved_across_another_breaks_i1(self):
+        d = draw_liu(square_plane(), "1", "3")
+        assert d.edges["e12"].points == [Point(F(0), F(1)), Point(F(1), F(1)), Point(F(1), F(2))]
+        # e23 now detours left of x=1 and down across e12's horizontal at y=1.
+        d.edges["e23"].points = [
+            Point(F(x), F(y))
+            for x, y in ((1, 2), (F(1, 2), 2), (F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)), (F(3, 2), 4), (1, 4))
+        ]
+        i1 = [p for p in check_invariants(d) if p.startswith("I1:") and "intersect" in p]
+        assert i1 == ["I1: e12 and e23 intersect (proper_crossing)"]
+
     def test_crossed_k4_component(self):
         g = gen_crossed_k4()
         plane = g.plane.copy()
