@@ -50,7 +50,7 @@ DIRS: Dict[str, Tuple[int, int]] = {
     "E": (1, 0), "NE": (1, 1), "N": (0, 1), "NW": (-1, 1),
     "W": (-1, 0), "SW": (-1, -1), "S": (0, -1), "SE": (1, -1),
 }
-PORT_OF_DIR = {v: k for k, v in DIRS.items()}
+PORTS = tuple(DIRS)  # counter-clockwise from E, indexed by geometry.octant
 OPP = {"E": "W", "W": "E", "N": "S", "S": "N", "NE": "SW", "SW": "NE", "NW": "SE", "SE": "NW"}
 UP_PORTS = ("NE", "N", "NW")
 
@@ -112,7 +112,7 @@ class Gamma:
             o = octant((q.x - p.x, q.y - p.y))
             if o is None:
                 raise OneBendError(f"edge {e} leaves {v} off the canonical slopes")
-            out[e] = ["E", "NE", "N", "NW", "W", "SW", "S", "SE"][o]
+            out[e] = PORTS[o]
         return out
 
     def used_ports(self, v: str) -> Set[str]:
@@ -299,6 +299,17 @@ def connection_plans(g: Gamma, anchor: str, side: str, target_edge: Optional[str
 # ---------------------------------------------------------------------------
 
 
+def _edge_between(plane: PlaneGraph, a: str, b: str) -> str:
+    for e in plane.rotation[a]:
+        if plane.other_end(e, a) == b:
+            return e
+    raise OneBendError(f"no planarization edge between {a} and {b}")
+
+
+def _base_edge(g: Gamma) -> str:
+    return _edge_between(g.plane, g.v1, g.v2)
+
+
 def _horizontal_edges(g: Gamma) -> Set[str]:
     out = set()
     base = _base_edge(g)
@@ -311,42 +322,59 @@ def _horizontal_edges(g: Gamma) -> Set[str]:
     return out
 
 
-def _base_edge(g: Gamma) -> str:
-    for e in g.plane.rotation[g.v1]:
-        if g.plane.other_end(e, g.v1) == g.v2:
-            return e
-    raise OneBendError("base edge missing")
-
-
-def stretch(g: Gamma, left_anchor: str, delta: Fraction) -> Set[str]:
-    """Move everything right of a cut just right of left_anchor by delta.
-
-    The cut graph drops the base edge and every horizontal-bearing edge;
-    the stationary side is the union of the components of the contour
-    prefix ending at left_anchor (the stretch curve leaves the contour
-    through the gap after it).  Split edges absorb the motion at their
-    first horizontal segment from the stationary side; the base edge
-    re-derives its low point.
-    """
-    if delta <= 0:
-        raise ValueError("stretch needs a positive amount")
+def _cut_graph(g: Gamma, cut: Set[str]) -> Dict[str, Set[str]]:
+    """Adjacency of the placed vertices over the drawn edges that a stretch
+    does not cut: all but the base edge and the edges in `cut`, a set of
+    horizontal-bearing edges."""
     base = _base_edge(g)
+    adj: Dict[str, Set[str]] = {v: set() for v in g.placed}
+    for e in g.drawn_edges():
+        if e == base or e in cut:
+            continue
+        a, b = g.plane.edges[e]
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _split_edges(g: Gamma, left: Set[str]) -> List[str]:
+    """Drawn edges other than the base edge with exactly one end in `left`."""
+    base = _base_edge(g)
+    out = []
+    for e in g.drawn_edges():
+        a, b = g.plane.edges[e]
+        if e != base and (a in left) != (b in left):
+            out.append(e)
+    return out
+
+
+def _from_stationary_end(g: Gamma, e: str, left: Set[str]) -> List[Point]:
+    """The polyline of a split edge, oriented from its end in `left`."""
+    a, b = g.plane.edges[e]
+    pts = g.polylines[e]
+    return pts if pts[0] == g.pos[a if a in left else b] else pts[::-1]
+
+
+def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
+    """The placed vertices that a stretch just right of left_anchor keeps in
+    place; the drawing is not changed.
+
+    The cut graph drops the base edge and every horizontal-bearing
+    edge; the stationary side is the union of the
+    components of the contour prefix ending at left_anchor's component (the
+    stretch curve leaves the contour through the gap after it).  A split
+    edge absorbs the motion at its first horizontal segment running
+    rightward from its stationary end; edges without one are made rigid and
+    the cut is redone.  Each round makes at least one more edge rigid, and
+    rigid edges are never split, so the loop ends with every split edge
+    able to absorb.  Raises OneBendError when the right base vertex would
+    stay.
+    """
     hor = _horizontal_edges(g)
     rigid: Set[str] = set()
-    left: Set[str] = set()
-    for _ in range(len(g.polylines) + 2):
-        adj: Dict[str, Set[str]] = {v: set() for v in g.placed}
-        for e in g.drawn_edges():
-            if e == base or (e in hor and e not in rigid):
-                continue
-            a, b = g.plane.edges[e]
-            adj[a].add(b)
-            adj[b].add(a)
-        comps = graphutil.components(adj)
-        comp_of: Dict[str, int] = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
+    while True:
+        comps = graphutil.components(_cut_graph(g, hor - rigid))
+        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
         anchor_comp = comp_of[left_anchor]
         ia = max(
             (i for i, v in enumerate(g.contour) if comp_of[v] == anchor_comp),
@@ -364,55 +392,52 @@ def stretch(g: Gamma, left_anchor: str, delta: Fraction) -> Set[str]:
                 if max(g.pos[v].x for v in comp) <= t_lo:
                     stay_comps.add(ci)
         left = {v for v in g.placed if comp_of[v] in stay_comps}
-        # A split edge can only absorb at a horizontal running rightward from
-        # its stationary side; edges without one are rigid: retry the cut.
-        newly_rigid = set()
-        for e in g.drawn_edges():
-            if e == base or e in rigid or e not in hor:
-                continue
-            a, b = g.plane.edges[e]
-            if (a in left) == (b in left):
-                continue
-            pts = list(g.polylines[e])
-            stay = a if a in left else b
-            if pts[0] != g.pos[stay]:
-                pts = list(reversed(pts))
-            k = _first_rightward_horizontal(pts)
-            if k is None:
-                newly_rigid.add(e)
+        newly_rigid = {
+            e for e in _split_edges(g, left)
+            if _first_rightward_horizontal(_from_stationary_end(g, e, left)) is None
+        }
         if not newly_rigid:
             break
         rigid |= newly_rigid
     if g.v2 in left:
         raise OneBendError("stretch cut would move the right base vertex's side leftward")
+    return left
+
+
+def stretch(g: Gamma, left: Set[str], delta: Fraction) -> Dict[str, List[Point]]:
+    """Move every placed vertex outside `left`, a stretch_cut, right by delta.
+
+    Edges with no end in `left` translate; each split edge is redrawn from
+    its stationary end with its first rightward horizontal lengthened; the
+    base edge re-derives its low point.  Returns the polylines it replaced
+    of the split edges and the base edge: _translate(g, left, -delta)
+    followed by putting those back restores the drawing exactly.
+    """
+    if delta <= 0:
+        raise ValueError("stretch needs a positive amount")
+    base = _base_edge(g)
+    replaced = {base: g.polylines[base]}
+    for e in _split_edges(g, left):
+        pts = _from_stationary_end(g, e, left)
+        k = _first_rightward_horizontal(pts)
+        replaced[e] = g.polylines[e]
+        g.polylines[e] = pts[: k + 1] + [Point(p.x + delta, p.y) for p in pts[k + 1 :]]
+    _translate(g, left, delta)
+    _redraw_base(g)
+    return replaced
+
+
+def _translate(g: Gamma, left: Set[str], delta: Fraction) -> None:
+    """Shift the placed vertices outside `left`, and the edges with no end
+    in it, by delta in x."""
     for v in g.placed:
         if v not in left:
             p = g.pos[v]
             g.pos[v] = Point(p.x + delta, p.y)
     for e in g.drawn_edges():
         a, b = g.plane.edges[e]
-        pts = g.polylines[e]
-        if e == base:
-            continue
-        if a in left and b in left:
-            continue
         if a not in left and b not in left:
-            g.polylines[e] = [Point(p.x + delta, p.y) for p in pts]
-            continue
-        # Split edge: orient from the stationary endpoint, absorb at the
-        # first rightward horizontal segment.
-        stay = a if a in left else b
-        if pts[0] != g.pos[stay]:
-            pts = list(reversed(pts))
-        new_pts = list(pts)
-        k = _first_rightward_horizontal(pts)
-        if k is None:
-            raise OneBendError(f"cut edge {e} has no horizontal segment to absorb a stretch")
-        for i in range(k + 1, len(new_pts)):
-            new_pts[i] = Point(new_pts[i].x + delta, new_pts[i].y)
-        g.polylines[e] = new_pts
-    _redraw_base(g)
-    return left
+            g.polylines[e] = [Point(p.x + delta, p.y) for p in g.polylines[e]]
 
 
 def _first_rightward_horizontal(pts: List[Point]) -> Optional[int]:
@@ -441,8 +466,8 @@ def _ray_point_at_height(anchor: Point, port: str, y: Fraction) -> Point:
     return Point(anchor.x + dx * (y - anchor.y), y)
 
 
-def _apex(g: Gamma, pl: Plan, pr: Plan) -> Optional[Point]:
-    a, b = g.pos[pl.anchor], g.pos[pr.anchor]
+def _apex(pos: Dict[str, Point], pl: Plan, pr: Plan) -> Optional[Point]:
+    a, b = pos[pl.anchor], pos[pr.anchor]
     pt = line_intersection(a, _dir(pl.port), b, _dir(pr.port))
     if pt is None:
         return None
@@ -458,6 +483,17 @@ def _apex(g: Gamma, pl: Plan, pr: Plan) -> Optional[Point]:
         if dx == 0 and pt.x != anchor.x:
             return None
     return pt
+
+
+def _middle_mismatch(pos: Dict[str, Point], pl: Plan, pr: Plan, pm: Plan) -> Optional[Fraction]:
+    """How far the apex of pl and pr lies right of pm's line, with the
+    anchors at `pos`; None when pl and pr have no apex."""
+    apex = _apex(pos, pl, pr)
+    if apex is None:
+        return None
+    w = pos[pm.anchor]
+    dxm = DIRS[pm.port][0]
+    return apex.x - (w.x + dxm * (apex.y - w.y))
 
 
 def _needed_gap(g: Gamma, pl: Plan, pr: Plan, extra: Fraction = F(1)) -> Fraction:
@@ -509,6 +545,8 @@ def _blockers(
 
 
 MAX_REPAIRS = 80
+# The shift over which _align_middle reads the mismatch's rate of change.
+_RATE_SHIFT = F(4)
 
 
 class OneBendDrawer:
@@ -552,17 +590,11 @@ class OneBendDrawer:
         for k, z in enumerate(members):
             g.pos[z] = Point(F(2 * k + 2), F(0))
             g.placed.add(z)
-            g.polylines[self._edge_between(prev, z)] = [g.pos[prev], g.pos[z]]
+            g.polylines[_edge_between(self.plane, prev, z)] = [g.pos[prev], g.pos[z]]
             prev = z
-        g.polylines[self._edge_between(prev, v2)] = [g.pos[prev], g.pos[v2]]
+        g.polylines[_edge_between(self.plane, prev, v2)] = [g.pos[prev], g.pos[v2]]
         g.contour = [v1] + list(members) + [v2]
         self._post_step("base", full=True)
-
-    def _edge_between(self, a: str, b: str) -> str:
-        for e in self.plane.rotation[a]:
-            if self.plane.other_end(e, a) == b:
-                return e
-        raise OneBendError(f"no planarization edge between {a} and {b}")
 
     # -- generic insertion ----------------------------------------------------
 
@@ -601,7 +633,7 @@ class OneBendDrawer:
         self._place_with_repairs(v, plans_l, plans_r, middle_options)
 
     def _edge_between_checked(self, anchor: str, v: str) -> str:
-        e = self._edge_between(anchor, v)
+        e = _edge_between(self.plane, anchor, v)
         if e in self.g.polylines:
             raise OneBendError(f"edge {e} already drawn")
         return e
@@ -695,7 +727,7 @@ class OneBendDrawer:
             # Remaining constrained plans: their lines must pass the apex.
             realign = False
             for pm in rest:
-                m = self._middle_mismatch(da, db, pm) if da and db else None
+                m = _middle_mismatch(g.pos, da, db, pm) if da and db else None
                 if m is None or m == 0:
                     continue
                 sig = ("align", pm.anchor, apex, m)
@@ -740,7 +772,7 @@ class OneBendDrawer:
     def _apex_of(self, da: Optional[Plan], db: Optional[Plan]) -> Optional[Point]:
         g = self.g
         if da is not None and db is not None:
-            return _apex(g, da, db)
+            return _apex(g.pos, da, db)
         plan = da or db
         if plan is None:
             return None
@@ -764,32 +796,26 @@ class OneBendDrawer:
 
     # -- stretch drivers ------------------------------------------------------
 
-    def _snapshot(self):
-        g = self.g
-        return (
-            dict(g.pos),
-            {e: list(p) for e, p in g.polylines.items()},
-        )
-
-    def _restore(self, snap) -> None:
-        g = self.g
-        g.pos = dict(snap[0])
-        g.polylines = {e: list(p) for e, p in snap[1].items()}
-
     def _stretch_between(self, left_v: str, right_v: str, delta: Fraction) -> bool:
-        """Stretch right of left_v; fail (and roll back) when the cut does
-        not separate right_v or the moved drawing stops being simple."""
-        g = self.g
+        """Stretch right of left_v; fail, leaving the drawing as it was, when
+        the cut does not separate right_v or the moved drawing would stop
+        being simple."""
         if delta <= 0:
             delta = F(1)
-        snap = self._snapshot()
         try:
-            left = stretch(g, left_v, delta)
+            left = stretch_cut(self.g, left_v)
         except OneBendError:
-            self._restore(snap)
             return False
-        if right_v in left or _check_stretch(g, left):
-            self._restore(snap)
+        return right_v not in left and self._apply_stretch(left, delta)
+
+    def _apply_stretch(self, left: Set[str], delta: Fraction) -> bool:
+        """Stretch by delta the part outside `left`; undo it and fail when
+        _check_stretch rejects the result."""
+        g = self.g
+        replaced = stretch(g, left, delta)
+        if _check_stretch(g, left):
+            _translate(g, left, -delta)
+            g.polylines.update(replaced)
             return False
         return True
 
@@ -809,57 +835,49 @@ class OneBendDrawer:
                 return True
         return False
 
-    def _middle_mismatch(self, pl: Plan, pr: Plan, pm: Plan) -> Optional[Fraction]:
-        apex = _apex(self.g, pl, pr)
-        if apex is None:
-            return None
-        w = self.g.pos[pm.anchor]
-        dxm = DIRS[pm.port][0]
-        return apex.x - (w.x + dxm * (apex.y - w.y))
-
     def _align_middle(self, pl: Plan, pr: Plan, pm: Plan) -> bool:
         """Stretch until the middle plan's line passes through the apex.
 
-        The stretch response is linear, so one probe per candidate cut gives
-        the exact amount.  Returns False when no rightward cut can fix it.
+        A stretch moves the anchors outside its cut by its amount, and the
+        mismatch is affine in the anchor positions, so its value with those
+        anchors shifted by _RATE_SHIFT gives the exact amount for each
+        candidate cut; a cut that loses the apex within that shift is
+        passed over.  Returns False when no rightward cut can fix it.
         """
         g = self.g
-        m = self._middle_mismatch(pl, pr, pm)
+        m = _middle_mismatch(g.pos, pl, pr, pm)
         if m is None:
             return False
         if m == 0:
             return True
-        probe = F(4)
         candidate_cuts = (
             (pl.anchor, pm.anchor),
             (pm.anchor, pr.anchor),
             (pl.anchor, pr.anchor),
         )
         for cut_anchor, must_move in candidate_cuts:
-            snap = self._snapshot()
             try:
-                left = stretch(g, cut_anchor, probe)
+                left = stretch_cut(g, cut_anchor)
             except OneBendError:
-                self._restore(snap)
                 continue
             if must_move in left:
-                self._restore(snap)
                 continue
-            m2 = self._middle_mismatch(pl, pr, pm)
-            self._restore(snap)
+            shifted = {
+                w: g.pos[w] if w in left else Point(g.pos[w].x + _RATE_SHIFT, g.pos[w].y)
+                for w in (pl.anchor, pr.anchor, pm.anchor)
+            }
+            m2 = _middle_mismatch(shifted, pl, pr, pm)
             if m2 is None:
                 continue
-            rate = (m2 - m) / probe
+            rate = (m2 - m) / _RATE_SHIFT
             if rate == 0:
                 continue
             delta = -m / rate
             if delta <= 0:
                 continue
-            if not self._stretch_between(cut_anchor, must_move, delta):
+            if not self._apply_stretch(left, delta):
                 continue
-            if self._middle_mismatch(pl, pr, pm) == 0:
-                return True
-            return False
+            return _middle_mismatch(g.pos, pl, pr, pm) == 0
         return False
 
     def _resolve_blocker(self, pl: Plan, pr: Plan, blocker, apex) -> bool:
@@ -1008,7 +1026,7 @@ class OneBendDrawer:
             else:
                 polys[pr.edge] = [g.pos[pr.anchor], positions[-1]]
             for k in range(l - 1):
-                e = self._edge_between(members[k], members[k + 1])
+                e = _edge_between(self.plane, members[k], members[k + 1])
                 polys[e] = [positions[k], positions[k + 1]]
             segs = [Segment(p[i], p[i + 1]) for p in polys.values() for i in range(len(p) - 1)]
             allowed = {g.pos[pl.anchor], g.pos[pr.anchor]}
@@ -1066,7 +1084,7 @@ class OneBendDrawer:
         pl = Plan(w2, e2, "NE", corner=False)
         pr = Plan(w3, e3, "NW", corner=False)
         for _ in range(MAX_REPAIRS):
-            apex = _apex(g, pl, pr)
+            apex = _apex(g.pos, pl, pr)
             if apex is None:
                 if not self._stretch_between(w2, w3, _needed_gap(g, pl, pr) + 1):
                     raise OneBendError("final dummy: rays cannot meet")
@@ -1277,15 +1295,7 @@ def _check_p4(g: Gamma) -> List[str]:
             if not _p4a_ok([Segment(s.b, s.a) for s in reversed(plain)]):
                 out.append(f"P4a: vertical before any horizontal between {v} and {u} (reverse)")
     # (c) separation form: u, v in different parts after cutting horizontals.
-    hor = _horizontal_edges(g)
-    base = _base_edge(g)
-    adj: Dict[str, Set[str]] = {w: set() for w in g.placed}
-    for e in g.drawn_edges():
-        if e in hor or e == base:
-            continue
-        a, b = g.plane.edges[e]
-        adj[a].add(b)
-        adj[b].add(a)
+    comp_of: Dict[str, int] = {}
     for i in range(len(att) - 1):
         u, v = att[i], att[i + 1]
         iu, iv = contour.index(u), contour.index(v)
@@ -1294,7 +1304,10 @@ def _check_p4(g: Gamma) -> List[str]:
         # Cuts are needed to push vertical segments out of connection rays,
         # so separability is required exactly where such verticals exist.
         if any(s.a.x == s.b.x for s in segs):
-            if _connected(adj, u, v):
+            if not comp_of:
+                comps = graphutil.components(_cut_graph(g, _horizontal_edges(g)))
+                comp_of = {w: ci for ci, comp in enumerate(comps) for w in comp}
+            if comp_of[u] == comp_of[v]:
                 out.append(f"P4c: no all-horizontal cut separates {u} from {v}")
     return out
 
@@ -1333,20 +1346,6 @@ def _p4a_ok(segs: List[Segment]) -> bool:
     return True
 
 
-def _connected(adj, u, v) -> bool:
-    seen = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        if w == v:
-            return True
-        for z in adj[w]:
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-    return False
-
-
 def _l_used(g: Gamma, v: str) -> bool:
     return any(p in ("NE",) for p in g.used_ports(v)) and not g.plane.is_dummy(v)
 
@@ -1379,13 +1378,6 @@ def _check_p6(g: Gamma) -> List[str]:
             out.append(f"P6: dummy {v} base ports {sorted(base_ports)} not in the case table")
         if len(ports) + len(g.undrawn_at(v)) != 4:
             out.append(f"P6: dummy {v} port bookkeeping broken")
-        # Rotation consistency: drawn edge-ends around v must respect the
-        # input rotation cyclically.
-        drawn_cyc = _drawn_cyclic(g, v)
-        if drawn_cyc is not None and not _cyclic_subsequence(
-            drawn_cyc, g.plane.rotation[v]
-        ):
-            out.append(f"P6: rotation at dummy {v} not preserved")
     return out
 
 
@@ -1393,8 +1385,7 @@ def _drawn_cyclic(g: Gamma, v: str) -> Optional[List[str]]:
     ports = g.port_dirs(v)
     if not ports:
         return None
-    order = ["E", "NE", "N", "NW", "W", "SW", "S", "SE"]
-    return sorted(ports, key=lambda e: order.index(ports[e]))
+    return sorted(ports, key=lambda e: PORTS.index(ports[e]))
 
 
 def _cyclic_subsequence(sub: List[str], full: List[str]) -> bool:

@@ -96,11 +96,6 @@ def _edge_dir(plane: PlaneGraph, st: StOrdering, e: str) -> Tuple[str, str]:
     return (a, b) if st.sigma[a] < st.sigma[b] else (b, a)
 
 
-def assign_ports(plane: PlaneGraph, st: StOrdering) -> Dict[str, Dict[str, str]]:
-    """Spec-facing name for the embedding-pinned port assignment."""
-    return compute_ports(plane, st)
-
-
 def _variant_patterns(n_in: int, n_out: int) -> List[Tuple[List[str], List[str]]]:
     """(outs, ins) port patterns for a degree profile: the standard pattern
     and, where one exists, its left-right mirror."""
@@ -345,24 +340,7 @@ def _compact(d: OrthoDrawing) -> None:
         d.pos[v] = Point(remap[p.x], p.y)
     for e in d.edges.values():
         e.points = [Point(remap[p.x], p.y) for p in e.points]
-        _dedup_collinear(e)
-
-
-def _dedup_collinear(e: OrthoEdge) -> None:
-    pts = e.points
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p != out[-1]:
-            out.append(p)
-    pts = out
-    cleaned = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        a, b, c = cleaned[-1], pts[i], pts[i + 1]
-        if (a.x == b.x == c.x) or (a.y == b.y == c.y):
-            continue
-        cleaned.append(b)
-    cleaned.append(pts[-1])
-    e.points = cleaned
+        e.points = strip_collinear(e.points)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +590,7 @@ def _eliminate_into_dummy(d: OrthoDrawing, eid: str) -> None:
         yv = d.pos[v].y
         e.points = [Point(xu2, yu), Point(xu2, yv), d.pos[v]]
         e.out_port = "N"
-        _dedup_collinear(e)
+        e.points = strip_collinear(e.points)
         return
 
     # N occupied: free it by moving its edge to the W port, then reroute.
@@ -640,14 +618,14 @@ def _eliminate_into_dummy(d: OrthoDrawing, eid: str) -> None:
     # Reroute the C through N.
     e.points = [Point(xu2, yu), Point(xu2, yv), d.pos[v]]
     e.out_port = "N"
-    _dedup_collinear(e)
+    e.points = strip_collinear(e.points)
     # Reroute the blocker through W along u's old (now vacated) column.
     rest = [p for p in be.points if p.y > yu + F(1, 2)]
     if not rest or rest[0].x != xu:
         raise TwoBendError(f"blocker {blocker} lost its riser during the stretch")
     be.points = [Point(xu2, yu), Point(xu, yu)] + rest
     be.out_port = "W"
-    _dedup_collinear(be)
+    be.points = strip_collinear(be.points)
 
 
 # ---------------------------------------------------------------------------
@@ -793,10 +771,10 @@ ROT = {
     180: lambda p: Point(-p.x, -p.y),
     270: lambda p: Point(p.y, -p.x),
 }
-PORT_ROT = {0: {}, 90: {"N": "W", "W": "S", "S": "E", "E": "N"},
+PORT_ROT = {0: {"N": "N", "S": "S", "E": "E", "W": "W"},
+            90: {"N": "W", "W": "S", "S": "E", "E": "N"},
             180: {"N": "S", "S": "N", "E": "W", "W": "E"},
             270: {"N": "E", "E": "S", "S": "W", "W": "N"}}
-PORT_ROT[0] = {p: p for p in "NSEW"}
 DIR = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
 
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import slopeforge
 from slopeforge.geometry import (
     AngleClass,
     Intersection,
@@ -344,3 +347,18 @@ class TestSegmentHits:
             segs = _segment_soup(rng, 50, 10**14 + rng.randint(0, 10**6))
             groups = [rng.choice((None, 0, 1, "x")) for _ in segs]
             assert _swept_hits(segs, groups) == _brute_hits(segs, groups)
+
+
+def test_no_float_calls_outside_the_renderer():
+    """Every module but render.py decides geometry exactly, so none of them
+    converts to float."""
+    package = Path(slopeforge.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "render.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -21,10 +21,13 @@ from slopeforge.onebend import (
     _blockers,
     _check_simple,
     _check_stretch,
+    _middle_mismatch,
+    _split_edges,
     check_gamma,
     check_step,
     draw_onebend,
     stretch,
+    stretch_cut,
 )
 from slopeforge.ordering import canonical_order
 from slopeforge.reembed import normalize_embedding
@@ -85,7 +88,7 @@ class TestStretch:
         g = drawer.g
         before = dict(g.pos)
         anchor = g.contour[1]
-        stretch(g, anchor, F(3))
+        stretch(g, stretch_cut(g, anchor), F(3))
         for v, p in g.pos.items():
             assert p.x >= before[v].x, "stretching moved a point leftward"
             assert p.y == before[v].y or v in (g.v1, g.v2)
@@ -96,7 +99,7 @@ class TestStretch:
         for i in range(2, len(drawer.delta.sets) - 1):
             drawer._add_set(drawer.delta.sets[i])
         g = drawer.g
-        stretch(g, g.contour[1], F(5))
+        stretch(g, stretch_cut(g, g.contour[1]), F(5))
         assert check_gamma(g) == []
 
 
@@ -105,14 +108,14 @@ class TestStretchCheck:
         seen = []
         real_stretch = onebend.stretch
 
-        def checked_stretch(g, left_anchor, delta):
-            left = real_stretch(g, left_anchor, delta)
+        def checked_stretch(g, left, delta):
+            replaced = real_stretch(g, left, delta)
             seen.append((bool(_check_stretch(g, left)), bool(_check_simple(g))))
-            return left
+            return replaced
 
         monkeypatch.setattr(onebend, "stretch", checked_stretch)
         graphs = [gen_fig_like()]
-        for target in (12, 16, 20, 24):
+        for target in (12, 16, 20, 24, 28):
             graphs += gen_corpus(seed=44, n_target=target, profile="cubic3con", count=1)
         for g in graphs:
             draw_onebend(g, check_steps=True)
@@ -145,6 +148,123 @@ class TestStretchCheck:
         assert _check_simple(after)
         clear, left = self._stretched_gamma(F(1))
         assert _check_stretch(clear, left) == [] == _check_simple(clear)
+
+
+def _state(g):
+    return dict(g.pos), {e: list(p) for e, p in g.polylines.items()}, list(g.contour)
+
+
+def _drawing_stages(graph):
+    """The drawer after its base and after each later set but the last."""
+    drawer = build_drawer(graph, check=False)
+    drawer._draw_base(drawer.delta.sets[1])
+    yield drawer
+    for cs in drawer.delta.sets[2:-1]:
+        drawer._add_set(cs)
+        yield drawer
+
+
+class TestStretchPlan:
+    GRAPH = dict(seed=44, n_target=24, profile="cubic3con", count=1)
+
+    def test_cut_leaves_the_drawing_unchanged(self):
+        cuts = 0
+        for drawer in _drawing_stages(gen_corpus(**self.GRAPH)[0]):
+            g = drawer.g
+            before = _state(g)
+            for v in g.contour:
+                try:
+                    stretch_cut(g, v)
+                    cuts += 1
+                except OneBendError:
+                    pass
+                assert _state(g) == before
+        assert cuts >= 20
+
+    def test_cut_that_keeps_the_target_changes_nothing(self, monkeypatch):
+        for drawer in _drawing_stages(gen_corpus(**self.GRAPH)[0]):
+            g = drawer.g
+            before = _state(g)
+            with monkeypatch.context() as m:
+                m.setattr(onebend, "stretch", None)  # must not be reached
+                for left_v, right_v in zip(g.contour[1:], g.contour):
+                    assert not drawer._stretch_between(left_v, right_v, F(2))
+                    assert _state(g) == before
+
+    def test_rejected_stretch_restores_the_drawing(self, monkeypatch):
+        """Rolled back after _check_stretch rejects it, a stretch leaves every
+        position and every polyline, in its orientation, as it was."""
+        real_stretch = onebend.stretch
+        applied = reversed_splits = 0
+
+        def counted_stretch(g, left, delta):
+            nonlocal applied, reversed_splits
+            applied += 1
+            for e in _split_edges(g, left):
+                a, b = g.plane.edges[e]
+                reversed_splits += g.polylines[e][0] != g.pos[a if a in left else b]
+            return real_stretch(g, left, delta)
+
+        for drawer in _drawing_stages(gen_corpus(**self.GRAPH)[0]):
+            g = drawer.g
+            before = _state(g)
+            with monkeypatch.context() as m:
+                m.setattr(onebend, "stretch", counted_stretch)
+                m.setattr(onebend, "_check_stretch", lambda g, left: ["rejected"])
+                for v in g.contour[:-1]:
+                    assert not drawer._stretch_between(v, g.v2, F(3))
+                    assert _state(g) == before
+        assert applied >= 20 and reversed_splits >= 1
+
+    def test_align_amount_matches_a_probe_stretch(self, monkeypatch):
+        """_align_middle reads its amount off the anchor positions; stretching
+        a copy of the drawing by 4 and measuring the mismatch again must give
+        the same amount, for the same cut."""
+        real_stretch = onebend.stretch
+        real_align = OneBendDrawer._align_middle
+        applied = []
+        compared = []
+
+        def probe_amounts(g, pl, pr, pm, probe=F(4)):
+            m = _middle_mismatch(g.pos, pl, pr, pm)
+            out = {}
+            for cut, must_move in ((pl.anchor, pm.anchor), (pm.anchor, pr.anchor),
+                                   (pl.anchor, pr.anchor)):
+                trial = Gamma(
+                    plane=g.plane, v1=g.v1, v2=g.v2, pos=dict(g.pos),
+                    polylines={e: list(p) for e, p in g.polylines.items()},
+                    contour=list(g.contour), placed=set(g.placed),
+                )
+                try:
+                    left = stretch_cut(trial, cut)
+                except OneBendError:
+                    continue
+                if must_move in left:
+                    continue
+                real_stretch(trial, left, probe)
+                m2 = _middle_mismatch(trial.pos, pl, pr, pm)
+                if m2 is not None and m2 != m:
+                    out[frozenset(left)] = -m / ((m2 - m) / probe)
+            return out
+
+        def recorded_stretch(g, left, delta):
+            applied.append((frozenset(left), delta))
+            return real_stretch(g, left, delta)
+
+        def checked_align(self, pl, pr, pm):
+            expected = probe_amounts(self.g, pl, pr, pm)
+            start = len(applied)
+            done = real_align(self, pl, pr, pm)
+            for left, delta in applied[start:]:
+                assert expected.get(left) == delta
+                compared.append(delta)
+            return done
+
+        monkeypatch.setattr(onebend, "stretch", recorded_stretch)
+        monkeypatch.setattr(OneBendDrawer, "_align_middle", checked_align)
+        graph = gen_corpus(seed=13, n_target=200, profile="cubic3con", count=1)[0]
+        draw_onebend(graph, check_steps=False)
+        assert len(compared) >= 1
 
 
 class TestStepCheck:
