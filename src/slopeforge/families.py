@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import graphutil
@@ -347,10 +348,24 @@ def _k4_plane_skeleton() -> PlaneGraph:
 
 
 def _fresh(plane: PlaneGraph, prefix: str) -> str:
-    # Prefix matching keeps ids of subdivided-away edges reserved forever.
-    used = set(plane.vertices) | set(plane.edges) | set(plane.fragment_of.values())
+    # The least i such that no id starts with prefix + str(i); prefix
+    # matching keeps ids of subdivided-away edges reserved forever.  An id
+    # blocks exactly the i whose digits are a prefix of the ASCII digit run
+    # after `prefix`; a run that starts with 0 blocks only 0.
+    blocked = set()
+    for key in chain(plane.vertices, plane.edges, plane.fragment_of.values()):
+        if not key.startswith(prefix):
+            continue
+        i = 0
+        for ch in key[len(prefix):]:
+            if not "0" <= ch <= "9":
+                break
+            i = 10 * i + int(ch)
+            blocked.add(i)
+            if i == 0:
+                break
     i = 0
-    while any(key.startswith(f"{prefix}{i}") for key in used):
+    while i in blocked:
         i += 1
     return f"{prefix}{i}"
 

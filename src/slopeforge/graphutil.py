@@ -57,18 +57,20 @@ def is_connected(adj: Adj, removed: Set[str] = frozenset()) -> bool:
     return all(v in seen for v in rest)
 
 
-def articulation_points(adj: Adj) -> Set[str]:
-    """Cutvertices via iterative Tarjan lowpoints, per connected component."""
+def articulation_points(adj: Adj, removed: Set[str] = frozenset()) -> Set[str]:
+    """Cutvertices of adj minus `removed`, via iterative Tarjan lowpoints,
+    per connected component.  The set does not depend on the visiting order.
+    """
     order: Dict[str, int] = {}
     low: Dict[str, int] = {}
     parent: Dict[str, Optional[str]] = {}
     cuts: Set[str] = set()
     counter = 0
     for root in adj:
-        if root in order:
+        if root in order or root in removed:
             continue
         parent[root] = None
-        stack: List[Tuple[str, Iterable[str]]] = [(root, iter(sorted(adj[root])))]
+        stack: List[Tuple[str, Iterable[str]]] = [(root, iter(adj[root]))]
         order[root] = low[root] = counter
         counter += 1
         root_children = 0
@@ -76,13 +78,15 @@ def articulation_points(adj: Adj) -> Set[str]:
             v, it = stack[-1]
             advanced = False
             for w in it:
+                if w in removed:
+                    continue
                 if w not in order:
                     parent[w] = v
                     if v == root:
                         root_children += 1
                     order[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, iter(sorted(adj[w]))))
+                    stack.append((w, iter(adj[w])))
                     advanced = True
                     break
                 elif w != parent[v]:
@@ -179,19 +183,11 @@ def _has_separator_of_size(adj: Adj, k: int) -> bool:
     names = sorted(adj)
     if k == 2:
         # For each v, articulation points of G - v.
-        for v in names:
-            sub = {u: adj[u] - {v} for u in adj if u != v}
-            if articulation_points(sub):
-                return True
-        return False
+        return any(articulation_points(adj, removed={v}) for v in names)
     for sep in combinations(names, k):
         if not is_connected(adj, removed=set(sep)):
             return True
     return False
-
-
-def min_degree(adj: Adj) -> int:
-    return min((len(adj[v]) for v in adj), default=0)
 
 
 def is_biconnected(adj: Adj) -> bool:

@@ -14,6 +14,7 @@ rule next(u -> v) = the ccw-successor at v of the reversed dart.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -184,6 +185,7 @@ class PlaneGraph:
         if not self.real <= vids:
             raise EmbeddingError("real flag on unknown vertex")
         seen_pairs: Set[FrozenSet[str]] = set()
+        incident: Dict[str, Set[str]] = {v: set() for v in self.vertices}
         for e, (a, b) in self.edges.items():
             if a == b:
                 raise EmbeddingError(f"self-loop {e}")
@@ -193,12 +195,13 @@ class PlaneGraph:
             if pair in seen_pairs:
                 raise EmbeddingError(f"multi-edge between {a} and {b}")
             seen_pairs.add(pair)
+            incident[a].add(e)
+            incident[b].add(e)
         for v in self.vertices:
             rot = self.rotation.get(v)
             if rot is None:
                 raise EmbeddingError(f"no rotation for {v}")
-            incident = {e for e, ends in self.edges.items() if v in ends}
-            if set(rot) != incident or len(rot) != len(incident):
+            if set(rot) != incident[v] or len(rot) != len(incident[v]):
                 raise EmbeddingError(f"rotation at {v} does not list its incident edges")
         self._validate_dummies()
         self._validate_euler()
@@ -221,10 +224,9 @@ class PlaneGraph:
                 if self.is_dummy(self.other_end(e, x)):
                     raise EmbeddingError(f"edge {e} joins two dummies (edge crossed twice)")
         # Each original edge is covered by 0 or exactly 2 fragments.
-        for orig in {o for o in self.fragment_of.values()}:
-            frags = self.fragments_of_original(orig)
-            if len(frags) != 2:
-                raise EmbeddingError(f"original edge {orig} split into {len(frags)} fragments")
+        for orig, k in Counter(self.fragment_of.values()).items():
+            if k != 2:
+                raise EmbeddingError(f"original edge {orig} split into {k} fragments")
         self.original_edges()
 
     def _validate_euler(self) -> None:

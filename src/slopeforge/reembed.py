@@ -37,8 +37,7 @@ def dummy_two_cuts(plane: PlaneGraph) -> List[Tuple[str, str]]:
     adj = plane.adjacency()
     out = []
     for x in plane.dummies():
-        sub = {v: adj[v] - {x} for v in adj if v != x}
-        for w in sorted(graphutil.articulation_points(sub)):
+        for w in sorted(graphutil.articulation_points(adj, removed={x})):
             out.append((w, x))
     return out
 

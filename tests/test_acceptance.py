@@ -269,3 +269,16 @@ class TestAcceptance:
         t1, t2 = draw_twobend(s1), draw_twobend(s2)
         assert dumps(drawing_to_doc(t1)) == dumps(drawing_to_doc(t2))
         _report("8 (determinism)", True, "graph, drawing, and SVG bytes identical")
+
+    def test_9_generator_400_vertex_tier(self):
+        """A 364-vertex cubic3con graph (seed 13, n_target=400) is cubic,
+        3-connected, with a 3-connected planarization; < 10 s."""
+        t0 = time.perf_counter()
+        g = gen_corpus(seed=13, n_target=400, profile="cubic3con", count=1)[0]
+        assert len(g.vertices) == 364
+        assert g.is_cubic()
+        assert connectivity(g, cap=3) == 3
+        assert graphutil.vertex_connectivity(g.plane.adjacency(), cap=3) == 3
+        elapsed = time.perf_counter() - t0
+        _report("9 (generator, 400-vertex tier)", elapsed < 10.0,
+                f"{len(g.vertices)} vertices in {elapsed:.2f}s (budget 10s)")

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from slopeforge import graphutil
+from slopeforge import docio, graphutil
 from slopeforge.families import (
+    _fresh,
     chain_edges_3reg18,
     gen_2reg,
     gen_3reg18,
@@ -147,3 +152,73 @@ class TestCorpus:
         assert gen_prism().is_cubic()
         g = gen_crossed_k4()
         assert len(g.crossings()) == 1
+
+    def test_generated_bytes_are_pinned(self):
+        """The generator's output bytes for six fixed calls."""
+        h = hashlib.sha256()
+        for profile, seeds in (("cubic3con", range(1000, 1004)), ("subcubic", range(1000, 1002))):
+            for seed in seeds:
+                g = gen_corpus(seed=seed, n_target=60, profile=profile, count=1)[0]
+                h.update(docio.dumps(docio.graph_to_doc(g)).encode())
+        assert h.hexdigest() == "17ab1ce478eaee1db566634e5fc9d6479d867c88befeab87e04e7c121ae7df67"
+
+
+def fresh_by_scan(plane, prefix: str) -> str:
+    """The reference rule: try i = 0, 1, 2, ... against every id."""
+    used = set(plane.vertices) | set(plane.edges) | set(plane.fragment_of.values())
+    i = 0
+    while any(key.startswith(f"{prefix}{i}") for key in used):
+        i += 1
+    return f"{prefix}{i}"
+
+
+def key_set(vertices=(), edges=(), originals=()):
+    return SimpleNamespace(
+        vertices=list(vertices),
+        edges={e: None for e in edges},
+        fragment_of={f"frag{i}": o for i, o in enumerate(originals)},
+    )
+
+
+PREFIXES = ("v", "g", "x", "_x", "e")
+
+
+class TestFreshIds:
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            key_set(),
+            key_set(vertices=["v1<", "v10$a", "v0", "v2x", "_x3"]),
+            key_set(vertices=["v0", "v1", "v2"], edges=["v3<", "v4>"], originals=["v5"]),
+            key_set(vertices=["v01", "v00", "v"], edges=["g0", "g1", "g12", "g2"]),
+            key_set(vertices=["v123"], edges=["v9", "v", "x"], originals=["x0", "x1"]),
+            key_set(vertices=["v\u0663", "v\u00b2", "v0\u0661", "x\uff10"]),
+            key_set(vertices=[f"v{i}" for i in range(12)], edges=["g10", "g11", "g1"]),
+            key_set(vertices=["_x0", "_x1", "_x10"], edges=["x0", "x2"], originals=["_x2"]),
+        ],
+    )
+    def test_agrees_with_the_scan_on_hand_picked_ids(self, keys):
+        for prefix in PREFIXES:
+            assert _fresh(keys, prefix) == fresh_by_scan(keys, prefix)
+
+    def test_agrees_with_the_scan_on_random_ids(self):
+        rng = random.Random(5)
+
+        def random_id():
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 3)))
+            return rng.choice(PREFIXES) + digits + rng.choice(("", "<", ">", "$a", "x", "\u0663"))
+
+        for _ in range(300):
+            pools = [[random_id() for _ in range(rng.randint(0, 30))] for _ in range(3)]
+            # A run of numbered ids with holes, as the generator leaves them.
+            run = rng.choice(PREFIXES)
+            pools[0] += [f"{run}{i}" for i in range(rng.randint(0, 30)) if rng.random() < 0.9]
+            keys = key_set(*pools)
+            for prefix in PREFIXES:
+                assert _fresh(keys, prefix) == fresh_by_scan(keys, prefix)
+
+    def test_agrees_with_the_scan_on_corpus_planes(self):
+        for profile in ("cubic3con", "subcubic"):
+            for g in gen_corpus(seed=17, n_target=40, profile=profile, count=2):
+                for prefix in PREFIXES:
+                    assert _fresh(g.plane, prefix) == fresh_by_scan(g.plane, prefix)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from slopeforge import graphutil as gu
+from slopeforge.families import gen_corpus
 
 
 def adj_of(edges, extra=()):
@@ -60,6 +62,91 @@ class TestBlocks:
     def test_articulation(self):
         edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
         assert gu.articulation_points(adj_of(edges)) == {"c"}
+
+
+def _connected_without(adj, removed):
+    rest = [v for v in adj if v not in removed]
+    if not rest:
+        return True
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen and w not in removed:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(rest)
+
+
+def brute_connectivity(adj, cap):
+    """Least k < min(cap, n - 1) such that removing some k vertices
+    disconnects the rest; min(cap, n - 1) when there is none."""
+    top = min(cap, len(adj) - 1)
+    for k in range(max(top, 0)):
+        for sep in combinations(sorted(adj), k):
+            if not _connected_without(adj, set(sep)):
+                return k
+    return max(top, 0)
+
+
+def random_graph(rng, n, p):
+    names = [f"n{i}" for i in range(n)]
+    edges = [(a, b) for a, b in combinations(names, 2) if rng.random() < p]
+    return adj_of(edges, extra=names)
+
+
+def glued_k4s():
+    # Two K4s sharing the vertices a and b: {a, b} separates c, d from e, f.
+    left = [(u, v) for u, v in combinations("abcd", 2)]
+    right = [(u, v) for u, v in combinations("abef", 2)]
+    return adj_of(left + right)
+
+
+def prism():
+    return adj_of([
+        ("a", "b"), ("b", "c"), ("c", "a"),
+        ("x", "y"), ("y", "z"), ("z", "x"),
+        ("a", "x"), ("b", "y"), ("c", "z"),
+    ])
+
+
+def corpus_adjacencies():
+    out = []
+    for i, n_target in enumerate((12, 14, 16, 18, 20)):
+        g = gen_corpus(seed=2000 + i, n_target=n_target, profile="cubic3con", count=1)[0]
+        out.append(g.abstract_adjacency())
+        out.append(g.plane.adjacency())
+    return out
+
+
+class TestConnectivityOracle:
+    @pytest.mark.parametrize("cap", [3, 4])
+    def test_random_small_graphs(self, cap):
+        rng = random.Random(7)
+        for _ in range(150):
+            adj = random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7, 0.9)))
+            assert gu.vertex_connectivity(adj, cap=cap) == brute_connectivity(adj, cap), adj
+
+    def test_glued_k4s_is_2(self):
+        assert brute_connectivity(glued_k4s(), 3) == 2
+        assert gu.vertex_connectivity(glued_k4s(), cap=3) == 2
+
+    def test_prism_is_3(self):
+        assert brute_connectivity(prism(), 3) == 3
+        assert gu.vertex_connectivity(prism(), cap=3) == 3
+
+    def test_corpus_graphs(self):
+        for adj in corpus_adjacencies():
+            assert gu.vertex_connectivity(adj, cap=3) == brute_connectivity(adj, 3) == 3
+
+    def test_articulation_points_with_a_removed_vertex(self):
+        rng = random.Random(11)
+        graphs = [glued_k4s(), prism(), *corpus_adjacencies()[:4]]
+        graphs += [random_graph(rng, 9, 0.35) for _ in range(10)]
+        for adj in graphs:
+            for v in adj:
+                copied = {u: adj[u] - {v} for u in adj if u != v}
+                assert gu.articulation_points(adj, removed={v}) == gu.articulation_points(copied)
 
 
 class TestStNumbering:

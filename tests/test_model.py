@@ -150,6 +150,43 @@ class TestValidation:
         with pytest.raises(EmbeddingError):
             p.validate()
 
+    def test_rotation_missing_an_incident_edge(self):
+        p = k4_plane()
+        p.rotation["c"] = ["ac", "cd"]
+        with pytest.raises(EmbeddingError, match="^rotation at c does not list its incident edges$"):
+            p.validate()
+
+    def test_rotation_listing_a_foreign_edge(self):
+        p = k4_plane()
+        p.rotation["d"] = ["cd", "ad", "bd", "ab"]
+        with pytest.raises(EmbeddingError, match="^rotation at d does not list its incident edges$"):
+            p.validate()
+
+    def test_rotation_listing_an_edge_twice(self):
+        p = k4_plane()
+        p.rotation["b"] = ["bc", "bd", "ab", "bd"]
+        with pytest.raises(EmbeddingError, match="^rotation at b does not list its incident edges$"):
+            p.validate()
+
+    def test_first_bad_rotation_is_reported(self):
+        p = k4_plane()
+        p.rotation["d"] = ["cd", "ad"]
+        p.rotation["b"] = ["bc", "bd", "ab", "ab"]
+        with pytest.raises(EmbeddingError, match="^rotation at b "):
+            p.validate()
+
+    def test_original_edge_with_one_fragment(self):
+        p = k4_one_crossing()
+        p.fragment_of["e12"] = "e12"
+        with pytest.raises(EmbeddingError, match="^original edge e12 split into 1 fragments$"):
+            p.validate()
+
+    def test_original_edge_with_three_fragments(self):
+        p = k4_one_crossing()
+        p.fragment_of["e12"] = "e13"
+        with pytest.raises(EmbeddingError, match="^original edge e13 split into 3 fragments$"):
+            p.validate()
+
 
 class TestFindRealRealFace:
     def test_crossing_free_graph(self):
