@@ -26,6 +26,10 @@ from .verify import DrawingError, validate
 ENV_SEED = "SLOPEFORGE_SEED"
 
 
+class FileAccessError(Exception):
+    """An --in file that cannot be read or an --out file that cannot be written."""
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -34,7 +38,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (docio.DocumentError, EmbeddingError, OrderingError, ReembedError,
+    except (FileAccessError, docio.DocumentError, EmbeddingError, OrderingError, ReembedError,
             OneBendError, TwoBendError, DrawingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -95,19 +99,26 @@ def _io_args(sp) -> None:
 
 
 def _read(args) -> str:
-    if getattr(args, "infile", None):
-        with open(args.infile) as fh:
+    path = getattr(args, "infile", None)
+    if not path:
+        return sys.stdin.read()
+    try:
+        with open(path) as fh:
             return fh.read()
-    return sys.stdin.read()
+    except OSError as exc:
+        raise FileAccessError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _write(args, text: str) -> None:
     out = getattr(args, "out", None)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise FileAccessError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _seed(args) -> int:

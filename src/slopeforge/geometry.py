@@ -49,14 +49,19 @@ def direction(a: Point, b: Point) -> Direction:
     return (b.x - a.x, b.y - a.y)
 
 
+def _cleared(d: Direction) -> Tuple[int, int]:
+    """d times the lcm of its denominators: an integer vector on the same ray."""
+    dx, dy = d
+    scale = math.lcm(dx.denominator, dy.denominator)
+    return dx.numerator * (scale // dx.denominator), dy.numerator * (scale // dy.denominator)
+
+
 def primitive(d: Direction) -> Tuple[int, int]:
     """Reduce a rational vector to a primitive integer vector, keeping its sign."""
-    dx, dy = d
-    if dx == 0 and dy == 0:
+    ix, iy = _cleared(d)
+    if ix == 0 and iy == 0:
         raise ValueError("zero direction has no primitive form")
-    scale = Fraction(math.lcm(dx.denominator, dy.denominator))
-    ix, iy = int(dx * scale), int(dy * scale)
-    g = math.gcd(abs(ix), abs(iy))
+    g = math.gcd(ix, iy)
     return ix // g, iy // g
 
 
@@ -192,6 +197,79 @@ def line_intersection(p: Point, d1: Direction, q: Point, d2: Direction) -> Optio
     return Point(p.x + t * d1[0], p.y + t * d1[1])
 
 
+# A segment in integer form: (L, ax, ay, bx, by), the endpoint coordinates
+# times L, the lcm of their four denominators.  Each segment keeps its own L:
+# one lcm over a whole drawing could grow with the number of segments.
+_IntSegment = Tuple[int, int, int, int, int]
+
+
+def _ints(seg: Segment) -> _IntSegment:
+    a, b = seg.a, seg.b
+    dax, day, dbx, dby = a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator
+    L = math.lcm(dax, day, dbx, dby)
+    return (
+        L,
+        a.x.numerator * (L // dax),
+        a.y.numerator * (L // day),
+        b.x.numerator * (L // dbx),
+        b.y.numerator * (L // dby),
+    )
+
+
+def _classify(s1: Segment, f1: _IntSegment, s2: Segment, f2: _IntSegment) -> Intersection:
+    """intersect(s1, s2), decided by orientation signs on the integer forms
+    f1 = _ints(s1) and f2 = _ints(s2).  Only a proper crossing point is
+    computed; every other point returned is an endpoint of s1 or s2."""
+    L, ax, ay, bx, by = f1
+    L2, cx, cy, dx, dy = f2
+    if L != L2:
+        # Bring both onto the common scale L * L2.
+        ax, ay, bx, by = ax * L2, ay * L2, bx * L2, by * L2
+        cx, cy, dx, dy = cx * L, cy * L, dx * L, dy * L
+        L *= L2
+    ux, uy = bx - ax, by - ay
+    vx, vy = dx - cx, dy - cy
+    cr = ux * vy - uy * vx
+    o1 = ux * (cy - ay) - uy * (cx - ax)  # orient(A, B, C)
+    if cr == 0:
+        # Parallel: either collinear or disjoint.
+        if o1 != 0:
+            return Intersection(IntersectKind.DISJOINT)
+        # Integer keys on the common scale order as the Points do.
+        p0, p1 = sorted([(ax, ay), (bx, by)])
+        q0, q1 = sorted([(cx, cy), (dx, dy)])
+        lo, hi = max(p0, q0), min(p1, q1)
+        if lo > hi:
+            return Intersection(IntersectKind.DISJOINT)
+        if lo == hi:
+            # lo is the low end of one segment and hi the high end of the
+            # other, so collinear segments that meet in one point meet at an
+            # endpoint of both.
+            return Intersection(IntersectKind.SHARED_ENDPOINT, s1.a if lo == (ax, ay) else s1.b)
+        return Intersection(IntersectKind.OVERLAP)
+    o2 = ux * (dy - ay) - uy * (dx - ax)  # orient(A, B, D)
+    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+        return Intersection(IntersectKind.DISJOINT)
+    o3 = vx * (ay - cy) - vy * (ax - cx)  # orient(C, D, A)
+    o4 = vx * (by - cy) - vy * (bx - cx)  # orient(C, D, B)
+    if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
+        return Intersection(IntersectKind.DISJOINT)
+    # The lines meet in one point, on both closed segments.  An endpoint of
+    # one segment on the other's line is that point.
+    end2 = o1 == 0 or o2 == 0
+    if o3 == 0 or o4 == 0:
+        kind = IntersectKind.SHARED_ENDPOINT if end2 else IntersectKind.TOUCH
+        return Intersection(kind, s1.a if o3 == 0 else s1.b)
+    if end2:
+        return Intersection(IntersectKind.TOUCH, s2.a if o1 == 0 else s2.b)
+    # A + (o3 / cr) * (B - A), as o3 = cross(C - A, D - C).
+    den = L * cr
+    return Intersection(
+        IntersectKind.PROPER_CROSSING,
+        Point(Fraction(ax * cr + o3 * ux, den), Fraction(ay * cr + o3 * uy, den)),
+    )
+
+
 def intersect(s1: Segment, s2: Segment) -> Intersection:
     """Exact classification of the intersection of two segments.
 
@@ -199,54 +277,13 @@ def intersect(s1: Segment, s2: Segment) -> Intersection:
     separately from SHARED_ENDPOINT so the validator can flag non-simple
     drawings precisely.
     """
-    d1, d2 = s1.dir(), s2.dir()
-    if cross(d1, d2) == 0:
-        # Parallel: either collinear or disjoint.
-        if orient(s1.a, s1.b, s2.a) != 0:
-            return Intersection(IntersectKind.DISJOINT)
-        pts = sorted([s1.a, s1.b])
-        qts = sorted([s2.a, s2.b])
-        lo, hi = max(pts[0], qts[0]), min(pts[1], qts[1])
-        if lo > hi:
-            return Intersection(IntersectKind.DISJOINT)
-        if lo == hi:
-            if lo in (s1.a, s1.b) and lo in (s2.a, s2.b):
-                return Intersection(IntersectKind.SHARED_ENDPOINT, lo)
-            return Intersection(IntersectKind.TOUCH, lo)
-        return Intersection(IntersectKind.OVERLAP)
-    p = line_intersection(s1.a, d1, s2.a, d2)
-    assert p is not None
-    if not (on_segment(p, s1) and on_segment(p, s2)):
-        return Intersection(IntersectKind.DISJOINT)
-    end1 = p in (s1.a, s1.b)
-    end2 = p in (s2.a, s2.b)
-    if end1 and end2:
-        return Intersection(IntersectKind.SHARED_ENDPOINT, p)
-    if end1 or end2:
-        return Intersection(IntersectKind.TOUCH, p)
-    return Intersection(IntersectKind.PROPER_CROSSING, p)
+    return _classify(s1, _ints(s1), s2, _ints(s2))
 
 
 # Sweep boxes live on the grid of step 2**-_GRID_BITS: integer keys sort and
 # compare fast, and a grid this fine keeps the boxes of segments that pass
-# close to each other apart, so few DISJOINT pairs reach intersect.
+# close to each other apart, so few DISJOINT pairs reach the classifier.
 _GRID_BITS = 16
-
-
-def _grid_box(seg: Segment) -> Tuple[int, int, int, int]:
-    """The bounding box of seg with every coordinate v replaced by
-    floor(v * 2**_GRID_BITS).  Floor is monotone, so two grid boxes are
-    disjoint only if the exact boxes are."""
-    a, b = seg.a, seg.b
-    ax = (a.x.numerator << _GRID_BITS) // a.x.denominator
-    bx = (b.x.numerator << _GRID_BITS) // b.x.denominator
-    ay = (a.y.numerator << _GRID_BITS) // a.y.denominator
-    by = (b.y.numerator << _GRID_BITS) // b.y.denominator
-    if ax > bx:
-        ax, bx = bx, ax
-    if ay > by:
-        ay, by = by, ay
-    return ax, ay, bx, by
 
 
 def segment_hits(
@@ -256,17 +293,25 @@ def segment_hits(
 
     A sweep in x over the segments' boxes, with integer keys that never
     separate two segments that meet, hands each candidate pair to the
-    exact intersect.  Pairs come in sweep order, and j is the segment that
-    entered the sweep first.  A pair whose `groups` entries are equal and
-    not None is skipped.
+    exact classifier.  Pairs come in sweep order, and j is the segment
+    that entered the sweep first.  A pair whose `groups` entries are equal
+    and not None is skipped.
     """
-    boxes = [_grid_box(s) for s in segs]
+    forms = [_ints(s) for s in segs]
+    # Each box coordinate v becomes floor(v * 2**_GRID_BITS).  Floor is
+    # monotone, so two grid boxes are disjoint only if the exact boxes are.
+    boxes = []
+    for L, ax, ay, bx, by in forms:
+        ax, ay = (ax << _GRID_BITS) // L, (ay << _GRID_BITS) // L
+        bx, by = (bx << _GRID_BITS) // L, (by << _GRID_BITS) // L
+        boxes.append((min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
     if groups is None:
         groups = [None] * len(segs)
     active: List[int] = []
     for i in sorted(range(len(segs)), key=lambda k: boxes[k][0]):
         lo_x, lo_y, _, hi_y = boxes[i]
         group = groups[i]
+        seg, form = segs[i], forms[i]
         active = [j for j in active if boxes[j][2] >= lo_x]
         for j in active:
             if group is not None and groups[j] == group:
@@ -274,7 +319,7 @@ def segment_hits(
             box = boxes[j]
             if hi_y < box[1] or box[3] < lo_y:
                 continue
-            res = intersect(segs[i], segs[j])
+            res = _classify(seg, form, segs[j], forms[j])
             if res.kind is not IntersectKind.DISJOINT:
                 yield i, j, res
         active.append(i)
@@ -407,12 +452,13 @@ def min_angle_eighths_lower_bound(dirs: list) -> Optional[int]:
     """Largest k in 0..4 such that every consecutive angular gap >= k*pi/4.
 
     Directions are taken as rays around a common point.  Returns None when
-    two rays coincide (zero angle, i.e. overlapping segments).
+    two rays coincide (zero angle, i.e. overlapping segments).  The tests
+    run on integer vectors: a positive scale keeps every sign they read.
     """
     n = len(dirs)
     if n < 2:
         return 4
-    ordered = sort_directions_ccw(dirs)
+    ordered = sort_directions_ccw([_cleared(d) for d in dirs])
     best = 4
     for i in range(n):
         d1 = ordered[i]

@@ -8,6 +8,7 @@ crossed-prism stand-in for the small worked example).
 
 from __future__ import annotations
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -282,3 +283,19 @@ class TestAcceptance:
         elapsed = time.perf_counter() - t0
         _report("9 (generator, 400-vertex tier)", elapsed < 10.0,
                 f"{len(g.vertices)} vertices in {elapsed:.2f}s (budget 10s)")
+
+    def test_10_drawing_bytes_are_pinned(self):
+        """Both drawers' output bytes for eleven fixed inputs: 1-bend
+        drawings of six cubic3con graphs, then 2-bend drawings of four
+        subcubic graphs and of the braid gen_2reg(8)."""
+        h = hashlib.sha256()
+        drawings = [draw_onebend(gen_corpus(seed=s, n_target=20, profile="cubic3con", count=1)[0])
+                    for s in range(1000, 1006)]
+        drawings += [draw_twobend(gen_corpus(seed=s, n_target=40, profile="subcubic", count=1)[0])
+                     for s in range(1000, 1004)]
+        drawings.append(draw_twobend(gen_2reg(8)))
+        for d in drawings:
+            h.update(dumps(drawing_to_doc(d)).encode())
+        digest = h.hexdigest()
+        _report("10 (drawing bytes)",
+                digest == "a5c7d5bd27c9a4021337f6af1efe3b7a90039718f6669b98296c81f316daaf8b", digest)

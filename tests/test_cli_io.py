@@ -137,3 +137,30 @@ class TestCli:
         # The traced run produces the same drawing as the untraced one.
         _, plain = run_cli(["draw", "--mode", "onebend"], graph_json)
         assert out == plain
+
+    @pytest.mark.parametrize("command", [
+        ["draw", "--mode", "onebend"],
+        ["validate", "--profile", "onebend"],
+        ["render"],
+        ["normalize"],
+    ])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.json"
+        code, out = run_cli([*command, "--in", str(missing)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--family", "k4"],
+        ["draw", "--mode", "onebend"],
+        ["render"],
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        _, graph_json = run_cli(["gen", "--family", "k4"])
+        _, drawing_json = run_cli(["draw", "--mode", "onebend"], graph_json)
+        stdin_text = drawing_json if command[0] == "render" else graph_json
+        out_path = tmp_path / "no" / "such" / "dir" / "out.json"
+        code, out = run_cli([*command, "--out", str(out_path)], stdin_text)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: cannot write {out_path}: No such file or directory\n"
+        assert not out_path.parent.exists()

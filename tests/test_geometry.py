@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -15,11 +16,19 @@ from slopeforge.geometry import (
     Point,
     Segment,
     SlopeKind,
+    _directed_gap_at_least,
+    _ints,
     angle_at_least,
     angle_between,
+    cross,
+    dot,
     intersect,
+    line_intersection,
     min_angle_eighths_lower_bound,
     octant,
+    on_segment,
+    orient,
+    primitive,
     segment_hits,
     slope_of,
     sort_directions_ccw,
@@ -184,6 +193,159 @@ def brute_force_classify(s1: Segment, s2: Segment) -> IntersectKind:
     return IntersectKind.TOUCH
 
 
+def intersect_by_fractions(s1: Segment, s2: Segment) -> Intersection:
+    """The reference: intersect as it was computed on Fractions before the
+    integer kernel."""
+    d1, d2 = s1.dir(), s2.dir()
+    if cross(d1, d2) == 0:
+        if orient(s1.a, s1.b, s2.a) != 0:
+            return Intersection(IntersectKind.DISJOINT)
+        pts = sorted([s1.a, s1.b])
+        qts = sorted([s2.a, s2.b])
+        lo, hi = max(pts[0], qts[0]), min(pts[1], qts[1])
+        if lo > hi:
+            return Intersection(IntersectKind.DISJOINT)
+        if lo == hi:
+            if lo in (s1.a, s1.b) and lo in (s2.a, s2.b):
+                return Intersection(IntersectKind.SHARED_ENDPOINT, lo)
+            return Intersection(IntersectKind.TOUCH, lo)
+        return Intersection(IntersectKind.OVERLAP)
+    p = line_intersection(s1.a, d1, s2.a, d2)
+    assert p is not None
+    if not (on_segment(p, s1) and on_segment(p, s2)):
+        return Intersection(IntersectKind.DISJOINT)
+    end1 = p in (s1.a, s1.b)
+    end2 = p in (s2.a, s2.b)
+    if end1 and end2:
+        return Intersection(IntersectKind.SHARED_ENDPOINT, p)
+    if end1 or end2:
+        return Intersection(IntersectKind.TOUCH, p)
+    return Intersection(IntersectKind.PROPER_CROSSING, p)
+
+
+def _check_against_fractions(s1: Segment, s2: Segment) -> Intersection:
+    """intersect agrees with the reference on (s1, s2), with either order
+    and either orientation of each segment; a SHARED_ENDPOINT or TOUCH
+    point is one of the input endpoints, not a recomputed copy.  Returns
+    intersect(s1, s2)."""
+    for x, y in ((s2, s1), (Segment(s1.b, s1.a), s2), (s1, Segment(s2.b, s2.a)), (s1, s2)):
+        got, want = intersect(x, y), intersect_by_fractions(x, y)
+        assert got == want, (x, y)
+        if got.kind in (IntersectKind.SHARED_ENDPOINT, IntersectKind.TOUCH):
+            assert any(got.point is q for q in (x.a, x.b, y.a, y.b)), (x, y)
+    return got
+
+
+_DENOMINATORS = (1, 2, 3, 12, 10**7 + 19, 10**13 + 37, 10**14)
+
+
+def _kernel_pair(rng):
+    """Two segments, the second built against the first so that every kind
+    occurs: free, sharing an endpoint, starting on it, collinear with it,
+    or missing it (or its line) by a tiny amount."""
+    if rng.random() < 0.5:
+        dens = [rng.choice(_DENOMINATORS)] * 8
+    else:
+        dens = [rng.choice(_DENOMINATORS) for _ in range(8)]
+
+    def coord(k):
+        return Fraction(rng.randint(-8 * dens[k], 8 * dens[k]), dens[k])
+
+    a, b = P(coord(0), coord(1)), P(coord(2), coord(3))
+    while b == a:
+        b = P(coord(2), coord(3))
+    s1 = Segment(a, b)
+    free = P(coord(4), coord(5))
+    t = Fraction(rng.randint(0, 4), 4)
+    on = P(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    eps = Fraction(1, rng.choice((2**20, 2**60, 10**14)))
+    kind = rng.randrange(6)
+    if kind == 0:
+        c, d = P(coord(6), coord(7)), free
+    elif kind == 1:
+        c, d = rng.choice((a, b)), free
+    elif kind == 2:
+        c, d = on, free
+    elif kind == 3:
+        f = Fraction(rng.randint(-6, 6), 4)
+        c, d = on, P(on.x + f * (b.x - a.x), on.y + f * (b.y - a.y))
+    elif kind == 4:
+        c, d = on.shifted(rng.choice((-1, 1)) * eps, rng.choice((-1, 0, 1)) * eps), free
+    else:
+        dx, dy = rng.choice(((eps, 0), (0, eps), (eps, eps)))
+        c, d = a.shifted(dx, dy), b.shifted(dx, dy)
+    if c == d:
+        d = free if free != c else c.shifted(1)
+    return s1, Segment(c, d)
+
+
+class TestIntegerKernel:
+    def test_matches_fractions_on_random_pairs(self):
+        rng = random.Random(31)
+        kinds, same_l, other_l = set(), 0, 0
+        for _ in range(1000):
+            s1, s2 = _kernel_pair(rng)
+            kinds.add(_check_against_fractions(s1, s2).kind)
+            if _ints(s1)[0] == _ints(s2)[0]:
+                same_l += 1
+            else:
+                other_l += 1
+        assert kinds == set(IntersectKind)
+        assert same_l >= 100 and other_l >= 100
+
+    def test_matches_fractions_beyond_float_range(self):
+        big = 2 ** 1100
+        rng = random.Random(32)
+        kinds = set()
+        for _ in range(150):
+            s1, s2 = _kernel_pair(rng)
+            scaled = [Segment(P(s.a.x * big, s.a.y * big), P(s.b.x * big, s.b.y * big)) for s in (s1, s2)]
+            res = _check_against_fractions(*scaled)
+            assert res.kind == intersect(s1, s2).kind
+            kinds.add(res.kind)
+        assert kinds == set(IntersectKind)
+
+    @pytest.mark.parametrize("s1, s2, kind, point", [
+        # Shared endpoints, at each end of each segment.
+        (S(0, 0, 1, 0), S(0, 0, 0, 1), IntersectKind.SHARED_ENDPOINT, P(0, 0)),
+        (S(0, 0, 1, 0), S(1, 0, 2, 1), IntersectKind.SHARED_ENDPOINT, P(1, 0)),
+        (S(1, 0, 0, 0), S(2, 1, 1, 0), IntersectKind.SHARED_ENDPOINT, P(1, 0)),
+        (S(Fraction(1, 3), 0, 1, 1), S(0, 1, Fraction(1, 3), 0), IntersectKind.SHARED_ENDPOINT,
+         P(Fraction(1, 3), 0)),
+        # One segment's endpoint inside the other, at either end of either.
+        (S(1, 0, 1, 5), S(0, 0, 2, 0), IntersectKind.TOUCH, P(1, 0)),
+        (S(1, 5, 1, 0), S(0, 0, 2, 0), IntersectKind.TOUCH, P(1, 0)),
+        (S(0, 0, 2, 0), S(1, 0, 1, 5), IntersectKind.TOUCH, P(1, 0)),
+        (S(0, 0, 2, 0), S(1, 5, 1, 0), IntersectKind.TOUCH, P(1, 0)),
+        (S(0, 0, 1, 1), S(Fraction(1, 7), Fraction(1, 7), 0, Fraction(1, 5)), IntersectKind.TOUCH,
+         P(Fraction(1, 7), Fraction(1, 7))),
+        # Proper crossings, on a shared and on different scales.
+        (S(0, 0, 2, 2), S(0, 2, 2, 0), IntersectKind.PROPER_CROSSING, P(1, 1)),
+        (S(0, 0, 1, Fraction(1, 3)), S(Fraction(1, 7), 1, Fraction(2, 5), -1),
+         IntersectKind.PROPER_CROSSING, P(Fraction(19, 73), Fraction(19, 219))),
+        # Collinear overlaps.
+        (S(0, 0, 2, 0), S(1, 0, 3, 0), IntersectKind.OVERLAP, None),
+        (S(0, 0, 3, 3), S(2, 2, 1, 1), IntersectKind.OVERLAP, None),
+        (S(0, 0, 0, 1), S(0, 1, 0, 0), IntersectKind.OVERLAP, None),
+        (S(0, 0, Fraction(1, 3), Fraction(1, 3)), S(Fraction(1, 7), Fraction(1, 7), 1, 1),
+         IntersectKind.OVERLAP, None),
+        # Collinear touches and collinear misses.
+        (S(0, 0, 1, 0), S(1, 0, 2, 0), IntersectKind.SHARED_ENDPOINT, P(1, 0)),
+        (S(0, 0, 1, 0), S(2, 0, 1, 0), IntersectKind.SHARED_ENDPOINT, P(1, 0)),
+        (S(0, 1, 0, 2), S(0, 0, 0, 1), IntersectKind.SHARED_ENDPOINT, P(0, 1)),
+        (S(0, 0, 1, 0), S(2, 0, 3, 0), IntersectKind.DISJOINT, None),
+        (S(0, 0, 1, -1), S(Fraction(3, 2), Fraction(-3, 2), 2, -2), IntersectKind.DISJOINT, None),
+        # Parallel and near misses by 2**-60.
+        (S(0, 0, 1, 0), S(0, Fraction(1, 2**60), 1, Fraction(1, 2**60)), IntersectKind.DISJOINT, None),
+        (S(0, 0, 1, 1), S(Fraction(1, 2**60), 0, 1 + Fraction(1, 2**60), 1), IntersectKind.DISJOINT, None),
+        (S(0, 0, 2, 0), S(1, Fraction(1, 2**60), 1, 1), IntersectKind.DISJOINT, None),
+        (S(0, 0, 2, 0), S(1, -Fraction(1, 2**60), 1, 1), IntersectKind.PROPER_CROSSING, P(1, 0)),
+        (S(0, 0, 1, 0), S(1 + Fraction(1, 2**60), -1, 1 + Fraction(1, 2**60), 1), IntersectKind.DISJOINT, None),
+    ])
+    def test_hand_picked(self, s1, s2, kind, point):
+        assert _check_against_fractions(s1, s2) == Intersection(kind, point)
+
+
 class TestAngles:
     def test_quarter(self):
         assert angle_between((1, 0), (1, 1)) == AngleClass(1)
@@ -242,6 +404,85 @@ class TestAngles:
         ]
         assert min_angle_eighths_lower_bound(dirs45) == 1
         assert min_angle_eighths_lower_bound([(Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))]) is None
+
+
+def primitive_by_fractions(d):
+    """The reference: primitive as it was computed on Fractions."""
+    dx, dy = Fraction(d[0]), Fraction(d[1])
+    scale = Fraction(math.lcm(dx.denominator, dy.denominator))
+    ix, iy = int(dx * scale), int(dy * scale)
+    g = math.gcd(abs(ix), abs(iy))
+    return ix // g, iy // g
+
+
+def min_angle_by_fractions(dirs):
+    """The reference: min_angle_eighths_lower_bound as it was computed on
+    the Fraction directions themselves."""
+    n = len(dirs)
+    if n < 2:
+        return 4
+    ordered = sort_directions_ccw(dirs)
+    best = 4
+    for i in range(n):
+        d1 = ordered[i]
+        d2 = ordered[(i + 1) % n]
+        if cross(d1, d2) == 0 and dot(d1, d2) > 0:
+            return None
+        k = 0
+        for cand in (1, 2, 3, 4):
+            if _directed_gap_at_least(d1, d2, cand):
+                k = cand
+            else:
+                break
+        best = min(best, k)
+    return best
+
+
+class TestDirections:
+    def test_primitive(self):
+        assert primitive((2, 4)) == (1, 2)
+        assert primitive((-6, 0)) == (-1, 0)
+        assert primitive((0, Fraction(-5, 3))) == (0, -1)
+        assert primitive((Fraction(-3, 4), Fraction(1, 6))) == (-9, 2)
+        assert primitive((Fraction(7, 10**14), 3)) == (7, 3 * 10**14)
+        with pytest.raises(ValueError):
+            primitive((Fraction(0), 0))
+        rng = random.Random(41)
+        for _ in range(500):
+            d = tuple(
+                rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**14))))
+                for _ in range(2)
+            )
+            if d[0] == 0 and d[1] == 0:
+                continue
+            assert primitive(d) == primitive_by_fractions(d)
+
+    def test_min_angle_matches_fractions(self):
+        rays = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
+                (2, 1), (-1, 3), (5, -2)]
+        rng = random.Random(42)
+        results = set()
+        for _ in range(400):
+            dirs = []
+            for _ in range(rng.randint(1, 6)):
+                rx, ry = rng.choice(rays)
+                if dirs and rng.random() < 0.25:
+                    # An equal or an opposite ray to one already taken.
+                    rx, ry = primitive(rng.choice(dirs))
+                    rx, ry = rng.choice(((rx, ry), (-rx, -ry)))
+                scale = Fraction(rng.randint(1, 10**14), rng.randint(1, 10**14))
+                dirs.append((rx * scale, ry * scale))
+            got = min_angle_eighths_lower_bound(dirs)
+            assert got == min_angle_by_fractions(dirs), dirs
+            results.add(got)
+        assert results == {None, 0, 1, 2, 3, 4}
+
+    def test_min_angle_keeps_the_zero_direction_answer(self):
+        # A crossing at an edge's own end point can hand the validator a
+        # zero direction; the answer must stay the Fraction one.
+        for dirs in ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))],
+                     [(Fraction(-1), Fraction(1)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]):
+            assert min_angle_eighths_lower_bound(dirs) == min_angle_by_fractions(dirs)
 
 
 class TestStripCollinear:

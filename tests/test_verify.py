@@ -136,6 +136,36 @@ class TestMeasurements:
         assert report.slope_count == 4
         assert report.passed
 
+    def test_zero_length_segment_is_rejected_before_resolution(self):
+        # Vertex directions are never zero when the angles are measured:
+        # the structure check rejects a repeated polyline point first.
+        d = square_drawing()
+        d.polylines["e12"] = [P(0, 0), P(1, 0), P(1, 0)]
+        with pytest.raises(DrawingError, match="edge e12 has a zero-length segment"):
+            validate(d, "TWOBEND")
+
+    def test_crossing_at_an_edge_end_is_measured(self):
+        # e1 bends at c, where e2 starts and which e2's second segment
+        # passes through: the crossing directions of e2 there include a zero
+        # vector, and the report still comes out, with resolution 0.
+        g = EmbeddedGraph.from_plane(
+            build_plane_graph(
+                real_vertices=["a", "b", "c", "d"],
+                dummy_vertices=[],
+                edges={"e1": ("a", "b"), "e2": ("c", "d")},
+                rotation={"a": ["e1"], "b": ["e1"], "c": ["e2"], "d": ["e2"]},
+                fragment_of={},
+                outer_dart=("e1", "a"),
+            )
+        )
+        pos = {"a": P(-1, 1), "b": P(1, -1), "c": P(0, 0), "d": P(-1, -1)}
+        d = PolylineDrawing(
+            g, pos, {"e1": [pos["a"], P(0, 0), pos["b"]], "e2": [pos["c"], P(1, 1), pos["d"]]}
+        )
+        report = validate(d, "ONEBEND")
+        assert report.min_crossing_angle == 0
+        assert "crossing resolution below pi/4 (got 0)" in report.violations
+
 
 class TestEmbeddingExtraction:
     def test_triangle_unique_embedding(self):
