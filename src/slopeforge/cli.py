@@ -187,6 +187,11 @@ def _cmd_storder(args) -> int:
 
 def _cmd_draw(args) -> int:
     g = docio.graph_from_doc(docio.loads(_read(args)), strict=args.strict)
+    if args.trace:
+        try:
+            os.makedirs(args.trace, exist_ok=True)
+        except OSError as exc:
+            raise FileAccessError(f"cannot write {args.trace}: {exc.strerror or exc}") from exc
     if args.mode == "onebend":
         if args.trace:
             drawing = _traced_onebend(g, args.trace)
@@ -195,7 +200,6 @@ def _cmd_draw(args) -> int:
     else:
         drawing = draw_twobend(g)
         if args.trace:
-            os.makedirs(args.trace, exist_ok=True)
             with open(os.path.join(args.trace, "final.svg"), "w") as fh:
                 fh.write(render.render_svg(drawing))
     _write(args, docio.dumps(docio.drawing_to_doc(drawing)))
@@ -203,9 +207,9 @@ def _cmd_draw(args) -> int:
 
 
 def _traced_onebend(g, trace_dir: str):
-    """Run the 1-bend pipeline and dump every intermediate drawing as SVG."""
+    """Run the 1-bend pipeline and dump every intermediate drawing as SVG
+    into trace_dir, which exists."""
     drawer, drawing = _run_pipeline(g)
-    os.makedirs(trace_dir, exist_ok=True)
     for i, snapshot in enumerate(drawer.trace):
         with open(os.path.join(trace_dir, f"step{i:03d}.svg"), "w") as fh:
             fh.write(render.render_segments_svg(snapshot))

@@ -16,7 +16,8 @@ any other port spends the edge's single bend as a corner at the crossing.
 A per-step checker validates the construction invariants (slopes, bend
 budget, base-edge geometry, horizontal structure, free ports, dummy port
 patterns) after every insertion: in full after the base and the final
-vertex, and for the edges each step drew in between.
+vertex, and in between for the edges and the contour span each step
+changed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from . import graphutil
 from .drawing import PolylineDrawing
 from .geometry import (
     IntersectKind,
@@ -75,6 +75,21 @@ def _dir(port: str) -> Tuple[Fraction, Fraction]:
 
 
 @dataclass
+class CheckRecord:
+    """What the last check_step that found no problem saw; the next one
+    checks P3 to P6 relative to it."""
+
+    contour: List[str]
+    # Index pairs into `contour` of the consecutive attachable vertices
+    # whose plain contour path has a vertical, so that P4(c) needs a
+    # horizontal cut between them; in contour order.
+    cut_pairs: List[Tuple[int, int]]
+    # Every drawing point but the base edge's three lay strictly above both
+    # base support lines.
+    wedge: bool
+
+
+@dataclass
 class Gamma:
     """The incremental drawing of the planarization."""
 
@@ -85,6 +100,7 @@ class Gamma:
     polylines: Dict[str, List[Point]] = field(default_factory=dict)  # plane-edge id
     contour: List[str] = field(default_factory=list)
     placed: Set[str] = field(default_factory=set)
+    checked: Optional[CheckRecord] = None
 
     # -- drawn geometry queries -------------------------------------------
 
@@ -322,19 +338,29 @@ def _horizontal_edges(g: Gamma) -> Set[str]:
     return out
 
 
-def _cut_graph(g: Gamma, cut: Set[str]) -> Dict[str, Set[str]]:
-    """Adjacency of the placed vertices over the drawn edges that a stretch
-    does not cut: all but the base edge and the edges in `cut`, a set of
-    horizontal-bearing edges."""
+def _find(parent: Dict[str, str], v: str) -> str:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _union(parent: Dict[str, str], a: str, b: str) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[ra] = rb
+
+
+def _cut_forest(g: Gamma, cut: Set[str]) -> Dict[str, str]:
+    """Union-find forest of the placed vertices over the drawn edges that a
+    stretch does not cut: all but the base edge and the edges in `cut`, a
+    set of horizontal-bearing edges."""
     base = _base_edge(g)
-    adj: Dict[str, Set[str]] = {v: set() for v in g.placed}
-    for e in g.drawn_edges():
-        if e == base or e in cut:
-            continue
-        a, b = g.plane.edges[e]
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+    parent = {v: v for v in g.placed}
+    for e in g.polylines:
+        if e != base and e not in cut:
+            _union(parent, *g.plane.edges[e])
+    return parent
 
 
 def _split_edges(g: Gamma, left: Set[str]) -> List[str]:
@@ -364,41 +390,38 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     components of the contour prefix ending at left_anchor's component (the
     stretch curve leaves the contour through the gap after it).  A split
     edge absorbs the motion at its first horizontal segment running
-    rightward from its stationary end; edges without one are made rigid and
-    the cut is redone.  Each round makes at least one more edge rigid, and
-    rigid edges are never split, so the loop ends with every split edge
-    able to absorb.  Raises OneBendError when the right base vertex would
-    stay.
+    rightward from its stationary end; edges without one are made rigid,
+    joining the components of their ends, and the cut is redone.  Each
+    round makes at least one more edge rigid, and rigid edges are never
+    split, so the loop ends with every split edge able to absorb.  Raises
+    OneBendError when the right base vertex would stay.
     """
     hor = _horizontal_edges(g)
-    rigid: Set[str] = set()
+    parent = _cut_forest(g, hor)
+    contour = g.contour
     while True:
-        comps = graphutil.components(_cut_graph(g, hor - rigid))
-        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-        anchor_comp = comp_of[left_anchor]
-        ia = max(
-            (i for i, v in enumerate(g.contour) if comp_of[v] == anchor_comp),
-            default=0,
-        )
-        stay_comps = {comp_of[g.contour[i]] for i in range(ia + 1)}
-        contour_comps = {comp_of[v] for v in g.contour}
+        root = {v: _find(parent, v) for v in g.placed}
+        anchor_root = root[left_anchor]
+        ia = max((i for i, v in enumerate(contour) if root[v] == anchor_root), default=0)
+        stay = {root[v] for v in contour[: ia + 1]}
+        contour_roots = {root[v] for v in contour}
         # Buried components with no contour vertex side geometrically: they
         # stay when they lie left of everything moving along the contour.
-        if any(comp_of[v] not in stay_comps for v in g.contour):
-            t_lo = max(g.pos[g.contour[i]].x for i in range(ia + 1))
-            for ci, comp in enumerate(comps):
-                if ci in stay_comps or ci in contour_comps:
-                    continue
-                if max(g.pos[v].x for v in comp) <= t_lo:
-                    stay_comps.add(ci)
-        left = {v for v in g.placed if comp_of[v] in stay_comps}
-        newly_rigid = {
-            e for e in _split_edges(g, left)
-            if _first_rightward_horizontal(_from_stationary_end(g, e, left)) is None
-        }
+        if not contour_roots <= stay:
+            t_lo = max(g.pos[v].x for v in contour[: ia + 1])
+            buried = set(root.values()) - contour_roots - stay
+            right = {r for v, r in root.items() if r in buried and g.pos[v].x > t_lo}
+            stay |= buried - right
+        left = {v for v, r in root.items() if r in stay}
+        newly_rigid = [
+            e for e in hor
+            if (g.plane.edges[e][0] in left) != (g.plane.edges[e][1] in left)
+            and _first_rightward_horizontal(_from_stationary_end(g, e, left)) is None
+        ]
         if not newly_rigid:
             break
-        rigid |= newly_rigid
+        for e in newly_rigid:
+            _union(parent, *g.plane.edges[e])
     if g.v2 in left:
         raise OneBendError("stretch cut would move the right base vertex's side leftward")
     return left
@@ -1172,24 +1195,101 @@ def check_step(g: Gamma, new: Set[str]) -> List[str]:
     _check_stretch accepted.  A stretch keeps every segment's slope, every
     bend count and every port direction at a vertex, and _check_stretch
     keeps the old segments simple; so P1, P2, the rotations and simplicity
-    can only break at a new edge.  P3 to P6 depend on the contour and the
-    base edge, which every stretch moves, and are checked in full.  The
-    problems reported are then exactly those of check_gamma.
+    can only break at a new edge.
+
+    P3 to P6 are checked relative to g.checked, the record of the last
+    check_step that found no problem, and on the whole drawing when there
+    is none.  A stretch keeps every y, keeps v1, moves v2 by its amount and
+    every other point by 0 or that amount, rightward; so a point strictly
+    above both base support lines stays there, and when the record says all
+    points were, only the base edge's shape and the new edges' points are
+    tested (otherwise P3 runs in full).  P4(a), P4(b), P5 and P6 depend only
+    on the contour order, the segment directions along contour paths and
+    the ports at contour vertices.  A stretch changes none of these and a
+    step only between its end predecessors, so they are tested on the span
+    of the contour that differs from the recorded one, widened by one
+    vertex on each side.  New edges can join cut-graph components anywhere,
+    so P4(c) tests every pair that needs a cut, the recorded ones outside
+    that span included.  The problems reported are then exactly those of
+    check_gamma; when there are none, g.checked records this check.
     """
     new_ends = {v for e in new for v in g.plane.edges[e]}
     problems: List[str] = []
     problems.extend(_check_p1(g, new))
     problems.extend(_check_p2(g, new))
-    problems.extend(_check_p3(g))
-    problems.extend(_check_p4(g))
-    problems.extend(_check_p5(g))
-    problems.extend(_check_p6(g))
+    rec = g.checked
+    if rec is None:
+        lo, hi = 0, len(g.contour) - 1
+        wedge = _wedge_holds(g, _all_drawing_points(g))
+    else:
+        lo, hi = _window(rec.contour, g.contour)
+        wedge = rec.wedge and _wedge_holds(g, [p for e in new for p in g.polylines[e]])
+    if not wedge:
+        problems.extend(_check_p3(g))
+    p4, cut = _check_p4_pairs(g, _attachable_pairs(g, lo, hi))
+    if rec is not None:
+        cut = _carried_cut_pairs(rec, g.contour, lo, hi, cut)
+    problems.extend(p4)
+    problems.extend(_check_p4c(g, cut))
+    window = g.contour[lo : hi + 1]
+    problems.extend(_check_p5(g, window))
+    problems.extend(_check_p6(g, window))
     problems.extend(_check_rotations(g, new_ends))
     segs = g.segments()
     problems.extend(
         _improper_pairs(g, segs, [_RESHAPED if e in new else _STATIONARY for e, _ in segs])
     )
+    if not problems:
+        g.checked = CheckRecord(list(g.contour), cut, wedge)
     return problems
+
+
+def _window(old: List[str], new: List[str]) -> Tuple[int, int]:
+    """The index span [lo, hi] of contour `new` that differs from contour
+    `old`, widened by one vertex on each side.  The vertices after hi are
+    those after hi - len(new) + len(old) in `old`."""
+    n = min(len(old), len(new))
+    p = 0
+    while p < n and old[p] == new[p]:
+        p += 1
+    s = 0
+    while s < n - p and old[-1 - s] == new[-1 - s]:
+        s += 1
+    return max(p - 1, 0), min(len(new) - s, len(new) - 1)
+
+
+def _carried_cut_pairs(
+    rec: CheckRecord, contour: List[str], lo: int, hi: int, window_cut: List[Tuple[int, int]]
+) -> List[Tuple[int, int]]:
+    """The pairs of the current contour that need a cut: the recorded ones
+    whose span lies before or after the window [lo, hi], reindexed, around
+    window_cut, those of the pairs whose span meets it."""
+    shift = len(contour) - len(rec.contour)
+    return (
+        [(iu, iv) for iu, iv in rec.cut_pairs if iv < lo]
+        + window_cut
+        + [(iu + shift, iv + shift) for iu, iv in rec.cut_pairs if iu + shift > hi]
+    )
+
+
+def _wedge_holds(g: Gamma, points: List[Point]) -> bool:
+    """The base edge has its P3 shape, and every point of `points` other
+    than its three lies strictly above both base support lines."""
+    pts = g.polylines.get(_base_edge(g))
+    if pts is None or len(pts) != 3:
+        return False
+    p1, low, p2 = pts
+    if (
+        slope_of(Segment(p1, low)).kind is not SlopeKind.DEG135
+        or slope_of(Segment(low, p2)).kind is not SlopeKind.DEG45
+        or p1.y <= low.y
+        or p2.y <= low.y
+    ):
+        return False
+    left_c, right_c = p1.x + p1.y, p2.y - p2.x
+    return all(
+        q in (p1, low, p2) or (q.x + q.y > left_c and q.y - q.x > right_c) for q in points
+    )
 
 
 def _check_rotations(g: Gamma, vertices: Optional[Set[str]] = None) -> List[str]:
@@ -1264,12 +1364,37 @@ def _all_drawing_points(g: Gamma) -> List[Point]:
 
 
 def _check_p4(g: Gamma) -> List[str]:
-    out = []
-    att = [v for v in g.contour if g.attachable(v) or v in (g.v1, g.v2)]
+    out, cut = _check_p4_pairs(g, _attachable_pairs(g, 0, len(g.contour) - 1))
+    return out + _check_p4c(g, cut)
+
+
+def _attachable_pairs(g: Gamma, lo: int, hi: int) -> List[Tuple[int, int]]:
+    """Contour index pairs of consecutive attachable vertices (v1 and v2
+    count as attachable) whose contour span meets contour[lo..hi]."""
     contour = g.contour
-    for i in range(len(att) - 1):
-        u, v = att[i], att[i + 1]
-        iu, iv = contour.index(u), contour.index(v)
+    last = len(contour) - 1
+
+    def att(i: int) -> bool:
+        return contour[i] in (g.v1, g.v2) or g.attachable(contour[i])
+
+    start = lo - 1
+    while start > 0 and not att(start):
+        start -= 1
+    stop = hi + 1
+    while stop < last and not att(stop):
+        stop += 1
+    idx = [i for i in range(max(start, 0), min(stop, last) + 1) if att(i)]
+    return list(zip(idx, idx[1:]))
+
+
+def _check_p4_pairs(g: Gamma, pairs: List[Tuple[int, int]]) -> Tuple[List[str], List[Tuple[int, int]]]:
+    """P4(a) and P4(b) on the given attachable pairs, and those of the pairs
+    that P4(c) must separate."""
+    out = []
+    cut = []
+    contour = g.contour
+    for iu, iv in pairs:
+        u, v = contour[iu], contour[iv]
         path = contour[iu : iv + 1]
         segs = _contour_path_segments(g, path)
         # (b) both real attachable: a horizontal segment exists, or nothing
@@ -1294,21 +1419,24 @@ def _check_p4(g: Gamma) -> List[str]:
         if g.attachable(v) and not _r_used(g, v):
             if not _p4a_ok([Segment(s.b, s.a) for s in reversed(plain)]):
                 out.append(f"P4a: vertical before any horizontal between {v} and {u} (reverse)")
-    # (c) separation form: u, v in different parts after cutting horizontals.
-    comp_of: Dict[str, int] = {}
-    for i in range(len(att) - 1):
-        u, v = att[i], att[i + 1]
-        iu, iv = contour.index(u), contour.index(v)
-        path = contour[iu : iv + 1]
-        segs = _without_vertical_edges(g, path, _contour_path_segments(g, path))
         # Cuts are needed to push vertical segments out of connection rays,
         # so separability is required exactly where such verticals exist.
-        if any(s.a.x == s.b.x for s in segs):
-            if not comp_of:
-                comps = graphutil.components(_cut_graph(g, _horizontal_edges(g)))
-                comp_of = {w: ci for ci, comp in enumerate(comps) for w in comp}
-            if comp_of[u] == comp_of[v]:
-                out.append(f"P4c: no all-horizontal cut separates {u} from {v}")
+        if any(s.a.x == s.b.x for s in plain):
+            cut.append((iu, iv))
+    return out, cut
+
+
+def _check_p4c(g: Gamma, cut_pairs: List[Tuple[int, int]]) -> List[str]:
+    """P4(c), separation form: the ends of each pair lie in different parts
+    after cutting every horizontal-bearing edge."""
+    if not cut_pairs:
+        return []
+    parent = _cut_forest(g, _horizontal_edges(g))
+    out = []
+    for iu, iv in cut_pairs:
+        u, v = g.contour[iu], g.contour[iv]
+        if _find(parent, u) == _find(parent, v):
+            out.append(f"P4c: no all-horizontal cut separates {u} from {v}")
     return out
 
 
@@ -1354,9 +1482,10 @@ def _r_used(g: Gamma, v: str) -> bool:
     return any(p in ("NW",) for p in g.used_ports(v)) and not g.plane.is_dummy(v)
 
 
-def _check_p5(g: Gamma) -> List[str]:
+def _check_p5(g: Gamma, vertices: Optional[List[str]] = None) -> List[str]:
+    """P5 at the contour vertices, or at `vertices`, a span of them."""
     out = []
-    for v in g.contour:
+    for v in g.contour if vertices is None else vertices:
         if g.plane.is_dummy(v) or not g.attachable(v):
             continue
         used = g.used_ports(v)
@@ -1366,14 +1495,14 @@ def _check_p5(g: Gamma) -> List[str]:
     return out
 
 
-def _check_p6(g: Gamma) -> List[str]:
+def _check_p6(g: Gamma, vertices: Optional[List[str]] = None) -> List[str]:
+    """P6 at the contour vertices, or at `vertices`, a span of them."""
     out = []
-    for v in g.contour:
+    for v in g.contour if vertices is None else vertices:
         if not g.plane.is_dummy(v) or not g.attachable(v):
             continue
         ports = g.port_dirs(v)
         base_ports = {p for p in ports.values() if p not in UP_PORTS}
-        n_succ_drawn = sum(1 for p in ports.values() if p in UP_PORTS)
         if base_ports not in [set(s) for s in LEGAL_DUMMY_BASES]:
             out.append(f"P6: dummy {v} base ports {sorted(base_ports)} not in the case table")
         if len(ports) + len(g.undrawn_at(v)) != 4:
@@ -1490,7 +1619,7 @@ def _run_pipeline(g: EmbeddedGraph, check_steps: bool = True) -> Tuple[OneBendDr
         raise OneBendError("input must be cubic")
     if connectivity(g, cap=3) < 3:
         raise OneBendError("input must be 3-connected")
-    norm = normalize_embedding(g)
+    norm = normalize_embedding(g, three_connected=True)
     plane = norm.plane.copy()
     face, (tail, head), _ = find_real_real_face(plane)
     if set(face.darts) != set(plane.outer_face().darts):

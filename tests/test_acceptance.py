@@ -299,3 +299,16 @@ class TestAcceptance:
         digest = h.hexdigest()
         _report("10 (drawing bytes)",
                 digest == "a5c7d5bd27c9a4021337f6af1efe3b7a90039718f6669b98296c81f316daaf8b", digest)
+
+    def test_11_large_onebend_bytes_are_pinned(self):
+        """The 1-bend drawer's output bytes for five larger inputs: cubic3con
+        seed 13 at n_target=200 (184 vertices), then seeds 1025-1028 at
+        n_target=90."""
+        h = hashlib.sha256()
+        inputs = [(13, 200)] + [(s, 90) for s in range(1025, 1029)]
+        for seed, target in inputs:
+            g = gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0]
+            h.update(dumps(drawing_to_doc(draw_onebend(g))).encode())
+        digest = h.hexdigest()
+        _report("11 (large 1-bend drawing bytes)",
+                digest == "ec48ab1d41a42c028359db188cecc00390797eadd0978fa7482cd944458e28a0", digest)

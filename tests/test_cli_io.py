@@ -164,3 +164,13 @@ class TestCli:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: cannot write {out_path}: No such file or directory\n"
         assert not out_path.parent.exists()
+
+    @pytest.mark.parametrize("mode, family", [("onebend", "k4"), ("twobend", "2reg")])
+    def test_trace_dir_that_cannot_be_made_exits_2(self, tmp_path, capsys, mode, family):
+        _, graph_json = run_cli(["gen", "--family", family])
+        blocker = tmp_path / "some_file"
+        blocker.write_text("")
+        trace_dir = blocker / "x"
+        code, out = run_cli(["draw", "--mode", mode, "--trace", str(trace_dir)], graph_json)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: cannot write {trace_dir}: Not a directory\n"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from slopeforge import onebend
+from slopeforge import graphutil, onebend
 from slopeforge.families import (
     gen_corpus,
     gen_crossed_k4,
@@ -15,12 +15,17 @@ from slopeforge.families import (
 from slopeforge.geometry import Point, Segment, SlopeKind
 from slopeforge.model import PlaneGraph, find_real_real_face
 from slopeforge.onebend import (
+    CheckRecord,
     Gamma,
     OneBendDrawer,
     OneBendError,
+    _base_edge,
     _blockers,
     _check_simple,
     _check_stretch,
+    _first_rightward_horizontal,
+    _from_stationary_end,
+    _horizontal_edges,
     _middle_mismatch,
     _split_edges,
     check_gamma,
@@ -55,6 +60,53 @@ def _base_s_t_plane():
         rotation={"v1": ["base", "s"], "v2": ["base"], "a": ["s"], "b": ["t"], "c": ["t"]},
         fragment_of={},
     )
+
+
+def stretch_cut_by_rebuild(g, left_anchor):
+    """Reference for onebend.stretch_cut: rebuilds the cut graph and its
+    components on every round of the rigid-edge loop."""
+    base = _base_edge(g)
+
+    def cut_graph(cut):
+        adj = {v: set() for v in g.placed}
+        for e in g.drawn_edges():
+            if e == base or e in cut:
+                continue
+            a, b = g.plane.edges[e]
+            adj[a].add(b)
+            adj[b].add(a)
+        return adj
+
+    hor = _horizontal_edges(g)
+    rigid = set()
+    while True:
+        comps = graphutil.components(cut_graph(hor - rigid))
+        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        anchor_comp = comp_of[left_anchor]
+        ia = max(
+            (i for i, v in enumerate(g.contour) if comp_of[v] == anchor_comp),
+            default=0,
+        )
+        stay_comps = {comp_of[g.contour[i]] for i in range(ia + 1)}
+        contour_comps = {comp_of[v] for v in g.contour}
+        if any(comp_of[v] not in stay_comps for v in g.contour):
+            t_lo = max(g.pos[g.contour[i]].x for i in range(ia + 1))
+            for ci, comp in enumerate(comps):
+                if ci in stay_comps or ci in contour_comps:
+                    continue
+                if max(g.pos[v].x for v in comp) <= t_lo:
+                    stay_comps.add(ci)
+        left = {v for v in g.placed if comp_of[v] in stay_comps}
+        newly_rigid = {
+            e for e in _split_edges(g, left)
+            if _first_rightward_horizontal(_from_stationary_end(g, e, left)) is None
+        }
+        if not newly_rigid:
+            break
+        rigid |= newly_rigid
+    if g.v2 in left:
+        raise OneBendError("stretch cut would move the right base vertex's side leftward")
+    return left
 
 
 class TestBase:
@@ -216,6 +268,34 @@ class TestStretchPlan:
                     assert _state(g) == before
         assert applied >= 20 and reversed_splits >= 1
 
+    def test_cut_matches_a_rebuild_per_round(self, monkeypatch):
+        """The union-find stretch_cut keeps the same set as the reference at
+        every cut the drawer makes, and refuses the same cuts."""
+        real_cut = onebend.stretch_cut
+        cuts = 0
+
+        def both(g, left_anchor):
+            nonlocal cuts
+            cuts += 1
+            try:
+                expected = stretch_cut_by_rebuild(g, left_anchor)
+            except OneBendError as exc:
+                with pytest.raises(OneBendError, match=str(exc)):
+                    real_cut(g, left_anchor)
+                raise
+            left = real_cut(g, left_anchor)
+            assert left == expected
+            return left
+
+        monkeypatch.setattr(onebend, "stretch_cut", both)
+        graphs = [gen_fig_like()]
+        for target in (16, 20, 24, 28):
+            graphs += gen_corpus(seed=44, n_target=target, profile="cubic3con", count=1)
+        graphs += gen_corpus(seed=13, n_target=200, profile="cubic3con", count=1)
+        for g in graphs:
+            draw_onebend(g, check_steps=False)
+        assert cuts >= 100
+
     def test_align_amount_matches_a_probe_stretch(self, monkeypatch):
         """_align_middle reads its amount off the anchor positions; stretching
         a copy of the drawing by 4 and measuring the mismatch again must give
@@ -286,6 +366,104 @@ class TestStepCheck:
             draw_onebend(g, check_steps=True)
         assert len(graphs) >= 20 and len(seen) >= 100
         assert all(step == full for step, full in seen)
+
+    def test_agrees_with_full_check_on_larger_contours(self, monkeypatch):
+        """The same on 70- to 90-vertex graphs, and on the two known failing
+        inputs up to the P6 and P4b breaks that stop them."""
+        seen = []
+        real_check_step = onebend.check_step
+
+        def both(g, new):
+            problems = real_check_step(g, new)
+            seen.append((problems, check_gamma(g)))
+            return problems
+
+        monkeypatch.setattr(onebend, "check_step", both)
+        inputs = [(1024, 90), (1025, 90), (1026, 90), (499, 32)]
+        for seed, target in inputs:
+            g = gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0]
+            try:
+                draw_onebend(g, check_steps=True)
+            except OneBendError:
+                assert seed in (1024, 499)
+        assert all(step == full for step, full in seen)
+        assert sum(1 for step, _ in seen if step) == 2
+        assert len(seen) >= 100
+
+    @staticmethod
+    def _step_onto_c_and_e(spare_at_c):
+        """A drawing whose contour v1, a, b, c, e, d, v2 passes its step
+        check, then the step that draws w on the contour between c and e.
+
+        The path from v1 to b holds a vertical, so P4(c) must separate
+        them: v1 lies in the cut-graph component of a, i, d and e, and b in
+        that of c.  The new edges cw and ew join the two.  With
+        `spare_at_c`, c keeps a free edge, so it stays attachable with the
+        upper port NE in use.  Returns the drawing and the new edges.
+        """
+        p = lambda x, y: Point(F(x), F(y))  # noqa: E731
+        edges = {
+            "base": ("v1", "v2"), "s": ("v1", "a"), "h": ("a", "b"), "bc": ("b", "c"),
+            "ce": ("c", "e"), "ed": ("e", "d"), "dv2": ("d", "v2"), "v1i": ("v1", "i"),
+            "id": ("i", "d"), "ub": ("b", "yb"), "cw": ("c", "w"), "ew": ("e", "w"),
+            "wz": ("w", "z"), "uc": ("c", "yc"),
+        }
+        rotation = {
+            "v1": ["v1i", "s", "base"], "v2": ["dv2", "base"], "a": ["h", "s"],
+            "b": ["ub", "h", "bc"], "c": ["ce", "cw", "uc", "bc"], "e": ["ew", "ce", "ed"],
+            "d": ["dv2", "ed", "id"], "i": ["v1i", "id"], "w": ["wz", "cw", "ew"],
+            "yb": ["ub"], "yc": ["uc"], "z": ["wz"],
+        }
+        if not spare_at_c:
+            rotation["c"].remove("uc")
+            del rotation["yc"], edges["uc"]
+        plane = PlaneGraph(vertices=sorted(rotation), real=set(rotation), edges=edges,
+                           rotation=rotation, fragment_of={})
+        g = Gamma(plane=plane, v1="v1", v2="v2")
+        g.pos = {"v1": p(0, 0), "v2": p(40, 0), "a": p(2, 10), "b": p(8, 10), "c": p(12, 10),
+                 "e": p(16, 10), "d": p(20, 6), "i": p(4, 4)}
+        g.polylines = {
+            "base": [p(0, 0), p(20, -20), p(40, 0)],
+            "s": [p(0, 0), p(0, 8), p(2, 10)],
+            "h": [p(2, 10), p(8, 10)],
+            "bc": [p(8, 10), p(10, 8), p(12, 10)],
+            "ce": [p(12, 10), p(16, 10)],
+            "ed": [p(16, 10), p(20, 6)],
+            "dv2": [p(20, 6), p(34, 6), p(40, 0)],
+            "v1i": [p(0, 0), p(4, 4)],
+            "id": [p(4, 4), p(11, -3), p(20, 6)],
+        }
+        g.placed = set(g.pos)
+        g.contour = ["v1", "a", "b", "c", "e", "d", "v2"]
+        assert check_step(g, set()) == [] == check_gamma(g)
+        assert g.checked.cut_pairs == [(0, 2)]
+        g.pos["w"] = p(14, 12)
+        g.placed.add("w")
+        g.polylines.update(cw=[p(12, 10), p(14, 12)], ew=[p(16, 10), p(14, 12)])
+        g.contour = ["v1", "a", "b", "c", "w", "e", "d", "v2"]
+        return g, {"cw", "ew"}
+
+    def test_p4c_rechecks_a_pair_outside_the_window(self):
+        g, new = self._step_onto_c_and_e(spare_at_c=False)
+        problems = check_step(g, new)
+        assert problems == ["P4c: no all-horizontal cut separates v1 from b"]
+        assert problems == check_gamma(g)
+
+    def test_end_predecessor_that_stays_attachable_is_rechecked(self):
+        g, new = self._step_onto_c_and_e(spare_at_c=True)
+        problems = check_step(g, new)
+        assert problems == [
+            "P4c: no all-horizontal cut separates v1 from b",
+            "P5: attachable real c has occupied upper ports ['NE']",
+        ]
+        assert problems == check_gamma(g)
+
+    def test_new_point_outside_the_base_wedge_gets_the_full_p3(self):
+        g = self._gamma_with_new_edge([(-2, 2), (-2, 4)])
+        g.checked = CheckRecord(contour=[], cut_pairs=[], wedge=True)
+        problems = check_step(g, {"t"})
+        assert problems == [f"P3: {Point(F(-2), F(2))} lies on a base support line"]
+        assert problems == check_gamma(g)
 
     def test_full_check_after_base_and_final(self, monkeypatch):
         drawer = build_drawer(gen_corpus(seed=61, n_target=16, profile="cubic3con", count=1)[0])
@@ -451,3 +629,47 @@ class TestPipeline:
         d2 = draw_onebend(g)
         assert d1.positions == d2.positions
         assert d1.polylines == d2.polylines
+
+
+# Inputs the 1-bend drawer fails on today, with the error each one raises:
+# (n_target, seed, message) for cubic3con graphs.
+KNOWN_FAILURES = [
+    (90, 1002, "could not place _x0: ports NW/NE failed"),
+    (90, 1029, "could not place _x1: ports NW/NE failed"),
+    (90, 1011, "invariants broken after set 25: "
+               "[\"P6: dummy _x1 base ports ['S', 'SW'] not in the case table\"]"),
+    (90, 1012, "invariants broken after set 41: "
+               "[\"P6: dummy _x3 base ports ['S', 'SW'] not in the case table\"]"),
+    (90, 1018, "invariants broken after set 37: "
+               "[\"P6: dummy _x2 base ports ['S', 'SW'] not in the case table\"]"),
+    (90, 1024, "invariants broken after set 43: "
+               "[\"P6: dummy _x0 base ports ['S', 'SE'] not in the case table\"]"),
+    (200, 7, "could not place v120: ports N/NE failed"),
+    (200, 8, "could not place _x0: ports NW/NE failed"),
+    (200, 9, "invariants broken after set 74: "
+             "['P4b: no horizontal on the contour between v74 and v77']"),
+    (200, 11, "could not place _x5: ports NW/NE failed"),
+    (32, 404, "could not place _x1: ports NW/NE failed"),
+    (32, 499, "invariants broken after set 14: "
+              "['P4b: no horizontal on the contour between v4 and v9']"),
+]
+
+
+class TestKnownFailures:
+    """Each known failure must fail with exactly its message: a changed
+    message fails the test, and a fix shows up as a strict XPASS."""
+
+    @pytest.mark.xfail(strict=True, raises=OneBendError)
+    @pytest.mark.parametrize(
+        "n_target, seed, message",
+        [pytest.param(*case, id=f"n{case[0]}-seed{case[1]}") for case in KNOWN_FAILURES],
+    )
+    def test_draws_and_validates(self, n_target, seed, message):
+        g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+        try:
+            d = draw_onebend(g)
+        except OneBendError as exc:
+            assert str(exc) == message
+            raise
+        report = validate(d, "ONEBEND")
+        assert report.passed, report.violations
