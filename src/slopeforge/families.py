@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import graphutil
 from .geometry import Point
@@ -295,6 +295,8 @@ def gen_corpus(seed: int, n_target: int, profile: str, count: int = 1) -> List[E
     """
     if profile not in ("cubic3con", "subcubic"):
         raise ValueError(f"unknown corpus profile {profile!r}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     rng = random.Random(f"{seed}/{n_target}/{profile}")
     out: List[EmbeddedGraph] = []
     attempts = 0
@@ -497,11 +499,31 @@ def _insert_crossing_gadget(plane: PlaneGraph, rng: random.Random) -> PlaneGraph
 
 
 def _face_with(plane: PlaneGraph, verts: Sequence[str]):
-    for f in plane.faces():
+    """The first face in plane.faces() order that holds every vertex of
+    verts, found among the faces at verts[0] alone.  faces() lists a face at
+    its first dart in darts() order (edge-dict order, (e, a) before (e, b))
+    and starts its darts there."""
+    v0 = verts[0]
+    rank = {e: 2 * i for i, e in enumerate(plane.edges)}
+
+    def dart_rank(d: Dart) -> int:
+        return rank[d[0]] + (d[1] != plane.edges[d[0]][0])
+
+    first: Optional[Dart] = None
+    seen: Set[Dart] = set()
+    for e in plane.rotation[v0]:
+        if (e, v0) in seen:
+            continue
+        f = plane.trace_face((e, v0))
+        seen.update(f.darts)
         vs = set(f.vertices())
         if all(v in vs for v in verts):
-            return f
-    raise EmbeddingError("expansion lost its working face")
+            d = min(f.darts, key=dart_rank)
+            if first is None or dart_rank(d) < dart_rank(first):
+                first = d
+    if first is None:
+        raise EmbeddingError("expansion lost its working face")
+    return plane.trace_face(first)
 
 
 def _refresh_outer(plane: PlaneGraph) -> None:

@@ -1,9 +1,11 @@
 """Abstract-graph algorithms: connectivity, blocks, st-numbering, planarity.
 
 Everything here works on plain adjacency mappings {vertex: set(neighbors)}
-and is sized for desk-scale inputs (hundreds of vertices).  Connectivity is
-decided by separator enumeration up to size 3: only the distinctions
-k in {0, 1, 2, 3, >=4} matter to the drawers and checkers.
+and is sized for desk-scale inputs (hundreds of vertices).  Only the
+connectivity distinctions k in {0, 1, 2, 3, >=4} matter to the drawers and
+checkers.  A graph of maximum degree <= 3 has its connectivity read off the
+cycle space in one traversal; any other graph is scanned for cut vertices
+and 2-separators by lowpoint DFS, and for 3-separators by enumeration.
 """
 
 from __future__ import annotations
@@ -61,45 +63,65 @@ def articulation_points(adj: Adj, removed: Set[str] = frozenset()) -> Set[str]:
     """Cutvertices of adj minus `removed`, via iterative Tarjan lowpoints,
     per connected component.  The set does not depend on the visiting order.
     """
-    order: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    parent: Dict[str, Optional[str]] = {}
-    cuts: Set[str] = set()
+    names, nbrs = _relabel(adj)
+    blocked = bytearray(v in removed for v in names)
+    return {names[i] for i in _cut_vertices(nbrs, blocked, first_only=False)}
+
+
+def _relabel(adj: Adj) -> Tuple[List[str], List[List[int]]]:
+    """The vertices in adj's order, and each one's neighbours as indices."""
+    names = list(adj)
+    index = {v: i for i, v in enumerate(names)}
+    return names, [[index[w] for w in adj[v]] for v in names]
+
+
+def _cut_vertices(nbrs: List[List[int]], blocked: bytearray, first_only: bool) -> List[int]:
+    """Cut vertices of the graph minus the blocked vertices (iterative Tarjan
+    lowpoints); with first_only, stop at the first one found.  A vertex may
+    be listed more than once."""
+    n = len(nbrs)
+    order = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    cuts: List[int] = []
     counter = 0
-    for root in adj:
-        if root in order or root in removed:
+    for root in range(n):
+        if order[root] >= 0 or blocked[root]:
             continue
-        parent[root] = None
-        stack: List[Tuple[str, Iterable[str]]] = [(root, iter(adj[root]))]
         order[root] = low[root] = counter
         counter += 1
         root_children = 0
+        stack = [(root, iter(nbrs[root]))]
         while stack:
             v, it = stack[-1]
-            advanced = False
             for w in it:
-                if w in removed:
+                if blocked[w]:
                     continue
-                if w not in order:
+                if order[w] < 0:
                     parent[w] = v
-                    if v == root:
-                        root_children += 1
                     order[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
+                    stack.append((w, iter(nbrs[w])))
                     break
-                elif w != parent[v]:
-                    low[v] = min(low[v], order[w])
-            if not advanced:
+                if w != parent[v] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
                 stack.pop()
+                if v == root:
+                    continue
                 p = parent[v]
-                if p is not None:
-                    low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= order[p]:
-                        cuts.add(p)
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if p == root:
+                    root_children += 1
+                elif low[v] >= order[p]:
+                    cuts.append(p)
+                    if first_only:
+                        return cuts
         if root_children >= 2:
-            cuts.add(root)
+            cuts.append(root)
+            if first_only:
+                return cuts
     return cuts
 
 
@@ -155,36 +177,92 @@ def two_edge_connected_components(adj: Adj) -> List[Set[str]]:
 def vertex_connectivity(adj: Adj, cap: int = 4) -> int:
     """Vertex connectivity, exact up to min(cap, 4); larger values return cap.
 
-    Decided by separator enumeration: cheap cutvertex/pair scans first, then
-    triples.  Complete graphs K_n report min(n - 1, cap).
+    Complete graphs K_n report min(n - 1, cap).  With maximum degree <= 3,
+    vertex and edge connectivity agree, and edge connectivity is read off
+    one traversal (see _subcubic_edge_connectivity).  Otherwise cut
+    vertices and 2-separators are found by lowpoint DFS, and 3-separators,
+    asked for only when cap >= 4, by enumerating vertex triples.
     """
     n = len(adj)
     if n <= 1:
         return 0
-    if any(len(adj[v]) == n - 1 for v in adj) and all(len(adj[v]) == n - 1 for v in adj):
+    if all(len(adj[v]) == n - 1 for v in adj):
         return min(n - 1, cap)
+    if all(len(ns) <= 3 for ns in adj.values()):
+        return min(_subcubic_edge_connectivity(adj), cap)
     if not is_connected(adj):
         return 0
     if articulation_points(adj):
-        return 1
+        return min(1, cap)
     if _has_separator_of_size(adj, 2):
-        return 2
-    if cap <= 3:
-        return 3
-    if _has_separator_of_size(adj, 3):
-        return 3
+        return min(2, cap)
+    if cap <= 3 or _has_separator_of_size(adj, 3):
+        return min(3, cap)
     return cap
+
+
+def _subcubic_edge_connectivity(adj: Adj) -> int:
+    """Edge connectivity of a graph with n >= 2, capped at 3.
+
+    An edge set is a cut iff it meets every cycle an even number of times,
+    and the fundamental cycles of a spanning tree span the cycle space.  So
+    non-tree edge j gets the label 1 << j, and a tree edge the XOR of the
+    labels of the non-tree edges with exactly one end below it: an edge is
+    a bridge iff its label is 0, and two edges form a cut iff their labels
+    are equal.  The labels are exact (m - n + 1 bits), not sampled.
+    """
+    root = next(iter(adj))
+    parent: Dict[str, Optional[str]] = {root: None}
+    found = [root]
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                found.append(w)
+                stack.append(w)
+    if len(found) < len(adj):
+        return 0
+    pos = {v: i for i, v in enumerate(found)}
+    acc = [0] * len(found)
+    labels: List[int] = []
+    for i, v in enumerate(found):
+        for w in adj[v]:
+            k = pos[w]
+            # Each edge once, from its end found first; parent[w] == v marks
+            # the tree edge.
+            if k > i and parent[w] != v:
+                bit = 1 << len(labels)
+                labels.append(bit)
+                acc[i] ^= bit
+                acc[k] ^= bit
+    # Children are found after their parents, so a reverse sweep sees each
+    # subtree whole before its root's tree edge.
+    for i in range(len(found) - 1, 0, -1):
+        label = acc[i]
+        if label == 0:
+            return 1
+        labels.append(label)
+        acc[pos[parent[found[i]]]] ^= label
+    return 2 if len(set(labels)) < len(labels) else 3
 
 
 def _has_separator_of_size(adj: Adj, k: int) -> bool:
     n = len(adj)
     if n <= k + 1:
         return False
-    names = sorted(adj)
     if k == 2:
-        # For each v, articulation points of G - v.
-        return any(articulation_points(adj, removed={v}) for v in names)
-    for sep in combinations(names, k):
+        # For each v, does G - v have a cut vertex?
+        _, nbrs = _relabel(adj)
+        blocked = bytearray(n)
+        for v in range(n):
+            blocked[v] = 1
+            if _cut_vertices(nbrs, blocked, first_only=True):
+                return True
+            blocked[v] = 0
+        return False
+    for sep in combinations(sorted(adj), k):
         if not is_connected(adj, removed=set(sep)):
             return True
     return False

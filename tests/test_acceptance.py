@@ -312,3 +312,19 @@ class TestAcceptance:
         digest = h.hexdigest()
         _report("11 (large 1-bend drawing bytes)",
                 digest == "ec48ab1d41a42c028359db188cecc00390797eadd0978fa7482cd944458e28a0", digest)
+
+    def test_12_large_generated_bytes_are_pinned(self):
+        """The generator's output bytes for cubic3con seed 13 at n_target=400
+        (364 vertices) and n_target=1000 (908 vertices); the 908-vertex
+        graph in < 15 s."""
+        g = gen_corpus(seed=13, n_target=400, profile="cubic3con", count=1)[0]
+        digest_400 = hashlib.sha256(dumps(graph_to_doc(g)).encode()).hexdigest()
+        t0 = time.perf_counter()
+        g = gen_corpus(seed=13, n_target=1000, profile="cubic3con", count=1)[0]
+        elapsed = time.perf_counter() - t0
+        digest_1000 = hashlib.sha256(dumps(graph_to_doc(g)).encode()).hexdigest()
+        assert digest_400 == "5af32446359d614fc3305573bac0bd2eb644d41458cf26ccf8ef2f9f0b774bf0"
+        assert digest_1000 == "ced6970fd00e73d60ab28f4acc0dd0e6735771ae117c7e8b9a5d2deaadb645c7"
+        assert len(g.vertices) == 908
+        _report("12 (large generated bytes)", elapsed < 15.0,
+                f"{len(g.vertices)} vertices in {elapsed:.2f}s (budget 15s)")

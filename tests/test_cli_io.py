@@ -174,3 +174,11 @@ class TestCli:
         code, out = run_cli(["draw", "--mode", mode, "--trace", str(trace_dir)], graph_json)
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: cannot write {trace_dir}: Not a directory\n"
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_corpus_count_below_1_exits_2(self, tmp_path, capsys, count):
+        out_path = tmp_path / "corpus.json"
+        code, out = run_cli(["gen", "--family", "corpus", "--count", count, "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: count must be >= 1\n"
+        assert not out_path.exists()

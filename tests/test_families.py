@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from slopeforge import docio, graphutil
+from slopeforge import docio, families, graphutil
 from slopeforge.families import (
+    _face_with,
     _fresh,
     chain_edges_3reg18,
     gen_2reg,
@@ -19,7 +20,7 @@ from slopeforge.families import (
     gen_maxdeg,
     gen_prism,
 )
-from slopeforge.model import connectivity, find_real_real_face
+from slopeforge.model import EmbeddingError, PlaneGraph, connectivity, find_real_real_face
 
 
 class TestK4:
@@ -222,3 +223,57 @@ class TestFreshIds:
             for g in gen_corpus(seed=17, n_target=40, profile=profile, count=2):
                 for prefix in PREFIXES:
                     assert _fresh(g.plane, prefix) == fresh_by_scan(g.plane, prefix)
+
+
+def face_with_by_scan(plane, verts):
+    """The reference rule: the first face of plane.faces() that holds every
+    vertex of verts."""
+    for f in plane.faces():
+        vs = set(f.vertices())
+        if all(v in vs for v in verts):
+            return f
+    raise EmbeddingError("expansion lost its working face")
+
+
+def four_cycle_plane():
+    """The 4-cycle a-b-c-d.  faces() lists first the face of the dart
+    (e0, a); the rotation at c starts with e1, whose dart (e1, c) lies on
+    the other face."""
+    edges = {"e0": ("a", "b"), "e1": ("b", "c"), "e2": ("c", "d"), "e3": ("d", "a")}
+    rotation = {"a": ["e3", "e0"], "b": ["e0", "e1"], "c": ["e1", "e2"], "d": ["e2", "e3"]}
+    return PlaneGraph(vertices=list("abcd"), real=set("abcd"), edges=edges,
+                      rotation=rotation, fragment_of={})
+
+
+class TestFaceWith:
+    def test_agrees_with_the_scan_during_generation(self, monkeypatch):
+        calls = []
+
+        def checked(plane, verts):
+            face = _face_with(plane, verts)
+            assert face == face_with_by_scan(plane, verts)
+            calls.append(verts)
+            return face
+
+        monkeypatch.setattr(families, "_face_with", checked)
+        for n_target in (20, 60, 200):
+            for seed in range(1000, 1020):
+                gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)
+        assert len(calls) >= 1000
+
+    def test_two_matching_faces_give_the_one_faces_lists_first(self):
+        plane = four_cycle_plane()
+        first = plane.faces()[0]
+        assert first.darts[0] == ("e0", "a")
+        assert ("e1", "c") not in first.darts
+        for verts in (["c", "a"], ["c"], ["a", "b", "c", "d"], ["d", "b"]):
+            assert _face_with(plane, verts) == first == face_with_by_scan(plane, verts)
+
+    def test_no_matching_face_raises(self):
+        plane = four_cycle_plane()
+        plane.vertices.append("z")
+        plane.rotation["z"] = []
+        with pytest.raises(EmbeddingError, match="expansion lost its working face"):
+            _face_with(plane, ["a", "z"])
+        with pytest.raises(EmbeddingError, match="expansion lost its working face"):
+            _face_with(plane, ["z"])

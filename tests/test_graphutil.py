@@ -149,6 +149,130 @@ class TestConnectivityOracle:
                 assert gu.articulation_points(adj, removed={v}) == gu.articulation_points(copied)
 
 
+def random_subcubic_graph(rng, n):
+    """Random edges of the complete graph, each kept with a random
+    probability while both ends still have degree < 3."""
+    names = [f"n{i}" for i in range(n)]
+    adj = {v: set() for v in names}
+    pairs = list(combinations(names, 2))
+    rng.shuffle(pairs)
+    keep = rng.choice((0.3, 0.6, 1.0))
+    for a, b in pairs:
+        if len(adj[a]) < 3 and len(adj[b]) < 3 and rng.random() < keep:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def subdivided_k4(tag, times):
+    """K4 on tag+'0'..tag+'3' with the edge (0, 1) subdivided `times` times;
+    returns the graph's edges and the subdivision vertices in path order."""
+    a, b, c, d = (f"{tag}{i}" for i in range(4))
+    subs = [f"{tag}s{i}" for i in range(times)]
+    path = [a, *subs, b]
+    edges = [(a, c), (a, d), (b, c), (b, d), (c, d)]
+    edges += list(zip(path, path[1:]))
+    return edges, subs
+
+
+def petersen():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    return adj_of(outer + inner + spokes)
+
+
+def k4_bridge_k4():
+    # Cubic, with a bridge between the two subdivision vertices.
+    left, (s,) = subdivided_k4("a", 1)
+    right, (t,) = subdivided_k4("b", 1)
+    return adj_of(left + right + [(s, t)])
+
+
+def k4_pair_k4():
+    # Cubic, with the 2-edge cut {(s1, t1), (s2, t2)}.
+    left, (s1, s2) = subdivided_k4("a", 2)
+    right, (t1, t2) = subdivided_k4("b", 2)
+    return adj_of(left + right + [(s1, t1), (s2, t2)])
+
+
+SUBCUBIC_HAND_CASES = [
+    ("K1", adj_of([], extra=["a"]), 0),
+    ("K2", adj_of([("a", "b")]), 1),
+    ("K3", cycle(3), 2),
+    ("K4", k4(), 3),
+    ("path", adj_of([("a", "b"), ("b", "c"), ("c", "d")]), 1),
+    ("cycle", cycle(7), 2),
+    ("prism", prism(), 3),
+    ("cubic with a bridge", k4_bridge_k4(), 1),
+    ("subdivided K4s joined by two edges", k4_pair_k4(), 2),
+    ("Petersen", petersen(), 3),
+]
+
+
+def has_cut_pair_by_scan(adj):
+    """The reference 2-separator scan: for each v, does G - v have a cut vertex?"""
+    return any(gu.articulation_points(adj, removed={v}) for v in sorted(adj))
+
+
+def without_edges(adj, rng, k):
+    edges = sorted((a, b) for a in adj for b in adj[a] if a < b)
+    out = {v: set(ns) for v, ns in adj.items()}
+    for a, b in rng.sample(edges, k):
+        out[a].discard(b)
+        out[b].discard(a)
+    return out
+
+
+class TestSubcubicConnectivity:
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_caps_below_3_are_respected(self, cap):
+        rng = random.Random(3)
+        graphs = [cycle(5), prism(), k4(), glued_k4s()]
+        graphs += [random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.9)))
+                   for _ in range(60)]
+        for adj in graphs:
+            assert gu.vertex_connectivity(adj, cap=cap) == brute_connectivity(adj, cap), adj
+
+    @pytest.mark.parametrize("name, adj, expected", SUBCUBIC_HAND_CASES,
+                             ids=[case[0] for case in SUBCUBIC_HAND_CASES])
+    def test_hand_cases(self, name, adj, expected):
+        for cap in (3, 4):
+            assert brute_connectivity(adj, cap) == expected
+            assert gu.vertex_connectivity(adj, cap=cap) == expected
+
+    def test_random_subcubic_graphs(self):
+        rng = random.Random(19)
+        seen = {k: 0 for k in range(4)}
+        for _ in range(2000):
+            adj = random_subcubic_graph(rng, rng.randint(1, 12))
+            expected = brute_connectivity(adj, 4)
+            assert gu.vertex_connectivity(adj, cap=4) == expected, adj
+            assert gu.vertex_connectivity(adj, cap=3) == min(expected, 3), adj
+            seen[expected] += 1
+        assert all(seen.values()), seen
+
+
+class TestCutPairScan:
+    def test_agrees_with_the_articulation_scan(self):
+        rng = random.Random(23)
+        graphs = []
+        for i, n_target in enumerate((20, 60, 100, 140, 200)):
+            for g in gen_corpus(seed=3000 + i, n_target=n_target, profile="cubic3con", count=2):
+                plane = g.plane.adjacency()
+                graphs.append(plane)
+                graphs += [without_edges(plane, rng, k) for k in (1, 2, 3)]
+        graphs += [random_graph(rng, rng.randint(4, 14), rng.choice((0.2, 0.35, 0.6)))
+                   for _ in range(200)]
+        assert sum(max(len(ns) for ns in adj.values()) >= 4 for adj in graphs) >= 100
+        outcomes = set()
+        for adj in graphs:
+            expected = has_cut_pair_by_scan(adj)
+            assert gu._has_separator_of_size(adj, 2) == expected, adj
+            outcomes.add(expected)
+        assert outcomes == {False, True}
+
+
 class TestStNumbering:
     def check(self, adj, s, t):
         sigma = gu.st_numbering(adj, s, t)
