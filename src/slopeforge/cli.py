@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -44,7 +45,10 @@ def main(argv: Optional[list] = None) -> int:
         return 2
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    no option has a mutable default."""
     p = argparse.ArgumentParser(prog="slopeforge")
     p.add_argument("--seed", type=int, default=None, help=f"default from ${ENV_SEED}")
     sub = p.add_subparsers()
@@ -209,7 +213,7 @@ def _cmd_draw(args) -> int:
 def _traced_onebend(g, trace_dir: str):
     """Run the 1-bend pipeline and dump every intermediate drawing as SVG
     into trace_dir, which exists."""
-    drawer, drawing = _run_pipeline(g)
+    drawer, drawing = _run_pipeline(g, trace=True)
     for i, snapshot in enumerate(drawer.trace):
         with open(os.path.join(trace_dir, f"step{i:03d}.svg"), "w") as fh:
             fh.write(render.render_segments_svg(snapshot))

@@ -286,6 +286,21 @@ def intersect(s1: Segment, s2: Segment) -> Intersection:
 _GRID_BITS = 16
 
 
+# A segment prepared for the pair queries: the segment, its integer form and
+# its box (lo_x, lo_y, hi_x, hi_y) on the sweep grid.
+Prepared = Tuple[Segment, _IntSegment, Tuple[int, int, int, int]]
+
+
+def prepare(seg: Segment) -> Prepared:
+    form = _ints(seg)
+    L, ax, ay, bx, by = form
+    # Each box coordinate v becomes floor(v * 2**_GRID_BITS).  Floor is
+    # monotone, so two grid boxes are disjoint only if the exact boxes are.
+    ax, ay = (ax << _GRID_BITS) // L, (ay << _GRID_BITS) // L
+    bx, by = (bx << _GRID_BITS) // L, (by << _GRID_BITS) // L
+    return seg, form, (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+
+
 def segment_hits(
     segs: Sequence[Segment], groups: Optional[Sequence[object]] = None
 ) -> Iterator[Tuple[int, int, Intersection]]:
@@ -297,21 +312,21 @@ def segment_hits(
     that entered the sweep first.  A pair whose `groups` entries are equal
     and not None is skipped.
     """
-    forms = [_ints(s) for s in segs]
-    # Each box coordinate v becomes floor(v * 2**_GRID_BITS).  Floor is
-    # monotone, so two grid boxes are disjoint only if the exact boxes are.
-    boxes = []
-    for L, ax, ay, bx, by in forms:
-        ax, ay = (ax << _GRID_BITS) // L, (ay << _GRID_BITS) // L
-        bx, by = (bx << _GRID_BITS) // L, (by << _GRID_BITS) // L
-        boxes.append((min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
+    return sweep_hits([prepare(s) for s in segs], groups)
+
+
+def sweep_hits(
+    prepared: Sequence[Prepared], groups: Optional[Sequence[object]] = None
+) -> Iterator[Tuple[int, int, Intersection]]:
+    """segment_hits on segments that are already prepared."""
     if groups is None:
-        groups = [None] * len(segs)
+        groups = [None] * len(prepared)
+    boxes = [p[2] for p in prepared]
     active: List[int] = []
-    for i in sorted(range(len(segs)), key=lambda k: boxes[k][0]):
+    for i in sorted(range(len(prepared)), key=lambda k: boxes[k][0]):
         lo_x, lo_y, _, hi_y = boxes[i]
         group = groups[i]
-        seg, form = segs[i], forms[i]
+        seg, form, _ = prepared[i]
         active = [j for j in active if boxes[j][2] >= lo_x]
         for j in active:
             if group is not None and groups[j] == group:
@@ -319,10 +334,37 @@ def segment_hits(
             box = boxes[j]
             if hi_y < box[1] or box[3] < lo_y:
                 continue
-            res = _classify(seg, form, segs[j], forms[j])
+            other, other_form, _ = prepared[j]
+            res = _classify(seg, form, other, other_form)
             if res.kind is not IntersectKind.DISJOINT:
                 yield i, j, res
         active.append(i)
+
+
+def hits_across(
+    new: Sequence[Prepared], old: Sequence[Prepared]
+) -> Iterator[Tuple[int, int, Intersection]]:
+    """Every pair of a segment new[i] and a segment old[j] that is not
+    DISJOINT, as (i, j, intersect(new[i], old[j])), in the order of `old`.
+
+    Meant for a few new segments against many: no sort, one box test per
+    old segment against the hull of the new boxes, then one per pair.
+    """
+    if not new:
+        return
+    hull_lo_x = min(p[2][0] for p in new)
+    hull_lo_y = min(p[2][1] for p in new)
+    hull_hi_x = max(p[2][2] for p in new)
+    hull_hi_y = max(p[2][3] for p in new)
+    for j, (other, other_form, (lo_x, lo_y, hi_x, hi_y)) in enumerate(old):
+        if hi_x < hull_lo_x or hull_hi_x < lo_x or hi_y < hull_lo_y or hull_hi_y < lo_y:
+            continue
+        for i, (seg, form, box) in enumerate(new):
+            if hi_x < box[0] or box[2] < lo_x or hi_y < box[1] or box[3] < lo_y:
+                continue
+            res = _classify(seg, form, other, other_form)
+            if res.kind is not IntersectKind.DISJOINT:
+                yield i, j, res
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +404,6 @@ class AngleClass:
     """
 
     eighths: Optional[int]
-
-    @property
-    def is_multiple_of_quarter_pi(self) -> bool:
-        return self.eighths is not None
 
 
 def angle_between(d1: Direction, d2: Direction) -> AngleClass:

@@ -88,9 +88,6 @@ class PlaneGraph:
     def dart_head(self, d: Dart) -> str:
         return self.other_end(d[0], d[1])
 
-    def rev(self, d: Dart) -> Dart:
-        return (d[0], self.dart_head(d))
-
     def next_in_face(self, d: Dart) -> Dart:
         """Next dart of the face to the left of d (rotations are ccw)."""
         head = self.dart_head(d)

@@ -25,19 +25,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .drawing import PolylineDrawing
 from .geometry import (
     IntersectKind,
+    Intersection,
     Point,
+    Prepared,
     Segment,
     SlopeKind,
+    hits_across,
     line_intersection,
     octant,
-    segment_hits,
+    prepare,
     slope_of,
     strip_collinear,
+    sweep_hits,
 )
 from .model import EmbeddedGraph, PlaneGraph, connectivity, find_real_real_face
 from .ordering import CanonicalOrdering, canonical_order
@@ -101,20 +105,59 @@ class Gamma:
     contour: List[str] = field(default_factory=list)
     placed: Set[str] = field(default_factory=set)
     checked: Optional[CheckRecord] = None
+    # The segment index: plane-edge id -> (the polyline list the entry was
+    # built from, its segments prepared for the pair queries, the edge id
+    # once per segment).  Polylines are replaced, never changed in place,
+    # so an entry whose list is no longer the edge's polyline is stale and
+    # gets rebuilt.
+    _index: Dict[str, Tuple[List[Point], List[Prepared], List[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # The horizontal-bearing edges (see horizontal_edges) and the drawn
+    # edges they were found among.
+    _horizontal: Set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    _horizontal_among: Set[str] = field(
+        default_factory=set, init=False, repr=False, compare=False)
 
     # -- drawn geometry queries -------------------------------------------
 
     def drawn_edges(self) -> List[str]:
         return sorted(self.polylines)
 
+    def indexed(self, edges: Optional[Iterable[str]] = None) -> Tuple[List[str], List[Prepared]]:
+        """The segments of the drawn edges in edge order, or of `edges` in
+        their order, prepared, and the edge of each."""
+        labels: List[str] = []
+        prepared: List[Prepared] = []
+        index, polylines = self._index, self.polylines
+        for e in self.drawn_edges() if edges is None else edges:
+            pts = polylines[e]
+            entry = index.get(e)
+            if entry is None or entry[0] is not pts:
+                segs = [prepare(Segment(pts[i], pts[i + 1])) for i in range(len(pts) - 1)]
+                entry = index[e] = (pts, segs, [e] * len(segs))
+            prepared += entry[1]
+            labels += entry[2]
+        return labels, prepared
+
     def segments(self, edges: Optional[Set[str]] = None) -> List[Tuple[str, Segment]]:
         """Segments of the drawn edges, or of `edges` only, in edge order."""
-        out = []
-        for e in self.drawn_edges() if edges is None else sorted(edges):
-            pts = self.polylines[e]
-            for i in range(len(pts) - 1):
-                out.append((e, Segment(pts[i], pts[i + 1])))
-        return out
+        labels, prepared = self.indexed(None if edges is None else sorted(edges))
+        return [(e, p[0]) for e, p in zip(labels, prepared)]
+
+    def horizontal_edges(self) -> Set[str]:
+        """The drawn edges other than the base edge that have a horizontal
+        segment.  A stretch keeps every y, so it never changes whether an
+        edge has one: only edges drawn since the last call are looked at."""
+        drawn = self.polylines.keys()
+        if drawn != self._horizontal_among:
+            base = _base_edge(self)
+            self._horizontal.intersection_update(drawn)
+            for e in drawn - self._horizontal_among:
+                pts = self.polylines[e]
+                if e != base and any(pts[i].y == pts[i + 1].y for i in range(len(pts) - 1)):
+                    self._horizontal.add(e)
+            self._horizontal_among = set(drawn)
+        return self._horizontal
 
     def port_dirs(self, v: str) -> Dict[str, str]:
         """Drawn edge id -> port name at v."""
@@ -326,18 +369,6 @@ def _base_edge(g: Gamma) -> str:
     return _edge_between(g.plane, g.v1, g.v2)
 
 
-def _horizontal_edges(g: Gamma) -> Set[str]:
-    out = set()
-    base = _base_edge(g)
-    for e in g.drawn_edges():
-        if e == base:
-            continue
-        pts = g.polylines[e]
-        if any(pts[i].y == pts[i + 1].y for i in range(len(pts) - 1)):
-            out.add(e)
-    return out
-
-
 def _find(parent: Dict[str, str], v: str) -> str:
     while parent[v] != v:
         parent[v] = parent[parent[v]]
@@ -396,7 +427,7 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     split, so the loop ends with every split edge able to absorb.  Raises
     OneBendError when the right base vertex would stay.
     """
-    hor = _horizontal_edges(g)
+    hor = g.horizontal_edges()
     parent = _cut_forest(g, hor)
     contour = g.contour
     while True:
@@ -552,14 +583,12 @@ def _blockers(
     an existing point, blocks the placement.  Each blocked segment is
     reported once, in drawing order.
     """
-    drawn = g.segments()
-    segs = [s for _, s in drawn] + new_segments
-    groups = [0] * len(drawn) + [1] * len(new_segments)
+    labels, drawn = g.indexed()
     blocked = set()
-    for i, j, res in segment_hits(segs, groups):
+    for _, j, res in hits_across([prepare(s) for s in new_segments], drawn):
         if res.point is None or res.point not in allowed_points:
-            blocked.add(min(i, j))
-    return [drawn[k] for k in sorted(blocked)]
+            blocked.add(j)
+    return [(labels[j], drawn[j][0]) for j in sorted(blocked)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +602,17 @@ _RATE_SHIFT = F(4)
 
 
 class OneBendDrawer:
-    def __init__(self, plane: PlaneGraph, delta: CanonicalOrdering, check_steps: bool = True):
+    def __init__(
+        self, plane: PlaneGraph, delta: CanonicalOrdering, check_steps: bool = True,
+        trace: bool = False,
+    ):
         self.plane = plane
         self.delta = delta
         self.check_steps = check_steps
         self.g = Gamma(plane=plane, v1=delta.v1, v2=delta.v2)
-        self.trace: List[Dict[str, List[Point]]] = []
+        self.steps = 0
+        # With `trace`, a copy of every polyline after each step.
+        self.trace: Optional[List[Dict[str, List[Point]]]] = [] if trace else None
         self._checked: Set[str] = set()  # edges drawn at the last check
 
     # -- public -------------------------------------------------------------
@@ -1146,7 +1180,9 @@ class OneBendDrawer:
         """Check the invariants after a step: in full when asked, otherwise
         only what the edges drawn since the last check can have broken."""
         g = self.g
-        self.trace.append({e: list(p) for e, p in g.polylines.items()})
+        self.steps += 1
+        if self.trace is not None:
+            self.trace.append({e: list(p) for e, p in g.polylines.items()})
         if self.check_steps:
             drawn = set(g.polylines)
             problems = check_gamma(g) if full else check_step(g, drawn - self._checked)
@@ -1210,8 +1246,10 @@ def check_step(g: Gamma, new: Set[str]) -> List[str]:
     of the contour that differs from the recorded one, widened by one
     vertex on each side.  New edges can join cut-graph components anywhere,
     so P4(c) tests every pair that needs a cut, the recorded ones outside
-    that span included.  The problems reported are then exactly those of
-    check_gamma; when there are none, g.checked records this check.
+    that span included.  Simplicity is tested on the pairs with a segment
+    of a new edge (see _step_simple).  The problems reported are then
+    exactly those of check_gamma; when there are none, g.checked records
+    this check.
     """
     new_ends = {v for e in new for v in g.plane.edges[e]}
     problems: List[str] = []
@@ -1235,10 +1273,7 @@ def check_step(g: Gamma, new: Set[str]) -> List[str]:
     problems.extend(_check_p5(g, window))
     problems.extend(_check_p6(g, window))
     problems.extend(_check_rotations(g, new_ends))
-    segs = g.segments()
-    problems.extend(
-        _improper_pairs(g, segs, [_RESHAPED if e in new else _STATIONARY for e, _ in segs])
-    )
+    problems.extend(_step_simple(g, new))
     if not problems:
         g.checked = CheckRecord(list(g.contour), cut, wedge)
     return problems
@@ -1431,7 +1466,7 @@ def _check_p4c(g: Gamma, cut_pairs: List[Tuple[int, int]]) -> List[str]:
     after cutting every horizontal-bearing edge."""
     if not cut_pairs:
         return []
-    parent = _cut_forest(g, _horizontal_edges(g))
+    parent = _cut_forest(g, g.horizontal_edges())
     out = []
     for iu, iv in cut_pairs:
         u, v = g.contour[iu], g.contour[iv]
@@ -1537,7 +1572,7 @@ def _cyclic_subsequence(sub: List[str], full: List[str]) -> bool:
     return False
 
 
-# Segment groups of a stretch (see _check_stretch); segment_hits skips the
+# Segment groups of a stretch (see _check_stretch); sweep_hits skips the
 # pairs inside one group except _RESHAPED.
 _STATIONARY, _TRANSLATED, _RESHAPED = 0, 1, None
 
@@ -1545,8 +1580,30 @@ _STATIONARY, _TRANSLATED, _RESHAPED = 0, 1, None
 def _check_simple(g: Gamma) -> List[str]:
     """Every pair of drawn segments meets only at a common vertex, and no
     two vertices coincide."""
-    segs = g.segments()
-    return _improper_pairs(g, segs, [_RESHAPED] * len(segs))
+    labels, prepared = g.indexed()
+    return _improper_pairs(g, labels, prepared, [_RESHAPED] * len(labels))
+
+
+def _step_simple(g: Gamma, new: Set[str]) -> List[str]:
+    """_check_simple for a step that drew the edges `new` on a simple
+    drawing: only pairs with a segment of a new edge can meet improperly.
+
+    The new segments are tested against each other by the sweep and
+    against the rest by hits_across.  Only when a pair meets improperly or
+    two vertices coincide does the full sweep run, so that the message
+    names the pair it meets first.
+    """
+    new_labels, new_segs = g.indexed(sorted(new))
+    old_labels, old_segs = g.indexed(e for e in g.polylines if e not in new)
+    pairs = itertools.chain(
+        ((new_labels[i], new_labels[j], res) for i, j, res in sweep_hits(new_segs)),
+        ((new_labels[i], old_labels[j], res) for i, j, res in hits_across(new_segs, old_segs)),
+    )
+    if any(_improper(g, e1, e2, res) for e1, e2, res in pairs) or _coincident(g):
+        labels, prepared = g.indexed()
+        return _improper_pairs(
+            g, labels, prepared, [_RESHAPED if e in new else _STATIONARY for e in labels])
+    return []
 
 
 def _check_stretch(g: Gamma, left: Set[str]) -> List[str]:
@@ -1561,35 +1618,48 @@ def _check_stretch(g: Gamma, left: Set[str]) -> List[str]:
     before the stretch it rejects exactly what _check_simple rejects.
     """
     base = _base_edge(g)
-    segs = g.segments()
-    groups = []
-    for e, _ in segs:
+    labels, prepared = g.indexed()
+    group_of = {}
+    for e in set(labels):
         a, b = g.plane.edges[e]
         if e == base or (a in left) != (b in left):
-            groups.append(_RESHAPED)
+            group_of[e] = _RESHAPED
         else:
-            groups.append(_STATIONARY if a in left else _TRANSLATED)
-    return _improper_pairs(g, segs, groups)
+            group_of[e] = _STATIONARY if a in left else _TRANSLATED
+    return _improper_pairs(g, labels, prepared, [group_of[e] for e in labels])
+
+
+def _improper(g: Gamma, e1: str, e2: str, res: Intersection) -> bool:
+    """Whether a meeting res of a segment of e1 and one of e2 is improper:
+    anything but consecutive segments of one edge, or a common end vertex."""
+    if res.kind is not IntersectKind.SHARED_ENDPOINT:
+        return True
+    if e1 == e2:
+        return False
+    common = set(g.plane.edges[e1]) & set(g.plane.edges[e2])
+    return not any(g.pos.get(vv) == res.point for vv in common)
+
+
+def _coincident(g: Gamma) -> bool:
+    """Whether two placed vertices share a position.  Fractions are kept in
+    lowest terms, so their integer parts compare as they do."""
+    at = {(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+          for p in map(g.pos.__getitem__, g.placed)}
+    return len(at) < len(g.placed)
 
 
 def _improper_pairs(
-    g: Gamma, segs: List[Tuple[str, Segment]], groups: List[Optional[int]]
+    g: Gamma, labels: List[str], prepared: List[Prepared], groups: List[Optional[int]]
 ) -> List[str]:
-    """Sweep the segments for the first improper intersection, skipping
-    pairs within one _STATIONARY or _TRANSLATED group; then test vertex
-    coincidence."""
+    """Sweep the segments, edge labels[i] for prepared[i], for the first
+    improper intersection, skipping pairs within one _STATIONARY or
+    _TRANSLATED group; then test vertex coincidence."""
     out = []
-    for i, j, res in segment_hits([s for _, s in segs], groups):
-        e1, e2 = segs[i][0], segs[j][0]
-        if res.kind is IntersectKind.SHARED_ENDPOINT:
-            if e1 == e2:
-                continue
-            pt = res.point
-            common = set(g.plane.edges[e1]) & set(g.plane.edges[e2])
-            if any(g.pos.get(vv) == pt for vv in common):
-                continue
-        out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")
-        return out
+    for i, j, res in sweep_hits(prepared, groups):
+        e1, e2 = labels[i], labels[j]
+        if _improper(g, e1, e2, res):
+            out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")
+            return out
     seen_pos: Dict[Point, str] = {}
     for v in sorted(g.placed):
         p = g.pos[v]
@@ -1611,9 +1681,12 @@ def draw_onebend(g: EmbeddedGraph, check_steps: bool = True) -> PolylineDrawing:
     return _run_pipeline(g, check_steps)[1]
 
 
-def _run_pipeline(g: EmbeddedGraph, check_steps: bool = True) -> Tuple[OneBendDrawer, PolylineDrawing]:
+def _run_pipeline(
+    g: EmbeddedGraph, check_steps: bool = True, trace: bool = False
+) -> Tuple[OneBendDrawer, PolylineDrawing]:
     """Check the input, normalize it, run the drawer along a canonical
-    ordering and finalize; the drawer is returned for its step trace."""
+    ordering and finalize; the drawer is returned for its step trace, which
+    is recorded only with `trace`."""
     degs = g.degrees()
     if any(d != 3 for d in degs.values()):
         raise OneBendError("input must be cubic")
@@ -1627,7 +1700,7 @@ def _run_pipeline(g: EmbeddedGraph, check_steps: bool = True) -> Tuple[OneBendDr
     # The outer walk passes the base edge right-to-left, so the dart's head
     # is the left base vertex v1 and its tail the right one.
     delta = canonical_order(plane, head, tail)
-    drawer = OneBendDrawer(plane, delta, check_steps=check_steps)
+    drawer = OneBendDrawer(plane, delta, check_steps=check_steps, trace=trace)
     gamma = drawer.run()
     return drawer, _finalize(norm, plane, gamma)
 

@@ -48,9 +48,6 @@ class CanonicalOrdering:
     def vertex_order(self) -> List[str]:
         return [v for s in self.sets for v in s.vertices]
 
-    def set_index(self) -> Dict[str, int]:
-        return {v: i for i, s in enumerate(self.sets) for v in s.vertices}
-
 
 @dataclass
 class StOrdering:

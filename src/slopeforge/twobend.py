@@ -65,13 +65,6 @@ class OrthoDrawing:
     pos: Dict[str, Point]
     edges: Dict[str, OrthoEdge]
 
-    def port_use(self) -> Dict[Tuple[str, str], str]:
-        use: Dict[Tuple[str, str], str] = {}
-        for e in self.edges.values():
-            use[(e.tail, e.out_port)] = e.edge_id
-            use[(e.head, e.in_port)] = e.edge_id
-        return use
-
     def ports_at(self, v: str) -> Dict[str, str]:
         out: Dict[str, str] = {}
         for e in self.edges.values():

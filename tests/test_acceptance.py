@@ -130,7 +130,7 @@ class TestAcceptance:
             delta = canonical_order(plane, head, tail)
             drawer = OneBendDrawer(plane, delta, check_steps=True)
             drawer.run()  # raises on any per-step P1-P6 violation
-            steps += len(drawer.trace)
+            steps += drawer.steps
         elapsed = time.perf_counter() - t0
         _report("2 (per-step P1-P6)", steps >= 2000 and elapsed < 30.0,
                 f"{steps} checked intermediate drawings in {elapsed:.2f}s (budget 30s)")

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import slopeforge
 from slopeforge import docio, render
-from slopeforge.cli import main
+from slopeforge.cli import _build_parser, main
 from slopeforge.families import gen_crossed_k4, gen_k4_embedded
 from slopeforge.onebend import draw_onebend
 from slopeforge.verify import embeddings_equivalent
@@ -137,6 +140,31 @@ class TestCli:
         # The traced run produces the same drawing as the untraced one.
         _, plain = run_cli(["draw", "--mode", "onebend"], graph_json)
         assert out == plain
+
+    def test_parser_is_reused_without_carrying_options(self, tmp_path):
+        """A traced draw, then a plain one, in one process: the parser is
+        built once, the plain draw dumps no steps, and both print what a
+        fresh process prints."""
+        assert _build_parser() is _build_parser()
+        _, graph_json = run_cli(["gen", "--family", "crossedk4"])
+        traced_dir, fresh_dir = tmp_path / "steps", tmp_path / "fresh-steps"
+        traced = run_cli(["draw", "--mode", "onebend", "--trace", str(traced_dir)], graph_json)
+        steps = {f.name: f.read_text() for f in traced_dir.iterdir()}
+        for f in traced_dir.iterdir():
+            f.unlink()
+        plain = run_cli(["draw", "--mode", "onebend"], graph_json)
+        assert list(traced_dir.iterdir()) == []
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slopeforge.__file__)))
+
+        def fresh(args):
+            proc = subprocess.run([sys.executable, "-m", "slopeforge.cli", *args], env=env,
+                                  input=graph_json, capture_output=True, text=True, check=False)
+            return proc.returncode, proc.stdout
+
+        assert traced == fresh(["draw", "--mode", "onebend", "--trace", str(fresh_dir)])
+        assert steps == {f.name: f.read_text() for f in fresh_dir.iterdir()}
+        assert len(steps) >= 3
+        assert plain == fresh(["draw", "--mode", "onebend"]) == (0, traced[1])
 
     @pytest.mark.parametrize("command", [
         ["draw", "--mode", "onebend"],

@@ -22,12 +22,14 @@ from slopeforge.geometry import (
     angle_between,
     cross,
     dot,
+    hits_across,
     intersect,
     line_intersection,
     min_angle_eighths_lower_bound,
     octant,
     on_segment,
     orient,
+    prepare,
     primitive,
     segment_hits,
     slope_of,
@@ -581,6 +583,24 @@ class TestSegmentHits:
             (0, 1): Intersection(IntersectKind.TOUCH, P(Fraction(1, 2), 0)),
             (1, 2): Intersection(IntersectKind.OVERLAP),
         }
+
+    def test_hits_across_matches_brute_force(self):
+        """A few new segments against the rest, the soup's near misses and
+        the box grid's finest case included."""
+        rng = random.Random(24)
+        eps = Fraction(1, 2 ** 20)
+        fine = [S(0, 0, 1, 0), Segment(P(Fraction(1, 2), 0), P(Fraction(1, 2), 1)),
+                Segment(P(Fraction(1, 2), eps), P(Fraction(1, 2), 1)), Segment(P(1 + eps, 0), P(2, 0))]
+        cases = [(fine[1:], fine[:1]), (fine[2:], fine[:2]), ([], fine)]
+        for _ in range(6):
+            segs = _segment_soup(rng, 60, 10**14 + rng.randint(0, 10**6))
+            k = rng.randint(1, 6)
+            rng.shuffle(segs)
+            cases.append((segs[:k], segs[k:]))
+        for new, old in cases:
+            want = [(i, j, intersect(a, b)) for j, b in enumerate(old) for i, a in enumerate(new)]
+            found = list(hits_across([prepare(a) for a in new], [prepare(b) for b in old]))
+            assert found == [hit for hit in want if hit[2].kind is not IntersectKind.DISJOINT]
 
     def test_skips_pairs_inside_one_group(self):
         rng = random.Random(23)

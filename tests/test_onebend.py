@@ -12,7 +12,7 @@ from slopeforge.families import (
     gen_k4_embedded,
     gen_prism,
 )
-from slopeforge.geometry import Point, Segment, SlopeKind
+from slopeforge.geometry import IntersectKind, Point, Segment, SlopeKind, prepare, segment_hits
 from slopeforge.model import PlaneGraph, find_real_real_face
 from slopeforge.onebend import (
     CheckRecord,
@@ -25,7 +25,6 @@ from slopeforge.onebend import (
     _check_stretch,
     _first_rightward_horizontal,
     _from_stationary_end,
-    _horizontal_edges,
     _middle_mismatch,
     _split_edges,
     check_gamma,
@@ -77,7 +76,10 @@ def stretch_cut_by_rebuild(g, left_anchor):
             adj[b].add(a)
         return adj
 
-    hor = _horizontal_edges(g)
+    hor = {
+        e for e in g.drawn_edges()
+        if e != base and any(p.y == q.y for p, q in zip(g.polylines[e], g.polylines[e][1:]))
+    }
     rigid = set()
     while True:
         comps = graphutil.components(cut_graph(hor - rigid))
@@ -107,6 +109,57 @@ def stretch_cut_by_rebuild(g, left_anchor):
     if g.v2 in left:
         raise OneBendError("stretch cut would move the right base vertex's side leftward")
     return left
+
+
+def rebuilt_segments(g):
+    """Every drawn segment, built afresh, with its edge, in drawing order."""
+    return [
+        (e, Segment(p, q)) for e in g.drawn_edges() for p, q in zip(g.polylines[e], g.polylines[e][1:])
+    ]
+
+
+def blockers_by_sweep(g, new_segments, allowed_points):
+    """Reference for onebend._blockers: sweeps every drawn segment, rebuilt,
+    together with the new ones."""
+    drawn = rebuilt_segments(g)
+    segs = [s for _, s in drawn] + new_segments
+    groups = [0] * len(drawn) + [1] * len(new_segments)
+    blocked = set()
+    for i, j, res in segment_hits(segs, groups):
+        if res.point is None or res.point not in allowed_points:
+            blocked.add(min(i, j))
+    return [drawn[k] for k in sorted(blocked)]
+
+
+def step_simple_by_sweep(g, new):
+    """Reference for the simplicity part of onebend.check_step: one sweep
+    over every drawn segment, rebuilt, that skips the pairs of two old
+    ones; then vertex coincidence."""
+    segs = rebuilt_segments(g)
+    groups = [None if e in new else 0 for e, _ in segs]
+    for i, j, res in segment_hits([s for _, s in segs], groups):
+        e1, e2 = segs[i][0], segs[j][0]
+        if res.kind is IntersectKind.SHARED_ENDPOINT:
+            if e1 == e2:
+                continue
+            common = set(g.plane.edges[e1]) & set(g.plane.edges[e2])
+            if any(g.pos.get(v) == res.point for v in common):
+                continue
+        return [f"simple: {e1} and {e2} intersect improperly ({res.kind.value})"]
+    seen = {}
+    for v in sorted(g.placed):
+        if g.pos[v] in seen:
+            return [f"simple: vertices {seen[g.pos[v]]} and {v} coincide at {g.pos[v]}"]
+        seen[g.pos[v]] = v
+    return []
+
+
+def assert_index_is_fresh(g):
+    """The segment index and the horizontal-bearing edges equal a rebuild."""
+    drawn = rebuilt_segments(g)
+    assert g.indexed() == ([e for e, _ in drawn], [prepare(s) for _, s in drawn])
+    base = _base_edge(g)
+    assert g.horizontal_edges() == {e for e, s in drawn if e != base and s.a.y == s.b.y}
 
 
 class TestBase:
@@ -471,17 +524,17 @@ class TestStepCheck:
         real_check_gamma, real_check_step = onebend.check_gamma, onebend.check_step
 
         def counted_full(g):
-            full.append(len(drawer.trace))
+            full.append(drawer.steps)
             return real_check_gamma(g)
 
         def counted_step(g, new):
-            steps.append(len(drawer.trace))
+            steps.append(drawer.steps)
             return real_check_step(g, new)
 
         monkeypatch.setattr(onebend, "check_gamma", counted_full)
         monkeypatch.setattr(onebend, "check_step", counted_step)
         drawer.run()
-        n = len(drawer.trace)
+        n = drawer.steps
         assert full == [1, n]
         assert steps == list(range(2, n))
 
@@ -551,6 +604,104 @@ class TestStepCheck:
         assert problems == check_gamma(out_of_order)
 
 
+class TestSegmentIndex:
+    # The last three are among the few inputs whose placements meet blockers.
+    INPUTS = [(90, seed) for seed in range(1024, 1029)] + [
+        (200, 13), (32, 499), (90, 1033), (32, 403), (32, 421)]
+
+    def test_queries_match_the_sweeps_at_every_step_and_attempt(self, monkeypatch):
+        """At every placement attempt and every step check, the index equals
+        a rebuild, and the blocked segments and the step check's problems
+        equal those of the sweeps over rebuilt segments."""
+        real_blockers, real_check_step = onebend._blockers, onebend.check_step
+        attempts, steps, blocked, broken = 0, 0, 0, 0
+
+        def checked_blockers(g, new_segments, allowed_points):
+            nonlocal attempts, blocked
+            attempts += 1
+            assert_index_is_fresh(g)
+            expected = blockers_by_sweep(g, new_segments, allowed_points)
+            found = real_blockers(g, new_segments, allowed_points)
+            assert found == expected
+            blocked += bool(found)
+            return found
+
+        def checked_step(g, new):
+            nonlocal steps, broken
+            steps += 1
+            assert_index_is_fresh(g)
+            expected = step_simple_by_sweep(g, new)
+            problems = real_check_step(g, new)
+            assert problems == [p for p in problems if not p.startswith("simple:")] + expected
+            broken += bool(problems)
+            return problems
+
+        monkeypatch.setattr(onebend, "_blockers", checked_blockers)
+        monkeypatch.setattr(onebend, "check_step", checked_step)
+        for target, seed in self.INPUTS:
+            g = gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0]
+            try:
+                draw_onebend(g)
+            except OneBendError:
+                assert seed in (1024, 499)
+        assert attempts >= 400 and blocked >= 6
+        assert steps >= 400 and broken == 2
+
+    def test_message_names_the_pair_the_sweep_meets_first(self):
+        """t crosses the horizontal of s and, lower down, the base edge.  The
+        base edge comes first in drawing order, but the sweep meets s first."""
+        g = TestStepCheck._gamma_with_new_edge([(1, 6), (1, 2), (1, -3)])
+        problems = check_step(g, {"t"})
+        simple = [p for p in problems if p.startswith("simple:")]
+        assert simple == ["simple: t and s intersect improperly (proper_crossing)"]
+        assert simple == step_simple_by_sweep(g, {"t"})
+        assert problems == check_gamma(g)
+
+    def test_new_edges_meeting_each_other_are_caught(self):
+        """Two new edges that cross only each other."""
+        g = TestStepCheck._gamma_with_new_edge([(6, 2), (6, 3)])
+        g.plane.edges["u"] = ("a", "v2")
+        g.plane.rotation["a"].append("u")
+        g.plane.rotation["v2"].append("u")
+        g.polylines["u"] = [
+            g.pos["a"], Point(F(11, 2), F(5, 2)), Point(F(15, 2), F(5, 2)), g.pos["v2"]]
+        problems = check_step(g, {"t", "u"})
+        assert problems[-1] == "simple: t and u intersect improperly (proper_crossing)"
+        assert problems[-1:] == step_simple_by_sweep(g, {"t", "u"})
+        assert problems == check_gamma(g)
+
+    def test_coinciding_vertices_without_a_meeting_pair_are_caught(self):
+        g = TestStepCheck._gamma_with_new_edge([(6, 2), (6, 3)])
+        del g.polylines["t"]
+        g.pos["b"] = g.pos["c"]
+        problems = check_step(g, {"s"})
+        assert problems[-1] == f"simple: vertices b and c coincide at {g.pos['c']}"
+        assert problems == check_gamma(g)
+
+    def test_undone_stretch_leaves_no_stale_entry(self, monkeypatch):
+        """A stretch that _check_stretch rejects is undone; the index must
+        then describe the restored polylines, not the stretched ones."""
+        real_stretch = onebend.stretch
+        undone = 0
+
+        def counted_stretch(g, left, delta):
+            nonlocal undone
+            undone += 1
+            return real_stretch(g, left, delta)
+
+        monkeypatch.setattr(onebend, "stretch", counted_stretch)
+        monkeypatch.setattr(onebend, "_check_stretch", lambda g, left: ["rejected"])
+        for drawer in _drawing_stages(gen_corpus(**TestStretchPlan.GRAPH)[0]):
+            g = drawer.g
+            for v in g.contour[:-1]:
+                assert_index_is_fresh(g)
+                before = _state(g)
+                assert not drawer._stretch_between(v, g.v2, F(3))
+                assert _state(g) == before
+                assert_index_is_fresh(g)
+        assert undone >= 20
+
+
 class TestBlockers:
     @staticmethod
     def _drawing():
@@ -609,7 +760,7 @@ class TestPipeline:
     def test_per_step_checker_runs(self):
         drawer = build_drawer(gen_fig_like())
         drawer.run()
-        assert len(drawer.trace) >= 3
+        assert drawer.steps >= 3 and drawer.trace is None
 
     def test_rejects_non_cubic(self):
         from slopeforge.families import gen_2reg
