@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import graphutil
 from .geometry import Point
@@ -295,6 +295,8 @@ def gen_corpus(seed: int, n_target: int, profile: str, count: int = 1) -> List[E
     """
     if profile not in ("cubic3con", "subcubic"):
         raise ValueError(f"unknown corpus profile {profile!r}")
+    if n_target < 1:
+        raise ValueError("n_target must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(f"{seed}/{n_target}/{profile}")
@@ -320,22 +322,22 @@ def gen_corpus(seed: int, n_target: int, profile: str, count: int = 1) -> List[E
 
 def _gen_cubic3con(rng: random.Random, n_target: int) -> EmbeddedGraph:
     plane = _k4_plane_skeleton()
+    counters: IdCounters = {}
     stall = 0
     while len(plane.vertices) + 4 <= n_target and stall < 40:
         try:
             if rng.random() < 0.25 and len(plane.vertices) >= 6:
-                plane = _insert_crossing_gadget(plane, rng)
+                plane, counters = _insert_crossing_gadget(plane, counters, rng)
             else:
-                plane = _insert_edge_pair(plane, rng)
+                plane, counters = _insert_edge_pair(plane, counters, rng)
             stall = 0
         except EmbeddingError:
             stall += 1
+    # The insertions keep the plane valid; this validates it once, in full.
     g = EmbeddedGraph.from_plane(plane)
     assert g.is_cubic(), "corpus graph not cubic"
     assert connectivity(g, cap=3) == 3, "corpus graph not 3-connected"
-    assert graphutil.vertex_connectivity(plane.adjacency(), cap=3) == 3, (
-        "planarization not 3-connected"
-    )
+    assert plane.is_triconnected(), "planarization not 3-connected"
     find_real_real_face(plane)
     return g
 
@@ -349,26 +351,41 @@ def _k4_plane_skeleton() -> PlaneGraph:
     return embedding_from_geometry(pos, edges).plane
 
 
-def _fresh(plane: PlaneGraph, prefix: str) -> str:
+# For each id prefix: the least number `_fresh` hands out next, and the
+# blocked numbers above it.  An insertion copies the dict along with the
+# plane, so a stalled insertion leaves both as they were.
+IdCounters = Dict[str, Tuple[int, FrozenSet[int]]]
+
+
+def _fresh(plane: PlaneGraph, prefix: str, counters: IdCounters) -> str:
     # The least i such that no id starts with prefix + str(i); prefix
     # matching keeps ids of subdivided-away edges reserved forever.  An id
     # blocks exactly the i whose digits are a prefix of the ASCII digit run
     # after `prefix`; a run that starts with 0 blocks only 0.
-    blocked = set()
-    for key in chain(plane.vertices, plane.edges, plane.fragment_of.values()):
-        if not key.startswith(prefix):
-            continue
+    if prefix not in counters:
+        blocked = set()
+        for key in chain(plane.vertices, plane.edges, plane.fragment_of.values()):
+            if not key.startswith(prefix):
+                continue
+            i = 0
+            for ch in key[len(prefix):]:
+                if not "0" <= ch <= "9":
+                    break
+                i = 10 * i + int(ch)
+                blocked.add(i)
+                if i == 0:
+                    break
         i = 0
-        for ch in key[len(prefix):]:
-            if not "0" <= ch <= "9":
-                break
-            i = 10 * i + int(ch)
-            blocked.add(i)
-            if i == 0:
-                break
-    i = 0
-    while i in blocked:
-        i += 1
+        while i in blocked:
+            i += 1
+        counters[prefix] = (i, frozenset(b for b in blocked if b > i))
+    # The plane gains ids only from these counters, or ids that extend one
+    # they handed out ("g3<", "x1$a"), which block no new number.
+    i, above = counters[prefix]
+    nxt = i + 1
+    while nxt in above:
+        nxt += 1
+    counters[prefix] = (nxt, above)
     return f"{prefix}{i}"
 
 
@@ -424,10 +441,12 @@ def _insert_into_corner(plane: PlaneGraph, v: str, face_darts, new_edge: str) ->
     raise EmbeddingError(f"{v} has no corner on the chosen face")
 
 
-def _insert_edge_pair(plane: PlaneGraph, rng: random.Random) -> PlaneGraph:
+def _insert_edge_pair(
+    plane: PlaneGraph, counters: IdCounters, rng: random.Random
+) -> Tuple[PlaneGraph, IdCounters]:
     """Cubic-preserving growth: subdivide two edges of one inner face and
-    join the subdivision vertices."""
-    plane = plane.copy()
+    join the subdivision vertices.  Works on copies of plane and counters."""
+    plane, counters = plane.copy(), dict(counters)
     outer = set(plane.outer_darts)
     inner = [f for f in plane.faces() if set(f.darts) != outer]
     rng.shuffle(inner)
@@ -438,25 +457,27 @@ def _insert_edge_pair(plane: PlaneGraph, rng: random.Random) -> PlaneGraph:
         d1, d2 = rng.sample(usable, 2)
         if d1[0] == d2[0]:
             continue
-        va = _fresh(plane, "v")
+        va = _fresh(plane, "v", counters)
         _subdivide_dart(plane, d1, va)
-        vb = _fresh(plane, "v")
+        vb = _fresh(plane, "v", counters)
         _subdivide_dart(plane, d2, vb)
         target = _face_with(plane, [va, vb])
-        bridge = _fresh(plane, "g")
+        bridge = _fresh(plane, "g", counters)
         plane.edges[bridge] = (va, vb)
         _insert_into_corner(plane, va, target.darts, bridge)
         _insert_into_corner(plane, vb, target.darts, bridge)
         _refresh_outer(plane)
-        plane.validate()
-        return plane
+        return plane, counters
     raise EmbeddingError("no face admits an edge-pair insertion")
 
 
-def _insert_crossing_gadget(plane: PlaneGraph, rng: random.Random) -> PlaneGraph:
+def _insert_crossing_gadget(
+    plane: PlaneGraph, counters: IdCounters, rng: random.Random
+) -> Tuple[PlaneGraph, IdCounters]:
     """Insert a crossing pair inside an inner face: subdivide two face edges
-    twice and join the four new vertices by two crossing edges."""
-    plane = plane.copy()
+    twice and join the four new vertices by two crossing edges.  Works on
+    copies of plane and counters."""
+    plane, counters = plane.copy(), dict(counters)
     outer = set(plane.outer_darts)
     inner = [f for f in plane.faces() if set(f.darts) != outer]
     rng.shuffle(inner)
@@ -467,23 +488,23 @@ def _insert_crossing_gadget(plane: PlaneGraph, rng: random.Random) -> PlaneGraph
         d1, d2 = rng.sample(usable, 2)
         if d1[0] == d2[0]:
             continue
-        p = _fresh(plane, "v")
+        p = _fresh(plane, "v", counters)
         _, head_piece = _subdivide_dart(plane, d1, p)
-        q = _fresh(plane, "v")
+        q = _fresh(plane, "v", counters)
         _subdivide_dart(plane, (head_piece, p), q)
-        r = _fresh(plane, "v")
+        r = _fresh(plane, "v", counters)
         _, head_piece2 = _subdivide_dart(plane, d2, r)
-        s = _fresh(plane, "v")
+        s = _fresh(plane, "v", counters)
         _subdivide_dart(plane, (head_piece2, r), s)
         # Face order is (p, q, r, s): the interleaved chords are (p,r), (q,s).
         target = _face_with(plane, [p, q, r, s])
-        ex1 = _fresh(plane, "x")
+        ex1 = _fresh(plane, "x", counters)
         fa, fb = f"{ex1}$a", f"{ex1}$b"
         plane.fragment_of.update({fa: ex1, fb: ex1})
-        ex2 = _fresh(plane, "x")
+        ex2 = _fresh(plane, "x", counters)
         fc, fd = f"{ex2}$a", f"{ex2}$b"
         plane.fragment_of.update({fc: ex2, fd: ex2})
-        dummy = _fresh(plane, DUMMY_PREFIX)
+        dummy = _fresh(plane, DUMMY_PREFIX, counters)
         plane.vertices.append(dummy)
         plane.edges[fa] = (p, dummy)
         plane.edges[fb] = (dummy, r)
@@ -493,8 +514,7 @@ def _insert_crossing_gadget(plane: PlaneGraph, rng: random.Random) -> PlaneGraph
             _insert_into_corner(plane, v, target.darts, enew)
         plane.rotation[dummy] = [fa, fc, fb, fd]
         _refresh_outer(plane)
-        plane.validate()
-        return plane
+        return plane, counters
     raise EmbeddingError("no face admits a crossing gadget")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import graphutil
@@ -116,6 +117,50 @@ class PlaneGraph:
             seen.update(f.darts)
             out.append(f)
         return out
+
+    def is_triconnected(self) -> bool:
+        """Whether the graph is 3-connected, decided from its faces in
+        O(sum of deg(v)^2) time.
+
+        A simple plane graph with at least 4 vertices is 3-connected iff it
+        is connected, every face boundary is a cycle, and any two faces
+        share at most one vertex, or exactly the two ends of one edge that
+        lies on both.  If {u, v} separates the graph, the rotation at u
+        switches between the sides at least twice, each time at a face
+        through u and v, and some two of these faces are not the two sides
+        of an edge uv.  The rotations must list each vertex's incident
+        edges, as validate() checks.  A graph with fewer than 4 vertices,
+        loops or multi-edges, or rotations that break Euler's formula, is
+        decided by graphutil.vertex_connectivity.
+        """
+        adj = self.adjacency()
+        m = len(self.edges)
+        if len(adj) < 4 or sum(len(ns) for ns in adj.values()) != 2 * m:
+            return graphutil.vertex_connectivity(adj, cap=3) >= 3
+        if not graphutil.is_connected(adj):
+            return False
+        face_of: Dict[Dart, int] = {}
+        n_faces = 0
+        cycles = True
+        for d in self.darts():
+            if d in face_of:
+                continue
+            darts = self.trace_face(d).darts
+            for fd in darts:
+                face_of[fd] = n_faces
+            n_faces += 1
+            cycles = cycles and len({fd[1] for fd in darts}) == len(darts)
+        if len(adj) - m + n_faces != 2:
+            return graphutil.vertex_connectivity(adj, cap=3) >= 3
+        if not cycles:
+            return False
+        # With every face a cycle, the deg(v) faces at v are distinct.
+        shared: Counter = Counter()
+        for v in self.vertices:
+            shared.update(combinations(sorted(face_of[(e, v)] for e in self.rotation[v]), 2))
+        sides = {tuple(sorted((face_of[(e, a)], face_of[(e, b)])))
+                 for e, (a, b) in self.edges.items()}
+        return all(k <= 1 or (k == 2 and pair in sides) for pair, k in shared.items())
 
     def outer_face(self) -> Face:
         if not self.outer_darts:

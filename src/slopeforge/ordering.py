@@ -267,7 +267,7 @@ def canonical_order(
     maximal.  Raises OrderingError when preconditions fail or (after bounded
     backtracking) no ordering is found.
     """
-    if graphutil.vertex_connectivity(plane.adjacency(), cap=3) < 3:
+    if not plane.is_triconnected():
         raise OrderingError("canonical ordering needs a 3-connected plane graph")
     if v2 not in (plane.other_end(e, v1) for e in plane.rotation[v1]):
         raise OrderingError(f"({v1},{v2}) is not an edge")

@@ -210,3 +210,13 @@ class TestCli:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: count must be >= 1\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("profile", ["cubic3con", "subcubic"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_corpus_n_below_1_exits_2(self, tmp_path, capsys, profile, n):
+        out_path = tmp_path / "corpus.json"
+        code, out = run_cli(["gen", "--family", "corpus", "--profile", profile, "--n", n,
+                             "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: n_target must be >= 1\n"
+        assert not out_path.exists()

@@ -200,7 +200,7 @@ class TestFreshIds:
     )
     def test_agrees_with_the_scan_on_hand_picked_ids(self, keys):
         for prefix in PREFIXES:
-            assert _fresh(keys, prefix) == fresh_by_scan(keys, prefix)
+            assert _fresh(keys, prefix, {}) == fresh_by_scan(keys, prefix)
 
     def test_agrees_with_the_scan_on_random_ids(self):
         rng = random.Random(5)
@@ -216,13 +216,84 @@ class TestFreshIds:
             pools[0] += [f"{run}{i}" for i in range(rng.randint(0, 30)) if rng.random() < 0.9]
             keys = key_set(*pools)
             for prefix in PREFIXES:
-                assert _fresh(keys, prefix) == fresh_by_scan(keys, prefix)
+                assert _fresh(keys, prefix, {}) == fresh_by_scan(keys, prefix)
 
     def test_agrees_with_the_scan_on_corpus_planes(self):
         for profile in ("cubic3con", "subcubic"):
             for g in gen_corpus(seed=17, n_target=40, profile=profile, count=2):
                 for prefix in PREFIXES:
-                    assert _fresh(g.plane, prefix) == fresh_by_scan(g.plane, prefix)
+                    assert _fresh(g.plane, prefix, {}) == fresh_by_scan(g.plane, prefix)
+
+    def test_counters_agree_with_the_scan_as_ids_are_handed_out(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            run = rng.choice(PREFIXES)
+            keys = key_set(vertices=[f"{run}{i}" for i in range(rng.randint(0, 40))
+                                     if rng.random() < 0.7]
+                           + [f"{run}{rng.randint(0, 300)}<" for _ in range(rng.randint(0, 5))])
+            counters = {}
+            for _ in range(rng.randint(1, 60)):
+                prefix = rng.choice((run, run, "g"))
+                expected = fresh_by_scan(keys, prefix)
+                assert _fresh(keys, prefix, counters) == expected
+                keys.vertices.append(expected)
+
+    def test_counters_move_past_handed_out_and_blocked_ids(self):
+        keys = key_set(vertices=["v0", "v2", "v3", "v10"], edges=["v7<"])
+        counters = {}
+        got = [_fresh(keys, "v", counters) for _ in range(6)]
+        assert got == ["v4", "v5", "v6", "v8", "v9", "v11"]
+        assert keys == key_set(vertices=["v0", "v2", "v3", "v10"], edges=["v7<"])
+
+
+class TestInsertions:
+    def test_ids_and_planes_match_the_references_during_generation(self, monkeypatch):
+        """Every id the generator hands out equals the scan's, every plane an
+        insertion returns passes validate(), and no insertion touches the
+        counters it was given."""
+        calls = {"fresh": 0, "returned": 0}
+        real_fresh = families._fresh
+
+        def checked_fresh(plane, prefix, counters):
+            expected = fresh_by_scan(plane, prefix)
+            assert real_fresh(plane, prefix, counters) == expected
+            calls["fresh"] += 1
+            return expected
+
+        def checked(insert):
+            def run(plane, counters, rng):
+                before = dict(counters)
+                out = insert(plane, counters, rng)
+                assert counters == before
+                out[0].validate()
+                calls["returned"] += 1
+                return out
+            return run
+
+        monkeypatch.setattr(families, "_fresh", checked_fresh)
+        for name in ("_insert_edge_pair", "_insert_crossing_gadget"):
+            monkeypatch.setattr(families, name, checked(getattr(families, name)))
+        # The scan takes quadratic time, so the largest size gets few seeds.
+        for n_target, seeds in ((20, range(1000, 1020)), (60, range(1000, 1010)),
+                                (200, range(1000, 1003))):
+            for seed in seeds:
+                gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)
+        assert calls["returned"] >= 400 and calls["fresh"] >= 3 * calls["returned"]
+
+    @pytest.mark.parametrize("insert", ["_insert_edge_pair", "_insert_crossing_gadget"])
+    def test_a_stall_after_fresh_ids_leaves_plane_and_counters_alone(self, monkeypatch, insert):
+        plane = gen_corpus(seed=3, n_target=16, profile="cubic3con", count=1)[0].plane
+        counters = {}
+        _fresh(plane, "v", counters)
+        before_plane, before_counters = plane.copy(), dict(counters)
+
+        def lost(plane, verts):
+            raise EmbeddingError("expansion lost its working face")
+
+        monkeypatch.setattr(families, "_face_with", lost)
+        with pytest.raises(EmbeddingError, match="lost its working face"):
+            getattr(families, insert)(plane, counters, random.Random(1))
+        assert plane == before_plane and counters == before_counters
 
 
 def face_with_by_scan(plane, verts):

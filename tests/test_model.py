@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
+from slopeforge import graphutil as gu
+from slopeforge.families import gen_corpus
+from slopeforge.geometry import Point
 from slopeforge.model import (
     EmbeddedGraph,
     EmbeddingError,
@@ -12,6 +19,7 @@ from slopeforge.model import (
     find_real_real_face,
     planarize,
 )
+from slopeforge.verify import embedding_from_geometry
 
 
 def triangle() -> PlaneGraph:
@@ -201,3 +209,127 @@ class TestFindRealRealFace:
 
     def test_connectivity_examples(self):
         assert connectivity(EmbeddedGraph.from_plane(k4_plane())) == 3
+
+
+def triconnected_by_scan(plane: PlaneGraph) -> bool:
+    """The reference rule: at least 4 vertices, connected, no cut vertex,
+    and no v such that G - v has a cut vertex."""
+    adj = plane.adjacency()
+    return (len(adj) >= 4 and gu.is_connected(adj) and not gu.articulation_points(adj)
+            and not any(gu.articulation_points(adj, removed={v}) for v in adj))
+
+
+def drawn_plane(pos, pairs) -> PlaneGraph:
+    points = {v: Point(Fraction(x), Fraction(y)) for v, (x, y) in pos.items()}
+    return embedding_from_geometry(points, {a + b: (a, b) for a, b in pairs}).plane
+
+
+def delete_edges(plane: PlaneGraph, edges) -> PlaneGraph:
+    p = plane.copy()
+    for e in edges:
+        a, b = p.edges.pop(e)
+        p.rotation[a].remove(e)
+        p.rotation[b].remove(e)
+    return p
+
+
+def smoothed(plane: PlaneGraph) -> PlaneGraph:
+    """Replace each path a - v - b through a degree-2 vertex v (a != b) by one
+    edge a - b, in place in the rotations; multi-edges may result."""
+    p = plane.copy()
+    changed = True
+    while changed:
+        changed = False
+        for v in list(p.vertices):
+            if len(p.rotation[v]) != 2:
+                continue
+            e1, e2 = p.rotation[v]
+            a, b = p.other_end(e1, v), p.other_end(e2, v)
+            if a == b:
+                continue
+            p.edges[e1] = (a, b)
+            del p.edges[e2]
+            p.rotation[b][p.rotation[b].index(e2)] = e1
+            p.vertices.remove(v)
+            p.real.discard(v)
+            del p.rotation[v]
+            changed = True
+    return p
+
+
+def two_k4s_sharing_a_vertex() -> PlaneGraph:
+    """The outer face passes the shared vertex c twice."""
+    pos = {"c": (0, 0), "a": (-6, 0), "b": (-3, 5), "d": (-3, 1),
+           "p": (6, 0), "q": (3, 5), "r": (3, 1)}
+    return drawn_plane(pos, [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+                             ("c", "d"), ("p", "q"), ("p", "c"), ("p", "r"), ("q", "c"),
+                             ("q", "r"), ("c", "r")])
+
+
+def two_diamonds() -> PlaneGraph:
+    """Two copies of K4 minus the edge uv, glued at u and v.  Every face is a
+    cycle and minimum degree is 3, but the face u-p-v-r and the outer face
+    u-q-v-s share exactly u and v, which are not adjacent."""
+    pos = {"u": (0, 0), "v": (0, 6), "p": (-1, 3), "q": (-3, 3), "r": (1, 3), "s": (3, 3)}
+    return drawn_plane(pos, [("u", "p"), ("u", "q"), ("v", "p"), ("v", "q"), ("p", "q"),
+                             ("u", "r"), ("u", "s"), ("v", "r"), ("v", "s"), ("r", "s")])
+
+
+class TestTriconnected:
+    def test_agrees_with_the_per_vertex_scan_on_planarizations(self):
+        rng = random.Random(29)
+        outcomes = Counter()
+        for n_target in (12, 20, 40, 60):
+            for seed in range(2000, 2015):
+                plane = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con")[0].plane
+                cases = [("whole", plane)]
+                for k in (1, 2, 3):
+                    cut = delete_edges(plane, rng.sample(sorted(plane.edges), k))
+                    cases += [("deleted", cut), ("smoothed", smoothed(cut))]
+                for kind, p in cases:
+                    expected = triconnected_by_scan(p)
+                    assert p.is_triconnected() == expected, (n_target, seed, kind)
+                    outcomes[kind, expected] += 1
+        assert sum(outcomes.values()) >= 400
+        assert outcomes["whole", True] == 60 and outcomes["deleted", False] == 180
+        assert outcomes["smoothed", True] and outcomes["smoothed", False], outcomes
+
+    def test_a_face_with_a_repeated_vertex(self):
+        p = two_k4s_sharing_a_vertex()
+        assert any(f.vertices().count("c") == 2 for f in p.faces())
+        assert min(p.degree(v) for v in p.vertices) == 3
+        assert not p.is_triconnected() and not triconnected_by_scan(p)
+
+    def test_a_path_whose_one_face_repeats_vertices(self):
+        # The only face pair is the face with itself, which is also the two
+        # sides of every edge; only the cycle rule rejects it.
+        p = drawn_plane({"a": (0, 0), "b": (1, 0), "c": (2, 1), "d": (3, 1)},
+                        [("a", "b"), ("b", "c"), ("c", "d")])
+        assert len(p.faces()) == 1
+        assert not p.is_triconnected() and not triconnected_by_scan(p)
+
+    def test_two_faces_sharing_two_non_adjacent_vertices(self):
+        p = two_diamonds()
+        faces_ = [set(f.vertices()) for f in p.faces()]
+        assert all(len(vs) == len(f) for vs, f in zip(faces_, p.faces()))
+        assert {"u", "p", "v", "r"} in faces_ and {"u", "q", "v", "s"} in faces_
+        assert "v" not in p.neighbors("u")
+        assert not p.is_triconnected() and not triconnected_by_scan(p)
+
+    @pytest.mark.parametrize("make", [k4_plane, k4_one_crossing])
+    def test_three_connected_planes(self, make):
+        assert make().is_triconnected()
+
+    def test_small_and_non_simple_graphs_take_the_scan(self):
+        assert not triangle().is_triconnected()
+        p = k4_plane()
+        p.edges["ab2"] = ("a", "b")
+        p.rotation["a"].insert(1, "ab2")
+        p.rotation["b"].insert(2, "ab2")
+        assert p.is_triconnected()
+
+    def test_rotations_that_are_not_plane_take_the_scan(self):
+        p = k4_plane()
+        p.rotation["a"].reverse()
+        assert len(p.vertices) - len(p.edges) + len(p.faces()) != 2
+        assert p.is_triconnected()
