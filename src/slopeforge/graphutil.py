@@ -2,18 +2,19 @@
 
 Everything here works on plain adjacency mappings {vertex: set(neighbors)}
 and is sized for desk-scale inputs (hundreds of vertices).  Only the
-connectivity distinctions k in {0, 1, 2, 3, >=4} matter to the drawers and
+connectivity distinctions k in {0, 1, 2, 3} matter to the drawers and
 checkers.  A graph of maximum degree <= 3 has its connectivity read off the
-cycle space in one traversal; any other graph is scanned for cut vertices
-and 2-separators by lowpoint DFS, and for 3-separators by enumeration.
+cycle space in one traversal.  Blocks, cut vertices and bridges of any
+graph come from one lowpoint DFS (Hopcroft and Tarjan), and a 2-separator
+from that DFS run once on G - v for each v.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 Adj = Dict[str, Set[str]]
+Block = List[Tuple[str, str]]
 
 
 def adjacency(vertices: Iterable[str], edges: Iterable[Tuple[str, str]]) -> Adj:
@@ -59,34 +60,30 @@ def is_connected(adj: Adj, removed: Set[str] = frozenset()) -> bool:
     return all(v in seen for v in rest)
 
 
-def articulation_points(adj: Adj, removed: Set[str] = frozenset()) -> Set[str]:
-    """Cutvertices of adj minus `removed`, via iterative Tarjan lowpoints,
-    per connected component.  The set does not depend on the visiting order.
+def blocks_and_cut_vertices(
+    adj: Adj, removed: Set[str] = frozenset()
+) -> Tuple[List[Block], Set[str]]:
+    """The blocks of adj minus `removed`, each as its list of edges, and the
+    cut vertices, by one iterative lowpoint DFS with an edge stack.
+
+    A tree edge (p, v) closes a block when low(v) >= order(p): the block is
+    every edge pushed since it.  An isolated vertex lies in no block.
+    Neither result depends on the visiting order.
     """
-    names, nbrs = _relabel(adj)
-    blocked = bytearray(v in removed for v in names)
-    return {names[i] for i in _cut_vertices(nbrs, blocked, first_only=False)}
-
-
-def _relabel(adj: Adj) -> Tuple[List[str], List[List[int]]]:
-    """The vertices in adj's order, and each one's neighbours as indices."""
     names = list(adj)
     index = {v: i for i, v in enumerate(names)}
-    return names, [[index[w] for w in adj[v]] for v in names]
-
-
-def _cut_vertices(nbrs: List[List[int]], blocked: bytearray, first_only: bool) -> List[int]:
-    """Cut vertices of the graph minus the blocked vertices (iterative Tarjan
-    lowpoints); with first_only, stop at the first one found.  A vertex may
-    be listed more than once."""
-    n = len(nbrs)
+    nbrs = [[index[w] for w in adj[v] if w not in removed] for v in names]
+    n = len(names)
     order = [-1] * n
     low = [0] * n
     parent = [-1] * n
-    cuts: List[int] = []
+    pushed_at = [0] * n  # the edge stack's height when v's tree edge went on
+    edges: List[Tuple[int, int]] = []
+    blocks: List[Block] = []
+    cuts: Set[str] = set()
     counter = 0
     for root in range(n):
-        if order[root] >= 0 or blocked[root]:
+        if order[root] >= 0 or names[root] in removed:
             continue
         order[root] = low[root] = counter
         counter += 1
@@ -95,16 +92,18 @@ def _cut_vertices(nbrs: List[List[int]], blocked: bytearray, first_only: bool) -
         while stack:
             v, it = stack[-1]
             for w in it:
-                if blocked[w]:
-                    continue
                 if order[w] < 0:
                     parent[w] = v
                     order[w] = low[w] = counter
                     counter += 1
+                    pushed_at[w] = len(edges)
+                    edges.append((v, w))
                     stack.append((w, iter(nbrs[w])))
                     break
-                if w != parent[v] and order[w] < low[v]:
-                    low[v] = order[w]
+                if order[w] < order[v] and w != parent[v]:
+                    edges.append((v, w))
+                    if order[w] < low[v]:
+                        low[v] = order[w]
             else:
                 stack.pop()
                 if v == root:
@@ -112,77 +111,46 @@ def _cut_vertices(nbrs: List[List[int]], blocked: bytearray, first_only: bool) -
                 p = parent[v]
                 if low[v] < low[p]:
                     low[p] = low[v]
-                if p == root:
-                    root_children += 1
-                elif low[v] >= order[p]:
-                    cuts.append(p)
-                    if first_only:
-                        return cuts
+                if low[v] >= order[p]:
+                    if p == root:
+                        root_children += 1
+                    else:
+                        cuts.add(names[p])
+                    start = pushed_at[v]
+                    blocks.append([(names[a], names[b]) for a, b in edges[start:]])
+                    del edges[start:]
         if root_children >= 2:
-            cuts.append(root)
-            if first_only:
-                return cuts
-    return cuts
+            cuts.add(names[root])
+    return blocks, cuts
+
+
+def articulation_points(adj: Adj, removed: Set[str] = frozenset()) -> Set[str]:
+    """Cut vertices of adj minus `removed`."""
+    return blocks_and_cut_vertices(adj, removed)[1]
 
 
 def bridges(adj: Adj) -> Set[FrozenSet[str]]:
-    """Bridge edges via lowpoints (iterative)."""
-    order: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    parent: Dict[str, Optional[str]] = {}
-    out: Set[FrozenSet[str]] = set()
-    counter = 0
-    for root in adj:
-        if root in order:
-            continue
-        parent[root] = None
-        order[root] = low[root] = counter
-        counter += 1
-        stack: List[Tuple[str, Iterable[str]]] = [(root, iter(sorted(adj[root])))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in order:
-                    parent[w] = v
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                elif w != parent[v]:
-                    low[v] = min(low[v], order[w])
-            if not advanced:
-                stack.pop()
-                p = parent[v]
-                if p is not None:
-                    low[p] = min(low[p], low[v])
-                    if low[v] > order[p]:
-                        out.add(frozenset((p, v)))
-        # parallel edges cannot occur: simple graphs only
-    return out
+    """Bridge edges: the blocks with one edge."""
+    return {frozenset(b[0]) for b in blocks_and_cut_vertices(adj)[0] if len(b) == 1}
 
 
 def two_edge_connected_components(adj: Adj) -> List[Set[str]]:
     """Connected components after deleting all bridges."""
     br = bridges(adj)
-    pruned: Adj = {v: set() for v in adj}
-    for v in adj:
-        for w in adj[v]:
-            if frozenset((v, w)) not in br:
-                pruned[v].add(w)
-    return components(pruned)
+    return components({v: {w for w in adj[v] if frozenset((v, w)) not in br} for v in adj})
 
 
-def vertex_connectivity(adj: Adj, cap: int = 4) -> int:
-    """Vertex connectivity, exact up to min(cap, 4); larger values return cap.
+def vertex_connectivity(adj: Adj, cap: int = 3) -> int:
+    """Vertex connectivity, exact up to cap <= 3; larger values return cap.
 
     Complete graphs K_n report min(n - 1, cap).  With maximum degree <= 3,
     vertex and edge connectivity agree, and edge connectivity is read off
     one traversal (see _subcubic_edge_connectivity).  Otherwise cut
-    vertices and 2-separators are found by lowpoint DFS, and 3-separators,
-    asked for only when cap >= 4, by enumerating vertex triples.
+    vertices come from one lowpoint DFS, and a 2-separator from one DFS of
+    G - v per vertex v.
     """
+    if cap > 3:
+        raise ValueError(f"vertex connectivity is decided up to 3, not {cap}")
     n = len(adj)
     if n <= 1:
         return 0
@@ -194,10 +162,8 @@ def vertex_connectivity(adj: Adj, cap: int = 4) -> int:
         return 0
     if articulation_points(adj):
         return min(1, cap)
-    if _has_separator_of_size(adj, 2):
+    if _has_cut_pair(adj):
         return min(2, cap)
-    if cap <= 3 or _has_separator_of_size(adj, 3):
-        return min(3, cap)
     return cap
 
 
@@ -248,33 +214,16 @@ def _subcubic_edge_connectivity(adj: Adj) -> int:
     return 2 if len(set(labels)) < len(labels) else 3
 
 
-def _has_separator_of_size(adj: Adj, k: int) -> bool:
-    n = len(adj)
-    if n <= k + 1:
-        return False
-    if k == 2:
-        # For each v, does G - v have a cut vertex?
-        _, nbrs = _relabel(adj)
-        blocked = bytearray(n)
-        for v in range(n):
-            blocked[v] = 1
-            if _cut_vertices(nbrs, blocked, first_only=True):
-                return True
-            blocked[v] = 0
-        return False
-    for sep in combinations(sorted(adj), k):
-        if not is_connected(adj, removed=set(sep)):
-            return True
-    return False
+def _has_cut_pair(adj: Adj) -> bool:
+    """Whether some two vertices separate adj: whether some G - v has a cut
+    vertex."""
+    return len(adj) > 3 and any(articulation_points(adj, {v}) for v in adj)
 
 
 def is_biconnected(adj: Adj) -> bool:
-    if len(adj) <= 1:
-        return False
-    if len(adj) == 2:
-        a, b = sorted(adj)
-        return b in adj[a]
-    return is_connected(adj) and not articulation_points(adj)
+    """One block that spans every vertex (a single edge counts)."""
+    blocks = blocks_and_cut_vertices(adj)[0]
+    return len(blocks) == 1 and len({v for e in blocks[0] for v in e}) == len(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -456,64 +405,8 @@ def two_sat(n_vars: int, clauses: Sequence[Tuple[int, int]]) -> Optional[List[bo
 
 
 def is_planar(adj: Adj) -> bool:
-    for comp in components(adj):
-        sub = {v: adj[v] & comp for v in comp}
-        for block_edges in _blocks(sub):
-            verts = {v for e in block_edges for v in e}
-            block = {v: set() for v in verts}
-            for e in block_edges:
-                a, b = tuple(e)
-                block[a].add(b)
-                block[b].add(a)
-            if not _demoucron(block):
-                return False
-    return True
-
-
-def _blocks(adj: Adj) -> List[Set[FrozenSet[str]]]:
-    """Biconnected components as edge sets (iterative Hopcroft-Tarjan)."""
-    order: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    parent: Dict[str, Optional[str]] = {}
-    estack: List[FrozenSet[str]] = []
-    out: List[Set[FrozenSet[str]]] = []
-    counter = 0
-    for root in adj:
-        if root in order:
-            continue
-        parent[root] = None
-        order[root] = low[root] = counter
-        counter += 1
-        stack: List[Tuple[str, List[str]]] = [(root, sorted(adj[root]))]
-        while stack:
-            v, todo = stack[-1]
-            if todo:
-                w = todo.pop()
-                if w not in order:
-                    estack.append(frozenset((v, w)))
-                    parent[w] = v
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, sorted(adj[w])))
-                elif w != parent[v] and order[w] < order[v]:
-                    estack.append(frozenset((v, w)))
-                    low[v] = min(low[v], order[w])
-            else:
-                stack.pop()
-                p = parent[v]
-                if p is None:
-                    continue
-                low[p] = min(low[p], low[v])
-                if low[v] >= order[p]:
-                    block: Set[FrozenSet[str]] = set()
-                    while estack:
-                        e = estack.pop()
-                        block.add(e)
-                        if e == frozenset((p, v)):
-                            break
-                    if block:
-                        out.append(block)
-    return out
+    return all(_demoucron(adjacency({v for e in b for v in e}, b))
+               for b in blocks_and_cut_vertices(adj)[0])
 
 
 def _demoucron(adj: Adj) -> bool:

@@ -118,49 +118,62 @@ class PlaneGraph:
             out.append(f)
         return out
 
-    def is_triconnected(self) -> bool:
-        """Whether the graph is 3-connected, decided from its faces in
-        O(sum of deg(v)^2) time.
+    def separating_pairs(self) -> Optional[List[Tuple[str, str]]]:
+        """The separating pairs (u, v), u < v, of a 2-connected simple plane
+        graph, sorted, read off its faces in O(sum of deg(v)^2) time.
 
-        A simple plane graph with at least 4 vertices is 3-connected iff it
-        is connected, every face boundary is a cycle, and any two faces
-        share at most one vertex, or exactly the two ends of one edge that
-        lies on both.  If {u, v} separates the graph, the rotation at u
-        switches between the sides at least twice, each time at a face
-        through u and v, and some two of these faces are not the two sides
-        of an edge uv.  The rotations must list each vertex's incident
-        edges, as validate() checks.  A graph with fewer than 4 vertices,
-        loops or multi-edges, or rotations that break Euler's formula, is
-        decided by graphutil.vertex_connectivity.
+        Two faces f != g through u and v hold a closed curve through f, u,
+        g, v that meets the graph only at u and v.  Unless f and g are the
+        two sides of an edge uv, an edge at u other than uv lies on each
+        side of it, so {u, v} separates.  Conversely, if {u, v} separates
+        the graph into parts A and B, the rotation at u meets both, and the
+        faces at u between two edges of different kinds pass through v;
+        one of them lies between an edge into A and an edge into B, so it
+        is not a side of the edge uv.  The rotations must list each
+        vertex's incident edges, as validate() checks.  None when the graph
+        has loops or multi-edges, is not connected, has a face boundary
+        that is not a cycle (a connected graph with a cut vertex), or has
+        rotations that break Euler's formula.
         """
         adj = self.adjacency()
         m = len(self.edges)
-        if len(adj) < 4 or sum(len(ns) for ns in adj.values()) != 2 * m:
-            return graphutil.vertex_connectivity(adj, cap=3) >= 3
-        if not graphutil.is_connected(adj):
-            return False
+        if sum(len(ns) for ns in adj.values()) != 2 * m or not graphutil.is_connected(adj):
+            return None
         face_of: Dict[Dart, int] = {}
         n_faces = 0
-        cycles = True
         for d in self.darts():
             if d in face_of:
                 continue
             darts = self.trace_face(d).darts
+            if len({fd[1] for fd in darts}) != len(darts):
+                return None
             for fd in darts:
                 face_of[fd] = n_faces
             n_faces += 1
-            cycles = cycles and len({fd[1] for fd in darts}) == len(darts)
         if len(adj) - m + n_faces != 2:
-            return graphutil.vertex_connectivity(adj, cap=3) >= 3
-        if not cycles:
-            return False
+            return None
         # With every face a cycle, the deg(v) faces at v are distinct.
-        shared: Counter = Counter()
+        shared: Dict[Tuple[int, int], List[str]] = {}
         for v in self.vertices:
-            shared.update(combinations(sorted(face_of[(e, v)] for e in self.rotation[v]), 2))
-        sides = {tuple(sorted((face_of[(e, a)], face_of[(e, b)])))
-                 for e, (a, b) in self.edges.items()}
-        return all(k <= 1 or (k == 2 and pair in sides) for pair, k in shared.items())
+            for pair in combinations(sorted(face_of[(e, v)] for e in self.rotation[v]), 2):
+                shared.setdefault(pair, []).append(v)
+        sides = {tuple(sorted(ab)): tuple(sorted((face_of[(e, ab[0])], face_of[(e, ab[1])])))
+                 for e, ab in self.edges.items()}
+        pairs = {uv for pair, vs in shared.items() if len(vs) > 1
+                 for uv in combinations(sorted(vs), 2) if sides.get(uv) != pair}
+        return sorted(pairs)
+
+    def is_triconnected(self) -> bool:
+        """Whether the graph is 3-connected: at least 4 vertices and no
+        separating pair (see separating_pairs).  A graph whose separating
+        pairs are not read off its faces is decided by
+        graphutil.vertex_connectivity; for a simple plane graph that is one
+        that is disconnected or has a cut vertex, which one DFS finds.
+        """
+        pairs = self.separating_pairs() if len(self.vertices) >= 4 else None
+        if pairs is None:
+            return graphutil.vertex_connectivity(self.adjacency(), cap=3) >= 3
+        return not pairs
 
     def outer_face(self) -> Face:
         if not self.outer_darts:
@@ -338,8 +351,8 @@ def faces(p: PlaneGraph) -> List[Face]:
     return p.faces()
 
 
-def connectivity(adj_or_graph, cap: int = 4) -> int:
-    """Vertex connectivity with the distinctions 0, 1, 2, 3, >=4."""
+def connectivity(adj_or_graph, cap: int = 3) -> int:
+    """Vertex connectivity with the distinctions 0, 1, 2, 3 (at most cap)."""
     if isinstance(adj_or_graph, EmbeddedGraph):
         adj = adj_or_graph.abstract_adjacency()
     elif isinstance(adj_or_graph, PlaneGraph):

@@ -706,23 +706,6 @@ class OneBendDrawer:
                     if self._try_place(v, pl, pr, list(plans_m)):
                         return
                     last_error = f"ports {pl.port}/{pr.port} failed"
-        # Re-rolled pairings: let a middle predecessor define the apex with
-        # one of the end anchors, aligning the other end instead.
-        if middle_options and len(middle_options) == 1:
-            for pm in middle_options[0]:
-                if pm.style != "ray":
-                    continue
-                for pl in plans_l:
-                    for pr in plans_r:
-                        if pl.style != "ray" or pr.style != "ray":
-                            continue
-                        splice = (pl.anchor, pr.anchor)
-                        if DIRS[pl.port] != DIRS[pm.port]:
-                            if self._try_place(v, pl, pm, [pr], splice=splice):
-                                return
-                        if DIRS[pm.port] != DIRS[pr.port]:
-                            if self._try_place(v, pm, pr, [pl], splice=splice):
-                                return
         raise OneBendError(f"could not place {v}: {last_error}")
 
     def _defining_pair(self, pl: Plan, pr: Plan, plans_m: List[Plan]):
@@ -739,10 +722,8 @@ class OneBendDrawer:
             return pl, None, []
         return False  # two elbows: unsupported
 
-    def _try_place(self, v, pl: Plan, pr: Plan, plans_m: List[Plan], splice=None) -> bool:
+    def _try_place(self, v, pl: Plan, pr: Plan, plans_m: List[Plan]) -> bool:
         g = self.g
-        if splice is None:
-            splice = (pl.anchor, pr.anchor)
         defined = self._defining_pair(pl, pr, plans_m)
         if defined is False:
             return False
@@ -816,7 +797,7 @@ class OneBendDrawer:
             allowed = {g.pos[plan.anchor] for plan in [pl, pr] + plans_m}
             blockers = _blockers(g, segs, allowed)
             if not blockers:
-                self._commit(v, apex, polys, splice)
+                self._commit(v, apex, polys, pl.anchor, pr.anchor)
                 return True
             sig = ("block", blockers[0][1].a, blockers[0][1].b, apex)
             if sig == last_sig:
@@ -980,14 +961,14 @@ class OneBendDrawer:
                 out[plan.edge] = [a, apex]
         return out
 
-    def _commit(self, v, apex: Point, polys, splice) -> None:
+    def _commit(self, v, apex: Point, polys, u_l: str, u_r: str) -> None:
         g = self.g
         g.pos[v] = apex
         g.placed.add(v)
         for e, pts in polys.items():
             g.polylines[e] = pts
-        li = g.contour.index(splice[0])
-        ri = g.contour.index(splice[1])
+        li = g.contour.index(u_l)
+        ri = g.contour.index(u_r)
         g.contour = g.contour[: li + 1] + [v] + g.contour[ri:]
 
     # -- chains -----------------------------------------------------------------
@@ -1111,6 +1092,8 @@ class OneBendDrawer:
     # -- the final vertex --------------------------------------------------------
 
     def _place_final(self, vn: str) -> None:
+        if self.plane.is_dummy(vn):
+            raise OneBendError(f"the final vertex {vn} is a dummy; no placement is built for it")
         g = self.g
         preds = self._preds_on_contour([vn])
         if preds[0] != g.v1:
@@ -1119,60 +1102,9 @@ class OneBendDrawer:
                 preds.insert(0, g.v1)
             else:
                 raise OneBendError("the final vertex is not adjacent to the left base vertex")
-        if self.plane.is_dummy(vn):
-            self._final_dummy(vn, preds)
-        else:
-            self._final_real(vn, preds)
-
-    def _final_real(self, vn: str, preds: List[str]) -> None:
         if len(preds) != 3:
             raise OneBendError(f"real final vertex with {len(preds)} predecessors")
         self._insert_singleton(vn, preds[0], preds[-1], preds[1:-1])
-
-    def _final_dummy(self, vn: str, preds: List[str]) -> None:
-        g = self.g
-        if len(preds) != 4:
-            raise OneBendError(f"dummy final vertex with {len(preds)} predecessors")
-        w1, w2, w3, w4 = preds
-        e1 = self._edge_between_checked(w1, vn)
-        e2 = self._edge_between_checked(w2, vn)
-        e3 = self._edge_between_checked(w3, vn)
-        e4 = self._edge_between_checked(w4, vn)
-        pl = Plan(w2, e2, "NE", corner=False)
-        pr = Plan(w3, e3, "NW", corner=False)
-        for _ in range(MAX_REPAIRS):
-            apex = _apex(g.pos, pl, pr)
-            if apex is None:
-                if not self._stretch_between(w2, w3, _needed_gap(g, pl, pr) + 1):
-                    raise OneBendError("final dummy: rays cannot meet")
-                continue
-            p1, p4 = g.pos[w1], g.pos[w4]
-            arch1_bend = Point(p1.x, apex.y + (apex.x - p1.x))
-            arch4_bend = Point(p4.x, apex.y + (p4.x - apex.x))
-            if p1.x >= apex.x or p4.x <= apex.x:
-                if not self._stretch_between(w2, w3, F(2)):
-                    raise OneBendError("final dummy: apex not between the outer predecessors")
-                continue
-            polys = {
-                e2: [g.pos[w2], apex],
-                e3: [g.pos[w3], apex],
-                e1: [p1, arch1_bend, apex],
-                e4: [p4, arch4_bend, apex],
-            }
-            segs = [Segment(p[i], p[i + 1]) for p in polys.values() for i in range(len(p) - 1)]
-            allowed = {g.pos[w] for w in (w1, w2, w3, w4)}
-            blockers = _blockers(g, segs, allowed)
-            if blockers:
-                if not self._resolve_blocker(pl, pr, blockers[0], apex):
-                    raise OneBendError(f"final dummy blocked: {blockers[0][0]}")
-                continue
-            g.pos[vn] = apex
-            g.placed.add(vn)
-            for e, pts in polys.items():
-                g.polylines[e] = pts
-            g.contour = [g.v1, vn, g.v2]
-            return
-        raise OneBendError("final dummy placement did not converge")
 
     # -- checks -----------------------------------------------------------------
 

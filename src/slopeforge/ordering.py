@@ -6,8 +6,9 @@ A removal is accepted when the new outer face is again a simple cycle
 through the base edge; 2-connectivity and internal 3-connectivity of the
 smaller graph then follow from the same properties of the larger one (a
 separated part would have had to attach through the removed vertex, whose
-neighbors all land on the new contour).  A bounded backtracking search
-keeps the builder honest if a greedy choice ever dead-ends.
+neighbors all land on the new contour).  The removal is greedy: a
+3-connected plane graph always has a removable candidate (Kant 1996), so a
+dead end raises instead of backtracking.
 
 st-ordering of a biconnected graph: Even-Tarjan numbering, re-exported
 with validation.
@@ -16,7 +17,7 @@ with validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from . import graphutil
 from .model import Dart, EmbeddingError, PlaneGraph
@@ -131,7 +132,6 @@ class _Builder:
             "rot": {},
             "adj": {},
             "verts": list(verts),
-            "contour": list(self.contour),
         }
         touched: Set[str] = set()
         for z in verts:
@@ -158,7 +158,6 @@ class _Builder:
             self.adj[u] = set(a)
         for z in saved["verts"]:
             self.alive.add(z)
-        self.contour = list(saved["contour"])
 
     # -- candidate enumeration ----------------------------------------------
 
@@ -216,8 +215,8 @@ class _Builder:
             runs.append(cur)
         return runs
 
-    def try_remove(self, cand: CanonicalSet):
-        """Remove cand if the contour stays a simple cycle; None if invalid."""
+    def try_remove(self, cand: CanonicalSet) -> bool:
+        """Remove cand if the contour stays a simple cycle; False if not."""
         verts = cand.vertices
         vs = set(verts)
         if cand.kind == "chain":
@@ -225,21 +224,21 @@ class _Builder:
             for z in (verts[0], verts[-1]):
                 preds = [w for w in self.adj[z] if w not in vs]
                 if len(preds) != 1:
-                    return None
+                    return False
                 ends_preds.append(preds[0])
             if len(verts) > 1 and ends_preds[0] == ends_preds[1]:
-                return None
+                return False
             for z in verts[1:-1]:
                 if any(w not in vs for w in self.adj[z]):
-                    return None
+                    return False
             if not all(self.has_successor(z) for z in verts):
-                return None
+                return False
         saved = self.remove(verts)
         try:
             contour = self._trace_contour()
         except (OrderingError, ValueError):
             self.restore(saved)
-            return None
+            return False
         ok = (
             len(set(contour)) == len(contour)
             and self.v1 in contour
@@ -250,22 +249,19 @@ class _Builder:
             ok = set(contour) == {self.v1, self.v2}
         if not ok:
             self.restore(saved)
-            return None
+            return False
         self.contour = contour
-        return saved
+        return True
 
 
-def canonical_order(
-    plane: PlaneGraph,
-    v1: str,
-    v2: str,
-    max_backtrack: int = 5000,
-) -> CanonicalOrdering:
+def canonical_order(plane: PlaneGraph, v1: str, v2: str) -> CanonicalOrdering:
     """Canonical ordering of a 3-connected plane graph with base edge (v1, v2).
 
-    Deterministic: candidates are explored smallest-vertex-id first, chains
-    maximal.  Raises OrderingError when preconditions fail or (after bounded
-    backtracking) no ordering is found.
+    Greedy and deterministic: each step removes the first candidate, by
+    smallest vertex id, whose removal leaves the contour a simple cycle
+    through the base edge; chains are maximal.  For a 3-connected plane
+    graph such a candidate always exists (Kant 1996).  Raises OrderingError
+    when the preconditions fail, or at a dead end, naming its contour.
     """
     if not plane.is_triconnected():
         raise OrderingError("canonical ordering needs a 3-connected plane graph")
@@ -273,34 +269,13 @@ def canonical_order(
         raise OrderingError(f"({v1},{v2}) is not an edge")
     b = _Builder(plane, v1, v2)
     removed_sets: List[CanonicalSet] = []
-    undo_stack: List = []
-    choice_stack: List[List[CanonicalSet]] = []
-    backtracks = 0
-
     while len(b.alive) > 2:
-        if len(choice_stack) == len(removed_sets):
-            choice_stack.append(b.candidates(first=not removed_sets))
-        options = choice_stack[-1]
-        if options:
-            cand = options.pop(0)
-            saved = b.try_remove(cand)
-            if saved is not None:
-                removed_sets.append(cand)
-                undo_stack.append(saved)
-            continue
-        choice_stack.pop()
-        if not undo_stack:
-            raise OrderingError("no canonical ordering found (search exhausted)")
-        b.restore(undo_stack.pop())
-        removed_sets.pop()
-        backtracks += 1
-        if backtracks > max_backtrack:
-            raise OrderingError("no canonical ordering found (backtrack budget exhausted)")
-
-    sets = [CanonicalSet("base", [v1, v2])]
-    for cand in reversed(removed_sets):
-        sets.append(cand)
-    return CanonicalOrdering(sets=sets, v1=v1, v2=v2)
+        cand = next((c for c in b.candidates(first=not removed_sets) if b.try_remove(c)), None)
+        if cand is None:
+            raise OrderingError(f"no canonical ordering: dead end at contour {b.contour}")
+        removed_sets.append(cand)
+    return CanonicalOrdering(sets=[CanonicalSet("base", [v1, v2])] + removed_sets[::-1],
+                             v1=v1, v2=v2)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +286,9 @@ def canonical_order(
 def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bool, List[str]]:
     """Check conditions (i)-(v) directly on every prefix graph.
 
-    Internal 3-connectivity is tested exhaustively: for every interior
-    vertex u of G_i, the cutvertices of G_i - u must all lie on C_i (this
-    decides all interior pair removals at once).
+    Internal 3-connectivity is read off the faces of G_i: no separating
+    pair of G_i may have both vertices inside C_i (see
+    PlaneGraph.separating_pairs).
     """
     problems: List[str] = []
     sets = ordering.sets
@@ -366,16 +341,11 @@ def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bo
         if not graphutil.is_biconnected(sub) and len(placed) > 2:
             problems.append(f"(iv) G_{i + 1} is not 2-connected")
         interior = placed - set(contour)
-        for u in sorted(interior):
-            sub_u = {v: (adj_full[v] & placed) - {u} for v in placed if v != u}
-            bad = graphutil.articulation_points(sub_u) & interior
-            if bad:
-                problems.append(
-                    f"(iv) G_{i + 1} not internally 3-connected: interior pair ({u}, {sorted(bad)[0]})"
-                )
-                break
-        if problems and problems[-1].startswith("(iv)"):
-            continue
+        bad = [uw for uw in gi.separating_pairs() or () if interior.issuperset(uw)]
+        if bad:
+            problems.append(
+                f"(iv) G_{i + 1} not internally 3-connected: interior pair ({bad[0][0]}, {bad[0][1]})"
+            )
 
     # Condition (v) per set.
     placed = set(sets[0].vertices)

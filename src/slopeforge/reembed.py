@@ -33,13 +33,18 @@ def count_dummy_cutvertices(plane: PlaneGraph) -> int:
 
 
 def dummy_two_cuts(plane: PlaneGraph) -> List[Tuple[str, str]]:
-    """Separating pairs {u, x} of the planarization with x a dummy."""
-    adj = plane.adjacency()
-    out = []
-    for x in plane.dummies():
-        for w in sorted(graphutil.articulation_points(adj, removed={x})):
-            out.append((w, x))
-    return out
+    """Separating pairs (w, x) of a 2-connected planarization with x a
+    dummy: dummies in plane order, each one's partners sorted."""
+    pairs = plane.separating_pairs()
+    if pairs is None:
+        raise ReembedError("dummy 2-cuts are read off a 2-connected planarization")
+    # The pairs (u, v) are sorted with u < v, so each vertex's partners
+    # come in order: first those below it, then those above.
+    partners: Dict[str, List[str]] = {}
+    for u, v in pairs:
+        partners.setdefault(u, []).append(v)
+        partners.setdefault(v, []).append(u)
+    return [(w, x) for x in plane.dummies() for w in partners.get(x, ())]
 
 
 def normalize_embedding(g: EmbeddedGraph, three_connected: Optional[bool] = None) -> EmbeddedGraph:

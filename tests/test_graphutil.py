@@ -36,9 +36,13 @@ class TestConnectivity:
     def test_disconnected_is_0(self):
         assert gu.vertex_connectivity(adj_of([("a", "b")], extra=["z"])) == 0
 
-    def test_k5_caps_at_4(self):
+    def test_k5_caps_at_3(self):
         edges = [(a, b) for a in "abcde" for b in "abcde" if a < b]
-        assert gu.vertex_connectivity(adj_of(edges)) == 4
+        assert gu.vertex_connectivity(adj_of(edges)) == 3
+
+    def test_a_cap_above_3_is_refused(self):
+        with pytest.raises(ValueError):
+            gu.vertex_connectivity(k4(), cap=4)
 
     def test_prism_is_3(self):
         edges = [
@@ -120,7 +124,7 @@ def corpus_adjacencies():
 
 
 class TestConnectivityOracle:
-    @pytest.mark.parametrize("cap", [3, 4])
+    @pytest.mark.parametrize("cap", [3])
     def test_random_small_graphs(self, cap):
         rng = random.Random(7)
         for _ in range(150):
@@ -147,6 +151,92 @@ class TestConnectivityOracle:
             for v in adj:
                 copied = {u: adj[u] - {v} for u in adj if u != v}
                 assert gu.articulation_points(adj, removed={v}) == gu.articulation_points(copied)
+
+
+def cut_vertices_by_removal(adj, removed):
+    """Vertices whose removal adds a component to adj minus `removed`."""
+    base = len(gu.components(adj, removed))
+    return {v for v in adj if v not in removed
+            and len(gu.components(adj, set(removed) | {v})) > base}
+
+
+def bridges_by_removal(adj):
+    """Edges whose deletion adds a component."""
+    base = len(gu.components(adj))
+    out = set()
+    for a, b in sorted((a, b) for a in adj for b in adj[a] if a < b):
+        cut = {v: ns - {a, b} if v in (a, b) else ns for v, ns in adj.items()}
+        if len(gu.components(cut)) > base:
+            out.add(frozenset((a, b)))
+    return out
+
+
+def blocks_by_removal(adj):
+    """Edge classes: two edges of one component share a block unless some
+    vertex x leaves them (or, for an edge at x, its other end) in different
+    components of G - x."""
+    edges = sorted((a, b) for a in adj for b in adj[a] if a < b)
+    comp_without = {}
+    for x in [None, *adj]:
+        removed = set() if x is None else {x}
+        comp_without[x] = {v: i for i, c in enumerate(gu.components(adj, removed)) for v in c}
+
+    def together(e, f):
+        for x, comp in comp_without.items():
+            ends_e = [v for v in e if v != x]
+            ends_f = [v for v in f if v != x]
+            if comp[ends_e[0]] != comp[ends_f[0]]:
+                return False
+        return True
+
+    classes = []
+    for e in edges:
+        for cls in classes:
+            if together(cls[0], e):
+                cls.append(e)
+                break
+        else:
+            classes.append([e])
+    return {frozenset(frozenset(e) for e in cls) for cls in classes}
+
+
+class TestLowpointDfs:
+    def graphs(self):
+        rng = random.Random(31)
+        out = [glued_k4s(), prism(), k4_bridge_k4(), cycle(5), adj_of([], extra=["a"])]
+        out += [random_graph(rng, rng.randint(1, 9), rng.choice((0.15, 0.3, 0.5, 0.8)))
+                for _ in range(400)]
+        return rng, out
+
+    def test_cut_vertices_with_a_removed_set(self):
+        rng, graphs = self.graphs()
+        for adj in graphs:
+            removed = set(rng.sample(sorted(adj), rng.randint(0, min(3, len(adj)))))
+            assert gu.articulation_points(adj, removed) == cut_vertices_by_removal(adj, removed)
+            assert gu.articulation_points(adj) == cut_vertices_by_removal(adj, set())
+
+    def test_bridges(self):
+        _, graphs = self.graphs()
+        for adj in graphs:
+            assert gu.bridges(adj) == bridges_by_removal(adj), adj
+
+    def test_blocks(self):
+        _, graphs = self.graphs()
+        sizes = set()
+        for adj in graphs:
+            blocks, _ = gu.blocks_and_cut_vertices(adj)
+            listed = [frozenset(e) for b in blocks for e in b]
+            assert len(listed) == len(set(listed)), adj
+            assert {frozenset(frozenset(e) for e in b) for b in blocks} == blocks_by_removal(adj)
+            sizes.update(len(b) for b in blocks)
+        assert {1, 3} <= sizes and max(sizes) > 6
+
+    def test_biconnected_is_one_spanning_block(self):
+        assert gu.is_biconnected(adj_of([("a", "b")]))
+        assert not gu.is_biconnected(adj_of([("a", "b")], extra=["c"]))
+        assert not gu.is_biconnected(adj_of([], extra=["a"]))
+        assert gu.is_biconnected(cycle(4)) and gu.is_biconnected(glued_k4s())
+        assert not gu.is_biconnected(k4_bridge_k4())
 
 
 def random_subcubic_graph(rng, n):
@@ -237,18 +327,16 @@ class TestSubcubicConnectivity:
     @pytest.mark.parametrize("name, adj, expected", SUBCUBIC_HAND_CASES,
                              ids=[case[0] for case in SUBCUBIC_HAND_CASES])
     def test_hand_cases(self, name, adj, expected):
-        for cap in (3, 4):
-            assert brute_connectivity(adj, cap) == expected
-            assert gu.vertex_connectivity(adj, cap=cap) == expected
+        assert brute_connectivity(adj, 3) == expected
+        assert gu.vertex_connectivity(adj, cap=3) == expected
 
     def test_random_subcubic_graphs(self):
         rng = random.Random(19)
         seen = {k: 0 for k in range(4)}
         for _ in range(2000):
             adj = random_subcubic_graph(rng, rng.randint(1, 12))
-            expected = brute_connectivity(adj, 4)
-            assert gu.vertex_connectivity(adj, cap=4) == expected, adj
-            assert gu.vertex_connectivity(adj, cap=3) == min(expected, 3), adj
+            expected = brute_connectivity(adj, 3)
+            assert gu.vertex_connectivity(adj, cap=3) == expected, adj
             seen[expected] += 1
         assert all(seen.values()), seen
 
@@ -268,7 +356,7 @@ class TestCutPairScan:
         outcomes = set()
         for adj in graphs:
             expected = has_cut_pair_by_scan(adj)
-            assert gu._has_separator_of_size(adj, 2) == expected, adj
+            assert gu._has_cut_pair(adj) == expected, adj
             outcomes.add(expected)
         assert outcomes == {False, True}
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -275,21 +276,35 @@ def two_diamonds() -> PlaneGraph:
                              ("u", "r"), ("u", "s"), ("v", "r"), ("v", "s"), ("r", "s")])
 
 
+@functools.lru_cache(maxsize=None)
+def planarization_cases():
+    """(n_target, seed, kind, plane): cubic3con planarizations, whole and
+    with 1, 2 or 3 edges deleted, with and without smoothing."""
+    rng = random.Random(29)
+    out = []
+    for n_target in (12, 20, 40, 60):
+        for seed in range(2000, 2015):
+            plane = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con")[0].plane
+            out.append((n_target, seed, "whole", plane))
+            for k in (1, 2, 3):
+                cut = delete_edges(plane, rng.sample(sorted(plane.edges), k))
+                out += [(n_target, seed, "deleted", cut), (n_target, seed, "smoothed", smoothed(cut))]
+    return out
+
+
+def separating_pairs_by_scan(plane: PlaneGraph):
+    """The reference: each v paired with every cut vertex of G - v."""
+    adj = plane.adjacency()
+    return sorted({tuple(sorted((v, w))) for v in adj for w in gu.articulation_points(adj, {v})})
+
+
 class TestTriconnected:
     def test_agrees_with_the_per_vertex_scan_on_planarizations(self):
-        rng = random.Random(29)
         outcomes = Counter()
-        for n_target in (12, 20, 40, 60):
-            for seed in range(2000, 2015):
-                plane = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con")[0].plane
-                cases = [("whole", plane)]
-                for k in (1, 2, 3):
-                    cut = delete_edges(plane, rng.sample(sorted(plane.edges), k))
-                    cases += [("deleted", cut), ("smoothed", smoothed(cut))]
-                for kind, p in cases:
-                    expected = triconnected_by_scan(p)
-                    assert p.is_triconnected() == expected, (n_target, seed, kind)
-                    outcomes[kind, expected] += 1
+        for n_target, seed, kind, p in planarization_cases():
+            expected = triconnected_by_scan(p)
+            assert p.is_triconnected() == expected, (n_target, seed, kind)
+            outcomes[kind, expected] += 1
         assert sum(outcomes.values()) >= 400
         assert outcomes["whole", True] == 60 and outcomes["deleted", False] == 180
         assert outcomes["smoothed", True] and outcomes["smoothed", False], outcomes
@@ -333,3 +348,29 @@ class TestTriconnected:
         p.rotation["a"].reverse()
         assert len(p.vertices) - len(p.edges) + len(p.faces()) != 2
         assert p.is_triconnected()
+
+
+class TestSeparatingPairs:
+    def test_agrees_with_the_per_vertex_scan_on_2_connected_planarizations(self):
+        outcomes = Counter()
+        for n_target, seed, kind, p in planarization_cases():
+            adj = p.adjacency()
+            simple = sum(len(ns) for ns in adj.values()) == 2 * len(p.edges)
+            if not simple or not gu.is_biconnected(adj):
+                assert p.separating_pairs() is None, (n_target, seed, kind)
+                continue
+            pairs = p.separating_pairs()
+            assert pairs == separating_pairs_by_scan(p), (n_target, seed, kind)
+            outcomes[kind, bool(pairs)] += 1
+        assert outcomes["whole", False] == 60
+        assert outcomes["deleted", True] >= 100, outcomes
+        assert outcomes["smoothed", True] and outcomes["smoothed", False], outcomes
+
+    def test_hand_cases(self):
+        assert two_diamonds().separating_pairs() == [("u", "v")]
+        assert k4_plane().separating_pairs() == []
+        assert two_k4s_sharing_a_vertex().separating_pairs() is None
+        # Every two vertices of a cycle that are not adjacent separate it.
+        square = drawn_plane({"a": (0, 0), "b": (1, 0), "c": (1, 1), "d": (0, 1)},
+                             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        assert square.separating_pairs() == [("a", "c"), ("b", "d")]

@@ -13,7 +13,7 @@ from slopeforge.families import (
     gen_prism,
 )
 from slopeforge.geometry import IntersectKind, Point, Segment, SlopeKind, prepare, segment_hits
-from slopeforge.model import PlaneGraph, find_real_real_face
+from slopeforge.model import EmbeddedGraph, PlaneGraph, find_real_real_face
 from slopeforge.onebend import (
     CheckRecord,
     Gamma,
@@ -821,6 +821,40 @@ class TestKnownFailures:
             d = draw_onebend(g)
         except OneBendError as exc:
             assert str(exc) == message
+            raise
+        report = validate(d, "ONEBEND")
+        assert report.passed, report.violations
+
+
+# Inputs whose outer face holds a dummy, so that the canonical ordering may
+# end at it: (n_target, seed, face index in faces()) of the normalized
+# cubic3con planarization, redrawn with that face outside, and the dummy
+# the drawer stops at.  No corpus graph ends at a dummy, since the
+# generator keeps crossings off the outer face.
+FINAL_DUMMY_INPUTS = [
+    (12, 1000, 3, "_x0"),
+    (20, 1000, 9, "_x0"),
+    (40, 1011, 16, "_x1"),
+]
+
+
+class TestFinalDummy:
+    @pytest.mark.xfail(strict=True, raises=OneBendError)
+    @pytest.mark.parametrize(
+        "n_target, seed, face, dummy",
+        [pytest.param(*case, id=f"n{case[0]}-seed{case[1]}-face{case[2]}")
+         for case in FINAL_DUMMY_INPUTS],
+    )
+    def test_draws_and_validates(self, n_target, seed, face, dummy):
+        g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+        plane = normalize_embedding(g).plane
+        outer = plane.faces()[face]
+        assert any(plane.is_dummy(v) for v in outer.vertices())
+        h = EmbeddedGraph.from_plane(plane.with_outer(outer.darts[0]))
+        try:
+            d = draw_onebend(h)
+        except OneBendError as exc:
+            assert str(exc) == f"the final vertex {dummy} is a dummy; no placement is built for it"
             raise
         report = validate(d, "ONEBEND")
         assert report.passed, report.violations

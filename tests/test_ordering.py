@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from slopeforge import graphutil
+from slopeforge import graphutil, ordering
+from slopeforge.families import gen_corpus
 from slopeforge.model import build_plane_graph
 from slopeforge.ordering import (
     CanonicalOrdering,
@@ -84,6 +87,28 @@ class TestCanonicalOrder:
         with pytest.raises(OrderingError):
             canonical_order(plane, "a", "b")
 
+    def test_every_outer_dart_gives_a_valid_ordering(self):
+        # The greedy removal never dead-ends on a 3-connected plane graph, so
+        # every face as the outer face and every dart of it as the base give
+        # an ordering.
+        count = 0
+        for n_target in (12, 20):
+            for seed in range(3):
+                plane = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con")[0].plane
+                for face in plane.faces():
+                    p = plane.with_outer(face.darts[0])
+                    for d in face.darts:
+                        delta = canonical_order(p, p.dart_head(d), d[1])
+                        ok, problems = verify_canonical(p, delta)
+                        assert ok, (n_target, seed, d, problems)
+                        count += 1
+        assert count > 200
+
+    def test_a_dead_end_names_its_contour(self, monkeypatch):
+        monkeypatch.setattr(ordering._Builder, "try_remove", lambda self, cand: False)
+        with pytest.raises(OrderingError, match=r"dead end at contour \['y', 'x', 'z'\]"):
+            canonical_order(prism_plane(), "x", "y")
+
 
 class TestVerifyCanonical:
     def test_accepts_builder_output(self):
@@ -114,6 +139,51 @@ class TestVerifyCanonical:
             ok, problems = verify_canonical(plane, broken)
             assert not ok
             assert any("(v" in p or "(iii)" in p or "(iv)" in p for p in problems)
+
+
+def internal_problems_by_scan(plane, delta):
+    """Condition (iv)'s interior-pair messages by the per-vertex scan, on
+    the prefixes that are 2-connected: for each interior u in order, the
+    interior cut vertices of G_i - u."""
+    adj = plane.adjacency()
+    base = ordering._base_outer_dart(plane, delta.v1, delta.v2)
+    placed, out = set(), []
+    for i, cs in enumerate(delta.sets):
+        placed.update(cs.vertices)
+        sub = {v: adj[v] & placed for v in placed}
+        if i == 0 or not graphutil.is_biconnected(sub):
+            continue
+        contour = ordering._induced_plane(plane, placed).trace_face(base).vertices()
+        interior = placed - set(contour)
+        for u in sorted(interior):
+            bad = graphutil.articulation_points(sub, {u}) & interior
+            if bad:
+                out.append(f"(iv) G_{i + 1} not internally 3-connected: interior pair ({u}, {min(bad)})")
+                break
+    return out
+
+
+class TestInternalConnectivity:
+    def test_interior_pairs_agree_with_the_per_vertex_scan(self):
+        rng = random.Random(3)
+        found = 0
+        for n_target in (12, 20, 40):
+            for seed in range(4):
+                plane = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con")[0].plane
+                d = plane.outer_face().darts[0]
+                delta = canonical_order(plane, plane.dart_head(d), d[1])
+                for _ in range(20):
+                    sets = list(delta.sets)
+                    i, j = sorted(rng.sample(range(1, len(sets)), 2))
+                    sets[i], sets[j] = sets[j], sets[i]
+                    broken = CanonicalOrdering(sets=sets, v1=delta.v1, v2=delta.v2)
+                    _, problems = verify_canonical(plane, broken)
+                    if any(p.startswith("(iii) G_") for p in problems):
+                        continue
+                    internal = [p for p in problems if "internally" in p]
+                    assert internal == internal_problems_by_scan(plane, broken), (n_target, seed)
+                    found += bool(internal)
+        assert found >= 20
 
 
 class TestStOrder:

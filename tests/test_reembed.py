@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from slopeforge import graphutil, reembed
 from slopeforge.families import gen_corpus, gen_crossed_k4, gen_k4_embedded
 from slopeforge.model import connectivity
 from slopeforge.reembed import (
@@ -27,6 +28,36 @@ class TestCountDummyCutvertices:
         g = crossed_prism()
         assert count_dummy_cutvertices(g.plane) == 0
         assert dummy_two_cuts(g.plane)
+
+
+def dummy_two_cuts_by_scan(plane):
+    """The reference: for each dummy x, the cut vertices of G - x."""
+    adj = plane.adjacency()
+    return [(w, x) for x in plane.dummies()
+            for w in sorted(graphutil.articulation_points(adj, removed={x}))]
+
+
+class TestDummyTwoCuts:
+    def test_agrees_with_the_per_dummy_scan_during_normalization(self, monkeypatch):
+        seen = []
+
+        def checked(plane):
+            got = dummy_two_cuts(plane)
+            assert got == dummy_two_cuts_by_scan(plane)
+            seen.append(bool(got))
+            return got
+
+        monkeypatch.setattr(reembed, "dummy_two_cuts", checked)
+        graphs = [g for _, g in adversarial_suite()]
+        for n_target in (12, 20, 40):
+            graphs += gen_corpus(seed=50, n_target=n_target, profile="cubic3con", count=4)
+        for g in graphs:
+            normalize_embedding(g)
+        assert True in seen and seen.count(False) >= 12, seen
+
+    def test_a_planarization_with_a_cut_vertex_is_refused(self):
+        with pytest.raises(ReembedError):
+            dummy_two_cuts(two_blocks_crossed(3, 3).plane)
 
 
 class TestNormalize:
