@@ -136,8 +136,13 @@ def bridges(adj: Adj) -> Set[FrozenSet[str]]:
 
 def two_edge_connected_components(adj: Adj) -> List[Set[str]]:
     """Connected components after deleting all bridges."""
+    return bridges_and_components(adj)[1]
+
+
+def bridges_and_components(adj: Adj) -> Tuple[Set[FrozenSet[str]], List[Set[str]]]:
+    """The bridges and the 2-edge-connected components, from one DFS."""
     br = bridges(adj)
-    return components({v: {w for w in adj[v] if frozenset((v, w)) not in br} for v in adj})
+    return br, components({v: {w for w in adj[v] if frozenset((v, w)) not in br} for v in adj})
 
 
 def vertex_connectivity(adj: Adj, cap: int = 3) -> int:

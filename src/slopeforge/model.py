@@ -286,10 +286,11 @@ class PlaneGraph:
 
     def _validate_euler(self) -> None:
         # Face orbits are traced per component, so each component contributes
-        # its own copy of the unbounded face: V - E + F = 2C.
+        # its own copy of the unbounded face: V - E + F = 2C.  An edgeless
+        # vertex has no dart to trace, but it is a component with one face.
         n = len(self.vertices)
         m = len(self.edges)
-        f = len(self.faces())
+        f = len(self.faces()) + sum(1 for v in self.vertices if not self.rotation[v])
         c = len(graphutil.components(self.adjacency()))
         if n - m + f != 2 * c:
             raise EmbeddingError(

@@ -8,15 +8,17 @@ orthogonal invariants; C-shapes touching a dummy are then removed by
 stretching along a curve hugging the real endpoint and rerouting, which
 is what keeps every original edge within two bends after the crossing
 dummies are replaced by crossing points.  Components are finally glued
-along the bridge decomposition tree with quarter-turn rotations and
-integer scaling.
+along the bridge decomposition tree with quarter-turn rotations on a rank
+grid: each component is read as the ranks of its coordinates, nested in a
+pocket of its parent, and the result is rank-compressed in both axes, so
+every coordinate is an integer below the number of points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from . import graphutil
 from .drawing import PolylineDrawing
@@ -319,15 +321,27 @@ def _stub_port(prefix: List[Point], col: Fraction) -> str:
     return "E" if prefix[1].x > prefix[0].x else "W"
 
 
+def _ranks(values: Iterable) -> Dict:
+    """Each distinct value's rank in increasing order: 0, 1, 2, ...
+
+    Every segment of an orthogonal drawing is axis-parallel, so replacing
+    each coordinate by its rank in its axis keeps every incidence,
+    crossing, port and right angle."""
+    return {v: i for i, v in enumerate(sorted(set(values)))}
+
+
+def _rank_points(points: List[Point], num: Callable = int) -> Tuple[Callable[[Point], Point], int]:
+    """The map sending each of `points` to the ranks of its coordinates in
+    their axes, as `num`s, and the extent w + h of the ranked points."""
+    xr = _ranks(p.x for p in points)
+    yr = _ranks(p.y for p in points)
+    return (lambda p: Point(num(xr[p.x]), num(yr[p.y]))), len(xr) + len(yr) - 2
+
+
 def _compact(d: OrthoDrawing) -> None:
     """Renumber x-coordinates onto consecutive integers, preserving order."""
-    xs: Set[Fraction] = set()
-    for p in d.pos.values():
-        xs.add(p.x)
-    for e in d.edges.values():
-        for p in e.points:
-            xs.add(p.x)
-    remap = {x: F(i) for i, x in enumerate(sorted(xs))}
+    xs = [p.x for p in d.pos.values()] + [p.x for e in d.edges.values() for p in e.points]
+    remap = {x: F(r) for x, r in _ranks(xs).items()}
     for v in list(d.pos):
         p = d.pos[v]
         d.pos[v] = Point(remap[p.x], p.y)
@@ -648,12 +662,9 @@ class BridgeTree:
 
 
 def bridge_decomposition(g: EmbeddedGraph) -> BridgeTree:
-    adj = g.abstract_adjacency()
-    bridges = sorted(tuple(sorted(b)) for b in graphutil.bridges(adj))
-    comps = sorted(
-        (sorted(c) for c in graphutil.two_edge_connected_components(adj)),
-        key=lambda c: c[0],
-    )
+    found, parts = graphutil.bridges_and_components(g.abstract_adjacency())
+    bridges = sorted(tuple(sorted(b)) for b in found)
+    comps = sorted((sorted(c) for c in parts), key=lambda c: c[0])
     comp_sets = [set(c) for c in comps]
     comp_of = {v: i for i, c in enumerate(comp_sets) for v in c}
     root = 0
@@ -783,37 +794,43 @@ def assemble(
     tree: BridgeTree,
     bridge_ids: Dict[Tuple[str, str], str],
 ) -> Assembled:
-    """Glue per-component drawings along the bridge tree.
+    """Glue per-component drawings along the bridge tree on a rank grid.
 
+    Each component is read as the ranks of its coordinates in each axis.
     Children are rotated by quarter turns so the attachment vertex's free N
-    port faces its parent, the parent drawing is scaled by an integer large
-    enough to open a pocket, and the bridge becomes a unit segment.
+    port faces its parent, and the bridge is one child unit long.  A
+    component's unit is the product of the factors 2(w + h) + 8 of the
+    components placed after it, w and h being a component's extent in
+    ranks, so each child lies in a pocket of its parent's grid that nothing
+    placed later enters.  Every point is placed once, with int coordinates.
     """
+    order = tree.order()
+    ranked: Dict[int, Callable[[Point], Point]] = {}
+    unit: Dict[int, int] = {}
+    u = 1
+    for i in reversed(order):
+        d = drawings[i]
+        ranked[i], extent = _rank_points(
+            list(d.pos.values()) + [p for e in d.edges.values() for p in e.points]
+        )
+        unit[i] = u
+        u *= 2 * extent + 8
     out = Assembled({}, {}, {})
 
-    def add_component(i: int, transform, theta: int) -> None:
-        d = drawings[i]
-        for v, p in d.pos.items():
-            if v in d.plane.real:
-                out.pos[v] = transform(p)
-        for e in d.edges.values():
-            out.polylines[e.edge_id] = [transform(p) for p in e.points]
+    def add_component(i: int, place: Callable[[Point], Point], theta: int) -> None:
+        d, at = drawings[i], ranked[i]
         for v in d.plane.real:
-            rotated = {PORT_ROT[theta][p] for p in d.ports_at(v)}
-            out.used_ports.setdefault(v, set()).update(rotated)
+            out.pos[v] = place(at(d.pos[v]))
+        for e in d.edges.values():
+            out.polylines[e.edge_id] = [place(at(p)) for p in e.points]
+            for v, port in ((e.tail, e.out_port), (e.head, e.in_port)):
+                if v in d.plane.real:
+                    out.used_ports.setdefault(v, set()).add(PORT_ROT[theta][port])
 
-    def scale_all(k: int) -> None:
-        for v in list(out.pos):
-            p = out.pos[v]
-            out.pos[v] = Point(p.x * k, p.y * k)
-        for e in list(out.polylines):
-            out.polylines[e] = [Point(p.x * k, p.y * k) for p in out.polylines[e]]
-
-    order = tree.order()
-    add_component(order[0], lambda p: p, 0)
+    root_unit = unit[order[0]]
+    add_component(order[0], lambda p: Point(root_unit * p.x, root_unit * p.y), 0)
     for i in order[1:]:
-        parent_comp, v_i, u_j = tree.parent[i]
-        d = drawings[i]
+        _, v_i, u_j = tree.parent[i]
         used = out.used_ports.get(v_i, set())
         free = [p for p in ("N", "E", "W", "S") if p not in used]
         if not free:
@@ -822,25 +839,18 @@ def assemble(
         # Rotate the child so its free N port points back toward v_i.
         theta = {"E": 90, "N": 180, "W": 270, "S": 0}[port]
         rot = ROT[theta]
-        child_pts = [rot(d.pos[v]) for v in d.pos]
-        for e in d.edges.values():
-            child_pts.extend(rot(p) for p in e.points)
-        w = max(p.x for p in child_pts) - min(p.x for p in child_pts)
-        h = max(p.y for p in child_pts) - min(p.y for p in child_pts)
-        k = int(2 * (w + h) + 8)
-        scale_all(k)
         base = out.pos[v_i]
         dx, dy = DIR[port]
-        target = Point(base.x + dx, base.y + dy)
-        anchor = rot(d.pos[u_j])
-        shift = (target.x - anchor.x, target.y - anchor.y)
+        anchor = rot(ranked[i](drawings[i].pos[u_j]))
+        k = unit[i]
+        ox, oy = base.x + k * (dx - anchor.x), base.y + k * (dy - anchor.y)
 
-        def transform(p, rot=rot, shift=shift):
+        def place(p, rot=rot, k=k, ox=ox, oy=oy):
             q = rot(p)
-            return Point(q.x + shift[0], q.y + shift[1])
+            return Point(ox + k * q.x, oy + k * q.y)
 
-        add_component(i, transform, theta)
-        out.polylines[bridge_ids[(v_i, u_j)]] = [base, target]
+        add_component(i, place, theta)
+        out.polylines[bridge_ids[(v_i, u_j)]] = [base, out.pos[u_j]]
         out.used_ports.setdefault(v_i, set()).add(port)
         out.used_ports.setdefault(u_j, set()).add(PORT_ROT[theta]["N"])
     return out
@@ -890,4 +900,15 @@ def draw_twobend(g: EmbeddedGraph, check_steps: bool = False) -> PolylineDrawing
             joined = pa + pb[1:]
             polylines[orig] = strip_collinear(joined)
     positions = {v: assembled.pos[v] for v in norm.vertices}
-    return PolylineDrawing(graph=norm, positions=positions, polylines=polylines)
+    return _rank_grid(PolylineDrawing(graph=norm, positions=positions, polylines=polylines))
+
+
+def _rank_grid(d: PolylineDrawing) -> PolylineDrawing:
+    """d with every coordinate replaced by its rank in its axis."""
+    pts = list(d.positions.values()) + [p for line in d.polylines.values() for p in line]
+    at, _ = _rank_points(pts, F)
+    return PolylineDrawing(
+        graph=d.graph,
+        positions={v: at(p) for v, p in d.positions.items()},
+        polylines={e: [at(p) for p in line] for e, line in d.polylines.items()},
+    )

@@ -186,12 +186,17 @@ def count_slopes(d: PolylineDrawing) -> int:
 
 
 def slope_set(d: PolylineDrawing) -> Set[SlopeKind]:
-    return {slope_of(seg).kind for _, _, seg in d.all_segments()}
+    return _slope_summary(d)[0]
 
 
 def distinct_slope_count(d: PolylineDrawing) -> int:
-    vecs = {slope_of(seg).vec for _, _, seg in d.all_segments()}
-    return len(vecs)
+    return _slope_summary(d)[1]
+
+
+def _slope_summary(d: PolylineDrawing) -> Tuple[Set[SlopeKind], int]:
+    """The slope kinds and the number of distinct slopes, from one pass."""
+    slopes = {slope_of(seg) for _, _, seg in d.all_segments()}
+    return {s.kind for s in slopes}, len({s.vec for s in slopes})
 
 
 def max_bends(d: PolylineDrawing) -> int:
@@ -421,7 +426,10 @@ def _dedup(pts: List[Point]) -> List[Point]:
 
 
 def _outer_face_darts(plane: PlaneGraph, positions: Dict[str, Point], d: PolylineDrawing):
-    """Darts of the unbounded face, located via the bottommost drawing point."""
+    """Darts of the unbounded face, located via the bottommost drawing point;
+    () when there are no edges."""
+    if not plane.edges:
+        return ()
     pieces = _plane_polylines(plane, positions, d)
     best: Optional[Tuple[Fraction, Fraction]] = None
     best_kind: Optional[Tuple] = None  # ("vertex", v) or ("bend", edge, index)
@@ -584,8 +592,7 @@ def validate(d: PolylineDrawing, profile: str) -> ValidationReport:
     violations: List[str] = list(inter.violations)
     crossings = inter.crossings
 
-    slopes = slope_set(d)
-    n_slopes = distinct_slope_count(d)
+    slopes, n_slopes = _slope_summary(d)
     bends = max_bends(d)
     v_res = min_vertex_resolution(d)
     c_res = min_crossing_resolution(d, crossings)

@@ -284,21 +284,27 @@ class TestAcceptance:
         _report("9 (generator, 400-vertex tier)", elapsed < 10.0,
                 f"{len(g.vertices)} vertices in {elapsed:.2f}s (budget 10s)")
 
-    def test_10_drawing_bytes_are_pinned(self):
-        """Both drawers' output bytes for eleven fixed inputs: 1-bend
-        drawings of six cubic3con graphs, then 2-bend drawings of four
-        subcubic graphs and of the braid gen_2reg(8)."""
+    def test_10_onebend_bytes_are_pinned(self):
+        """The 1-bend drawer's output bytes for six cubic3con graphs."""
         h = hashlib.sha256()
-        drawings = [draw_onebend(gen_corpus(seed=s, n_target=20, profile="cubic3con", count=1)[0])
-                    for s in range(1000, 1006)]
-        drawings += [draw_twobend(gen_corpus(seed=s, n_target=40, profile="subcubic", count=1)[0])
-                     for s in range(1000, 1004)]
-        drawings.append(draw_twobend(gen_2reg(8)))
-        for d in drawings:
-            h.update(dumps(drawing_to_doc(d)).encode())
+        for s in range(1000, 1006):
+            g = gen_corpus(seed=s, n_target=20, profile="cubic3con", count=1)[0]
+            h.update(dumps(drawing_to_doc(draw_onebend(g))).encode())
         digest = h.hexdigest()
-        _report("10 (drawing bytes)",
-                digest == "a5c7d5bd27c9a4021337f6af1efe3b7a90039718f6669b98296c81f316daaf8b", digest)
+        _report("10 (1-bend drawing bytes)",
+                digest == "a81cb59dd6447cbebdda2341dfbf3960d3b023457416c8946e69a5e9d0ac5dba", digest)
+
+    def test_10_twobend_bytes_are_pinned(self):
+        """The 2-bend drawer's output bytes for four subcubic graphs and the
+        braid gen_2reg(8)."""
+        h = hashlib.sha256()
+        graphs = [gen_corpus(seed=s, n_target=40, profile="subcubic", count=1)[0]
+                  for s in range(1000, 1004)]
+        for g in graphs + [gen_2reg(8)]:
+            h.update(dumps(drawing_to_doc(draw_twobend(g))).encode())
+        digest = h.hexdigest()
+        _report("10 (2-bend drawing bytes)",
+                digest == "b27a3f639e3238c0efd7e176bda855b9f5d9b130ade77d83fd1849cf1a399be0", digest)
 
     def test_11_large_onebend_bytes_are_pinned(self):
         """The 1-bend drawer's output bytes for five larger inputs: cubic3con

@@ -166,6 +166,18 @@ class TestCli:
         assert len(steps) >= 3
         assert plain == fresh(["draw", "--mode", "onebend"]) == (0, traced[1])
 
+    def test_one_vertex_graph(self):
+        graph = {"version": 1, "vertices": [{"id": "a", "real": True}], "edges": [],
+                 "rotations": {"a": []}, "fragment_map": {}, "outer_face": []}
+        code, drawing_json = run_cli(["draw", "--mode", "twobend"], json.dumps(graph))
+        assert code == 0
+        assert json.loads(drawing_json)["positions"] == {"a": [[0, 1], [0, 1]]}
+        code, report_json = run_cli(["validate", "--profile", "twobend"], drawing_json)
+        assert code == 0
+        assert json.loads(report_json)["passed"] is True
+        code, svg = run_cli(["render"], drawing_json)
+        assert code == 0 and svg.startswith("<svg")
+
     @pytest.mark.parametrize("command", [
         ["draw", "--mode", "onebend"],
         ["validate", "--profile", "onebend"],

@@ -153,6 +153,18 @@ class TestValidation:
         with pytest.raises(EmbeddingError):
             p.validate()
 
+    def test_edgeless_vertices_count_one_face_each(self):
+        PlaneGraph(vertices=["a"], real={"a"}, edges={}, rotation={"a": []}, fragment_of={}).validate()
+        p = k4_plane()
+        p.vertices.append("z")
+        p.real.add("z")
+        p.rotation["z"] = []
+        p.validate()
+        # A broken rotation is still caught next to an isolated vertex.
+        p.rotation["a"] = ["ab", "ac", "ad"]
+        with pytest.raises(EmbeddingError, match="^Euler check failed: V=5 E=6 F=3 C=2"):
+            p.validate()
+
     def test_no_dummy_dummy_edges(self):
         p = k4_one_crossing()
         p.real.discard("4")

@@ -1,14 +1,24 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from slopeforge import graphutil, twobend
+from slopeforge.docio import drawing_to_doc, dumps
+from slopeforge.drawing import PolylineDrawing
 from slopeforge.families import gen_2reg, gen_corpus, gen_crossed_k4, gen_prism
 from slopeforge.geometry import Point, SlopeKind
 from slopeforge.model import EmbeddedGraph, build_plane_graph
+from slopeforge.onebend import draw_onebend
 from slopeforge.ordering import st_order
 from slopeforge.twobend import (
+    DIR,
+    PORT_ROT,
+    ROT,
+    Assembled,
     OrthoDrawing,
     Staircase,
     TwoBendError,
@@ -23,7 +33,7 @@ from slopeforge.twobend import (
     eliminate_cshapes,
     stretch_curve,
 )
-from slopeforge.verify import validate
+from slopeforge.verify import embedding_from_geometry, validate
 
 from test_verify import square_graph
 
@@ -143,7 +153,197 @@ class TestPipeline:
             report = validate(drawing, "TWOBEND")
             assert report.passed, report.violations
 
+    def test_bridge_decomposition_runs_one_dfs(self, monkeypatch):
+        calls = []
+        dfs = graphutil.blocks_and_cut_vertices
+        monkeypatch.setattr(graphutil, "blocks_and_cut_vertices", lambda *a: calls.append(a) or dfs(*a))
+        tree = bridge_decomposition(gen_corpus(seed=2, n_target=24, profile="subcubic", count=1)[0])
+        assert len(calls) == 1
+        assert len(tree.components) == len(tree.bridges) + 1
+
     def test_bridge_decomposition_counts(self):
         gs = gen_corpus(seed=2, n_target=24, profile="subcubic", count=6)
         best = max(len(bridge_decomposition(g).components) for g in gs)
         assert best >= 3
+
+
+# ---------------------------------------------------------------------------
+# The rank-grid assembly against the integer-scaling assembly it replaced
+# ---------------------------------------------------------------------------
+
+
+def assemble_by_scaling(drawings, tree, bridge_ids) -> Assembled:
+    """The scaling assembly: before each child is placed, every point placed
+    so far is multiplied by k = 2(w + h) + 8, w and h the child's extent, and
+    the child goes one unit from its parent vertex."""
+    out = Assembled({}, {}, {})
+
+    def add_component(i, transform, theta):
+        d = drawings[i]
+        for v, p in d.pos.items():
+            if v in d.plane.real:
+                out.pos[v] = transform(p)
+        for e in d.edges.values():
+            out.polylines[e.edge_id] = [transform(p) for p in e.points]
+        for v in d.plane.real:
+            rotated = {PORT_ROT[theta][p] for p in d.ports_at(v)}
+            out.used_ports.setdefault(v, set()).update(rotated)
+
+    def scale_all(k):
+        for v in list(out.pos):
+            p = out.pos[v]
+            out.pos[v] = Point(p.x * k, p.y * k)
+        for e in list(out.polylines):
+            out.polylines[e] = [Point(p.x * k, p.y * k) for p in out.polylines[e]]
+
+    order = tree.order()
+    add_component(order[0], lambda p: p, 0)
+    for i in order[1:]:
+        _, v_i, u_j = tree.parent[i]
+        d = drawings[i]
+        used = out.used_ports.get(v_i, set())
+        port = [p for p in ("N", "E", "W", "S") if p not in used][0]
+        theta = {"E": 90, "N": 180, "W": 270, "S": 0}[port]
+        rot = ROT[theta]
+        child_pts = [rot(d.pos[v]) for v in d.pos]
+        for e in d.edges.values():
+            child_pts.extend(rot(p) for p in e.points)
+        w = max(p.x for p in child_pts) - min(p.x for p in child_pts)
+        h = max(p.y for p in child_pts) - min(p.y for p in child_pts)
+        scale_all(int(2 * (w + h) + 8))
+        base = out.pos[v_i]
+        dx, dy = DIR[port]
+        target = Point(base.x + dx, base.y + dy)
+        anchor = rot(d.pos[u_j])
+        shift = (target.x - anchor.x, target.y - anchor.y)
+
+        def transform(p, rot=rot, shift=shift):
+            q = rot(p)
+            return Point(q.x + shift[0], q.y + shift[1])
+
+        add_component(i, transform, theta)
+        out.polylines[bridge_ids[(v_i, u_j)]] = [base, target]
+        out.used_ports.setdefault(v_i, set()).add(port)
+        out.used_ports.setdefault(u_j, set()).add(PORT_ROT[theta]["N"])
+    return out
+
+
+def rank_compressed(d: PolylineDrawing) -> PolylineDrawing:
+    """d with each coordinate replaced by its rank among the distinct values
+    of its axis."""
+    pts = list(d.positions.values()) + [p for line in d.polylines.values() for p in line]
+    xs = {x: F(i) for i, x in enumerate(sorted({p.x for p in pts}))}
+    ys = {y: F(i) for i, y in enumerate(sorted({p.y for p in pts}))}
+    return PolylineDrawing(
+        d.graph,
+        {v: Point(xs[p.x], ys[p.y]) for v, p in d.positions.items()},
+        {e: [Point(xs[p.x], ys[p.y]) for p in line] for e, line in d.polylines.items()},
+    )
+
+
+def drawing_by_scaling(g: EmbeddedGraph) -> PolylineDrawing:
+    """draw_twobend with the scaling assembly and no rank compression."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twobend, "assemble", assemble_by_scaling)
+        mp.setattr(twobend, "_rank_grid", lambda d: d)
+        return draw_twobend(g)
+
+
+def grid_bits(d: PolylineDrawing) -> int:
+    """Bit length of the largest |coordinate| once denominators are cleared."""
+    coords = [c for p in d.positions.values() for c in (p.x, p.y)]
+    coords += [c for line in d.polylines.values() for p in line for c in (p.x, p.y)]
+    den = math.lcm(*(c.denominator for c in coords))
+    return max(abs(c.numerator * (den // c.denominator)).bit_length() for c in coords)
+
+
+def block_chain(blocks: int) -> EmbeddedGraph:
+    """Cycle blocks of 4..9 vertices in convex position, joined into a path
+    by bridges; blocks of five or more get a chord, odd-numbered blocks of
+    six or more a second chord crossing it."""
+    pos, edges, prev, offset = {}, {}, None, 0
+    for b in range(blocks):
+        m = 4 + (5 * b) % 6
+        names = [f"c{b}_{i}" for i in range(m)]
+        for i, v in enumerate(names):
+            pos[v] = Point(F(offset + i), F(i * i))
+        for i in range(m):
+            edges[f"cy{b}_{i}"] = (names[i], names[(i + 1) % m])
+        if m >= 5:
+            edges[f"ch{b}_a"] = (names[1], names[3])
+        if m >= 6 and b % 2:
+            edges[f"ch{b}_b"] = (names[2], names[4])
+        if prev is not None:
+            edges[f"br{b}"] = (prev, names[0])
+        prev = names[-1]
+        offset += m + 3
+    return embedding_from_geometry(pos, edges)
+
+
+def edge_deleted(seed: int, n_target: int) -> EmbeddedGraph:
+    """A cubic3con graph's 1-bend drawing with about a tenth of its edges
+    deleted, keeping it connected, re-read as a 1-plane graph."""
+    g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+    d = draw_onebend(g)
+    edges = dict(g.edges)
+    for e in random.Random(seed).sample(sorted(edges), len(edges)):
+        if len(edges) <= 0.9 * len(g.edges):
+            break
+        rest = {k: ab for k, ab in edges.items() if k != e}
+        adj = {v: set() for v in g.vertices}
+        for a, b in rest.values():
+            adj[a].add(b)
+            adj[b].add(a)
+        if graphutil.is_connected(adj):
+            edges = rest
+    return embedding_from_geometry(d.positions, edges, {e: d.polylines[e] for e in edges})
+
+
+def check_rank_grid(g: EmbeddedGraph) -> None:
+    """draw_twobend's bytes equal the rank compression of the scaling
+    assembly's drawing; the drawing validates on a grid of at most
+    2 log2(n) + 4 bits."""
+    drawing = draw_twobend(g)
+    assert dumps(drawing_to_doc(drawing)) == dumps(drawing_to_doc(rank_compressed(drawing_by_scaling(g))))
+    report = validate(drawing, "TWOBEND")
+    assert report.passed, report.violations
+    n = len(g.vertices)
+    assert grid_bits(drawing) <= 2 * math.log2(n) + 4, (n, grid_bits(drawing))
+
+
+class TestRankGrid:
+    @pytest.mark.parametrize("k", [8, 16, 24, 32, 48, 64])
+    def test_braids(self, k):
+        check_rank_grid(gen_2reg(k))
+
+    @pytest.mark.parametrize("blocks", [10, 20, 40])
+    def test_block_chains(self, blocks):
+        g = block_chain(blocks)
+        assert len(bridge_decomposition(g).components) == blocks
+        check_rank_grid(g)
+
+    @pytest.mark.parametrize("n_target", [20, 40, 60, 120])
+    def test_subcubic_corpus(self, n_target):
+        for seed in range(1000, 1004):
+            check_rank_grid(gen_corpus(seed=seed, n_target=n_target, profile="subcubic", count=1)[0])
+
+    def test_edge_deleted_cubic3con(self, monkeypatch):
+        calls = []
+        eliminate = twobend._eliminate_into_dummy
+
+        def counted(d, eid):
+            calls.append(eid)
+            return eliminate(d, eid)
+
+        monkeypatch.setattr(twobend, "_eliminate_into_dummy", counted)
+        inputs = [(seed, 40) for seed in range(1000, 1012)] + [(1000, 90), (1001, 90)]
+        for seed, n_target in inputs:
+            check_rank_grid(edge_deleted(seed, n_target))
+        assert calls, "no input reached C-shape elimination"
+
+    def test_chain_grid_stays_small(self):
+        """The old assembly needed a new factor per block: 40 blocks took
+        more than 100 bits."""
+        g = block_chain(40)
+        assert grid_bits(drawing_by_scaling(g)) > 100
+        assert grid_bits(draw_twobend(g)) <= 8

@@ -22,6 +22,19 @@ def P(x, y):
     return Point.of(x, y)
 
 
+def path_abc() -> EmbeddedGraph:
+    return EmbeddedGraph.from_plane(
+        build_plane_graph(
+            real_vertices=["a", "b", "c"],
+            dummy_vertices=[],
+            edges={"ab": ("a", "b"), "bc": ("b", "c")},
+            rotation={"a": ["ab"], "b": ["ab", "bc"], "c": ["bc"]},
+            fragment_of={},
+            outer_dart=("ab", "a"),
+        )
+    )
+
+
 def square_graph():
     return build_plane_graph(
         real_vertices=["1", "2", "3", "4"],
@@ -72,21 +85,22 @@ class TestMeasurements:
         assert report.max_bends == 0
 
     def test_all_horizontal_path_has_one_slope(self):
-        g = EmbeddedGraph.from_plane(
-            build_plane_graph(
-                real_vertices=["a", "b", "c"],
-                dummy_vertices=[],
-                edges={"ab": ("a", "b"), "bc": ("b", "c")},
-                rotation={"a": ["ab"], "b": ["ab", "bc"], "c": ["bc"]},
-                fragment_of={},
-                outer_dart=("ab", "a"),
-            )
-        )
         d = PolylineDrawing(
-            g,
+            path_abc(),
             {"a": P(0, 0), "b": P(1, 0), "c": P(2, 0)},
             {"ab": [P(0, 0), P(1, 0)], "bc": [P(1, 0), P(2, 0)]},
         )
+        assert count_slopes(d) == 1
+
+    def test_two_other_slopes_count_apart(self):
+        d = PolylineDrawing(
+            path_abc(),
+            {"a": P(0, 0), "b": P(1, 2), "c": P(3, 3)},
+            {"ab": [P(0, 0), P(1, 2)], "bc": [P(1, 2), P(3, 3)]},
+        )
+        report = validate(d, "STRAIGHT")
+        assert report.slope_set == {SlopeKind.OTHER}
+        assert report.slope_count == distinct_slope_count(d) == 2
         assert count_slopes(d) == 1
 
     def test_staircase_has_two_slopes(self):
