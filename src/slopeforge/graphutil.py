@@ -1,4 +1,4 @@
-"""Abstract-graph algorithms: connectivity, blocks, st-numbering, planarity.
+"""Abstract-graph algorithms: connectivity, blocks, st-numbering, 2-SAT.
 
 Everything here works on plain adjacency mappings {vertex: set(neighbors)}
 and is sized for desk-scale inputs (hundreds of vertices).  Only the
@@ -401,157 +401,3 @@ def two_sat(n_vars: int, clauses: Sequence[Tuple[int, int]]) -> Optional[List[bo
         # a literal is true when its component comes later.
         result.append(comp[pos] < comp[negn])
     return result
-
-
-# ---------------------------------------------------------------------------
-# Planarity (Demoucron-Malgrange-Pertuiset).  Used only by the re-embedding
-# oracle on small instances, so clarity beats asymptotics.
-# ---------------------------------------------------------------------------
-
-
-def is_planar(adj: Adj) -> bool:
-    return all(_demoucron(adjacency({v for e in b for v in e}, b))
-               for b in blocks_and_cut_vertices(adj)[0])
-
-
-def _demoucron(adj: Adj) -> bool:
-    """Planarity of a biconnected simple graph by face-by-face embedding."""
-    n = len(adj)
-    m = sum(len(ns) for ns in adj.values()) // 2
-    if n <= 4 or m <= n + 2:
-        return True
-    if m > 3 * n - 6:
-        return False
-
-    cycle = _find_cycle(adj)
-    embedded_v: Set[str] = set(cycle)
-    embedded_e: Set[FrozenSet[str]] = {
-        frozenset((cycle[i], cycle[(i + 1) % len(cycle)])) for i in range(len(cycle))
-    }
-    faces: List[List[str]] = [list(cycle), list(reversed(cycle))]
-
-    def fragments() -> List[Tuple[Set[str], Set[FrozenSet[str]], Set[str]]]:
-        # A fragment: component of G - embedded vertices, plus its attachments,
-        # or a single non-embedded edge between embedded vertices (a chord).
-        frags = []
-        seen: Set[str] = set()
-        for v in sorted(adj):
-            if v in embedded_v or v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in embedded_v or y in seen:
-                        continue
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-            edges: Set[FrozenSet[str]] = set()
-            contacts: Set[str] = set()
-            for x in comp:
-                for y in adj[x]:
-                    edges.add(frozenset((x, y)))
-                    if y in embedded_v:
-                        contacts.add(y)
-            frags.append((comp, edges, contacts))
-        for v in sorted(embedded_v):
-            for w in sorted(adj[v]):
-                if w in embedded_v and frozenset((v, w)) not in embedded_e and v < w:
-                    frags.append((set(), {frozenset((v, w))}, {v, w}))
-        return frags
-
-    while True:
-        frags = fragments()
-        if not frags:
-            return True
-        chosen = None
-        chosen_faces = None
-        for frag in frags:
-            admissible = [i for i, f in enumerate(faces) if frag[2] <= set(f)]
-            if not admissible:
-                return False
-            if len(admissible) == 1:
-                chosen, chosen_faces = frag, admissible
-                break
-        if chosen is None:
-            chosen = frags[0]
-            chosen_faces = [i for i, f in enumerate(faces) if chosen[2] <= set(f)]
-        comp, edges, contacts = chosen
-        face_idx = chosen_faces[0]
-        path = _alpha_path(adj, comp, contacts)
-        _embed_path(faces, face_idx, path)
-        embedded_v.update(path)
-        for i in range(len(path) - 1):
-            embedded_e.add(frozenset((path[i], path[i + 1])))
-
-
-def _find_cycle(adj: Adj) -> List[str]:
-    start = sorted(adj)[0]
-    parent: Dict[str, Optional[str]] = {start: None}
-    on_path: Set[str] = {start}
-    stack: List[Tuple[str, List[str]]] = [(start, sorted(adj[start], reverse=True))]
-    while stack:
-        v, todo = stack[-1]
-        if todo:
-            w = todo.pop()
-            if w not in parent:
-                parent[w] = v
-                on_path.add(w)
-                stack.append((w, sorted(adj[w], reverse=True)))
-            elif w != parent[v] and w in on_path:
-                cyc = [v]
-                x = v
-                while x != w:
-                    x = parent[x]  # type: ignore[assignment]
-                    cyc.append(x)
-                return cyc
-        else:
-            stack.pop()
-            on_path.discard(v)
-    raise ValueError("acyclic graph has trivial planarity")
-
-
-def _alpha_path(adj: Adj, comp: Set[str], contacts: Set[str]) -> List[str]:
-    """A path through the fragment between two distinct contact vertices."""
-    contacts_sorted = sorted(contacts)
-    a = contacts_sorted[0]
-    if not comp:
-        return [a, contacts_sorted[1]]
-    starts = sorted(w for w in adj[a] if w in comp)
-    first = starts[0]
-    parent: Dict[str, Optional[str]] = {first: None}
-    stack = [first]
-    target = None
-    while stack:
-        v = stack.pop()
-        hits = sorted(w for w in adj[v] if w in contacts and w != a)
-        if hits:
-            target = hits[0]
-            tail = [target, v]
-            x = v
-            while parent[x] is not None:
-                x = parent[x]  # type: ignore[assignment]
-                tail.append(x)
-            tail.append(a)
-            return list(reversed(tail))
-        for w in sorted(adj[v]):
-            if w in comp and w not in parent:
-                parent[w] = v
-                stack.append(w)
-    raise ValueError("fragment with fewer than two contacts")
-
-
-def _embed_path(faces: List[List[str]], face_idx: int, path: List[str]) -> None:
-    face = faces.pop(face_idx)
-    a, b = path[0], path[-1]
-    ia = face.index(a)
-    rotated = face[ia:] + face[:ia]
-    ib = rotated.index(b)
-    inner = path[1:-1]
-    side1 = rotated[: ib + 1] + list(reversed(inner))
-    side2 = rotated[ib:] + [rotated[0]] + inner
-    faces.append(side1)
-    faces.append(side2)

@@ -602,13 +602,9 @@ _RATE_SHIFT = F(4)
 
 
 class OneBendDrawer:
-    def __init__(
-        self, plane: PlaneGraph, delta: CanonicalOrdering, check_steps: bool = True,
-        trace: bool = False,
-    ):
+    def __init__(self, plane: PlaneGraph, delta: CanonicalOrdering, trace: bool = False):
         self.plane = plane
         self.delta = delta
-        self.check_steps = check_steps
         self.g = Gamma(plane=plane, v1=delta.v1, v2=delta.v2)
         self.steps = 0
         # With `trace`, a copy of every polyline after each step.
@@ -733,24 +729,19 @@ class OneBendDrawer:
         for _ in range(MAX_REPAIRS):
             apex = self._apex_of(da, db)
             if apex is None:
-                anchor_a = da.anchor if da else pl.anchor
-                anchor_b = db.anchor if db else pr.anchor
                 try:
-                    need = _needed_gap(g, da or pl, db or pr) + 1
+                    need = _needed_gap(g, da, db) + 1
                 except OneBendError:
                     return False
-                if not self._stretch_span(anchor_a, anchor_b, need):
+                if not self._stretch_between(da.anchor, db.anchor, need):
                     return False
                 continue
             # Keep the drawing chunky: spread once when the tent is cramped.
             top = max(g.pos[pl.anchor].y, g.pos[pr.anchor].y)
             if not spread_tried and apex.y - top < 1 and da and db:
                 spread_tried = True
-                try:
-                    need = _needed_gap(g, da, db, extra=F(2)) + 1
-                except OneBendError:
-                    need = F(0)
-                if need > 0 and self._stretch_span(da.anchor, db.anchor, need):
+                need = _needed_gap(g, da, db, extra=F(2)) + 1
+                if need > 0 and self._stretch_between(da.anchor, db.anchor, need):
                     continue
             # The apex must sit strictly above every middle anchor.
             too_low = [pm for pm in plans_m if apex.y <= g.pos[pm.anchor].y]
@@ -812,8 +803,6 @@ class OneBendDrawer:
         if da is not None and db is not None:
             return _apex(g.pos, da, db)
         plan = da or db
-        if plan is None:
-            return None
         tops = max(p.y for p in g.pos.values())
         return _ray_point_at_height(g.pos[plan.anchor], plan.port, tops + 1)
 
@@ -857,22 +846,6 @@ class OneBendDrawer:
             return False
         return True
 
-    def _stretch_span(self, left_v: str, right_v: str, delta: Fraction) -> bool:
-        """Stretch somewhere strictly between two contour vertices, trying
-        every gap of the contour span until one cut separates them."""
-        g = self.g
-        if self._stretch_between(left_v, right_v, delta):
-            return True
-        try:
-            li = g.contour.index(left_v)
-            ri = g.contour.index(right_v)
-        except ValueError:
-            return False
-        for k in range(li + 1, ri):
-            if self._stretch_between(g.contour[k], right_v, delta):
-                return True
-        return False
-
     def _align_middle(self, pl: Plan, pr: Plan, pm: Plan) -> bool:
         """Stretch until the middle plan's line passes through the apex.
 
@@ -888,12 +861,7 @@ class OneBendDrawer:
             return False
         if m == 0:
             return True
-        candidate_cuts = (
-            (pl.anchor, pm.anchor),
-            (pm.anchor, pr.anchor),
-            (pl.anchor, pr.anchor),
-        )
-        for cut_anchor, must_move in candidate_cuts:
+        for cut_anchor, must_move in ((pl.anchor, pm.anchor), (pm.anchor, pr.anchor)):
             try:
                 left = stretch_cut(g, cut_anchor)
             except OneBendError:
@@ -927,11 +895,7 @@ class OneBendDrawer:
         if mid_x <= apex.x:
             # Blocker under the left ray: push it (and the right part) right.
             amount = _clear_amount(g, pl, seg)
-            first = a if g.pos[a].x >= mid_x else b
-            for target in (first, b if first == a else a):
-                if self._stretch_between(pl.anchor, target, amount):
-                    return True
-            return False
+            return self._stretch_between(pl.anchor, a if g.pos[a].x >= mid_x else b, amount)
         # Blocker under the right ray: move the right anchor away while the
         # blocker's whole cluster stays, so cut at its rightmost contour
         # vertex rather than dragging it along.
@@ -1036,19 +1000,15 @@ class OneBendDrawer:
                     need = _needed_gap(g, pl, pr, extra=F(l + 1)) + 1
                 except OneBendError:
                     need = F(l + 2)
-                if not self._stretch_span(pl.anchor, pr.anchor, need):
+                if not self._stretch_between(pl.anchor, pr.anchor, need):
                     return False
                 continue
             q1 = _ray_point_at_height(g.pos[pl.anchor], pl.port, y_b)
             q2 = _ray_point_at_height(g.pos[pr.anchor], pr.port, y_b)
             span = q2.x - q1.x
-            if span <= 0:
-                if not self._stretch_between(pl.anchor, pr.anchor, F(2)):
-                    return False
-                continue
             if not spread_tried and span < 1:
                 spread_tried = True
-                if self._stretch_span(pl.anchor, pr.anchor, F(l + 2)):
+                if self._stretch_between(pl.anchor, pr.anchor, F(l + 2)):
                     continue
             x_lo = q1.x + (span / 4 if elbow_l else F(0))
             x_hi = q2.x - (span / 4 if elbow_r else F(0))
@@ -1097,11 +1057,7 @@ class OneBendDrawer:
         g = self.g
         preds = self._preds_on_contour([vn])
         if preds[0] != g.v1:
-            if g.v1 in preds:
-                preds.remove(g.v1)
-                preds.insert(0, g.v1)
-            else:
-                raise OneBendError("the final vertex is not adjacent to the left base vertex")
+            raise OneBendError("the final vertex is not adjacent to the left base vertex")
         if len(preds) != 3:
             raise OneBendError(f"real final vertex with {len(preds)} predecessors")
         self._insert_singleton(vn, preds[0], preds[-1], preds[1:-1])
@@ -1115,12 +1071,11 @@ class OneBendDrawer:
         self.steps += 1
         if self.trace is not None:
             self.trace.append({e: list(p) for e, p in g.polylines.items()})
-        if self.check_steps:
-            drawn = set(g.polylines)
-            problems = check_gamma(g) if full else check_step(g, drawn - self._checked)
-            self._checked = drawn
-            if problems:
-                raise OneBendError(f"invariants broken after {label}: {problems[:4]}")
+        drawn = set(g.polylines)
+        problems = check_gamma(g) if full else check_step(g, drawn - self._checked)
+        self._checked = drawn
+        if problems:
+            raise OneBendError(f"invariants broken after {label}: {problems[:4]}")
 
 
 def _clear_amount(g: Gamma, plan: Plan, seg: Segment) -> Fraction:
@@ -1607,15 +1562,13 @@ def _improper_pairs(
 # ---------------------------------------------------------------------------
 
 
-def draw_onebend(g: EmbeddedGraph, check_steps: bool = True) -> PolylineDrawing:
+def draw_onebend(g: EmbeddedGraph) -> PolylineDrawing:
     """1-bend, 4-slope, embedding-preserving drawing of a 3-connected cubic
     1-plane graph."""
-    return _run_pipeline(g, check_steps)[1]
+    return _run_pipeline(g)[1]
 
 
-def _run_pipeline(
-    g: EmbeddedGraph, check_steps: bool = True, trace: bool = False
-) -> Tuple[OneBendDrawer, PolylineDrawing]:
+def _run_pipeline(g: EmbeddedGraph, trace: bool = False) -> Tuple[OneBendDrawer, PolylineDrawing]:
     """Check the input, normalize it, run the drawer along a canonical
     ordering and finalize; the drawer is returned for its step trace, which
     is recorded only with `trace`."""
@@ -1632,7 +1585,7 @@ def _run_pipeline(
     # The outer walk passes the base edge right-to-left, so the dart's head
     # is the left base vertex v1 and its tail the right one.
     delta = canonical_order(plane, head, tail)
-    drawer = OneBendDrawer(plane, delta, check_steps=check_steps, trace=trace)
+    drawer = OneBendDrawer(plane, delta, trace=trace)
     gamma = drawer.run()
     return drawer, _finalize(norm, plane, gamma)
 

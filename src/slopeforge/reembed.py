@@ -6,13 +6,13 @@ which gives enough rotation freedom to re-insert both original edges
 crossing-free.  When the abstract graph is 3-connected but the
 planarization still has a 2-separator through a dummy, flipping a split
 component between the two separator vertices turns that crossing into a
-removable touching.  Each surgery strictly decreases the crossing count,
-so the loop terminates; every step re-validates the embedding.
+touching, which the same surgery removes: delete the dummy, then re-add
+each original edge at the corners its fragments leave.  Each surgery
+strictly decreases the crossing count, so the loop terminates; every step
+re-validates the embedding.
 
-A brute-force oracle (for small instances) decides whether a normalized
-re-embedding exists at all, by enumerating crossing sets and testing
-planarity of the kite-augmented planarization, where a wheel gadget at
-each dummy forces the rotation to alternate in every planar embedding.
+The tests cross-check this against a brute-force existence oracle on small
+instances (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -98,46 +98,34 @@ def _check_same_abstract_graph(before: EmbeddedGraph, after: EmbeddedGraph) -> N
 # ---------------------------------------------------------------------------
 
 
-def _crossing_slots(plane: PlaneGraph, x: str):
-    """(original edge, neighbor, fragment, index in neighbor's rotation) x4,
-    in rotation order around x."""
-    out = []
-    for frag in plane.rotation[x]:
-        orig = plane.fragment_of[frag]
-        u = plane.other_end(frag, x)
-        out.append((orig, u, frag))
-    return out
-
-
 def _uncross(plane: PlaneGraph, x: str) -> PlaneGraph:
-    """Remove the crossing at dummy x, re-adding both edges uncrossed."""
+    """Delete dummy x and re-add each original edge through it, uncrossed,
+    at the corners its two fragments leave at their far ends.
+
+    The edges are re-added in the order x's rotation first meets them.  One
+    order is enough: two chords of one face conflict exactly when their
+    corners interleave, whichever goes in first, and an edge joining two
+    components (a bridge) splits no face.
+    """
     plane = plane.copy()
-    slots = _crossing_slots(plane, x)
-    (o0, u0, f0), (o1, u1, f1), (o2, u2, f2), (o3, u3, f3) = slots
-    assert o0 == o2 and o1 == o3 and o0 != o1
-    # Remember each neighbor's corner: the index the fragment occupied.
+    ends: Dict[str, List[str]] = {}
+    # Each neighbor's corner: the index its fragment occupied.
     corner: Dict[str, int] = {}
-    for _, u, frag in slots:
+    for frag in plane.rotation[x]:
+        u = plane.other_end(frag, x)
+        ends.setdefault(plane.fragment_of[frag], []).append(u)
         corner[u] = plane.rotation[u].index(frag)
         plane.rotation[u].remove(frag)
         del plane.edges[frag]
         del plane.fragment_of[frag]
     plane.vertices.remove(x)
     del plane.rotation[x]
-
-    inserts = [(o0, u0, u2), (o1, u1, u3)]
-    for order in (inserts, list(reversed(inserts))):
-        work = plane.copy()
-        ok = True
-        for orig, a, b in order:
-            if not _insert_uncrossed_edge(work, orig, a, corner[a], b, corner[b]):
-                ok = False
-                break
-        if ok:
-            _refresh_outer_after_surgery(work)
-            work.validate()
-            return work
-    raise ReembedError(f"could not re-insert edges of crossing {x} without a crossing")
+    for orig, (a, b) in ends.items():
+        if not _insert_uncrossed_edge(plane, orig, a, corner[a], b, corner[b]):
+            raise ReembedError(f"could not re-insert edges of crossing {x} without a crossing")
+    _refresh_outer_after_surgery(plane)
+    plane.validate()
+    return plane
 
 
 def _corner_face(plane: PlaneGraph, v: str, idx: int):
@@ -194,7 +182,7 @@ def _fix_two_cut(plane: PlaneGraph, pairs: Sequence[Tuple[str, str]]) -> PlaneGr
                 continue
             if _alternates(flipped, x):
                 continue  # flip did not break the crossing
-            return _uncross_touching(flipped, x)
+            return _uncross(flipped, x)
     raise ReembedError(
         "3-connectivity fix: no split component flip removes a dummy 2-cut "
         "(unhandled configuration; see the normalization notes)"
@@ -242,118 +230,3 @@ def _contiguous_arc(n: int, hits: List[int]) -> Optional[List[int]]:
             if before not in hitset:
                 return arc
     return None
-
-
-def _uncross_touching(plane: PlaneGraph, x: str) -> PlaneGraph:
-    """Remove dummy x whose rotation no longer alternates: the two edges
-    merely touch, so both re-insert crossing-free at their own corners."""
-    plane = plane.copy()
-    slots = _crossing_slots(plane, x)
-    by_edge: Dict[str, List[Tuple[str, str]]] = {}
-    for orig, u, frag in slots:
-        by_edge.setdefault(orig, []).append((u, frag))
-    corner: Dict[str, int] = {}
-    for orig, ends in by_edge.items():
-        for u, frag in ends:
-            corner[u] = plane.rotation[u].index(frag)
-            plane.rotation[u].remove(frag)
-            del plane.edges[frag]
-            del plane.fragment_of[frag]
-    plane.vertices.remove(x)
-    del plane.rotation[x]
-    inserts = []
-    for orig in sorted(by_edge):
-        (a, _), (b, _) = by_edge[orig]
-        inserts.append((orig, a, b))
-    for order in (inserts, list(reversed(inserts))):
-        work = plane.copy()
-        if all(
-            _insert_uncrossed_edge(work, orig, a, corner[a], b, corner[b])
-            for orig, a, b in order
-        ):
-            _refresh_outer_after_surgery(work)
-            work.validate()
-            return work
-    raise ReembedError(f"touching edges at {x} failed to separate")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force existence oracle (small instances)
-# ---------------------------------------------------------------------------
-
-
-def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> bool:
-    """Decide by enumeration whether some 1-planar re-embedding of the
-    abstract graph has no dummy cutvertex (and a 3-connected planarization
-    when the graph is 3-connected), using at most the current number of
-    crossings.
-
-    A crossing set is realizable iff the planarization augmented with a
-    subdivided rim 4-cycle around every dummy is planar: the wheel forces
-    the rotation at the dummy to alternate in any planar embedding.
-    """
-    if len(g.vertices) > max_vertices:
-        raise ReembedError(f"oracle limited to {max_vertices} vertices")
-    adj = g.abstract_adjacency()
-    edges = {e: tuple(ab) for e, ab in g.edges.items()}
-    want_3con = connectivity(g, cap=3) >= 3
-    names = sorted(edges)
-    independent = [
-        (e1, e2)
-        for i, e1 in enumerate(names)
-        for e2 in names[i + 1 :]
-        if not set(edges[e1]) & set(edges[e2])
-    ]
-    max_cross = len(g.crossings())
-
-    def realizable(matching: Sequence[Tuple[str, str]]) -> bool:
-        verts = set(g.vertices)
-        new_adj: Dict[str, Set[str]] = {v: set() for v in verts}
-        crossed = {e for pair in matching for e in pair}
-
-        def add(u, v):
-            new_adj.setdefault(u, set()).add(v)
-            new_adj.setdefault(v, set()).add(u)
-
-        for e, (u, v) in edges.items():
-            if e not in crossed:
-                add(u, v)
-        plain_adj = {u: set(vs) for u, vs in new_adj.items()}
-        for idx, (e1, e2) in enumerate(matching):
-            x = f"@x{idx}"
-            a, b = edges[e1]
-            c, d = edges[e2]
-            for u in (a, b, c, d):
-                add(x, u)
-                plain_adj.setdefault(x, set()).add(u)
-                plain_adj.setdefault(u, set()).add(x)
-            # Subdivided rim cycle a-c-b-d forcing alternation at x.
-            for j, (p, q) in enumerate(((a, c), (c, b), (b, d), (d, a))):
-                r = f"@r{idx}_{j}"
-                add(p, r)
-                add(r, q)
-        if not graphutil.is_planar(new_adj):
-            return False
-        # Structural checks on the plain planarization (no rims).
-        dummies = {v for v in plain_adj if v.startswith("@x")}
-        cuts = graphutil.articulation_points(plain_adj)
-        if cuts & dummies:
-            return False
-        if want_3con and graphutil.vertex_connectivity(plain_adj, cap=3) < 3:
-            return False
-        return True
-
-    def search(start: int, chosen: List[Tuple[str, str]], used: Set[str]) -> bool:
-        if realizable(chosen):
-            return True
-        if len(chosen) >= max_cross:
-            return False
-        for i in range(start, len(independent)):
-            e1, e2 = independent[i]
-            if e1 in used or e2 in used:
-                continue
-            if search(i + 1, chosen + [(e1, e2)], used | {e1, e2}):
-                return True
-        return False
-
-    return search(0, [], set())

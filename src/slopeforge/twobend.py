@@ -253,9 +253,6 @@ def draw_liu(plane: PlaneGraph, s: str, t: str) -> OrthoDrawing:
     pending: List[Tuple[str, Fraction, List[Point]]] = []  # (edge, col, prefix)
     edges_out: Dict[str, OrthoEdge] = {}
 
-    def stub_cols() -> List[Fraction]:
-        return [c for _, c, _ in pending]
-
     for v in order:
         y = F(rank[v])
         rot_ports = ports[v]
@@ -530,11 +527,13 @@ def dummy_c_shapes(d: OrthoDrawing) -> List[str]:
     return out
 
 
-def eliminate_cshapes(d: OrthoDrawing, check_each_step: bool = True) -> int:
-    """Remove every C-shape incident to a dummy, maintaining the invariants.
+def eliminate_cshapes(d: OrthoDrawing) -> int:
+    """Remove every C-shape incident to a dummy, checking the invariants
+    after each step.
 
     Returns the number of elimination steps performed.  Raises TwoBendError
-    with diagnostics when an unhandled port configuration appears.
+    with diagnostics when an unhandled port configuration appears or a step
+    breaks an invariant.
     """
     steps = 0
     guard = 4 * len(d.edges) + 8
@@ -558,12 +557,9 @@ def eliminate_cshapes(d: OrthoDrawing, check_each_step: bool = True) -> int:
             raise TwoBendError(f"C-shape {eid} joins two dummies (impossible fragment)")
         _compact(d)
         steps += 1
-        if check_each_step:
-            problems = check_invariants(d)
-            if problems:
-                raise TwoBendError(
-                    f"invariants broken after eliminating {eid}: {problems[:3]}"
-                )
+        problems = check_invariants(d)
+        if problems:
+            raise TwoBendError(f"invariants broken after eliminating {eid}: {problems[:3]}")
 
 
 def _flip_180(d: OrthoDrawing) -> None:
@@ -733,7 +729,7 @@ def _outer_candidates(sub: PlaneGraph, u_i: str) -> List[Tuple]:
     return [darts for _, _, darts in scored]
 
 
-def draw_component(sub: PlaneGraph, u_i: str, check_steps: bool = True) -> OrthoDrawing:
+def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:
     """Draw one component with t = u_i: tries source candidates until the
     invariant checker accepts the drawing."""
     if len(sub.vertices) == 1:
@@ -758,7 +754,7 @@ def draw_component(sub: PlaneGraph, u_i: str, check_steps: bool = True) -> Ortho
                 errors.append(f"s={s}: {problems[:2]}")
                 continue
             try:
-                eliminate_cshapes(d, check_each_step=check_steps)
+                eliminate_cshapes(d)
             except TwoBendError as exc:
                 errors.append(f"s={s}: {exc}")
                 continue
@@ -856,7 +852,7 @@ def assemble(
     return out
 
 
-def draw_twobend(g: EmbeddedGraph, check_steps: bool = False) -> PolylineDrawing:
+def draw_twobend(g: EmbeddedGraph) -> PolylineDrawing:
     """2-bend orthogonal drawing of a subcubic 1-plane graph."""
     if not g.is_subcubic():
         raise TwoBendError("input must be subcubic")
@@ -874,7 +870,7 @@ def draw_twobend(g: EmbeddedGraph, check_steps: bool = False) -> PolylineDrawing
     drawings: Dict[int, OrthoDrawing] = {}
     for i, comp in enumerate(tree.components):
         sub = component_plane(norm, comp, tree.attach[i])
-        drawings[i] = draw_component(sub, tree.attach[i], check_steps=check_steps)
+        drawings[i] = draw_component(sub, tree.attach[i])
     assembled = assemble(drawings, tree, bridge_ids)
 
     # Join fragments through dummies into original-edge polylines.

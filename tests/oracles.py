@@ -1,0 +1,248 @@
+"""Brute-force references that only the tests use.
+
+normalized_reembedding_exists decides, for small instances, whether a
+normalized re-embedding exists at all, by enumerating crossing sets and
+testing planarity of the kite-augmented planarization, where a wheel gadget
+at each dummy forces the rotation to alternate in every planar embedding.
+The planarity test is Demoucron-Malgrange-Pertuiset, face by face: clarity
+beats asymptotics at this size.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+from slopeforge import graphutil
+from slopeforge.graphutil import Adj
+from slopeforge.model import EmbeddedGraph, connectivity
+from slopeforge.reembed import ReembedError
+
+
+def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> bool:
+    """Decide by enumeration whether some 1-planar re-embedding of the
+    abstract graph has no dummy cutvertex (and a 3-connected planarization
+    when the graph is 3-connected), using at most the current number of
+    crossings.
+
+    A crossing set is realizable iff the planarization augmented with a
+    subdivided rim 4-cycle around every dummy is planar: the wheel forces
+    the rotation at the dummy to alternate in any planar embedding.
+    """
+    if len(g.vertices) > max_vertices:
+        raise ReembedError(f"oracle limited to {max_vertices} vertices")
+    adj = g.abstract_adjacency()
+    edges = {e: tuple(ab) for e, ab in g.edges.items()}
+    want_3con = connectivity(g, cap=3) >= 3
+    names = sorted(edges)
+    independent = [
+        (e1, e2)
+        for i, e1 in enumerate(names)
+        for e2 in names[i + 1 :]
+        if not set(edges[e1]) & set(edges[e2])
+    ]
+    max_cross = len(g.crossings())
+
+    def realizable(matching: Sequence[Tuple[str, str]]) -> bool:
+        verts = set(g.vertices)
+        new_adj: Dict[str, Set[str]] = {v: set() for v in verts}
+        crossed = {e for pair in matching for e in pair}
+
+        def add(u, v):
+            new_adj.setdefault(u, set()).add(v)
+            new_adj.setdefault(v, set()).add(u)
+
+        for e, (u, v) in edges.items():
+            if e not in crossed:
+                add(u, v)
+        plain_adj = {u: set(vs) for u, vs in new_adj.items()}
+        for idx, (e1, e2) in enumerate(matching):
+            x = f"@x{idx}"
+            a, b = edges[e1]
+            c, d = edges[e2]
+            for u in (a, b, c, d):
+                add(x, u)
+                plain_adj.setdefault(x, set()).add(u)
+                plain_adj.setdefault(u, set()).add(x)
+            # Subdivided rim cycle a-c-b-d forcing alternation at x.
+            for j, (p, q) in enumerate(((a, c), (c, b), (b, d), (d, a))):
+                r = f"@r{idx}_{j}"
+                add(p, r)
+                add(r, q)
+        if not is_planar(new_adj):
+            return False
+        # Structural checks on the plain planarization (no rims).
+        dummies = {v for v in plain_adj if v.startswith("@x")}
+        cuts = graphutil.articulation_points(plain_adj)
+        if cuts & dummies:
+            return False
+        if want_3con and graphutil.vertex_connectivity(plain_adj, cap=3) < 3:
+            return False
+        return True
+
+    def search(start: int, chosen: List[Tuple[str, str]], used: Set[str]) -> bool:
+        if realizable(chosen):
+            return True
+        if len(chosen) >= max_cross:
+            return False
+        for i in range(start, len(independent)):
+            e1, e2 = independent[i]
+            if e1 in used or e2 in used:
+                continue
+            if search(i + 1, chosen + [(e1, e2)], used | {e1, e2}):
+                return True
+        return False
+
+    return search(0, [], set())
+
+
+# ---------------------------------------------------------------------------
+# Planarity (Demoucron-Malgrange-Pertuiset)
+# ---------------------------------------------------------------------------
+
+
+def is_planar(adj: Adj) -> bool:
+    return all(_demoucron(graphutil.adjacency({v for e in b for v in e}, b))
+               for b in graphutil.blocks_and_cut_vertices(adj)[0])
+
+
+def _demoucron(adj: Adj) -> bool:
+    """Planarity of a biconnected simple graph by face-by-face embedding."""
+    n = len(adj)
+    m = sum(len(ns) for ns in adj.values()) // 2
+    if n <= 4 or m <= n + 2:
+        return True
+    if m > 3 * n - 6:
+        return False
+
+    cycle = _find_cycle(adj)
+    embedded_v: Set[str] = set(cycle)
+    embedded_e: Set[FrozenSet[str]] = {
+        frozenset((cycle[i], cycle[(i + 1) % len(cycle)])) for i in range(len(cycle))
+    }
+    faces: List[List[str]] = [list(cycle), list(reversed(cycle))]
+
+    def fragments() -> List[Tuple[Set[str], Set[FrozenSet[str]], Set[str]]]:
+        # A fragment: component of G - embedded vertices, plus its attachments,
+        # or a single non-embedded edge between embedded vertices (a chord).
+        frags = []
+        seen: Set[str] = set()
+        for v in sorted(adj):
+            if v in embedded_v or v in seen:
+                continue
+            comp = {v}
+            stack = [v]
+            seen.add(v)
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if y in embedded_v or y in seen:
+                        continue
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+            edges: Set[FrozenSet[str]] = set()
+            contacts: Set[str] = set()
+            for x in comp:
+                for y in adj[x]:
+                    edges.add(frozenset((x, y)))
+                    if y in embedded_v:
+                        contacts.add(y)
+            frags.append((comp, edges, contacts))
+        for v in sorted(embedded_v):
+            for w in sorted(adj[v]):
+                if w in embedded_v and frozenset((v, w)) not in embedded_e and v < w:
+                    frags.append((set(), {frozenset((v, w))}, {v, w}))
+        return frags
+
+    while True:
+        frags = fragments()
+        if not frags:
+            return True
+        chosen = None
+        chosen_faces = None
+        for frag in frags:
+            admissible = [i for i, f in enumerate(faces) if frag[2] <= set(f)]
+            if not admissible:
+                return False
+            if len(admissible) == 1:
+                chosen, chosen_faces = frag, admissible
+                break
+        if chosen is None:
+            chosen = frags[0]
+            chosen_faces = [i for i, f in enumerate(faces) if chosen[2] <= set(f)]
+        comp, edges, contacts = chosen
+        face_idx = chosen_faces[0]
+        path = _alpha_path(adj, comp, contacts)
+        _embed_path(faces, face_idx, path)
+        embedded_v.update(path)
+        for i in range(len(path) - 1):
+            embedded_e.add(frozenset((path[i], path[i + 1])))
+
+
+def _find_cycle(adj: Adj) -> List[str]:
+    start = sorted(adj)[0]
+    parent: Dict[str, Optional[str]] = {start: None}
+    on_path: Set[str] = {start}
+    stack: List[Tuple[str, List[str]]] = [(start, sorted(adj[start], reverse=True))]
+    while stack:
+        v, todo = stack[-1]
+        if todo:
+            w = todo.pop()
+            if w not in parent:
+                parent[w] = v
+                on_path.add(w)
+                stack.append((w, sorted(adj[w], reverse=True)))
+            elif w != parent[v] and w in on_path:
+                cyc = [v]
+                x = v
+                while x != w:
+                    x = parent[x]  # type: ignore[assignment]
+                    cyc.append(x)
+                return cyc
+        else:
+            stack.pop()
+            on_path.discard(v)
+    raise ValueError("acyclic graph has trivial planarity")
+
+
+def _alpha_path(adj: Adj, comp: Set[str], contacts: Set[str]) -> List[str]:
+    """A path through the fragment between two distinct contact vertices."""
+    contacts_sorted = sorted(contacts)
+    a = contacts_sorted[0]
+    if not comp:
+        return [a, contacts_sorted[1]]
+    starts = sorted(w for w in adj[a] if w in comp)
+    first = starts[0]
+    parent: Dict[str, Optional[str]] = {first: None}
+    stack = [first]
+    target = None
+    while stack:
+        v = stack.pop()
+        hits = sorted(w for w in adj[v] if w in contacts and w != a)
+        if hits:
+            target = hits[0]
+            tail = [target, v]
+            x = v
+            while parent[x] is not None:
+                x = parent[x]  # type: ignore[assignment]
+                tail.append(x)
+            tail.append(a)
+            return list(reversed(tail))
+        for w in sorted(adj[v]):
+            if w in comp and w not in parent:
+                parent[w] = v
+                stack.append(w)
+    raise ValueError("fragment with fewer than two contacts")
+
+
+def _embed_path(faces: List[List[str]], face_idx: int, path: List[str]) -> None:
+    face = faces.pop(face_idx)
+    a, b = path[0], path[-1]
+    ia = face.index(a)
+    rotated = face[ia:] + face[:ia]
+    ib = rotated.index(b)
+    inner = path[1:-1]
+    side1 = rotated[: ib + 1] + list(reversed(inner))
+    side2 = rotated[ib:] + [rotated[0]] + inner
+    faces.append(side1)
+    faces.append(side2)

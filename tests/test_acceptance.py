@@ -31,11 +31,7 @@ from slopeforge.geometry import SlopeKind
 from slopeforge.model import EmbeddedGraph, connectivity, find_real_real_face
 from slopeforge.onebend import OneBendDrawer, check_gamma, draw_onebend
 from slopeforge.ordering import canonical_order, st_order, verify_canonical
-from slopeforge.reembed import (
-    count_dummy_cutvertices,
-    normalize_embedding,
-    normalized_reembedding_exists,
-)
+from slopeforge.reembed import count_dummy_cutvertices, normalize_embedding
 from slopeforge.render import render_svg
 from slopeforge.twobend import (
     bridge_decomposition,
@@ -48,6 +44,7 @@ from slopeforge.twobend import (
 from slopeforge.verify import validate
 
 from adversarial import adversarial_suite
+from oracles import normalized_reembedding_exists
 
 # Deterministic 1-bend corpus: (seed, target) pairs, 50 random graphs with
 # sizes from 8 up to 200 vertices.
@@ -96,7 +93,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         four = {SlopeKind.DEG0, SlopeKind.DEG45, SlopeKind.DEG90, SlopeKind.DEG135}
         for g in graphs:
-            d = draw_onebend(g, check_steps=False)
+            d = draw_onebend(g)
             rep = validate(d, "ONEBEND")
             assert rep.passed, (len(g.vertices), rep.violations[:3])
             assert rep.slope_set <= four
@@ -128,7 +125,7 @@ class TestAcceptance:
             if set(face.darts) != set(plane.outer_face().darts):
                 plane = plane.with_outer(face.darts[0])
             delta = canonical_order(plane, head, tail)
-            drawer = OneBendDrawer(plane, delta, check_steps=True)
+            drawer = OneBendDrawer(plane, delta)
             drawer.run()  # raises on any per-step P1-P6 violation
             steps += drawer.steps
         elapsed = time.perf_counter() - t0
@@ -166,9 +163,7 @@ class TestAcceptance:
             tree = bridge_decomposition(norm)
             for i, comp in enumerate(tree.components):
                 sub = component_plane(norm, comp, tree.attach[i])
-                # check_each_step inside eliminate_cshapes re-runs the
-                # I-checker after every single elimination.
-                d = draw_component(sub, tree.attach[i], check_steps=True)
+                d = draw_component(sub, tree.attach[i])
                 assert check_invariants(d) == []
                 assert dummy_c_shapes(d) == []
                 checked += 1

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from slopeforge import graphutil, onebend
+from slopeforge.docio import drawing_to_doc, dumps
 from slopeforge.families import (
     gen_corpus,
     gen_crossed_k4,
@@ -40,14 +42,14 @@ from slopeforge.verify import validate
 F = Fraction
 
 
-def build_drawer(g, check=True):
+def build_drawer(g):
     norm = normalize_embedding(g)
     plane = norm.plane.copy()
     face, (tail, head), _ = find_real_real_face(plane)
     if set(face.darts) != set(plane.outer_face().darts):
         plane = plane.with_outer(face.darts[0])
     delta = canonical_order(plane, head, tail)
-    return OneBendDrawer(plane, delta, check_steps=check)
+    return OneBendDrawer(plane, delta)
 
 
 def _base_s_t_plane():
@@ -186,7 +188,7 @@ class TestBase:
 
 class TestStretch:
     def test_monotone_rightward(self):
-        drawer = build_drawer(gen_prism(), check=False)
+        drawer = build_drawer(gen_prism())
         drawer._draw_base(drawer.delta.sets[1])
         for i in range(2, len(drawer.delta.sets) - 1):
             drawer._add_set(drawer.delta.sets[i])
@@ -199,7 +201,7 @@ class TestStretch:
             assert p.y == before[v].y or v in (g.v1, g.v2)
 
     def test_invariants_survive_stretch(self):
-        drawer = build_drawer(gen_prism(), check=False)
+        drawer = build_drawer(gen_prism())
         drawer._draw_base(drawer.delta.sets[1])
         for i in range(2, len(drawer.delta.sets) - 1):
             drawer._add_set(drawer.delta.sets[i])
@@ -223,7 +225,7 @@ class TestStretchCheck:
         for target in (12, 16, 20, 24, 28):
             graphs += gen_corpus(seed=44, n_target=target, profile="cubic3con", count=1)
         for g in graphs:
-            draw_onebend(g, check_steps=True)
+            draw_onebend(g)
         assert len(seen) >= 20
         assert all(new == full for new, full in seen)
 
@@ -261,7 +263,7 @@ def _state(g):
 
 def _drawing_stages(graph):
     """The drawer after its base and after each later set but the last."""
-    drawer = build_drawer(graph, check=False)
+    drawer = build_drawer(graph)
     drawer._draw_base(drawer.delta.sets[1])
     yield drawer
     for cs in drawer.delta.sets[2:-1]:
@@ -345,8 +347,9 @@ class TestStretchPlan:
         for target in (16, 20, 24, 28):
             graphs += gen_corpus(seed=44, n_target=target, profile="cubic3con", count=1)
         graphs += gen_corpus(seed=13, n_target=200, profile="cubic3con", count=1)
+        graphs += gen_corpus(seed=1033, n_target=90, profile="cubic3con", count=1)
         for g in graphs:
-            draw_onebend(g, check_steps=False)
+            draw_onebend(g)
         assert cuts >= 100
 
     def test_align_amount_matches_a_probe_stretch(self, monkeypatch):
@@ -361,8 +364,7 @@ class TestStretchPlan:
         def probe_amounts(g, pl, pr, pm, probe=F(4)):
             m = _middle_mismatch(g.pos, pl, pr, pm)
             out = {}
-            for cut, must_move in ((pl.anchor, pm.anchor), (pm.anchor, pr.anchor),
-                                   (pl.anchor, pr.anchor)):
+            for cut, must_move in ((pl.anchor, pm.anchor), (pm.anchor, pr.anchor)):
                 trial = Gamma(
                     plane=g.plane, v1=g.v1, v2=g.v2, pos=dict(g.pos),
                     polylines={e: list(p) for e, p in g.polylines.items()},
@@ -396,7 +398,7 @@ class TestStretchPlan:
         monkeypatch.setattr(onebend, "stretch", recorded_stretch)
         monkeypatch.setattr(OneBendDrawer, "_align_middle", checked_align)
         graph = gen_corpus(seed=13, n_target=200, profile="cubic3con", count=1)[0]
-        draw_onebend(graph, check_steps=False)
+        draw_onebend(graph)
         assert len(compared) >= 1
 
 
@@ -416,7 +418,7 @@ class TestStepCheck:
             target = (12, 16, 20, 24)[seed % 4]
             graphs += gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)
         for g in graphs:
-            draw_onebend(g, check_steps=True)
+            draw_onebend(g)
         assert len(graphs) >= 20 and len(seen) >= 100
         assert all(step == full for step, full in seen)
 
@@ -436,7 +438,7 @@ class TestStepCheck:
         for seed, target in inputs:
             g = gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0]
             try:
-                draw_onebend(g, check_steps=True)
+                draw_onebend(g)
             except OneBendError:
                 assert seed in (1024, 499)
         assert all(step == full for step, full in seen)
@@ -770,7 +772,7 @@ class TestPipeline:
 
     def test_corpus_graphs(self):
         for g in gen_corpus(seed=77, n_target=14, profile="cubic3con", count=3):
-            d = draw_onebend(g, check_steps=True)
+            d = draw_onebend(g)
             report = validate(d, "ONEBEND")
             assert report.passed, report.violations
 
@@ -780,6 +782,27 @@ class TestPipeline:
         d2 = draw_onebend(g)
         assert d1.positions == d2.positions
         assert d1.polylines == d2.polylines
+
+
+class TestRepairBytes:
+    """The output bytes of cubic3con drawings that reach each repair the
+    drawer keeps, so that a change to one of them shows."""
+
+    @pytest.mark.parametrize("n_target, seed, digest", [
+        # _align_middle's cut (pl, pm), then its cut (pm, pr).
+        (20, 1000, "37abeebd29ff1a4ca7ad3c70308b0f732a8077e33cc726fbcdb36b61f982374c"),
+        (20, 1001, "05dc0618ce2e9685c230af0e58604335a151b5fc7ce37276150aa9391ae5f5cc"),
+        # A _try_place attempt that runs all MAX_REPAIRS rounds.
+        (20, 1006, "633bdf280bb8be98f98a62cae719f9265c1ced8a7c2e3b4aa356afc6b2167b04"),
+        # _resolve_blocker's left branch, then its right branch.
+        (40, 1006, "f0774348e5f758e7d86b102b76bac87d9075ee022d9b41055780a8750cac3ad1"),
+        (90, 1031, "e2e6a87214d9397638b2352a0a2c88424ca1c7520d6497d4c5560cd632a986e5"),
+        # A chain attempt that fails before another port pair places it.
+        (90, 1028, "87c4d6e212b2458394f41312282916ce3a25407fca8cd96becd321012e860ad0"),
+    ])
+    def test_drawing_bytes_are_pinned(self, n_target, seed, digest):
+        g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+        assert hashlib.sha256(dumps(drawing_to_doc(draw_onebend(g))).encode()).hexdigest() == digest
 
 
 # Inputs the 1-bend drawer fails on today, with the error each one raises:

@@ -10,10 +10,10 @@ from slopeforge.reembed import (
     count_dummy_cutvertices,
     dummy_two_cuts,
     normalize_embedding,
-    normalized_reembedding_exists,
 )
 
 from adversarial import adversarial_suite, crossed_prism, two_blocks_crossed
+from oracles import normalized_reembedding_exists
 
 
 class TestCountDummyCutvertices:

@@ -132,24 +132,24 @@ class TestPipeline:
 
     def test_crossed_k4(self):
         g = gen_crossed_k4()
-        drawing = draw_twobend(g, check_steps=True)
+        drawing = draw_twobend(g)
         report = validate(drawing, "TWOBEND")
         assert report.passed, report.violations
         assert report.min_crossing_angle == 2
 
     def test_prism(self):
-        drawing = draw_twobend(gen_prism(), check_steps=True)
+        drawing = draw_twobend(gen_prism())
         report = validate(drawing, "TWOBEND")
         assert report.passed, report.violations
 
     def test_braid(self):
-        drawing = draw_twobend(gen_2reg(3), check_steps=True)
+        drawing = draw_twobend(gen_2reg(3))
         report = validate(drawing, "TWOBEND")
         assert report.passed, report.violations
 
     def test_multiblock_subcubic(self):
         for g in gen_corpus(seed=4, n_target=22, profile="subcubic", count=3):
-            drawing = draw_twobend(g, check_steps=True)
+            drawing = draw_twobend(g)
             report = validate(drawing, "TWOBEND")
             assert report.passed, report.violations
 
