@@ -107,7 +107,6 @@ def graph_from_doc(doc: Dict[str, Any], strict: bool = False) -> EmbeddedGraph:
         plane.outer_darts = tuple(plane.trace_face(outer[0]).darts)
         if {tuple(d) for d in outer} != set(plane.outer_darts):
             raise DocumentError("outer_face does not describe a face of the rotation system")
-    plane.validate()
     return EmbeddedGraph.from_plane(plane)
 
 

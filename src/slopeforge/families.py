@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import graphutil
 from .geometry import Point
@@ -22,6 +22,8 @@ from .model import (
     Dart,
     EmbeddedGraph,
     EmbeddingError,
+    Face,
+    FaceRecord,
     PlaneGraph,
     connectivity,
     find_real_real_face,
@@ -321,19 +323,20 @@ def gen_corpus(seed: int, n_target: int, profile: str, count: int = 1) -> List[E
 
 
 def _gen_cubic3con(rng: random.Random, n_target: int) -> EmbeddedGraph:
-    plane = _k4_plane_skeleton()
+    record = _K4_SKELETON.copy()
     counters: IdCounters = {}
     stall = 0
-    while len(plane.vertices) + 4 <= n_target and stall < 40:
+    while len(record.plane.vertices) + 4 <= n_target and stall < 40:
         try:
-            if rng.random() < 0.25 and len(plane.vertices) >= 6:
-                plane, counters = _insert_crossing_gadget(plane, counters, rng)
+            if rng.random() < 0.25 and len(record.plane.vertices) >= 6:
+                record, counters = _insert_crossing_gadget(record, counters, rng)
             else:
-                plane, counters = _insert_edge_pair(plane, counters, rng)
+                record, counters = _insert_edge_pair(record, counters, rng)
             stall = 0
         except EmbeddingError:
             stall += 1
     # The insertions keep the plane valid; this validates it once, in full.
+    plane = record.plane
     g = EmbeddedGraph.from_plane(plane)
     assert g.is_cubic(), "corpus graph not cubic"
     assert connectivity(g, cap=3) == 3, "corpus graph not 3-connected"
@@ -349,6 +352,10 @@ def _k4_plane_skeleton() -> PlaneGraph:
         "g3": ("r1", "r2"), "g4": ("r1", "r3"), "g5": ("r2", "r3"),
     }
     return embedding_from_geometry(pos, edges).plane
+
+
+# Every cubic3con graph grows from a copy of this record.
+_K4_SKELETON = FaceRecord.of(_k4_plane_skeleton())
 
 
 # For each id prefix: the least number `_fresh` hands out next, and the
@@ -442,52 +449,54 @@ def _insert_into_corner(plane: PlaneGraph, v: str, face_darts, new_edge: str) ->
 
 
 def _insert_edge_pair(
-    plane: PlaneGraph, counters: IdCounters, rng: random.Random
-) -> Tuple[PlaneGraph, IdCounters]:
+    record: FaceRecord, counters: IdCounters, rng: random.Random
+) -> Tuple[FaceRecord, IdCounters]:
     """Cubic-preserving growth: subdivide two edges of one inner face and
-    join the subdivision vertices.  Works on copies of plane and counters."""
-    plane, counters = plane.copy(), dict(counters)
-    outer = set(plane.outer_darts)
-    inner = [f for f in plane.faces() if set(f.darts) != outer]
+    join the subdivision vertices.  Works on copies of record (with its
+    plane) and counters."""
+    inner = record.inner_faces()
     rng.shuffle(inner)
-    for face in inner:
-        usable = [d for d in face.darts if d[0] not in plane.fragment_of]
-        if len({d[0] for d in usable}) < 2:
+    for darts in inner:
+        d1, d2 = _pick_two_edges(record.plane, darts, rng)
+        if d1 is None:
             continue
-        d1, d2 = rng.sample(usable, 2)
-        if d1[0] == d2[0]:
-            continue
+        record, counters = record.copy(), dict(counters)
+        plane = record.plane
+        record.forget_edges([d1[0], d2[0]])
         va = _fresh(plane, "v", counters)
         _subdivide_dart(plane, d1, va)
         vb = _fresh(plane, "v", counters)
         _subdivide_dart(plane, d2, vb)
-        target = _face_with(plane, [va, vb])
+        record.trace_new()
+        target = _face_with(record, [va, vb])
+        record.forget_face(record.face_of[target.darts[0]])
         bridge = _fresh(plane, "g", counters)
         plane.edges[bridge] = (va, vb)
         _insert_into_corner(plane, va, target.darts, bridge)
         _insert_into_corner(plane, vb, target.darts, bridge)
-        _refresh_outer(plane)
-        return plane, counters
+        record.trace_new()
+        # No face of a 3-connected plane but the working face meets both
+        # subdivided edges, so the bridge left the outer face as
+        # _subdivide recorded it.
+        return record, counters
     raise EmbeddingError("no face admits an edge-pair insertion")
 
 
 def _insert_crossing_gadget(
-    plane: PlaneGraph, counters: IdCounters, rng: random.Random
-) -> Tuple[PlaneGraph, IdCounters]:
+    record: FaceRecord, counters: IdCounters, rng: random.Random
+) -> Tuple[FaceRecord, IdCounters]:
     """Insert a crossing pair inside an inner face: subdivide two face edges
     twice and join the four new vertices by two crossing edges.  Works on
-    copies of plane and counters."""
-    plane, counters = plane.copy(), dict(counters)
-    outer = set(plane.outer_darts)
-    inner = [f for f in plane.faces() if set(f.darts) != outer]
+    copies of record (with its plane) and counters."""
+    inner = record.inner_faces()
     rng.shuffle(inner)
-    for face in inner:
-        usable = [d for d in face.darts if d[0] not in plane.fragment_of]
-        if len({d[0] for d in usable}) < 2:
+    for darts in inner:
+        d1, d2 = _pick_two_edges(record.plane, darts, rng)
+        if d1 is None:
             continue
-        d1, d2 = rng.sample(usable, 2)
-        if d1[0] == d2[0]:
-            continue
+        record, counters = record.copy(), dict(counters)
+        plane = record.plane
+        record.forget_edges([d1[0], d2[0]])
         p = _fresh(plane, "v", counters)
         _, head_piece = _subdivide_dart(plane, d1, p)
         q = _fresh(plane, "v", counters)
@@ -496,8 +505,10 @@ def _insert_crossing_gadget(
         _, head_piece2 = _subdivide_dart(plane, d2, r)
         s = _fresh(plane, "v", counters)
         _subdivide_dart(plane, (head_piece2, r), s)
+        record.trace_new()
         # Face order is (p, q, r, s): the interleaved chords are (p,r), (q,s).
-        target = _face_with(plane, [p, q, r, s])
+        target = _face_with(record, [p, q, r, s])
+        record.forget_face(record.face_of[target.darts[0]])
         ex1 = _fresh(plane, "x", counters)
         fa, fb = f"{ex1}$a", f"{ex1}$b"
         plane.fragment_of.update({fa: ex1, fb: ex1})
@@ -513,42 +524,33 @@ def _insert_crossing_gadget(
         for v, enew in ((p, fa), (q, fc), (r, fb), (s, fd)):
             _insert_into_corner(plane, v, target.darts, enew)
         plane.rotation[dummy] = [fa, fc, fb, fd]
-        _refresh_outer(plane)
-        return plane, counters
+        record.trace_new()
+        # As in _insert_edge_pair, the outer face is as _subdivide left it.
+        return record, counters
     raise EmbeddingError("no face admits a crossing gadget")
 
 
-def _face_with(plane: PlaneGraph, verts: Sequence[str]):
-    """The first face in plane.faces() order that holds every vertex of
-    verts, found among the faces at verts[0] alone.  faces() lists a face at
-    its first dart in darts() order (edge-dict order, (e, a) before (e, b))
-    and starts its darts there."""
+def _pick_two_edges(plane: PlaneGraph, darts: Sequence[Dart], rng: random.Random):
+    """Two darts of the face on distinct unfragmented edges, or (None, None)."""
+    usable = [d for d in darts if d[0] not in plane.fragment_of]
+    if len({d[0] for d in usable}) < 2:
+        return None, None
+    d1, d2 = rng.sample(usable, 2)
+    if d1[0] == d2[0]:
+        return None, None
+    return d1, d2
+
+
+def _face_with(record: FaceRecord, verts: Sequence[str]) -> Face:
+    """The first face in faces() order that holds every vertex of verts,
+    looked up among the recorded faces at verts[0]."""
     v0 = verts[0]
-    rank = {e: 2 * i for i, e in enumerate(plane.edges)}
-
-    def dart_rank(d: Dart) -> int:
-        return rank[d[0]] + (d[1] != plane.edges[d[0]][0])
-
-    first: Optional[Dart] = None
-    seen: Set[Dart] = set()
-    for e in plane.rotation[v0]:
-        if (e, v0) in seen:
-            continue
-        f = plane.trace_face((e, v0))
-        seen.update(f.darts)
-        vs = set(f.vertices())
-        if all(v in vs for v in verts):
-            d = min(f.darts, key=dart_rank)
-            if first is None or dart_rank(d) < dart_rank(first):
-                first = d
-    if first is None:
-        raise EmbeddingError("expansion lost its working face")
-    return plane.trace_face(first)
-
-
-def _refresh_outer(plane: PlaneGraph) -> None:
-    if plane.outer_darts:
-        plane.outer_darts = tuple(plane.trace_face(plane.outer_darts[0]).darts)
+    for key in sorted({record.face_of[(e, v0)] for e in record.plane.rotation[v0]}):
+        darts = record.darts[key]
+        tails = {d[1] for d in darts}
+        if all(v in tails for v in verts):
+            return Face(darts)
+    raise EmbeddingError("expansion lost its working face")
 
 
 # -- subcubic profile ----------------------------------------------------------

@@ -299,6 +299,92 @@ class PlaneGraph:
 
 
 @dataclass
+class FaceRecord:
+    """The faces of a plane graph, kept through local surgery instead of
+    retraced: the face record of a doubly connected edge list (Muller and
+    Preparata 1978).
+
+    Each edge has a creation number, and the rank of a dart (e, t) is
+    2 * number(e), plus 1 when t is not edges[e][0].  Live edges sit in
+    plane.edges in creation order, so rank order is darts() order.  A face
+    is keyed by the rank of its least dart and lists its darts from there,
+    so the faces in key order are exactly what faces() returns.
+
+    Before a surgery, forget the faces it will change: forget_edges for
+    the faces through the edges it deletes, forget_face for any other.  The
+    surgery may then delete those edges, append edges to plane.edges and
+    change rotations, as long as every live dart of a forgotten face ends
+    on a face through an appended edge; trace_new records those faces.
+    """
+
+    plane: PlaneGraph
+    number: Dict[str, int]  # edge id -> creation number
+    face_of: Dict[Dart, int]  # dart -> key of the face to its left
+    darts: Dict[int, Tuple[Dart, ...]]  # face key -> darts from its least dart
+    numbered: int = 0  # creation numbers handed out so far
+
+    @staticmethod
+    def of(plane: PlaneGraph) -> "FaceRecord":
+        record = FaceRecord(plane, {}, {}, {})
+        record.trace_new()
+        return record
+
+    def copy(self) -> "FaceRecord":
+        """A record of a copy of the plane; neither shares mutable state."""
+        return FaceRecord(self.plane.copy(), dict(self.number), dict(self.face_of),
+                          dict(self.darts), self.numbered)
+
+    def rank(self, d: Dart) -> int:
+        e, tail = d
+        return 2 * self.number[e] + (tail != self.plane.edges[e][0])
+
+    def inner_faces(self) -> List[Tuple[Dart, ...]]:
+        """The darts of each face but the recorded outer one, in faces() order."""
+        outer = self.face_of[self.plane.outer_darts[0]] if self.plane.outer_darts else None
+        return [self.darts[k] for k in sorted(self.darts) if k != outer]
+
+    def forget_face(self, key: int) -> None:
+        for d in self.darts.pop(key):
+            del self.face_of[d]
+
+    def forget_edges(self, edges: Iterable[str]) -> None:
+        """Forget the faces through these edges and the edges' numbers,
+        before a surgery deletes them."""
+        for e in edges:
+            for tail in self.plane.edges[e]:
+                key = self.face_of.get((e, tail))
+                if key is not None:
+                    self.forget_face(key)
+            del self.number[e]
+
+    def trace_new(self) -> None:
+        """Number the edges appended since the last call, in dict order,
+        and record the faces through them."""
+        new: List[str] = []
+        for e in reversed(self.plane.edges):
+            if e in self.number:
+                break
+            new.append(e)
+        new.reverse()
+        for i, e in enumerate(new, self.numbered):
+            self.number[e] = i
+        self.numbered += len(new)
+        for e in new:
+            for tail in self.plane.edges[e]:
+                if (e, tail) not in self.face_of:
+                    self._add_face((e, tail))
+
+    def _add_face(self, start: Dart) -> None:
+        darts = self.plane.trace_face(start).darts
+        ranks = [self.rank(d) for d in darts]
+        key = min(ranks)
+        i = ranks.index(key)
+        self.darts[key] = darts[i:] + darts[:i]
+        for d in darts:
+            self.face_of[d] = key
+
+
+@dataclass
 class EmbeddedGraph:
     """A 1-plane graph: the abstract graph together with its planarization."""
 

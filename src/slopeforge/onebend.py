@@ -964,7 +964,7 @@ class OneBendDrawer:
             return False
         return g.edge_bend_count(plan.edge) == 0
 
-    def _chain_baseline(self, pl: Plan, pr: Plan, l: int) -> Optional[Fraction]:
+    def _chain_baseline(self, pl: Plan, pr: Plan) -> Optional[Fraction]:
         """A height where both port rays are live and the span is positive.
 
         span(Y) is linear, so the feasible interval is computed directly;
@@ -994,7 +994,7 @@ class OneBendDrawer:
         last_sig = None
         spread_tried = False
         for _ in range(MAX_REPAIRS):
-            y_b = self._chain_baseline(pl, pr, l)
+            y_b = self._chain_baseline(pl, pr)
             if y_b is None:
                 try:
                     need = _needed_gap(g, pl, pr, extra=F(l + 1)) + 1

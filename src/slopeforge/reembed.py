@@ -78,7 +78,6 @@ def normalize_embedding(g: EmbeddedGraph, three_connected: Optional[bool] = None
         break
     if budget < 0:
         raise ReembedError("normalization made no progress within its crossing budget")
-    plane.validate()
     out = EmbeddedGraph.from_plane(plane)
     _check_same_abstract_graph(g, out)
     return out

@@ -359,7 +359,6 @@ def _embedding_from(
         fragment_of=fragment_of,
     )
     plane.outer_darts = tuple(_outer_face_darts(plane, positions, d))
-    plane.validate()
     return EmbeddedGraph.from_plane(plane)
 
 

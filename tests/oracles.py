@@ -30,7 +30,6 @@ def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> b
     """
     if len(g.vertices) > max_vertices:
         raise ReembedError(f"oracle limited to {max_vertices} vertices")
-    adj = g.abstract_adjacency()
     edges = {e: tuple(ab) for e, ab in g.edges.items()}
     want_3con = connectivity(g, cap=3) >= 3
     names = sorted(edges)

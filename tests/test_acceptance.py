@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from fractions import Fraction
-
-import pytest
 
 from slopeforge import graphutil
 from slopeforge.docio import drawing_to_doc, dumps, graph_to_doc
@@ -28,8 +25,8 @@ from slopeforge.families import (
     gen_prism,
 )
 from slopeforge.geometry import SlopeKind
-from slopeforge.model import EmbeddedGraph, connectivity, find_real_real_face
-from slopeforge.onebend import OneBendDrawer, check_gamma, draw_onebend
+from slopeforge.model import connectivity, find_real_real_face
+from slopeforge.onebend import OneBendDrawer, draw_onebend
 from slopeforge.ordering import canonical_order, st_order, verify_canonical
 from slopeforge.reembed import count_dummy_cutvertices, normalize_embedding
 from slopeforge.render import render_svg

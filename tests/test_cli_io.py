@@ -12,6 +12,7 @@ import slopeforge
 from slopeforge import docio, render
 from slopeforge.cli import _build_parser, main
 from slopeforge.families import gen_crossed_k4, gen_k4_embedded
+from slopeforge.model import PlaneGraph
 from slopeforge.onebend import draw_onebend
 from slopeforge.verify import embeddings_equivalent
 
@@ -41,6 +42,14 @@ class TestDocumentRoundTrip:
         doc["surprise"] = 1
         with pytest.raises(docio.DocumentError):
             docio.graph_from_doc(doc, strict=True)
+
+    def test_a_load_validates_the_plane_once(self, monkeypatch):
+        doc = docio.graph_to_doc(gen_crossed_k4())
+        calls = []
+        validate = PlaneGraph.validate
+        monkeypatch.setattr(PlaneGraph, "validate", lambda plane: calls.append(1) or validate(plane))
+        docio.graph_from_doc(doc)
+        assert len(calls) == 1
 
     def test_big_integers_become_strings(self):
         from fractions import Fraction

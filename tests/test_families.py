@@ -10,6 +10,7 @@ from slopeforge import docio, families, graphutil
 from slopeforge.families import (
     _face_with,
     _fresh,
+    _k4_plane_skeleton,
     chain_edges_3reg18,
     gen_2reg,
     gen_3reg18,
@@ -20,7 +21,13 @@ from slopeforge.families import (
     gen_maxdeg,
     gen_prism,
 )
-from slopeforge.model import EmbeddingError, PlaneGraph, connectivity, find_real_real_face
+from slopeforge.model import (
+    EmbeddingError,
+    FaceRecord,
+    PlaneGraph,
+    connectivity,
+    find_real_real_face,
+)
 
 
 class TestK4:
@@ -246,6 +253,20 @@ class TestFreshIds:
         assert keys == key_set(vertices=["v0", "v2", "v3", "v10"], edges=["v7<"])
 
 
+def must(ok, message):
+    """Fail the test from inside gen_corpus, whose retry loop catches
+    AssertionError and EmbeddingError but not pytest.fail."""
+    if not ok:
+        pytest.fail(message)
+
+
+def must_validate(plane):
+    try:
+        plane.validate()
+    except EmbeddingError as exc:
+        pytest.fail(f"an insertion returned an invalid plane: {exc}")
+
+
 class TestInsertions:
     def test_ids_and_planes_match_the_references_during_generation(self, monkeypatch):
         """Every id the generator hands out equals the scan's, every plane an
@@ -256,16 +277,16 @@ class TestInsertions:
 
         def checked_fresh(plane, prefix, counters):
             expected = fresh_by_scan(plane, prefix)
-            assert real_fresh(plane, prefix, counters) == expected
+            must(real_fresh(plane, prefix, counters) == expected, "id differs from the scan's")
             calls["fresh"] += 1
             return expected
 
         def checked(insert):
-            def run(plane, counters, rng):
+            def run(record, counters, rng):
                 before = dict(counters)
-                out = insert(plane, counters, rng)
-                assert counters == before
-                out[0].validate()
+                out = insert(record, counters, rng)
+                must(counters == before, "an insertion changed the counters it was given")
+                must_validate(out[0].plane)
                 calls["returned"] += 1
                 return out
             return run
@@ -283,17 +304,19 @@ class TestInsertions:
     @pytest.mark.parametrize("insert", ["_insert_edge_pair", "_insert_crossing_gadget"])
     def test_a_stall_after_fresh_ids_leaves_plane_and_counters_alone(self, monkeypatch, insert):
         plane = gen_corpus(seed=3, n_target=16, profile="cubic3con", count=1)[0].plane
+        record = FaceRecord.of(plane)
         counters = {}
         _fresh(plane, "v", counters)
-        before_plane, before_counters = plane.copy(), dict(counters)
+        before_plane, before_record, before_counters = plane.copy(), record.copy(), dict(counters)
 
-        def lost(plane, verts):
+        def lost(record, verts):
             raise EmbeddingError("expansion lost its working face")
 
         monkeypatch.setattr(families, "_face_with", lost)
         with pytest.raises(EmbeddingError, match="lost its working face"):
-            getattr(families, insert)(plane, counters, random.Random(1))
+            getattr(families, insert)(record, counters, random.Random(1))
         assert plane == before_plane and counters == before_counters
+        assert record == before_record and record.plane is plane
 
 
 def face_with_by_scan(plane, verts):
@@ -320,9 +343,10 @@ class TestFaceWith:
     def test_agrees_with_the_scan_during_generation(self, monkeypatch):
         calls = []
 
-        def checked(plane, verts):
-            face = _face_with(plane, verts)
-            assert face == face_with_by_scan(plane, verts)
+        def checked(record, verts):
+            face = _face_with(record, verts)
+            must(face == face_with_by_scan(record.plane, verts),
+                 "working face differs from the scan's")
             calls.append(verts)
             return face
 
@@ -337,14 +361,72 @@ class TestFaceWith:
         first = plane.faces()[0]
         assert first.darts[0] == ("e0", "a")
         assert ("e1", "c") not in first.darts
+        record = FaceRecord.of(plane)
         for verts in (["c", "a"], ["c"], ["a", "b", "c", "d"], ["d", "b"]):
-            assert _face_with(plane, verts) == first == face_with_by_scan(plane, verts)
+            assert _face_with(record, verts) == first == face_with_by_scan(plane, verts)
 
     def test_no_matching_face_raises(self):
         plane = four_cycle_plane()
         plane.vertices.append("z")
         plane.rotation["z"] = []
+        record = FaceRecord.of(plane)
         with pytest.raises(EmbeddingError, match="expansion lost its working face"):
-            _face_with(plane, ["a", "z"])
+            _face_with(record, ["a", "z"])
         with pytest.raises(EmbeddingError, match="expansion lost its working face"):
-            _face_with(plane, ["z"])
+            _face_with(record, ["z"])
+
+
+def must_match_faces(record):
+    """The record's inner faces are faces() without the outer face, in the
+    same order and from the same darts, and every dart maps to its face."""
+    plane = record.plane
+    outer = set(plane.outer_darts)
+    must(record.inner_faces() == [f.darts for f in plane.faces() if set(f.darts) != outer],
+         "inner faces differ from faces()")
+    must(record.face_of == {d: k for k, darts in record.darts.items() for d in darts},
+         "a dart maps to a face that does not hold it")
+    must(all(record.rank(darts[0]) == k for k, darts in record.darts.items()),
+         "a face key is not the rank of its first dart")
+
+
+class TestFaceRecord:
+    def test_matches_faces_at_every_insertion(self, monkeypatch):
+        """The record agrees with faces() before and after every insertion,
+        and after the subdivisions inside one, where the working face is
+        looked up."""
+        calls = {"insertions": 0, "lookups": 0}
+
+        def checked(insert):
+            def run(record, counters, rng):
+                must_match_faces(record)
+                out = insert(record, counters, rng)
+                must_match_faces(out[0])
+                calls["insertions"] += 1
+                return out
+            return run
+
+        def checked_face_with(record, verts):
+            must_match_faces(record)
+            face = _face_with(record, verts)
+            must(face == face_with_by_scan(record.plane, verts),
+                 "working face differs from the scan's")
+            calls["lookups"] += 1
+            return face
+
+        for name in ("_insert_edge_pair", "_insert_crossing_gadget"):
+            monkeypatch.setattr(families, name, checked(getattr(families, name)))
+        monkeypatch.setattr(families, "_face_with", checked_face_with)
+        for n_target, seeds in ((20, range(1000, 1020)), (60, range(1000, 1010)),
+                                (200, range(1000, 1003))):
+            for seed in seeds:
+                gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)
+        assert calls["insertions"] >= 400 and calls["lookups"] == calls["insertions"]
+
+    def test_generation_leaves_the_shared_skeleton_alone(self):
+        # n_target 4 leaves the skeleton as it is; the caller may change
+        # the graph it gets back.
+        for n_target in (4, 12, 40):
+            for g in gen_corpus(seed=1, n_target=n_target, profile="cubic3con", count=2):
+                g.plane.rotation[g.plane.vertices[0]].reverse()
+                g.plane.edges.clear()
+        assert families._K4_SKELETON == FaceRecord.of(_k4_plane_skeleton())

@@ -4,7 +4,7 @@ import pytest
 
 from slopeforge import graphutil, reembed
 from slopeforge.families import gen_corpus, gen_crossed_k4, gen_k4_embedded
-from slopeforge.model import connectivity
+from slopeforge.model import PlaneGraph, connectivity
 from slopeforge.reembed import (
     ReembedError,
     count_dummy_cutvertices,
@@ -66,6 +66,14 @@ class TestNormalize:
         out = normalize_embedding(g)
         assert len(out.crossings()) == 1
         assert count_dummy_cutvertices(out.plane) == 0
+
+    def test_a_normalization_without_surgery_validates_the_plane_once(self, monkeypatch):
+        g = gen_crossed_k4()
+        calls = []
+        validate = PlaneGraph.validate
+        monkeypatch.setattr(PlaneGraph, "validate", lambda plane: calls.append(1) or validate(plane))
+        normalize_embedding(g)
+        assert len(calls) == 1
 
     def test_uncrosses_cutvertex_gadget(self):
         g = two_blocks_crossed(3, 3)

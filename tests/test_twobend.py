@@ -11,7 +11,7 @@ from slopeforge.docio import drawing_to_doc, dumps
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.families import gen_2reg, gen_corpus, gen_crossed_k4, gen_prism
 from slopeforge.geometry import Point, SlopeKind
-from slopeforge.model import EmbeddedGraph, build_plane_graph
+from slopeforge.model import EmbeddedGraph
 from slopeforge.onebend import draw_onebend
 from slopeforge.ordering import st_order
 from slopeforge.twobend import (
@@ -19,18 +19,15 @@ from slopeforge.twobend import (
     PORT_ROT,
     ROT,
     Assembled,
-    OrthoDrawing,
     Staircase,
     TwoBendError,
     bridge_decomposition,
     check_invariants,
-    component_plane,
     compute_ports,
     draw_component,
     draw_liu,
     draw_twobend,
     dummy_c_shapes,
-    eliminate_cshapes,
     stretch_curve,
 )
 from slopeforge.verify import embedding_from_geometry, validate
