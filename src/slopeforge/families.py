@@ -80,15 +80,6 @@ def gen_crossed_k4() -> EmbeddedGraph:
     return embedding_from_geometry(pos, edges)
 
 
-def gen_fig_like() -> EmbeddedGraph:
-    """A 10-vertex 3-connected cubic 1-plane graph with one crossing.
-
-    Stands in for the small worked example: a prism expanded by one
-    crossing gadget, deterministic.
-    """
-    return gen_corpus(seed=7, n_target=10, profile="cubic3con", count=1)[0]
-
-
 # ---------------------------------------------------------------------------
 # 2-regular braid family (n = 2k + 2)
 # ---------------------------------------------------------------------------

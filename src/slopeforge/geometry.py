@@ -395,60 +395,6 @@ def octant(d: Direction) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class AngleClass:
-    """Undirected angle between two directions, in (0, pi].
-
-    eighths is set when the angle is an exact multiple of pi/4 (1..4),
-    None when the angle is not such a multiple ("Other").
-    """
-
-    eighths: Optional[int]
-
-
-def angle_between(d1: Direction, d2: Direction) -> AngleClass:
-    if (d1[0] == 0 and d1[1] == 0) or (d2[0] == 0 and d2[1] == 0):
-        raise ValueError("angle of a zero direction")
-    o1, o2 = octant(d1), octant(d2)
-    if o1 is not None and o2 is not None:
-        k = (o2 - o1) % 8
-        k = min(k, 8 - k)
-        if k == 0:
-            # Same supporting line: angle pi if opposite rays, else 0 (invalid).
-            if dot(d1, d2) < 0:
-                return AngleClass(4)
-            raise ValueError("zero angle between equal directions")
-        return AngleClass(k)
-    c, d = cross(d1, d2), dot(d1, d2)
-    if c == 0:
-        if d < 0:
-            return AngleClass(4)
-        raise ValueError("zero angle between equal directions")
-    if d == 0:
-        return AngleClass(2)
-    return AngleClass(None)
-
-
-def angle_at_least(d1: Direction, d2: Direction, eighths: int) -> bool:
-    """Exact test: is the undirected ray angle between d1, d2 >= eighths*pi/4?
-
-    Valid for eighths in {1, 2, 3, 4}; decided by cross/dot sign comparisons.
-    """
-    if eighths not in (1, 2, 3, 4):
-        raise ValueError("eighths must be in 1..4")
-    c, d = abs(cross(d1, d2)), dot(d1, d2)
-    if c == 0 and d > 0:
-        return False  # zero angle
-    # theta in (0, pi]; tan-based comparisons.
-    if eighths == 1:  # theta >= pi/4  <=>  theta in [pi/4, pi]
-        return d <= 0 or c >= d
-    if eighths == 2:  # theta >= pi/2
-        return d <= 0
-    if eighths == 3:  # theta >= 3pi/4
-        return d < 0 and c <= -d
-    return d < 0 and c == 0  # theta == pi
-
-
 def angular_compare(d1: Direction, d2: Direction) -> int:
     """Exact counterclockwise angular order from east: -1, 0, or 1."""
     h1, h2 = _half_turn(d1), _half_turn(d2)

@@ -134,11 +134,6 @@ def bridges(adj: Adj) -> Set[FrozenSet[str]]:
     return {frozenset(b[0]) for b in blocks_and_cut_vertices(adj)[0] if len(b) == 1}
 
 
-def two_edge_connected_components(adj: Adj) -> List[Set[str]]:
-    """Connected components after deleting all bridges."""
-    return bridges_and_components(adj)[1]
-
-
 def bridges_and_components(adj: Adj) -> Tuple[Set[FrozenSet[str]], List[Set[str]]]:
     """The bridges and the 2-edge-connected components, from one DFS."""
     br = bridges(adj)

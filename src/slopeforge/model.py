@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import graphutil
 
@@ -472,26 +472,3 @@ def find_real_real_face(p: PlaneGraph) -> Tuple[Face, Tuple[str, str], str]:
         if best is not None:
             return face, best[1], best[0]
     raise EmbeddingError("no face with two consecutive real vertices (input invariant violated)")
-
-
-def build_plane_graph(
-    real_vertices: Iterable[str],
-    dummy_vertices: Iterable[str],
-    edges: Dict[str, Tuple[str, str]],
-    rotation: Dict[str, Sequence[str]],
-    fragment_of: Dict[str, str],
-    outer_dart: Optional[Dart] = None,
-) -> PlaneGraph:
-    reals = list(real_vertices)
-    dummies = list(dummy_vertices)
-    g = PlaneGraph(
-        vertices=reals + dummies,
-        real=set(reals),
-        edges=dict(edges),
-        rotation={v: list(r) for v, r in rotation.items()},
-        fragment_of=dict(fragment_of),
-    )
-    if outer_dart is not None:
-        g.outer_darts = tuple(g.trace_face(outer_dart).darts)
-    g.validate()
-    return g

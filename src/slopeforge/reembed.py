@@ -8,11 +8,29 @@ planarization still has a 2-separator through a dummy, flipping a split
 component between the two separator vertices turns that crossing into a
 touching, which the same surgery removes: delete the dummy, then re-add
 each original edge at the corners its fragments leave.  Each surgery
-strictly decreases the crossing count, so the loop terminates; every step
-re-validates the embedding.
+strictly decreases the crossing count, so the loop terminates.  An
+uncrossing edits the working plane in place (a flip works on a copy, which
+replaces it only when the flip is taken), and the whole plane is validated
+once, when the result is built.
+
+The rule for an uncrossing: it fails iff x's rotation alternates and all
+four neighbors of x lie in one component of G - x.  Let x's edges be a-b
+and c-d.  Deleting x merges the faces around x into one face F.  Each
+component of G - x that meets x bounds F along one closed walk, which
+passes its corners at x's neighbors in x's rotation order.  The edge a-b,
+re-added first, lies in F.  If a and b lie in different components, it
+joins two walks and splits no face, so c-d fits too.  If they lie in one
+component, a-b is a chord of that walk and splits F in two.  The walk of
+any other component lies wholly on one side, so c-d fails only if c and d
+lie on the same walk as a and b and interleave with them along it, that
+is, around x.  One search of G - x decides the rule, and no face is
+traced.  Both callers meet it: a dummy cutvertex has neighbors in at least
+two components, and _fix_two_cut uncrosses x only once a flip has stopped
+its rotation alternating.  The search guards that contract.
 
 The tests cross-check this against a brute-force existence oracle on small
-instances (tests/oracles.py).
+instances, and the whole normalizer against one that decides each
+re-insertion by tracing faces (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -66,7 +84,7 @@ def normalize_embedding(g: EmbeddedGraph, three_connected: Optional[bool] = None
             v for v in graphutil.articulation_points(plane.adjacency()) if plane.is_dummy(v)
         )
         if cuts:
-            plane = _uncross(plane, cuts[0])
+            _uncross(plane, cuts[0])
             budget -= 1
             continue
         if three_connected:
@@ -97,16 +115,17 @@ def _check_same_abstract_graph(before: EmbeddedGraph, after: EmbeddedGraph) -> N
 # ---------------------------------------------------------------------------
 
 
-def _uncross(plane: PlaneGraph, x: str) -> PlaneGraph:
+def _uncross(plane: PlaneGraph, x: str) -> None:
     """Delete dummy x and re-add each original edge through it, uncrossed,
-    at the corners its two fragments leave at their far ends.
+    at the corners its two fragments leave at their far ends.  Edits plane
+    in place; ReembedError, before any edit, when no such re-insertion is
+    planar (see _uncrossable).
 
-    The edges are re-added in the order x's rotation first meets them.  One
-    order is enough: two chords of one face conflict exactly when their
-    corners interleave, whichever goes in first, and an edge joining two
-    components (a bridge) splits no face.
+    The edges are re-added in the order x's rotation first meets them, and
+    each end goes into the rotation index its fragment occupied.
     """
-    plane = plane.copy()
+    if not _uncrossable(plane, x):
+        raise ReembedError(f"could not re-insert edges of crossing {x} without a crossing")
     ends: Dict[str, List[str]] = {}
     # Each neighbor's corner: the index its fragment occupied.
     corner: Dict[str, int] = {}
@@ -120,39 +139,40 @@ def _uncross(plane: PlaneGraph, x: str) -> PlaneGraph:
     plane.vertices.remove(x)
     del plane.rotation[x]
     for orig, (a, b) in ends.items():
-        if not _insert_uncrossed_edge(plane, orig, a, corner[a], b, corner[b]):
-            raise ReembedError(f"could not re-insert edges of crossing {x} without a crossing")
+        _insert_uncrossed_edge(plane, orig, a, corner[a], b, corner[b])
     _refresh_outer_after_surgery(plane)
-    plane.validate()
-    return plane
 
 
-def _corner_face(plane: PlaneGraph, v: str, idx: int):
-    """The face occupying the corner before rotation index idx at v."""
-    rot = plane.rotation[v]
-    if not rot:
-        return None
-    e_out = rot[(idx - 1) % len(rot)]
-    return plane.trace_face((e_out, v))
+def _uncrossable(plane: PlaneGraph, x: str) -> bool:
+    """Whether x can be uncrossed: not when its rotation alternates and all
+    four of its neighbors lie in one component of G - x (see the module
+    docstring).  One search of G - x from one neighbor decides it, and
+    stops once it has met the other three."""
+    if not _alternates(plane, x):
+        return True
+    nbrs = plane.neighbors(x)
+    todo = set(nbrs) - {nbrs[0]}
+    seen = {x, nbrs[0]}
+    stack = [nbrs[0]]
+    edges = plane.edges
+    while stack and todo:
+        v = stack.pop()
+        for e in plane.rotation[v]:
+            a, b = edges[e]
+            w = b if a == v else a
+            if w not in seen:
+                seen.add(w)
+                todo.discard(w)
+                stack.append(w)
+    return bool(todo)
 
 
-def _insert_uncrossed_edge(
-    plane: PlaneGraph, orig: str, a: str, ia: int, b: str, ib: int
-) -> bool:
-    comps = graphutil.components(plane.adjacency())
-    comp_a = next(c for c in comps if a in c)
-    same_component = b in comp_a
-    if same_component:
-        fa = _corner_face(plane, a, ia)
-        fb = _corner_face(plane, b, ib)
-        if fa is None or fb is None:
-            pass  # isolated endpoint: insertion is trivially planar
-        elif set(fa.darts) != set(fb.darts):
-            return False
+def _insert_uncrossed_edge(plane: PlaneGraph, orig: str, a: str, ia: int, b: str, ib: int) -> None:
+    """Add edge orig = (a, b) before rotation index ia at a and ib at b.
+    The caller has decided that the insertion is planar (_uncrossable)."""
     plane.edges[orig] = (a, b)
     plane.rotation[a].insert(ia % max(1, len(plane.rotation[a]) + 1), orig)
     plane.rotation[b].insert(ib % max(1, len(plane.rotation[b]) + 1), orig)
-    return True
 
 
 def _refresh_outer_after_surgery(plane: PlaneGraph) -> None:
@@ -181,7 +201,8 @@ def _fix_two_cut(plane: PlaneGraph, pairs: Sequence[Tuple[str, str]]) -> PlaneGr
                 continue
             if _alternates(flipped, x):
                 continue  # flip did not break the crossing
-            return _uncross(flipped, x)
+            _uncross(flipped, x)
+            return flipped
     raise ReembedError(
         "3-connectivity fix: no split component flip removes a dummy 2-cut "
         "(unhandled configuration; see the normalization notes)"

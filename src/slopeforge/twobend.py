@@ -685,9 +685,9 @@ def bridge_decomposition(g: EmbeddedGraph) -> BridgeTree:
     return BridgeTree(comp_sets, bridges, root, parent, attach)
 
 
-def component_plane(g: EmbeddedGraph, comp: Set[str], u_i: str) -> PlaneGraph:
-    """Induced planarization of one 2-edge-connected component, with an
-    outer face containing the attachment vertex."""
+def component_plane(g: EmbeddedGraph, comp: Set[str]) -> PlaneGraph:
+    """Induced planarization of one 2-edge-connected component, with no
+    outer face recorded: draw_component picks one at the attachment vertex."""
     plane = g.plane
     dummies = set()
     for x, (e1, e2) in g.crossings().items():
@@ -711,10 +711,8 @@ def component_plane(g: EmbeddedGraph, comp: Set[str], u_i: str) -> PlaneGraph:
         rotation=rotation,
         fragment_of={e: o for e, o in plane.fragment_of.items() if e in edges},
     )
-    if len(sub.vertices) == 1:
-        return sub
-    sub.outer_darts = tuple(_outer_candidates(sub, u_i)[0])
-    sub.validate()
+    if len(sub.vertices) > 1:
+        sub.validate()
     return sub
 
 
@@ -730,7 +728,8 @@ def _outer_candidates(sub: PlaneGraph, u_i: str) -> List[Tuple]:
 
 
 def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:
-    """Draw one component with t = u_i: tries source candidates until the
+    """Draw one component with t = u_i: tries each face at u_i as the outer
+    face (see _outer_candidates), and each source on it, until the
     invariant checker accepts the drawing."""
     if len(sub.vertices) == 1:
         v = sub.vertices[0]
@@ -741,8 +740,7 @@ def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:
     for face_darts in _outer_candidates(sub, u_i):
         work = sub.copy()
         work.outer_darts = tuple(face_darts)
-        outer = work.outer_face().vertices()
-        candidates = sorted({v for v in outer if v in work.real and v != u_i})
+        candidates = sorted({v for _, v in face_darts if v in work.real and v != u_i})
         for s in candidates:
             try:
                 d = draw_liu(work, s, u_i)
@@ -869,7 +867,7 @@ def draw_twobend(g: EmbeddedGraph) -> PolylineDrawing:
             bridge_ids[(b, a)] = e
     drawings: Dict[int, OrthoDrawing] = {}
     for i, comp in enumerate(tree.components):
-        sub = component_plane(norm, comp, tree.attach[i])
+        sub = component_plane(norm, comp)
         drawings[i] = draw_component(sub, tree.attach[i])
     assembled = assemble(drawings, tree, bridge_ids)
 

@@ -8,10 +8,10 @@ re-embedding surgery.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from slopeforge.geometry import Point
-from slopeforge.model import EmbeddedGraph
+from slopeforge.model import EmbeddedGraph, PlaneGraph
 from slopeforge.verify import embedding_from_geometry
 
 F = Fraction
@@ -122,6 +122,21 @@ def pendant_triangle_crossed() -> EmbeddedGraph:
     g = embedding_from_geometry(pos, edges)
     assert len(g.crossings()) == 1
     return g
+
+
+def two_crossing_edges() -> EmbeddedGraph:
+    """The edges e = a-b and f = c-d, crossing at the dummy _x0: every dart
+    of the one face is a fragment, so uncrossing deletes the whole outer
+    boundary."""
+    plane = PlaneGraph(
+        vertices=["_x0", "a", "b", "c", "d"],
+        real={"a", "b", "c", "d"},
+        edges={"e1": ("a", "_x0"), "e2": ("_x0", "b"), "f1": ("c", "_x0"), "f2": ("_x0", "d")},
+        rotation={"_x0": ["e1", "f1", "e2", "f2"], "a": ["e1"], "b": ["e2"], "c": ["f1"], "d": ["f2"]},
+        fragment_of={"e1": "e", "e2": "e", "f1": "f", "f2": "f"},
+    )
+    plane.outer_darts = plane.trace_face(("e1", "a")).darts
+    return EmbeddedGraph.from_plane(plane)
 
 
 def adversarial_suite() -> List[Tuple[str, EmbeddedGraph]]:

@@ -1,0 +1,42 @@
+"""Input builders that only the tests use."""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, Optional, Sequence, Tuple
+
+from slopeforge.families import gen_corpus
+from slopeforge.model import Dart, EmbeddedGraph, PlaneGraph
+
+
+def build_plane_graph(
+    real_vertices: Iterable[str],
+    dummy_vertices: Iterable[str],
+    edges: Dict[str, Tuple[str, str]],
+    rotation: Dict[str, Sequence[str]],
+    fragment_of: Dict[str, str],
+    outer_dart: Optional[Dart] = None,
+) -> PlaneGraph:
+    """A validated plane graph from its parts, its outer face traced from
+    outer_dart when one is given."""
+    reals = list(real_vertices)
+    dummies = list(dummy_vertices)
+    g = PlaneGraph(
+        vertices=reals + dummies,
+        real=set(reals),
+        edges=dict(edges),
+        rotation={v: list(r) for v, r in rotation.items()},
+        fragment_of=dict(fragment_of),
+    )
+    if outer_dart is not None:
+        g.outer_darts = tuple(g.trace_face(outer_dart).darts)
+    g.validate()
+    return g
+
+
+def gen_fig_like() -> EmbeddedGraph:
+    """A 10-vertex 3-connected cubic 1-plane graph with one crossing.
+
+    Stands in for the small worked example: a prism expanded by one
+    crossing gadget, deterministic.
+    """
+    return gen_corpus(seed=7, n_target=10, profile="cubic3con", count=1)[0]

@@ -6,6 +6,12 @@ testing planarity of the kite-augmented planarization, where a wheel gadget
 at each dummy forces the rotation to alternate in every planar embedding.
 The planarity test is Demoucron-Malgrange-Pertuiset, face by face: clarity
 beats asymptotics at this size.
+
+normalize_by_retracing makes the normalizer's surgeries the slow, direct
+way: every uncrossing works on a copy, decides each re-inserted edge by
+tracing the faces at its two corners, and validates the whole plane.  The
+tests require reembed.normalize_embedding, which decides each uncrossing
+from the components of G - x, to give the same plane.
 """
 
 from __future__ import annotations
@@ -14,8 +20,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from slopeforge import graphutil
 from slopeforge.graphutil import Adj
-from slopeforge.model import EmbeddedGraph, connectivity
-from slopeforge.reembed import ReembedError
+from slopeforge.model import EmbeddedGraph, PlaneGraph, connectivity
+from slopeforge.reembed import (
+    ReembedError,
+    _alternates,
+    _check_same_abstract_graph,
+    _flip_component,
+    _refresh_outer_after_surgery,
+    dummy_two_cuts,
+)
 
 
 def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> bool:
@@ -92,6 +105,98 @@ def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> b
         return False
 
     return search(0, [], set())
+
+
+# ---------------------------------------------------------------------------
+# Normalization by retracing faces
+# ---------------------------------------------------------------------------
+
+
+def normalize_by_retracing(g: EmbeddedGraph, three_connected: Optional[bool] = None) -> EmbeddedGraph:
+    """reembed.normalize_embedding, with each surgery on a copy that is
+    validated in full, and each re-insertion decided by a face test."""
+    plane = g.plane.copy()
+    if three_connected is None:
+        three_connected = connectivity(g, cap=3) >= 3
+    budget = len(plane.dummies()) + 1
+    while budget >= 0:
+        cuts = sorted(
+            v for v in graphutil.articulation_points(plane.adjacency()) if plane.is_dummy(v)
+        )
+        if cuts:
+            plane = _checked_uncross(plane, cuts[0])
+            budget -= 1
+            continue
+        if three_connected:
+            pairs = dummy_two_cuts(plane)
+            if pairs:
+                plane = _fix_two_cut_by_retracing(plane, pairs)
+                budget -= 1
+                continue
+        break
+    if budget < 0:
+        raise ReembedError("normalization made no progress within its crossing budget")
+    out = EmbeddedGraph.from_plane(plane)
+    _check_same_abstract_graph(g, out)
+    return out
+
+
+def uncross_by_retracing(plane: PlaneGraph, x: str) -> Optional[PlaneGraph]:
+    """A copy of plane with dummy x uncrossed, or None when some re-added
+    edge would join two corners of one component on different faces."""
+    plane = plane.copy()
+    ends: Dict[str, List[str]] = {}
+    corner: Dict[str, int] = {}
+    for frag in plane.rotation[x]:
+        u = plane.other_end(frag, x)
+        ends.setdefault(plane.fragment_of[frag], []).append(u)
+        corner[u] = plane.rotation[u].index(frag)
+        plane.rotation[u].remove(frag)
+        del plane.edges[frag]
+        del plane.fragment_of[frag]
+    plane.vertices.remove(x)
+    del plane.rotation[x]
+    for orig, (a, b) in ends.items():
+        ia, ib = corner[a], corner[b]
+        comp_a = next(c for c in graphutil.components(plane.adjacency()) if a in c)
+        if b in comp_a:
+            fa = _corner_face(plane, a, ia)
+            fb = _corner_face(plane, b, ib)
+            if fa is not None and fb is not None and set(fa) != set(fb):
+                return None
+        plane.edges[orig] = (a, b)
+        plane.rotation[a].insert(ia % max(1, len(plane.rotation[a]) + 1), orig)
+        plane.rotation[b].insert(ib % max(1, len(plane.rotation[b]) + 1), orig)
+    _refresh_outer_after_surgery(plane)
+    return plane
+
+
+def _checked_uncross(plane: PlaneGraph, x: str) -> PlaneGraph:
+    out = uncross_by_retracing(plane, x)
+    if out is None:
+        raise ReembedError(f"could not re-insert edges of crossing {x} without a crossing")
+    out.validate()
+    return out
+
+
+def _corner_face(plane: PlaneGraph, v: str, idx: int) -> Optional[Tuple]:
+    """The darts of the face occupying the corner before rotation index idx
+    at v; None at an isolated vertex."""
+    rot = plane.rotation[v]
+    if not rot:
+        return None
+    return plane.trace_face((rot[(idx - 1) % len(rot)], v)).darts
+
+
+def _fix_two_cut_by_retracing(plane: PlaneGraph, pairs: Sequence[Tuple[str, str]]) -> PlaneGraph:
+    adj = plane.adjacency()
+    for w, x in pairs:
+        for comp in sorted(graphutil.components(adj, removed={w, x}), key=lambda c: sorted(c)[0]):
+            flipped = _flip_component(plane, comp, w, x)
+            if flipped is None or _alternates(flipped, x):
+                continue
+            return _checked_uncross(flipped, x)
+    raise ReembedError("3-connectivity fix: no split component flip removes a dummy 2-cut")
 
 
 # ---------------------------------------------------------------------------

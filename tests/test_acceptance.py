@@ -19,7 +19,6 @@ from slopeforge.families import (
     gen_3reg18,
     gen_corpus,
     gen_crossed_k4,
-    gen_fig_like,
     gen_k4_embedded,
     gen_maxdeg,
     gen_prism,
@@ -41,6 +40,7 @@ from slopeforge.twobend import (
 from slopeforge.verify import validate
 
 from adversarial import adversarial_suite
+from builders import gen_fig_like
 from oracles import normalized_reembedding_exists
 
 # Deterministic 1-bend corpus: (seed, target) pairs, 50 random graphs with
@@ -159,7 +159,7 @@ class TestAcceptance:
             norm = normalize_embedding(g)
             tree = bridge_decomposition(norm)
             for i, comp in enumerate(tree.components):
-                sub = component_plane(norm, comp, tree.attach[i])
+                sub = component_plane(norm, comp)
                 d = draw_component(sub, tree.attach[i])
                 assert check_invariants(d) == []
                 assert dummy_c_shapes(d) == []

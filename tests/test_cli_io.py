@@ -16,6 +16,8 @@ from slopeforge.model import PlaneGraph
 from slopeforge.onebend import draw_onebend
 from slopeforge.verify import embeddings_equivalent
 
+from adversarial import two_crossing_edges
+
 
 class TestDocumentRoundTrip:
     def test_graph_round_trip(self):
@@ -101,6 +103,14 @@ class TestCli:
         code, out = run_cli(["normalize"], graph_json)
         assert code == 0
         docio.graph_from_doc(docio.loads(out))
+
+    def test_normalize_keeps_an_outer_face_when_its_boundary_was_uncrossed(self):
+        graph_json = docio.dumps(docio.graph_to_doc(two_crossing_edges()))
+        code, out = run_cli(["normalize"], graph_json)
+        assert code == 0
+        doc = docio.loads(out)
+        assert doc["outer_face"] == [["e", "a"], ["e", "b"]]
+        assert doc["fragment_map"] == {}
 
     def test_canon_and_storder(self):
         code, graph_json = run_cli(["gen", "--family", "prism"])

@@ -16,7 +16,6 @@ from slopeforge.families import (
     gen_3reg18,
     gen_corpus,
     gen_crossed_k4,
-    gen_fig_like,
     gen_k4_embedded,
     gen_maxdeg,
     gen_prism,
@@ -28,6 +27,8 @@ from slopeforge.model import (
     connectivity,
     find_real_real_face,
 )
+
+from builders import gen_fig_like
 
 
 class TestK4:
@@ -147,7 +148,7 @@ class TestCorpus:
         gs = gen_corpus(seed=2, n_target=24, profile="subcubic", count=6)
         best = 0
         for g in gs:
-            comps = graphutil.two_edge_connected_components(g.abstract_adjacency())
+            comps = graphutil.bridges_and_components(g.abstract_adjacency())[1]
             best = max(best, len(comps))
         assert best >= 3
 

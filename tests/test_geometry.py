@@ -3,14 +3,15 @@ from __future__ import annotations
 import ast
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 import slopeforge
 from slopeforge.geometry import (
-    AngleClass,
     Intersection,
     IntersectKind,
     Point,
@@ -18,8 +19,6 @@ from slopeforge.geometry import (
     SlopeKind,
     _directed_gap_at_least,
     _ints,
-    angle_at_least,
-    angle_between,
     cross,
     dot,
     hits_across,
@@ -36,6 +35,65 @@ from slopeforge.geometry import (
     sort_directions_ccw,
     strip_collinear,
 )
+
+
+# ---------------------------------------------------------------------------
+# Undirected angle classes: references for the package's directed gaps
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AngleClass:
+    """Undirected angle between two directions, in (0, pi].
+
+    eighths is set when the angle is an exact multiple of pi/4 (1..4),
+    None when the angle is not such a multiple ("Other").
+    """
+
+    eighths: Optional[int]
+
+
+def angle_between(d1, d2) -> AngleClass:
+    if (d1[0] == 0 and d1[1] == 0) or (d2[0] == 0 and d2[1] == 0):
+        raise ValueError("angle of a zero direction")
+    o1, o2 = octant(d1), octant(d2)
+    if o1 is not None and o2 is not None:
+        k = (o2 - o1) % 8
+        k = min(k, 8 - k)
+        if k == 0:
+            # Same supporting line: angle pi if opposite rays, else 0 (invalid).
+            if dot(d1, d2) < 0:
+                return AngleClass(4)
+            raise ValueError("zero angle between equal directions")
+        return AngleClass(k)
+    c, d = cross(d1, d2), dot(d1, d2)
+    if c == 0:
+        if d < 0:
+            return AngleClass(4)
+        raise ValueError("zero angle between equal directions")
+    if d == 0:
+        return AngleClass(2)
+    return AngleClass(None)
+
+
+def angle_at_least(d1, d2, eighths: int) -> bool:
+    """Exact test: is the undirected ray angle between d1, d2 >= eighths*pi/4?
+
+    Valid for eighths in {1, 2, 3, 4}; decided by cross/dot sign comparisons.
+    """
+    if eighths not in (1, 2, 3, 4):
+        raise ValueError("eighths must be in 1..4")
+    c, d = abs(cross(d1, d2)), dot(d1, d2)
+    if c == 0 and d > 0:
+        return False  # zero angle
+    # theta in (0, pi]; tan-based comparisons.
+    if eighths == 1:  # theta >= pi/4  <=>  theta in [pi/4, pi]
+        return d <= 0 or c >= d
+    if eighths == 2:  # theta >= pi/2
+        return d <= 0
+    if eighths == 3:  # theta >= 3pi/4
+        return d < 0 and c <= -d
+    return d < 0 and c == 0  # theta == pi
 
 
 def P(x, y):
@@ -367,6 +425,17 @@ class TestAngles:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             angle_between((0, 0), (1, 0))
+
+    def test_the_directed_gap_is_the_undirected_angle_below_pi(self):
+        dirs = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
+        checked = 0
+        for d1 in dirs:
+            for d2 in dirs:
+                if cross(d1, d2) > 0:
+                    for k in (1, 2, 3, 4):
+                        assert _directed_gap_at_least(d1, d2, k) == angle_at_least(d1, d2, k), (d1, d2, k)
+                    checked += 1
+        assert checked > 500
 
     def test_at_least(self):
         assert angle_at_least((1, 0), (1, 1), 1)

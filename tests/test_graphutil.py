@@ -62,7 +62,7 @@ class TestBlocks:
 
     def test_two_edge_connected_components(self):
         edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "d")]
-        comps = gu.two_edge_connected_components(adj_of(edges))
+        comps = gu.bridges_and_components(adj_of(edges))[1]
         assert sorted(sorted(c) for c in comps) == [["a", "b", "c"], ["d", "e", "f"]]
 
     def test_articulation(self):

@@ -14,13 +14,14 @@ from slopeforge.model import (
     EmbeddedGraph,
     EmbeddingError,
     PlaneGraph,
-    build_plane_graph,
     connectivity,
     faces,
     find_real_real_face,
     planarize,
 )
 from slopeforge.verify import embedding_from_geometry
+
+from builders import build_plane_graph
 
 
 def triangle() -> PlaneGraph:

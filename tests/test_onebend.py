@@ -10,7 +10,6 @@ from slopeforge.docio import drawing_to_doc, dumps
 from slopeforge.families import (
     gen_corpus,
     gen_crossed_k4,
-    gen_fig_like,
     gen_k4_embedded,
     gen_prism,
 )
@@ -38,6 +37,8 @@ from slopeforge.onebend import (
 from slopeforge.ordering import canonical_order
 from slopeforge.reembed import normalize_embedding
 from slopeforge.verify import validate
+
+from builders import gen_fig_like
 
 F = Fraction
 

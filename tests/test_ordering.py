@@ -6,16 +6,15 @@ import pytest
 
 from slopeforge import graphutil, ordering
 from slopeforge.families import gen_corpus
-from slopeforge.model import build_plane_graph
 from slopeforge.ordering import (
     CanonicalOrdering,
-    CanonicalSet,
     OrderingError,
     canonical_order,
     st_order,
     verify_canonical,
 )
 
+from builders import build_plane_graph
 from test_model import k4_one_crossing, k4_plane
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from slopeforge import graphutil, reembed
-from slopeforge.families import gen_corpus, gen_crossed_k4, gen_k4_embedded
+from slopeforge.families import gen_2reg, gen_corpus, gen_crossed_k4, gen_k4_embedded
 from slopeforge.model import PlaneGraph, connectivity
 from slopeforge.reembed import (
     ReembedError,
@@ -12,8 +14,8 @@ from slopeforge.reembed import (
     normalize_embedding,
 )
 
-from adversarial import adversarial_suite, crossed_prism, two_blocks_crossed
-from oracles import normalized_reembedding_exists
+from adversarial import adversarial_suite, crossed_prism, two_blocks_crossed, two_crossing_edges
+from oracles import normalize_by_retracing, normalized_reembedding_exists, uncross_by_retracing
 
 
 class TestCountDummyCutvertices:
@@ -75,6 +77,24 @@ class TestNormalize:
         normalize_embedding(g)
         assert len(calls) == 1
 
+    def test_64_uncrossings_validate_the_plane_once_and_trace_no_face_list(self, monkeypatch):
+        g = gen_2reg(64)
+        calls = Counter()
+        for name in ("validate", "faces"):
+            method = getattr(PlaneGraph, name)
+            monkeypatch.setattr(PlaneGraph, name,
+                                lambda plane, name=name, method=method: calls.update([name]) or method(plane))
+        out = normalize_embedding(g)
+        assert (len(g.crossings()), len(out.crossings())) == (64, 0)
+        # The one faces() call is the validation's Euler check.
+        assert calls == {"validate": 1, "faces": 1}
+
+    def test_the_outer_face_falls_back_when_every_outer_dart_was_a_fragment(self):
+        # The outer face of the first vertex, a, is the one left.
+        out = normalize_embedding(two_crossing_edges())
+        assert out.plane.outer_darts == (("e", "a"), ("e", "b"))
+        assert out.crossings() == {}
+
     def test_uncrosses_cutvertex_gadget(self):
         g = two_blocks_crossed(3, 3)
         out = normalize_embedding(g)
@@ -109,6 +129,58 @@ class TestNormalize:
         for g in gen_corpus(seed=21, n_target=14, profile="cubic3con", count=3):
             out = normalize_embedding(g)
             assert len(out.crossings()) == len(g.crossings())
+
+
+def equivalence_inputs():
+    graphs = [g for _, g in adversarial_suite()]
+    graphs += [gen_2reg(k) for k in (3, 5, 8, 16, 32, 64)]
+    graphs.append(crossed_prism())
+    for profile in ("cubic3con", "subcubic"):
+        for n_target in (12, 20, 28, 40):
+            graphs += gen_corpus(seed=77, n_target=n_target, profile=profile, count=3)
+    return graphs
+
+
+class TestRetracingEquivalence:
+    """The normalizer decides re-insertions from the components of G - x;
+    the oracle decides them by tracing faces and validates every surgery."""
+
+    def test_the_normalized_plane_equals_the_retracing_oracle(self):
+        surgeries = 0
+        for g in equivalence_inputs():
+            got = normalize_embedding(g).plane
+            want = normalize_by_retracing(g).plane
+            assert got.vertices == want.vertices
+            assert list(got.edges.items()) == list(want.edges.items())
+            assert got.rotation == want.rotation
+            assert list(got.fragment_of.items()) == list(want.fragment_of.items())
+            assert got.outer_darts == want.outer_darts
+            surgeries += len(g.crossings()) - len(got.dummies())
+        assert surgeries >= 150, surgeries
+
+    def test_the_rule_agrees_with_the_face_test_on_every_dummy(self, monkeypatch):
+        flipped = []
+        flip = reembed._flip_component
+
+        def recorded(plane, comp, w, x):
+            out = flip(plane, comp, w, x)
+            if out is not None:
+                flipped.append(out.copy())
+            return out
+
+        monkeypatch.setattr(reembed, "_flip_component", recorded)
+        planes = []
+        for g in equivalence_inputs():
+            planes.append(g.plane)
+            normalize_embedding(g)
+        assert len(flipped) >= 2
+        outcomes = []
+        for plane in planes + flipped:
+            for x in plane.dummies():
+                ok = reembed._uncrossable(plane, x)
+                assert ok == (uncross_by_retracing(plane, x) is not None), x
+                outcomes.append(ok)
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20, outcomes
 
 
 class TestOracle:

@@ -4,7 +4,7 @@ import pytest
 
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.geometry import Point, SlopeKind
-from slopeforge.model import EmbeddedGraph, build_plane_graph
+from slopeforge.model import EmbeddedGraph
 from slopeforge.verify import (
     DrawingError,
     count_slopes,
@@ -15,6 +15,7 @@ from slopeforge.verify import (
     validate,
 )
 
+from builders import build_plane_graph
 from test_model import k4_one_crossing
 
 
