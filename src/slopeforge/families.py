@@ -255,24 +255,6 @@ def gen_3reg18() -> EmbeddedGraph:
     return gen_maxdeg(3)
 
 
-def chain_edges_3reg18() -> List[Tuple[str, str]]:
-    """The 18 chain edges, in increasing-slope order per gadget."""
-    out = []
-    for i in range(1, 4):
-        nxt = i % 3 + 1
-        out.extend(
-            [
-                (f"a{i}", f"b{i}"),
-                (f"a{i}", f"c{i}"),
-                (f"c{i}", f"d{i}"),
-                (f"c{i}", f"e{i}"),
-                (f"e{i}", f"d{i}"),
-                (f"e{i}", f"a{nxt}"),
-            ]
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Random corpus
 # ---------------------------------------------------------------------------

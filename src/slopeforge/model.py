@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import graphutil
 
@@ -452,16 +452,19 @@ def connectivity(adj_or_graph, cap: int = 3) -> int:
 def find_real_real_face(p: PlaneGraph) -> Tuple[Face, Tuple[str, str], str]:
     """A face with an edge joining two consecutive real vertices.
 
-    Returns (face, (v1, v2), edge id).  Prefers the recorded outer face, then
-    scans all faces in deterministic order.  For subcubic 1-plane input the
-    counting argument guarantees existence; if nothing is found the input
-    violates that invariant and an EmbeddingError is raised.
+    Returns (face, (v1, v2), edge id).  Prefers the recorded outer face; only
+    when it has no such edge are all faces traced and scanned in
+    deterministic order.  For subcubic 1-plane input the counting argument
+    guarantees existence; if nothing is found the input violates that
+    invariant and an EmbeddingError is raised.
     """
-    candidates: List[Face] = []
-    if p.outer_darts:
-        candidates.append(p.outer_face())
-    candidates.extend(sorted(p.faces(), key=lambda f: tuple(sorted(d[0] for d in f.darts))))
-    for face in candidates:
+
+    def candidates() -> Iterator[Face]:
+        if p.outer_darts:
+            yield p.outer_face()
+        yield from sorted(p.faces(), key=lambda f: tuple(sorted(d[0] for d in f.darts)))
+
+    for face in candidates():
         best: Optional[Tuple[str, Tuple[str, str], Dart]] = None
         for d in face.darts:
             e, tail = d

@@ -8,62 +8,35 @@ the pipeline.  Identical drawings produce byte-identical SVG.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .drawing import PolylineDrawing
+from .geometry import Point
 
 SCALE = 40
 MARGIN = 20
 PRECISION = 4
 
 
-def render_segments_svg(polylines: Dict[str, List]) -> str:
+def render_segments_svg(polylines: Dict[str, List[Point]]) -> str:
     """Bare rendering of labeled polylines (used for --trace step dumps)."""
-    xs = [p.x for pts in polylines.values() for p in pts]
-    ys = [p.y for pts in polylines.values() for p in pts]
-    if not xs:
-        return '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 100 100"></svg>\n'
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
-    width = (hi_x - lo_x) * SCALE + 2 * MARGIN
-    height = (hi_y - lo_y) * SCALE + 2 * MARGIN
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        '<g fill="none" stroke="black" stroke-width="1.5">',
-    ]
-    for e in sorted(polylines):
-        pts = polylines[e]
-        path = " ".join(
-            f"{_fmt((p.x - lo_x) * SCALE + MARGIN)},{_fmt((hi_y - p.y) * SCALE + MARGIN)}"
-            for p in pts
-        )
-        out.append(f'<polyline points="{path}"><title>{e}</title></polyline>')
-    out.append("</g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def _fmt(q: Fraction) -> str:
-    value = float(q)
-    s = f"{value:.{PRECISION}f}"
-    return s.rstrip("0").rstrip(".") if "." in s else s
+    return _svg(polylines, {}, None)
 
 
 def render_svg(d: PolylineDrawing, vertex_radius: Fraction = Fraction(1, 8)) -> str:
-    xs: List[Fraction] = []
-    ys: List[Fraction] = []
-    for pts in d.polylines.values():
-        for p in pts:
-            xs.append(p.x)
-            ys.append(p.y)
-    for p in d.positions.values():
-        xs.append(p.x)
-        ys.append(p.y)
-    if not xs:
-        return (
-            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 100 100"></svg>\n'
-        )
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
+    return _svg(d.polylines, d.positions, vertex_radius)
+
+
+def _svg(
+    polylines: Dict[str, List[Point]], positions: Dict[str, Point], vertex_radius: Optional[Fraction]
+) -> str:
+    """SVG of the polylines, framed around them and the positions, with a
+    circle per position unless vertex_radius is None."""
+    points = [p for pts in polylines.values() for p in pts] + list(positions.values())
+    if not points:
+        return '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 100 100"></svg>\n'
+    lo_x, hi_x = min(p.x for p in points), max(p.x for p in points)
+    lo_y, hi_y = min(p.y for p in points), max(p.y for p in points)
     width = (hi_x - lo_x) * SCALE + 2 * MARGIN
     height = (hi_y - lo_y) * SCALE + 2 * MARGIN
 
@@ -75,21 +48,27 @@ def render_svg(d: PolylineDrawing, vertex_radius: Fraction = Fraction(1, 8)) -> 
         return (hi_y - p.y) * SCALE + MARGIN
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        '<g fill="none" stroke="black" stroke-width="1.5">',
     ]
-    lines.append('<g fill="none" stroke="black" stroke-width="1.5">')
-    for e in sorted(d.polylines):
-        pts = d.polylines[e]
-        path = " ".join(f"{_fmt(tx(p))},{_fmt(ty(p))}" for p in pts)
+    for e in sorted(polylines):
+        path = " ".join(f"{_fmt(tx(p))},{_fmt(ty(p))}" for p in polylines[e])
         lines.append(f'<polyline points="{path}"><title>{e}</title></polyline>')
     lines.append("</g>")
-    lines.append('<g fill="white" stroke="black" stroke-width="1">')
-    r = _fmt(Fraction(SCALE) * vertex_radius)
-    for v in sorted(d.positions):
-        p = d.positions[v]
-        lines.append(
-            f'<circle cx="{_fmt(tx(p))}" cy="{_fmt(ty(p))}" r="{r}"><title>{v}</title></circle>'
-        )
-    lines.append("</g>")
+    if vertex_radius is not None:
+        lines.append('<g fill="white" stroke="black" stroke-width="1">')
+        r = _fmt(Fraction(SCALE) * vertex_radius)
+        for v in sorted(positions):
+            p = positions[v]
+            lines.append(
+                f'<circle cx="{_fmt(tx(p))}" cy="{_fmt(ty(p))}" r="{r}"><title>{v}</title></circle>'
+            )
+        lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def _fmt(q: Fraction) -> str:
+    value = float(q)
+    s = f"{value:.{PRECISION}f}"
+    return s.rstrip("0").rstrip(".") if "." in s else s

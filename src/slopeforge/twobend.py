@@ -224,9 +224,8 @@ def _disambiguate(plane, v, rot, matches, ports_ccw, outer) -> int:
     before = order[hi - 1]
     i_before = ports_ccw.index(before)
     for off in matches:
-        e_before = rot[(off + i_before) % k]
-        face = plane.trace_face((e_before, v))
-        if set(face.darts) == set(outer):
+        # outer holds the outer face's darts, and a dart lies on one face.
+        if (rot[(off + i_before) % k], v) in outer:
             return off
     return matches[0]
 
@@ -717,14 +716,15 @@ def component_plane(g: EmbeddedGraph, comp: Set[str]) -> PlaneGraph:
 
 
 def _outer_candidates(sub: PlaneGraph, u_i: str) -> List[Tuple]:
-    """Faces containing u_i, most real vertices first (ties by dart id)."""
-    scored = []
-    for face in sub.faces():
-        if u_i in face:
-            reals = len({v for v in face.vertices() if v in sub.real})
-            scored.append((-reals, min(face.darts), face.darts))
-    scored.sort()
-    return [darts for _, _, darts in scored]
+    """Faces at u_i, traced from the darts leaving it, most real vertices
+    first (ties by least dart); a face met twice is listed once."""
+    scored = {}
+    for e in sub.rotation[u_i]:
+        darts = sub.trace_face((e, u_i)).darts
+        key = min(darts)
+        if key not in scored:
+            scored[key] = (-len({v for _, v in darts if v in sub.real}), key, darts)
+    return [darts for _, _, darts in sorted(scored.values())]
 
 
 def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:

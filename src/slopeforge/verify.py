@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .drawing import PolylineDrawing
@@ -22,12 +21,11 @@ from .geometry import (
     SlopeKind,
     CANONICAL_SLOPES,
     angular_compare,
+    cross,
     min_angle_eighths_lower_bound,
     on_segment,
-    orient,
     segment_hits,
     slope_of,
-    sort_directions_ccw,
 )
 from .model import DUMMY_PREFIX, EmbeddedGraph, EmbeddingError, PlaneGraph
 
@@ -71,24 +69,22 @@ class Interactions:
 def _corner_crossing(d: PolylineDrawing, corner_edge: str, pt: Point, other_seg: Segment) -> bool:
     """A polyline corner lying inside another edge's segment is a genuine
     crossing when the two corner segments leave on opposite sides."""
-    pts = d.polylines[corner_edge]
-    if pt not in pts[1:-1]:
+    at, back, ahead = _locate(d.polylines[corner_edge], pt)
+    if at % 2:
         return False
-    i = pts.index(pt)
-    s_prev = orient(other_seg.a, other_seg.b, pts[i - 1])
-    s_next = orient(other_seg.a, other_seg.b, pts[i + 1])
-    return s_prev * s_next < 0
+    line = other_seg.dir()
+    return cross(line, back) * cross(line, ahead) < 0
 
 
 def _corner_corner_crossing(d: PolylineDrawing, e1: str, e2: str, pt: Point) -> bool:
     """Both edges bend exactly at pt: they cross iff their four rays
     alternate around the point."""
-    for e in (e1, e2):
-        if pt not in d.polylines[e][1:-1]:
+    labeled = []
+    for owner, e in ((1, e1), (2, e2)):
+        at, back, ahead = _locate(d.polylines[e], pt)
+        if at % 2:
             return False
-    d1a, d1b = _edge_dirs_at(d, e1, pt)
-    d2a, d2b = _edge_dirs_at(d, e2, pt)
-    labeled = [(d1a, 1), (d1b, 1), (d2a, 2), (d2b, 2)]
+        labeled += [(back, owner), (ahead, owner)]
     labeled.sort(key=functools.cmp_to_key(lambda p, q: angular_compare(p[0], q[0])))
     owners = [o for _, o in labeled]
     return owners in ([1, 2, 1, 2], [2, 1, 2, 1])
@@ -189,10 +185,6 @@ def slope_set(d: PolylineDrawing) -> Set[SlopeKind]:
     return _slope_summary(d)[0]
 
 
-def distinct_slope_count(d: PolylineDrawing) -> int:
-    return _slope_summary(d)[1]
-
-
 def _slope_summary(d: PolylineDrawing) -> Tuple[Set[SlopeKind], int]:
     """The slope kinds and the number of distinct slopes, from one pass."""
     slopes = {slope_of(seg) for _, _, seg in d.all_segments()}
@@ -241,26 +233,28 @@ def crossing_directions(d: PolylineDrawing, pt: Point, items) -> List[Direction]
     """The four ray directions of the two edges at a crossing point."""
     dirs: List[Direction] = []
     for e in sorted({e for e, _, _ in items}):
-        dirs.extend(_edge_dirs_at(d, e, pt))
+        dirs.extend(_locate(d.polylines[e], pt)[1:])
     return dirs
 
 
-def _edge_dirs_at(d: PolylineDrawing, e: str, pt: Point) -> List[Direction]:
-    pts = d.polylines[e]
+def _locate(pts: Sequence[Point], pt: Point) -> Tuple[int, Direction, Direction]:
+    """Where pt lies on the polyline pts, and the directions from pt toward
+    the polyline's start and toward its end.
+
+    The place is 2*i at the bend pts[i], else 2*i + 1 on the first segment i
+    whose closed span holds pt; at a segment end one direction is zero.
+    """
     if pt in pts[1:-1]:
         i = pts.index(pt)
-        return [
-            (pts[i - 1].x - pt.x, pts[i - 1].y - pt.y),
-            (pts[i + 1].x - pt.x, pts[i + 1].y - pt.y),
-        ]
-    for i in range(len(pts) - 1):
-        seg = Segment(pts[i], pts[i + 1])
-        if on_segment(pt, seg):
-            return [
-                (seg.a.x - pt.x, seg.a.y - pt.y),
-                (seg.b.x - pt.x, seg.b.y - pt.y),
-            ]
-    raise DrawingError(f"crossing point {pt} not on edge {e}")
+        at, back, ahead = 2 * i, pts[i - 1], pts[i + 1]
+    else:
+        for i in range(len(pts) - 1):
+            if on_segment(pt, Segment(pts[i], pts[i + 1])):
+                break
+        else:
+            raise DrawingError(f"point {pt} is not on the polyline")
+        at, back, ahead = 2 * i + 1, pts[i], pts[i + 1]
+    return at, (back.x - pt.x, back.y - pt.y), (ahead.x - pt.x, ahead.y - pt.y)
 
 
 def min_crossing_resolution(d: PolylineDrawing, crossings=None) -> Optional[int]:
@@ -319,11 +313,14 @@ def _embedding_from(
     endpoint_dirs: Dict[str, List[Tuple[Direction, str]]] = {v: [] for v in d.graph.vertices}
     dummy_dirs: Dict[str, List[Tuple[Direction, str]]] = {}
     positions: Dict[str, Point] = dict(d.positions)
+    oriented: Dict[str, List[Point]] = {}
+    crossing_at: Dict[str, int] = {}
 
     for e, (a, b) in sorted(d.graph.edges.items()):
         pts = d.polylines[e]
         if pts[0] != d.positions[a]:
             pts = list(reversed(pts))
+        oriented[e] = pts
         marks = sorted(per_edge[e])
         if not marks:
             edges[e] = (a, b)
@@ -341,7 +338,7 @@ def _embedding_from(
         positions[x] = pt
         endpoint_dirs[a].append(((pts[1].x - pts[0].x, pts[1].y - pts[0].y), ea))
         endpoint_dirs[b].append(((pts[-2].x - pts[-1].x, pts[-2].y - pts[-1].y), eb))
-        toward_a, toward_b = _frag_dirs_at(pts, pt)
+        crossing_at[e], toward_a, toward_b = _locate(pts, pt)
         dummy_dirs.setdefault(x, [])
         dummy_dirs[x].append((toward_a, ea))
         dummy_dirs[x].append((toward_b, eb))
@@ -358,112 +355,53 @@ def _embedding_from(
         rotation=rotation,
         fragment_of=fragment_of,
     )
-    plane.outer_darts = tuple(_outer_face_darts(plane, positions, d))
+    plane.outer_darts = tuple(_outer_face_darts(plane, positions, oriented, crossing_at))
     return EmbeddedGraph.from_plane(plane)
-
-
-def _frag_dirs_at(pts: List[Point], pt: Point) -> Tuple[Direction, Direction]:
-    """Local directions (toward the polyline start side, toward the end side)
-    at a crossing point, which may be a bend of the polyline."""
-    if pt in pts[1:-1]:
-        i = pts.index(pt)
-        return (
-            (pts[i - 1].x - pt.x, pts[i - 1].y - pt.y),
-            (pts[i + 1].x - pt.x, pts[i + 1].y - pt.y),
-        )
-    for i in range(len(pts) - 1):
-        if pts[i] != pt and pts[i + 1] != pt and on_segment(pt, Segment(pts[i], pts[i + 1])):
-            return (
-                (pts[i].x - pt.x, pts[i].y - pt.y),
-                (pts[i + 1].x - pt.x, pts[i + 1].y - pt.y),
-            )
-    raise DrawingError(f"crossing point {pt} not interior to its edge")
 
 
 def _sort_edge_dirs_ccw(dir_edges: Sequence[Tuple[Direction, str]]):
     return sorted(dir_edges, key=functools.cmp_to_key(lambda p, q: angular_compare(p[0], q[0])))
 
 
-def _plane_polylines(plane: PlaneGraph, positions: Dict[str, Point], d: PolylineDrawing) -> Dict[str, List[Point]]:
-    """Polyline per planarization edge, oriented from its first endpoint."""
-    out: Dict[str, List[Point]] = {}
-    for e, (va, vb) in plane.edges.items():
-        orig = plane.original_edge_of(e)
-        pts = list(d.polylines[orig])
-        a_id, b_id = d.graph.edges[orig]
-        if pts[0] != d.positions[a_id]:
-            pts = list(reversed(pts))
-        pa, pb = positions[va], positions[vb]
-        if e == orig:
-            piece = pts
-        else:
-            # Fragment: cut the original polyline at the crossing point.
-            cut = pa if va not in plane.real else pb
-            idx = _locate_on_polyline(pts, cut)
-            first = pts[: idx + 1] + [cut]
-            second = [cut] + pts[idx + 1 :]
-            piece = first if (first[0] == pa or first[0] == pb) else second
-        if piece[0] != pa:
-            piece = list(reversed(piece))
-        out[e] = _dedup(piece)
-    return out
+def _outer_face_darts(
+    plane: PlaneGraph,
+    positions: Dict[str, Point],
+    polylines: Dict[str, List[Point]],
+    crossing_at: Dict[str, int],
+):
+    """Darts of the unbounded face, read at the lowest, then leftmost, point
+    of the drawing: the boundary through it is that face's.  () when there
+    are no edges.
 
-
-def _locate_on_polyline(pts: List[Point], p: Point) -> int:
-    for i in range(len(pts) - 1):
-        if on_segment(p, Segment(pts[i], pts[i + 1])):
-            return i
-    raise DrawingError(f"point {p} not on polyline")
-
-
-def _dedup(pts: List[Point]) -> List[Point]:
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p != out[-1]:
-            out.append(p)
-    return out
-
-
-def _outer_face_darts(plane: PlaneGraph, positions: Dict[str, Point], d: PolylineDrawing):
-    """Darts of the unbounded face, located via the bottommost drawing point;
-    () when there are no edges."""
+    polylines are the original edges oriented from their first end, and
+    crossing_at says where a crossed edge's crossing lies on it (see
+    _locate).  A bend wins over the lowest vertex with an edge only when it
+    is strictly lower, so a bend at a crossing leaves it to the dummy there.
+    """
     if not plane.edges:
         return ()
-    pieces = _plane_polylines(plane, positions, d)
-    best: Optional[Tuple[Fraction, Fraction]] = None
-    best_kind: Optional[Tuple] = None  # ("vertex", v) or ("bend", edge, index)
-    for v in plane.vertices:
-        key = (positions[v].y, positions[v].x)
-        if best is None or key < best:
-            best, best_kind = key, ("vertex", v)
-    for e in sorted(pieces):
-        for i, p in enumerate(pieces[e][1:-1], start=1):
-            key = (p.y, p.x)
-            if best is None or key < best:
-                best, best_kind = key, ("bend", e, i)
-    assert best_kind is not None
-    if best_kind[0] == "vertex":
-        v = best_kind[1]
-        dirs = []
-        for e in plane.rotation[v]:
-            pts = pieces[e]
-            if pts[0] != positions[v]:
-                pts = list(reversed(pts))
-            dirs.append(((pts[1].x - pts[0].x, pts[1].y - pts[0].y), e))
-        ordered = _sort_edge_dirs_ccw(dirs)
-        e_min = ordered[0][1]
-        return plane.trace_face((e_min, plane.other_end(e_min, v))).darts
-    _, e, i = best_kind
-    pts = pieces[e]
-    p = pts[i]
-    d_prev = (pts[i - 1].x - p.x, pts[i - 1].y - p.y)
-    d_next = (pts[i + 1].x - p.x, pts[i + 1].y - p.y)
-    lo = sort_directions_ccw([d_prev, d_next])[0]
-    va, vb = plane.edges[e]
+    low, v = min(((positions[u].y, positions[u].x), u) for u in plane.vertices if plane.rotation[u])
+    bend: Optional[Tuple[str, int]] = None
+    for e in sorted(polylines):
+        pts = polylines[e]
+        for k in range(1, len(pts) - 1):
+            if (pts[k].y, pts[k].x) < low:
+                low, bend = (pts[k].y, pts[k].x), (e, k)
+    if bend is None:
+        # Every ray at v points into the upper half-plane, and the rotation
+        # runs counterclockwise from the east: the unbounded region lies left
+        # of the dart arriving along its first edge.
+        e = plane.rotation[v][0]
+        return plane.trace_face((e, plane.other_end(e, v))).darts
+    e, k = bend
+    at = crossing_at.get(e)
+    piece = e if at is None else f"{e}$a" if 2 * k < at else f"{e}$b"
+    first, second = plane.edges[piece]
+    _, back, ahead = _locate(polylines[e], polylines[e][k])
     # Walk through the bend arriving along the low-angle ray: the tail is the
-    # endpoint on that side, so the unbounded region lies left of the dart.
-    tail = va if lo == d_prev else vb
-    return plane.trace_face((e, tail)).darts
+    # end on that side, so the unbounded region lies left of the dart.
+    tail = first if angular_compare(back, ahead) <= 0 else second
+    return plane.trace_face((piece, tail)).darts
 
 
 @dataclass

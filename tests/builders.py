@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from slopeforge.families import gen_corpus
 from slopeforge.model import Dart, EmbeddedGraph, PlaneGraph
@@ -40,3 +40,22 @@ def gen_fig_like() -> EmbeddedGraph:
     crossing gadget, deterministic.
     """
     return gen_corpus(seed=7, n_target=10, profile="cubic3con", count=1)[0]
+
+
+def chain_edges_3reg18() -> List[Tuple[str, str]]:
+    """The 18 chain edges of families.gen_3reg18, in increasing-slope order
+    per gadget."""
+    out = []
+    for i in range(1, 4):
+        nxt = i % 3 + 1
+        out.extend(
+            [
+                (f"a{i}", f"b{i}"),
+                (f"a{i}", f"c{i}"),
+                (f"c{i}", f"d{i}"),
+                (f"c{i}", f"e{i}"),
+                (f"e{i}", f"d{i}"),
+                (f"e{i}", f"a{nxt}"),
+            ]
+        )
+    return out

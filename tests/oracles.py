@@ -12,13 +12,22 @@ way: every uncrossing works on a copy, decides each re-inserted edge by
 tracing the faces at its two corners, and validates the whole plane.  The
 tests require reembed.normalize_embedding, which decides each uncrossing
 from the components of G - x, to give the same plane.
+
+outer_face_by_pieces finds the outer face of a drawing's induced embedding
+by cutting every original polyline into one polyline per planarization
+edge and re-sorting the piece directions at the lowest point.  The tests
+require verify's reading of that point off the original polylines and the
+sorted rotation to give the same darts, from the same start.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from slopeforge import graphutil
+from slopeforge.drawing import PolylineDrawing
+from slopeforge.geometry import Point, Segment, on_segment, sort_directions_ccw
 from slopeforge.graphutil import Adj
 from slopeforge.model import EmbeddedGraph, PlaneGraph, connectivity
 from slopeforge.reembed import (
@@ -29,6 +38,7 @@ from slopeforge.reembed import (
     _refresh_outer_after_surgery,
     dummy_two_cuts,
 )
+from slopeforge.verify import DrawingError, _sort_edge_dirs_ccw
 
 
 def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> bool:
@@ -350,3 +360,91 @@ def _embed_path(faces: List[List[str]], face_idx: int, path: List[str]) -> None:
     side2 = rotated[ib:] + [rotated[0]] + inner
     faces.append(side1)
     faces.append(side2)
+
+
+# ---------------------------------------------------------------------------
+# Outer face by planarization pieces
+# ---------------------------------------------------------------------------
+
+
+def outer_face_by_pieces(plane: PlaneGraph, positions: Dict[str, Point], d: PolylineDrawing):
+    """Darts of the unbounded face of the embedding induced by d, located via
+    the bottommost drawing point of the pieces; () when there are no edges.
+    positions holds every vertex of plane, dummies at their crossings."""
+    if not plane.edges:
+        return ()
+    pieces = _plane_polylines(plane, positions, d)
+    best: Optional[Tuple[Fraction, Fraction]] = None
+    best_kind: Optional[Tuple] = None  # ("vertex", v) or ("bend", edge, index)
+    for v in plane.vertices:
+        key = (positions[v].y, positions[v].x)
+        if best is None or key < best:
+            best, best_kind = key, ("vertex", v)
+    for e in sorted(pieces):
+        for i, p in enumerate(pieces[e][1:-1], start=1):
+            key = (p.y, p.x)
+            if best is None or key < best:
+                best, best_kind = key, ("bend", e, i)
+    assert best_kind is not None
+    if best_kind[0] == "vertex":
+        v = best_kind[1]
+        dirs = []
+        for e in plane.rotation[v]:
+            pts = pieces[e]
+            if pts[0] != positions[v]:
+                pts = list(reversed(pts))
+            dirs.append(((pts[1].x - pts[0].x, pts[1].y - pts[0].y), e))
+        ordered = _sort_edge_dirs_ccw(dirs)
+        e_min = ordered[0][1]
+        return plane.trace_face((e_min, plane.other_end(e_min, v))).darts
+    _, e, i = best_kind
+    pts = pieces[e]
+    p = pts[i]
+    d_prev = (pts[i - 1].x - p.x, pts[i - 1].y - p.y)
+    d_next = (pts[i + 1].x - p.x, pts[i + 1].y - p.y)
+    lo = sort_directions_ccw([d_prev, d_next])[0]
+    va, vb = plane.edges[e]
+    # Walk through the bend arriving along the low-angle ray: the tail is the
+    # endpoint on that side, so the unbounded region lies left of the dart.
+    tail = va if lo == d_prev else vb
+    return plane.trace_face((e, tail)).darts
+
+
+def _plane_polylines(plane: PlaneGraph, positions: Dict[str, Point], d: PolylineDrawing) -> Dict[str, List[Point]]:
+    """Polyline per planarization edge, oriented from its first endpoint."""
+    out: Dict[str, List[Point]] = {}
+    for e, (va, vb) in plane.edges.items():
+        orig = plane.original_edge_of(e)
+        pts = list(d.polylines[orig])
+        a_id, b_id = d.graph.edges[orig]
+        if pts[0] != d.positions[a_id]:
+            pts = list(reversed(pts))
+        pa, pb = positions[va], positions[vb]
+        if e == orig:
+            piece = pts
+        else:
+            # Fragment: cut the original polyline at the crossing point.
+            cut = pa if va not in plane.real else pb
+            idx = _locate_on_polyline(pts, cut)
+            first = pts[: idx + 1] + [cut]
+            second = [cut] + pts[idx + 1 :]
+            piece = first if (first[0] == pa or first[0] == pb) else second
+        if piece[0] != pa:
+            piece = list(reversed(piece))
+        out[e] = _dedup(piece)
+    return out
+
+
+def _locate_on_polyline(pts: List[Point], p: Point) -> int:
+    for i in range(len(pts) - 1):
+        if on_segment(p, Segment(pts[i], pts[i + 1])):
+            return i
+    raise DrawingError(f"point {p} not on polyline")
+
+
+def _dedup(pts: List[Point]) -> List[Point]:
+    out = [pts[0]]
+    for p in pts[1:]:
+        if p != out[-1]:
+            out.append(p)
+    return out

@@ -14,7 +14,6 @@ import time
 from slopeforge import graphutil
 from slopeforge.docio import drawing_to_doc, dumps, graph_to_doc
 from slopeforge.families import (
-    chain_edges_3reg18,
     gen_2reg,
     gen_3reg18,
     gen_corpus,
@@ -40,7 +39,7 @@ from slopeforge.twobend import (
 from slopeforge.verify import validate
 
 from adversarial import adversarial_suite
-from builders import gen_fig_like
+from builders import chain_edges_3reg18, gen_fig_like
 from oracles import normalized_reembedding_exists
 
 # Deterministic 1-bend corpus: (seed, target) pairs, 50 random graphs with

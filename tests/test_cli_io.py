@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -11,9 +12,12 @@ import pytest
 import slopeforge
 from slopeforge import docio, render
 from slopeforge.cli import _build_parser, main
-from slopeforge.families import gen_crossed_k4, gen_k4_embedded
+from slopeforge.drawing import PolylineDrawing
+from slopeforge.families import gen_2reg, gen_crossed_k4, gen_k4_embedded
+from slopeforge.geometry import Point
 from slopeforge.model import PlaneGraph
 from slopeforge.onebend import draw_onebend
+from slopeforge.twobend import draw_twobend
 from slopeforge.verify import embeddings_equivalent
 
 from adversarial import two_crossing_edges
@@ -58,6 +62,35 @@ class TestDocumentRoundTrip:
 
         assert docio._rat_out(Fraction(2**60, 3)) == [str(2**60), 3]
         assert docio._rat_in([str(2**60), 3]) == Fraction(2**60, 3)
+
+
+class TestRenderBytes:
+    """render_svg and render_segments_svg share one writer; their bytes are
+    pinned on a 1-bend and a 2-bend drawing."""
+
+    PINNED = {
+        "onebend crossedk4": (
+            "0210b43cee6a9f3e44096568818b82bbbb857fc0f85a71b986cef82bdfbc9022",
+            "d1b4ff734d281cb6d6dfd59079139d897fcd6098f0fd982c7bba372c8719745d",
+        ),
+        "twobend 2reg3": (
+            "de7f462322ec7cbfcf965c9ed7835d51d1ade545795111edadd07fd3c082799e",
+            "3cc70cd8a8b1ce1bf06666f2e7a2c95faa6a2ded2df5d5abef3e3220c9b4899b",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_bytes_are_pinned(self, name):
+        d = draw_onebend(gen_crossed_k4()) if name.startswith("onebend") else draw_twobend(gen_2reg(3))
+        digests = tuple(
+            hashlib.sha256(svg.encode()).hexdigest()
+            for svg in (render.render_svg(d), render.render_segments_svg(d.polylines))
+        )
+        assert digests == self.PINNED[name]
+
+    def test_nothing_to_draw(self):
+        empty = '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 100 100"></svg>\n'
+        assert render.render_segments_svg({}) == empty
 
 
 def run_cli(args, stdin_text=""):
@@ -196,6 +229,19 @@ class TestCli:
         assert json.loads(report_json)["passed"] is True
         code, svg = run_cli(["render"], drawing_json)
         assert code == 0 and svg.startswith("<svg")
+
+    @pytest.mark.parametrize("profile", ["onebend", "twobend", "straight"])
+    def test_validate_with_an_isolated_lowest_vertex(self, profile):
+        # c lies below the edge a-b and has no edge of its own.
+        graph = {"version": 1, "edges": [{"id": "e", "endpoints": ["a", "b"]}],
+                 "vertices": [{"id": v, "real": True} for v in "abc"],
+                 "rotations": {"a": ["e"], "b": ["e"], "c": []}, "fragment_map": {},
+                 "outer_face": [["e", "a"], ["e", "b"]]}
+        pos = {"a": Point.of(0, 1), "b": Point.of(2, 1), "c": Point.of(1, 0)}
+        d = PolylineDrawing(docio.graph_from_doc(graph), pos, {"e": [pos["a"], pos["b"]]})
+        code, report_json = run_cli(["validate", "--profile", profile], docio.dumps(docio.drawing_to_doc(d)))
+        report = json.loads(report_json)
+        assert (code, report["passed"], report["embedding_preserved"]) == (0, True, True), report
 
     @pytest.mark.parametrize("command", [
         ["draw", "--mode", "onebend"],

@@ -11,7 +11,6 @@ from slopeforge.families import (
     _face_with,
     _fresh,
     _k4_plane_skeleton,
-    chain_edges_3reg18,
     gen_2reg,
     gen_3reg18,
     gen_corpus,
@@ -28,7 +27,7 @@ from slopeforge.model import (
     find_real_real_face,
 )
 
-from builders import gen_fig_like
+from builders import chain_edges_3reg18, gen_fig_like
 
 
 class TestK4:

@@ -3,12 +3,11 @@ from __future__ import annotations
 import pytest
 
 from slopeforge.drawing import PolylineDrawing
-from slopeforge.geometry import Point, SlopeKind
+from slopeforge.geometry import Point, SlopeKind, slope_of
 from slopeforge.model import EmbeddedGraph
 from slopeforge.verify import (
     DrawingError,
     count_slopes,
-    distinct_slope_count,
     embedding_of,
     embeddings_equivalent,
     max_bends,
@@ -21,6 +20,10 @@ from test_model import k4_one_crossing
 
 def P(x, y):
     return Point.of(x, y)
+
+
+def distinct_slope_count(d: PolylineDrawing) -> int:
+    return len({slope_of(seg).vec for _, _, seg in d.all_segments()})
 
 
 def path_abc() -> EmbeddedGraph:
