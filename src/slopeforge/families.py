@@ -5,7 +5,7 @@ coordinates and their embeddings extracted from the drawing, so adjacency,
 rotation system, and crossing pattern come from one source of truth.
 The corpus generator works combinatorially: it grows random cubic
 3-connected plane skeletons by face-edge-pair insertion and then inserts
-crossing gadgets inside faces, retrying until all profile checks pass.
+crossing gadgets inside faces, in place; a failed profile check raises.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .model import (
     connectivity,
     find_real_real_face,
 )
-from .verify import DrawingError, embedding_from_geometry
+from .verify import embedding_from_geometry
 
 F = Fraction
 
@@ -275,21 +275,8 @@ def gen_corpus(seed: int, n_target: int, profile: str, count: int = 1) -> List[E
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(f"{seed}/{n_target}/{profile}")
-    out: List[EmbeddedGraph] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 80 * count:
-            raise RuntimeError("corpus generation kept failing its own checks")
-        try:
-            if profile == "cubic3con":
-                g = _gen_cubic3con(rng, n_target)
-            else:
-                g = _gen_subcubic(rng, n_target)
-        except (EmbeddingError, DrawingError, AssertionError, ValueError):
-            continue
-        out.append(g)
-    return out
+    gen = _gen_cubic3con if profile == "cubic3con" else _gen_subcubic
+    return [gen(rng, n_target) for _ in range(count)]
 
 
 # -- cubic 3-connected profile ------------------------------------------------
@@ -298,16 +285,11 @@ def gen_corpus(seed: int, n_target: int, profile: str, count: int = 1) -> List[E
 def _gen_cubic3con(rng: random.Random, n_target: int) -> EmbeddedGraph:
     record = _K4_SKELETON.copy()
     counters: IdCounters = {}
-    stall = 0
-    while len(record.plane.vertices) + 4 <= n_target and stall < 40:
-        try:
-            if rng.random() < 0.25 and len(record.plane.vertices) >= 6:
-                record, counters = _insert_crossing_gadget(record, counters, rng)
-            else:
-                record, counters = _insert_edge_pair(record, counters, rng)
-            stall = 0
-        except EmbeddingError:
-            stall += 1
+    while len(record.plane.vertices) + 4 <= n_target:
+        if rng.random() < 0.25 and len(record.plane.vertices) >= 6:
+            _insert_crossing_gadget(record, counters, rng)
+        else:
+            _insert_edge_pair(record, counters, rng)
     # The insertions keep the plane valid; this validates it once, in full.
     plane = record.plane
     g = EmbeddedGraph.from_plane(plane)
@@ -332,8 +314,7 @@ _K4_SKELETON = FaceRecord.of(_k4_plane_skeleton())
 
 
 # For each id prefix: the least number `_fresh` hands out next, and the
-# blocked numbers above it.  An insertion copies the dict along with the
-# plane, so a stalled insertion leaves both as they were.
+# blocked numbers above it.  The insertions advance it as they add ids.
 IdCounters = Dict[str, Tuple[int, FrozenSet[int]]]
 
 
@@ -421,20 +402,17 @@ def _insert_into_corner(plane: PlaneGraph, v: str, face_darts, new_edge: str) ->
     raise EmbeddingError(f"{v} has no corner on the chosen face")
 
 
-def _insert_edge_pair(
-    record: FaceRecord, counters: IdCounters, rng: random.Random
-) -> Tuple[FaceRecord, IdCounters]:
+def _insert_edge_pair(record: FaceRecord, counters: IdCounters, rng: random.Random) -> None:
     """Cubic-preserving growth: subdivide two edges of one inner face and
-    join the subdivision vertices.  Works on copies of record (with its
-    plane) and counters."""
+    join the subdivision vertices.  Edits record, its plane and counters
+    in place."""
+    plane = record.plane
     inner = record.inner_faces()
     rng.shuffle(inner)
     for darts in inner:
-        d1, d2 = _pick_two_edges(record.plane, darts, rng)
+        d1, d2 = _pick_two_edges(plane, darts, rng)
         if d1 is None:
             continue
-        record, counters = record.copy(), dict(counters)
-        plane = record.plane
         record.forget_edges([d1[0], d2[0]])
         va = _fresh(plane, "v", counters)
         _subdivide_dart(plane, d1, va)
@@ -451,24 +429,21 @@ def _insert_edge_pair(
         # No face of a 3-connected plane but the working face meets both
         # subdivided edges, so the bridge left the outer face as
         # _subdivide recorded it.
-        return record, counters
+        return
     raise EmbeddingError("no face admits an edge-pair insertion")
 
 
-def _insert_crossing_gadget(
-    record: FaceRecord, counters: IdCounters, rng: random.Random
-) -> Tuple[FaceRecord, IdCounters]:
+def _insert_crossing_gadget(record: FaceRecord, counters: IdCounters, rng: random.Random) -> None:
     """Insert a crossing pair inside an inner face: subdivide two face edges
-    twice and join the four new vertices by two crossing edges.  Works on
-    copies of record (with its plane) and counters."""
+    twice and join the four new vertices by two crossing edges.  Edits
+    record, its plane and counters in place."""
+    plane = record.plane
     inner = record.inner_faces()
     rng.shuffle(inner)
     for darts in inner:
-        d1, d2 = _pick_two_edges(record.plane, darts, rng)
+        d1, d2 = _pick_two_edges(plane, darts, rng)
         if d1 is None:
             continue
-        record, counters = record.copy(), dict(counters)
-        plane = record.plane
         record.forget_edges([d1[0], d2[0]])
         p = _fresh(plane, "v", counters)
         _, head_piece = _subdivide_dart(plane, d1, p)
@@ -499,7 +474,7 @@ def _insert_crossing_gadget(
         plane.rotation[dummy] = [fa, fc, fb, fd]
         record.trace_new()
         # As in _insert_edge_pair, the outer face is as _subdivide left it.
-        return record, counters
+        return
     raise EmbeddingError("no face admits a crossing gadget")
 
 

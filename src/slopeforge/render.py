@@ -8,7 +8,7 @@ the pipeline.  Identical drawings produce byte-identical SVG.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .drawing import PolylineDrawing
 from .geometry import Point
@@ -16,22 +16,21 @@ from .geometry import Point
 SCALE = 40
 MARGIN = 20
 PRECISION = 4
+VERTEX_RADIUS = Fraction(1, 8)
 
 
 def render_segments_svg(polylines: Dict[str, List[Point]]) -> str:
     """Bare rendering of labeled polylines (used for --trace step dumps)."""
-    return _svg(polylines, {}, None)
+    return _svg(polylines, {})
 
 
-def render_svg(d: PolylineDrawing, vertex_radius: Fraction = Fraction(1, 8)) -> str:
-    return _svg(d.polylines, d.positions, vertex_radius)
+def render_svg(d: PolylineDrawing) -> str:
+    return _svg(d.polylines, d.positions)
 
 
-def _svg(
-    polylines: Dict[str, List[Point]], positions: Dict[str, Point], vertex_radius: Optional[Fraction]
-) -> str:
+def _svg(polylines: Dict[str, List[Point]], positions: Dict[str, Point]) -> str:
     """SVG of the polylines, framed around them and the positions, with a
-    circle per position unless vertex_radius is None."""
+    circle per position."""
     points = [p for pts in polylines.values() for p in pts] + list(positions.values())
     if not points:
         return '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 100 100"></svg>\n'
@@ -55,9 +54,9 @@ def _svg(
         path = " ".join(f"{_fmt(tx(p))},{_fmt(ty(p))}" for p in polylines[e])
         lines.append(f'<polyline points="{path}"><title>{e}</title></polyline>')
     lines.append("</g>")
-    if vertex_radius is not None:
+    if positions:
         lines.append('<g fill="white" stroke="black" stroke-width="1">')
-        r = _fmt(Fraction(SCALE) * vertex_radius)
+        r = _fmt(SCALE * VERTEX_RADIUS)
         for v in sorted(positions):
             p = positions[v]
             lines.append(

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, Set, Tuple
 from . import graphutil
 from .drawing import PolylineDrawing
 from .geometry import IntersectKind, Point, Segment, segment_hits, strip_collinear
-from .model import EmbeddedGraph, EmbeddingError, PlaneGraph
+from .model import Dart, EmbeddedGraph, EmbeddingError, PlaneGraph
 from .ordering import StOrdering, st_order
 from .reembed import normalize_embedding
 
@@ -715,51 +715,45 @@ def component_plane(g: EmbeddedGraph, comp: Set[str]) -> PlaneGraph:
     return sub
 
 
-def _outer_candidates(sub: PlaneGraph, u_i: str) -> List[Tuple]:
-    """Faces at u_i, traced from the darts leaving it, most real vertices
-    first (ties by least dart); a face met twice is listed once."""
-    scored = {}
-    for e in sub.rotation[u_i]:
-        darts = sub.trace_face((e, u_i)).darts
-        key = min(darts)
-        if key not in scored:
-            scored[key] = (-len({v for _, v in darts if v in sub.real}), key, darts)
-    return [darts for _, _, darts in sorted(scored.values())]
+def _outer_face(sub: PlaneGraph, u_i: str) -> Tuple[Dart, ...]:
+    """The face at u_i with the most real vertices, ties broken by least
+    dart, traced from the darts leaving u_i."""
+    faces = [sub.trace_face((e, u_i)).darts for e in sub.rotation[u_i]]
+    return min(
+        faces, key=lambda darts: (-len({v for _, v in darts if v in sub.real}), min(darts))
+    )
 
 
 def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:
-    """Draw one component with t = u_i: tries each face at u_i as the outer
-    face (see _outer_candidates), and each source on it, until the
-    invariant checker accepts the drawing."""
+    """Draw one component with t = u_i: records _outer_face as sub's outer
+    face, and tries each source on it until the invariant checker accepts
+    the drawing."""
     if len(sub.vertices) == 1:
         v = sub.vertices[0]
         return OrthoDrawing(
             plane=sub, sigma={v: 1}, s=v, t=v, pos={v: Point(F(0), F(0))}, edges={}
         )
+    sub.outer_darts = _outer_face(sub, u_i)
     errors = []
-    for face_darts in _outer_candidates(sub, u_i):
-        work = sub.copy()
-        work.outer_darts = tuple(face_darts)
-        candidates = sorted({v for _, v in face_darts if v in work.real and v != u_i})
-        for s in candidates:
-            try:
-                d = draw_liu(work, s, u_i)
-            except (TwoBendError, EmbeddingError, ValueError) as exc:
-                errors.append(f"s={s}: {exc}")
-                continue
-            problems = check_invariants(d)
-            if problems:
-                errors.append(f"s={s}: {problems[:2]}")
-                continue
-            try:
-                eliminate_cshapes(d)
-            except TwoBendError as exc:
-                errors.append(f"s={s}: {exc}")
-                continue
-            if dummy_c_shapes(d):
-                errors.append(f"s={s}: dummy C-shapes survived")
-                continue
-            return d
+    for s in sorted({v for _, v in sub.outer_darts if v in sub.real and v != u_i}):
+        try:
+            d = draw_liu(sub, s, u_i)
+        except (TwoBendError, EmbeddingError, ValueError) as exc:
+            errors.append(f"s={s}: {exc}")
+            continue
+        problems = check_invariants(d)
+        if problems:
+            errors.append(f"s={s}: {problems[:2]}")
+            continue
+        try:
+            eliminate_cshapes(d)
+        except TwoBendError as exc:
+            errors.append(f"s={s}: {exc}")
+            continue
+        if dummy_c_shapes(d):
+            errors.append(f"s={s}: dummy C-shapes survived")
+            continue
+        return d
     raise TwoBendError(f"no source candidate worked for component at {u_i}: {errors}")
 
 

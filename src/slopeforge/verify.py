@@ -491,8 +491,8 @@ def _outer_signature(g: EmbeddedGraph) -> Tuple:
     return _cyclic_normalize(entries)
 
 
-def embeddings_equivalent(g1: EmbeddedGraph, g2: EmbeddedGraph, check_outer: bool = True) -> bool:
-    """Same 1-plane embedding with identical vertex/edge ids.
+def embeddings_equivalent(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
+    """Same 1-plane embedding, outer face included, with identical vertex/edge ids.
 
     Orientation-preserving only: a mirror image does not compare equal.
     """
@@ -508,9 +508,7 @@ def embeddings_equivalent(g1: EmbeddedGraph, g2: EmbeddedGraph, check_outer: boo
         return False
     if _dummy_signature(g1) != _dummy_signature(g2):
         return False
-    if check_outer and _outer_signature(g1) != _outer_signature(g2):
-        return False
-    return True
+    return _outer_signature(g1) == _outer_signature(g2)
 
 
 # ---------------------------------------------------------------------------

@@ -253,42 +253,26 @@ class TestFreshIds:
         assert keys == key_set(vertices=["v0", "v2", "v3", "v10"], edges=["v7<"])
 
 
-def must(ok, message):
-    """Fail the test from inside gen_corpus, whose retry loop catches
-    AssertionError and EmbeddingError but not pytest.fail."""
-    if not ok:
-        pytest.fail(message)
-
-
-def must_validate(plane):
-    try:
-        plane.validate()
-    except EmbeddingError as exc:
-        pytest.fail(f"an insertion returned an invalid plane: {exc}")
-
-
 class TestInsertions:
     def test_ids_and_planes_match_the_references_during_generation(self, monkeypatch):
-        """Every id the generator hands out equals the scan's, every plane an
-        insertion returns passes validate(), and no insertion touches the
-        counters it was given."""
-        calls = {"fresh": 0, "returned": 0}
+        """Every id the generator hands out equals the scan's, and every
+        insertion leaves a plane that passes validate(), edited in place."""
+        calls = {"fresh": 0, "insertions": 0}
         real_fresh = families._fresh
 
         def checked_fresh(plane, prefix, counters):
             expected = fresh_by_scan(plane, prefix)
-            must(real_fresh(plane, prefix, counters) == expected, "id differs from the scan's")
+            assert real_fresh(plane, prefix, counters) == expected, "id differs from the scan's"
             calls["fresh"] += 1
             return expected
 
         def checked(insert):
             def run(record, counters, rng):
-                before = dict(counters)
-                out = insert(record, counters, rng)
-                must(counters == before, "an insertion changed the counters it was given")
-                must_validate(out[0].plane)
-                calls["returned"] += 1
-                return out
+                plane = record.plane
+                assert insert(record, counters, rng) is None
+                assert record.plane is plane, "an insertion replaced the plane"
+                plane.validate()
+                calls["insertions"] += 1
             return run
 
         monkeypatch.setattr(families, "_fresh", checked_fresh)
@@ -299,24 +283,22 @@ class TestInsertions:
                                 (200, range(1000, 1003))):
             for seed in seeds:
                 gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)
-        assert calls["returned"] >= 400 and calls["fresh"] >= 3 * calls["returned"]
+        assert calls["insertions"] >= 400 and calls["fresh"] >= 3 * calls["insertions"]
 
-    @pytest.mark.parametrize("insert", ["_insert_edge_pair", "_insert_crossing_gadget"])
-    def test_a_stall_after_fresh_ids_leaves_plane_and_counters_alone(self, monkeypatch, insert):
-        plane = gen_corpus(seed=3, n_target=16, profile="cubic3con", count=1)[0].plane
-        record = FaceRecord.of(plane)
-        counters = {}
-        _fresh(plane, "v", counters)
-        before_plane, before_record, before_counters = plane.copy(), record.copy(), dict(counters)
-
+    def test_a_lost_working_face_raises_out_of_gen_corpus(self, monkeypatch):
+        """A failed insertion is a generator fault: gen_corpus neither
+        retries the graph nor returns a smaller one."""
         def lost(record, verts):
             raise EmbeddingError("expansion lost its working face")
 
         monkeypatch.setattr(families, "_face_with", lost)
         with pytest.raises(EmbeddingError, match="lost its working face"):
-            getattr(families, insert)(record, counters, random.Random(1))
-        assert plane == before_plane and counters == before_counters
-        assert record == before_record and record.plane is plane
+            gen_corpus(seed=1000, n_target=60, profile="cubic3con")
+
+    def test_a_failed_profile_check_raises_out_of_gen_corpus(self, monkeypatch):
+        monkeypatch.setattr(families, "connectivity", lambda g, cap: 2)
+        with pytest.raises(AssertionError, match="corpus graph not 3-connected"):
+            gen_corpus(seed=1000, n_target=60, profile="cubic3con")
 
 
 def face_with_by_scan(plane, verts):
@@ -345,8 +327,7 @@ class TestFaceWith:
 
         def checked(record, verts):
             face = _face_with(record, verts)
-            must(face == face_with_by_scan(record.plane, verts),
-                 "working face differs from the scan's")
+            assert face == face_with_by_scan(record.plane, verts), "working face differs from the scan's"
             calls.append(verts)
             return face
 
@@ -381,12 +362,12 @@ def must_match_faces(record):
     same order and from the same darts, and every dart maps to its face."""
     plane = record.plane
     outer = set(plane.outer_darts)
-    must(record.inner_faces() == [f.darts for f in plane.faces() if set(f.darts) != outer],
-         "inner faces differ from faces()")
-    must(record.face_of == {d: k for k, darts in record.darts.items() for d in darts},
-         "a dart maps to a face that does not hold it")
-    must(all(record.rank(darts[0]) == k for k, darts in record.darts.items()),
-         "a face key is not the rank of its first dart")
+    assert record.inner_faces() == [f.darts for f in plane.faces() if set(f.darts) != outer], \
+        "inner faces differ from faces()"
+    assert record.face_of == {d: k for k, darts in record.darts.items() for d in darts}, \
+        "a dart maps to a face that does not hold it"
+    assert all(record.rank(darts[0]) == k for k, darts in record.darts.items()), \
+        "a face key is not the rank of its first dart"
 
 
 class TestFaceRecord:
@@ -399,17 +380,17 @@ class TestFaceRecord:
         def checked(insert):
             def run(record, counters, rng):
                 must_match_faces(record)
-                out = insert(record, counters, rng)
-                must_match_faces(out[0])
+                plane = record.plane
+                assert insert(record, counters, rng) is None
+                assert record.plane is plane, "an insertion replaced the plane"
+                must_match_faces(record)
                 calls["insertions"] += 1
-                return out
             return run
 
         def checked_face_with(record, verts):
             must_match_faces(record)
             face = _face_with(record, verts)
-            must(face == face_with_by_scan(record.plane, verts),
-                 "working face differs from the scan's")
+            assert face == face_with_by_scan(record.plane, verts), "working face differs from the scan's"
             calls["lookups"] += 1
             return face
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -344,3 +345,60 @@ class TestRankGrid:
         g = block_chain(40)
         assert grid_bits(drawing_by_scaling(g)) > 100
         assert grid_bits(draw_twobend(g)) <= 8
+
+
+class TestLaterSourceBytes:
+    """The output bytes of edge-deleted inputs with a component that the
+    first source on its outer face does not draw, so that a change to the
+    source order or to the outer face shows."""
+
+    @pytest.mark.parametrize("n_target, seed, digest", [
+        (20, 1011, "ccb537fa819afdd3f9a2d155b9980dbc21a1ba40a733fc39ed4a764fd0a2e785"),
+        (40, 1011, "b1900e74109f6d1cfd282eca7233c4efbc8af15073bd756fbae1ca9010ec6e70"),
+        (40, 1015, "ad2573e4cd30f89a9de0316056f92c8b0388deaee8bb7dbad386a60ada1ac4a4"),
+        (90, 1007, "13ff3587dd0bfba0e9114a1438e239702d1c7d9fd5431fbadf3aec75e35d8db4"),
+    ])
+    def test_drawing_bytes_are_pinned(self, monkeypatch, n_target, seed, digest):
+        sources = []
+        draw = twobend.draw_liu
+
+        def counted(plane, s, t):
+            sources.append(s)
+            return draw(plane, s, t)
+
+        monkeypatch.setattr(twobend, "draw_liu", counted)
+        g = edge_deleted(seed, n_target)
+        d = draw_twobend(g)
+        drawn = [c for c in bridge_decomposition(g).components if len(c) > 1]
+        assert len(sources) > len(drawn)
+        assert hashlib.sha256(dumps(drawing_to_doc(d)).encode()).hexdigest() == digest
+
+
+# Inputs the 2-bend drawer fails on today: (n_target, seed) of an
+# edge-deleted cubic3con graph, the component's attachment vertex, the C-shape
+# elimination every source on its outer face fails at, and those sources.
+KNOWN_FAILURES = [
+    (60, 1055, "r0", "cannot eliminate x7$a: blocker g11<> enters its head at E",
+     ["r1", "r3", "v13", "v20", "v21", "v27", "v31", "v32", "v40", "v41", "v44", "v45", "v47"]),
+]
+
+
+class TestKnownFailures:
+    """Each known failure must fail with exactly its message: a changed
+    message fails the test, and a fix shows up as a strict XPASS."""
+
+    @pytest.mark.xfail(strict=True, raises=TwoBendError)
+    @pytest.mark.parametrize(
+        "n_target, seed, u_i, reason, sources",
+        [pytest.param(*case, id=f"n{case[0]}-seed{case[1]}") for case in KNOWN_FAILURES],
+    )
+    def test_draws_and_validates(self, n_target, seed, u_i, reason, sources):
+        g = edge_deleted(seed, n_target)
+        try:
+            d = draw_twobend(g)
+        except TwoBendError as exc:
+            errors = [f"s={s}: {reason}" for s in sources]
+            assert str(exc) == f"no source candidate worked for component at {u_i}: {errors}"
+            raise
+        report = validate(d, "TWOBEND")
+        assert report.passed, report.violations
