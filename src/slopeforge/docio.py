@@ -40,7 +40,10 @@ def _rat_out(q: Fraction):
 def _rat_in(v) -> Fraction:
     if not isinstance(v, list) or len(v) != 2:
         raise DocumentError(f"expected [numerator, denominator], got {v!r}")
-    return Fraction(_int_in(v[0]), _int_in(v[1]))
+    num, den = _int_in(v[0]), _int_in(v[1])
+    if den == 0:
+        raise DocumentError(f"zero denominator in {v!r}")
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -293,9 +293,12 @@ def _gen_cubic3con(rng: random.Random, n_target: int) -> EmbeddedGraph:
     # The insertions keep the plane valid; this validates it once, in full.
     plane = record.plane
     g = EmbeddedGraph.from_plane(plane)
-    assert g.is_cubic(), "corpus graph not cubic"
-    assert connectivity(g, cap=3) == 3, "corpus graph not 3-connected"
-    assert plane.is_triconnected(), "planarization not 3-connected"
+    if not g.is_cubic():
+        raise EmbeddingError("corpus graph not cubic")
+    if connectivity(g, cap=3) != 3:
+        raise EmbeddingError("corpus graph not 3-connected")
+    if not plane.is_triconnected():
+        raise EmbeddingError("planarization not 3-connected")
     find_real_real_face(plane)
     return g
 
@@ -544,7 +547,8 @@ def _gen_subcubic(rng: random.Random, n_target: int) -> EmbeddedGraph:
             edges[f"pb{pend}"] = (bname, pv)
             pend += 1
     g = embedding_from_geometry(pos, edges)
-    assert g.is_subcubic(), "subcubic corpus graph exceeded degree 3"
-    adj = g.abstract_adjacency()
-    assert graphutil.is_connected(adj), "subcubic corpus graph disconnected"
+    if not g.is_subcubic():
+        raise EmbeddingError("subcubic corpus graph exceeded degree 3")
+    if not graphutil.is_connected(g.abstract_adjacency()):
+        raise EmbeddingError("subcubic corpus graph disconnected")
     return g

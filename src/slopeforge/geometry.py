@@ -293,12 +293,40 @@ Prepared = Tuple[Segment, _IntSegment, Tuple[int, int, int, int]]
 
 def prepare(seg: Segment) -> Prepared:
     form = _ints(seg)
+    return seg, form, _box(form)
+
+
+def prepare_shifted(prep: Prepared, seg: Segment, dx: Fraction) -> Prepared:
+    """prepare(seg) for seg, the segment of `prep` moved by dx in x, built
+    from prep's integer form instead of seg's coordinates.
+
+    The shifted numerators over lcm(L, dx's denominator) are divided by
+    their gcd with it, which leaves exactly the lcm of seg's reduced
+    denominators, the L that _ints builds.
+    """
+    L, ax, ay, bx, by = prep[1]
+    p, q = dx.numerator, dx.denominator
+    if q == 1:
+        # The x numerators move by multiples of L, so the form stays
+        # reduced, and the x box ends move by whole grid cells.
+        t, k = p * L, p << _GRID_BITS
+        lo_x, lo_y, hi_x, hi_y = prep[2]
+        return seg, (L, ax + t, ay, bx + t, by), (lo_x + k, lo_y, hi_x + k, hi_y)
+    m = L * q // math.gcd(L, q)
+    s, t = m // L, p * (m // q)
+    ax, ay, bx, by = ax * s + t, ay * s, bx * s + t, by * s
+    g = math.gcd(m, ax, ay, bx, by)
+    form = (m // g, ax // g, ay // g, bx // g, by // g)
+    return seg, form, _box(form)
+
+
+def _box(form: _IntSegment) -> Tuple[int, int, int, int]:
     L, ax, ay, bx, by = form
     # Each box coordinate v becomes floor(v * 2**_GRID_BITS).  Floor is
     # monotone, so two grid boxes are disjoint only if the exact boxes are.
     ax, ay = (ax << _GRID_BITS) // L, (ay << _GRID_BITS) // L
     bx, by = (bx << _GRID_BITS) // L, (by << _GRID_BITS) // L
-    return seg, form, (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+    return (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
 
 
 def segment_hits(
@@ -393,6 +421,15 @@ def octant(d: Direction) -> Optional[int]:
     if abs(ix) == abs(iy) or ix == 0 or iy == 0:
         return _OCTANTS[(sx, sy)]
     return None
+
+
+def prepared_octant(prep: Prepared) -> Optional[int]:
+    """octant of a prepared segment's direction, read off its integer form."""
+    _, ax, ay, bx, by = prep[1]
+    dx, dy = bx - ax, by - ay
+    if dx and dy and dx != dy and dx != -dy:
+        return None
+    return _OCTANTS[((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))]
 
 
 def angular_compare(d1: Direction, d2: Direction) -> int:

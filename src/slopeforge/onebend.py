@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .drawing import PolylineDrawing
 from .geometry import (
@@ -34,12 +34,12 @@ from .geometry import (
     Point,
     Prepared,
     Segment,
-    SlopeKind,
     hits_across,
     line_intersection,
     octant,
     prepare,
-    slope_of,
+    prepare_shifted,
+    prepared_octant,
     strip_collinear,
     sweep_hits,
 )
@@ -93,9 +93,46 @@ class CheckRecord:
     wedge: bool
 
 
+# The octants of segment directions, named by their ports.
+_E, _NE, _N, _NW, _W, _SW, _S, _SE = range(8)
+_TURNED = {o: (o + 4) % 8 for o in range(8)}
+_TURNED[None] = None
+
+
+class EdgeRecord(NamedTuple):
+    """What Gamma knows of one drawn edge."""
+
+    pts: List[Point]  # the polyline list the record describes
+    segs: List[Prepared]  # its segments, prepared for the pair queries
+    labels: List[str]  # the edge id once per segment
+    # The edge's shape: the octant of each segment in the orientation of
+    # pts, None for a segment off the canonical slopes.
+    shape: Tuple[Optional[int], ...]
+    start: str  # the end vertex pts starts at
+
+
+def _reversed_shape(shape: Tuple[Optional[int], ...]) -> Tuple[Optional[int], ...]:
+    """The shape of the reversed polyline: each octant turned by 4."""
+    return tuple(_TURNED[o] for o in reversed(shape))
+
+
 @dataclass
 class Gamma:
-    """The incremental drawing of the planarization."""
+    """The incremental drawing of the planarization.
+
+    `_index` holds a record per drawn edge (see EdgeRecord), the drawer's
+    one per-edge cache.  Its invariant: a record whose `pts` is the edge's
+    polyline list holds exactly what a rebuild from that list gives, that
+    is each segment prepared, each segment's octant (the shape) and the end
+    vertex the list starts at.  Polylines are replaced, never changed in
+    place, so a record whose list is no longer the edge's polyline is stale
+    and `record` rebuilds it from the coordinates.  Stretches and their
+    undo keep the records current instead: a stretch only translates
+    edges, or lengthens one horizontal of a split edge, so every shape
+    stays, reversed when a split edge is redrawn from its other end, and a
+    translated edge's prepared segments are shifted (see stretch).  Ports,
+    bends, horizontal segments and the P1 to P4 tests read the shapes.
+    """
 
     plane: PlaneGraph
     v1: str
@@ -105,18 +142,32 @@ class Gamma:
     contour: List[str] = field(default_factory=list)
     placed: Set[str] = field(default_factory=set)
     checked: Optional[CheckRecord] = None
-    # The segment index: plane-edge id -> (the polyline list the entry was
-    # built from, its segments prepared for the pair queries, the edge id
-    # once per segment).  Polylines are replaced, never changed in place,
-    # so an entry whose list is no longer the edge's polyline is stale and
-    # gets rebuilt.
-    _index: Dict[str, Tuple[List[Point], List[Prepared], List[str]]] = field(
+    _index: Dict[str, EdgeRecord] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # The horizontal-bearing edges (see horizontal_edges) and the drawn
-    # edges they were found among.
-    _horizontal: Set[str] = field(default_factory=set, init=False, repr=False, compare=False)
-    _horizontal_among: Set[str] = field(
-        default_factory=set, init=False, repr=False, compare=False)
+
+    # -- edge records -------------------------------------------------------
+
+    def record(self, e: str) -> EdgeRecord:
+        """The current record of drawn edge e, rebuilt when stale."""
+        pts = self.polylines[e]
+        rec = self._index.get(e)
+        if rec is None or rec.pts is not pts:
+            segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
+            a, b = self.plane.edges[e]
+            rec = self._index[e] = EdgeRecord(
+                pts, segs, [e] * len(segs), tuple(map(prepared_octant, segs)),
+                a if pts[0] == self.pos.get(a) else b)
+        return rec
+
+    def redraw(self, e: str, pts: List[Point], rec: EdgeRecord) -> None:
+        """Draw e along pts, with rec, a record of pts, as its record."""
+        self.polylines[e] = pts
+        self._index[e] = rec
+
+    def shape_from(self, e: str, v: str) -> Tuple[Optional[int], ...]:
+        """The shape of drawn edge e read from its end v."""
+        rec = self.record(e)
+        return rec.shape if rec.start == v else _reversed_shape(rec.shape)
 
     # -- drawn geometry queries -------------------------------------------
 
@@ -130,45 +181,32 @@ class Gamma:
         prepared: List[Prepared] = []
         index, polylines = self._index, self.polylines
         for e in self.drawn_edges() if edges is None else edges:
-            pts = polylines[e]
-            entry = index.get(e)
-            if entry is None or entry[0] is not pts:
-                segs = [prepare(Segment(pts[i], pts[i + 1])) for i in range(len(pts) - 1)]
-                entry = index[e] = (pts, segs, [e] * len(segs))
-            prepared += entry[1]
-            labels += entry[2]
+            rec = index.get(e)
+            if rec is None or rec.pts is not polylines[e]:
+                rec = self.record(e)
+            prepared += rec.segs
+            labels += rec.labels
         return labels, prepared
-
-    def segments(self, edges: Optional[Set[str]] = None) -> List[Tuple[str, Segment]]:
-        """Segments of the drawn edges, or of `edges` only, in edge order."""
-        labels, prepared = self.indexed(None if edges is None else sorted(edges))
-        return [(e, p[0]) for e, p in zip(labels, prepared)]
 
     def horizontal_edges(self) -> Set[str]:
         """The drawn edges other than the base edge that have a horizontal
-        segment.  A stretch keeps every y, so it never changes whether an
-        edge has one: only edges drawn since the last call are looked at."""
-        drawn = self.polylines.keys()
-        if drawn != self._horizontal_among:
-            base = _base_edge(self)
-            self._horizontal.intersection_update(drawn)
-            for e in drawn - self._horizontal_among:
-                pts = self.polylines[e]
-                if e != base and any(pts[i].y == pts[i + 1].y for i in range(len(pts) - 1)):
-                    self._horizontal.add(e)
-            self._horizontal_among = set(drawn)
-        return self._horizontal
+        segment."""
+        base = _base_edge(self)
+        out = set()
+        for e in self.polylines:
+            shape = self.record(e).shape
+            if (_E in shape or _W in shape) and e != base:
+                out.add(e)
+        return out
 
     def port_dirs(self, v: str) -> Dict[str, str]:
         """Drawn edge id -> port name at v."""
         out = {}
-        p = self.pos[v]
         for e in self.plane.rotation[v]:
-            pts = self.polylines.get(e)
-            if not pts:
+            if e not in self.polylines:
                 continue
-            q = pts[1] if pts[0] == p else pts[-2]
-            o = octant((q.x - p.x, q.y - p.y))
+            rec = self.record(e)
+            o = rec.shape[0] if rec.start == v else _TURNED[rec.shape[-1]]
             if o is None:
                 raise OneBendError(f"edge {e} leaves {v} off the canonical slopes")
             out[e] = PORTS[o]
@@ -185,11 +223,18 @@ class Gamma:
 
     def edge_bend_count(self, plane_edge: str) -> int:
         """Bends of the original edge drawn so far (corners at dummies count)."""
-        orig = self.plane.original_edge_of(plane_edge)
-        pts = self._joined_original(orig)
-        if pts is None:
-            return 0
-        return _count_bends(pts)
+        return _count_bends(self._original_shape(self.plane.original_edge_of(plane_edge)))
+
+    def _original_shape(self, orig: str) -> Tuple[Optional[int], ...]:
+        """The shape of the drawn part of an original edge, its two drawn
+        fragments joined at their dummy; empty when nothing is drawn."""
+        frags = self.plane.fragments_of_original(orig)
+        drawn = [f for f in frags or [orig] if f in self.polylines]
+        if len(drawn) < 2:
+            return self.record(drawn[0]).shape if drawn else ()
+        fa, fb = drawn
+        x = next(v for v in self.plane.edges[fa] if self.plane.is_dummy(v))
+        return self.shape_from(fa, self.plane.other_end(fa, x)) + self.shape_from(fb, x)
 
     def _joined_original(self, orig: str) -> Optional[List[Point]]:
         frags = self.plane.fragments_of_original(orig)
@@ -212,14 +257,12 @@ class Gamma:
         return pa + pb[1:]
 
 
-def _count_bends(pts: Sequence[Point]) -> int:
-    bends = 0
-    for i in range(1, len(pts) - 1):
-        d1 = (pts[i].x - pts[i - 1].x, pts[i].y - pts[i - 1].y)
-        d2 = (pts[i + 1].x - pts[i].x, pts[i + 1].y - pts[i].y)
-        if d1[0] * d2[1] - d1[1] * d2[0] != 0:
-            bends += 1
-    return bends
+def _count_bends(shape: Sequence[Optional[int]]) -> int:
+    """The turns of a shape: consecutive segments on different slopes.  A
+    segment off the canonical slopes turns against any other."""
+    return sum(
+        1 for o1, o2 in zip(shape, shape[1:]) if o1 is None or o2 is None or o1 % 4 != o2 % 4
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +448,6 @@ def _split_edges(g: Gamma, left: Set[str]) -> List[str]:
     return out
 
 
-def _from_stationary_end(g: Gamma, e: str, left: Set[str]) -> List[Point]:
-    """The polyline of a split edge, oriented from its end in `left`."""
-    a, b = g.plane.edges[e]
-    pts = g.polylines[e]
-    return pts if pts[0] == g.pos[a if a in left else b] else pts[::-1]
-
-
 def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     """The placed vertices that a stretch just right of left_anchor keeps in
     place; the drawing is not changed.
@@ -429,9 +465,35 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     """
     hor = g.horizontal_edges()
     parent = _cut_forest(g, hor)
+    # The components and their vertices; rigid edges merge them,
+    # relabelling the smaller one.  Whether a buried component lies left of
+    # t_lo is kept until t_lo changes or the component merges.
+    root = {v: _find(parent, v) for v in g.placed}
+    members: Dict[str, List[str]] = {}
+    for v, r in root.items():
+        members.setdefault(r, []).append(v)
+    t_lo: Optional[Fraction] = None
+    left_of: Dict[str, bool] = {}
+
+    def stays_left(r: str) -> bool:
+        if r not in left_of:
+            left_of[r] = all(g.pos[v].x <= t_lo for v in members[r])
+        return left_of[r]
+
+    # The ends (a, b) of each horizontal-bearing edge that cannot absorb
+    # when split with a stationary: read from a, none of its segments runs
+    # east.
+    rigid_if = []
+    for e in hor:
+        rec = g.record(e)
+        a, b = rec.start, g.plane.other_end(e, rec.start)
+        if _E not in rec.shape:
+            rigid_if.append((a, b))
+        if _W not in rec.shape:
+            rigid_if.append((b, a))
     contour = g.contour
+    prefix_x = list(itertools.accumulate((g.pos[v].x for v in contour), max))
     while True:
-        root = {v: _find(parent, v) for v in g.placed}
         anchor_root = root[left_anchor]
         ia = max((i for i, v in enumerate(contour) if root[v] == anchor_root), default=0)
         stay = {root[v] for v in contour[: ia + 1]}
@@ -439,43 +501,52 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
         # Buried components with no contour vertex side geometrically: they
         # stay when they lie left of everything moving along the contour.
         if not contour_roots <= stay:
-            t_lo = max(g.pos[v].x for v in contour[: ia + 1])
-            buried = set(root.values()) - contour_roots - stay
-            right = {r for v, r in root.items() if r in buried and g.pos[v].x > t_lo}
-            stay |= buried - right
-        left = {v for v, r in root.items() if r in stay}
-        newly_rigid = [
-            e for e in hor
-            if (g.plane.edges[e][0] in left) != (g.plane.edges[e][1] in left)
-            and _first_rightward_horizontal(_from_stationary_end(g, e, left)) is None
-        ]
+            if t_lo != prefix_x[ia]:
+                t_lo, left_of = prefix_x[ia], {}
+            stay |= {r for r in members if r not in contour_roots and stays_left(r)}
+        left = {v for r in stay for v in members[r]}
+        newly_rigid = [(a, b) for a, b in rigid_if if a in left and b not in left]
         if not newly_rigid:
             break
-        for e in newly_rigid:
-            _union(parent, *g.plane.edges[e])
+        for a, b in newly_rigid:
+            small, big = root[a], root[b]
+            if small == big:
+                continue
+            if len(members[small]) > len(members[big]):
+                small, big = big, small
+            for v in members[small]:
+                root[v] = big
+            members[big] += members.pop(small)
+            left_of.pop(small, None)
+            left_of.pop(big, None)
     if g.v2 in left:
         raise OneBendError("stretch cut would move the right base vertex's side leftward")
     return left
 
 
-def stretch(g: Gamma, left: Set[str], delta: Fraction) -> Dict[str, List[Point]]:
+def stretch(g: Gamma, left: Set[str], delta: Fraction) -> Dict[str, EdgeRecord]:
     """Move every placed vertex outside `left`, a stretch_cut, right by delta.
 
     Edges with no end in `left` translate; each split edge is redrawn from
     its stationary end with its first rightward horizontal lengthened; the
-    base edge re-derives its low point.  Returns the polylines it replaced
-    of the split edges and the base edge: _translate(g, left, -delta)
-    followed by putting those back restores the drawing exactly.
+    base edge re-derives its low point.  Every shape but the base edge's is
+    kept.  Returns the records it replaced of the split edges and the base
+    edge: _translate(g, left, -delta) followed by redrawing those restores
+    the drawing and its records exactly.
     """
     if delta <= 0:
         raise ValueError("stretch needs a positive amount")
     base = _base_edge(g)
-    replaced = {base: g.polylines[base]}
+    replaced = {base: g.record(base)}
     for e in _split_edges(g, left):
-        pts = _from_stationary_end(g, e, left)
-        k = _first_rightward_horizontal(pts)
-        replaced[e] = g.polylines[e]
-        g.polylines[e] = pts[: k + 1] + [Point(p.x + delta, p.y) for p in pts[k + 1 :]]
+        rec = replaced[e] = g.record(e)
+        start, pts, shape = rec.start, rec.pts, rec.shape
+        if start not in left:
+            start, pts, shape = g.plane.other_end(e, start), pts[::-1], _reversed_shape(shape)
+        k = shape.index(_E)
+        pts = pts[: k + 1] + [Point(p.x + delta, p.y) for p in pts[k + 1 :]]
+        segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
+        g.redraw(e, pts, EdgeRecord(pts, segs, rec.labels, shape, start))
     _translate(g, left, delta)
     _redraw_base(g)
     return replaced
@@ -483,29 +554,28 @@ def stretch(g: Gamma, left: Set[str], delta: Fraction) -> Dict[str, List[Point]]
 
 def _translate(g: Gamma, left: Set[str], delta: Fraction) -> None:
     """Shift the placed vertices outside `left`, and the edges with no end
-    in it, by delta in x."""
+    in it, by delta in x, with their records."""
+    edges = g.plane.edges
+    moved = [(e, g.record(e)) for e in g.polylines
+             if edges[e][0] not in left and edges[e][1] not in left]
+    pos = g.pos
     for v in g.placed:
         if v not in left:
-            p = g.pos[v]
-            g.pos[v] = Point(p.x + delta, p.y)
-    for e in g.drawn_edges():
-        a, b = g.plane.edges[e]
-        if a not in left and b not in left:
-            g.polylines[e] = [Point(p.x + delta, p.y) for p in g.polylines[e]]
-
-
-def _first_rightward_horizontal(pts: List[Point]) -> Optional[int]:
-    for i in range(len(pts) - 1):
-        if pts[i].y == pts[i + 1].y and pts[i + 1].x > pts[i].x:
-            return i
-    return None
+            p = pos[v]
+            pos[v] = Point(p.x + delta, p.y)
+    for e, rec in moved:
+        pts = [pos[rec.start]] + [Point(p.x + delta, p.y) for p in rec.pts[1:-1]]
+        pts.append(pos[g.plane.other_end(e, rec.start)])
+        segs = [prepare_shifted(s, Segment(p, q), delta) for s, p, q in zip(rec.segs, pts, pts[1:])]
+        g.redraw(e, pts, EdgeRecord(pts, segs, rec.labels, rec.shape, rec.start))
 
 
 def _redraw_base(g: Gamma) -> None:
     base = _base_edge(g)
     p1, p2 = g.pos[g.v1], g.pos[g.v2]
     low = line_intersection(p1, _dir("SE"), p2, _dir("SW"))
-    assert low is not None
+    if low is None:
+        raise OneBendError("the base support lines do not meet")
     g.polylines[base] = [p1, low, p2]
 
 
@@ -516,7 +586,8 @@ def _redraw_base(g: Gamma) -> None:
 
 def _ray_point_at_height(anchor: Point, port: str, y: Fraction) -> Point:
     dx, dy = DIRS[port]
-    assert dy == 1
+    if dy != 1:
+        raise OneBendError(f"{port} is not an upward port")
     return Point(anchor.x + dx * (y - anchor.y), y)
 
 
@@ -842,7 +913,8 @@ class OneBendDrawer:
         replaced = stretch(g, left, delta)
         if _check_stretch(g, left):
             _translate(g, left, -delta)
-            g.polylines.update(replaced)
+            for e, rec in replaced.items():
+                g.redraw(e, rec.pts, rec)
             return False
         return True
 
@@ -1115,10 +1187,13 @@ def check_step(g: Gamma, new: Set[str]) -> List[str]:
 
     Exact when check_gamma passed on the drawing before the step and the
     drawing has changed since only by the new edges and by stretches that
-    _check_stretch accepted.  A stretch keeps every segment's slope, every
-    bend count and every port direction at a vertex, and _check_stretch
-    keeps the old segments simple; so P1, P2, the rotations and simplicity
-    can only break at a new edge.
+    _check_stretch accepted.  A stretch keeps every edge's shape, the
+    octant word its record carries (see Gamma), and so every segment's
+    slope, every bend count and every port direction at a vertex; and
+    _check_stretch keeps the old segments simple.  So P1, P2, the
+    rotations and simplicity can only break at a new edge, and they, P3's
+    base edge and P4 read the shapes, which the records keep equal to a
+    rebuild from the coordinates.
 
     P3 to P6 are checked relative to g.checked, the record of the last
     check_step that found no problem, and on the whole drawing when there
@@ -1197,17 +1272,11 @@ def _carried_cut_pairs(
 def _wedge_holds(g: Gamma, points: List[Point]) -> bool:
     """The base edge has its P3 shape, and every point of `points` other
     than its three lies strictly above both base support lines."""
-    pts = g.polylines.get(_base_edge(g))
-    if pts is None or len(pts) != 3:
+    base = _base_edge(g)
+    # Down SE from v1 to the low point, then up NE to v2.
+    if base not in g.polylines or g.record(base).shape != (_SE, _NE):
         return False
-    p1, low, p2 = pts
-    if (
-        slope_of(Segment(p1, low)).kind is not SlopeKind.DEG135
-        or slope_of(Segment(low, p2)).kind is not SlopeKind.DEG45
-        or p1.y <= low.y
-        or p2.y <= low.y
-    ):
-        return False
+    p1, low, p2 = g.polylines[base]
     left_c, right_c = p1.x + p1.y, p2.y - p2.x
     return all(
         q in (p1, low, p2) or (q.x + q.y > left_c and q.y - q.x > right_c) for q in points
@@ -1229,9 +1298,10 @@ def _check_rotations(g: Gamma, vertices: Optional[Set[str]] = None) -> List[str]
 
 def _check_p1(g: Gamma, edges: Optional[Set[str]] = None) -> List[str]:
     out = []
-    for e, seg in g.segments(edges):
-        if slope_of(seg).kind is SlopeKind.OTHER:
-            out.append(f"P1: segment of {e} off the canonical slopes")
+    for e in g.drawn_edges() if edges is None else sorted(edges):
+        for o in g.record(e).shape:
+            if o is None:
+                out.append(f"P1: segment of {e} off the canonical slopes")
     return out
 
 
@@ -1243,9 +1313,9 @@ def _check_p2(g: Gamma, edges: Optional[Set[str]] = None) -> List[str]:
         if orig in seen:
             continue
         seen.add(orig)
-        pts = g._joined_original(orig)
-        if pts and _count_bends(pts) > 1:
-            out.append(f"P2: edge {orig} has {_count_bends(pts)} bends")
+        bends = _count_bends(g._original_shape(orig))
+        if bends > 1:
+            out.append(f"P2: edge {orig} has {bends} bends")
     return out
 
 
@@ -1258,9 +1328,10 @@ def _check_p3(g: Gamma) -> List[str]:
     if len(pts) != 3:
         return [f"P3: base edge drawn with {len(pts) - 2} bends"]
     p1, low, p2 = pts
-    if slope_of(Segment(p1, low)).kind is not SlopeKind.DEG135:
+    left_octant, right_octant = g.record(base).shape
+    if left_octant not in (_NW, _SE):
         out.append("P3: left base segment not on the SE port slope")
-    if slope_of(Segment(low, p2)).kind is not SlopeKind.DEG45:
+    if right_octant not in (_NE, _SW):
         out.append("P3: right base segment not on the SW port slope")
     all_points = _all_drawing_points(g)
     for q in all_points:
@@ -1311,14 +1382,15 @@ def _attachable_pairs(g: Gamma, lo: int, hi: int) -> List[Tuple[int, int]]:
 
 def _check_p4_pairs(g: Gamma, pairs: List[Tuple[int, int]]) -> Tuple[List[str], List[Tuple[int, int]]]:
     """P4(a) and P4(b) on the given attachable pairs, and those of the pairs
-    that P4(c) must separate."""
+    that P4(c) must separate, read off the shapes along each contour path."""
     out = []
     cut = []
     contour = g.contour
     for iu, iv in pairs:
         u, v = contour[iu], contour[iv]
         path = contour[iu : iv + 1]
-        segs = _contour_path_segments(g, path)
+        shapes = [g.shape_from(_connecting_drawn_edge(g, a, b), a) for a, b in zip(path, path[1:])]
+        word = [o for shape in shapes for o in shape]
         # (b) both real attachable: a horizontal segment exists, or nothing
         # on the path could ever block a stretch (no verticals at all).
         if (
@@ -1327,25 +1399,34 @@ def _check_p4_pairs(g: Gamma, pairs: List[Tuple[int, int]]) -> Tuple[List[str], 
             and g.attachable(u)
             and g.attachable(v)
         ):
-            has_horizontal = any(s.a.y == s.b.y for s in segs)
-            has_vertical = any(s.a.x == s.b.x for s in segs)
-            if not has_horizontal and has_vertical:
+            if _E not in word and _W not in word and (_N in word or _S in word):
                 out.append(f"P4b: no horizontal on the contour between {u} and {v}")
         # (a) upward verticals need an earlier horizontal.  Verticals that
         # are whole connection edges (N-port attachments) are exempt: their
         # clearance is negotiated at placement time, not by stretching.
-        plain = _without_vertical_edges(g, path, segs)
+        plain = [o for shape in shapes if shape not in ((_N,), (_S,)) for o in shape]
         if g.attachable(u) and not _l_used(g, u):
-            if not _p4a_ok(plain):
+            if not _p4a_ok(plain, _N):
                 out.append(f"P4a: vertical before any horizontal between {u} and {v}")
         if g.attachable(v) and not _r_used(g, v):
-            if not _p4a_ok([Segment(s.b, s.a) for s in reversed(plain)]):
+            if not _p4a_ok(reversed(plain), _S):
                 out.append(f"P4a: vertical before any horizontal between {v} and {u} (reverse)")
         # Cuts are needed to push vertical segments out of connection rays,
         # so separability is required exactly where such verticals exist.
-        if any(s.a.x == s.b.x for s in plain):
+        if _N in plain or _S in plain:
             cut.append((iu, iv))
     return out, cut
+
+
+def _p4a_ok(word: Iterable[Optional[int]], up: int) -> bool:
+    """No segment of octant `up`, upward when the word is read in its
+    direction of travel, comes before the word's first horizontal."""
+    for o in word:
+        if o == _E or o == _W:
+            return True
+        if o == up:
+            return False
+    return True
 
 
 def _check_p4c(g: Gamma, cut_pairs: List[Tuple[int, int]]) -> List[str]:
@@ -1360,40 +1441,6 @@ def _check_p4c(g: Gamma, cut_pairs: List[Tuple[int, int]]) -> List[str]:
         if _find(parent, u) == _find(parent, v):
             out.append(f"P4c: no all-horizontal cut separates {u} from {v}")
     return out
-
-
-def _without_vertical_edges(g: Gamma, path: List[str], segs: List[Segment]) -> List[Segment]:
-    """Drop segments of edges drawn as single vertical segments."""
-    vertical_edges = set()
-    for a, b in zip(path, path[1:]):
-        e = _connecting_drawn_edge(g, a, b)
-        pts = g.polylines[e]
-        if len(pts) == 2 and pts[0].x == pts[1].x:
-            vertical_edges.add((pts[0], pts[1]))
-            vertical_edges.add((pts[1], pts[0]))
-    return [s for s in segs if (s.a, s.b) not in vertical_edges]
-
-
-def _contour_path_segments(g: Gamma, path: List[str]) -> List[Segment]:
-    segs: List[Segment] = []
-    for a, b in zip(path, path[1:]):
-        e = _connecting_drawn_edge(g, a, b)
-        pts = list(g.polylines[e])
-        if pts[0] != g.pos[a]:
-            pts.reverse()
-        for i in range(len(pts) - 1):
-            segs.append(Segment(pts[i], pts[i + 1]))
-    return segs
-
-
-def _p4a_ok(segs: List[Segment]) -> bool:
-    seen_horizontal = False
-    for s in segs:
-        if s.a.y == s.b.y:
-            seen_horizontal = True
-        elif s.a.x == s.b.x and s.b.y > s.a.y and not seen_horizontal:
-            return False
-    return True
 
 
 def _l_used(g: Gamma, v: str) -> bool:
@@ -1547,13 +1594,14 @@ def _improper_pairs(
         if _improper(g, e1, e2, res):
             out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")
             return out
-    seen_pos: Dict[Point, str] = {}
-    for v in sorted(g.placed):
-        p = g.pos[v]
-        if p in seen_pos:
-            out.append(f"simple: vertices {seen_pos[p]} and {v} coincide at {p}")
-            break
-        seen_pos[p] = v
+    if _coincident(g):
+        seen_pos: Dict[Point, str] = {}
+        for v in sorted(g.placed):
+            p = g.pos[v]
+            if p in seen_pos:
+                out.append(f"simple: vertices {seen_pos[p]} and {v} coincide at {p}")
+                break
+            seen_pos[p] = v
     return out
 
 

@@ -18,6 +18,11 @@ by cutting every original polyline into one polyline per planarization
 edge and re-sorting the piece directions at the lowest point.  The tests
 require verify's reading of that point off the original polylines and the
 sorted rotation to give the same darts, from the same start.
+
+check_gamma_by_points is the 1-bend checker with P1 to P4 decided on
+segments rebuilt from the polylines, and ports read off the coordinates,
+where onebend reads the shapes its edge records carry.  The tests require
+onebend.check_step to report the same problems at every step.
 """
 
 from __future__ import annotations
@@ -25,9 +30,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from slopeforge import graphutil
+from slopeforge import graphutil, onebend
 from slopeforge.drawing import PolylineDrawing
-from slopeforge.geometry import Point, Segment, on_segment, sort_directions_ccw
+from slopeforge.geometry import (
+    Point,
+    Segment,
+    SlopeKind,
+    octant,
+    on_segment,
+    slope_of,
+    sort_directions_ccw,
+)
 from slopeforge.graphutil import Adj
 from slopeforge.model import EmbeddedGraph, PlaneGraph, connectivity
 from slopeforge.reembed import (
@@ -448,3 +461,197 @@ def _dedup(pts: List[Point]) -> List[Point]:
         if p != out[-1]:
             out.append(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The 1-bend checker on rebuilt segments
+# ---------------------------------------------------------------------------
+
+
+def shape_by_points(pts: List[Point]) -> Tuple[Optional[int], ...]:
+    """The octant of each segment of a polyline, None off the slopes."""
+    return tuple(octant((q.x - p.x, q.y - p.y)) for p, q in zip(pts, pts[1:]))
+
+
+def port_dirs_by_points(g: onebend.Gamma, v: str) -> Dict[str, str]:
+    """Drawn edge id -> port name at v, from the coordinates."""
+    out = {}
+    p = g.pos[v]
+    for e in g.plane.rotation[v]:
+        pts = g.polylines.get(e)
+        if not pts:
+            continue
+        q = pts[1] if pts[0] == p else pts[-2]
+        o = octant((q.x - p.x, q.y - p.y))
+        if o is None:
+            raise onebend.OneBendError(f"edge {e} leaves {v} off the canonical slopes")
+        out[e] = onebend.PORTS[o]
+    return out
+
+
+def horizontal_edges_by_points(g: onebend.Gamma) -> Set[str]:
+    base = onebend._base_edge(g)
+    return {
+        e for e, pts in g.polylines.items()
+        if e != base and any(p.y == q.y for p, q in zip(pts, pts[1:]))
+    }
+
+
+def from_stationary_end(g: onebend.Gamma, e: str, left: Set[str]) -> List[Point]:
+    """The polyline of a split edge, oriented from its end in `left`."""
+    a, b = g.plane.edges[e]
+    pts = g.polylines[e]
+    return pts if pts[0] == g.pos[a if a in left else b] else pts[::-1]
+
+
+def first_rightward_horizontal(pts: List[Point]) -> Optional[int]:
+    for i in range(len(pts) - 1):
+        if pts[i].y == pts[i + 1].y and pts[i + 1].x > pts[i].x:
+            return i
+    return None
+
+
+def check_gamma_by_points(g: onebend.Gamma) -> List[str]:
+    """onebend.check_gamma with P1 to P4 on rebuilt segments."""
+    return (
+        _p1_by_points(g) + _p2_by_points(g) + _p3_by_points(g) + check_p4_by_points(g)
+        + onebend._check_p5(g) + onebend._check_p6(g) + onebend._check_rotations(g)
+        + onebend._check_simple(g)
+    )
+
+
+def _p1_by_points(g: onebend.Gamma) -> List[str]:
+    return [
+        f"P1: segment of {e} off the canonical slopes"
+        for e in g.drawn_edges() for p, q in zip(g.polylines[e], g.polylines[e][1:])
+        if slope_of(Segment(p, q)).kind is SlopeKind.OTHER
+    ]
+
+
+def _count_bends(pts: Sequence[Point]) -> int:
+    bends = 0
+    for i in range(1, len(pts) - 1):
+        d1 = (pts[i].x - pts[i - 1].x, pts[i].y - pts[i - 1].y)
+        d2 = (pts[i + 1].x - pts[i].x, pts[i + 1].y - pts[i].y)
+        if d1[0] * d2[1] - d1[1] * d2[0] != 0:
+            bends += 1
+    return bends
+
+
+def _p2_by_points(g: onebend.Gamma) -> List[str]:
+    out = []
+    seen: Set[str] = set()
+    for e in g.drawn_edges():
+        orig = g.plane.original_edge_of(e)
+        if orig in seen:
+            continue
+        seen.add(orig)
+        pts = g._joined_original(orig)
+        if pts and _count_bends(pts) > 1:
+            out.append(f"P2: edge {orig} has {_count_bends(pts)} bends")
+    return out
+
+
+def _p3_by_points(g: onebend.Gamma) -> List[str]:
+    base = onebend._base_edge(g)
+    if base not in g.polylines:
+        return ["P3: base edge not drawn"]
+    pts = g.polylines[base]
+    if len(pts) != 3:
+        return [f"P3: base edge drawn with {len(pts) - 2} bends"]
+    out = []
+    p1, low, p2 = pts
+    if slope_of(Segment(p1, low)).kind is not SlopeKind.DEG135:
+        out.append("P3: left base segment not on the SE port slope")
+    if slope_of(Segment(low, p2)).kind is not SlopeKind.DEG45:
+        out.append("P3: right base segment not on the SW port slope")
+    all_points = onebend._all_drawing_points(g)
+    for q in all_points:
+        if q != low and q.y <= low.y:
+            out.append(f"P3: {q} not above the base low point")
+            break
+    for q in all_points:
+        if q not in (p1, p2, low) and (q.y - p1.y == -(q.x - p1.x) or q.y - p2.y == q.x - p2.x):
+            out.append(f"P3: {q} lies on a base support line")
+            break
+    return out
+
+
+def check_p4_by_points(g: onebend.Gamma) -> List[str]:
+    """P4 on the contour path segments: (a) and (b) at every pair of
+    consecutive attachable contour vertices, then (c), separation by the
+    horizontal-bearing edges, at the pairs whose path has a vertical."""
+    out, cut = [], []
+    contour = g.contour
+    for iu, iv in onebend._attachable_pairs(g, 0, len(contour) - 1):
+        u, v = contour[iu], contour[iv]
+        path = contour[iu : iv + 1]
+        segs = _contour_path_segments(g, path)
+        if (
+            not g.plane.is_dummy(u)
+            and not g.plane.is_dummy(v)
+            and g.attachable(u)
+            and g.attachable(v)
+        ):
+            has_horizontal = any(s.a.y == s.b.y for s in segs)
+            has_vertical = any(s.a.x == s.b.x for s in segs)
+            if not has_horizontal and has_vertical:
+                out.append(f"P4b: no horizontal on the contour between {u} and {v}")
+        plain = _without_vertical_edges(g, path, segs)
+        if g.attachable(u) and not _port_used(g, u, "NE"):
+            if not _p4a_ok(plain):
+                out.append(f"P4a: vertical before any horizontal between {u} and {v}")
+        if g.attachable(v) and not _port_used(g, v, "NW"):
+            if not _p4a_ok([Segment(s.b, s.a) for s in reversed(plain)]):
+                out.append(f"P4a: vertical before any horizontal between {v} and {u} (reverse)")
+        if any(s.a.x == s.b.x for s in plain):
+            cut.append((u, v))
+    if cut:
+        base = onebend._base_edge(g)
+        hor = horizontal_edges_by_points(g)
+        adj: Dict[str, Set[str]] = {v: set() for v in g.placed}
+        for e in g.polylines:
+            if e != base and e not in hor:
+                a, b = g.plane.edges[e]
+                adj[a].add(b)
+                adj[b].add(a)
+        comp_of = {v: i for i, comp in enumerate(graphutil.components(adj)) for v in comp}
+        for u, v in cut:
+            if comp_of[u] == comp_of[v]:
+                out.append(f"P4c: no all-horizontal cut separates {u} from {v}")
+    return out
+
+
+def _port_used(g: onebend.Gamma, v: str, port: str) -> bool:
+    return port in port_dirs_by_points(g, v).values() and not g.plane.is_dummy(v)
+
+
+def _without_vertical_edges(g: onebend.Gamma, path: List[str], segs: List[Segment]) -> List[Segment]:
+    """Drop segments of edges drawn as single vertical segments."""
+    vertical_edges = set()
+    for a, b in zip(path, path[1:]):
+        pts = g.polylines[onebend._connecting_drawn_edge(g, a, b)]
+        if len(pts) == 2 and pts[0].x == pts[1].x:
+            vertical_edges.add((pts[0], pts[1]))
+            vertical_edges.add((pts[1], pts[0]))
+    return [s for s in segs if (s.a, s.b) not in vertical_edges]
+
+
+def _contour_path_segments(g: onebend.Gamma, path: List[str]) -> List[Segment]:
+    segs: List[Segment] = []
+    for a, b in zip(path, path[1:]):
+        pts = list(g.polylines[onebend._connecting_drawn_edge(g, a, b)])
+        if pts[0] != g.pos[a]:
+            pts.reverse()
+        segs.extend(Segment(p, q) for p, q in zip(pts, pts[1:]))
+    return segs
+
+
+def _p4a_ok(segs: List[Segment]) -> bool:
+    seen_horizontal = False
+    for s in segs:
+        if s.a.y == s.b.y:
+            seen_horizontal = True
+        elif s.a.x == s.b.x and s.b.y > s.a.y and not seen_horizontal:
+            return False
+    return True

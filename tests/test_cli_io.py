@@ -243,6 +243,20 @@ class TestCli:
         report = json.loads(report_json)
         assert (code, report["passed"], report["embedding_preserved"]) == (0, True, True), report
 
+    @pytest.mark.parametrize("command", [["validate", "--profile", "onebend"], ["render"]])
+    @pytest.mark.parametrize("where", ["position", "polyline"])
+    def test_zero_denominator_exits_2(self, capsys, command, where):
+        _, graph_json = run_cli(["gen", "--family", "k4"])
+        _, drawing_json = run_cli(["draw", "--mode", "onebend"], graph_json)
+        doc = json.loads(drawing_json)
+        if where == "position":
+            doc["positions"][sorted(doc["positions"])[0]][0] = [1, 0]
+        else:
+            doc["polylines"][sorted(doc["polylines"])[0]][0][1] = [1, 0]
+        code, out = run_cli(command, json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: zero denominator in [1, 0]\n"
+
     @pytest.mark.parametrize("command", [
         ["draw", "--mode", "onebend"],
         ["validate", "--profile", "onebend"],

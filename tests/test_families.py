@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import pytest
@@ -297,8 +301,36 @@ class TestInsertions:
 
     def test_a_failed_profile_check_raises_out_of_gen_corpus(self, monkeypatch):
         monkeypatch.setattr(families, "connectivity", lambda g, cap: 2)
-        with pytest.raises(AssertionError, match="corpus graph not 3-connected"):
+        with pytest.raises(EmbeddingError, match="corpus graph not 3-connected"):
             gen_corpus(seed=1000, n_target=60, profile="cubic3con")
+
+    def test_checks_still_raise_under_python_O(self):
+        """python -O strips assert statements; the profile checks and the
+        1-bend drawer's geometry checks must raise all the same."""
+        script = textwrap.dedent("""
+            import pytest
+            from fractions import Fraction
+            from slopeforge import families, onebend
+            from slopeforge.geometry import Point
+            from slopeforge.model import EmbeddingError
+            assert False, "asserts are not stripped"
+            families.connectivity = lambda g, cap: 2
+            with pytest.raises(EmbeddingError, match="corpus graph not 3-connected"):
+                families.gen_corpus(seed=1000, n_target=60, profile="cubic3con")
+            with pytest.raises(onebend.OneBendError, match="not an upward port"):
+                onebend._ray_point_at_height(Point(Fraction(0), Fraction(0)), "E", Fraction(1))
+            plane = families.gen_k4_embedded().plane
+            gamma = onebend.Gamma(plane=plane, v1=plane.vertices[0], v2=plane.vertices[1])
+            gamma.pos = {v: Point(Fraction(0), Fraction(0)) for v in plane.vertices}
+            onebend.line_intersection = lambda *args: None
+            with pytest.raises(onebend.OneBendError, match="base support lines"):
+                onebend._redraw_base(gamma)
+            print("ok")
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def face_with_by_scan(plane, verts):

@@ -29,6 +29,8 @@ from slopeforge.geometry import (
     on_segment,
     orient,
     prepare,
+    prepare_shifted,
+    prepared_octant,
     primitive,
     segment_hits,
     slope_of,
@@ -404,6 +406,36 @@ class TestIntegerKernel:
     ])
     def test_hand_picked(self, s1, s2, kind, point):
         assert _check_against_fractions(s1, s2) == Intersection(kind, point)
+
+
+class TestPrepareShifted:
+    def test_equals_prepare_on_the_moved_segment(self):
+        """Shifting a prepared segment by dx gives what prepare builds on the
+        moved coordinates, also when dx cancels a denominator of the x's or
+        brings in a new one."""
+        rng = random.Random(33)
+        reduced = grown = 0
+        for _ in range(2000):
+            d, e = rng.choice(_DENOMINATORS), rng.choice((1, 2, 3))
+            a, b = (P(Fraction(rng.randint(-8 * d, 8 * d), d), Fraction(rng.randint(-8 * e, 8 * e), e))
+                    for _ in range(2))
+            if a == b:
+                continue
+            s = Segment(a, b)
+            dx = Fraction(rng.randint(-8 * d, 8 * d), rng.choice((1, d, rng.choice(_DENOMINATORS))))
+            moved = Segment(P(s.a.x + dx, s.a.y), P(s.b.x + dx, s.b.y))
+            shifted = prepare_shifted(prepare(s), moved, dx)
+            assert shifted == prepare(moved)
+            reduced += shifted[1][0] < _ints(s)[0]
+            grown += shifted[1][0] > _ints(s)[0]
+        assert reduced >= 30 and grown >= 300
+
+    def test_octant_of_a_prepared_segment(self):
+        for dx in range(-3, 4):
+            for dy in range(-3, 4):
+                if dx or dy:
+                    s = S(Fraction(1, 3), Fraction(2, 7), Fraction(1, 3) + dx, Fraction(2, 7) + dy)
+                    assert prepared_octant(prepare(s)) == octant((Fraction(dx), Fraction(dy)))
 
 
 class TestAngles:

@@ -24,8 +24,6 @@ from slopeforge.onebend import (
     _blockers,
     _check_simple,
     _check_stretch,
-    _first_rightward_horizontal,
-    _from_stationary_end,
     _middle_mismatch,
     _split_edges,
     check_gamma,
@@ -39,6 +37,14 @@ from slopeforge.reembed import normalize_embedding
 from slopeforge.verify import validate
 
 from builders import gen_fig_like
+from oracles import (
+    check_gamma_by_points,
+    first_rightward_horizontal,
+    from_stationary_end,
+    horizontal_edges_by_points,
+    port_dirs_by_points,
+    shape_by_points,
+)
 
 F = Fraction
 
@@ -79,10 +85,7 @@ def stretch_cut_by_rebuild(g, left_anchor):
             adj[b].add(a)
         return adj
 
-    hor = {
-        e for e in g.drawn_edges()
-        if e != base and any(p.y == q.y for p, q in zip(g.polylines[e], g.polylines[e][1:]))
-    }
+    hor = horizontal_edges_by_points(g)
     rigid = set()
     while True:
         comps = graphutil.components(cut_graph(hor - rigid))
@@ -104,7 +107,7 @@ def stretch_cut_by_rebuild(g, left_anchor):
         left = {v for v in g.placed if comp_of[v] in stay_comps}
         newly_rigid = {
             e for e in _split_edges(g, left)
-            if _first_rightward_horizontal(_from_stationary_end(g, e, left)) is None
+            if first_rightward_horizontal(from_stationary_end(g, e, left)) is None
         }
         if not newly_rigid:
             break
@@ -158,11 +161,18 @@ def step_simple_by_sweep(g, new):
 
 
 def assert_index_is_fresh(g):
-    """The segment index and the horizontal-bearing edges equal a rebuild."""
+    """The edge records equal a rebuild from the polylines: the prepared
+    segments, each edge's shape and first vertex, the ports at every placed
+    vertex and the horizontal-bearing edges."""
     drawn = rebuilt_segments(g)
     assert g.indexed() == ([e for e, _ in drawn], [prepare(s) for _, s in drawn])
-    base = _base_edge(g)
-    assert g.horizontal_edges() == {e for e, s in drawn if e != base and s.a.y == s.b.y}
+    for e, pts in g.polylines.items():
+        rec = g.record(e)
+        assert rec.shape == shape_by_points(pts), e
+        assert pts[0] == g.pos[rec.start], e
+    for v in g.placed:
+        assert g.port_dirs(v) == port_dirs_by_points(g, v), v
+    assert g.horizontal_edges() == horizontal_edges_by_points(g)
 
 
 class TestBase:
@@ -353,6 +363,30 @@ class TestStretchPlan:
             draw_onebend(g)
         assert cuts >= 100
 
+    def test_a_rigid_edge_merges_a_buried_component_with_one_right_of_the_cut(self):
+        """The contour v1, c, v2 splits after c, at x = 10.  Below it, b at
+        x = 5 and m at x = 15 lie in components of their own, joined by an
+        edge whose only horizontal runs leftward from b.  The first round
+        keeps b and moves m; that edge cannot absorb, so it turns rigid, and
+        b moves with m."""
+        p = lambda x, y: Point(F(x), F(y))  # noqa: E731
+        edges = {"base": ("v1", "v2"), "vc": ("v1", "c"), "cv": ("c", "v2"), "mb": ("m", "b")}
+        rotation = {"v1": ["vc", "base"], "c": ["cv", "vc"], "v2": ["base", "cv"],
+                    "b": ["mb"], "m": ["mb"]}
+        plane = PlaneGraph(vertices=sorted(rotation), real=set(rotation), edges=edges,
+                           rotation=rotation, fragment_of={})
+        g = Gamma(plane=plane, v1="v1", v2="v2")
+        g.pos = {"v1": p(0, 0), "v2": p(20, 0), "c": p(10, 10), "b": p(5, 5), "m": p(15, 17)}
+        g.polylines = {
+            "base": [p(0, 0), p(10, -10), p(20, 0)],
+            "vc": [p(0, 0), p(10, 10)],
+            "cv": [p(10, 10), p(30, 10), p(20, 0)],
+            "mb": [p(5, 5), p(3, 5), p(15, 17)],
+        }
+        g.placed = set(g.pos)
+        g.contour = ["v1", "c", "v2"]
+        assert stretch_cut(g, "v1") == {"v1", "c"} == stretch_cut_by_rebuild(g, "v1")
+
     def test_align_amount_matches_a_probe_stretch(self, monkeypatch):
         """_align_middle reads its amount off the anchor positions; stretching
         a copy of the drawing by 4 and measuring the mismatch again must give
@@ -405,11 +439,14 @@ class TestStretchPlan:
 
 class TestStepCheck:
     def test_agrees_with_full_check_at_every_step(self, monkeypatch):
+        """check_step reports what check_gamma and the checker on rebuilt
+        segments report, at every step."""
         seen = []
         real_check_step = onebend.check_step
 
         def both(g, new):
             problems = real_check_step(g, new)
+            assert check_gamma_by_points(g) == problems
             seen.append((problems, check_gamma(g)))
             return problems
 
@@ -431,6 +468,7 @@ class TestStepCheck:
 
         def both(g, new):
             problems = real_check_step(g, new)
+            assert check_gamma_by_points(g) == problems
             seen.append((problems, check_gamma(g)))
             return problems
 
@@ -503,7 +541,7 @@ class TestStepCheck:
         g, new = self._step_onto_c_and_e(spare_at_c=False)
         problems = check_step(g, new)
         assert problems == ["P4c: no all-horizontal cut separates v1 from b"]
-        assert problems == check_gamma(g)
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_end_predecessor_that_stays_attachable_is_rechecked(self):
         g, new = self._step_onto_c_and_e(spare_at_c=True)
@@ -512,14 +550,43 @@ class TestStepCheck:
             "P4c: no all-horizontal cut separates v1 from b",
             "P5: attachable real c has occupied upper ports ['NE']",
         ]
-        assert problems == check_gamma(g)
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_new_point_outside_the_base_wedge_gets_the_full_p3(self):
         g = self._gamma_with_new_edge([(-2, 2), (-2, 4)])
         g.checked = CheckRecord(contour=[], cut_pairs=[], wedge=True)
         problems = check_step(g, {"t"})
         assert problems == [f"P3: {Point(F(-2), F(2))} lies on a base support line"]
-        assert problems == check_gamma(g)
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
+
+    def test_a_vertical_before_the_first_horizontal_is_found_from_either_end(self):
+        """The contour path v1, a, v2 runs N, E, then E, S.  Read from v1 it
+        climbs before its first horizontal, and so it does read from v2;
+        both ends are attachable with their diagonal upper port free."""
+        p = lambda x, y: Point(F(x), F(y))  # noqa: E731
+        edges = {"base": ("v1", "v2"), "s": ("v1", "a"), "t": ("a", "v2"),
+                 "sy": ("v1", "y"), "tz": ("v2", "z")}
+        rotation = {"v1": ["base", "sy", "s"], "v2": ["tz", "base", "t"], "a": ["s", "t"],
+                    "y": ["sy"], "z": ["tz"]}
+        plane = PlaneGraph(vertices=sorted(rotation), real=set(rotation), edges=edges,
+                           rotation=rotation, fragment_of={})
+        g = Gamma(plane=plane, v1="v1", v2="v2")
+        g.pos = {"v1": p(0, 0), "v2": p(10, 0), "a": p(4, 4)}
+        g.polylines = {
+            "base": [p(0, 0), p(5, -5), p(10, 0)],
+            "s": [p(0, 0), p(0, 4), p(4, 4)],
+            "t": [p(4, 4), p(10, 4), p(10, 0)],
+        }
+        g.placed = set(g.pos)
+        g.contour = ["v1", "a", "v2"]
+        problems = check_step(g, {"t"})
+        assert problems == [
+            "P4a: vertical before any horizontal between v1 and v2",
+            "P4a: vertical before any horizontal between v2 and v1 (reverse)",
+            "P5: attachable real v1 has occupied upper ports ['N']",
+            "P5: attachable real v2 has occupied upper ports ['N']",
+        ]
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_full_check_after_base_and_final(self, monkeypatch):
         drawer = build_drawer(gen_corpus(seed=61, n_target=16, profile="cubic3con", count=1)[0])
@@ -565,13 +632,22 @@ class TestStepCheck:
         crossing = self._gamma_with_new_edge([(2, 2), (2, 6)])
         problems = check_step(crossing, {"t"})
         assert "simple: t and s intersect improperly (proper_crossing)" in problems
-        assert problems == check_gamma(crossing)
+        assert problems == check_gamma(crossing) == check_gamma_by_points(crossing)
 
     def test_rejects_new_edge_off_the_slopes(self):
         g = self._gamma_with_new_edge([(6, 2), (6, 3), (7, 5), (7, 6)])
         problems = check_step(g, {"t"})
         assert "P1: segment of t off the canonical slopes" in problems
-        assert problems == check_gamma(g)
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
+
+    def test_a_reversal_is_not_a_bend(self):
+        """t runs up, back down over itself and up again: no bend, as the
+        coordinates count bends, but its segments overlap."""
+        g = self._gamma_with_new_edge([(6, 2), (6, 5), (6, 3), (6, 6)])
+        problems = check_step(g, {"t"})
+        assert not any(p.startswith("P2") for p in problems)
+        assert "simple: t and t intersect improperly (overlap)" in problems
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     @staticmethod
     def _gamma_with_third_edge_at_v1(port_end):
@@ -604,7 +680,7 @@ class TestStepCheck:
         out_of_order = self._gamma_with_third_edge_at_v1((2, 2))
         problems = check_step(out_of_order, {"u"})
         assert "rotation at v1 not preserved" in problems
-        assert problems == check_gamma(out_of_order)
+        assert problems == check_gamma(out_of_order) == check_gamma_by_points(out_of_order)
 
 
 class TestSegmentIndex:
@@ -658,7 +734,7 @@ class TestSegmentIndex:
         simple = [p for p in problems if p.startswith("simple:")]
         assert simple == ["simple: t and s intersect improperly (proper_crossing)"]
         assert simple == step_simple_by_sweep(g, {"t"})
-        assert problems == check_gamma(g)
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_new_edges_meeting_each_other_are_caught(self):
         """Two new edges that cross only each other."""
@@ -671,7 +747,7 @@ class TestSegmentIndex:
         problems = check_step(g, {"t", "u"})
         assert problems[-1] == "simple: t and u intersect improperly (proper_crossing)"
         assert problems[-1:] == step_simple_by_sweep(g, {"t", "u"})
-        assert problems == check_gamma(g)
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_coinciding_vertices_without_a_meeting_pair_are_caught(self):
         g = TestStepCheck._gamma_with_new_edge([(6, 2), (6, 3)])
@@ -679,7 +755,7 @@ class TestSegmentIndex:
         g.pos["b"] = g.pos["c"]
         problems = check_step(g, {"s"})
         assert problems[-1] == f"simple: vertices b and c coincide at {g.pos['c']}"
-        assert problems == check_gamma(g)
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_undone_stretch_leaves_no_stale_entry(self, monkeypatch):
         """A stretch that _check_stretch rejects is undone; the index must
@@ -705,6 +781,58 @@ class TestSegmentIndex:
         assert undone >= 20
 
 
+    def test_a_stretch_and_its_undo_prepare_only_what_they_reshape(self, monkeypatch):
+        """A stretch prepares the segments of its split edges, shifts those
+        of the edges it translates and leaves the redrawn base edge to be
+        prepared when it is read; its undo prepares nothing and leaves every
+        record current."""
+        real_prepare = onebend.prepare
+        prepared = []
+        stretches = 0
+
+        def counted_prepare(seg):
+            prepared.append(seg)
+            return real_prepare(seg)
+
+        monkeypatch.setattr(onebend, "prepare", counted_prepare)
+        monkeypatch.setattr(onebend, "_check_stretch", lambda g, left: ["rejected"])
+        for drawer in _drawing_stages(gen_corpus(**TestStretchPlan.GRAPH)[0]):
+            g = drawer.g
+            for v in g.contour[:-1]:
+                assert_index_is_fresh(g)
+                try:
+                    left = stretch_cut(g, v)
+                except OneBendError:
+                    continue
+                split = _split_edges(g, left)
+                start = len(prepared)
+                assert not drawer._stretch_between(v, g.v2, F(3))
+                assert len(prepared) - start == sum(len(g.polylines[e]) - 1 for e in split)
+                assert all(g._index[e].pts is pts for e, pts in g.polylines.items())
+                stretches += 1
+        assert stretches >= 20
+
+    def test_records_are_carried_through_every_stretch(self, monkeypatch):
+        """After every stretch, each record but the redrawn base edge's is
+        current, and all of them equal a rebuild."""
+        real_stretch = onebend.stretch
+        stretches = 0
+
+        def checked_stretch(g, left, delta):
+            nonlocal stretches
+            replaced = real_stretch(g, left, delta)
+            base = _base_edge(g)
+            assert all(g._index[e].pts is pts for e, pts in g.polylines.items() if e != base)
+            assert_index_is_fresh(g)
+            stretches += 1
+            return replaced
+
+        monkeypatch.setattr(onebend, "stretch", checked_stretch)
+        for target, seed in ((20, 1000), (20, 1006), (90, 1031), (90, 1028)):
+            draw_onebend(gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0])
+        assert stretches >= 100
+
+
 class TestBlockers:
     @staticmethod
     def _drawing():
@@ -718,7 +846,7 @@ class TestBlockers:
 
     def test_blocked_segments_once_each_in_drawing_order(self):
         g = self._drawing()
-        drawn = g.segments()
+        drawn = rebuilt_segments(g)
         new = self._segs((3, 6, 3, -10), (1, 5, 1, 3))
         assert _blockers(g, new, set()) == [drawn[0], drawn[3]]
 
@@ -727,11 +855,11 @@ class TestBlockers:
         a = g.pos["a"]
         new = self._segs((4, 4, 4, 8), (4, 8, 8, 8))
         assert _blockers(g, new, {a}) == []
-        assert _blockers(g, new, set()) == [g.segments()[3]]
+        assert _blockers(g, new, set()) == [rebuilt_segments(g)[3]]
 
     def test_new_vertex_on_an_existing_point_blocks(self):
         g = self._drawing()
-        drawn = g.segments()
+        drawn = rebuilt_segments(g)
         allowed = {g.pos["a"]}
         on_s = self._segs((4, 4, 2, 6), (2, 6, 2, 4))
         assert _blockers(g, on_s, allowed) == [drawn[3]]
