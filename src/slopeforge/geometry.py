@@ -306,12 +306,6 @@ def prepare_shifted(prep: Prepared, seg: Segment, dx: Fraction) -> Prepared:
     """
     L, ax, ay, bx, by = prep[1]
     p, q = dx.numerator, dx.denominator
-    if q == 1:
-        # The x numerators move by multiples of L, so the form stays
-        # reduced, and the x box ends move by whole grid cells.
-        t, k = p * L, p << _GRID_BITS
-        lo_x, lo_y, hi_x, hi_y = prep[2]
-        return seg, (L, ax + t, ay, bx + t, by), (lo_x + k, lo_y, hi_x + k, hi_y)
     m = L * q // math.gcd(L, q)
     s, t = m // L, p * (m // q)
     ax, ay, bx, by = ax * s + t, ay * s, bx * s + t, by * s

@@ -223,7 +223,17 @@ class Gamma:
 
     def edge_bend_count(self, plane_edge: str) -> int:
         """Bends of the original edge drawn so far (corners at dummies count)."""
-        return _count_bends(self._original_shape(self.plane.original_edge_of(plane_edge)))
+        return self._bends(self.plane.original_edge_of(plane_edge))
+
+    def _bends(self, orig: str) -> int:
+        """Bends of the drawn part of an original edge: changes of slope
+        between consecutive segments, a reversal being none.  A shape names
+        no slope off the canonical ones, so an edge with such a segment is
+        counted on its points, where collinear segments make no bend."""
+        shape = self._original_shape(orig)
+        if None in shape:
+            return _count_turns(self._joined_original(orig))
+        return sum(1 for o1, o2 in zip(shape, shape[1:]) if o1 % 4 != o2 % 4)
 
     def _original_shape(self, orig: str) -> Tuple[Optional[int], ...]:
         """The shape of the drawn part of an original edge, its two drawn
@@ -257,12 +267,15 @@ class Gamma:
         return pa + pb[1:]
 
 
-def _count_bends(shape: Sequence[Optional[int]]) -> int:
-    """The turns of a shape: consecutive segments on different slopes.  A
-    segment off the canonical slopes turns against any other."""
-    return sum(
-        1 for o1, o2 in zip(shape, shape[1:]) if o1 is None or o2 is None or o1 % 4 != o2 % 4
-    )
+def _count_turns(pts: Sequence[Point]) -> int:
+    """The points of a polyline where consecutive segments are not collinear."""
+    bends = 0
+    for i in range(1, len(pts) - 1):
+        d1 = (pts[i].x - pts[i - 1].x, pts[i].y - pts[i - 1].y)
+        d2 = (pts[i + 1].x - pts[i].x, pts[i + 1].y - pts[i].y)
+        if d1[0] * d2[1] - d1[1] * d2[0] != 0:
+            bends += 1
+    return bends
 
 
 # ---------------------------------------------------------------------------
@@ -1313,7 +1326,7 @@ def _check_p2(g: Gamma, edges: Optional[Set[str]] = None) -> List[str]:
         if orig in seen:
             continue
         seen.add(orig)
-        bends = _count_bends(g._original_shape(orig))
+        bends = g._bends(orig)
         if bends > 1:
             out.append(f"P2: edge {orig} has {bends} bends")
     return out
@@ -1594,14 +1607,16 @@ def _improper_pairs(
         if _improper(g, e1, e2, res):
             out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")
             return out
-    if _coincident(g):
-        seen_pos: Dict[Point, str] = {}
-        for v in sorted(g.placed):
-            p = g.pos[v]
-            if p in seen_pos:
-                out.append(f"simple: vertices {seen_pos[p]} and {v} coincide at {p}")
-                break
-            seen_pos[p] = v
+    # Fractions are kept in lowest terms, so their integer parts compare as
+    # they do, and hash without Fraction.__hash__.
+    seen_pos: Dict[Tuple[int, int, int, int], str] = {}
+    for v in sorted(g.placed):
+        p = g.pos[v]
+        at = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+        if at in seen_pos:
+            out.append(f"simple: vertices {seen_pos[at]} and {v} coincide at {p}")
+            break
+        seen_pos[at] = v
     return out
 
 

@@ -649,6 +649,21 @@ class TestStepCheck:
         assert "simple: t and t intersect improperly (overlap)" in problems
         assert problems == check_gamma(g) == check_gamma_by_points(g)
 
+    @pytest.mark.parametrize("t_pts, bends", [
+        ([(6, 2), (6, 3), (7, 5), (8, 7), (8, 8)], 2),
+        ([(6, 2), (6, 3), (7, 5), (8, 8), (8, 9)], 3),
+    ])
+    def test_segments_off_the_slopes_bend_as_the_coordinates_say(self, t_pts, bends):
+        """t leaves both ends vertically, with two segments off the canonical
+        slopes between.  They have no octant: on one line they make no bend,
+        and on two lines they make one."""
+        g = self._gamma_with_new_edge(t_pts)
+        problems = check_step(g, {"t"})
+        assert "P1: segment of t off the canonical slopes" in problems
+        assert g.edge_bend_count("t") == bends
+        assert f"P2: edge t has {bends} bends" in problems
+        assert problems == check_gamma(g) == check_gamma_by_points(g)
+
     @staticmethod
     def _gamma_with_third_edge_at_v1(port_end):
         """Base v1-v2 and an edge s from v1 to a drawn before; an edge u just
