@@ -17,9 +17,9 @@ import sys
 from typing import Optional
 
 from . import docio, families, render
-from .model import EmbeddingError, find_real_real_face
+from .model import EmbeddingError
 from .onebend import OneBendError, _run_pipeline, draw_onebend
-from .ordering import OrderingError, canonical_order, st_order
+from .ordering import OrderingError, canonical_order_on_real_edge, st_order
 from .reembed import ReembedError, normalize_embedding
 from .twobend import TwoBendError, draw_twobend
 from .verify import DrawingError, validate
@@ -164,11 +164,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_canon(args) -> int:
     g = docio.graph_from_doc(docio.loads(_read(args)), strict=args.strict)
-    plane = g.plane
-    face, (tail, head), _ = find_real_real_face(plane)
-    if set(face.darts) != set(plane.outer_face().darts):
-        plane = plane.with_outer(face.darts[0])
-    delta = canonical_order(plane, head, tail)
+    _, delta = canonical_order_on_real_edge(g.plane)
     doc = {
         "v1": delta.v1,
         "v2": delta.v2,

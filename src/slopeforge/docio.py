@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from .drawing import PolylineDrawing
 from .geometry import Point
@@ -35,6 +35,18 @@ def _int_in(v) -> int:
 
 def _rat_out(q: Fraction):
     return [_int_out(q.numerator), _int_out(q.denominator)]
+
+
+def _point_in(v) -> Point:
+    if not isinstance(v, list) or len(v) != 2:
+        raise DocumentError(f"expected [x, y], got {v!r}")
+    return Point(_rat_in(v[0]), _rat_in(v[1]))
+
+
+def _list_in(v) -> List[Any]:
+    if not isinstance(v, list):
+        raise DocumentError(f"expected a list, got {v!r}")
+    return v
 
 
 def _rat_in(v) -> Fraction:
@@ -89,16 +101,16 @@ def graph_from_doc(doc: Dict[str, Any], strict: bool = False) -> EmbeddedGraph:
     if doc.get("version") != 1:
         raise DocumentError("unsupported graph document version")
     try:
-        vertices = [(v["id"], bool(v["real"])) for v in doc["vertices"]]
-        edges = {e["id"]: (e["endpoints"][0], e["endpoints"][1]) for e in doc["edges"]}
-        rotations = {v: list(r) for v, r in doc["rotations"].items()}
-    except (KeyError, TypeError, IndexError) as exc:
+        vertices = [(_id_in(v["id"]), bool(v["real"])) for v in doc["vertices"]]
+        edges = {_id_in(e["id"]): _pair_in(e["endpoints"]) for e in doc["edges"]}
+        rotations = {_id_in(v): [_id_in(e) for e in r]
+                     for v, r in _object_in(doc["rotations"]).items()}
+        fragment_of = dict(_pair_in(pair)
+                           for pairs in _object_in(doc.get("fragment_map", {})).values()
+                           for pair in pairs)
+        outer = [_pair_in(d) for d in doc.get("outer_face", [])]
+    except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed graph document: {exc}")
-    fragment_of: Dict[str, str] = {}
-    for x, pairs in doc.get("fragment_map", {}).items():
-        for frag, orig in pairs:
-            fragment_of[frag] = orig
-    outer = [tuple(d) for d in doc.get("outer_face", [])]
     plane = PlaneGraph(
         vertices=[v for v, _ in vertices],
         real={v for v, is_real in vertices if is_real},
@@ -106,11 +118,33 @@ def graph_from_doc(doc: Dict[str, Any], strict: bool = False) -> EmbeddedGraph:
         rotation=rotations,
         fragment_of=fragment_of,
     )
+    g = EmbeddedGraph.from_plane(plane)
     if outer:
+        for e, tail in outer:
+            if tail not in edges.get(e, ()):
+                raise DocumentError(f"outer_face dart ({e}, {tail}) is not a dart of the graph")
         plane.outer_darts = tuple(plane.trace_face(outer[0]).darts)
-        if {tuple(d) for d in outer} != set(plane.outer_darts):
+        if set(outer) != set(plane.outer_darts):
             raise DocumentError("outer_face does not describe a face of the rotation system")
-    return EmbeddedGraph.from_plane(plane)
+    return g
+
+
+def _id_in(v) -> str:
+    if not isinstance(v, str):
+        raise DocumentError(f"expected a string id, got {v!r}")
+    return v
+
+
+def _pair_in(v) -> Tuple[str, str]:
+    if not isinstance(v, list) or len(v) != 2:
+        raise DocumentError(f"expected a pair of ids, got {v!r}")
+    return _id_in(v[0]), _id_in(v[1])
+
+
+def _object_in(v) -> Dict[str, Any]:
+    if not isinstance(v, dict):
+        raise DocumentError(f"expected an object, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +177,12 @@ def drawing_from_doc(doc: Dict[str, Any], strict: bool = False) -> PolylineDrawi
             raise DocumentError(f"unknown fields: {sorted(unknown)}")
     if doc.get("version") != 1:
         raise DocumentError("unsupported drawing document version")
+    for key in ("graph", "positions", "polylines"):
+        if not isinstance(doc.get(key), dict):
+            raise DocumentError(f"drawing document needs an object {key!r}")
     graph = graph_from_doc(doc["graph"], strict=strict)
-    positions = {
-        v: Point(_rat_in(xy[0]), _rat_in(xy[1])) for v, xy in doc["positions"].items()
-    }
-    polylines = {
-        e: [Point(_rat_in(p[0]), _rat_in(p[1])) for p in pts]
-        for e, pts in doc["polylines"].items()
-    }
+    positions = {v: _point_in(xy) for v, xy in doc["positions"].items()}
+    polylines = {e: [_point_in(p) for p in _list_in(pts)] for e, pts in doc["polylines"].items()}
     return PolylineDrawing(graph=graph, positions=positions, polylines=polylines)
 
 

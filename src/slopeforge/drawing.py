@@ -37,7 +37,8 @@ class PolylineDrawing:
         return out
 
     def check_structure(self) -> List[str]:
-        """Structural problems: missing endpoints, repeated points, etc."""
+        """Structural problems: missing endpoints, repeated points, polylines
+        of edges the graph lacks, etc."""
         problems: List[str] = []
         for v in self.graph.vertices:
             if v not in self.positions:
@@ -54,6 +55,8 @@ class PolylineDrawing:
                 if pts[i] == pts[i + 1]:
                     problems.append(f"edge {e} has a zero-length segment")
                     break
+        for e in sorted(set(self.polylines) - set(self.graph.edges)):
+            problems.append(f"polyline of unknown edge {e}")
         pos_list = sorted(self.positions.items())
         seen: Dict[Point, str] = {}
         for v, p in pos_list:

@@ -246,7 +246,7 @@ def _check_maxdeg(g: EmbeddedGraph, delta: int) -> None:
         want = delta if v in specials else 3
         if degs[v] != want:
             raise AssertionError(f"{v} has degree {degs[v]}, wanted {want}")
-    if connectivity(g, cap=3) != 3:
+    if connectivity(g) != 3:
         raise AssertionError("max-degree family lost 3-connectivity")
 
 
@@ -295,7 +295,7 @@ def _gen_cubic3con(rng: random.Random, n_target: int) -> EmbeddedGraph:
     g = EmbeddedGraph.from_plane(plane)
     if not g.is_cubic():
         raise EmbeddingError("corpus graph not cubic")
-    if connectivity(g, cap=3) != 3:
+    if connectivity(g) != 3:
         raise EmbeddingError("corpus graph not 3-connected")
     if not plane.is_triconnected():
         raise EmbeddingError("planarization not 3-connected")

@@ -140,31 +140,29 @@ def bridges_and_components(adj: Adj) -> Tuple[Set[FrozenSet[str]], List[Set[str]
     return br, components({v: {w for w in adj[v] if frozenset((v, w)) not in br} for v in adj})
 
 
-def vertex_connectivity(adj: Adj, cap: int = 3) -> int:
-    """Vertex connectivity, exact up to cap <= 3; larger values return cap.
+def vertex_connectivity(adj: Adj) -> int:
+    """Vertex connectivity, exact up to 3; larger values return 3.
 
-    Complete graphs K_n report min(n - 1, cap).  With maximum degree <= 3,
+    Complete graphs K_n report min(n - 1, 3).  With maximum degree <= 3,
     vertex and edge connectivity agree, and edge connectivity is read off
     one traversal (see _subcubic_edge_connectivity).  Otherwise cut
     vertices come from one lowpoint DFS, and a 2-separator from one DFS of
     G - v per vertex v.
     """
-    if cap > 3:
-        raise ValueError(f"vertex connectivity is decided up to 3, not {cap}")
     n = len(adj)
     if n <= 1:
         return 0
     if all(len(adj[v]) == n - 1 for v in adj):
-        return min(n - 1, cap)
+        return min(n - 1, 3)
     if all(len(ns) <= 3 for ns in adj.values()):
-        return min(_subcubic_edge_connectivity(adj), cap)
+        return _subcubic_edge_connectivity(adj)
     if not is_connected(adj):
         return 0
     if articulation_points(adj):
-        return min(1, cap)
+        return 1
     if _has_cut_pair(adj):
-        return min(2, cap)
-    return cap
+        return 2
+    return 3
 
 
 def _subcubic_edge_connectivity(adj: Adj) -> int:

@@ -172,7 +172,7 @@ class PlaneGraph:
         """
         pairs = self.separating_pairs() if len(self.vertices) >= 4 else None
         if pairs is None:
-            return graphutil.vertex_connectivity(self.adjacency(), cap=3) >= 3
+            return graphutil.vertex_connectivity(self.adjacency()) >= 3
         return not pairs
 
     def outer_face(self) -> Face:
@@ -439,14 +439,17 @@ def faces(p: PlaneGraph) -> List[Face]:
 
 
 def connectivity(adj_or_graph, cap: int = 3) -> int:
-    """Vertex connectivity with the distinctions 0, 1, 2, 3 (at most cap)."""
+    """Vertex connectivity with the distinctions 0, 1, 2, 3, at most cap.
+
+    No package caller passes cap; it stays because perfbench's corpus-gen
+    workload passes cap=3."""
     if isinstance(adj_or_graph, EmbeddedGraph):
         adj = adj_or_graph.abstract_adjacency()
     elif isinstance(adj_or_graph, PlaneGraph):
         adj = adj_or_graph.adjacency()
     else:
         adj = adj_or_graph
-    return graphutil.vertex_connectivity(adj, cap=cap)
+    return min(graphutil.vertex_connectivity(adj), cap)
 
 
 def find_real_real_face(p: PlaneGraph) -> Tuple[Face, Tuple[str, str], str]:

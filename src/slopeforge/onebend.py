@@ -43,8 +43,8 @@ from .geometry import (
     strip_collinear,
     sweep_hits,
 )
-from .model import EmbeddedGraph, PlaneGraph, connectivity, find_real_real_face
-from .ordering import CanonicalOrdering, canonical_order
+from .model import EmbeddedGraph, PlaneGraph, connectivity
+from .ordering import CanonicalOrdering, canonical_order_on_real_edge
 from .reembed import normalize_embedding
 
 F = Fraction
@@ -1638,16 +1638,10 @@ def _run_pipeline(g: EmbeddedGraph, trace: bool = False) -> Tuple[OneBendDrawer,
     degs = g.degrees()
     if any(d != 3 for d in degs.values()):
         raise OneBendError("input must be cubic")
-    if connectivity(g, cap=3) < 3:
+    if connectivity(g) < 3:
         raise OneBendError("input must be 3-connected")
     norm = normalize_embedding(g, three_connected=True)
-    plane = norm.plane.copy()
-    face, (tail, head), _ = find_real_real_face(plane)
-    if set(face.darts) != set(plane.outer_face().darts):
-        plane = plane.with_outer(face.darts[0])
-    # The outer walk passes the base edge right-to-left, so the dart's head
-    # is the left base vertex v1 and its tail the right one.
-    delta = canonical_order(plane, head, tail)
+    plane, delta = canonical_order_on_real_edge(norm.plane)
     drawer = OneBendDrawer(plane, delta, trace=trace)
     gamma = drawer.run()
     return drawer, _finalize(norm, plane, gamma)

@@ -10,6 +10,22 @@ neighbors all land on the new contour).  The removal is greedy: a
 3-connected plane graph always has a removable candidate (Kant 1996), so a
 dead end raises instead of backtracking.
 
+Each candidate is decided before anything is edited, by one local face
+walk.  Let the contour C be the outer face's darts from the base dart, so
+C[0] and C[1] are the base, and let the candidate occupy C[i..j].  The walk
+starts at the contour dart into C[i-1] and follows PlaneGraph.next_in_face,
+skipping the candidate's edges, up to the old contour dart out of C[j+1].
+The candidate is accepted iff the walk repeats no vertex and meets no
+contour vertex but C[i-1], its first; the new contour is then C[:i-1] +
+walk + C[j+1:].  This is exact: the face walk is a permutation of the
+remaining darts, and a removal changes the next-dart choice only where the
+old choice was a candidate's edge.  On the contour that happens only at
+the dart into C[i-1], so every other old contour dart outside the span
+keeps its successor.  The darts from the one out of C[j+1] round to the
+one into C[i-1] therefore stay on one new face, the outer one, in the same
+cyclic order, and that face runs on from the dart into C[i-1] until it
+comes back to the dart out of C[j+1]: the darts in between are the walk.
+
 st-ordering of a biconnected graph: Even-Tarjan numbering, re-exported
 with validation.
 """
@@ -17,10 +33,11 @@ with validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from itertools import groupby
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import graphutil
-from .model import Dart, EmbeddingError, PlaneGraph
+from .model import Dart, EmbeddingError, PlaneGraph, find_real_real_face
 
 
 class OrderingError(Exception):
@@ -69,189 +86,97 @@ class StOrdering:
 
 
 class _Builder:
-    """Mutable reverse-removal state over a copy of the plane graph."""
+    """Reverse-removal state: one copy of the plane graph, which loses each
+    accepted candidate, and its contour C as the darts of the outer face
+    from the base dart.  The copy's live vertices are its rotation keys."""
 
     def __init__(self, plane: PlaneGraph, v1: str, v2: str):
-        self.plane = plane
+        self.plane = plane.copy()
         self.v1 = v1
         self.v2 = v2
-        self.adj: Dict[str, Set[str]] = {v: set() for v in plane.vertices}
-        self.edge_id: Dict[Tuple[str, str], str] = {}
-        for e, (a, b) in plane.edges.items():
-            self.adj[a].add(b)
-            self.adj[b].add(a)
-            self.edge_id[(a, b)] = e
-            self.edge_id[(b, a)] = e
-        self.rotation: Dict[str, List[str]] = {v: list(r) for v, r in plane.rotation.items()}
-        self.alive: Set[str] = set(plane.vertices)
-        self.full_degree: Dict[str, int] = {v: len(plane.rotation[v]) for v in plane.vertices}
-        outer = plane.outer_face()
-        self.base_dart = self._base_dart(outer)
-        self.contour: List[str] = self._trace_contour()
+        self.full_degree: Dict[str, int] = {v: len(r) for v, r in plane.rotation.items()}
+        self._set_contour(list(plane.trace_face(_base_outer_dart(plane, v1, v2)).darts))
 
-    def _base_dart(self, outer) -> Dart:
-        for e, tail in outer.darts:
-            head = self.plane.dart_head((e, tail))
-            if {tail, head} == {self.v1, self.v2}:
-                return (e, tail)
-        raise OrderingError(f"edge ({self.v1},{self.v2}) is not on the outer face")
-
-    def degree(self, v: str) -> int:
-        return len(self.adj[v])
+    def _set_contour(self, darts: List[Dart]) -> None:
+        self.darts = darts
+        self.contour: List[str] = [d[1] for d in darts]
+        self.pos: Dict[str, int] = {v: k for k, v in enumerate(self.contour)}
 
     def has_successor(self, v: str) -> bool:
-        return self.degree(v) < self.full_degree[v]
-
-    # -- face tracing on the live subgraph --------------------------------
-
-    def _next_dart(self, d: Dart) -> Dart:
-        e, tail = d
-        a, b = self.plane.edges[e]
-        head = b if tail == a else a
-        rot = self.rotation[head]
-        i = rot.index(e)
-        nxt = rot[(i - 1) % len(rot)]
-        return (nxt, head)
-
-    def _trace_contour(self) -> List[str]:
-        seq: List[str] = []
-        d = self.base_dart
-        limit = 4 * len(self.edge_id) + 8
-        while True:
-            seq.append(d[1])
-            d = self._next_dart(d)
-            if d == self.base_dart:
-                return seq
-            if len(seq) > limit:
-                raise OrderingError("outer face trace does not close")
-
-    # -- removal / restore --------------------------------------------------
-
-    def remove(self, verts: Sequence[str]):
-        saved = {
-            "rot": {},
-            "adj": {},
-            "verts": list(verts),
-        }
-        touched: Set[str] = set()
-        for z in verts:
-            touched.add(z)
-            touched.update(self.adj[z])
-        for u in touched:
-            saved["rot"][u] = list(self.rotation[u])
-            saved["adj"][u] = set(self.adj[u])
-        for z in verts:
-            for w in list(self.adj[z]):
-                self.adj[w].discard(z)
-                e = self.edge_id[(z, w)]
-                if e in self.rotation[w]:
-                    self.rotation[w].remove(e)
-            self.adj[z] = set()
-            self.rotation[z] = []
-            self.alive.discard(z)
-        return saved
-
-    def restore(self, saved) -> None:
-        for u, rot in saved["rot"].items():
-            self.rotation[u] = list(rot)
-        for u, a in saved["adj"].items():
-            self.adj[u] = set(a)
-        for z in saved["verts"]:
-            self.alive.add(z)
-
-    # -- candidate enumeration ----------------------------------------------
+        return self.plane.degree(v) < self.full_degree[v]
 
     def candidates(self, first: bool) -> List[CanonicalSet]:
-        on_contour = []
-        seen: Set[str] = set()
-        for v in self.contour:
-            if v not in seen:
-                seen.add(v)
-                on_contour.append(v)
-        out: List[CanonicalSet] = []
+        base = (self.v1, self.v2)
         if first:
-            for v in on_contour:
-                if v in (self.v1, self.v2):
-                    continue
-                if self.v1 in self.adj[v]:
-                    out.append(CanonicalSet("singleton", [v]))
-            out.sort(key=lambda s: s.vertices[0])
-            return out
-        contour_set = set(on_contour)
-        deg2 = {v for v in on_contour if self.degree(v) == 2 and v not in (self.v1, self.v2)}
-        runs = self._deg2_runs(on_contour, deg2)
-        in_long_run: Set[str] = set()
-        for run in runs:
-            if len(run) >= 2:
-                out.append(CanonicalSet("chain", run))
-                in_long_run.update(run)
-        for v in on_contour:
-            if v in (self.v1, self.v2) or v in in_long_run:
-                continue
-            if not self.has_successor(v):
-                continue
-            out.append(CanonicalSet("singleton", [v]))
+            return sorted((CanonicalSet("singleton", [v]) for v in self.contour
+                           if v not in base and self.v1 in self.plane.neighbors(v)),
+                          key=lambda s: s.vertices[0])
+        # C[0] and C[1] are the base, so no run of degree-2 vertices wraps.
+        runs = [list(run) for deg2, run in groupby(
+            self.contour, lambda v: v not in base and self.plane.degree(v) == 2) if deg2]
+        out = [CanonicalSet("chain", run) for run in runs if len(run) >= 2]
+        in_chain = {v for s in out for v in s.vertices}
+        out += [CanonicalSet("singleton", [v]) for v in self.contour
+                if v not in base and v not in in_chain and self.has_successor(v)]
         out.sort(key=lambda s: min(s.vertices))
         return out
 
-    def _deg2_runs(self, on_contour: List[str], deg2: Set[str]) -> List[List[str]]:
-        n = len(on_contour)
-        if not deg2:
-            return []
-        anchors = [i for i, v in enumerate(on_contour) if v not in deg2]
-        if not anchors:
-            return [list(on_contour)]
-        runs: List[List[str]] = []
-        cur: List[str] = []
-        start = anchors[0]
-        for k in range(1, n + 1):
-            v = on_contour[(start + k) % n]
-            if v in deg2:
-                cur.append(v)
-            elif cur:
-                runs.append(cur)
-                cur = []
-        if cur:
-            runs.append(cur)
-        return runs
-
     def try_remove(self, cand: CanonicalSet) -> bool:
-        """Remove cand if the contour stays a simple cycle; False if not."""
+        """Remove cand if the contour stays a simple cycle; False if not.
+        The walk of the merged faces decides before the plane is edited."""
         verts = cand.vertices
         vs = set(verts)
+        plane = self.plane
         if cand.kind == "chain":
             ends_preds = []
             for z in (verts[0], verts[-1]):
-                preds = [w for w in self.adj[z] if w not in vs]
+                preds = [w for w in plane.neighbors(z) if w not in vs]
                 if len(preds) != 1:
                     return False
                 ends_preds.append(preds[0])
             if len(verts) > 1 and ends_preds[0] == ends_preds[1]:
                 return False
             for z in verts[1:-1]:
-                if any(w not in vs for w in self.adj[z]):
+                if any(w not in vs for w in plane.neighbors(z)):
                     return False
             if not all(self.has_successor(z) for z in verts):
                 return False
-        saved = self.remove(verts)
-        try:
-            contour = self._trace_contour()
-        except (OrderingError, ValueError):
-            self.restore(saved)
+        i, j = self.pos[verts[0]], self.pos[verts[-1]]
+        walk = self._merged_walk(self.darts[i - 2], self.darts[(j + 1) % len(self.darts)], vs)
+        if walk is None:
             return False
-        ok = (
-            len(set(contour)) == len(contour)
-            and self.v1 in contour
-            and self.v2 in contour
-            and all(v in self.alive for v in contour)
-        )
-        if len(self.alive) == 2:
-            ok = set(contour) == {self.v1, self.v2}
-        if not ok:
-            self.restore(saved)
-            return False
-        self.contour = contour
+        for z in verts:
+            for e in plane.rotation.pop(z):
+                w = plane.other_end(e, z)
+                if w in plane.rotation:
+                    plane.rotation[w].remove(e)
+                del plane.edges[e]
+        self._set_contour(self.darts[:i - 1] + walk + self.darts[j + 1:])
         return True
+
+    def _merged_walk(self, start: Dart, stop: Dart, gone: Set[str]) -> Optional[List[Dart]]:
+        """The darts after start and before stop on the face that removing
+        gone opens, by the plane's next-dart rule with gone's edges skipped.
+        A dart into gone is replaced by the next one clockwise at its tail,
+        which is the successor of the dart reversed.  None as soon as a
+        vertex repeats or, after the first (start's head), a vertex lies on
+        the contour."""
+        plane = self.plane
+        walk: List[Dart] = []
+        seen: Set[str] = set()
+        d = start
+        while True:
+            d = plane.next_in_face(d)
+            head = plane.dart_head(d)
+            while head in gone:
+                d = plane.next_in_face((d[0], head))
+                head = plane.dart_head(d)
+            if d == stop:
+                return walk
+            if walk and (d[1] in seen or d[1] in self.pos):
+                return None
+            seen.add(d[1])
+            walk.append(d)
 
 
 def canonical_order(plane: PlaneGraph, v1: str, v2: str) -> CanonicalOrdering:
@@ -269,13 +194,25 @@ def canonical_order(plane: PlaneGraph, v1: str, v2: str) -> CanonicalOrdering:
         raise OrderingError(f"({v1},{v2}) is not an edge")
     b = _Builder(plane, v1, v2)
     removed_sets: List[CanonicalSet] = []
-    while len(b.alive) > 2:
+    while len(b.plane.rotation) > 2:
         cand = next((c for c in b.candidates(first=not removed_sets) if b.try_remove(c)), None)
         if cand is None:
             raise OrderingError(f"no canonical ordering: dead end at contour {b.contour}")
         removed_sets.append(cand)
     return CanonicalOrdering(sets=[CanonicalSet("base", [v1, v2])] + removed_sets[::-1],
                              v1=v1, v2=v2)
+
+
+def canonical_order_on_real_edge(plane: PlaneGraph) -> Tuple[PlaneGraph, CanonicalOrdering]:
+    """The plane with a face holding an edge between two real vertices as
+    its outer face (see model.find_real_real_face), and its canonical
+    ordering on that edge.  The plane is copied only when its outer face
+    changes.  The outer walk passes the base edge right to left, so the
+    dart's head is the left base vertex v1 and its tail the right one."""
+    face, (tail, head), _ = find_real_real_face(plane)
+    if set(face.darts) != set(plane.outer_face().darts):
+        plane = plane.with_outer(face.darts[0])
+    return plane, canonical_order(plane, head, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def normalize_embedding(g: EmbeddedGraph, three_connected: Optional[bool] = None
     plane = g.plane.copy()
     start_crossings = len(plane.dummies())
     if three_connected is None:
-        three_connected = connectivity(g, cap=3) >= 3
+        three_connected = connectivity(g) >= 3
     budget = start_crossings + 1
     while budget >= 0:
         cuts = sorted(

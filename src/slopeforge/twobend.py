@@ -686,7 +686,10 @@ def bridge_decomposition(g: EmbeddedGraph) -> BridgeTree:
 
 def component_plane(g: EmbeddedGraph, comp: Set[str]) -> PlaneGraph:
     """Induced planarization of one 2-edge-connected component, with no
-    outer face recorded: draw_component picks one at the attachment vertex."""
+    outer face recorded: draw_component picks one at the attachment vertex.
+    It is not validated again: the plane it is cut from is, and
+    tests/test_twobend.py validates the cut planes of braids and subcubic
+    corpus inputs."""
     plane = g.plane
     dummies = set()
     for x, (e1, e2) in g.crossings().items():
@@ -703,16 +706,13 @@ def component_plane(g: EmbeddedGraph, comp: Set[str]) -> PlaneGraph:
         and set(g.edges[plane.original_edge_of(e)]) <= comp
     }
     rotation = {v: [e for e in plane.rotation[v] if e in edges] for v in keep}
-    sub = PlaneGraph(
+    return PlaneGraph(
         vertices=sorted(keep),
         real=set(comp),
         edges=edges,
         rotation=rotation,
         fragment_of={e: o for e, o in plane.fragment_of.items() if e in edges},
     )
-    if len(sub.vertices) > 1:
-        sub.validate()
-    return sub
 
 
 def _outer_face(sub: PlaneGraph, u_i: str) -> Tuple[Dart, ...]:

@@ -23,6 +23,13 @@ check_gamma_by_points is the 1-bend checker with P1 to P4 decided on
 segments rebuilt from the polylines, and ports read off the coordinates,
 where onebend reads the shapes its edge records carry.  The tests require
 onebend.check_step to report the same problems at every step.
+
+canonical_order_by_retracing is the canonical ordering by trial: each
+candidate is removed from private copies of the adjacency and rotations,
+the whole contour is retraced, and a snapshot is restored when the
+candidate is refused.  The tests require ordering.canonical_order, which
+decides each candidate by one walk of the faces its removal merges, to
+give the same sets and kinds.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ from slopeforge.geometry import (
     sort_directions_ccw,
 )
 from slopeforge.graphutil import Adj
-from slopeforge.model import EmbeddedGraph, PlaneGraph, connectivity
+from slopeforge.model import Dart, EmbeddedGraph, PlaneGraph, connectivity
+from slopeforge.ordering import CanonicalOrdering, CanonicalSet, OrderingError
 from slopeforge.reembed import (
     ReembedError,
     _alternates,
@@ -67,7 +75,7 @@ def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> b
     if len(g.vertices) > max_vertices:
         raise ReembedError(f"oracle limited to {max_vertices} vertices")
     edges = {e: tuple(ab) for e, ab in g.edges.items()}
-    want_3con = connectivity(g, cap=3) >= 3
+    want_3con = connectivity(g) >= 3
     names = sorted(edges)
     independent = [
         (e1, e2)
@@ -110,7 +118,7 @@ def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> b
         cuts = graphutil.articulation_points(plain_adj)
         if cuts & dummies:
             return False
-        if want_3con and graphutil.vertex_connectivity(plain_adj, cap=3) < 3:
+        if want_3con and graphutil.vertex_connectivity(plain_adj) < 3:
             return False
         return True
 
@@ -140,7 +148,7 @@ def normalize_by_retracing(g: EmbeddedGraph, three_connected: Optional[bool] = N
     validated in full, and each re-insertion decided by a face test."""
     plane = g.plane.copy()
     if three_connected is None:
-        three_connected = connectivity(g, cap=3) >= 3
+        three_connected = connectivity(g) >= 3
     budget = len(plane.dummies()) + 1
     while budget >= 0:
         cuts = sorted(
@@ -655,3 +663,209 @@ def _p4a_ok(segs: List[Segment]) -> bool:
         elif s.a.x == s.b.x and s.b.y > s.a.y and not seen_horizontal:
             return False
     return True
+
+
+class _RetracingBuilder:
+    """The reverse removal by trial: private copies of the adjacency and
+    rotations, each candidate removed, the whole contour retraced, and a
+    snapshot restored when the candidate is refused."""
+
+    def __init__(self, plane: PlaneGraph, v1: str, v2: str):
+        self.plane = plane
+        self.v1 = v1
+        self.v2 = v2
+        self.adj: Dict[str, Set[str]] = {v: set() for v in plane.vertices}
+        self.edge_id: Dict[Tuple[str, str], str] = {}
+        for e, (a, b) in plane.edges.items():
+            self.adj[a].add(b)
+            self.adj[b].add(a)
+            self.edge_id[(a, b)] = e
+            self.edge_id[(b, a)] = e
+        self.rotation: Dict[str, List[str]] = {v: list(r) for v, r in plane.rotation.items()}
+        self.alive: Set[str] = set(plane.vertices)
+        self.full_degree: Dict[str, int] = {v: len(plane.rotation[v]) for v in plane.vertices}
+        outer = plane.outer_face()
+        self.base_dart = self._base_dart(outer)
+        self.contour: List[str] = self._trace_contour()
+
+    def _base_dart(self, outer) -> Dart:
+        for e, tail in outer.darts:
+            head = self.plane.dart_head((e, tail))
+            if {tail, head} == {self.v1, self.v2}:
+                return (e, tail)
+        raise OrderingError(f"edge ({self.v1},{self.v2}) is not on the outer face")
+
+    def degree(self, v: str) -> int:
+        return len(self.adj[v])
+
+    def has_successor(self, v: str) -> bool:
+        return self.degree(v) < self.full_degree[v]
+
+    # -- face tracing on the live subgraph --------------------------------
+
+    def _next_dart(self, d: Dart) -> Dart:
+        e, tail = d
+        a, b = self.plane.edges[e]
+        head = b if tail == a else a
+        rot = self.rotation[head]
+        i = rot.index(e)
+        nxt = rot[(i - 1) % len(rot)]
+        return (nxt, head)
+
+    def _trace_contour(self) -> List[str]:
+        seq: List[str] = []
+        d = self.base_dart
+        limit = 4 * len(self.edge_id) + 8
+        while True:
+            seq.append(d[1])
+            d = self._next_dart(d)
+            if d == self.base_dart:
+                return seq
+            if len(seq) > limit:
+                raise OrderingError("outer face trace does not close")
+
+    # -- removal / restore --------------------------------------------------
+
+    def remove(self, verts: Sequence[str]):
+        saved = {
+            "rot": {},
+            "adj": {},
+            "verts": list(verts),
+        }
+        touched: Set[str] = set()
+        for z in verts:
+            touched.add(z)
+            touched.update(self.adj[z])
+        for u in touched:
+            saved["rot"][u] = list(self.rotation[u])
+            saved["adj"][u] = set(self.adj[u])
+        for z in verts:
+            for w in list(self.adj[z]):
+                self.adj[w].discard(z)
+                e = self.edge_id[(z, w)]
+                if e in self.rotation[w]:
+                    self.rotation[w].remove(e)
+            self.adj[z] = set()
+            self.rotation[z] = []
+            self.alive.discard(z)
+        return saved
+
+    def restore(self, saved) -> None:
+        for u, rot in saved["rot"].items():
+            self.rotation[u] = list(rot)
+        for u, a in saved["adj"].items():
+            self.adj[u] = set(a)
+        for z in saved["verts"]:
+            self.alive.add(z)
+
+    # -- candidate enumeration ----------------------------------------------
+
+    def candidates(self, first: bool) -> List[CanonicalSet]:
+        on_contour = []
+        seen: Set[str] = set()
+        for v in self.contour:
+            if v not in seen:
+                seen.add(v)
+                on_contour.append(v)
+        out: List[CanonicalSet] = []
+        if first:
+            for v in on_contour:
+                if v in (self.v1, self.v2):
+                    continue
+                if self.v1 in self.adj[v]:
+                    out.append(CanonicalSet("singleton", [v]))
+            out.sort(key=lambda s: s.vertices[0])
+            return out
+        contour_set = set(on_contour)
+        deg2 = {v for v in on_contour if self.degree(v) == 2 and v not in (self.v1, self.v2)}
+        runs = self._deg2_runs(on_contour, deg2)
+        in_long_run: Set[str] = set()
+        for run in runs:
+            if len(run) >= 2:
+                out.append(CanonicalSet("chain", run))
+                in_long_run.update(run)
+        for v in on_contour:
+            if v in (self.v1, self.v2) or v in in_long_run:
+                continue
+            if not self.has_successor(v):
+                continue
+            out.append(CanonicalSet("singleton", [v]))
+        out.sort(key=lambda s: min(s.vertices))
+        return out
+
+    def _deg2_runs(self, on_contour: List[str], deg2: Set[str]) -> List[List[str]]:
+        n = len(on_contour)
+        if not deg2:
+            return []
+        anchors = [i for i, v in enumerate(on_contour) if v not in deg2]
+        if not anchors:
+            return [list(on_contour)]
+        runs: List[List[str]] = []
+        cur: List[str] = []
+        start = anchors[0]
+        for k in range(1, n + 1):
+            v = on_contour[(start + k) % n]
+            if v in deg2:
+                cur.append(v)
+            elif cur:
+                runs.append(cur)
+                cur = []
+        if cur:
+            runs.append(cur)
+        return runs
+
+    def try_remove(self, cand: CanonicalSet) -> bool:
+        """Remove cand if the contour stays a simple cycle; False if not."""
+        verts = cand.vertices
+        vs = set(verts)
+        if cand.kind == "chain":
+            ends_preds = []
+            for z in (verts[0], verts[-1]):
+                preds = [w for w in self.adj[z] if w not in vs]
+                if len(preds) != 1:
+                    return False
+                ends_preds.append(preds[0])
+            if len(verts) > 1 and ends_preds[0] == ends_preds[1]:
+                return False
+            for z in verts[1:-1]:
+                if any(w not in vs for w in self.adj[z]):
+                    return False
+            if not all(self.has_successor(z) for z in verts):
+                return False
+        saved = self.remove(verts)
+        try:
+            contour = self._trace_contour()
+        except (OrderingError, ValueError):
+            self.restore(saved)
+            return False
+        ok = (
+            len(set(contour)) == len(contour)
+            and self.v1 in contour
+            and self.v2 in contour
+            and all(v in self.alive for v in contour)
+        )
+        if len(self.alive) == 2:
+            ok = set(contour) == {self.v1, self.v2}
+        if not ok:
+            self.restore(saved)
+            return False
+        self.contour = contour
+        return True
+
+
+def canonical_order_by_retracing(plane: PlaneGraph, v1: str, v2: str) -> CanonicalOrdering:
+    """ordering.canonical_order by trial removal and retracing; the
+    same candidate order and accept rule."""
+    if not plane.is_triconnected():
+        raise OrderingError("canonical ordering needs a 3-connected plane graph")
+    if v2 not in (plane.other_end(e, v1) for e in plane.rotation[v1]):
+        raise OrderingError(f"({v1},{v2}) is not an edge")
+    b = _RetracingBuilder(plane, v1, v2)
+    removed_sets: List[CanonicalSet] = []
+    while len(b.alive) > 2:
+        cand = next((c for c in b.candidates(first=not removed_sets) if b.try_remove(c)), None)
+        if cand is None:
+            raise OrderingError(f"no canonical ordering: dead end at contour {b.contour}")
+        removed_sets.append(cand)
+    return CanonicalOrdering(sets=[CanonicalSet("base", [v1, v2])] + removed_sets[::-1],
+                             v1=v1, v2=v2)

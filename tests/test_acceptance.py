@@ -182,8 +182,8 @@ class TestAcceptance:
             after = {e: tuple(sorted(ab)) for e, ab in out.edges.items()}
             assert before == after, name
             assert len(out.crossings()) <= len(g.crossings()), name
-            if connectivity(g, cap=3) >= 3:
-                assert connectivity(out.plane.adjacency(), cap=3) >= 3, name
+            if connectivity(g) >= 3:
+                assert connectivity(out.plane.adjacency()) >= 3, name
             if len(g.vertices) <= 10:
                 assert normalized_reembedding_exists(g), name
                 oracle_checked += 1
@@ -227,10 +227,10 @@ class TestAcceptance:
             assert len(g.edges) == 2 * k + 2
             assert all(d == 2 for d in g.degrees().values())
             if k <= 12:
-                assert connectivity(g, cap=2) == 2
+                assert connectivity(g) == 2
         base = gen_3reg18()
         assert all(d == 3 for d in base.degrees().values())
-        assert connectivity(base, cap=3) == 3
+        assert connectivity(base) == 3
         have = {tuple(sorted(ab)) for ab in base.edges.values()}
         for a, b in chain_edges_3reg18():
             assert tuple(sorted((a, b))) in have
@@ -242,7 +242,7 @@ class TestAcceptance:
             assert sum(1 for v in specials if degs[v] == delta) == 9
             assert all(degs[v] == 3 for v in degs if v not in specials)
             assert len(g.edges) - base_edges == 9 * (delta - 3)
-            assert connectivity(g, cap=3) == 3
+            assert connectivity(g) == 3
         _report("7 (lower-bound families)", True, "k in 1..50, delta in 3..8")
 
     def test_8_determinism(self):
@@ -269,8 +269,8 @@ class TestAcceptance:
         g = gen_corpus(seed=13, n_target=400, profile="cubic3con", count=1)[0]
         assert len(g.vertices) == 364
         assert g.is_cubic()
-        assert connectivity(g, cap=3) == 3
-        assert graphutil.vertex_connectivity(g.plane.adjacency(), cap=3) == 3
+        assert connectivity(g) == 3
+        assert graphutil.vertex_connectivity(g.plane.adjacency()) == 3
         elapsed = time.perf_counter() - t0
         _report("9 (generator, 400-vertex tier)", elapsed < 10.0,
                 f"{len(g.vertices)} vertices in {elapsed:.2f}s (budget 10s)")

@@ -311,3 +311,49 @@ class TestCli:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: n_target must be >= 1\n"
         assert not out_path.exists()
+
+
+
+# (command, family, path, value): the document is the family's graph for
+# "draw" and its 1-bend drawing otherwise, with doc[path[0]]...[path[-1]]
+# set to value, or deleted when value is None.
+MALFORMED = {
+    "outer-face-unknown-edge": ("draw", "k4", ["outer_face", 0, 0], "nope"),
+    "outer-face-tail-not-an-endpoint": ("draw", "k4", ["outer_face", 0, 1], "d"),
+    "outer-face-entry-an-int": ("draw", "k4", ["outer_face", 0], 3),
+    "fragment-map-entry-not-a-pair": ("draw", "crossedk4", ["fragment_map", "_x0", 0], 5),
+    "fragment-map-not-an-object": ("draw", "crossedk4", ["fragment_map"], []),
+    "rotations-not-an-object": ("draw", "k4", ["rotations"], []),
+    "vertex-id-a-list": ("draw", "k4", ["vertices", 0, "id"], ["a"]),
+    "validate-no-graph": ("validate", "k4", ["graph"], None),
+    "validate-no-positions": ("validate", "k4", ["positions"], None),
+    "validate-position-not-a-pair": ("validate", "k4", ["positions", "a"], [[1, 1]]),
+    "validate-polyline-of-unknown-edge": ("validate", "k4", ["polylines", "zz"],
+                                          [[[0, 1], [0, 1]], [[1, 1], [0, 1]]]),
+    "render-no-graph": ("render", "k4", ["graph"], None),
+    "render-no-positions": ("render", "k4", ["positions"], None),
+    "render-position-not-a-pair": ("render", "k4", ["positions", "a"], 7),
+}
+
+COMMANDS = {"draw": ["draw", "--mode", "onebend"], "validate": ["validate", "--profile", "onebend"],
+            "render": ["render"]}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_document_exits_2(capsys, case):
+    command, family, path, value = MALFORMED[case]
+    _, text = run_cli(["gen", "--family", family])
+    if command != "draw":
+        _, text = run_cli(["draw", "--mode", "onebend"], text)
+    doc = json.loads(text)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    code, out = run_cli(COMMANDS[command], json.dumps(doc))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

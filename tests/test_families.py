@@ -77,7 +77,7 @@ class TestThreeReg18:
     def test_regular_and_connected(self):
         g = gen_3reg18()
         assert all(d == 3 for d in g.degrees().values())
-        assert connectivity(g, cap=3) == 3
+        assert connectivity(g) == 3
 
     def test_chain_edges_present(self):
         g = gen_3reg18()
@@ -116,7 +116,7 @@ class TestMaxDeg:
         assert len(g.edges) - len(base.edges) == 9 * (delta - 3)
 
     def test_delta5_connectivity(self):
-        assert connectivity(gen_maxdeg(5), cap=3) == 3
+        assert connectivity(gen_maxdeg(5)) == 3
 
     def test_rejects_small_delta(self):
         with pytest.raises(ValueError):
@@ -134,8 +134,8 @@ class TestCorpus:
     def test_cubic3con_profile(self):
         for g in gen_corpus(seed=3, n_target=16, profile="cubic3con", count=4):
             assert g.is_cubic()
-            assert connectivity(g, cap=3) == 3
-            assert graphutil.vertex_connectivity(g.plane.adjacency(), cap=3) == 3
+            assert connectivity(g) == 3
+            assert graphutil.vertex_connectivity(g.plane.adjacency()) == 3
             find_real_real_face(g.plane)
 
     def test_target_size(self):
@@ -300,7 +300,7 @@ class TestInsertions:
             gen_corpus(seed=1000, n_target=60, profile="cubic3con")
 
     def test_a_failed_profile_check_raises_out_of_gen_corpus(self, monkeypatch):
-        monkeypatch.setattr(families, "connectivity", lambda g, cap: 2)
+        monkeypatch.setattr(families, "connectivity", lambda g: 2)
         with pytest.raises(EmbeddingError, match="corpus graph not 3-connected"):
             gen_corpus(seed=1000, n_target=60, profile="cubic3con")
 
@@ -314,7 +314,7 @@ class TestInsertions:
             from slopeforge.geometry import Point
             from slopeforge.model import EmbeddingError
             assert False, "asserts are not stripped"
-            families.connectivity = lambda g, cap: 2
+            families.connectivity = lambda g: 2
             with pytest.raises(EmbeddingError, match="corpus graph not 3-connected"):
                 families.gen_corpus(seed=1000, n_target=60, profile="cubic3con")
             with pytest.raises(onebend.OneBendError, match="not an upward port"):

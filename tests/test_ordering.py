@@ -6,15 +6,19 @@ import pytest
 
 from slopeforge import graphutil, ordering
 from slopeforge.families import gen_corpus
+from slopeforge.model import PlaneGraph
 from slopeforge.ordering import (
     CanonicalOrdering,
     OrderingError,
     canonical_order,
+    canonical_order_on_real_edge,
     st_order,
     verify_canonical,
 )
+from slopeforge.reembed import normalize_embedding
 
 from builders import build_plane_graph
+from oracles import canonical_order_by_retracing
 from test_model import k4_one_crossing, k4_plane
 
 
@@ -107,6 +111,68 @@ class TestCanonicalOrder:
         monkeypatch.setattr(ordering._Builder, "try_remove", lambda self, cand: False)
         with pytest.raises(OrderingError, match=r"dead end at contour \['y', 'x', 'z'\]"):
             canonical_order(prism_plane(), "x", "y")
+
+
+def sets_or_error(order, plane, v1, v2):
+    try:
+        return [(s.kind, s.vertices) for s in order(plane, v1, v2).sets]
+    except OrderingError as exc:
+        return str(exc)
+
+
+def same_orderings_on_every_outer_dart(plane):
+    """Require canonical_order and the retracing oracle to agree with every
+    face of plane as the outer face and every dart of it as the base;
+    return the number of (face, dart) pairs."""
+    count = 0
+    for face in plane.faces():
+        p = plane.with_outer(face.darts[0])
+        for d in face.darts:
+            v1, v2 = p.dart_head(d), d[1]
+            assert (sets_or_error(canonical_order, p, v1, v2)
+                    == sets_or_error(canonical_order_by_retracing, p, v1, v2)), d
+            count += 1
+    return count
+
+
+class TestRetracingEquivalence:
+    """canonical_order decides each removal by one face walk; the oracle
+    removes, retraces the whole contour and restores.  Both must give the
+    same sets and kinds."""
+
+    def test_every_outer_face_and_base_dart(self):
+        count = 0
+        for n_target in (12, 20, 32):
+            for seed in range(1000, 1005):
+                plane = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con")[0].plane
+                count += same_orderings_on_every_outer_dart(plane)
+        assert count > 800
+
+    def test_two_connected_planes_with_the_entry_check_lifted(self, monkeypatch):
+        # With an edge deleted, a removal can leave a cut vertex on the new
+        # outer face, which a 3-connected input never does; the walk's
+        # repeat and stop rules must still decide as the retrace does, and
+        # the dead ends must name the same contours.
+        monkeypatch.setattr(PlaneGraph, "is_triconnected", lambda self: True)
+        count = 0
+        for n_target in (12, 20):
+            plane = gen_corpus(seed=1000, n_target=n_target, profile="cubic3con")[0].plane
+            for e, ends in plane.edges.items():
+                cut = plane.copy()
+                del cut.edges[e]
+                for v in ends:
+                    cut.rotation[v].remove(e)
+                if cut.separating_pairs():
+                    count += same_orderings_on_every_outer_dart(cut)
+        assert count > 1000
+
+    def test_a_normalized_planarization_of_about_1000_vertices(self):
+        g = gen_corpus(seed=3, n_target=1000, profile="cubic3con")[0]
+        norm = normalize_embedding(g, three_connected=True)
+        plane, delta = canonical_order_on_real_edge(norm.plane)
+        assert len(plane.vertices) > 900
+        assert ([(s.kind, s.vertices) for s in delta.sets]
+                == sets_or_error(canonical_order_by_retracing, plane, delta.v1, delta.v2))
 
 
 class TestVerifyCanonical:

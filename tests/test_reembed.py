@@ -108,9 +108,9 @@ class TestNormalize:
 
     def test_restores_3_connected_planarization(self):
         g = crossed_prism()
-        assert connectivity(g, cap=3) == 3
+        assert connectivity(g) == 3
         out = normalize_embedding(g)
-        assert connectivity(out.plane.adjacency(), cap=3) >= 3
+        assert connectivity(out.plane.adjacency()) >= 3
 
     def test_adversarial_suite_full_contract(self):
         suite = adversarial_suite()
@@ -122,8 +122,8 @@ class TestNormalize:
             want = {e: tuple(sorted(ab)) for e, ab in g.edges.items()}
             got = {e: tuple(sorted(ab)) for e, ab in out.edges.items()}
             assert want == got, name
-            if connectivity(g, cap=3) >= 3:
-                assert connectivity(out.plane.adjacency(), cap=3) >= 3, name
+            if connectivity(g) >= 3:
+                assert connectivity(out.plane.adjacency()) >= 3, name
 
     def test_corpus_graphs_already_normalized(self):
         for g in gen_corpus(seed=21, n_target=14, profile="cubic3con", count=3):

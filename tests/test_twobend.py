@@ -15,6 +15,7 @@ from slopeforge.geometry import Point, SlopeKind
 from slopeforge.model import EmbeddedGraph
 from slopeforge.onebend import draw_onebend
 from slopeforge.ordering import st_order
+from slopeforge.reembed import normalize_embedding
 from slopeforge.twobend import (
     DIR,
     PORT_ROT,
@@ -24,6 +25,7 @@ from slopeforge.twobend import (
     TwoBendError,
     bridge_decomposition,
     check_invariants,
+    component_plane,
     compute_ports,
     draw_component,
     draw_liu,
@@ -307,6 +309,22 @@ def check_rank_grid(g: EmbeddedGraph) -> None:
     assert report.passed, report.violations
     n = len(g.vertices)
     assert grid_bits(drawing) <= 2 * math.log2(n) + 4, (n, grid_bits(drawing))
+
+
+class TestComponentPlanes:
+    def test_every_component_plane_validates(self):
+        # draw_twobend validates no component plane; each must be valid as cut.
+        graphs = [gen_2reg(k) for k in (1, 2, 3, 8, 20)]
+        graphs += [g for n_target in (20, 60) for seed in range(1000, 1006)
+                   for g in gen_corpus(seed=seed, n_target=n_target, profile="subcubic")]
+        multi = 0
+        for g in graphs:
+            norm = normalize_embedding(g)
+            for comp in bridge_decomposition(norm).components:
+                sub = component_plane(norm, comp)
+                sub.validate()
+                multi += len(sub.vertices) > 1
+        assert multi >= 20
 
 
 class TestRankGrid:
