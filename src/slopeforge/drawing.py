@@ -22,9 +22,6 @@ class PolylineDrawing:
     positions: Dict[str, Point]
     polylines: Dict[str, List[Point]]
 
-    def bends(self, edge_id: str) -> List[Point]:
-        return self.polylines[edge_id][1:-1]
-
     def segments_of(self, edge_id: str) -> List[Segment]:
         pts = self.polylines[edge_id]
         return [Segment(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]

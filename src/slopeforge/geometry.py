@@ -323,24 +323,22 @@ def _box(form: _IntSegment) -> Tuple[int, int, int, int]:
     return (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
 
 
-def segment_hits(
-    segs: Sequence[Segment], groups: Optional[Sequence[object]] = None
-) -> Iterator[Tuple[int, int, Intersection]]:
+def segment_hits(segs: Sequence[Segment]) -> Iterator[Tuple[int, int, Intersection]]:
     """Every pair of segments that is not DISJOINT, as (i, j, intersect(...)).
 
     A sweep in x over the segments' boxes, with integer keys that never
     separate two segments that meet, hands each candidate pair to the
     exact classifier.  Pairs come in sweep order, and j is the segment
-    that entered the sweep first.  A pair whose `groups` entries are equal
-    and not None is skipped.
+    that entered the sweep first.
     """
-    return sweep_hits([prepare(s) for s in segs], groups)
+    return sweep_hits([prepare(s) for s in segs])
 
 
 def sweep_hits(
     prepared: Sequence[Prepared], groups: Optional[Sequence[object]] = None
 ) -> Iterator[Tuple[int, int, Intersection]]:
-    """segment_hits on segments that are already prepared."""
+    """segment_hits on segments that are already prepared, skipping each
+    pair whose `groups` entries are equal and not None."""
     if groups is None:
         groups = [None] * len(prepared)
     boxes = [p[2] for p in prepared]

@@ -434,10 +434,6 @@ def planarize(g: EmbeddedGraph) -> PlaneGraph:
     return g.plane
 
 
-def faces(p: PlaneGraph) -> List[Face]:
-    return p.faces()
-
-
 def connectivity(adj_or_graph, cap: int = 3) -> int:
     """Vertex connectivity with the distinctions 0, 1, 2, 3, at most cap.
 

@@ -1648,7 +1648,9 @@ def _run_pipeline(g: EmbeddedGraph, trace: bool = False) -> Tuple[OneBendDrawer,
 
 
 def _finalize(norm: EmbeddedGraph, plane: PlaneGraph, gamma: Gamma) -> PolylineDrawing:
-    target = EmbeddedGraph.from_plane(plane)
+    """The drawing of gamma over plane, which is norm's valid plane with
+    perhaps another outer face: the same edges, so norm's original edges."""
+    target = EmbeddedGraph(plane=plane, original=norm.original)
     polylines: Dict[str, List[Point]] = {}
     for orig, (a, b) in sorted(target.edges.items()):
         pts = gamma._joined_original(orig)

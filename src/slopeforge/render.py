@@ -34,24 +34,22 @@ def _svg(polylines: Dict[str, List[Point]], positions: Dict[str, Point]) -> str:
     points = [p for pts in polylines.values() for p in pts] + list(positions.values())
     if not points:
         return '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 100 100"></svg>\n'
-    lo_x, hi_x = min(p.x for p in points), max(p.x for p in points)
-    lo_y, hi_y = min(p.y for p in points), max(p.y for p in points)
+    xs = sorted({p.x for p in points})
+    ys = sorted({p.y for p in points})
+    lo_x, hi_x, lo_y, hi_y = xs[0], xs[-1], ys[0], ys[-1]
     width = (hi_x - lo_x) * SCALE + 2 * MARGIN
     height = (hi_y - lo_y) * SCALE + 2 * MARGIN
-
-    def tx(p):
-        return (p.x - lo_x) * SCALE + MARGIN
-
-    def ty(p):
-        # Flip the y-axis: SVG grows downward.
-        return (hi_y - p.y) * SCALE + MARGIN
+    # Each distinct coordinate is formatted once; the y-axis is flipped,
+    # since SVG grows downward.
+    fx = {x: _fmt((x - lo_x) * SCALE + MARGIN) for x in xs}
+    fy = {y: _fmt((hi_y - y) * SCALE + MARGIN) for y in ys}
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
         '<g fill="none" stroke="black" stroke-width="1.5">',
     ]
     for e in sorted(polylines):
-        path = " ".join(f"{_fmt(tx(p))},{_fmt(ty(p))}" for p in polylines[e])
+        path = " ".join(f"{fx[p.x]},{fy[p.y]}" for p in polylines[e])
         lines.append(f'<polyline points="{path}"><title>{e}</title></polyline>')
     lines.append("</g>")
     if positions:
@@ -60,7 +58,7 @@ def _svg(polylines: Dict[str, List[Point]], positions: Dict[str, Point]) -> str:
         for v in sorted(positions):
             p = positions[v]
             lines.append(
-                f'<circle cx="{_fmt(tx(p))}" cy="{_fmt(ty(p))}" r="{r}"><title>{v}</title></circle>'
+                f'<circle cx="{fx[p.x]}" cy="{fy[p.y]}" r="{r}"><title>{v}</title></circle>'
             )
         lines.append("</g>")
     lines.append("</svg>")

@@ -61,8 +61,6 @@ class OrthoEdge:
 @dataclass
 class OrthoDrawing:
     plane: PlaneGraph
-    sigma: Dict[str, int]
-    s: str
     t: str
     pos: Dict[str, Point]
     edges: Dict[str, OrthoEdge]
@@ -253,12 +251,12 @@ def draw_liu(plane: PlaneGraph, s: str, t: str) -> OrthoDrawing:
     edges_out: Dict[str, OrthoEdge] = {}
 
     for v in order:
-        y = F(rank[v])
+        y = rank[v]
         rot_ports = ports[v]
         in_edges = [e for e, p in rot_ports.items() if p in ("S", "W", "E") and _edge_dir(plane, st, e)[1] == v]
         out_edges = [e for e, p in rot_ports.items() if _edge_dir(plane, st, e)[0] == v]
         if v == order[0]:
-            x = F(0)
+            x = F(0)  # a Fraction, so that the column midpoints stay exact
             pos[v] = Point(x, y)
         else:
             idxs = sorted(i for i, (e, _, _) in enumerate(pending) if e in in_edges)
@@ -280,7 +278,7 @@ def draw_liu(plane: PlaneGraph, s: str, t: str) -> OrthoDrawing:
                 if p != "S":
                     pts.append(Point(x, y))
                 tail, head = _edge_dir(plane, st, e)
-                edges_out[e] = OrthoEdge(e, tail, head, _stub_port(pre, c), p, pts)
+                edges_out[e] = OrthoEdge(e, tail, head, _stub_port(pre), p, pts)
             del pending[idxs[0] : idxs[-1] + 1]
             insert_at = idxs[0]
         if v == order[0]:
@@ -306,12 +304,15 @@ def draw_liu(plane: PlaneGraph, s: str, t: str) -> OrthoDrawing:
     if pending:
         raise TwoBendError("frontier not empty after the sink was placed")
 
-    d = OrthoDrawing(plane=plane, sigma=dict(rank), s=s, t=t, pos=pos, edges=edges_out)
-    _compact(d)
-    return d
+    # Only the order of the coordinates matters from here on, so the
+    # drawing is kept on int ranks; the rows are the st-ranks less one.
+    at, _ = _rank_points(list(pos.values()) + [p for e in edges_out.values() for p in e.points])
+    for e in edges_out.values():
+        e.points = [at(p) for p in e.points]
+    return OrthoDrawing(plane=plane, t=t, pos={v: at(p) for v, p in pos.items()}, edges=edges_out)
 
 
-def _stub_port(prefix: List[Point], col: Fraction) -> str:
+def _stub_port(prefix: List[Point]) -> str:
     if len(prefix) == 1:
         return "N"
     return "E" if prefix[1].x > prefix[0].x else "W"
@@ -332,18 +333,6 @@ def _rank_points(points: List[Point], num: Callable = int) -> Tuple[Callable[[Po
     xr = _ranks(p.x for p in points)
     yr = _ranks(p.y for p in points)
     return (lambda p: Point(num(xr[p.x]), num(yr[p.y]))), len(xr) + len(yr) - 2
-
-
-def _compact(d: OrthoDrawing) -> None:
-    """Renumber x-coordinates onto consecutive integers, preserving order."""
-    xs = [p.x for p in d.pos.values()] + [p.x for e in d.edges.values() for p in e.points]
-    remap = {x: F(r) for x, r in _ranks(xs).items()}
-    for v in list(d.pos):
-        p = d.pos[v]
-        d.pos[v] = Point(remap[p.x], p.y)
-    for e in d.edges.values():
-        e.points = [Point(remap[p.x], p.y) for p in e.points]
-        e.points = strip_collinear(e.points)
 
 
 # ---------------------------------------------------------------------------
@@ -438,78 +427,41 @@ def _planarity_problems(d: OrthoDrawing) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Stretching along a y-monotone staircase curve
+# Stretching along a one-jog cut
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Staircase:
-    """An increasing y-monotone orthogonal curve: vertical at xs[i] between
-    ys[i-1] and ys[i], horizontal jogs at ys[i] from xs[i] to xs[i+1]."""
+def stretch_curve(d: OrthoDrawing, x_low: int, x_high: int, y: int, delta: int) -> None:
+    """Move everything right of a one-jog cut rightward by delta.
 
-    xs: List[Fraction]
-    ys: List[Fraction]
-
-    def threshold(self, y: Fraction) -> Fraction:
-        for j, jog_y in enumerate(self.ys):
-            if y < jog_y:
-                return self.xs[j]
-        return self.xs[-1]
-
-    def right_of(self, p: Point) -> bool:
-        return p.x > self.threshold(p.y)
-
-    def hits_vertex(self, d: "OrthoDrawing") -> bool:
-        for p in d.pos.values():
-            if p.x == self.threshold(p.y):
-                return True
-            for j, jy in enumerate(self.ys):
-                if p.y == jy and self.xs[j] <= p.x <= self.xs[j + 1]:
-                    return True
-        return False
-
-
-def stretch_curve(d: OrthoDrawing, curve: Staircase, delta: Fraction) -> None:
-    """Move the curve and everything right of it rightward by delta.
-
-    Crossed vertical segments gain a horizontal run at the jog height;
-    crossed horizontal segments just get longer.  Planarity, shapes of
-    untouched edges, and y-monotonicity are preserved.
+    The cut rises between columns x_low - 1 and x_low, jogs at y + 1/2 and
+    rises on between columns x_high and x_high + 1: a point moves iff
+    p.x >= x_low below the jog, or p.x > x_high at or above it.  A vertical
+    segment whose two ends move differently crosses the jog and gains two
+    jog points on it; horizontal segments just get longer.  Planarity,
+    shapes of untouched edges, and y-monotonicity are preserved.
     """
     if delta <= 0:
         raise ValueError("stretch amount must be positive")
-    if curve.hits_vertex(d):
-        raise TwoBendError("stretch curve passes through a vertex")
-    for v in list(d.pos):
-        p = d.pos[v]
-        if curve.right_of(p):
-            d.pos[v] = Point(p.x + delta, p.y)
+    if not all(isinstance(c, int) for c in (x_low, x_high, y)):
+        raise TwoBendError("stretch cut must run between integer columns and rows")
+    jog = y + F(1, 2)
+
+    def moved(p: Point) -> Point:
+        if (p.x >= x_low) if p.y < jog else (p.x > x_high):
+            return Point(p.x + delta, p.y)
+        return p
+
+    for v, p in d.pos.items():
+        d.pos[v] = moved(p)
     for e in d.edges.values():
-        new_pts: List[Point] = []
-        pts = e.points
-        for i, p in enumerate(pts):
-            if new_pts and pts[i - 1].x == p.x:
-                # Vertical segment: insert a run at every jog it crosses.
-                prev = pts[i - 1]
-                jogs = [jy for jy in curve.ys if min(prev.y, p.y) < jy < max(prev.y, p.y)]
-                jogs.sort(reverse=prev.y > p.y)
-                for jy in jogs:
-                    below = curve.right_of(Point(p.x, min(prev.y, p.y)))
-                    above = curve.right_of(Point(p.x, max(prev.y, p.y)))
-                    if below == above:
-                        continue
-                    below_pt = Point(p.x + (delta if below else 0), jy)
-                    above_pt = Point(p.x + (delta if above else 0), jy)
-                    if prev.y < p.y:
-                        new_pts.extend([below_pt, above_pt])
-                    else:
-                        new_pts.extend([above_pt, below_pt])
-            new_pts.append(Point(p.x + delta, p.y) if curve.right_of(p) else p)
-        dedup: List[Point] = []
-        for p in new_pts:
-            if not dedup or p != dedup[-1]:
-                dedup.append(p)
-        e.points = dedup
+        pts = [moved(e.points[0])]
+        for a, b in zip(e.points, e.points[1:]):
+            q = moved(b)
+            if a.x == b.x and pts[-1].x != q.x:
+                pts += [Point(pts[-1].x, jog), Point(q.x, jog)]
+            pts.append(q)
+        e.points = pts
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +506,6 @@ def eliminate_cshapes(d: OrthoDrawing) -> int:
                 _flip_180(d)
         else:
             raise TwoBendError(f"C-shape {eid} joins two dummies (impossible fragment)")
-        _compact(d)
         steps += 1
         problems = check_invariants(d)
         if problems:
@@ -562,10 +513,7 @@ def eliminate_cshapes(d: OrthoDrawing) -> int:
 
 
 def _flip_180(d: OrthoDrawing) -> None:
-    """Point-reflect the drawing; sources and sinks swap roles."""
-    n = len(d.sigma) + 1
-    d.sigma = {v: n - r for v, r in d.sigma.items()}
-    d.s, d.t = d.t, d.s
+    """Point-reflect the drawing; tails and heads swap roles."""
     for v in list(d.pos):
         p = d.pos[v]
         d.pos[v] = Point(-p.x, -p.y)
@@ -576,58 +524,47 @@ def _flip_180(d: OrthoDrawing) -> None:
 
 
 def _eliminate_into_dummy(d: OrthoDrawing, eid: str) -> None:
-    """Handle a C-shape from a real vertex u into a dummy v (E->E ports)."""
+    """Handle a C-shape from a real vertex u into a dummy v (E->E ports).
+
+    A stretch by the distance from u to the C's riser column moves u onto
+    that column, so the C leaves u at N and rises straight to v.  An
+    outgoing edge blocking N moves to u's W port and rises in u's old
+    column."""
     e = d.edges[eid]
     u, v = e.tail, e.head
     if (e.out_port, e.in_port) != ("E", "E"):
         raise TwoBendError(f"dummy-incident C {eid} uses ports {e.out_port}->{e.in_port}")
     at_u = d.ports_at(u)
+    blocker = at_u.get("N")
+    if blocker is not None:
+        be = d.edges[blocker]
+        if be.tail != u:
+            raise TwoBendError(f"N port of real vertex {u} is used by an incoming edge")
+        if "W" in at_u:
+            raise TwoBendError(
+                f"cannot eliminate {eid}: N and W of {u} both busy "
+                f"(ports {sorted(at_u)})"
+            )
+        if be.in_port == "W" and d.plane.is_dummy(be.head):
+            raise TwoBendError(
+                f"cannot eliminate {eid}: rerouting {blocker} would make a W-C into a dummy"
+            )
+        if be.in_port == "E":
+            raise TwoBendError(
+                f"cannot eliminate {eid}: blocker {blocker} enters its head at E"
+            )
     rc = max(p.x for p in e.points)  # the riser column of the C
     xu, yu = d.pos[u].x, d.pos[u].y
-
-    if "N" not in at_u:
-        curve = Staircase(xs=[xu - F(1, 2), rc + F(1, 2)], ys=[yu + F(1, 2)])
-        stretch_curve(d, curve, rc - xu)
-        xu2 = d.pos[u].x
-        yv = d.pos[v].y
-        e.points = [Point(xu2, yu), Point(xu2, yv), d.pos[v]]
-        e.out_port = "N"
-        e.points = strip_collinear(e.points)
-        return
-
-    # N occupied: free it by moving its edge to the W port, then reroute.
-    blocker = at_u["N"]
-    be = d.edges[blocker]
-    if be.tail != u:
-        raise TwoBendError(f"N port of real vertex {u} is used by an incoming edge")
-    if "W" in at_u:
-        raise TwoBendError(
-            f"cannot eliminate {eid}: N and W of {u} both busy "
-            f"(ports {sorted(at_u)})"
-        )
-    if be.in_port == "W" and d.plane.is_dummy(be.head):
-        raise TwoBendError(
-            f"cannot eliminate {eid}: rerouting {blocker} would make a W-C into a dummy"
-        )
-    if be.in_port == "E":
-        raise TwoBendError(
-            f"cannot eliminate {eid}: blocker {blocker} enters its head at E"
-        )
-    curve = Staircase(xs=[xu - F(1, 2), rc + F(1, 2)], ys=[yu + F(1, 2)])
-    stretch_curve(d, curve, rc - xu)
-    xu2 = d.pos[u].x
-    yv = d.pos[v].y
-    # Reroute the C through N.
-    e.points = [Point(xu2, yu), Point(xu2, yv), d.pos[v]]
+    stretch_curve(d, xu, rc, yu, rc - xu)
+    e.points = strip_collinear([Point(rc, yu), Point(rc, d.pos[v].y), d.pos[v]])
     e.out_port = "N"
-    e.points = strip_collinear(e.points)
-    # Reroute the blocker through W along u's old (now vacated) column.
+    if blocker is None:
+        return
     rest = [p for p in be.points if p.y > yu + F(1, 2)]
     if not rest or rest[0].x != xu:
         raise TwoBendError(f"blocker {blocker} lost its riser during the stretch")
-    be.points = [Point(xu2, yu), Point(xu, yu)] + rest
+    be.points = strip_collinear([Point(rc, yu), Point(xu, yu)] + rest)
     be.out_port = "W"
-    be.points = strip_collinear(be.points)
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +667,7 @@ def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:
     the drawing."""
     if len(sub.vertices) == 1:
         v = sub.vertices[0]
-        return OrthoDrawing(
-            plane=sub, sigma={v: 1}, s=v, t=v, pos={v: Point(F(0), F(0))}, edges={}
-        )
+        return OrthoDrawing(plane=sub, t=v, pos={v: Point(0, 0)}, edges={})
     sub.outer_darts = _outer_face(sub, u_i)
     errors = []
     for s in sorted({v for _, v in sub.outer_darts if v in sub.real and v != u_i}):
@@ -749,9 +684,6 @@ def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:
             eliminate_cshapes(d)
         except TwoBendError as exc:
             errors.append(f"s={s}: {exc}")
-            continue
-        if dummy_c_shapes(d):
-            errors.append(f"s={s}: dummy C-shapes survived")
             continue
         return d
     raise TwoBendError(f"no source candidate worked for component at {u_i}: {errors}")

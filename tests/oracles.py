@@ -30,14 +30,22 @@ the whole contour is retraced, and a snapshot is restored when the
 candidate is refused.  The tests require ordering.canonical_order, which
 decides each candidate by one walk of the faces its removal merges, to
 give the same sets and kinds.
+
+eliminate_cshapes_by_staircase is the 2-bend C-shape elimination with a
+general staircase stretch, a stretch path per state of the real vertex's N
+port, and a compaction of the columns after every step.  The tests require
+twobend.eliminate_cshapes, which stretches along one fixed one-jog cut on
+integer columns and never compacts, to give the same drawing up to the
+ranks of its coordinates, or the same error.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from slopeforge import graphutil, onebend
+from slopeforge import graphutil, onebend, twobend
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.geometry import (
     Point,
@@ -47,6 +55,7 @@ from slopeforge.geometry import (
     on_segment,
     slope_of,
     sort_directions_ccw,
+    strip_collinear,
 )
 from slopeforge.graphutil import Adj
 from slopeforge.model import Dart, EmbeddedGraph, PlaneGraph, connectivity
@@ -869,3 +878,175 @@ def canonical_order_by_retracing(plane: PlaneGraph, v1: str, v2: str) -> Canonic
         removed_sets.append(cand)
     return CanonicalOrdering(sets=[CanonicalSet("base", [v1, v2])] + removed_sets[::-1],
                              v1=v1, v2=v2)
+
+
+# ---------------------------------------------------------------------------
+# C-shape elimination along staircases, with a compaction per step
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Staircase:
+    """An increasing y-monotone orthogonal curve: vertical at xs[i] between
+    ys[i-1] and ys[i], horizontal jogs at ys[i] from xs[i] to xs[i+1]."""
+
+    xs: List[Fraction]
+    ys: List[Fraction]
+
+    def threshold(self, y: Fraction) -> Fraction:
+        for j, jog_y in enumerate(self.ys):
+            if y < jog_y:
+                return self.xs[j]
+        return self.xs[-1]
+
+    def right_of(self, p: Point) -> bool:
+        return p.x > self.threshold(p.y)
+
+    def hits_vertex(self, d: twobend.OrthoDrawing) -> bool:
+        for p in d.pos.values():
+            if p.x == self.threshold(p.y):
+                return True
+            for j, jy in enumerate(self.ys):
+                if p.y == jy and self.xs[j] <= p.x <= self.xs[j + 1]:
+                    return True
+        return False
+
+
+def stretch_staircase(d: twobend.OrthoDrawing, curve: Staircase, delta: Fraction) -> None:
+    """Move the curve and everything right of it rightward by delta.
+
+    Crossed vertical segments gain a horizontal run at the jog height;
+    crossed horizontal segments just get longer."""
+    if delta <= 0:
+        raise ValueError("stretch amount must be positive")
+    if curve.hits_vertex(d):
+        raise twobend.TwoBendError("stretch curve passes through a vertex")
+    for v in list(d.pos):
+        p = d.pos[v]
+        if curve.right_of(p):
+            d.pos[v] = Point(p.x + delta, p.y)
+    for e in d.edges.values():
+        new_pts: List[Point] = []
+        pts = e.points
+        for i, p in enumerate(pts):
+            if new_pts and pts[i - 1].x == p.x:
+                # Vertical segment: insert a run at every jog it crosses.
+                prev = pts[i - 1]
+                jogs = [jy for jy in curve.ys if min(prev.y, p.y) < jy < max(prev.y, p.y)]
+                jogs.sort(reverse=prev.y > p.y)
+                for jy in jogs:
+                    below = curve.right_of(Point(p.x, min(prev.y, p.y)))
+                    above = curve.right_of(Point(p.x, max(prev.y, p.y)))
+                    if below == above:
+                        continue
+                    below_pt = Point(p.x + (delta if below else 0), jy)
+                    above_pt = Point(p.x + (delta if above else 0), jy)
+                    if prev.y < p.y:
+                        new_pts.extend([below_pt, above_pt])
+                    else:
+                        new_pts.extend([above_pt, below_pt])
+            new_pts.append(Point(p.x + delta, p.y) if curve.right_of(p) else p)
+        dedup: List[Point] = []
+        for p in new_pts:
+            if not dedup or p != dedup[-1]:
+                dedup.append(p)
+        e.points = dedup
+
+
+def _compact_columns(d: twobend.OrthoDrawing) -> None:
+    """Renumber x-coordinates onto consecutive integers, preserving order."""
+    xs = [p.x for p in d.pos.values()] + [p.x for e in d.edges.values() for p in e.points]
+    remap = {x: Fraction(r) for r, x in enumerate(sorted(set(xs)))}
+    for v in list(d.pos):
+        p = d.pos[v]
+        d.pos[v] = Point(remap[p.x], p.y)
+    for e in d.edges.values():
+        e.points = strip_collinear([Point(remap[p.x], p.y) for p in e.points])
+
+
+def eliminate_cshapes_by_staircase(d: twobend.OrthoDrawing) -> int:
+    """twobend.eliminate_cshapes with a staircase stretch and a column
+    compaction after every step."""
+    steps = 0
+    guard = 4 * len(d.edges) + 8
+    while True:
+        targets = twobend.dummy_c_shapes(d)
+        if not targets:
+            return steps
+        if steps > guard:
+            raise twobend.TwoBendError("C-shape elimination stopped making progress")
+        eid = targets[0]
+        e = d.edges[eid]
+        if d.plane.is_dummy(e.head) and not d.plane.is_dummy(e.tail):
+            _eliminate_by_staircase(d, eid)
+        elif d.plane.is_dummy(e.tail) and not d.plane.is_dummy(e.head):
+            twobend._flip_180(d)
+            try:
+                _eliminate_by_staircase(d, eid)
+            finally:
+                twobend._flip_180(d)
+        else:
+            raise twobend.TwoBendError(f"C-shape {eid} joins two dummies (impossible fragment)")
+        _compact_columns(d)
+        steps += 1
+        problems = twobend.check_invariants(d)
+        if problems:
+            raise twobend.TwoBendError(f"invariants broken after eliminating {eid}: {problems[:3]}")
+
+
+def _eliminate_by_staircase(d: twobend.OrthoDrawing, eid: str) -> None:
+    """twobend._eliminate_into_dummy with one stretch-and-reroute path for
+    a free N port of the real vertex and one for a busy N port."""
+    TwoBendError = twobend.TwoBendError
+    half = Fraction(1, 2)
+    e = d.edges[eid]
+    u, v = e.tail, e.head
+    if (e.out_port, e.in_port) != ("E", "E"):
+        raise TwoBendError(f"dummy-incident C {eid} uses ports {e.out_port}->{e.in_port}")
+    at_u = d.ports_at(u)
+    rc = max(p.x for p in e.points)  # the riser column of the C
+    xu, yu = d.pos[u].x, d.pos[u].y
+
+    if "N" not in at_u:
+        curve = Staircase(xs=[xu - half, rc + half], ys=[yu + half])
+        stretch_staircase(d, curve, rc - xu)
+        xu2 = d.pos[u].x
+        yv = d.pos[v].y
+        e.points = [Point(xu2, yu), Point(xu2, yv), d.pos[v]]
+        e.out_port = "N"
+        e.points = strip_collinear(e.points)
+        return
+
+    # N occupied: free it by moving its edge to the W port, then reroute.
+    blocker = at_u["N"]
+    be = d.edges[blocker]
+    if be.tail != u:
+        raise TwoBendError(f"N port of real vertex {u} is used by an incoming edge")
+    if "W" in at_u:
+        raise TwoBendError(
+            f"cannot eliminate {eid}: N and W of {u} both busy "
+            f"(ports {sorted(at_u)})"
+        )
+    if be.in_port == "W" and d.plane.is_dummy(be.head):
+        raise TwoBendError(
+            f"cannot eliminate {eid}: rerouting {blocker} would make a W-C into a dummy"
+        )
+    if be.in_port == "E":
+        raise TwoBendError(
+            f"cannot eliminate {eid}: blocker {blocker} enters its head at E"
+        )
+    curve = Staircase(xs=[xu - half, rc + half], ys=[yu + half])
+    stretch_staircase(d, curve, rc - xu)
+    xu2 = d.pos[u].x
+    yv = d.pos[v].y
+    # Reroute the C through N.
+    e.points = [Point(xu2, yu), Point(xu2, yv), d.pos[v]]
+    e.out_port = "N"
+    e.points = strip_collinear(e.points)
+    # Reroute the blocker through W along u's old (now vacated) column.
+    rest = [p for p in be.points if p.y > yu + half]
+    if not rest or rest[0].x != xu:
+        raise TwoBendError(f"blocker {blocker} lost its riser during the stretch")
+    be.points = [Point(xu2, yu), Point(xu, yu)] + rest
+    be.out_port = "W"
+    be.points = strip_collinear(be.points)

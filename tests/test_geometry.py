@@ -32,10 +32,10 @@ from slopeforge.geometry import (
     prepare_shifted,
     prepared_octant,
     primitive,
-    segment_hits,
     slope_of,
     sort_directions_ccw,
     strip_collinear,
+    sweep_hits,
 )
 
 
@@ -611,7 +611,7 @@ def _brute_hits(segs, groups=None):
 
 def _swept_hits(segs, groups=None):
     out = {}
-    for i, j, res in segment_hits(segs, groups):
+    for i, j, res in sweep_hits([prepare(s) for s in segs], groups):
         key = (min(i, j), max(i, j))
         assert i != j and key not in out
         out[key] = res

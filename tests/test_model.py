@@ -15,7 +15,6 @@ from slopeforge.model import (
     EmbeddingError,
     PlaneGraph,
     connectivity,
-    faces,
     find_real_real_face,
     planarize,
 )
@@ -89,16 +88,16 @@ def k4_one_crossing() -> PlaneGraph:
 
 class TestFaces:
     def test_triangle_has_two_faces(self):
-        assert len(faces(triangle())) == 2
+        assert len(triangle().faces()) == 2
 
     def test_k4_has_four_faces(self):
-        assert len(faces(k4_plane())) == 4
+        assert len(k4_plane().faces()) == 4
 
     def test_one_crossing_k4_planarization_counts(self):
         p = k4_one_crossing()
         assert len(p.vertices) == 5
         assert len(p.edges) == 8
-        assert len(faces(p)) == 5
+        assert len(p.faces()) == 5
 
     def test_outer_face_traced(self):
         p = k4_one_crossing()

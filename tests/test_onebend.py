@@ -13,7 +13,7 @@ from slopeforge.families import (
     gen_k4_embedded,
     gen_prism,
 )
-from slopeforge.geometry import IntersectKind, Point, Segment, SlopeKind, prepare, segment_hits
+from slopeforge.geometry import IntersectKind, Point, Segment, SlopeKind, prepare, sweep_hits
 from slopeforge.model import EmbeddedGraph, PlaneGraph, find_real_real_face
 from slopeforge.onebend import (
     CheckRecord,
@@ -131,7 +131,7 @@ def blockers_by_sweep(g, new_segments, allowed_points):
     segs = [s for _, s in drawn] + new_segments
     groups = [0] * len(drawn) + [1] * len(new_segments)
     blocked = set()
-    for i, j, res in segment_hits(segs, groups):
+    for i, j, res in sweep_hits([prepare(s) for s in segs], groups):
         if res.point is None or res.point not in allowed_points:
             blocked.add(min(i, j))
     return [drawn[k] for k in sorted(blocked)]
@@ -143,7 +143,7 @@ def step_simple_by_sweep(g, new):
     ones; then vertex coincidence."""
     segs = rebuilt_segments(g)
     groups = [None if e in new else 0 for e, _ in segs]
-    for i, j, res in segment_hits([s for _, s in segs], groups):
+    for i, j, res in sweep_hits([prepare(s) for _, s in segs], groups):
         e1, e2 = segs[i][0], segs[j][0]
         if res.kind is IntersectKind.SHARED_ENDPOINT:
             if e1 == e2:
@@ -919,6 +919,16 @@ class TestPipeline:
             d = draw_onebend(g)
             report = validate(d, "ONEBEND")
             assert report.passed, report.violations
+
+    def test_a_draw_validates_the_plane_once(self, monkeypatch):
+        g = gen_crossed_k4()
+        calls = []
+        validate_plane = PlaneGraph.validate
+        monkeypatch.setattr(PlaneGraph, "validate", lambda plane: calls.append(1) or validate_plane(plane))
+        d = draw_onebend(g)
+        # The normalizer's validation; the drawing reuses its original edges.
+        assert len(calls) == 1
+        assert d.graph.edges == d.graph.plane.original_edges()
 
     def test_deterministic(self):
         g = gen_fig_like()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -21,7 +22,7 @@ from slopeforge.twobend import (
     PORT_ROT,
     ROT,
     Assembled,
-    Staircase,
+    OrthoDrawing,
     TwoBendError,
     bridge_decomposition,
     check_invariants,
@@ -35,6 +36,7 @@ from slopeforge.twobend import (
 )
 from slopeforge.verify import embedding_from_geometry, validate
 
+from oracles import eliminate_cshapes_by_staircase
 from test_verify import square_graph
 
 F = Fraction
@@ -75,13 +77,20 @@ class TestDrawLiu:
         shapes = sorted(e.shape() for e in d.edges.values())
         assert set(shapes) <= {"I", "L", "C"}
 
+    def test_draw_liu_leaves_int_ranks(self):
+        d = draw_liu(square_plane(), "1", "3")
+        points = list(d.pos.values()) + [p for e in d.edges.values() for p in e.points]
+        coords = [c for p in points for c in (p.x, p.y)]
+        assert all(type(c) is int for c in coords)
+        assert sorted(p.y for p in d.pos.values()) == [0, 1, 2, 3]  # st-ranks less one
+
     def test_edge_moved_across_another_breaks_i1(self):
         d = draw_liu(square_plane(), "1", "3")
-        assert d.edges["e12"].points == [Point(F(0), F(1)), Point(F(1), F(1)), Point(F(1), F(2))]
-        # e23 now detours left of x=1 and down across e12's horizontal at y=1.
+        assert d.edges["e12"].points == [Point(0, 0), Point(1, 0), Point(1, 1)]
+        # e23 now detours left of x=1 and down across e12's horizontal at y=0.
         d.edges["e23"].points = [
             Point(F(x), F(y))
-            for x, y in ((1, 2), (F(1, 2), 2), (F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)), (F(3, 2), 4), (1, 4))
+            for x, y in ((1, 1), (F(1, 2), 1), (F(1, 2), F(-1, 2)), (F(3, 2), F(-1, 2)), (F(3, 2), 3), (1, 3))
         ]
         i1 = [p for p in check_invariants(d) if p.startswith("I1:") and "intersect" in p]
         assert i1 == ["I1: e12 and e23 intersect (proper_crossing)"]
@@ -99,27 +108,77 @@ class TestStretch:
         plane = square_plane()
         d = draw_liu(plane, "1", "3")
         before = {v: p for v, p in d.pos.items()}
-        xs = sorted(p.x for p in before.values())
-        curve = Staircase(xs=[xs[-1] + F(1, 2), xs[-1] + F(1, 2)], ys=[F(0)])
-        stretch_curve(d, curve, F(3))
-        assert d.pos == before  # everything was left of the curve
+        right = max(p.x for p in before.values()) + 1
+        stretch_curve(d, right, right, 0, 3)
+        assert d.pos == before  # everything was left of the cut
 
     def test_stretch_composes_additively(self):
         plane = square_plane()
         d1 = draw_liu(plane, "1", "3")
         d2 = draw_liu(plane, "1", "3")
-        mid = Staircase(xs=[F(1, 2), F(1, 2)], ys=[F(1, 2)])
-        stretch_curve(d1, mid, F(2))
-        stretch_curve(d1, mid, F(3))
-        stretch_curve(d2, mid, F(5))
+        # Below the jog at 3/2 every column moves, above it only x > 0.
+        stretch_curve(d1, 0, 0, 1, 2)
+        stretch_curve(d1, 0, 0, 1, 3)
+        stretch_curve(d2, 0, 0, 1, 5)
         assert d1.pos == d2.pos
+        assert d1.edges == d2.edges
+        jog = F(3, 2)
+        assert d2.edges["e14"].points == [Point(5, 0), Point(5, jog), Point(0, jog), Point(0, 2)]
 
-    def test_vertex_on_curve_rejected(self):
-        plane = square_plane()
-        d = draw_liu(plane, "1", "3")
-        x0 = d.pos["1"].x
-        with pytest.raises(TwoBendError):
-            stretch_curve(d, Staircase(xs=[x0, x0], ys=[F(1, 2)]), F(1))
+    def test_non_integer_cut_rejected(self):
+        d = draw_liu(square_plane(), "1", "3")
+        for cut in ((F(1, 2), 1, 0), (0, F(1, 2), 0), (0, 1, F(1, 2)), (F(0), 1, 0)):
+            with pytest.raises(TwoBendError, match="integer columns and rows"):
+                stretch_curve(d, *cut, 1)
+
+
+def ranked_drawing(d: OrthoDrawing):
+    """d's points with both axes ranked, and each edge's ends and ports."""
+    at, _ = twobend._rank_points(list(d.pos.values()) + [p for e in d.edges.values() for p in e.points])
+    edges = {k: (e.tail, e.head, e.out_port, e.in_port, [at(p) for p in e.points]) for k, e in d.edges.items()}
+    return {v: at(p) for v, p in d.pos.items()}, edges
+
+
+class TestEliminationOracle:
+    def test_matches_the_staircase_elimination(self, monkeypatch):
+        """Every elimination run on the components of a cubic3con corpus
+        gives the staircase oracle's drawing up to ranks, or its error."""
+        eliminate = twobend.eliminate_cshapes
+        counts = {"eliminations": 0, "flips": 0, "drawings": 0, "errors": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        def both(d):
+            ref = OrthoDrawing(d.plane, d.t, dict(d.pos), {
+                k: dataclasses.replace(e, points=list(e.points)) for k, e in d.edges.items()
+            })
+            try:
+                eliminate_cshapes_by_staircase(ref)
+                want = ranked_drawing(ref)
+            except TwoBendError as exc:
+                want = str(exc)
+            try:
+                steps = eliminate(d)
+            except TwoBendError as exc:
+                assert str(exc) == want
+                counts["errors"] += 1
+                raise
+            assert ranked_drawing(d) == want
+            counts["drawings"] += steps > 0
+            return steps
+
+        monkeypatch.setattr(twobend, "eliminate_cshapes", both)
+        monkeypatch.setattr(twobend, "_eliminate_into_dummy", counted("eliminations", twobend._eliminate_into_dummy))
+        monkeypatch.setattr(twobend, "_flip_180", counted("flips", twobend._flip_180))
+        for n_target in (24, 32, 40):
+            for seed in range(1000, 1040):
+                draw_twobend(cubic3con(seed, n_target))
+        assert counts["eliminations"] >= 50, counts
+        assert counts["flips"] > 0 and counts["drawings"] > 0 and counts["errors"] > 0, counts
 
 
 class TestPipeline:
@@ -280,10 +339,14 @@ def block_chain(blocks: int) -> EmbeddedGraph:
     return embedding_from_geometry(pos, edges)
 
 
+def cubic3con(seed: int, n_target: int) -> EmbeddedGraph:
+    return gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+
+
 def edge_deleted(seed: int, n_target: int) -> EmbeddedGraph:
     """A cubic3con graph's 1-bend drawing with about a tenth of its edges
     deleted, keeping it connected, re-read as a 1-plane graph."""
-    g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+    g = cubic3con(seed, n_target)
     d = draw_onebend(g)
     edges = dict(g.edges)
     for e in random.Random(seed).sample(sorted(edges), len(edges)):
@@ -392,12 +455,31 @@ class TestLaterSourceBytes:
         assert hashlib.sha256(dumps(drawing_to_doc(d)).encode()).hexdigest() == digest
 
 
-# Inputs the 2-bend drawer fails on today: (n_target, seed) of an
-# edge-deleted cubic3con graph, the component's attachment vertex, the C-shape
-# elimination every source on its outer face fails at, and those sources.
+class TestCubic3conBytes:
+    def test_drawing_bytes_are_pinned(self):
+        """The sha256 over the 2-bend drawings of cubic3con graphs, with
+        each failure's message in place of its drawing."""
+        h = hashlib.sha256()
+        for n_target in (24, 32, 40):
+            for seed in range(1000, 1020):
+                g = cubic3con(seed, n_target)
+                try:
+                    out = dumps(drawing_to_doc(draw_twobend(g)))
+                except TwoBendError as exc:
+                    out = f"TwoBendError: {exc}"
+                h.update(f"{n_target}/{seed}\n{out}\n".encode())
+        assert h.hexdigest() == "24c0187e2cf2471db54205cfb820968cfa32fd77a430025ea3a46d658b18db0b"
+
+
+# Inputs the 2-bend drawer fails on today: the builder and (n_target, seed)
+# of the input, the component's attachment vertex, the C-shape elimination
+# every source on its outer face fails at, and those sources.
 KNOWN_FAILURES = [
-    (60, 1055, "r0", "cannot eliminate x7$a: blocker g11<> enters its head at E",
+    (edge_deleted, 60, 1055, "r0", "cannot eliminate x7$a: blocker g11<> enters its head at E",
      ["r1", "r3", "v13", "v20", "v21", "v27", "v31", "v32", "v40", "v41", "v44", "v45", "v47"]),
+    # The smallest known failing cubic3con input: 26 vertices.
+    (cubic3con, 32, 1077, "r0", "cannot eliminate x1$b: blocker g5<> enters its head at E",
+     ["v0", "v18", "v19", "v21", "v3"]),
 ]
 
 
@@ -407,11 +489,11 @@ class TestKnownFailures:
 
     @pytest.mark.xfail(strict=True, raises=TwoBendError)
     @pytest.mark.parametrize(
-        "n_target, seed, u_i, reason, sources",
-        [pytest.param(*case, id=f"n{case[0]}-seed{case[1]}") for case in KNOWN_FAILURES],
+        "build, n_target, seed, u_i, reason, sources",
+        [pytest.param(*case, id=f"{case[0].__name__}-n{case[1]}-seed{case[2]}") for case in KNOWN_FAILURES],
     )
-    def test_draws_and_validates(self, n_target, seed, u_i, reason, sources):
-        g = edge_deleted(seed, n_target)
+    def test_draws_and_validates(self, build, n_target, seed, u_i, reason, sources):
+        g = build(seed, n_target)
         try:
             d = draw_twobend(g)
         except TwoBendError as exc:
