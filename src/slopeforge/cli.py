@@ -115,14 +115,19 @@ def _read(args) -> str:
 
 def _write(args, text: str) -> None:
     out = getattr(args, "out", None)
-    if not out:
+    if out:
+        _write_file(out, text)
+    else:
         sys.stdout.write(text)
-        return
+
+
+def _write_file(path: str, text: str) -> None:
+    """Every file the CLI writes goes through here."""
     try:
-        with open(out, "w") as fh:
+        with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise FileAccessError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        raise FileAccessError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _seed(args) -> int:
@@ -200,8 +205,7 @@ def _cmd_draw(args) -> int:
     else:
         drawing = draw_twobend(g)
         if args.trace:
-            with open(os.path.join(args.trace, "final.svg"), "w") as fh:
-                fh.write(render.render_svg(drawing))
+            _write_file(os.path.join(args.trace, "final.svg"), render.render_svg(drawing))
     _write(args, docio.dumps(docio.drawing_to_doc(drawing)))
     return 0
 
@@ -211,8 +215,7 @@ def _traced_onebend(g, trace_dir: str):
     into trace_dir, which exists."""
     drawer, drawing = _run_pipeline(g, trace=True)
     for i, snapshot in enumerate(drawer.trace):
-        with open(os.path.join(trace_dir, f"step{i:03d}.svg"), "w") as fh:
-            fh.write(render.render_segments_svg(snapshot))
+        _write_file(os.path.join(trace_dir, f"step{i:03d}.svg"), render.render_segments_svg(snapshot))
     return drawing
 
 

@@ -45,19 +45,19 @@ def components(adj: Adj, removed: Set[str] = frozenset()) -> List[Set[str]]:
     return comps
 
 
-def is_connected(adj: Adj, removed: Set[str] = frozenset()) -> bool:
-    rest = [v for v in adj if v not in removed]
-    if not rest:
+def is_connected(adj: Adj) -> bool:
+    if not adj:
         return True
-    seen = {rest[0]} | set(removed)
-    stack = [rest[0]]
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
     while stack:
         v = stack.pop()
         for w in adj[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return all(v in seen for v in rest)
+    return len(seen) == len(adj)
 
 
 def blocks_and_cut_vertices(

@@ -297,39 +297,6 @@ def natural_port(g: Gamma, x: str, frag: str) -> str:
     return OPP[ports[partner]]
 
 
-def slot_for_side(g: Gamma, x: str, side: str) -> str:
-    """The undrawn fragment consumed when attaching to dummy x from a side.
-
-    L-attachments take the rotation successor of the drawn edge bounding
-    the contour on x's right; R-attachments the predecessor of the left
-    bounding edge.  With one slot left there is no choice.
-    """
-    undrawn = g.undrawn_at(x)
-    if not undrawn:
-        raise OneBendError(f"dummy {x} has no free slot")
-    if len(undrawn) == 1:
-        return undrawn[0]
-    rot = g.plane.rotation[x]
-    idx = g.contour.index(x)
-    if side == "L":
-        right_nb = g.contour[idx + 1]
-        e_right = _connecting_drawn_edge(g, x, right_nb)
-        i = rot.index(e_right)
-        for k in range(1, 5):
-            cand = rot[(i + k) % 4]
-            if cand in undrawn:
-                return cand
-    else:
-        left_nb = g.contour[idx - 1]
-        e_left = _connecting_drawn_edge(g, x, left_nb)
-        i = rot.index(e_left)
-        for k in range(1, 5):
-            cand = rot[(i - k) % 4]
-            if cand in undrawn:
-                return cand
-    raise OneBendError(f"no slot found at {x} for side {side}")
-
-
 def _connecting_drawn_edge(g: Gamma, v: str, w: str) -> str:
     for e in g.plane.rotation[v]:
         if e in g.polylines and g.plane.other_end(e, v) == w:
@@ -357,18 +324,10 @@ class Plan:
         return (anchor_pos.x - apex.x, anchor_pos.y - apex.y)
 
 
-def connection_plans(g: Gamma, anchor: str, side: str, target_edge: Optional[str] = None) -> List[Plan]:
-    """Candidate plans for attaching a new vertex to a contour anchor."""
+def connection_plans(g: Gamma, anchor: str, side: str, edge: str) -> List[Plan]:
+    """Candidate plans for drawing the plane edge from a contour anchor to a
+    new vertex."""
     plane = g.plane
-    if target_edge is not None and not plane.is_dummy(anchor):
-        edge = target_edge
-    elif plane.is_dummy(anchor):
-        edge = target_edge if target_edge is not None else slot_for_side(g, anchor, side)
-    else:
-        undrawn = g.undrawn_at(anchor)
-        if len(undrawn) != 1:
-            raise OneBendError(f"real anchor {anchor} has {len(undrawn)} undrawn edges")
-        edge = undrawn[0]
     used = g.used_ports(anchor)
     plans: List[Plan] = []
     diag = {"L": "NE", "R": "NW"}.get(side)

@@ -9,6 +9,7 @@ an epsilon.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -57,11 +58,13 @@ class DrawingError(Exception):
 # Pairwise segment analysis
 # ---------------------------------------------------------------------------
 
+Segments = List[Tuple[str, int, Segment]]
+
 
 @dataclass
 class Interactions:
     violations: List[str]
-    crossings: Dict[Point, List[Tuple[str, int, Segment]]]
+    crossings: Dict[Point, Set[str]]  # each crossing point and the edges through it
     simple: bool
     one_planar: bool
 
@@ -90,11 +93,19 @@ def _corner_corner_crossing(d: PolylineDrawing, e1: str, e2: str, pt: Point) -> 
     return owners in ([1, 2, 1, 2], [2, 1, 2, 1])
 
 
-def _analyze(d: PolylineDrawing) -> Interactions:
+def _survey(d: PolylineDrawing) -> Tuple[Segments, Interactions]:
+    """The segments of a structurally sound drawing, and how they meet."""
+    structural = d.check_structure()
+    if structural:
+        raise DrawingError("; ".join(structural))
+    segs = d.all_segments()
+    return segs, _analyze(d, segs)
+
+
+def _analyze(d: PolylineDrawing, segs: Segments) -> Interactions:
     """Classify all segment interactions of a drawing."""
     violations: List[str] = []
-    crossings: Dict[Point, List[Tuple[str, int, Segment]]] = {}
-    segs = d.all_segments()
+    crossings: Dict[Point, Set[str]] = {}
     for i, j, res in segment_hits([seg for _, _, seg in segs]):
         (e1, i1, s1), (e2, i2, s2) = segs[i], segs[j]
         if e1 == e2:
@@ -104,137 +115,49 @@ def _analyze(d: PolylineDrawing) -> Interactions:
             else:
                 violations.append(f"edge {e1} self-intersects (segments {i1}, {i2})")
             continue
+        pt = res.point
         if res.kind is IntersectKind.OVERLAP:
             violations.append(f"edges {e1} and {e2} overlap")
-        elif res.kind is IntersectKind.TOUCH:
-            pt = res.point
+            continue
+        if res.kind is IntersectKind.TOUCH:
             # A transversal crossing where one edge has its bend exactly at
             # the crossing point is a legal proper intersection.
-            if _corner_crossing(d, e1, pt, s2) or _corner_crossing(d, e2, pt, s1):
-                entry = crossings.setdefault(pt, [])
-                for item in ((e1, i1, s1), (e2, i2, s2)):
-                    if item not in entry:
-                        entry.append(item)
-            else:
+            if not (_corner_crossing(d, e1, pt, s2) or _corner_crossing(d, e2, pt, s1)):
                 violations.append(f"edges {e1} and {e2} touch at {pt} (non-simple)")
+                continue
         elif res.kind is IntersectKind.SHARED_ENDPOINT:
-            a1, b1 = d.graph.edges[e1]
-            a2, b2 = d.graph.edges[e2]
-            shared = {a1, b1} & {a2, b2}
-            pt = res.point
+            shared = set(d.graph.edges[e1]) & set(d.graph.edges[e2])
             if any(d.positions.get(v) == pt for v in shared):
-                pass
-            elif _corner_corner_crossing(d, e1, e2, pt):
-                entry = crossings.setdefault(pt, [])
-                for item in ((e1, i1, s1), (e2, i2, s2)):
-                    if item not in entry:
-                        entry.append(item)
-            else:
+                continue
+            if not _corner_corner_crossing(d, e1, e2, pt):
                 violations.append(
                     f"edges {e1} and {e2} meet at {pt}, not a common endpoint (non-simple)"
                 )
-        elif res.kind is IntersectKind.PROPER_CROSSING:
-            pt = res.point
-            entry = crossings.setdefault(pt, [])
-            for item in ((e1, i1, s1), (e2, i2, s2)):
-                if item not in entry:
-                    entry.append(item)
+                continue
+        crossings.setdefault(pt, set()).update((e1, e2))
     simple = not violations
     one_planar = True
-    for pt, items in sorted(crossings.items()):
-        edges_here = sorted({e for e, _, _ in items})
+    for pt, edges_here in sorted(crossings.items()):
         if len(edges_here) > 2:
             violations.append(f"more than two edges cross at {pt}")
             simple = False
-    per_pair: Dict[Tuple[str, str], List[Point]] = {}
-    for pt, items in crossings.items():
-        edges_here = sorted({e for e, _, _ in items})
-        if len(edges_here) == 2:
-            per_pair.setdefault((edges_here[0], edges_here[1]), []).append(pt)
-    for (e1, e2), pts in sorted(per_pair.items()):
-        if len(pts) > 1:
-            violations.append(f"edges {e1} and {e2} cross {len(pts)} times")
+    per_pair = Counter(
+        tuple(sorted(edges_here)) for edges_here in crossings.values() if len(edges_here) == 2
+    )
+    for (e1, e2), k in sorted(per_pair.items()):
+        if k > 1:
+            violations.append(f"edges {e1} and {e2} cross {k} times")
             simple = False
-        a1, b1 = d.graph.edges[e1]
-        a2, b2 = d.graph.edges[e2]
-        if {a1, b1} & {a2, b2}:
+        if set(d.graph.edges[e1]) & set(d.graph.edges[e2]):
             violations.append(f"adjacent edges {e1} and {e2} cross (share two points)")
             simple = False
-    per_edge: Dict[str, int] = {}
-    for (e1, e2), pts in per_pair.items():
-        per_edge[e1] = per_edge.get(e1, 0) + len(pts)
-        per_edge[e2] = per_edge.get(e2, 0) + len(pts)
+    per_edge = Counter(e for pair in per_pair.elements() for e in pair)
     for e, k in sorted(per_edge.items()):
         if k > 1:
             violations.append(f"edge {e} is crossed {k} times (1-planarity violated)")
             one_planar = False
     one_planar = one_planar and simple
     return Interactions(violations, crossings, simple, one_planar)
-
-
-# ---------------------------------------------------------------------------
-# Measurements
-# ---------------------------------------------------------------------------
-
-
-def count_slopes(d: PolylineDrawing) -> int:
-    return len(slope_set(d))
-
-
-def slope_set(d: PolylineDrawing) -> Set[SlopeKind]:
-    return _slope_summary(d)[0]
-
-
-def _slope_summary(d: PolylineDrawing) -> Tuple[Set[SlopeKind], int]:
-    """The slope kinds and the number of distinct slopes, from one pass."""
-    slopes = {slope_of(seg) for _, _, seg in d.all_segments()}
-    return {s.kind for s in slopes}, len({s.vec for s in slopes})
-
-
-def max_bends(d: PolylineDrawing) -> int:
-    worst = 0
-    for e in d.polylines:
-        pts = d.polylines[e]
-        bends = 0
-        for i in range(1, len(pts) - 1):
-            d1 = (pts[i].x - pts[i - 1].x, pts[i].y - pts[i - 1].y)
-            d2 = (pts[i + 1].x - pts[i].x, pts[i + 1].y - pts[i].y)
-            if d1[0] * d2[1] - d1[1] * d2[0] != 0 or (d1[0] * d2[0] + d1[1] * d2[1]) < 0:
-                bends += 1
-        worst = max(worst, bends)
-    return worst
-
-
-def vertex_direction_sets(d: PolylineDrawing) -> Dict[str, List[Direction]]:
-    dirs: Dict[str, List[Direction]] = {v: [] for v in d.graph.vertices}
-    for e, (a, b) in d.graph.edges.items():
-        pts = d.polylines[e]
-        if pts[0] != d.positions[a]:
-            pts = list(reversed(pts))
-        dirs[a].append((pts[1].x - pts[0].x, pts[1].y - pts[0].y))
-        dirs[b].append((pts[-2].x - pts[-1].x, pts[-2].y - pts[-1].y))
-    return dirs
-
-
-def min_vertex_resolution(d: PolylineDrawing) -> Optional[int]:
-    """Largest k with every vertex angle >= k*pi/4; None if some angle is 0."""
-    best = 4
-    for v, dirs in sorted(vertex_direction_sets(d).items()):
-        if len(dirs) < 2:
-            continue
-        k = min_angle_eighths_lower_bound(dirs)
-        if k is None:
-            return None
-        best = min(best, k)
-    return best
-
-
-def crossing_directions(d: PolylineDrawing, pt: Point, items) -> List[Direction]:
-    """The four ray directions of the two edges at a crossing point."""
-    dirs: List[Direction] = []
-    for e in sorted({e for e, _, _ in items}):
-        dirs.extend(_locate(d.polylines[e], pt)[1:])
-    return dirs
 
 
 def _locate(pts: Sequence[Point], pt: Point) -> Tuple[int, Direction, Direction]:
@@ -257,17 +180,101 @@ def _locate(pts: Sequence[Point], pt: Point) -> Tuple[int, Direction, Direction]
     return at, (back.x - pt.x, back.y - pt.y), (ahead.x - pt.x, ahead.y - pt.y)
 
 
-def min_crossing_resolution(d: PolylineDrawing, crossings=None) -> Optional[int]:
-    if crossings is None:
-        crossings = _analyze(d).crossings
-    best = 4
-    for pt, items in sorted(crossings.items()):
-        dirs = crossing_directions(d, pt, items)
-        k = min_angle_eighths_lower_bound(dirs)
-        if k is None:
-            return None
-        best = min(best, k)
-    return best
+# ---------------------------------------------------------------------------
+# The ray table
+# ---------------------------------------------------------------------------
+
+# A ray leaves a vertex or a crossing point along an edge, toward the edge's
+# first end "a" or its second end "b".
+Ray = Tuple[Direction, str, str]
+
+
+@dataclass
+class RayTable:
+    """The rays at every vertex and every crossing point, each list sorted
+    counterclockwise from the east.  The resolutions and the induced
+    rotations are both read from these lists."""
+
+    oriented: Dict[str, List[Point]]  # each polyline, from its edge's first end
+    at_vertex: Dict[str, List[Ray]]
+    at_crossing: Dict[Point, List[Ray]]  # in sorted point order
+    crossing_at: Dict[str, int]  # a crossing's place on its edge's oriented polyline
+
+
+def _rays(d: PolylineDrawing, crossings: Dict[Point, Set[str]]) -> RayTable:
+    oriented: Dict[str, List[Point]] = {}
+    at_vertex: Dict[str, List[Ray]] = {v: [] for v in d.graph.vertices}
+    for e, (a, b) in sorted(d.graph.edges.items()):
+        pts = d.polylines[e]
+        if pts[0] != d.positions[a]:
+            pts = pts[::-1]
+        oriented[e] = pts
+        at_vertex[a].append(((pts[1].x - pts[0].x, pts[1].y - pts[0].y), e, "a"))
+        at_vertex[b].append(((pts[-2].x - pts[-1].x, pts[-2].y - pts[-1].y), e, "b"))
+    at_crossing: Dict[Point, List[Ray]] = {}
+    crossing_at: Dict[str, int] = {}
+    for pt, edges_here in sorted(crossings.items()):
+        here = at_crossing[pt] = []
+        for e in sorted(edges_here):
+            # Located on the polyline as drawn: one that runs back over
+            # itself can pass pt twice, and _locate reads the first pass.
+            pts = d.polylines[e]
+            at, back, ahead = _locate(pts, pt)
+            ends = "ab" if pts is oriented[e] else "ba"
+            crossing_at[e] = at if ends == "ab" else 2 * len(pts) - 2 - at
+            here += [(back, e, ends[0]), (ahead, e, ends[1])]
+    return RayTable(
+        oriented,
+        {v: _sort_edge_dirs_ccw(here) for v, here in at_vertex.items()},
+        {pt: _sort_edge_dirs_ccw(here) for pt, here in at_crossing.items()},
+        crossing_at,
+    )
+
+
+def _sort_edge_dirs_ccw(dir_edges: Sequence[Tuple]):
+    return sorted(dir_edges, key=functools.cmp_to_key(lambda p, q: angular_compare(p[0], q[0])))
+
+
+def _min_resolution(rays: Dict[object, List[Ray]]) -> Optional[int]:
+    """Largest k with every angle between neighbouring rays >= k*pi/4, at
+    every point; None if two rays at a point coincide.  The rays come
+    sorted, so the sort inside min_angle_eighths_lower_bound only confirms
+    their order."""
+    eighths = [min_angle_eighths_lower_bound([ray[0] for ray in here]) for here in rays.values()]
+    return None if None in eighths else min(eighths, default=4)
+
+
+# ---------------------------------------------------------------------------
+# Measurements
+# ---------------------------------------------------------------------------
+
+
+def count_slopes(d: PolylineDrawing) -> int:
+    return len(slope_set(d))
+
+
+def slope_set(d: PolylineDrawing) -> Set[SlopeKind]:
+    return _slope_summary(d.all_segments())[0]
+
+
+def _slope_summary(segs: Segments) -> Tuple[Set[SlopeKind], int]:
+    """The slope kinds and the number of distinct slopes, from one pass."""
+    slopes = {slope_of(seg) for _, _, seg in segs}
+    return {s.kind for s in slopes}, len({s.vec for s in slopes})
+
+
+def max_bends(d: PolylineDrawing) -> int:
+    worst = 0
+    for e in d.polylines:
+        pts = d.polylines[e]
+        bends = 0
+        for i in range(1, len(pts) - 1):
+            d1 = (pts[i].x - pts[i - 1].x, pts[i].y - pts[i - 1].y)
+            d2 = (pts[i + 1].x - pts[i].x, pts[i + 1].y - pts[i].y)
+            if d1[0] * d2[1] - d1[1] * d2[0] != 0 or (d1[0] * d2[0] + d1[1] * d2[1]) < 0:
+                bends += 1
+        worst = max(worst, bends)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -281,86 +288,49 @@ def embedding_of(d: PolylineDrawing) -> EmbeddedGraph:
     Raises DrawingError for non-simple drawings (overlaps, touches, double
     crossings), identifying an offending pair.
     """
-    structural = d.check_structure()
-    if structural:
-        raise DrawingError("; ".join(structural))
-    inter = _analyze(d)
+    _, inter = _survey(d)
     if inter.violations:
         raise DrawingError(inter.violations[0])
-    return _embedding_from(d, inter.crossings)
+    return _embedding_from(d, _rays(d, inter.crossings))
 
 
-def _embedding_from(
-    d: PolylineDrawing, crossings: Dict[Point, List[Tuple[str, int, Segment]]]
-) -> EmbeddedGraph:
+def _embedding_from(d: PolylineDrawing, rays: RayTable) -> EmbeddedGraph:
     """embedding_of for a structurally sound drawing whose analysis found
-    no violations and these crossings."""
-    # Crossing points per edge (a corner crossing reports one point twice).
-    per_edge: Dict[str, Set[Point]] = {e: set() for e in d.graph.edges}
-    pair_of: Dict[Point, Tuple[str, str]] = {}
-    for pt, items in crossings.items():
-        edges_here = sorted({e for e, _, _ in items})
-        pair_of[pt] = (edges_here[0], edges_here[1])
-        for e, _, _ in items:
-            per_edge[e].add(pt)
+    no violations, from its ray table.  Each crossed edge e is crossed once,
+    and becomes the fragments e$a and e$b, which meet at a dummy there."""
+    dummy_at = {pt: f"{DUMMY_PREFIX}{i}" for i, pt in enumerate(rays.at_crossing)}
+    crossing_of = {e: pt for pt, here in rays.at_crossing.items() for _, e, _ in here}
 
-    dummy_id: Dict[Point, str] = {}
-    for i, pt in enumerate(sorted(pair_of)):
-        dummy_id[pt] = f"{DUMMY_PREFIX}{i}"
+    def piece(e: str, end: str) -> str:
+        return f"{e}${end}" if e in crossing_of else e
 
     edges: Dict[str, Tuple[str, str]] = {}
     fragment_of: Dict[str, str] = {}
-    endpoint_dirs: Dict[str, List[Tuple[Direction, str]]] = {v: [] for v in d.graph.vertices}
-    dummy_dirs: Dict[str, List[Tuple[Direction, str]]] = {}
     positions: Dict[str, Point] = dict(d.positions)
-    oriented: Dict[str, List[Point]] = {}
-    crossing_at: Dict[str, int] = {}
-
+    at_dummy: Dict[str, List[str]] = {}
     for e, (a, b) in sorted(d.graph.edges.items()):
-        pts = d.polylines[e]
-        if pts[0] != d.positions[a]:
-            pts = list(reversed(pts))
-        oriented[e] = pts
-        marks = sorted(per_edge[e])
-        if not marks:
+        if e not in crossing_of:
             edges[e] = (a, b)
-            endpoint_dirs[a].append(((pts[1].x - pts[0].x, pts[1].y - pts[0].y), e))
-            endpoint_dirs[b].append(((pts[-2].x - pts[-1].x, pts[-2].y - pts[-1].y), e))
             continue
-        # 1-planarity was already enforced: exactly one crossing on e.
-        pt = marks[0]
-        x = dummy_id[pt]
-        ea, eb = f"{e}$a", f"{e}$b"
-        edges[ea] = (a, x)
-        edges[eb] = (x, b)
-        fragment_of[ea] = e
-        fragment_of[eb] = e
+        pt = crossing_of[e]
+        x = dummy_at[pt]
+        ea, eb = piece(e, "a"), piece(e, "b")
+        edges[ea], edges[eb] = (a, x), (x, b)
+        fragment_of[ea] = fragment_of[eb] = e
         positions[x] = pt
-        endpoint_dirs[a].append(((pts[1].x - pts[0].x, pts[1].y - pts[0].y), ea))
-        endpoint_dirs[b].append(((pts[-2].x - pts[-1].x, pts[-2].y - pts[-1].y), eb))
-        crossing_at[e], toward_a, toward_b = _locate(pts, pt)
-        dummy_dirs.setdefault(x, [])
-        dummy_dirs[x].append((toward_a, ea))
-        dummy_dirs[x].append((toward_b, eb))
-
-    rotation: Dict[str, List[str]] = {}
-    for v, dir_edges in list(endpoint_dirs.items()) + list(dummy_dirs.items()):
-        ordered = _sort_edge_dirs_ccw(dir_edges)
-        rotation[v] = [e for _, e in ordered]
+        at_dummy[x] = [piece(f, end) for _, f, end in rays.at_crossing[pt]]
+    rotation = {v: [piece(e, end) for _, e, end in here] for v, here in rays.at_vertex.items()}
+    rotation.update(at_dummy)
 
     plane = PlaneGraph(
-        vertices=list(d.graph.vertices) + sorted(dummy_dirs),
+        vertices=list(d.graph.vertices) + sorted(at_dummy),
         real=set(d.graph.vertices),
         edges=edges,
         rotation=rotation,
         fragment_of=fragment_of,
     )
-    plane.outer_darts = tuple(_outer_face_darts(plane, positions, oriented, crossing_at))
+    plane.outer_darts = tuple(_outer_face_darts(plane, positions, rays.oriented, rays.crossing_at))
     return EmbeddedGraph.from_plane(plane)
-
-
-def _sort_edge_dirs_ccw(dir_edges: Sequence[Tuple[Direction, str]]):
-    return sorted(dir_edges, key=functools.cmp_to_key(lambda p, q: angular_compare(p[0], q[0])))
 
 
 def _outer_face_darts(
@@ -519,24 +489,21 @@ def embeddings_equivalent(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
 def validate(d: PolylineDrawing, profile: str) -> ValidationReport:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    structural = d.check_structure()
-    if structural:
-        raise DrawingError("; ".join(structural))
-
-    inter = _analyze(d)
+    segs, inter = _survey(d)
+    rays = _rays(d, inter.crossings)
     violations: List[str] = list(inter.violations)
     crossings = inter.crossings
 
-    slopes, n_slopes = _slope_summary(d)
+    slopes, n_slopes = _slope_summary(segs)
     bends = max_bends(d)
-    v_res = min_vertex_resolution(d)
-    c_res = min_crossing_resolution(d, crossings)
+    v_res = _min_resolution(rays.at_vertex)
+    c_res = _min_resolution(rays.at_crossing)
     one_planar = inter.one_planar
 
     embedding_ok = False
     if inter.simple and one_planar:
         try:
-            induced = _embedding_from(d, crossings)
+            induced = _embedding_from(d, rays)
             embedding_ok = embeddings_equivalent(induced, d.graph)
         except (DrawingError, EmbeddingError) as exc:
             if profile == "ONEBEND":

@@ -31,6 +31,14 @@ candidate is refused.  The tests require ordering.canonical_order, which
 decides each candidate by one walk of the faces its removal merges, to
 give the same sets and kinds.
 
+validate_by_two_ray_sets and embedding_of_by_two_ray_sets are the
+validator as it was before the ray table: the crossing table holds one
+(edge, segment index, segment) item per segment through a point, the
+resolutions orient the polylines and locate the crossings themselves, and
+the embedding extraction derives the same rays a second time.  The tests
+require verify.validate and verify.embedding_of, which find and sort each
+ray once, to give the same reports and the same embeddings or errors.
+
 eliminate_cshapes_by_staircase is the 2-bend C-shape elimination with a
 general staircase stretch, a stretch path per state of the real vertex's N
 port, and a compaction of the columns after every step.  The tests require
@@ -48,17 +56,22 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from slopeforge import graphutil, onebend, twobend
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.geometry import (
+    CANONICAL_SLOPES,
+    Direction,
+    IntersectKind,
     Point,
     Segment,
     SlopeKind,
+    min_angle_eighths_lower_bound,
     octant,
     on_segment,
+    segment_hits,
     slope_of,
     sort_directions_ccw,
     strip_collinear,
 )
 from slopeforge.graphutil import Adj
-from slopeforge.model import Dart, EmbeddedGraph, PlaneGraph, connectivity
+from slopeforge.model import DUMMY_PREFIX, Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, connectivity
 from slopeforge.ordering import CanonicalOrdering, CanonicalSet, OrderingError
 from slopeforge.reembed import (
     ReembedError,
@@ -68,7 +81,20 @@ from slopeforge.reembed import (
     _refresh_outer_after_surgery,
     dummy_two_cuts,
 )
-from slopeforge.verify import DrawingError, _sort_edge_dirs_ccw
+from slopeforge.verify import (
+    PROFILES,
+    DrawingError,
+    Interactions,
+    ValidationReport,
+    _corner_corner_crossing,
+    _corner_crossing,
+    _locate,
+    _outer_face_darts,
+    _slope_summary,
+    _sort_edge_dirs_ccw,
+    embeddings_equivalent,
+    max_bends,
+)
 
 
 def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> bool:
@@ -1050,3 +1076,277 @@ def _eliminate_by_staircase(d: twobend.OrthoDrawing, eid: str) -> None:
     be.points = [Point(xu2, yu), Point(xu, yu)] + rest
     be.out_port = "W"
     be.points = strip_collinear(be.points)
+
+
+# ---------------------------------------------------------------------------
+# The validator with two sets of ray helpers
+# ---------------------------------------------------------------------------
+
+
+def analyze_by_items(d: PolylineDrawing) -> Interactions:
+    """Classify all segment interactions of a drawing."""
+    violations: List[str] = []
+    crossings: Dict[Point, List[Tuple[str, int, Segment]]] = {}
+    segs = d.all_segments()
+    for i, j, res in segment_hits([seg for _, _, seg in segs]):
+        (e1, i1, s1), (e2, i2, s2) = segs[i], segs[j]
+        if e1 == e2:
+            if abs(i1 - i2) == 1:
+                if res.kind is not IntersectKind.SHARED_ENDPOINT:
+                    violations.append(f"edge {e1} self-intersects near segment {min(i1, i2)}")
+            else:
+                violations.append(f"edge {e1} self-intersects (segments {i1}, {i2})")
+            continue
+        if res.kind is IntersectKind.OVERLAP:
+            violations.append(f"edges {e1} and {e2} overlap")
+        elif res.kind is IntersectKind.TOUCH:
+            pt = res.point
+            # A transversal crossing where one edge has its bend exactly at
+            # the crossing point is a legal proper intersection.
+            if _corner_crossing(d, e1, pt, s2) or _corner_crossing(d, e2, pt, s1):
+                entry = crossings.setdefault(pt, [])
+                for item in ((e1, i1, s1), (e2, i2, s2)):
+                    if item not in entry:
+                        entry.append(item)
+            else:
+                violations.append(f"edges {e1} and {e2} touch at {pt} (non-simple)")
+        elif res.kind is IntersectKind.SHARED_ENDPOINT:
+            a1, b1 = d.graph.edges[e1]
+            a2, b2 = d.graph.edges[e2]
+            shared = {a1, b1} & {a2, b2}
+            pt = res.point
+            if any(d.positions.get(v) == pt for v in shared):
+                pass
+            elif _corner_corner_crossing(d, e1, e2, pt):
+                entry = crossings.setdefault(pt, [])
+                for item in ((e1, i1, s1), (e2, i2, s2)):
+                    if item not in entry:
+                        entry.append(item)
+            else:
+                violations.append(
+                    f"edges {e1} and {e2} meet at {pt}, not a common endpoint (non-simple)"
+                )
+        elif res.kind is IntersectKind.PROPER_CROSSING:
+            pt = res.point
+            entry = crossings.setdefault(pt, [])
+            for item in ((e1, i1, s1), (e2, i2, s2)):
+                if item not in entry:
+                    entry.append(item)
+    simple = not violations
+    one_planar = True
+    for pt, items in sorted(crossings.items()):
+        edges_here = sorted({e for e, _, _ in items})
+        if len(edges_here) > 2:
+            violations.append(f"more than two edges cross at {pt}")
+            simple = False
+    per_pair: Dict[Tuple[str, str], List[Point]] = {}
+    for pt, items in crossings.items():
+        edges_here = sorted({e for e, _, _ in items})
+        if len(edges_here) == 2:
+            per_pair.setdefault((edges_here[0], edges_here[1]), []).append(pt)
+    for (e1, e2), pts in sorted(per_pair.items()):
+        if len(pts) > 1:
+            violations.append(f"edges {e1} and {e2} cross {len(pts)} times")
+            simple = False
+        a1, b1 = d.graph.edges[e1]
+        a2, b2 = d.graph.edges[e2]
+        if {a1, b1} & {a2, b2}:
+            violations.append(f"adjacent edges {e1} and {e2} cross (share two points)")
+            simple = False
+    per_edge: Dict[str, int] = {}
+    for (e1, e2), pts in per_pair.items():
+        per_edge[e1] = per_edge.get(e1, 0) + len(pts)
+        per_edge[e2] = per_edge.get(e2, 0) + len(pts)
+    for e, k in sorted(per_edge.items()):
+        if k > 1:
+            violations.append(f"edge {e} is crossed {k} times (1-planarity violated)")
+            one_planar = False
+    one_planar = one_planar and simple
+    return Interactions(violations, crossings, simple, one_planar)
+
+
+def vertex_direction_sets(d: PolylineDrawing) -> Dict[str, List[Direction]]:
+    dirs: Dict[str, List[Direction]] = {v: [] for v in d.graph.vertices}
+    for e, (a, b) in d.graph.edges.items():
+        pts = d.polylines[e]
+        if pts[0] != d.positions[a]:
+            pts = list(reversed(pts))
+        dirs[a].append((pts[1].x - pts[0].x, pts[1].y - pts[0].y))
+        dirs[b].append((pts[-2].x - pts[-1].x, pts[-2].y - pts[-1].y))
+    return dirs
+
+
+def min_vertex_resolution(d: PolylineDrawing) -> Optional[int]:
+    """Largest k with every vertex angle >= k*pi/4; None if some angle is 0."""
+    best = 4
+    for v, dirs in sorted(vertex_direction_sets(d).items()):
+        if len(dirs) < 2:
+            continue
+        k = min_angle_eighths_lower_bound(dirs)
+        if k is None:
+            return None
+        best = min(best, k)
+    return best
+
+
+def crossing_directions(d: PolylineDrawing, pt: Point, items) -> List[Direction]:
+    """The four ray directions of the two edges at a crossing point."""
+    dirs: List[Direction] = []
+    for e in sorted({e for e, _, _ in items}):
+        dirs.extend(_locate(d.polylines[e], pt)[1:])
+    return dirs
+
+
+def min_crossing_resolution(d: PolylineDrawing, crossings=None) -> Optional[int]:
+    if crossings is None:
+        crossings = analyze_by_items(d).crossings
+    best = 4
+    for pt, items in sorted(crossings.items()):
+        dirs = crossing_directions(d, pt, items)
+        k = min_angle_eighths_lower_bound(dirs)
+        if k is None:
+            return None
+        best = min(best, k)
+    return best
+
+
+def embedding_of_by_two_ray_sets(d: PolylineDrawing) -> EmbeddedGraph:
+    structural = d.check_structure()
+    if structural:
+        raise DrawingError("; ".join(structural))
+    inter = analyze_by_items(d)
+    if inter.violations:
+        raise DrawingError(inter.violations[0])
+    return embedding_from_by_rederiving(d, inter.crossings)
+
+
+def embedding_from_by_rederiving(
+    d: PolylineDrawing, crossings: Dict[Point, List[Tuple[str, int, Segment]]]
+) -> EmbeddedGraph:
+    """embedding_of for a structurally sound drawing whose analysis found
+    no violations and these crossings."""
+    # Crossing points per edge (a corner crossing reports one point twice).
+    per_edge: Dict[str, Set[Point]] = {e: set() for e in d.graph.edges}
+    pair_of: Dict[Point, Tuple[str, str]] = {}
+    for pt, items in crossings.items():
+        edges_here = sorted({e for e, _, _ in items})
+        pair_of[pt] = (edges_here[0], edges_here[1])
+        for e, _, _ in items:
+            per_edge[e].add(pt)
+
+    dummy_id: Dict[Point, str] = {}
+    for i, pt in enumerate(sorted(pair_of)):
+        dummy_id[pt] = f"{DUMMY_PREFIX}{i}"
+
+    edges: Dict[str, Tuple[str, str]] = {}
+    fragment_of: Dict[str, str] = {}
+    endpoint_dirs: Dict[str, List[Tuple[Direction, str]]] = {v: [] for v in d.graph.vertices}
+    dummy_dirs: Dict[str, List[Tuple[Direction, str]]] = {}
+    positions: Dict[str, Point] = dict(d.positions)
+    oriented: Dict[str, List[Point]] = {}
+    crossing_at: Dict[str, int] = {}
+
+    for e, (a, b) in sorted(d.graph.edges.items()):
+        pts = d.polylines[e]
+        if pts[0] != d.positions[a]:
+            pts = list(reversed(pts))
+        oriented[e] = pts
+        marks = sorted(per_edge[e])
+        if not marks:
+            edges[e] = (a, b)
+            endpoint_dirs[a].append(((pts[1].x - pts[0].x, pts[1].y - pts[0].y), e))
+            endpoint_dirs[b].append(((pts[-2].x - pts[-1].x, pts[-2].y - pts[-1].y), e))
+            continue
+        # 1-planarity was already enforced: exactly one crossing on e.
+        pt = marks[0]
+        x = dummy_id[pt]
+        ea, eb = f"{e}$a", f"{e}$b"
+        edges[ea] = (a, x)
+        edges[eb] = (x, b)
+        fragment_of[ea] = e
+        fragment_of[eb] = e
+        positions[x] = pt
+        endpoint_dirs[a].append(((pts[1].x - pts[0].x, pts[1].y - pts[0].y), ea))
+        endpoint_dirs[b].append(((pts[-2].x - pts[-1].x, pts[-2].y - pts[-1].y), eb))
+        crossing_at[e], toward_a, toward_b = _locate(pts, pt)
+        dummy_dirs.setdefault(x, [])
+        dummy_dirs[x].append((toward_a, ea))
+        dummy_dirs[x].append((toward_b, eb))
+
+    rotation: Dict[str, List[str]] = {}
+    for v, dir_edges in list(endpoint_dirs.items()) + list(dummy_dirs.items()):
+        ordered = _sort_edge_dirs_ccw(dir_edges)
+        rotation[v] = [e for _, e in ordered]
+
+    plane = PlaneGraph(
+        vertices=list(d.graph.vertices) + sorted(dummy_dirs),
+        real=set(d.graph.vertices),
+        edges=edges,
+        rotation=rotation,
+        fragment_of=fragment_of,
+    )
+    plane.outer_darts = tuple(_outer_face_darts(plane, positions, oriented, crossing_at))
+    return EmbeddedGraph.from_plane(plane)
+
+
+def validate_by_two_ray_sets(d: PolylineDrawing, profile: str) -> ValidationReport:
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}")
+    structural = d.check_structure()
+    if structural:
+        raise DrawingError("; ".join(structural))
+
+    inter = analyze_by_items(d)
+    violations: List[str] = list(inter.violations)
+    crossings = inter.crossings
+
+    slopes, n_slopes = _slope_summary(d.all_segments())
+    bends = max_bends(d)
+    v_res = min_vertex_resolution(d)
+    c_res = min_crossing_resolution(d, crossings)
+    one_planar = inter.one_planar
+
+    embedding_ok = False
+    if inter.simple and one_planar:
+        try:
+            induced = embedding_from_by_rederiving(d, crossings)
+            embedding_ok = embeddings_equivalent(induced, d.graph)
+        except (DrawingError, EmbeddingError) as exc:
+            if profile == "ONEBEND":
+                violations.append(f"embedding extraction failed: {exc}")
+
+    if profile == "ONEBEND":
+        if not slopes <= set(CANONICAL_SLOPES):
+            violations.append(f"slope set {sorted(s.value for s in slopes)} not in the 4 canonical slopes")
+        if bends > 1:
+            violations.append(f"max bends {bends} > 1")
+        if v_res is None or v_res < 1:
+            violations.append(f"vertex resolution below pi/4 (got {v_res})")
+        if crossings and (c_res is None or c_res < 1):
+            violations.append(f"crossing resolution below pi/4 (got {c_res})")
+        if not embedding_ok:
+            violations.append("embedding not preserved")
+    elif profile == "TWOBEND":
+        if not slopes <= {SlopeKind.DEG0, SlopeKind.DEG90}:
+            violations.append(f"slope set {sorted(s.value for s in slopes)} not in {{0, pi/2}}")
+        if bends > 2:
+            violations.append(f"max bends {bends} > 2")
+        if v_res is None or v_res < 2:
+            violations.append(f"vertex resolution below pi/2 (got {v_res})")
+        if crossings and (c_res is None or c_res != 2):
+            violations.append(f"crossing resolution not exactly pi/2 (got {c_res})")
+    else:  # STRAIGHT
+        if bends > 0:
+            violations.append(f"straight-line profile but {bends} bends present")
+
+    return ValidationReport(
+        profile=profile,
+        slope_set=slopes,
+        slope_count=n_slopes,
+        max_bends=bends,
+        min_vertex_angle=v_res,
+        min_crossing_angle=c_res if crossings else None,
+        one_planar=one_planar,
+        embedding_preserved=embedding_ok,
+        violations=violations,
+    )

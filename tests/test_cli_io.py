@@ -294,6 +294,17 @@ class TestCli:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: cannot write {trace_dir}: Not a directory\n"
 
+    @pytest.mark.parametrize("mode, family, blocked", [
+        ("onebend", "k4", "step000.svg"),
+        ("twobend", "2reg", "final.svg"),
+    ])
+    def test_trace_file_that_cannot_be_written_exits_2(self, tmp_path, capsys, mode, family, blocked):
+        _, graph_json = run_cli(["gen", "--family", family])
+        (tmp_path / blocked).mkdir()
+        code, out = run_cli(["draw", "--mode", mode, "--trace", str(tmp_path)], graph_json)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / blocked}: Is a directory\n"
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_corpus_count_below_1_exits_2(self, tmp_path, capsys, count):
         out_path = tmp_path / "corpus.json"

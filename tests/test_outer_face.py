@@ -35,9 +35,9 @@ def outer_pairs(monkeypatch):
     drawings, pairs = [], []
     embedding_from, outer_face_darts = verify._embedding_from, verify._outer_face_darts
 
-    def extract(d, crossings):
+    def extract(d, rays):
         drawings.append(d)
-        return embedding_from(d, crossings)
+        return embedding_from(d, rays)
 
     def outer(plane, positions, polylines, crossing_at):
         got = tuple(outer_face_darts(plane, positions, polylines, crossing_at))

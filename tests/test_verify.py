@@ -2,18 +2,27 @@ from __future__ import annotations
 
 import pytest
 
+import oracles
+from slopeforge import docio, verify
 from slopeforge.drawing import PolylineDrawing
+from slopeforge.families import gen_2reg, gen_3reg18, gen_corpus, gen_crossed_k4, gen_k4_embedded, gen_maxdeg, gen_prism
 from slopeforge.geometry import Point, SlopeKind, slope_of
 from slopeforge.model import EmbeddedGraph
+from slopeforge.onebend import draw_onebend
+from slopeforge.twobend import draw_twobend
 from slopeforge.verify import (
+    PROFILES,
     DrawingError,
+    ValidationReport,
     count_slopes,
+    embedding_from_geometry,
     embedding_of,
     embeddings_equivalent,
     max_bends,
     validate,
 )
 
+from adversarial import adversarial_suite
 from builders import build_plane_graph
 from test_model import k4_one_crossing
 
@@ -79,6 +88,24 @@ def crossed_k4_drawing() -> PolylineDrawing:
         "e24": [pos["2"], pos["4"]],
     }
     return PolylineDrawing(g, pos, polys)
+
+
+def folded_edge_drawing(reverse: bool = False) -> PolylineDrawing:
+    """e1 bends at c, where e2 starts and which e2 passes through again on
+    its way back; reverse draws e2's polyline from d."""
+    g = EmbeddedGraph.from_plane(
+        build_plane_graph(
+            real_vertices=["a", "b", "c", "d"],
+            dummy_vertices=[],
+            edges={"e1": ("a", "b"), "e2": ("c", "d")},
+            rotation={"a": ["e1"], "b": ["e1"], "c": ["e2"], "d": ["e2"]},
+            fragment_of={},
+            outer_dart=("e1", "a"),
+        )
+    )
+    pos = {"a": P(-1, 1), "b": P(1, -1), "c": P(0, 0), "d": P(-1, -1)}
+    e2 = [pos["c"], P(1, 1), pos["d"]]
+    return PolylineDrawing(g, pos, {"e1": [pos["a"], P(0, 0), pos["b"]], "e2": e2[::-1] if reverse else e2})
 
 
 class TestMeasurements:
@@ -166,23 +193,23 @@ class TestMeasurements:
         # e1 bends at c, where e2 starts and which e2's second segment
         # passes through: the crossing directions of e2 there include a zero
         # vector, and the report still comes out, with resolution 0.
-        g = EmbeddedGraph.from_plane(
-            build_plane_graph(
-                real_vertices=["a", "b", "c", "d"],
-                dummy_vertices=[],
-                edges={"e1": ("a", "b"), "e2": ("c", "d")},
-                rotation={"a": ["e1"], "b": ["e1"], "c": ["e2"], "d": ["e2"]},
-                fragment_of={},
-                outer_dart=("e1", "a"),
-            )
-        )
-        pos = {"a": P(-1, 1), "b": P(1, -1), "c": P(0, 0), "d": P(-1, -1)}
-        d = PolylineDrawing(
-            g, pos, {"e1": [pos["a"], P(0, 0), pos["b"]], "e2": [pos["c"], P(1, 1), pos["d"]]}
-        )
-        report = validate(d, "ONEBEND")
+        report = validate(folded_edge_drawing(), "ONEBEND")
         assert report.min_crossing_angle == 0
         assert "crossing resolution below pi/4 (got 0)" in report.violations
+
+
+class TestOnePass:
+    def test_validate_reads_the_segments_and_each_crossing_once(self, monkeypatch):
+        # Straight edges and one proper crossing: no corner test and no
+        # lowest bend locates a point, so the only _locate calls are the
+        # ray table's, one per edge through the crossing.
+        calls = []
+        locate, all_segments = verify._locate, PolylineDrawing.all_segments
+        monkeypatch.setattr(verify, "_locate", lambda pts, pt: calls.append("locate") or locate(pts, pt))
+        monkeypatch.setattr(PolylineDrawing, "all_segments", lambda d: calls.append("segments") or all_segments(d))
+        report = validate(crossed_k4_drawing(), "ONEBEND")
+        assert report.passed and report.embedding_preserved
+        assert sorted(calls) == ["locate", "locate", "segments"]
 
 
 class TestEmbeddingExtraction:
@@ -245,3 +272,73 @@ class TestEmbeddingExtraction:
         )
         induced = embedding_of(mirrored)
         assert not embeddings_equivalent(induced, d.graph)
+
+
+def low_bend_drawing() -> PolylineDrawing:
+    """The lowest point is a bend of e, which runs from b, crosses f and
+    bends before it reaches a; e's polyline is drawn from a."""
+    pos = {"a": P(-2, 2), "b": P(2, 3), "c": P(0, 3), "d": P(1, 1)}
+    edges = {"e": ("b", "a"), "f": ("c", "d"), "ac": ("a", "c")}
+    polylines = {"e": [pos["a"], P(-1, 0), pos["b"]], "f": [pos["c"], pos["d"]], "ac": [pos["a"], pos["c"]]}
+    return PolylineDrawing(embedding_from_geometry(pos, edges, polylines), pos, polylines)
+
+
+def _drawings():
+    """1- and 2-bend drawings of the families, the adversarial suite and
+    corpus graphs, and the hand-built drawings above."""
+    cubic = [gen_k4_embedded(), gen_prism(), gen_crossed_k4(), gen_3reg18()]
+    cubic += [gen_corpus(seed=s, n_target=12 + 4 * (s % 3), profile="cubic3con")[0] for s in range(1000, 1006)]
+    subcubic = [gen_2reg(k) for k in (2, 3, 5)] + [gen_maxdeg(3)] + [g for _, g in adversarial_suite()[::4]]
+    subcubic += [gen_corpus(seed=s, n_target=16, profile="subcubic")[0] for s in range(1000, 1004)]
+    drawn = [draw_onebend(g) for g in cubic] + [draw_twobend(g) for g in cubic[:3] + subcubic]
+    return drawn + [folded_edge_drawing(), folded_edge_drawing(reverse=True), low_bend_drawing()]
+
+
+def _moved(d: PolylineDrawing, v: str, p: Point) -> PolylineDrawing:
+    """d with vertex v at p, its edges' ends dragged along."""
+    old = d.positions[v]
+    polylines = {e: [p if q == old else q for q in pts] for e, pts in d.polylines.items()}
+    return PolylineDrawing(d.graph, {**d.positions, v: p}, polylines)
+
+
+def _perturbed(d: PolylineDrawing):
+    """d with a vertex moved onto, or next to, another vertex, d with every
+    polyline straightened to its ends, and d with every polyline drawn from
+    its edge's second end."""
+    names = sorted(d.positions)
+    for v, w in ((names[0], names[1]), (names[-1], names[len(names) // 2])):
+        at_w, at_v = d.positions[w], d.positions[v]
+        yield _moved(d, v, at_w)
+        yield _moved(d, v, Point(at_w.x + (at_v.x - at_w.x) / 64, at_w.y + (at_v.y - at_w.y) / 64))
+    yield PolylineDrawing(d.graph, d.positions, {e: [pts[0], pts[-1]] for e, pts in d.polylines.items()})
+    yield PolylineDrawing(d.graph, d.positions, {e: pts[::-1] for e, pts in d.polylines.items()})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestRayTableOracle:
+    """validate and embedding_of read the resolutions and the induced
+    embedding off one sorted ray table; the oracle finds the rays once for
+    the resolutions and again for the embedding."""
+
+    def test_reports_and_embeddings_match_the_two_ray_sets(self):
+        violations = []
+        for base in _drawings():
+            for d in [base, *_perturbed(base)]:
+                for profile in PROFILES:
+                    got = _outcome(validate, d, profile)
+                    assert got == _outcome(oracles.validate_by_two_ray_sets, d, profile)
+                    if isinstance(got, ValidationReport):
+                        violations += got.violations
+                got, want = _outcome(embedding_of, d), _outcome(oracles.embedding_of_by_two_ray_sets, d)
+                if isinstance(got, EmbeddedGraph):
+                    got, want = docio.graph_to_doc(got), docio.graph_to_doc(want)
+                assert got == want
+        kinds = ("overlap", "touch at", "meet at", "times", "adjacent edges", "resolution below", "crossing resolution")
+        for kind in kinds:
+            assert any(kind in v for v in violations), kind
