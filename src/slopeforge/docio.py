@@ -1,6 +1,7 @@
 """JSON documents: graphs (planarization form) and drawings.
 
-Rationals serialize as [numerator, denominator] pairs; integers beyond
+Rationals serialize as [numerator, denominator] pairs and read back as
+coordinates: an int when integral, else a Fraction.  Integers beyond
 2**53 - 1 become base-10 strings so the values survive any JSON reader.
 Serialization is canonical (sorted keys, fixed separators), so identical
 objects produce identical bytes.
@@ -9,11 +10,10 @@ objects produce identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Dict, List, Tuple
 
 from .drawing import PolylineDrawing
-from .geometry import Point
+from .geometry import Coord, Point, quotient
 from .model import EmbeddedGraph, PlaneGraph
 
 _BIG = 2**53 - 1
@@ -33,7 +33,7 @@ def _int_in(v) -> int:
     return int(v)
 
 
-def _rat_out(q: Fraction):
+def _rat_out(q: Coord):
     return [_int_out(q.numerator), _int_out(q.denominator)]
 
 
@@ -49,13 +49,18 @@ def _list_in(v) -> List[Any]:
     return v
 
 
-def _rat_in(v) -> Fraction:
+def _rat_in(v) -> Coord:
+    """A rational read as a coordinate: an int when it is integral."""
     if not isinstance(v, list) or len(v) != 2:
         raise DocumentError(f"expected [numerator, denominator], got {v!r}")
-    num, den = _int_in(v[0]), _int_in(v[1])
+    num, den = v
+    if type(num) is not int or type(den) is not int:
+        num, den = _int_in(num), _int_in(den)
+    if den == 1:
+        return num
     if den == 0:
         raise DocumentError(f"zero denominator in {v!r}")
-    return Fraction(num, den)
+    return quotient(num, den)
 
 
 # ---------------------------------------------------------------------------

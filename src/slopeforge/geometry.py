@@ -4,6 +4,14 @@ Everything in this package lives on exact rational coordinates.  The four
 canonical slopes (0, pi/4, pi/2, 3pi/4 with the x-axis) are closed under
 line intersection on rational points, so no rounding is ever needed and
 angle/resolution claims can be decided by sign tests instead of epsilons.
+
+A coordinate is an ``int`` when it is integral and otherwise a
+``Fraction``; never a float or a bool.  docio reads integral values as
+ints and the 2-bend drawer emits int ranks; the 1-bend drawer computes on
+Fractions, some of them integral.  Python makes an int and the Fraction
+of the same value compare and hash alike, so either form gives the same
+results.  Only a true division can leave the rationals (two ints give a
+float), so every ``/`` that coordinates reach divides a Fraction.
 """
 
 from __future__ import annotations
@@ -15,32 +23,28 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-Rat = Fraction
-RatLike = Union[int, str, Fraction]
+# An exact coordinate, or a difference or product of coordinates.
+Coord = Union[int, Fraction]
 
 
-def rat(value: RatLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def quotient(num: int, den: int) -> Coord:
+    """num / den as a coordinate: an int when den divides num, else a
+    Fraction.  den must not be 0."""
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
 
 
 @dataclass(frozen=True, order=True)
 class Point:
-    x: Fraction
-    y: Fraction
-
-    @staticmethod
-    def of(x: RatLike, y: RatLike) -> "Point":
-        return Point(rat(x), rat(y))
-
-    def shifted(self, dx: RatLike, dy: RatLike = 0) -> "Point":
-        return Point(self.x + rat(dx), self.y + rat(dy))
+    x: Coord
+    y: Coord
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
 
 
 # A direction is a non-zero rational vector (dx, dy).
-Direction = Tuple[Fraction, Fraction]
+Direction = Tuple[Coord, Coord]
 
 
 def direction(a: Point, b: Point) -> Direction:
@@ -119,7 +123,7 @@ class Segment:
     def dir(self) -> Direction:
         return direction(self.a, self.b)
 
-    def bbox(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    def bbox(self) -> Tuple[Coord, Coord, Coord, Coord]:
         return (
             min(self.a.x, self.b.x),
             min(self.a.y, self.b.y),
@@ -132,11 +136,11 @@ def slope_of(seg: Segment) -> Slope:
     return Slope.of_direction(seg.dir())
 
 
-def cross(d1: Direction, d2: Direction) -> Fraction:
+def cross(d1: Direction, d2: Direction) -> Coord:
     return d1[0] * d2[1] - d1[1] * d2[0]
 
 
-def dot(d1: Direction, d2: Direction) -> Fraction:
+def dot(d1: Direction, d2: Direction) -> Coord:
     return d1[0] * d2[0] + d1[1] * d2[1]
 
 
@@ -193,7 +197,7 @@ def line_intersection(p: Point, d1: Direction, q: Point, d2: Direction) -> Optio
     den = cross(d1, d2)
     if den == 0:
         return None
-    t = cross((q.x - p.x, q.y - p.y), d2) / den
+    t = Fraction(cross((q.x - p.x, q.y - p.y), d2), den)
     return Point(p.x + t * d1[0], p.y + t * d1[1])
 
 
@@ -266,7 +270,7 @@ def _classify(s1: Segment, f1: _IntSegment, s2: Segment, f2: _IntSegment) -> Int
     den = L * cr
     return Intersection(
         IntersectKind.PROPER_CROSSING,
-        Point(Fraction(ax * cr + o3 * ux, den), Fraction(ay * cr + o3 * uy, den)),
+        Point(quotient(ax * cr + o3 * ux, den), quotient(ay * cr + o3 * uy, den)),
     )
 
 
@@ -464,14 +468,17 @@ def _directed_gap_at_least(d1: Direction, d2: Direction, eighths: int) -> bool:
 def min_angle_eighths_lower_bound(dirs: list) -> Optional[int]:
     """Largest k in 0..4 such that every consecutive angular gap >= k*pi/4.
 
-    Directions are taken as rays around a common point.  Returns None when
-    two rays coincide (zero angle, i.e. overlapping segments).  The tests
-    run on integer vectors: a positive scale keeps every sign they read.
+    Directions are taken as rays around a common point.  A zero direction
+    is no ray (a point where an edge ends has no ray along that edge) and
+    is ignored.  Returns None when two rays coincide (zero angle, i.e.
+    overlapping segments).  The tests run on integer vectors: a positive
+    scale keeps every sign they read.
     """
-    n = len(dirs)
+    rays = [_cleared(d) for d in dirs if d[0] or d[1]]
+    n = len(rays)
     if n < 2:
         return 4
-    ordered = sort_directions_ccw([_cleared(d) for d in dirs])
+    ordered = sort_directions_ccw(rays)
     best = 4
     for i in range(n):
         d1 = ordered[i]

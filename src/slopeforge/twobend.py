@@ -327,12 +327,12 @@ def _ranks(values: Iterable) -> Dict:
     return {v: i for i, v in enumerate(sorted(set(values)))}
 
 
-def _rank_points(points: List[Point], num: Callable = int) -> Tuple[Callable[[Point], Point], int]:
-    """The map sending each of `points` to the ranks of its coordinates in
-    their axes, as `num`s, and the extent w + h of the ranked points."""
+def _rank_points(points: List[Point]) -> Tuple[Callable[[Point], Point], int]:
+    """The map sending each of `points` to the int ranks of its coordinates
+    in their axes, and the extent w + h of the ranked points."""
     xr = _ranks(p.x for p in points)
     yr = _ranks(p.y for p in points)
-    return (lambda p: Point(num(xr[p.x]), num(yr[p.y]))), len(xr) + len(yr) - 2
+    return (lambda p: Point(xr[p.x], yr[p.y])), len(xr) + len(yr) - 2
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +824,9 @@ def draw_twobend(g: EmbeddedGraph) -> PolylineDrawing:
 
 
 def _rank_grid(d: PolylineDrawing) -> PolylineDrawing:
-    """d with every coordinate replaced by its rank in its axis."""
+    """d with every coordinate replaced by its int rank in its axis."""
     pts = list(d.positions.values()) + [p for line in d.polylines.values() for p in line]
-    at, _ = _rank_points(pts, F)
+    at, _ = _rank_points(pts)
     return PolylineDrawing(
         graph=d.graph,
         positions={v: at(p) for v, p in d.positions.items()},

@@ -9,9 +9,10 @@ an epsilon.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .drawing import PolylineDrawing
 from .geometry import (
@@ -298,7 +299,7 @@ def _embedding_from(d: PolylineDrawing, rays: RayTable) -> EmbeddedGraph:
     """embedding_of for a structurally sound drawing whose analysis found
     no violations, from its ray table.  Each crossed edge e is crossed once,
     and becomes the fragments e$a and e$b, which meet at a dummy there."""
-    dummy_at = {pt: f"{DUMMY_PREFIX}{i}" for i, pt in enumerate(rays.at_crossing)}
+    dummy_at = dict(zip(rays.at_crossing, _fresh_ids(set(d.graph.vertices))))
     crossing_of = {e: pt for pt, here in rays.at_crossing.items() for _, e, _ in here}
 
     def piece(e: str, end: str) -> str:
@@ -331,6 +332,14 @@ def _embedding_from(d: PolylineDrawing, rays: RayTable) -> EmbeddedGraph:
     )
     plane.outer_darts = tuple(_outer_face_darts(plane, positions, rays.oriented, rays.crossing_at))
     return EmbeddedGraph.from_plane(plane)
+
+
+def _fresh_ids(taken: Set[str]) -> Iterator[str]:
+    """The dummy ids _x0, _x1, ... in order, skipping those in `taken`."""
+    for i in itertools.count():
+        x = f"{DUMMY_PREFIX}{i}"
+        if x not in taken:
+            yield x
 
 
 def _outer_face_darts(

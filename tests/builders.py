@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from slopeforge.families import gen_corpus
+from slopeforge.geometry import Point
 from slopeforge.model import Dart, EmbeddedGraph, PlaneGraph
+
+
+RatLike = Union[int, str, Fraction]
+
+
+def rat(value: RatLike) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def point(x: RatLike, y: RatLike) -> Point:
+    """A point with Fraction coordinates."""
+    return Point(rat(x), rat(y))
+
+
+def shifted(p: Point, dx: RatLike, dy: RatLike = 0) -> Point:
+    return Point(p.x + rat(dx), p.y + rat(dy))
 
 
 def build_plane_graph(

@@ -14,13 +14,13 @@ from slopeforge import docio, render
 from slopeforge.cli import _build_parser, main
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.families import gen_2reg, gen_crossed_k4, gen_k4_embedded
-from slopeforge.geometry import Point
 from slopeforge.model import PlaneGraph
 from slopeforge.onebend import draw_onebend
 from slopeforge.twobend import draw_twobend
 from slopeforge.verify import embeddings_equivalent
 
 from adversarial import two_crossing_edges
+from builders import point
 
 
 class TestDocumentRoundTrip:
@@ -131,6 +131,29 @@ class TestCli:
             assert code == 2  # 2-regular input is not cubic
             assert "input must be cubic" in capsys.readouterr().err
 
+    def test_vertex_named_like_a_dummy_validates(self):
+        # The crossed K4 with its vertex 1 renamed _x0 and its own dummy
+        # renamed _x9: the induced embedding must name its dummy otherwise.
+        _, graph_json = run_cli(["gen", "--family", "crossedk4"])
+        _, drawing_json = run_cli(["draw", "--mode", "onebend"], graph_json)
+        names = {"1": "_x0", "_x0": "_x9"}
+
+        def renamed(o):
+            if isinstance(o, str):
+                return names.get(o, o)
+            if isinstance(o, list):
+                return [renamed(x) for x in o]
+            if isinstance(o, dict):
+                return {renamed(k): renamed(v) for k, v in o.items()}
+            return o
+
+        doc = renamed(json.loads(drawing_json))
+        assert "_x0" in doc["positions"] and "_x9" in doc["graph"]["rotations"]
+        code, report_json = run_cli(["validate", "--profile", "onebend"], json.dumps(doc))
+        assert code == 0
+        report = json.loads(report_json)
+        assert report["passed"] and report["embedding_preserved"]
+
     def test_normalize_command(self):
         code, graph_json = run_cli(["gen", "--family", "crossedk4"])
         code, out = run_cli(["normalize"], graph_json)
@@ -237,7 +260,7 @@ class TestCli:
                  "vertices": [{"id": v, "real": True} for v in "abc"],
                  "rotations": {"a": ["e"], "b": ["e"], "c": []}, "fragment_map": {},
                  "outer_face": [["e", "a"], ["e", "b"]]}
-        pos = {"a": Point.of(0, 1), "b": Point.of(2, 1), "c": Point.of(1, 0)}
+        pos = {"a": point(0, 1), "b": point(2, 1), "c": point(1, 0)}
         d = PolylineDrawing(docio.graph_from_doc(graph), pos, {"e": [pos["a"], pos["b"]]})
         code, report_json = run_cli(["validate", "--profile", profile], docio.dumps(docio.drawing_to_doc(d)))
         report = json.loads(report_json)

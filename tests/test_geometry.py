@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ from slopeforge.geometry import (
     strip_collinear,
     sweep_hits,
 )
+
+from builders import point, shifted
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +102,7 @@ def angle_at_least(d1, d2, eighths: int) -> bool:
 
 
 def P(x, y):
-    return Point.of(x, y)
+    return point(x, y)
 
 
 def S(x1, y1, x2, y2):
@@ -332,12 +335,12 @@ def _kernel_pair(rng):
         f = Fraction(rng.randint(-6, 6), 4)
         c, d = on, P(on.x + f * (b.x - a.x), on.y + f * (b.y - a.y))
     elif kind == 4:
-        c, d = on.shifted(rng.choice((-1, 1)) * eps, rng.choice((-1, 0, 1)) * eps), free
+        c, d = shifted(on, rng.choice((-1, 1)) * eps, rng.choice((-1, 0, 1)) * eps), free
     else:
         dx, dy = rng.choice(((eps, 0), (0, eps), (eps, eps)))
-        c, d = a.shifted(dx, dy), b.shifted(dx, dy)
+        c, d = shifted(a, dx, dy), shifted(b, dx, dy)
     if c == d:
-        d = free if free != c else c.shifted(1)
+        d = free if free != c else shifted(c, 1)
     return s1, Segment(c, d)
 
 
@@ -520,7 +523,8 @@ def primitive_by_fractions(d):
 
 def min_angle_by_fractions(dirs):
     """The reference: min_angle_eighths_lower_bound as it was computed on
-    the Fraction directions themselves."""
+    the Fraction directions themselves, zero directions left out."""
+    dirs = [d for d in dirs if d != (0, 0)]
     n = len(dirs)
     if n < 2:
         return 4
@@ -582,10 +586,21 @@ class TestDirections:
 
     def test_min_angle_keeps_the_zero_direction_answer(self):
         # A crossing at an edge's own end point can hand the validator a
-        # zero direction; the answer must stay the Fraction one.
-        for dirs in ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))],
-                     [(Fraction(-1), Fraction(1)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]):
-            assert min_angle_eighths_lower_bound(dirs) == min_angle_by_fractions(dirs)
+        # zero direction; it is no ray, and the answer must stay the
+        # Fraction one.
+        for dirs, want in (([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))], 4),
+                           ([(Fraction(-1), Fraction(1)), (Fraction(0), Fraction(0)),
+                             (Fraction(1), Fraction(1))], 2)):
+            assert min_angle_eighths_lower_bound(dirs) == min_angle_by_fractions(dirs) == want
+
+    def test_min_angle_ignores_zero_directions_in_any_order(self):
+        # A zero direction used to rank equal to every lower half-plane
+        # direction, so the answer followed the order of the rays.
+        for rays, want in (([(-1, -1), (1, 1), (0, 0), (-2, -2)], None),
+                           ([(1, 0), (0, 0), (0, -1), (-1, 1)], 2),
+                           ([(0, 0), (Fraction(-1, 3), 0), (0, 5), (1, -1)], 2)):
+            answers = {min_angle_eighths_lower_bound(list(p)) for p in itertools.permutations(rays)}
+            assert answers == {want}
 
 
 class TestStripCollinear:
@@ -645,7 +660,7 @@ def _segment_soup(rng, n, den):
                 b = P(on.x + 2 * (old.b.x - old.a.x), on.y + 2 * (old.b.y - old.a.y))
             else:
                 eps = Fraction(1, 2 ** rng.choice((20, 24)))
-                a = on.shifted(rng.choice((-1, 1)) * eps, rng.choice((-1, 0, 1)) * eps)
+                a = shifted(on, rng.choice((-1, 1)) * eps, rng.choice((-1, 0, 1)) * eps)
         if a != b:
             segs.append(Segment(a, b))
     return segs

@@ -14,18 +14,18 @@ import pytest
 from slopeforge import families, verify
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.families import gen_2reg, gen_corpus, gen_crossed_k4, gen_k4_embedded, gen_maxdeg, gen_prism
-from slopeforge.geometry import Point
 from slopeforge.onebend import draw_onebend
 from slopeforge.twobend import draw_twobend
 from slopeforge.verify import PROFILES, embedding_from_geometry, embedding_of, validate
 
 from adversarial import adversarial_suite
+from builders import point
 from oracles import outer_face_by_pieces
 from test_twobend import block_chain, edge_deleted
 
 
 def P(x, y):
-    return Point.of(x, y)
+    return point(x, y)
 
 
 @pytest.fixture

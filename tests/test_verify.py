@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import oracles
@@ -23,12 +25,12 @@ from slopeforge.verify import (
 )
 
 from adversarial import adversarial_suite
-from builders import build_plane_graph
+from builders import build_plane_graph, point
 from test_model import k4_one_crossing
 
 
 def P(x, y):
-    return Point.of(x, y)
+    return point(x, y)
 
 
 def distinct_slope_count(d: PolylineDrawing) -> int:
@@ -192,10 +194,11 @@ class TestMeasurements:
     def test_crossing_at_an_edge_end_is_measured(self):
         # e1 bends at c, where e2 starts and which e2's second segment
         # passes through: the crossing directions of e2 there include a zero
-        # vector, and the report still comes out, with resolution 0.
+        # vector, which is no ray, and the report still comes out.  The rays
+        # left at c, e1's two and e2's toward (1, 1), are a quarter turn apart.
         report = validate(folded_edge_drawing(), "ONEBEND")
-        assert report.min_crossing_angle == 0
-        assert "crossing resolution below pi/4 (got 0)" in report.violations
+        assert report.min_crossing_angle == 2
+        assert not any("crossing resolution" in v for v in report.violations)
 
 
 class TestOnePass:
@@ -309,7 +312,8 @@ def _perturbed(d: PolylineDrawing):
     for v, w in ((names[0], names[1]), (names[-1], names[len(names) // 2])):
         at_w, at_v = d.positions[w], d.positions[v]
         yield _moved(d, v, at_w)
-        yield _moved(d, v, Point(at_w.x + (at_v.x - at_w.x) / 64, at_w.y + (at_v.y - at_w.y) / 64))
+        near = Point(at_w.x + Fraction(at_v.x - at_w.x, 64), at_w.y + Fraction(at_v.y - at_w.y, 64))
+        yield _moved(d, v, near)
     yield PolylineDrawing(d.graph, d.positions, {e: [pts[0], pts[-1]] for e, pts in d.polylines.items()})
     yield PolylineDrawing(d.graph, d.positions, {e: pts[::-1] for e, pts in d.polylines.items()})
 
