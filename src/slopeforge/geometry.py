@@ -7,11 +7,14 @@ angle/resolution claims can be decided by sign tests instead of epsilons.
 
 A coordinate is an ``int`` when it is integral and otherwise a
 ``Fraction``; never a float or a bool.  docio reads integral values as
-ints and the 2-bend drawer emits int ranks; the 1-bend drawer computes on
-Fractions, some of them integral.  Python makes an int and the Fraction
-of the same value compare and hash alike, so either form gives the same
-results.  Only a true division can leave the rationals (two ints give a
-float), so every ``/`` that coordinates reach divides a Fraction.
+ints and the 2-bend drawer emits int ranks.  The 1-bend drawer computes on
+ints too: its drawing (``onebend.Gamma``) holds every coordinate as the
+true value times one drawing-wide denominator ``unit``, and hands
+``unit`` to ``prepare`` so that the sweep boxes hold the true values.
+Python makes an int and the Fraction of the same value compare and hash
+alike, so either form gives the same results.  Only a true division can
+leave the rationals (two ints give a float), so every ``/`` that
+coordinates reach divides a Fraction.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 Coord = Union[int, Fraction]
 
 
-def quotient(num: int, den: int) -> Coord:
-    """num / den as a coordinate: an int when den divides num, else a
+def quotient(num: Coord, den: int) -> Coord:
+    """num / den as a coordinate: an int when it is integral, else a
     Fraction.  den must not be 0."""
     q, r = divmod(num, den)
     return q if r == 0 else Fraction(num, den)
@@ -193,12 +196,14 @@ class Intersection:
 
 
 def line_intersection(p: Point, d1: Direction, q: Point, d2: Direction) -> Optional[Point]:
-    """Intersection of two lines given by point + direction; None if parallel."""
+    """Intersection of two lines given by point + direction; None if parallel.
+    On int points and directions the coordinates are in contract form."""
     den = cross(d1, d2)
     if den == 0:
         return None
-    t = Fraction(cross((q.x - p.x, q.y - p.y), d2), den)
-    return Point(p.x + t * d1[0], p.y + t * d1[1])
+    # p + (t / den) * d1, with t = cross(q - p, d2).
+    t = cross((q.x - p.x, q.y - p.y), d2)
+    return Point(quotient(p.x * den + t * d1[0], den), quotient(p.y * den + t * d1[1], den))
 
 
 # A segment in integer form: (L, ax, ay, bx, by), the endpoint coordinates
@@ -295,33 +300,35 @@ _GRID_BITS = 16
 Prepared = Tuple[Segment, _IntSegment, Tuple[int, int, int, int]]
 
 
-def prepare(seg: Segment) -> Prepared:
+def prepare(seg: Segment, unit: int = 1) -> Prepared:
+    """seg prepared for the pair queries, its coordinates read as true
+    values times `unit`.  The integer form keeps those units, so a proper
+    crossing point comes back in them; the box holds the true values, so
+    that segments sweep in the same order at any unit."""
     form = _ints(seg)
-    return seg, form, _box(form)
+    return seg, form, _box(form, unit)
 
 
-def prepare_shifted(prep: Prepared, seg: Segment, dx: Fraction) -> Prepared:
-    """prepare(seg) for seg, the segment of `prep` moved by dx in x, built
-    from prep's integer form instead of seg's coordinates.
-
-    The shifted numerators over lcm(L, dx's denominator) are divided by
-    their gcd with it, which leaves exactly the lcm of seg's reduced
-    denominators, the L that _ints builds.
-    """
-    L, ax, ay, bx, by = prep[1]
-    p, q = dx.numerator, dx.denominator
-    m = L * q // math.gcd(L, q)
-    s, t = m // L, p * (m // q)
-    ax, ay, bx, by = ax * s + t, ay * s, bx * s + t, by * s
-    g = math.gcd(m, ax, ay, bx, by)
-    form = (m // g, ax // g, ay // g, bx // g, by // g)
-    return seg, form, _box(form)
+def prepare_shifted(prep: Prepared, seg: Segment, dx: int, unit: int) -> Prepared:
+    """prepare(seg, unit) for seg, the segment of `prep` moved by dx in x,
+    built from prep's integer form instead of seg's coordinates.  The
+    coordinates and dx are ints, so the form's L is 1, and the box keeps
+    its y range."""
+    _, ax, ay, bx, by = prep[1]
+    _, lo_y, _, hi_y = prep[2]
+    ax += dx
+    bx += dx
+    lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
+    box = ((lo_x << _GRID_BITS) // unit, lo_y, (hi_x << _GRID_BITS) // unit, hi_y)
+    return seg, (1, ax, ay, bx, by), box
 
 
-def _box(form: _IntSegment) -> Tuple[int, int, int, int]:
+def _box(form: _IntSegment, unit: int = 1) -> Tuple[int, int, int, int]:
     L, ax, ay, bx, by = form
-    # Each box coordinate v becomes floor(v * 2**_GRID_BITS).  Floor is
-    # monotone, so two grid boxes are disjoint only if the exact boxes are.
+    # Each box coordinate v becomes floor(v * 2**_GRID_BITS), v the true
+    # value.  Floor is monotone, so two grid boxes are disjoint only if the
+    # exact boxes are.
+    L *= unit
     ax, ay = (ax << _GRID_BITS) // L, (ay << _GRID_BITS) // L
     bx, by = (bx << _GRID_BITS) // L, (by << _GRID_BITS) // L
     return (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))

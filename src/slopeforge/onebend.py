@@ -23,12 +23,14 @@ changed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .drawing import PolylineDrawing
 from .geometry import (
+    Coord,
     IntersectKind,
     Intersection,
     Point,
@@ -40,14 +42,13 @@ from .geometry import (
     prepare,
     prepare_shifted,
     prepared_octant,
+    quotient,
     strip_collinear,
     sweep_hits,
 )
 from .model import EmbeddedGraph, PlaneGraph, connectivity
 from .ordering import CanonicalOrdering, canonical_order_on_real_edge
 from .reembed import normalize_embedding
-
-F = Fraction
 
 # Port directions on the four canonical slopes.
 DIRS: Dict[str, Tuple[int, int]] = {
@@ -71,11 +72,6 @@ LEGAL_DUMMY_BASES = ({"SW", "SE"}, {"SW", "E"}, {"W", "SE"}, {"W", "E"}, {"SW", 
 
 class OneBendError(Exception):
     pass
-
-
-def _dir(port: str) -> Tuple[Fraction, Fraction]:
-    dx, dy = DIRS[port]
-    return (F(dx), F(dy))
 
 
 @dataclass
@@ -120,6 +116,18 @@ def _reversed_shape(shape: Tuple[Optional[int], ...]) -> Tuple[Optional[int], ..
 class Gamma:
     """The incremental drawing of the planarization.
 
+    Every coordinate Gamma stores is an int: the true value times `unit`,
+    one denominator for the whole drawing, which starts at 1.  That covers
+    the positions, the polylines and each record's points and prepared
+    segments (prepared with `unit`, so their sweep boxes hold the true
+    values).  The four slopes meet at rational points, so a new point or a
+    stretch amount can fall off this grid: the drawer computes it exactly,
+    in Gamma's units, and writes it through `grid_ints` or `on_grid`, which
+    first rescale every stored int by the missing factor.  Only the
+    constants tied to length scale with `unit`; every check is homogeneous
+    in the coordinates and reads them as they are.  `unscaled` gives the
+    true point, for the output, the step trace and messages.
+
     `_index` holds a record per drawn edge (see EdgeRecord), the drawer's
     one per-edge cache.  Its invariant: a record whose `pts` is the edge's
     polyline list holds exactly what a rebuild from that list gives, that
@@ -132,6 +140,10 @@ class Gamma:
     stays, reversed when a split edge is redrawn from its other end, and a
     translated edge's prepared segments are shifted (see stretch).  Ports,
     bends, horizontal segments and the P1 to P4 tests read the shapes.
+
+    New edges are drawn with `draw`, which keeps the set of the drawn edges
+    other than the base edge that have a horizontal segment; a stretch
+    keeps every shape, and so that set.
     """
 
     plane: PlaneGraph
@@ -142,8 +154,59 @@ class Gamma:
     contour: List[str] = field(default_factory=list)
     placed: Set[str] = field(default_factory=set)
     checked: Optional[CheckRecord] = None
+    unit: int = 1
     _index: Dict[str, EdgeRecord] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _horizontal: Set[str] = field(
+        default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for e, pts in self.polylines.items():
+            self.draw(e, pts)
+
+    # -- units ----------------------------------------------------------------
+
+    def grid_ints(self, values: Sequence[Coord]) -> List[int]:
+        """`values`, exact in Gamma's units, as ints in its units after the
+        call: the drawing is first rescaled by the least factor that puts
+        every one of them on the grid."""
+        k = 1
+        for c in values:
+            if type(c) is not int:
+                k = math.lcm(k, c.denominator)
+        if k != 1:
+            self.set_unit(self.unit * k)
+        return [c * k if type(c) is int else c.numerator * (k // c.denominator) for c in values]
+
+    def on_grid(self, points: Sequence[Point]) -> List[Point]:
+        """`grid_ints` for points."""
+        flat = self.grid_ints([c for p in points for c in (p.x, p.y)])
+        return [Point(x, y) for x, y in zip(flat[::2], flat[1::2])]
+
+    def set_unit(self, unit: int) -> None:
+        """Hold the drawing over `unit` instead: every stored int c becomes
+        c * unit / self.unit, which must be an int.  The records stay
+        current; their sweep boxes hold the true values, which stay."""
+        g = math.gcd(unit, self.unit)
+        num, den = unit // g, self.unit // g
+        if num == den:
+            return
+        pos, index = self.pos, self._index
+        for v, p in pos.items():
+            pos[v] = Point(p.x * num // den, p.y * num // den)
+        for e, pts in self.polylines.items():
+            new = [Point(p.x * num // den, p.y * num // den) for p in pts]
+            self.polylines[e] = new
+            rec = index.pop(e, None)
+            if rec is not None and rec.pts is pts:
+                segs = [(Segment(p, q), (1, p.x, p.y, q.x, q.y), s[2])
+                        for s, p, q in zip(rec.segs, new, new[1:])]
+                index[e] = EdgeRecord(new, segs, rec.labels, rec.shape, rec.start)
+        self.unit = unit
+
+    def unscaled(self, p: Point) -> Point:
+        """p, exact in Gamma's units, as a point in true coordinates."""
+        return Point(quotient(p.x, self.unit), quotient(p.y, self.unit))
 
     # -- edge records -------------------------------------------------------
 
@@ -152,15 +215,22 @@ class Gamma:
         pts = self.polylines[e]
         rec = self._index.get(e)
         if rec is None or rec.pts is not pts:
-            segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
+            segs = [prepare(Segment(p, q), self.unit) for p, q in zip(pts, pts[1:])]
             a, b = self.plane.edges[e]
             rec = self._index[e] = EdgeRecord(
                 pts, segs, [e] * len(segs), tuple(map(prepared_octant, segs)),
                 a if pts[0] == self.pos.get(a) else b)
         return rec
 
+    def draw(self, e: str, pts: List[Point]) -> None:
+        """Draw the new edge e along pts."""
+        self.polylines[e] = pts
+        if e != _base_edge(self) and any(p.y == q.y for p, q in zip(pts, pts[1:])):
+            self._horizontal.add(e)
+
     def redraw(self, e: str, pts: List[Point], rec: EdgeRecord) -> None:
-        """Draw e along pts, with rec, a record of pts, as its record."""
+        """Draw e along pts, with rec, a record of pts of e's shape, as its
+        record."""
         self.polylines[e] = pts
         self._index[e] = rec
 
@@ -190,14 +260,8 @@ class Gamma:
 
     def horizontal_edges(self) -> Set[str]:
         """The drawn edges other than the base edge that have a horizontal
-        segment."""
-        base = _base_edge(self)
-        out = set()
-        for e in self.polylines:
-            shape = self.record(e).shape
-            if (_E in shape or _W in shape) and e != base:
-                out.add(e)
-        return out
+        segment; the set Gamma keeps, not a copy."""
+        return self._horizontal
 
     def port_dirs(self, v: str) -> Dict[str, str]:
         """Drawn edge id -> port name at v."""
@@ -317,10 +381,10 @@ class Plan:
     corner: bool       # the edge spends its bend at the anchor dummy
     style: str = "ray"  # "ray" straight; "elbow" diagonal then horizontal
 
-    def arrival_dir(self, anchor_pos: Point, apex: Point) -> Tuple[Fraction, Fraction]:
+    def arrival_dir(self, anchor_pos: Point, apex: Point) -> Tuple[Coord, Coord]:
         """Direction of the edge end at the new vertex (pointing away)."""
         if self.style == "elbow":
-            return (F(-1), F(0)) if apex.x > anchor_pos.x else (F(1), F(0))
+            return (-1, 0) if apex.x > anchor_pos.x else (1, 0)
         return (anchor_pos.x - apex.x, anchor_pos.y - apex.y)
 
 
@@ -444,7 +508,7 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     members: Dict[str, List[str]] = {}
     for v, r in root.items():
         members.setdefault(r, []).append(v)
-    t_lo: Optional[Fraction] = None
+    t_lo: Optional[int] = None
     left_of: Dict[str, bool] = {}
 
     def stays_left(r: str) -> bool:
@@ -496,18 +560,23 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     return left
 
 
-def stretch(g: Gamma, left: Set[str], delta: Fraction) -> Dict[str, EdgeRecord]:
+def stretch(g: Gamma, left: Set[str], delta: Coord) -> Tuple[int, Dict[str, EdgeRecord]]:
     """Move every placed vertex outside `left`, a stretch_cut, right by delta.
 
-    Edges with no end in `left` translate; each split edge is redrawn from
-    its stationary end with its first rightward horizontal lengthened; the
-    base edge re-derives its low point.  Every shape but the base edge's is
-    kept.  Returns the records it replaced of the split edges and the base
-    edge: _translate(g, left, -delta) followed by redrawing those restores
-    the drawing and its records exactly.
+    delta is exact in g's units.  g is first rescaled so that delta and the
+    base edge's new low point lie on its grid.  Edges with no end in `left`
+    translate; each split edge is redrawn from its stationary end with its
+    first rightward horizontal lengthened; the base edge re-derives its low
+    point.  Every shape but the base edge's is kept.  Returns the amount,
+    an int in g's new units, and the records it replaced of the split edges
+    and the base edge: _translate(g, left, -amount) followed by redrawing
+    those restores the drawing and its records exactly, in the new units.
     """
     if delta <= 0:
         raise ValueError("stretch needs a positive amount")
+    p2 = g.pos[g.v2]
+    low = _base_low(g.pos[g.v1], Point(p2.x + delta, p2.y))
+    delta = g.grid_ints([delta, low.x, low.y])[0]
     base = _base_edge(g)
     replaced = {base: g.record(base)}
     for e in _split_edges(g, left):
@@ -517,20 +586,24 @@ def stretch(g: Gamma, left: Set[str], delta: Fraction) -> Dict[str, EdgeRecord]:
             start, pts, shape = g.plane.other_end(e, start), pts[::-1], _reversed_shape(shape)
         k = shape.index(_E)
         pts = pts[: k + 1] + [Point(p.x + delta, p.y) for p in pts[k + 1 :]]
-        segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
+        segs = [prepare(Segment(p, q), g.unit) for p, q in zip(pts, pts[1:])]
         g.redraw(e, pts, EdgeRecord(pts, segs, rec.labels, shape, start))
     _translate(g, left, delta)
     _redraw_base(g)
-    return replaced
+    return delta, replaced
 
 
-def _translate(g: Gamma, left: Set[str], delta: Fraction) -> None:
+def _translate(g: Gamma, left: Set[str], delta: int) -> None:
     """Shift the placed vertices outside `left`, and the edges with no end
     in it, by delta in x, with their records."""
-    edges = g.plane.edges
-    moved = [(e, g.record(e)) for e in g.polylines
-             if edges[e][0] not in left and edges[e][1] not in left]
-    pos = g.pos
+    edges, index = g.plane.edges, g._index
+    moved = []
+    for e, pts in g.polylines.items():
+        a, b = edges[e]
+        if a not in left and b not in left:
+            rec = index.get(e)
+            moved.append((e, rec if rec is not None and rec.pts is pts else g.record(e)))
+    pos, unit = g.pos, g.unit
     for v in g.placed:
         if v not in left:
             p = pos[v]
@@ -538,17 +611,22 @@ def _translate(g: Gamma, left: Set[str], delta: Fraction) -> None:
     for e, rec in moved:
         pts = [pos[rec.start]] + [Point(p.x + delta, p.y) for p in rec.pts[1:-1]]
         pts.append(pos[g.plane.other_end(e, rec.start)])
-        segs = [prepare_shifted(s, Segment(p, q), delta) for s, p, q in zip(rec.segs, pts, pts[1:])]
+        segs = [prepare_shifted(s, Segment(p, q), delta, unit)
+                for s, p, q in zip(rec.segs, pts, pts[1:])]
         g.redraw(e, pts, EdgeRecord(pts, segs, rec.labels, rec.shape, rec.start))
 
 
-def _redraw_base(g: Gamma) -> None:
-    base = _base_edge(g)
-    p1, p2 = g.pos[g.v1], g.pos[g.v2]
-    low = line_intersection(p1, _dir("SE"), p2, _dir("SW"))
+def _base_low(p1: Point, p2: Point) -> Point:
+    """Where the SE ray from p1 meets the SW ray from p2."""
+    low = line_intersection(p1, DIRS["SE"], p2, DIRS["SW"])
     if low is None:
         raise OneBendError("the base support lines do not meet")
-    g.polylines[base] = [p1, low, p2]
+    return low
+
+
+def _redraw_base(g: Gamma) -> None:
+    low = g.on_grid([_base_low(g.pos[g.v1], g.pos[g.v2])])[0]
+    g.polylines[_base_edge(g)] = [g.pos[g.v1], low, g.pos[g.v2]]
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +634,7 @@ def _redraw_base(g: Gamma) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ray_point_at_height(anchor: Point, port: str, y: Fraction) -> Point:
+def _ray_point_at_height(anchor: Point, port: str, y: Coord) -> Point:
     dx, dy = DIRS[port]
     if dy != 1:
         raise OneBendError(f"{port} is not an upward port")
@@ -565,7 +643,7 @@ def _ray_point_at_height(anchor: Point, port: str, y: Fraction) -> Point:
 
 def _apex(pos: Dict[str, Point], pl: Plan, pr: Plan) -> Optional[Point]:
     a, b = pos[pl.anchor], pos[pr.anchor]
-    pt = line_intersection(a, _dir(pl.port), b, _dir(pr.port))
+    pt = line_intersection(a, DIRS[pl.port], b, DIRS[pr.port])
     if pt is None:
         return None
     if pt.y <= a.y or pt.y <= b.y:
@@ -582,7 +660,7 @@ def _apex(pos: Dict[str, Point], pl: Plan, pr: Plan) -> Optional[Point]:
     return pt
 
 
-def _middle_mismatch(pos: Dict[str, Point], pl: Plan, pr: Plan, pm: Plan) -> Optional[Fraction]:
+def _middle_mismatch(pos: Dict[str, Point], pl: Plan, pr: Plan, pm: Plan) -> Optional[Coord]:
     """How far the apex of pl and pr lies right of pm's line, with the
     anchors at `pos`; None when pl and pr have no apex."""
     apex = _apex(pos, pl, pr)
@@ -593,16 +671,17 @@ def _middle_mismatch(pos: Dict[str, Point], pl: Plan, pr: Plan, pm: Plan) -> Opt
     return apex.x - (w.x + dxm * (apex.y - w.y))
 
 
-def _needed_gap(g: Gamma, pl: Plan, pr: Plan, extra: Fraction = F(1)) -> Fraction:
+def _needed_gap(g: Gamma, pl: Plan, pr: Plan, extra: int = 1) -> int:
     """Extra horizontal separation so the port rays meet at least `extra`
-    above both anchors."""
+    (a length, scaled by g.unit here) above both anchors."""
     a, b = g.pos[pl.anchor], g.pos[pr.anchor]
     dl, dr = DIRS[pl.port][0], DIRS[pr.port][0]
     gap = b.x - a.x
+    extra *= g.unit
     if dl == 1 and dr == -1:
-        ta = (gap + (b.y - a.y)) / 2  # apex height above a
-        tb = (gap + (a.y - b.y)) / 2
-        return 2 * (extra - min(ta, tb))
+        # The apex lies (gap + (b.y - a.y)) / 2 above a and
+        # (gap + (a.y - b.y)) / 2 above b.
+        return 2 * extra - min(gap + (b.y - a.y), gap + (a.y - b.y))
     if dl == 0 and dr == -1:
         ta = (b.y + gap) - a.y
         tb = gap
@@ -628,7 +707,7 @@ def _blockers(
     """
     labels, drawn = g.indexed()
     blocked = set()
-    for _, j, res in hits_across([prepare(s) for s in new_segments], drawn):
+    for _, j, res in hits_across([prepare(s, g.unit) for s in new_segments], drawn):
         if res.point is None or res.point not in allowed_points:
             blocked.add(j)
     return [(labels[j], drawn[j][0]) for j in sorted(blocked)]
@@ -640,8 +719,9 @@ def _blockers(
 
 
 MAX_REPAIRS = 80
-# The shift over which _align_middle reads the mismatch's rate of change.
-_RATE_SHIFT = F(4)
+# The shift over which _align_middle reads the mismatch's rate of change,
+# a length (scaled by Gamma.unit there).
+_RATE_SHIFT = 4
 
 
 class OneBendDrawer:
@@ -677,18 +757,18 @@ class OneBendDrawer:
         v1, v2 = g.v1, g.v2
         members = v2set.vertices
         l = len(members)
-        width = 2 * l + 2
-        g.pos[v1] = Point(F(0), F(0))
-        g.pos[v2] = Point(F(width), F(0))
+        u = g.unit
+        g.pos[v1] = Point(0, 0)
+        g.pos[v2] = Point((2 * l + 2) * u, 0)
         g.placed.update((v1, v2))
         _redraw_base(g)
         prev = v1
         for k, z in enumerate(members):
-            g.pos[z] = Point(F(2 * k + 2), F(0))
+            g.pos[z] = Point((2 * k + 2) * u, 0)
             g.placed.add(z)
-            g.polylines[_edge_between(self.plane, prev, z)] = [g.pos[prev], g.pos[z]]
+            g.draw(_edge_between(self.plane, prev, z), [g.pos[prev], g.pos[z]])
             prev = z
-        g.polylines[_edge_between(self.plane, prev, v2)] = [g.pos[prev], g.pos[v2]]
+        g.draw(_edge_between(self.plane, prev, v2), [g.pos[prev], g.pos[v2]])
         g.contour = [v1] + list(members) + [v2]
         self._post_step("base", full=True)
 
@@ -769,11 +849,14 @@ class OneBendDrawer:
         da, db, rest = defined
         last_sig = None
         spread_tried = False
+        # The signatures that detect a repeated round hold true coordinates,
+        # which a rescale between two rounds does not change.
+        true = g.unscaled
         for _ in range(MAX_REPAIRS):
             apex = self._apex_of(da, db)
             if apex is None:
                 try:
-                    need = _needed_gap(g, da, db) + 1
+                    need = _needed_gap(g, da, db) + g.unit
                 except OneBendError:
                     return False
                 if not self._stretch_between(da.anchor, db.anchor, need):
@@ -781,19 +864,19 @@ class OneBendDrawer:
                 continue
             # Keep the drawing chunky: spread once when the tent is cramped.
             top = max(g.pos[pl.anchor].y, g.pos[pr.anchor].y)
-            if not spread_tried and apex.y - top < 1 and da and db:
+            if not spread_tried and apex.y - top < g.unit and da and db:
                 spread_tried = True
-                need = _needed_gap(g, da, db, extra=F(2)) + 1
+                need = _needed_gap(g, da, db, extra=2) + g.unit
                 if need > 0 and self._stretch_between(da.anchor, db.anchor, need):
                     continue
             # The apex must sit strictly above every middle anchor.
             too_low = [pm for pm in plans_m if apex.y <= g.pos[pm.anchor].y]
             if too_low:
-                sig = ("low", apex)
+                sig = ("low", true(apex))
                 if sig == last_sig:
                     return False
                 last_sig = sig
-                if not self._stretch_between(pl.anchor, pr.anchor, F(2)):
+                if not self._stretch_between(pl.anchor, pr.anchor, 2 * g.unit):
                     return False
                 continue
             # Remaining constrained plans: their lines must pass the apex.
@@ -802,7 +885,7 @@ class OneBendDrawer:
                 m = _middle_mismatch(g.pos, da, db, pm) if da and db else None
                 if m is None or m == 0:
                     continue
-                sig = ("align", pm.anchor, apex, m)
+                sig = ("align", pm.anchor, true(apex), quotient(m, g.unit))
                 if sig == last_sig:
                     return False
                 last_sig = sig
@@ -813,7 +896,7 @@ class OneBendDrawer:
             if realign:
                 continue
             if not self._elbows_feasible(apex, [pl, pr]):
-                if not self._stretch_between(pl.anchor, pr.anchor, F(2)):
+                if not self._stretch_between(pl.anchor, pr.anchor, 2 * g.unit):
                     return False
                 continue
             # Arrival directions at the new vertex must be distinct ports.
@@ -826,14 +909,16 @@ class OneBendDrawer:
                 arrivals.add(o)
             if clash:
                 return False
-            polys = self._connection_polylines(v, apex, [pl, pr] + plans_m)
+            plans = [pl, pr] + plans_m
+            polys = self._connection_polylines(apex, plans)
             segs = [Segment(p[i], p[i + 1]) for p in polys.values() for i in range(len(p) - 1)]
-            allowed = {g.pos[plan.anchor] for plan in [pl, pr] + plans_m}
+            allowed = {g.pos[plan.anchor] for plan in plans}
             blockers = _blockers(g, segs, allowed)
             if not blockers:
-                self._commit(v, apex, polys, pl.anchor, pr.anchor)
+                self._commit(v, apex, plans)
                 return True
-            sig = ("block", blockers[0][1].a, blockers[0][1].b, apex)
+            block = blockers[0][1]
+            sig = ("block", true(block.a), true(block.b), true(apex))
             if sig == last_sig:
                 return False
             last_sig = sig
@@ -847,7 +932,7 @@ class OneBendDrawer:
             return _apex(g.pos, da, db)
         plan = da or db
         tops = max(p.y for p in g.pos.values())
-        return _ray_point_at_height(g.pos[plan.anchor], plan.port, tops + 1)
+        return _ray_point_at_height(g.pos[plan.anchor], plan.port, tops + g.unit)
 
     def _elbows_feasible(self, apex: Point, plans: List[Plan]) -> bool:
         g = self.g
@@ -866,27 +951,30 @@ class OneBendDrawer:
 
     # -- stretch drivers ------------------------------------------------------
 
-    def _stretch_between(self, left_v: str, right_v: str, delta: Fraction) -> bool:
-        """Stretch right of left_v; fail, leaving the drawing as it was, when
-        the cut does not separate right_v or the moved drawing would stop
-        being simple."""
+    def _stretch_between(self, left_v: str, right_v: str, delta: Coord) -> bool:
+        """Stretch right of left_v by delta, exact in g's units; fail,
+        leaving the drawing as it was, when the cut does not separate
+        right_v or the moved drawing would stop being simple."""
         if delta <= 0:
-            delta = F(1)
+            delta = self.g.unit
         try:
             left = stretch_cut(self.g, left_v)
         except OneBendError:
             return False
         return right_v not in left and self._apply_stretch(left, delta)
 
-    def _apply_stretch(self, left: Set[str], delta: Fraction) -> bool:
-        """Stretch by delta the part outside `left`; undo it and fail when
-        _check_stretch rejects the result."""
+    def _apply_stretch(self, left: Set[str], delta: Coord) -> bool:
+        """Stretch by delta the part outside `left`; undo it, and the
+        stretch's rescale, and fail when _check_stretch rejects the result.
+        A failed stretch so leaves every stored int as it was."""
         g = self.g
-        replaced = stretch(g, left, delta)
+        unit = g.unit
+        amount, replaced = stretch(g, left, delta)
         if _check_stretch(g, left):
-            _translate(g, left, -delta)
+            _translate(g, left, -amount)
             for e, rec in replaced.items():
                 g.redraw(e, rec.pts, rec)
+            g.set_unit(unit)
             return False
         return True
 
@@ -905,6 +993,7 @@ class OneBendDrawer:
             return False
         if m == 0:
             return True
+        shift = _RATE_SHIFT * g.unit
         for cut_anchor, must_move in ((pl.anchor, pm.anchor), (pm.anchor, pr.anchor)):
             try:
                 left = stretch_cut(g, cut_anchor)
@@ -913,13 +1002,13 @@ class OneBendDrawer:
             if must_move in left:
                 continue
             shifted = {
-                w: g.pos[w] if w in left else Point(g.pos[w].x + _RATE_SHIFT, g.pos[w].y)
+                w: g.pos[w] if w in left else Point(g.pos[w].x + shift, g.pos[w].y)
                 for w in (pl.anchor, pr.anchor, pm.anchor)
             }
             m2 = _middle_mismatch(shifted, pl, pr, pm)
             if m2 is None:
                 continue
-            rate = (m2 - m) / _RATE_SHIFT
+            rate = Fraction(m2 - m, shift)
             if rate == 0:
                 continue
             delta = -m / rate
@@ -935,11 +1024,11 @@ class OneBendDrawer:
         e, seg = blocker
         a, b = g.plane.edges[e]
         contour_pos = {v: i for i, v in enumerate(g.contour)}
-        mid_x = (seg.a.x + seg.b.x) / 2
-        if mid_x <= apex.x:
+        mid_x2 = seg.a.x + seg.b.x  # twice the blocker's middle x
+        if mid_x2 <= 2 * apex.x:
             # Blocker under the left ray: push it (and the right part) right.
             amount = _clear_amount(g, pl, seg)
-            return self._stretch_between(pl.anchor, a if g.pos[a].x >= mid_x else b, amount)
+            return self._stretch_between(pl.anchor, a if 2 * g.pos[a].x >= mid_x2 else b, amount)
         # Blocker under the right ray: move the right anchor away while the
         # blocker's whole cluster stays, so cut at its rightmost contour
         # vertex rather than dragging it along.
@@ -957,7 +1046,7 @@ class OneBendDrawer:
 
     # -- committing a placement ------------------------------------------------
 
-    def _connection_polylines(self, v, apex: Point, plans: List[Plan]) -> Dict[str, List[Point]]:
+    def _connection_polylines(self, apex: Point, plans: List[Plan]) -> Dict[str, List[Point]]:
         g = self.g
         out = {}
         for plan in plans:
@@ -969,14 +1058,17 @@ class OneBendDrawer:
                 out[plan.edge] = [a, apex]
         return out
 
-    def _commit(self, v, apex: Point, polys, u_l: str, u_r: str) -> None:
+    def _commit(self, v, apex: Point, plans: List[Plan]) -> None:
+        """Place v at apex, exact in g's units, and draw its connections
+        along plans, the left one first and the right one second."""
         g = self.g
+        apex = g.on_grid([apex])[0]
         g.pos[v] = apex
         g.placed.add(v)
-        for e, pts in polys.items():
-            g.polylines[e] = pts
-        li = g.contour.index(u_l)
-        ri = g.contour.index(u_r)
+        for e, pts in self._connection_polylines(apex, plans).items():
+            g.draw(e, pts)
+        li = g.contour.index(plans[0].anchor)
+        ri = g.contour.index(plans[1].anchor)
         g.contour = g.contour[: li + 1] + [v] + g.contour[ri:]
 
     # -- chains -----------------------------------------------------------------
@@ -1009,7 +1101,8 @@ class OneBendDrawer:
         return g.edge_bend_count(plan.edge) == 0
 
     def _chain_baseline(self, pl: Plan, pr: Plan) -> Optional[Fraction]:
-        """A height where both port rays are live and the span is positive.
+        """A height where both port rays are live and the span is positive,
+        exact in g's units.
 
         span(Y) is linear, so the feasible interval is computed directly;
         None when it is empty at the current geometry.
@@ -1018,17 +1111,18 @@ class OneBendDrawer:
         a, b = g.pos[pl.anchor], g.pos[pr.anchor]
         dxl, dxr = DIRS[pl.port][0], DIRS[pr.port][0]
         y_min = max(a.y, b.y)
-        slope = F(dxr - dxl)
+        half = Fraction(g.unit, 2)
+        slope = Fraction(dxr - dxl)
         c0 = (b.x - dxr * b.y) - (a.x - dxl * a.y)
         # span(Y) = c0 + slope * Y must be positive with Y > y_min.
         if slope == 0:
-            return y_min + F(1, 2) if c0 > 0 else None
+            return y_min + half if c0 > 0 else None
         root = -c0 / slope
         if slope > 0:
-            return max(y_min, root) + F(1, 2)
+            return max(y_min, root) + half
         if root <= y_min:
             return None
-        return y_min + min(F(1, 2), (root - y_min) / 2)
+        return y_min + min(half, (root - y_min) / 2)
 
     def _try_place_chain(self, members: List[str], pl: Plan, pr: Plan) -> bool:
         g = self.g
@@ -1037,27 +1131,9 @@ class OneBendDrawer:
         elbow_r = self._chain_elbow_ok(pr, members[-1])
         last_sig = None
         spread_tried = False
-        for _ in range(MAX_REPAIRS):
-            y_b = self._chain_baseline(pl, pr)
-            if y_b is None:
-                try:
-                    need = _needed_gap(g, pl, pr, extra=F(l + 1)) + 1
-                except OneBendError:
-                    need = F(l + 2)
-                if not self._stretch_between(pl.anchor, pr.anchor, need):
-                    return False
-                continue
-            q1 = _ray_point_at_height(g.pos[pl.anchor], pl.port, y_b)
-            q2 = _ray_point_at_height(g.pos[pr.anchor], pr.port, y_b)
-            span = q2.x - q1.x
-            if not spread_tried and span < 1:
-                spread_tried = True
-                if self._stretch_between(pl.anchor, pr.anchor, F(l + 2)):
-                    continue
-            x_lo = q1.x + (span / 4 if elbow_l else F(0))
-            x_hi = q2.x - (span / 4 if elbow_r else F(0))
-            step = (x_hi - x_lo) / (l - 1) if l > 1 else F(0)
-            positions = [Point(x_lo + step * k, y_b) for k in range(l)]
+        true = g.unscaled
+
+        def polylines(q1: Point, q2: Point, positions: List[Point]) -> Dict[str, List[Point]]:
             polys: Dict[str, List[Point]] = {}
             if elbow_l:
                 polys[pl.edge] = [g.pos[pl.anchor], q1, positions[0]]
@@ -1070,23 +1146,49 @@ class OneBendDrawer:
             for k in range(l - 1):
                 e = _edge_between(self.plane, members[k], members[k + 1])
                 polys[e] = [positions[k], positions[k + 1]]
+            return polys
+
+        for _ in range(MAX_REPAIRS):
+            y_b = self._chain_baseline(pl, pr)
+            if y_b is None:
+                try:
+                    need = _needed_gap(g, pl, pr, extra=l + 1) + g.unit
+                except OneBendError:
+                    need = (l + 2) * g.unit
+                if not self._stretch_between(pl.anchor, pr.anchor, need):
+                    return False
+                continue
+            q1 = _ray_point_at_height(g.pos[pl.anchor], pl.port, y_b)
+            q2 = _ray_point_at_height(g.pos[pr.anchor], pr.port, y_b)
+            span = q2.x - q1.x
+            if not spread_tried and span < g.unit:
+                spread_tried = True
+                if self._stretch_between(pl.anchor, pr.anchor, (l + 2) * g.unit):
+                    continue
+            x_lo = q1.x + (span / 4 if elbow_l else 0)
+            x_hi = q2.x - (span / 4 if elbow_r else 0)
+            step = (x_hi - x_lo) / (l - 1) if l > 1 else 0
+            positions = [Point(x_lo + step * k, y_b) for k in range(l)]
+            polys = polylines(q1, q2, positions)
             segs = [Segment(p[i], p[i + 1]) for p in polys.values() for i in range(len(p) - 1)]
             allowed = {g.pos[pl.anchor], g.pos[pr.anchor]}
             blockers = _blockers(g, segs, allowed)
             if blockers:
                 mid = Point((q1.x + q2.x) / 2, y_b)
-                sig = (blockers[0][1].a, blockers[0][1].b, mid)
+                block = blockers[0][1]
+                sig = (true(block.a), true(block.b), true(mid))
                 if sig == last_sig:
                     return False
                 last_sig = sig
                 if not self._resolve_blocker(pl, pr, blockers[0], mid):
                     return False
                 continue
+            q1, q2, *positions = g.on_grid([q1, q2] + positions)
             for k, z in enumerate(members):
                 g.pos[z] = positions[k]
                 g.placed.add(z)
-            for e, pts in polys.items():
-                g.polylines[e] = pts
+            for e, pts in polylines(q1, q2, positions).items():
+                g.draw(e, pts)
             li = g.contour.index(pl.anchor)
             ri = g.contour.index(pr.anchor)
             g.contour = g.contour[: li + 1] + members + g.contour[ri:]
@@ -1114,7 +1216,7 @@ class OneBendDrawer:
         g = self.g
         self.steps += 1
         if self.trace is not None:
-            self.trace.append({e: list(p) for e, p in g.polylines.items()})
+            self.trace.append({e: list(map(g.unscaled, p)) for e, p in g.polylines.items()})
         drawn = set(g.polylines)
         problems = check_gamma(g) if full else check_step(g, drawn - self._checked)
         self._checked = drawn
@@ -1122,18 +1224,18 @@ class OneBendDrawer:
             raise OneBendError(f"invariants broken after {label}: {problems[:4]}")
 
 
-def _clear_amount(g: Gamma, plan: Plan, seg: Segment) -> Fraction:
+def _clear_amount(g: Gamma, plan: Plan, seg: Segment) -> int:
     """Horizontal separation needed for the plan's ray to clear a segment."""
     a = g.pos[plan.anchor]
     dx = DIRS[plan.port][0]
     top = max(seg.a.y, seg.b.y)
     if dx == 1:
         sx = min(seg.a.x, seg.b.x)
-        return (top - a.y) - (sx - a.x) + 1
+        return (top - a.y) - (sx - a.x) + g.unit
     if dx == -1:
         sx = max(seg.a.x, seg.b.x)
-        return (top - a.y) - (a.x - sx) + 1
-    return F(2)
+        return (top - a.y) - (a.x - sx) + g.unit
+    return 2 * g.unit
 
 
 # ---------------------------------------------------------------------------
@@ -1310,13 +1412,13 @@ def _check_p3(g: Gamma) -> List[str]:
         if q == low:
             continue
         if q.y <= low.y:
-            out.append(f"P3: {q} not above the base low point")
+            out.append(f"P3: {g.unscaled(q)} not above the base low point")
             break
     for q in all_points:
         if q in (p1, p2, low):
             continue
         if q.y - p1.y == -(q.x - p1.x) or q.y - p2.y == q.x - p2.x:
-            out.append(f"P3: {q} lies on a base support line")
+            out.append(f"P3: {g.unscaled(q)} lies on a base support line")
             break
     return out
 
@@ -1547,10 +1649,8 @@ def _improper(g: Gamma, e1: str, e2: str, res: Intersection) -> bool:
 
 
 def _coincident(g: Gamma) -> bool:
-    """Whether two placed vertices share a position.  Fractions are kept in
-    lowest terms, so their integer parts compare as they do."""
-    at = {(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
-          for p in map(g.pos.__getitem__, g.placed)}
+    """Whether two placed vertices share a position."""
+    at = {(p.x, p.y) for p in map(g.pos.__getitem__, g.placed)}
     return len(at) < len(g.placed)
 
 
@@ -1566,14 +1666,12 @@ def _improper_pairs(
         if _improper(g, e1, e2, res):
             out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")
             return out
-    # Fractions are kept in lowest terms, so their integer parts compare as
-    # they do, and hash without Fraction.__hash__.
-    seen_pos: Dict[Tuple[int, int, int, int], str] = {}
+    seen_pos: Dict[Tuple[int, int], str] = {}
     for v in sorted(g.placed):
         p = g.pos[v]
-        at = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+        at = (p.x, p.y)
         if at in seen_pos:
-            out.append(f"simple: vertices {seen_pos[at]} and {v} coincide at {p}")
+            out.append(f"simple: vertices {seen_pos[at]} and {v} coincide at {g.unscaled(p)}")
             break
         seen_pos[at] = v
     return out
@@ -1610,6 +1708,7 @@ def _finalize(norm: EmbeddedGraph, plane: PlaneGraph, gamma: Gamma) -> PolylineD
     """The drawing of gamma over plane, which is norm's valid plane with
     perhaps another outer face: the same edges, so norm's original edges."""
     target = EmbeddedGraph(plane=plane, original=norm.original)
+    true = gamma.unscaled
     polylines: Dict[str, List[Point]] = {}
     for orig, (a, b) in sorted(target.edges.items()):
         pts = gamma._joined_original(orig)
@@ -1617,6 +1716,6 @@ def _finalize(norm: EmbeddedGraph, plane: PlaneGraph, gamma: Gamma) -> PolylineD
             raise OneBendError(f"edge {orig} never drawn")
         if pts[0] != gamma.pos[a]:
             pts.reverse()
-        polylines[orig] = strip_collinear(pts)
-    positions = {v: gamma.pos[v] for v in target.vertices}
+        polylines[orig] = [true(p) for p in strip_collinear(pts)]
+    positions = {v: true(gamma.pos[v]) for v in target.vertices}
     return PolylineDrawing(graph=target, positions=positions, polylines=polylines)

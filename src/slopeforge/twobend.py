@@ -17,17 +17,14 @@ every coordinate is an integer below the number of points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from . import graphutil
 from .drawing import PolylineDrawing
-from .geometry import IntersectKind, Point, Segment, segment_hits, strip_collinear
+from .geometry import IntersectKind, Point, Segment, quotient, segment_hits, strip_collinear
 from .model import Dart, EmbeddedGraph, EmbeddingError, PlaneGraph
 from .ordering import StOrdering, st_order
 from .reembed import normalize_embedding
-
-F = Fraction
 
 OUT_PORTS = {1: ["N"], 2: ["N", "E"], 3: ["N", "E", "W"]}
 IN_PORTS = {1: ["S"], 2: ["S", "W"], 3: ["S", "W", "E"]}
@@ -247,8 +244,14 @@ def draw_liu(plane: PlaneGraph, s: str, t: str) -> OrthoDrawing:
     rank = st.sigma
 
     pos: Dict[str, Point] = {}
-    pending: List[Tuple[str, Fraction, List[Point]]] = []  # (edge, col, prefix)
+    pending: List[Tuple[str, int, List[Point]]] = []  # (edge, col, prefix)
     edges_out: Dict[str, OrthoEdge] = {}
+    # Columns are ints.  The first vertex sits at 0, and each new column
+    # lies halfway to its neighbour on the frontier, or to `spacing` beyond
+    # the frontier's end.  Divided by spacing / 2, the columns placed by the
+    # k-th vertex have denominators dividing 2 ** k, so with len(order)
+    # vertices every halving is exact.
+    spacing = 2 ** (len(order) + 1)
 
     for v in order:
         y = rank[v]
@@ -256,7 +259,7 @@ def draw_liu(plane: PlaneGraph, s: str, t: str) -> OrthoDrawing:
         in_edges = [e for e, p in rot_ports.items() if p in ("S", "W", "E") and _edge_dir(plane, st, e)[1] == v]
         out_edges = [e for e, p in rot_ports.items() if _edge_dir(plane, st, e)[0] == v]
         if v == order[0]:
-            x = F(0)  # a Fraction, so that the column midpoints stay exact
+            x = 0
             pos[v] = Point(x, y)
         else:
             idxs = sorted(i for i, (e, _, _) in enumerate(pending) if e in in_edges)
@@ -284,19 +287,19 @@ def draw_liu(plane: PlaneGraph, s: str, t: str) -> OrthoDrawing:
         if v == order[0]:
             insert_at = 0
         # New stubs in frontier order W, N, E.
-        left_bound = pending[insert_at - 1][1] if insert_at > 0 else x - 2
-        right_bound = pending[insert_at][1] if insert_at < len(pending) else x + 2
-        new_stubs: List[Tuple[str, Fraction, List[Point]]] = []
+        left_bound = pending[insert_at - 1][1] if insert_at > 0 else x - spacing
+        right_bound = pending[insert_at][1] if insert_at < len(pending) else x + spacing
+        new_stubs: List[Tuple[str, int, List[Point]]] = []
         out_by_port = {rot_ports[e]: e for e in out_edges}
         if "W" in out_by_port:
-            col = (left_bound + x) / 2
+            col = (left_bound + x) // 2
             e = out_by_port["W"]
             new_stubs.append((e, col, [Point(x, y), Point(col, y)]))
         if "N" in out_by_port:
             e = out_by_port["N"]
             new_stubs.append((e, x, [Point(x, y)]))
         if "E" in out_by_port:
-            col = (x + right_bound) / 2
+            col = (x + right_bound) // 2
             e = out_by_port["E"]
             new_stubs.append((e, col, [Point(x, y), Point(col, y)]))
         pending[insert_at:insert_at] = new_stubs
@@ -445,7 +448,7 @@ def stretch_curve(d: OrthoDrawing, x_low: int, x_high: int, y: int, delta: int) 
         raise ValueError("stretch amount must be positive")
     if not all(isinstance(c, int) for c in (x_low, x_high, y)):
         raise TwoBendError("stretch cut must run between integer columns and rows")
-    jog = y + F(1, 2)
+    jog = quotient(2 * y + 1, 2)
 
     def moved(p: Point) -> Point:
         if (p.x >= x_low) if p.y < jog else (p.x > x_high):
@@ -560,7 +563,7 @@ def _eliminate_into_dummy(d: OrthoDrawing, eid: str) -> None:
     e.out_port = "N"
     if blocker is None:
         return
-    rest = [p for p in be.points if p.y > yu + F(1, 2)]
+    rest = [p for p in be.points if 2 * p.y > 2 * yu + 1]  # above the jog
     if not rest or rest[0].x != xu:
         raise TwoBendError(f"blocker {blocker} lost its riser during the stretch")
     be.points = strip_collinear([Point(rc, yu), Point(xu, yu)] + rest)

@@ -24,6 +24,11 @@ segments rebuilt from the polylines, and ports read off the coordinates,
 where onebend reads the shapes its edge records carry.  The tests require
 onebend.check_step to report the same problems at every step.
 
+stretch_by_fractions is the 1-bend stretch on true Fraction coordinates,
+read off the polylines.  The tests require onebend.stretch, which works on
+ints over one drawing-wide unit and rescales them when an amount or the
+base edge's low point falls off that grid, to give the same points.
+
 canonical_order_by_retracing is the canonical ordering by trial: each
 candidate is removed from private copies of the adjacency and rotations,
 the whole contour is retraced, and a snapshot is restored when the
@@ -554,6 +559,42 @@ def first_rightward_horizontal(pts: List[Point]) -> Optional[int]:
     return None
 
 
+def stretch_by_fractions(
+    plane: PlaneGraph, v1: str, v2: str, pos: Dict[str, Point],
+    polylines: Dict[str, List[Point]], left: Set[str], delta: Fraction,
+) -> Tuple[Dict[str, Point], Dict[str, List[Point]]]:
+    """pos and polylines, in Fractions, after moving every vertex outside
+    `left` right by delta: an edge with no end in `left` moves whole, an
+    edge with one end in it lengthens its first rightward horizontal from
+    that end and is drawn from it, and the base edge dips from v1 and v2 to
+    where their SE and SW rays meet."""
+    base = onebend._edge_between(plane, v1, v2)
+
+    def moved(p: Point) -> Point:
+        return Point(p.x + delta, p.y)
+
+    new_pos = {v: p if v in left else moved(p) for v, p in pos.items()}
+    new_lines = {}
+    for e, pts in polylines.items():
+        a, b = plane.edges[e]
+        if e == base:
+            continue
+        if a in left and b in left:
+            new_lines[e] = list(pts)
+        elif a not in left and b not in left:
+            new_lines[e] = [moved(p) for p in pts]
+        else:
+            stay = pos[a if a in left else b]
+            line = list(pts) if pts[0] == stay else pts[::-1]
+            k = first_rightward_horizontal(line)
+            line = line[: k + 1] + [moved(p) for p in line[k + 1 :]]
+            new_lines[e] = line
+    p1, p2 = new_pos[v1], new_pos[v2]
+    t = Fraction(p2.x - p2.y - p1.x + p1.y, 2)
+    new_lines[base] = [p1, Point(p1.x + t, p1.y - t), p2]
+    return new_pos, new_lines
+
+
 def check_gamma_by_points(g: onebend.Gamma) -> List[str]:
     """onebend.check_gamma with P1 to P4 on rebuilt segments."""
     return (
@@ -611,11 +652,11 @@ def _p3_by_points(g: onebend.Gamma) -> List[str]:
     all_points = onebend._all_drawing_points(g)
     for q in all_points:
         if q != low and q.y <= low.y:
-            out.append(f"P3: {q} not above the base low point")
+            out.append(f"P3: {g.unscaled(q)} not above the base low point")
             break
     for q in all_points:
         if q not in (p1, p2, low) and (q.y - p1.y == -(q.x - p1.x) or q.y - p2.y == q.x - p2.x):
-            out.append(f"P3: {q} lies on a base support line")
+            out.append(f"P3: {g.unscaled(q)} lies on a base support line")
             break
     return out
 

@@ -309,7 +309,6 @@ class TestInsertions:
         1-bend drawer's geometry checks must raise all the same."""
         script = textwrap.dedent("""
             import pytest
-            from fractions import Fraction
             from slopeforge import families, onebend
             from slopeforge.geometry import Point
             from slopeforge.model import EmbeddingError
@@ -318,10 +317,10 @@ class TestInsertions:
             with pytest.raises(EmbeddingError, match="corpus graph not 3-connected"):
                 families.gen_corpus(seed=1000, n_target=60, profile="cubic3con")
             with pytest.raises(onebend.OneBendError, match="not an upward port"):
-                onebend._ray_point_at_height(Point(Fraction(0), Fraction(0)), "E", Fraction(1))
+                onebend._ray_point_at_height(Point(0, 0), "E", 1)
             plane = families.gen_k4_embedded().plane
             gamma = onebend.Gamma(plane=plane, v1=plane.vertices[0], v2=plane.vertices[1])
-            gamma.pos = {v: Point(Fraction(0), Fraction(0)) for v in plane.vertices}
+            gamma.pos = {v: Point(0, 0) for v in plane.vertices}
             onebend.line_intersection = lambda *args: None
             with pytest.raises(onebend.OneBendError, match="base support lines"):
                 onebend._redraw_base(gamma)

@@ -413,25 +413,27 @@ class TestIntegerKernel:
 
 class TestPrepareShifted:
     def test_equals_prepare_on_the_moved_segment(self):
-        """Shifting a prepared segment by dx gives what prepare builds on the
-        moved coordinates, also when dx cancels a denominator of the x's or
-        brings in a new one."""
+        """Shifting a prepared int segment by an int dx gives what prepare
+        builds on the moved coordinates at the same unit, whose box holds
+        the true values: coordinates over the unit, which may not divide
+        them, so that the box corners fall inside grid cells too."""
         rng = random.Random(33)
-        reduced = grown = 0
+        off_grid = 0
         for _ in range(2000):
-            d, e = rng.choice(_DENOMINATORS), rng.choice((1, 2, 3))
-            a, b = (P(Fraction(rng.randint(-8 * d, 8 * d), d), Fraction(rng.randint(-8 * e, 8 * e), e))
+            unit = rng.choice(_DENOMINATORS)
+            a, b = (Point(rng.randint(-8 * unit, 8 * unit), rng.randint(-8 * unit, 8 * unit))
                     for _ in range(2))
             if a == b:
                 continue
             s = Segment(a, b)
-            dx = Fraction(rng.randint(-8 * d, 8 * d), rng.choice((1, d, rng.choice(_DENOMINATORS))))
-            moved = Segment(P(s.a.x + dx, s.a.y), P(s.b.x + dx, s.b.y))
-            shifted = prepare_shifted(prepare(s), moved, dx)
-            assert shifted == prepare(moved)
-            reduced += shifted[1][0] < _ints(s)[0]
-            grown += shifted[1][0] > _ints(s)[0]
-        assert reduced >= 30 and grown >= 300
+            dx = rng.randint(-8 * unit, 8 * unit)
+            moved = Segment(Point(s.a.x + dx, s.a.y), Point(s.b.x + dx, s.b.y))
+            shifted = prepare_shifted(prepare(s, unit), moved, dx, unit)
+            assert shifted == prepare(moved, unit)
+            assert shifted[2] == prepare(Segment(*(P(Fraction(p.x, unit), Fraction(p.y, unit))
+                                                  for p in (moved.a, moved.b))))[2]
+            off_grid += any((c << 16) % unit for p in (moved.a, moved.b) for c in (p.x, p.y))
+        assert off_grid >= 1000
 
     def test_octant_of_a_prepared_segment(self):
         for dx in range(-3, 4):

@@ -172,30 +172,18 @@ DIVISIONS = {
         "det is a Fraction: the source triangle _REF_TRIANGLE has Fraction corners",
     ("families.py", "mapper", "(ax * py - ay * px) / det"):
         "det is a Fraction: the source triangle _REF_TRIANGLE has Fraction corners",
-    ("onebend.py", "_needed_gap", "(gap + (b.y - a.y)) / 2"):
-        "1-bend coordinates are Fractions: placed from F(...) and moved by Fractions",
-    ("onebend.py", "_needed_gap", "(gap + (a.y - b.y)) / 2"):
-        "1-bend coordinates are Fractions: placed from F(...) and moved by Fractions",
-    ("onebend.py", "_align_middle", "(m2 - m) / _RATE_SHIFT"):
-        "_RATE_SHIFT is F(4)",
     ("onebend.py", "_align_middle", "-m / rate"):
-        "rate is a Fraction, a quotient by _RATE_SHIFT",
-    ("onebend.py", "_resolve_blocker", "(seg.a.x + seg.b.x) / 2"):
-        "1-bend coordinates are Fractions: placed from F(...) and moved by Fractions",
+        "rate is Fraction(m2 - m, shift)",
     ("onebend.py", "_chain_baseline", "-c0 / slope"):
-        "slope is F(dxr - dxl)",
+        "slope is Fraction(dxr - dxl)",
     ("onebend.py", "_chain_baseline", "(root - y_min) / 2"):
         "root is a Fraction, a quotient by slope",
     ("onebend.py", "_try_place_chain", "span / 4"):
-        "1-bend coordinates are Fractions: placed from F(...) and moved by Fractions",
+        "span is a Fraction: the baseline y_b adds Fraction(g.unit, 2) or half of a Fraction",
     ("onebend.py", "_try_place_chain", "(x_hi - x_lo) / (l - 1)"):
-        "1-bend coordinates are Fractions: placed from F(...) and moved by Fractions",
+        "x_lo is a Fraction: q1 sits on the Fraction baseline y_b",
     ("onebend.py", "_try_place_chain", "(q1.x + q2.x) / 2"):
-        "1-bend coordinates are Fractions: placed from F(...) and moved by Fractions",
-    ("twobend.py", "draw_liu", "(left_bound + x) / 2"):
-        "the columns start at F(0) and stay Fractions until _rank_points ranks them",
-    ("twobend.py", "draw_liu", "(x + right_bound) / 2"):
-        "the columns start at F(0) and stay Fractions until _rank_points ranks them",
+        "q1.x is a Fraction: q1 sits on the Fraction baseline y_b",
 }
 
 

@@ -13,7 +13,9 @@ from slopeforge.families import (
     gen_k4_embedded,
     gen_prism,
 )
-from slopeforge.geometry import IntersectKind, Point, Segment, SlopeKind, prepare, sweep_hits
+from slopeforge.geometry import (
+    IntersectKind, Point, Segment, SlopeKind, prepare, strip_collinear, sweep_hits,
+)
 from slopeforge.model import EmbeddedGraph, PlaneGraph, find_real_real_face
 from slopeforge.onebend import (
     CheckRecord,
@@ -44,6 +46,7 @@ from oracles import (
     horizontal_edges_by_points,
     port_dirs_by_points,
     shape_by_points,
+    stretch_by_fractions,
 )
 
 F = Fraction
@@ -117,6 +120,22 @@ def stretch_cut_by_rebuild(g, left_anchor):
     return left
 
 
+def hand_built(plane, pos, polylines, unit=1, **rest):
+    """A Gamma over `unit` drawn by hand: pos maps each vertex, and
+    polylines each edge, to points given as (x, y) pairs of true
+    coordinates, each a multiple of 1 / unit."""
+
+    def at(xy):
+        x, y = (Fraction(c) * unit for c in xy)
+        assert x.denominator == y.denominator == 1
+        return Point(x.numerator, y.numerator)
+
+    return Gamma(plane=plane, v1="v1", v2="v2", unit=unit,
+                 pos={v: at(xy) for v, xy in pos.items()},
+                 polylines={e: [at(xy) for xy in pts] for e, pts in polylines.items()},
+                 placed=set(pos), **rest)
+
+
 def rebuilt_segments(g):
     """Every drawn segment, built afresh, with its edge, in drawing order."""
     return [
@@ -131,7 +150,7 @@ def blockers_by_sweep(g, new_segments, allowed_points):
     segs = [s for _, s in drawn] + new_segments
     groups = [0] * len(drawn) + [1] * len(new_segments)
     blocked = set()
-    for i, j, res in sweep_hits([prepare(s) for s in segs], groups):
+    for i, j, res in sweep_hits([prepare(s, g.unit) for s in segs], groups):
         if res.point is None or res.point not in allowed_points:
             blocked.add(min(i, j))
     return [drawn[k] for k in sorted(blocked)]
@@ -143,7 +162,7 @@ def step_simple_by_sweep(g, new):
     ones; then vertex coincidence."""
     segs = rebuilt_segments(g)
     groups = [None if e in new else 0 for e, _ in segs]
-    for i, j, res in sweep_hits([prepare(s) for _, s in segs], groups):
+    for i, j, res in sweep_hits([prepare(s, g.unit) for _, s in segs], groups):
         e1, e2 = segs[i][0], segs[j][0]
         if res.kind is IntersectKind.SHARED_ENDPOINT:
             if e1 == e2:
@@ -155,7 +174,7 @@ def step_simple_by_sweep(g, new):
     seen = {}
     for v in sorted(g.placed):
         if g.pos[v] in seen:
-            return [f"simple: vertices {seen[g.pos[v]]} and {v} coincide at {g.pos[v]}"]
+            return [f"simple: vertices {seen[g.pos[v]]} and {v} coincide at {g.unscaled(g.pos[v])}"]
         seen[g.pos[v]] = v
     return []
 
@@ -165,7 +184,7 @@ def assert_index_is_fresh(g):
     segments, each edge's shape and first vertex, the ports at every placed
     vertex and the horizontal-bearing edges."""
     drawn = rebuilt_segments(g)
-    assert g.indexed() == ([e for e, _ in drawn], [prepare(s) for _, s in drawn])
+    assert g.indexed() == ([e for e, _ in drawn], [prepare(s, g.unit) for _, s in drawn])
     for e, pts in g.polylines.items():
         rec = g.record(e)
         assert rec.shape == shape_by_points(pts), e
@@ -204,10 +223,11 @@ class TestStretch:
         for i in range(2, len(drawer.delta.sets) - 1):
             drawer._add_set(drawer.delta.sets[i])
         g = drawer.g
-        before = dict(g.pos)
+        before = {v: g.unscaled(p) for v, p in g.pos.items()}
         anchor = g.contour[1]
-        stretch(g, stretch_cut(g, anchor), F(3))
+        stretch(g, stretch_cut(g, anchor), 3 * g.unit)
         for v, p in g.pos.items():
+            p = g.unscaled(p)
             assert p.x >= before[v].x, "stretching moved a point leftward"
             assert p.y == before[v].y or v in (g.v1, g.v2)
 
@@ -217,7 +237,7 @@ class TestStretch:
         for i in range(2, len(drawer.delta.sets) - 1):
             drawer._add_set(drawer.delta.sets[i])
         g = drawer.g
-        stretch(g, stretch_cut(g, g.contour[1]), F(5))
+        stretch(g, stretch_cut(g, g.contour[1]), 5 * g.unit)
         assert check_gamma(g) == []
 
 
@@ -227,9 +247,9 @@ class TestStretchCheck:
         real_stretch = onebend.stretch
 
         def checked_stretch(g, left, delta):
-            replaced = real_stretch(g, left, delta)
+            done = real_stretch(g, left, delta)
             seen.append((bool(_check_stretch(g, left)), bool(_check_simple(g))))
-            return replaced
+            return done
 
         monkeypatch.setattr(onebend, "stretch", checked_stretch)
         graphs = [gen_fig_like()]
@@ -243,29 +263,98 @@ class TestStretchCheck:
     @staticmethod
     def _stretched_gamma(shift):
         """Base v1-v2, a stationary edge s with a horizontal at y=4, and an
-        edge t that a stretch translated by `shift` along that line."""
-        g = Gamma(plane=_base_s_t_plane(), v1="v1", v2="v2")
-        g.pos = {
-            "v1": Point(F(0), F(0)), "v2": Point(F(10) + shift, F(0)), "a": Point(F(4), F(4)),
-            "c": Point(F(-4) + shift, F(4)), "b": Point(F(-2) + shift, F(4)),
+        edge t that a stretch translated by `shift` along that line; over
+        the unit 2, which holds the base edge's low point."""
+        pos = {"v1": (0, 0), "v2": (10 + shift, 0), "a": (4, 4), "c": (-4 + shift, 4), "b": (-2 + shift, 4)}
+        low = F(10 + shift, 2)
+        polylines = {
+            "base": [pos["v1"], (low, -low), pos["v2"]],
+            "s": [pos["v1"], (0, 4), pos["a"]],
+            "t": [pos["c"], pos["b"]],
         }
-        low = (F(10) + shift) / 2
-        g.polylines = {
-            "base": [g.pos["v1"], Point(low, -low), g.pos["v2"]],
-            "s": [g.pos["v1"], Point(F(0), F(4)), g.pos["a"]],
-            "t": [g.pos["c"], g.pos["b"]],
-        }
-        g.placed = set(g.pos)
-        return g, {"v1", "a"}
+        return hand_built(_base_s_t_plane(), pos, polylines, unit=2), {"v1", "a"}
 
     def test_rejects_translated_segment_pushed_onto_stationary(self):
-        before, _ = self._stretched_gamma(F(0))
+        before, _ = self._stretched_gamma(0)
         assert _check_simple(before) == []
-        after, left = self._stretched_gamma(F(5))
+        after, left = self._stretched_gamma(5)
         assert _check_stretch(after, left)
         assert _check_simple(after)
-        clear, left = self._stretched_gamma(F(1))
+        clear, left = self._stretched_gamma(1)
         assert _check_stretch(clear, left) == [] == _check_simple(clear)
+
+
+class TestRescale:
+    @staticmethod
+    def _drawing():
+        """The contour v1, c, v2 over a base edge, with cv split by a cut
+        after c and absorbing along its horizontal, and mb moving whole."""
+        edges = {"base": ("v1", "v2"), "vc": ("v1", "c"), "cv": ("c", "v2"), "mb": ("m", "b")}
+        rotation = {"v1": ["vc", "base"], "c": ["cv", "vc"], "v2": ["base", "cv"],
+                    "b": ["mb"], "m": ["mb"]}
+        plane = PlaneGraph(vertices=sorted(rotation), real=set(rotation), edges=edges,
+                           rotation=rotation, fragment_of={})
+        return hand_built(
+            plane,
+            {"v1": (0, 0), "v2": (20, 0), "c": (10, 10), "b": (5, 5), "m": (15, 17)},
+            {
+                "base": [(0, 0), (10, -10), (20, 0)],
+                "vc": [(0, 0), (10, 10)],
+                "cv": [(20, 0), (30, 10), (10, 10)],
+                "mb": [(5, 5), (3, 5), (15, 17)],
+            },
+            contour=["v1", "c", "v2"],
+        )
+
+    def test_stretches_off_the_grid_match_the_fraction_reference(self):
+        """Stretched by 1/3, then 1/2, then 2/7, the int drawing rescales
+        and keeps the points, shapes and boxes that Fraction coordinates
+        give; every record is current and every coordinate an int."""
+        g = self._drawing()
+        pos = {v: g.unscaled(p) for v, p in g.pos.items()}
+        lines = {e: [g.unscaled(p) for p in pts] for e, pts in g.polylines.items()}
+        units = []
+        for amount in (F(1, 3), F(1, 2), F(2, 7)):
+            left = stretch_cut(g, "v1")
+            assert left == {"v1", "c"}
+            pos, lines = stretch_by_fractions(g.plane, "v1", "v2", pos, lines, left, amount)
+            moved, _ = stretch(g, left, amount * g.unit)
+            units.append(g.unit)
+            assert moved == amount * g.unit
+            assert {v: g.unscaled(p) for v, p in g.pos.items()} == pos
+            assert {e: [g.unscaled(p) for p in pts] for e, pts in g.polylines.items()} == lines
+            for e, pts in lines.items():
+                rec = g.record(e)
+                assert rec.shape == shape_by_points(pts), e
+                assert [s[2] for s in rec.segs] == [prepare(Segment(p, q))[2] for p, q in zip(pts, pts[1:])]
+            assert_index_is_fresh(g)
+            assert all(type(c) is int for p in g.pos.values() for c in (p.x, p.y))
+        # The low point lies half of v2's x right of v1: 1/3 and then the low
+        # point's 1/2 (v2 at 20 + 1/3), the low point's 1/2 again (v2 at
+        # 20 + 5/6), and 2/7.
+        assert units == [6, 12, 84]
+
+    def test_undone_stretch_restores_the_unit(self, monkeypatch):
+        """A stretch that _check_stretch rejects leaves every stored int,
+        and the unit, as they were, though its amount needed a rescale."""
+        drawer = build_drawer(gen_prism())
+        drawer._draw_base(drawer.delta.sets[1])
+        g = drawer.g
+        before = _state(g), g.unit
+        real_stretch = onebend.stretch
+        units = []
+
+        def recorded_stretch(g, left, delta):
+            done = real_stretch(g, left, delta)
+            units.append(g.unit)
+            return done
+
+        monkeypatch.setattr(onebend, "stretch", recorded_stretch)
+        monkeypatch.setattr(onebend, "_check_stretch", lambda g, left: ["rejected"])
+        assert not drawer._stretch_between(g.contour[0], g.v2, F(g.unit, 3))
+        assert units == [3 * before[1]] or units == [6 * before[1]]
+        assert (_state(g), g.unit) == before
+        assert_index_is_fresh(g)
 
 
 def _state(g):
@@ -369,22 +458,22 @@ class TestStretchPlan:
         edge whose only horizontal runs leftward from b.  The first round
         keeps b and moves m; that edge cannot absorb, so it turns rigid, and
         b moves with m."""
-        p = lambda x, y: Point(F(x), F(y))  # noqa: E731
         edges = {"base": ("v1", "v2"), "vc": ("v1", "c"), "cv": ("c", "v2"), "mb": ("m", "b")}
         rotation = {"v1": ["vc", "base"], "c": ["cv", "vc"], "v2": ["base", "cv"],
                     "b": ["mb"], "m": ["mb"]}
         plane = PlaneGraph(vertices=sorted(rotation), real=set(rotation), edges=edges,
                            rotation=rotation, fragment_of={})
-        g = Gamma(plane=plane, v1="v1", v2="v2")
-        g.pos = {"v1": p(0, 0), "v2": p(20, 0), "c": p(10, 10), "b": p(5, 5), "m": p(15, 17)}
-        g.polylines = {
-            "base": [p(0, 0), p(10, -10), p(20, 0)],
-            "vc": [p(0, 0), p(10, 10)],
-            "cv": [p(10, 10), p(30, 10), p(20, 0)],
-            "mb": [p(5, 5), p(3, 5), p(15, 17)],
-        }
-        g.placed = set(g.pos)
-        g.contour = ["v1", "c", "v2"]
+        g = hand_built(
+            plane,
+            {"v1": (0, 0), "v2": (20, 0), "c": (10, 10), "b": (5, 5), "m": (15, 17)},
+            {
+                "base": [(0, 0), (10, -10), (20, 0)],
+                "vc": [(0, 0), (10, 10)],
+                "cv": [(10, 10), (30, 10), (20, 0)],
+                "mb": [(5, 5), (3, 5), (15, 17)],
+            },
+            contour=["v1", "c", "v2"],
+        )
         assert stretch_cut(g, "v1") == {"v1", "c"} == stretch_cut_by_rebuild(g, "v1")
 
     def test_align_amount_matches_a_probe_stretch(self, monkeypatch):
@@ -396,14 +485,16 @@ class TestStretchPlan:
         applied = []
         compared = []
 
-        def probe_amounts(g, pl, pr, pm, probe=F(4)):
+        def probe_amounts(g, pl, pr, pm):
+            """The amounts in g's units; the probe is 4 units long."""
+            probe = 4 * g.unit
             m = _middle_mismatch(g.pos, pl, pr, pm)
             out = {}
             for cut, must_move in ((pl.anchor, pm.anchor), (pm.anchor, pr.anchor)):
                 trial = Gamma(
                     plane=g.plane, v1=g.v1, v2=g.v2, pos=dict(g.pos),
                     polylines={e: list(p) for e, p in g.polylines.items()},
-                    contour=list(g.contour), placed=set(g.placed),
+                    contour=list(g.contour), placed=set(g.placed), unit=g.unit,
                 )
                 try:
                     left = stretch_cut(trial, cut)
@@ -413,8 +504,10 @@ class TestStretchPlan:
                     continue
                 real_stretch(trial, left, probe)
                 m2 = _middle_mismatch(trial.pos, pl, pr, pm)
+                if m2 is not None:
+                    m2 = Fraction(m2 * g.unit, trial.unit)  # back in g's units
                 if m2 is not None and m2 != m:
-                    out[frozenset(left)] = -m / ((m2 - m) / probe)
+                    out[frozenset(left)] = -m / (Fraction(m2 - m) / probe)
             return out
 
         def recorded_stretch(g, left, delta):
@@ -495,7 +588,6 @@ class TestStepCheck:
         `spare_at_c`, c keeps a free edge, so it stays attachable with the
         upper port NE in use.  Returns the drawing and the new edges.
         """
-        p = lambda x, y: Point(F(x), F(y))  # noqa: E731
         edges = {
             "base": ("v1", "v2"), "s": ("v1", "a"), "h": ("a", "b"), "bc": ("b", "c"),
             "ce": ("c", "e"), "ed": ("e", "d"), "dv2": ("d", "v2"), "v1i": ("v1", "i"),
@@ -513,27 +605,29 @@ class TestStepCheck:
             del rotation["yc"], edges["uc"]
         plane = PlaneGraph(vertices=sorted(rotation), real=set(rotation), edges=edges,
                            rotation=rotation, fragment_of={})
-        g = Gamma(plane=plane, v1="v1", v2="v2")
-        g.pos = {"v1": p(0, 0), "v2": p(40, 0), "a": p(2, 10), "b": p(8, 10), "c": p(12, 10),
-                 "e": p(16, 10), "d": p(20, 6), "i": p(4, 4)}
-        g.polylines = {
-            "base": [p(0, 0), p(20, -20), p(40, 0)],
-            "s": [p(0, 0), p(0, 8), p(2, 10)],
-            "h": [p(2, 10), p(8, 10)],
-            "bc": [p(8, 10), p(10, 8), p(12, 10)],
-            "ce": [p(12, 10), p(16, 10)],
-            "ed": [p(16, 10), p(20, 6)],
-            "dv2": [p(20, 6), p(34, 6), p(40, 0)],
-            "v1i": [p(0, 0), p(4, 4)],
-            "id": [p(4, 4), p(11, -3), p(20, 6)],
-        }
-        g.placed = set(g.pos)
-        g.contour = ["v1", "a", "b", "c", "e", "d", "v2"]
+        g = hand_built(
+            plane,
+            {"v1": (0, 0), "v2": (40, 0), "a": (2, 10), "b": (8, 10), "c": (12, 10),
+             "e": (16, 10), "d": (20, 6), "i": (4, 4)},
+            {
+                "base": [(0, 0), (20, -20), (40, 0)],
+                "s": [(0, 0), (0, 8), (2, 10)],
+                "h": [(2, 10), (8, 10)],
+                "bc": [(8, 10), (10, 8), (12, 10)],
+                "ce": [(12, 10), (16, 10)],
+                "ed": [(16, 10), (20, 6)],
+                "dv2": [(20, 6), (34, 6), (40, 0)],
+                "v1i": [(0, 0), (4, 4)],
+                "id": [(4, 4), (11, -3), (20, 6)],
+            },
+            contour=["v1", "a", "b", "c", "e", "d", "v2"],
+        )
         assert check_step(g, set()) == [] == check_gamma(g)
         assert g.checked.cut_pairs == [(0, 2)]
-        g.pos["w"] = p(14, 12)
+        g.pos["w"] = Point(14, 12)
         g.placed.add("w")
-        g.polylines.update(cw=[p(12, 10), p(14, 12)], ew=[p(16, 10), p(14, 12)])
+        g.draw("cw", [Point(12, 10), Point(14, 12)])
+        g.draw("ew", [Point(16, 10), Point(14, 12)])
         g.contour = ["v1", "a", "b", "c", "w", "e", "d", "v2"]
         return g, {"cw", "ew"}
 
@@ -553,32 +647,33 @@ class TestStepCheck:
         assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_new_point_outside_the_base_wedge_gets_the_full_p3(self):
-        g = self._gamma_with_new_edge([(-2, 2), (-2, 4)])
+        """Over the unit 2, the message names the point in true coordinates."""
+        g = self._gamma_with_new_edge([(-2, 2), (-2, 4)], unit=2)
         g.checked = CheckRecord(contour=[], cut_pairs=[], wedge=True)
         problems = check_step(g, {"t"})
-        assert problems == [f"P3: {Point(F(-2), F(2))} lies on a base support line"]
+        assert problems == [f"P3: {Point(-2, 2)} lies on a base support line"]
         assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_a_vertical_before_the_first_horizontal_is_found_from_either_end(self):
         """The contour path v1, a, v2 runs N, E, then E, S.  Read from v1 it
         climbs before its first horizontal, and so it does read from v2;
         both ends are attachable with their diagonal upper port free."""
-        p = lambda x, y: Point(F(x), F(y))  # noqa: E731
         edges = {"base": ("v1", "v2"), "s": ("v1", "a"), "t": ("a", "v2"),
                  "sy": ("v1", "y"), "tz": ("v2", "z")}
         rotation = {"v1": ["base", "sy", "s"], "v2": ["tz", "base", "t"], "a": ["s", "t"],
                     "y": ["sy"], "z": ["tz"]}
         plane = PlaneGraph(vertices=sorted(rotation), real=set(rotation), edges=edges,
                            rotation=rotation, fragment_of={})
-        g = Gamma(plane=plane, v1="v1", v2="v2")
-        g.pos = {"v1": p(0, 0), "v2": p(10, 0), "a": p(4, 4)}
-        g.polylines = {
-            "base": [p(0, 0), p(5, -5), p(10, 0)],
-            "s": [p(0, 0), p(0, 4), p(4, 4)],
-            "t": [p(4, 4), p(10, 4), p(10, 0)],
-        }
-        g.placed = set(g.pos)
-        g.contour = ["v1", "a", "v2"]
+        g = hand_built(
+            plane,
+            {"v1": (0, 0), "v2": (10, 0), "a": (4, 4)},
+            {
+                "base": [(0, 0), (5, -5), (10, 0)],
+                "s": [(0, 0), (0, 4), (4, 4)],
+                "t": [(4, 4), (10, 4), (10, 0)],
+            },
+            contour=["v1", "a", "v2"],
+        )
         problems = check_step(g, {"t"})
         assert problems == [
             "P4a: vertical before any horizontal between v1 and v2",
@@ -609,22 +704,16 @@ class TestStepCheck:
         assert steps == list(range(2, n))
 
     @staticmethod
-    def _gamma_with_new_edge(t_pts):
+    def _gamma_with_new_edge(t_pts, unit=1):
         """Base v1-v2, an old edge s with a horizontal at y=4, and an edge t
-        just drawn along t_pts."""
-        g = Gamma(plane=_base_s_t_plane(), v1="v1", v2="v2")
-        t_pts = [Point(F(x), F(y)) for x, y in t_pts]
-        g.pos = {
-            "v1": Point(F(0), F(0)), "v2": Point(F(10), F(0)), "a": Point(F(4), F(4)),
-            "c": t_pts[0], "b": t_pts[-1],
-        }
-        g.polylines = {
-            "base": [g.pos["v1"], Point(F(5), F(-5)), g.pos["v2"]],
-            "s": [g.pos["v1"], Point(F(0), F(4)), g.pos["a"]],
+        just drawn along t_pts; over `unit`."""
+        pos = {"v1": (0, 0), "v2": (10, 0), "a": (4, 4), "c": t_pts[0], "b": t_pts[-1]}
+        polylines = {
+            "base": [pos["v1"], (5, -5), pos["v2"]],
+            "s": [pos["v1"], (0, 4), pos["a"]],
             "t": t_pts,
         }
-        g.placed = set(g.pos)
-        return g
+        return hand_built(_base_s_t_plane(), pos, polylines, unit=unit)
 
     def test_rejects_new_edge_crossing_an_old_segment(self):
         clear = self._gamma_with_new_edge([(6, 2), (6, 3)])
@@ -676,18 +765,13 @@ class TestStepCheck:
             rotation={"v1": ["base", "s", "u"], "v2": ["base"], "a": ["s"], "c": ["u"]},
             fragment_of={},
         )
-        g = Gamma(plane=plane, v1="v1", v2="v2")
-        g.pos = {
-            "v1": Point(F(0), F(0)), "v2": Point(F(10), F(0)), "a": Point(F(4), F(4)),
-            "c": Point(F(port_end[0]), F(port_end[1])),
+        pos = {"v1": (0, 0), "v2": (10, 0), "a": (4, 4), "c": port_end}
+        polylines = {
+            "base": [pos["v1"], (5, -5), pos["v2"]],
+            "s": [pos["v1"], (0, 4), pos["a"]],
+            "u": [pos["v1"], pos["c"]],
         }
-        g.polylines = {
-            "base": [g.pos["v1"], Point(F(5), F(-5)), g.pos["v2"]],
-            "s": [g.pos["v1"], Point(F(0), F(4)), g.pos["a"]],
-            "u": [g.pos["v1"], g.pos["c"]],
-        }
-        g.placed = set(g.pos)
-        return g
+        return hand_built(plane, pos, polylines)
 
     def test_rejects_new_edge_out_of_rotation_order(self):
         in_order = self._gamma_with_third_edge_at_v1((-2, 0))
@@ -752,24 +836,24 @@ class TestSegmentIndex:
         assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_new_edges_meeting_each_other_are_caught(self):
-        """Two new edges that cross only each other."""
-        g = TestStepCheck._gamma_with_new_edge([(6, 2), (6, 3)])
+        """Two new edges that cross only each other, over the unit 2."""
+        g = TestStepCheck._gamma_with_new_edge([(6, 2), (6, 3)], unit=2)
         g.plane.edges["u"] = ("a", "v2")
         g.plane.rotation["a"].append("u")
         g.plane.rotation["v2"].append("u")
-        g.polylines["u"] = [
-            g.pos["a"], Point(F(11, 2), F(5, 2)), Point(F(15, 2), F(5, 2)), g.pos["v2"]]
+        g.draw("u", [g.pos["a"], Point(11, 5), Point(15, 5), g.pos["v2"]])
         problems = check_step(g, {"t", "u"})
         assert problems[-1] == "simple: t and u intersect improperly (proper_crossing)"
         assert problems[-1:] == step_simple_by_sweep(g, {"t", "u"})
         assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_coinciding_vertices_without_a_meeting_pair_are_caught(self):
-        g = TestStepCheck._gamma_with_new_edge([(6, 2), (6, 3)])
+        """Over the unit 2, the message names the point in true coordinates."""
+        g = TestStepCheck._gamma_with_new_edge([(6, 2), (6, 3)], unit=2)
         del g.polylines["t"]
         g.pos["b"] = g.pos["c"]
         problems = check_step(g, {"s"})
-        assert problems[-1] == f"simple: vertices b and c coincide at {g.pos['c']}"
+        assert problems[-1] == f"simple: vertices b and c coincide at {Point(6, 2)}"
         assert problems == check_gamma(g) == check_gamma_by_points(g)
 
     def test_undone_stretch_leaves_no_stale_entry(self, monkeypatch):
@@ -805,9 +889,9 @@ class TestSegmentIndex:
         prepared = []
         stretches = 0
 
-        def counted_prepare(seg):
+        def counted_prepare(seg, unit):
             prepared.append(seg)
-            return real_prepare(seg)
+            return real_prepare(seg, unit)
 
         monkeypatch.setattr(onebend, "prepare", counted_prepare)
         monkeypatch.setattr(onebend, "_check_stretch", lambda g, left: ["rejected"])
@@ -835,12 +919,12 @@ class TestSegmentIndex:
 
         def checked_stretch(g, left, delta):
             nonlocal stretches
-            replaced = real_stretch(g, left, delta)
+            done = real_stretch(g, left, delta)
             base = _base_edge(g)
             assert all(g._index[e].pts is pts for e, pts in g.polylines.items() if e != base)
             assert_index_is_fresh(g)
             stretches += 1
-            return replaced
+            return done
 
         monkeypatch.setattr(onebend, "stretch", checked_stretch)
         for target, seed in ((20, 1000), (20, 1006), (90, 1031), (90, 1028)):
@@ -908,6 +992,18 @@ class TestPipeline:
         drawer.run()
         assert drawer.steps >= 3 and drawer.trace is None
 
+    def test_trace_holds_true_coordinates(self):
+        """The last step of the trace is the drawing, though the drawer
+        ended over a unit above 1."""
+        g = gen_corpus(seed=1001, n_target=20, profile="cubic3con", count=1)[0]
+        drawer, d = onebend._run_pipeline(g, trace=True)
+        assert drawer.g.unit > 1
+        last = drawer.trace[-1]
+        for e, pts in d.polylines.items():
+            if e in last:
+                line = strip_collinear(last[e])
+                assert pts in (line, line[::-1]), e
+
     def test_rejects_non_cubic(self):
         from slopeforge.families import gen_2reg
 
@@ -957,6 +1053,64 @@ class TestRepairBytes:
     def test_drawing_bytes_are_pinned(self, n_target, seed, digest):
         g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
         assert hashlib.sha256(dumps(drawing_to_doc(draw_onebend(g))).encode()).hexdigest() == digest
+
+
+class TestOneBendInts:
+    def test_every_stored_coordinate_is_an_int_after_every_step(self, monkeypatch):
+        """After every step of cubic3con draws, every coordinate in the
+        positions, the polylines and every edge record (its points, its
+        segments, their integer forms and boxes) is an int, not a bool."""
+        real_post_step = OneBendDrawer._post_step
+        steps = 0
+        units = set()
+
+        def ints(values):
+            return all(type(c) is int for c in values)
+
+        def checked_post_step(self, label, full=False):
+            nonlocal steps
+            g = self.g
+            steps += 1
+            units.add(g.unit)
+            assert ints(c for p in g.pos.values() for c in (p.x, p.y))
+            assert ints(c for pts in g.polylines.values() for p in pts for c in (p.x, p.y))
+            for rec in g._index.values():
+                assert ints(c for p in rec.pts for c in (p.x, p.y))
+                for seg, form, box in rec.segs:
+                    assert ints((seg.a.x, seg.a.y, seg.b.x, seg.b.y) + form + box)
+            return real_post_step(self, label, full)
+
+        monkeypatch.setattr(OneBendDrawer, "_post_step", checked_post_step)
+        for n_target in (12, 20, 32):
+            for seed in range(1000, 1020):
+                g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+                try:
+                    draw_onebend(g)
+                except OneBendError:
+                    pass
+        assert steps >= 500 and max(units) > 1
+
+
+class TestOneBendBytes:
+    """One digest over the 1-bend outputs of cubic3con inputs: each
+    drawing's document, or the message of a draw that fails."""
+
+    INPUTS = [(n, seed) for n in (12, 20, 32, 40) for seed in range(1000, 1030)] + [
+        (90, seed) for seed in range(1024, 1030)] + [(32, 404), (32, 499)]
+
+    def test_outputs_are_pinned(self):
+        h = hashlib.sha256()
+        failed = 0
+        for n_target, seed in self.INPUTS:
+            g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+            try:
+                out = dumps(drawing_to_doc(draw_onebend(g)))
+            except OneBendError as exc:
+                out = str(exc)
+                failed += 1
+            h.update(out.encode() + b"\n")
+        assert failed == 4
+        assert h.hexdigest() == "7348ec1ba1eccca4bee8fac1f756fbfe3329da32db2b46cea0388ccab9f56cdf"
 
 
 # Inputs the 1-bend drawer fails on today, with the error each one raises:
