@@ -17,7 +17,9 @@ A per-step checker validates the construction invariants (slopes, bend
 budget, base-edge geometry, horizontal structure, free ports, dummy port
 patterns) after every insertion: in full after the base and the final
 vertex, and in between for the edges and the contour span each step
-changed.
+changed.  Stretches are not re-checked: a stretch along a stretch_cut
+keeps a simple drawing simple (the shift lemma, see stretch_cut), and the
+full check after the final vertex, simplicity included, gates the result.
 """
 
 from __future__ import annotations
@@ -134,11 +136,11 @@ class Gamma:
     is each segment prepared, each segment's octant (the shape) and the end
     vertex the list starts at.  Polylines are replaced, never changed in
     place, so a record whose list is no longer the edge's polyline is stale
-    and `record` rebuilds it from the coordinates.  Stretches and their
-    undo keep the records current instead: a stretch only translates
-    edges, or lengthens one horizontal of a split edge, so every shape
-    stays, reversed when a split edge is redrawn from its other end, and a
-    translated edge's prepared segments are shifted (see stretch).  Ports,
+    and `record` rebuilds it from the coordinates.  Stretches keep the
+    records current instead: a stretch only translates edges, or lengthens
+    one horizontal of a split edge, so every shape stays, reversed when a
+    split edge is redrawn from its other end, and a translated edge's
+    prepared segments are shifted (see stretch).  Ports,
     bends, horizontal segments and the P1 to P4 tests read the shapes.
 
     New edges are drawn with `draw`, which keeps the set of the drawn edges
@@ -175,7 +177,7 @@ class Gamma:
             if type(c) is not int:
                 k = math.lcm(k, c.denominator)
         if k != 1:
-            self.set_unit(self.unit * k)
+            self._scale(k)
         return [c * k if type(c) is int else c.numerator * (k // c.denominator) for c in values]
 
     def on_grid(self, points: Sequence[Point]) -> List[Point]:
@@ -183,26 +185,22 @@ class Gamma:
         flat = self.grid_ints([c for p in points for c in (p.x, p.y)])
         return [Point(x, y) for x, y in zip(flat[::2], flat[1::2])]
 
-    def set_unit(self, unit: int) -> None:
-        """Hold the drawing over `unit` instead: every stored int c becomes
-        c * unit / self.unit, which must be an int.  The records stay
-        current; their sweep boxes hold the true values, which stay."""
-        g = math.gcd(unit, self.unit)
-        num, den = unit // g, self.unit // g
-        if num == den:
-            return
+    def _scale(self, k: int) -> None:
+        """Hold the drawing over unit * k instead: every stored int is
+        multiplied by k.  The records stay current; their sweep boxes hold
+        the true values, which stay."""
         pos, index = self.pos, self._index
         for v, p in pos.items():
-            pos[v] = Point(p.x * num // den, p.y * num // den)
+            pos[v] = Point(p.x * k, p.y * k)
         for e, pts in self.polylines.items():
-            new = [Point(p.x * num // den, p.y * num // den) for p in pts]
+            new = [Point(p.x * k, p.y * k) for p in pts]
             self.polylines[e] = new
             rec = index.pop(e, None)
             if rec is not None and rec.pts is pts:
                 segs = [(Segment(p, q), (1, p.x, p.y, q.x, q.y), s[2])
                         for s, p, q in zip(rec.segs, new, new[1:])]
                 index[e] = EdgeRecord(new, segs, rec.labels, rec.shape, rec.start)
-        self.unit = unit
+        self.unit *= k
 
     def unscaled(self, p: Point) -> Point:
         """p, exact in Gamma's units, as a point in true coordinates."""
@@ -498,6 +496,18 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     round makes at least one more edge rigid, and rigid edges are never
     split, so the loop ends with every split edge able to absorb.  Raises
     OneBendError when the right base vertex would stay.
+
+    Such a cut makes a stretch safe: it runs down from the contour gap
+    through one rightward horizontal segment of each split edge, and moving
+    everything right of it rightward lengthens those segments and
+    translates the rest, so the drawing stays simple and every shape stays
+    (the shift lemma of de Fraysseix, Pach and Pollack, Combinatorica
+    1990).  What the cut decides of that is structural, so no stretch is
+    checked: no non-horizontal edge is split, as the cut graph keeps it
+    whole; every split edge absorbs the move at a rightward horizontal
+    segment, by the rigid-edge loop; a buried component stays only when it
+    lies left of everything moving along the contour; and the base edge is
+    redrawn.  The full check after the final vertex sweeps every pair.
     """
     hor = g.horizontal_edges()
     parent = _cut_forest(g, hor)
@@ -560,27 +570,24 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     return left
 
 
-def stretch(g: Gamma, left: Set[str], delta: Coord) -> Tuple[int, Dict[str, EdgeRecord]]:
+def stretch(g: Gamma, left: Set[str], delta: Coord) -> int:
     """Move every placed vertex outside `left`, a stretch_cut, right by delta.
 
     delta is exact in g's units.  g is first rescaled so that delta and the
     base edge's new low point lie on its grid.  Edges with no end in `left`
     translate; each split edge is redrawn from its stationary end with its
     first rightward horizontal lengthened; the base edge re-derives its low
-    point.  Every shape but the base edge's is kept.  Returns the amount,
-    an int in g's new units, and the records it replaced of the split edges
-    and the base edge: _translate(g, left, -amount) followed by redrawing
-    those restores the drawing and its records exactly, in the new units.
+    point.  Every shape but the base edge's is kept, and the drawing stays
+    simple by the property of the cut (see stretch_cut).  Returns the
+    amount, an int in g's new units.
     """
     if delta <= 0:
         raise ValueError("stretch needs a positive amount")
     p2 = g.pos[g.v2]
     low = _base_low(g.pos[g.v1], Point(p2.x + delta, p2.y))
     delta = g.grid_ints([delta, low.x, low.y])[0]
-    base = _base_edge(g)
-    replaced = {base: g.record(base)}
     for e in _split_edges(g, left):
-        rec = replaced[e] = g.record(e)
+        rec = g.record(e)
         start, pts, shape = rec.start, rec.pts, rec.shape
         if start not in left:
             start, pts, shape = g.plane.other_end(e, start), pts[::-1], _reversed_shape(shape)
@@ -590,7 +597,7 @@ def stretch(g: Gamma, left: Set[str], delta: Coord) -> Tuple[int, Dict[str, Edge
         g.redraw(e, pts, EdgeRecord(pts, segs, rec.labels, shape, start))
     _translate(g, left, delta)
     _redraw_base(g)
-    return delta, replaced
+    return delta
 
 
 def _translate(g: Gamma, left: Set[str], delta: int) -> None:
@@ -954,28 +961,16 @@ class OneBendDrawer:
     def _stretch_between(self, left_v: str, right_v: str, delta: Coord) -> bool:
         """Stretch right of left_v by delta, exact in g's units; fail,
         leaving the drawing as it was, when the cut does not separate
-        right_v or the moved drawing would stop being simple."""
+        right_v."""
         if delta <= 0:
             delta = self.g.unit
         try:
             left = stretch_cut(self.g, left_v)
         except OneBendError:
             return False
-        return right_v not in left and self._apply_stretch(left, delta)
-
-    def _apply_stretch(self, left: Set[str], delta: Coord) -> bool:
-        """Stretch by delta the part outside `left`; undo it, and the
-        stretch's rescale, and fail when _check_stretch rejects the result.
-        A failed stretch so leaves every stored int as it was."""
-        g = self.g
-        unit = g.unit
-        amount, replaced = stretch(g, left, delta)
-        if _check_stretch(g, left):
-            _translate(g, left, -amount)
-            for e, rec in replaced.items():
-                g.redraw(e, rec.pts, rec)
-            g.set_unit(unit)
+        if right_v in left:
             return False
+        stretch(self.g, left, delta)
         return True
 
     def _align_middle(self, pl: Plan, pr: Plan, pm: Plan) -> bool:
@@ -1014,8 +1009,7 @@ class OneBendDrawer:
             delta = -m / rate
             if delta <= 0:
                 continue
-            if not self._apply_stretch(left, delta):
-                continue
+            stretch(g, left, delta)
             return _middle_mismatch(g.pos, pl, pr, pm) == 0
         return False
 
@@ -1260,14 +1254,13 @@ def check_step(g: Gamma, new: Set[str]) -> List[str]:
     """check_gamma for a step that drew the edges `new`.
 
     Exact when check_gamma passed on the drawing before the step and the
-    drawing has changed since only by the new edges and by stretches that
-    _check_stretch accepted.  A stretch keeps every edge's shape, the
-    octant word its record carries (see Gamma), and so every segment's
-    slope, every bend count and every port direction at a vertex; and
-    _check_stretch keeps the old segments simple.  So P1, P2, the
-    rotations and simplicity can only break at a new edge, and they, P3's
-    base edge and P4 read the shapes, which the records keep equal to a
-    rebuild from the coordinates.
+    drawing has changed since only by the new edges and by stretches.  A
+    stretch keeps every edge's shape, the octant word its record carries
+    (see Gamma), and so every segment's slope, every bend count and every
+    port direction at a vertex; and by the shift lemma (see stretch_cut) it
+    keeps the old segments simple.  So P1, P2, the rotations and simplicity
+    can only break at a new edge, and they, P3's base edge and P4 read the
+    shapes, which the records keep equal to a rebuild from the coordinates.
 
     P3 to P6 are checked relative to g.checked, the record of the last
     check_step that found no problem, and on the whole drawing when there
@@ -1580,9 +1573,9 @@ def _cyclic_subsequence(sub: List[str], full: List[str]) -> bool:
     return False
 
 
-# Segment groups of a stretch (see _check_stretch); sweep_hits skips the
-# pairs inside one group except _RESHAPED.
-_STATIONARY, _TRANSLATED, _RESHAPED = 0, 1, None
+# Segment groups of a step check: sweep_hits skips the pairs of two
+# _STATIONARY segments, and tests every pair with a _RESHAPED one.
+_STATIONARY, _RESHAPED = 0, None
 
 
 def _check_simple(g: Gamma) -> List[str]:
@@ -1614,29 +1607,6 @@ def _step_simple(g: Gamma, new: Set[str]) -> List[str]:
     return []
 
 
-def _check_stretch(g: Gamma, left: Set[str]) -> List[str]:
-    """_check_simple restricted to the segment pairs that the stretch which
-    kept `left` in place can have moved relative to each other.
-
-    Edges with both ends in `left` stayed, edges with neither end in it
-    moved rigidly; split edges and the base edge were drawn anew.  Two
-    segments that both stayed, or both moved rigidly, keep their relative
-    position, so only pairs with a reshaped segment, or of one stationary
-    and one translated segment, are tested.  On a drawing that was simple
-    before the stretch it rejects exactly what _check_simple rejects.
-    """
-    base = _base_edge(g)
-    labels, prepared = g.indexed()
-    group_of = {}
-    for e in set(labels):
-        a, b = g.plane.edges[e]
-        if e == base or (a in left) != (b in left):
-            group_of[e] = _RESHAPED
-        else:
-            group_of[e] = _STATIONARY if a in left else _TRANSLATED
-    return _improper_pairs(g, labels, prepared, [group_of[e] for e in labels])
-
-
 def _improper(g: Gamma, e1: str, e2: str, res: Intersection) -> bool:
     """Whether a meeting res of a segment of e1 and one of e2 is improper:
     anything but consecutive segments of one edge, or a common end vertex."""
@@ -1658,8 +1628,8 @@ def _improper_pairs(
     g: Gamma, labels: List[str], prepared: List[Prepared], groups: List[Optional[int]]
 ) -> List[str]:
     """Sweep the segments, edge labels[i] for prepared[i], for the first
-    improper intersection, skipping pairs within one _STATIONARY or
-    _TRANSLATED group; then test vertex coincidence."""
+    improper intersection, skipping each pair whose groups are equal and
+    not _RESHAPED; then test vertex coincidence."""
     out = []
     for i, j, res in sweep_hits(prepared, groups):
         e1, e2 = labels[i], labels[j]

@@ -29,6 +29,12 @@ read off the polylines.  The tests require onebend.stretch, which works on
 ints over one drawing-wide unit and rescales them when an amount or the
 base edge's low point falls off that grid, to give the same points.
 
+check_stretch is the re-sweep the 1-bend drawer once ran after every
+stretch, undoing a stretch it rejected.  A stretch along a stretch_cut
+keeps the drawing simple by the shift lemma, so the drawer no longer runs
+it; the tests run it after every stretch on the corpora and require that
+it reject none.
+
 canonical_order_by_retracing is the canonical ordering by trial: each
 candidate is removed from private copies of the adjacency and rotations,
 the whole contour is retraced, and a snapshot is restored when the
@@ -43,6 +49,11 @@ resolutions orient the polylines and locate the crossings themselves, and
 the embedding extraction derives the same rays a second time.  The tests
 require verify.validate and verify.embedding_of, which find and sort each
 ray once, to give the same reports and the same embeddings or errors.
+
+InvariantRounds runs the 2-bend invariant checker after draw_liu and after
+every C-shape elimination step, which the drawer no longer does: it
+checks each finished component once.  The tests require that it find
+nothing on the corpora.
 
 eliminate_cshapes_by_staircase is the 2-bend C-shape elimination with a
 general staircase stretch, a stretch path per state of the real vertex's N
@@ -595,6 +606,31 @@ def stretch_by_fractions(
     return new_pos, new_lines
 
 
+def check_stretch(g: onebend.Gamma, left: Set[str]) -> List[str]:
+    """onebend._check_simple restricted to the segment pairs that the
+    stretch which kept `left` in place can have moved relative to each
+    other.
+
+    Edges with both ends in `left` stayed, edges with neither end in it
+    moved rigidly; split edges and the base edge were drawn anew.  Two
+    segments that both stayed, or both moved rigidly, keep their relative
+    position, so only pairs with a reshaped segment, or of one stationary
+    and one translated segment, are tested.  On a drawing that was simple
+    before the stretch it rejects exactly what _check_simple rejects.
+    """
+    stationary, translated, reshaped = 0, 1, None
+    base = onebend._base_edge(g)
+    labels, prepared = g.indexed()
+    group_of = {}
+    for e in set(labels):
+        a, b = g.plane.edges[e]
+        if e == base or (a in left) != (b in left):
+            group_of[e] = reshaped
+        else:
+            group_of[e] = stationary if a in left else translated
+    return onebend._improper_pairs(g, labels, prepared, [group_of[e] for e in labels])
+
+
 def check_gamma_by_points(g: onebend.Gamma) -> List[str]:
     """onebend.check_gamma with P1 to P4 on rebuilt segments."""
     return (
@@ -1059,6 +1095,34 @@ def eliminate_cshapes_by_staircase(d: twobend.OrthoDrawing) -> int:
         problems = twobend.check_invariants(d)
         if problems:
             raise twobend.TwoBendError(f"invariants broken after eliminating {eid}: {problems[:3]}")
+
+
+class InvariantRounds:
+    """A stand-in for twobend.dummy_c_shapes that first runs
+    twobend.check_invariants on the drawing and keeps what it finds.
+
+    eliminate_cshapes calls dummy_c_shapes at the top of each round: right
+    after draw_liu, and after each elimination step once its _flip_180
+    pair is undone.  In place of it, this checks I1 to I6 at exactly those
+    points; inside _eliminate_into_dummy the drawing may still be flipped,
+    and I2 would misfire there.
+    """
+
+    def __init__(self) -> None:
+        self.drawings = 0  # rounds right after draw_liu
+        self.steps = 0  # rounds after an elimination step
+        self.problems: List[str] = []
+        self._dummy_c_shapes = twobend.dummy_c_shapes
+        self._last: Optional[twobend.OrthoDrawing] = None
+
+    def __call__(self, d: twobend.OrthoDrawing) -> List[str]:
+        if d is self._last:
+            self.steps += 1
+        else:
+            self.drawings += 1
+            self._last = d
+        self.problems += twobend.check_invariants(d)
+        return self._dummy_c_shapes(d)
 
 
 def _eliminate_by_staircase(d: twobend.OrthoDrawing, eid: str) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 
-from slopeforge import graphutil
+from slopeforge import graphutil, twobend
 from slopeforge.docio import drawing_to_doc, dumps, graph_to_doc
 from slopeforge.families import (
     gen_2reg,
@@ -40,7 +40,7 @@ from slopeforge.verify import validate
 
 from adversarial import adversarial_suite
 from builders import chain_edges_3reg18, gen_fig_like
-from oracles import normalized_reembedding_exists
+from oracles import InvariantRounds, normalized_reembedding_exists
 
 # Deterministic 1-bend corpus: (seed, target) pairs, 50 random graphs with
 # sizes from 8 up to 200 vertices.
@@ -150,9 +150,13 @@ class TestAcceptance:
         _report("3 (Theorem 2 suite)", elapsed < 5.0,
                 f"{len(graphs)} graphs ({multiblock} multi-block) in {elapsed:.2f}s (budget 5s)")
 
-    def test_4_orthogonal_invariant_maintenance(self):
+    def test_4_orthogonal_invariant_maintenance(self, monkeypatch):
         """I1-I6 hold after draw_liu and after every C-shape elimination
-        step; final drawings have no dummy-incident C-shapes."""
+        step; final drawings have no dummy-incident C-shapes.  The drawer
+        checks only the finished component, so the checks after each step
+        run here, at the top of each elimination round."""
+        rounds = InvariantRounds()
+        monkeypatch.setattr(twobend, "dummy_c_shapes", rounds)
         checked = 0
         for g in _twobend_graphs():
             norm = normalize_embedding(g)
@@ -163,7 +167,9 @@ class TestAcceptance:
                 assert check_invariants(d) == []
                 assert dummy_c_shapes(d) == []
                 checked += 1
-        _report("4 (I1-I6 maintenance)", True, f"{checked} components")
+        assert rounds.problems == []
+        _report("4 (I1-I6 maintenance)", True,
+                f"{checked} components, {rounds.drawings + rounds.steps} checked rounds")
 
     def test_5_lemma1_contract(self):
         """>= 20 adversarial instances: zero dummy cutvertices after
