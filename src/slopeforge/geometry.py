@@ -345,23 +345,15 @@ def segment_hits(segs: Sequence[Segment]) -> Iterator[Tuple[int, int, Intersecti
     return sweep_hits([prepare(s) for s in segs])
 
 
-def sweep_hits(
-    prepared: Sequence[Prepared], groups: Optional[Sequence[object]] = None
-) -> Iterator[Tuple[int, int, Intersection]]:
-    """segment_hits on segments that are already prepared, skipping each
-    pair whose `groups` entries are equal and not None."""
-    if groups is None:
-        groups = [None] * len(prepared)
+def sweep_hits(prepared: Sequence[Prepared]) -> Iterator[Tuple[int, int, Intersection]]:
+    """segment_hits on segments that are already prepared."""
     boxes = [p[2] for p in prepared]
     active: List[int] = []
     for i in sorted(range(len(prepared)), key=lambda k: boxes[k][0]):
         lo_x, lo_y, _, hi_y = boxes[i]
-        group = groups[i]
         seg, form, _ = prepared[i]
         active = [j for j in active if boxes[j][2] >= lo_x]
         for j in active:
-            if group is not None and groups[j] == group:
-                continue
             box = boxes[j]
             if hi_y < box[1] or box[3] < lo_y:
                 continue

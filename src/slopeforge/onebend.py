@@ -13,13 +13,12 @@ final-vertex lines) are resolved.
 Dummy vertices carry slot bookkeeping: each undrawn fragment is a slot
 whose natural port is the opposite of its partner fragment's port; using
 any other port spends the edge's single bend as a corner at the crossing.
-A per-step checker validates the construction invariants (slopes, bend
-budget, base-edge geometry, horizontal structure, free ports, dummy port
-patterns) after every insertion: in full after the base and the final
-vertex, and in between for the edges and the contour span each step
-changed.  Stretches are not re-checked: a stretch along a stretch_cut
-keeps a simple drawing simple (the shift lemma, see stretch_cut), and the
-full check after the final vertex, simplicity included, gates the result.
+After each step only P4(a), P4(b) and P6 are checked, on the contour
+span the step replaced (see check_step): the placement search can break
+them, and known inputs do.  The construction keeps the rest (slopes, bend
+budget, base-edge geometry, P4(c), free ports, the rotations and
+simplicity) at every step, so check_gamma checks them, with P4 and P6,
+once on the finished drawing.
 """
 
 from __future__ import annotations
@@ -74,21 +73,6 @@ LEGAL_DUMMY_BASES = ({"SW", "SE"}, {"SW", "E"}, {"W", "SE"}, {"W", "E"}, {"SW", 
 
 class OneBendError(Exception):
     pass
-
-
-@dataclass
-class CheckRecord:
-    """What the last check_step that found no problem saw; the next one
-    checks P3 to P6 relative to it."""
-
-    contour: List[str]
-    # Index pairs into `contour` of the consecutive attachable vertices
-    # whose plain contour path has a vertical, so that P4(c) needs a
-    # horizontal cut between them; in contour order.
-    cut_pairs: List[Tuple[int, int]]
-    # Every drawing point but the base edge's three lay strictly above both
-    # base support lines.
-    wedge: bool
 
 
 # The octants of segment directions, named by their ports.
@@ -155,7 +139,6 @@ class Gamma:
     polylines: Dict[str, List[Point]] = field(default_factory=dict)  # plane-edge id
     contour: List[str] = field(default_factory=list)
     placed: Set[str] = field(default_factory=set)
-    checked: Optional[CheckRecord] = None
     unit: int = 1
     _index: Dict[str, EdgeRecord] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -242,13 +225,13 @@ class Gamma:
     def drawn_edges(self) -> List[str]:
         return sorted(self.polylines)
 
-    def indexed(self, edges: Optional[Iterable[str]] = None) -> Tuple[List[str], List[Prepared]]:
-        """The segments of the drawn edges in edge order, or of `edges` in
-        their order, prepared, and the edge of each."""
+    def indexed(self) -> Tuple[List[str], List[Prepared]]:
+        """The segments of the drawn edges in edge order, prepared, and the
+        edge of each."""
         labels: List[str] = []
         prepared: List[Prepared] = []
         index, polylines = self._index, self.polylines
-        for e in self.drawn_edges() if edges is None else edges:
+        for e in self.drawn_edges():
             rec = index.get(e)
             if rec is None or rec.pts is not polylines[e]:
                 rec = self.record(e)
@@ -707,15 +690,17 @@ def _blockers(
 ) -> List[Tuple[str, Segment]]:
     """Drawn segments improperly intersected by the candidate geometry.
 
-    The new polylines may meet the drawing only at allowed_points (the
-    connection anchors); anything else, including a new vertex landing on
-    an existing point, blocks the placement.  Each blocked segment is
-    reported once, in drawing order.
+    A new segment may meet the drawing only at an end of its own that is
+    one of allowed_points (the connection anchors); anything else blocks
+    the placement, a ray through another anchor and a new vertex landing
+    on an existing point included.  Each blocked segment is reported once,
+    in drawing order.
     """
     labels, drawn = g.indexed()
+    excused = [{s.a, s.b} & allowed_points for s in new_segments]
     blocked = set()
-    for _, j, res in hits_across([prepare(s, g.unit) for s in new_segments], drawn):
-        if res.point is None or res.point not in allowed_points:
+    for i, j, res in hits_across([prepare(s, g.unit) for s in new_segments], drawn):
+        if res.point not in excused[i]:
             blocked.add(j)
     return [(labels[j], drawn[j][0]) for j in sorted(blocked)]
 
@@ -739,7 +724,7 @@ class OneBendDrawer:
         self.steps = 0
         # With `trace`, a copy of every polyline after each step.
         self.trace: Optional[List[Dict[str, List[Point]]]] = [] if trace else None
-        self._checked: Set[str] = set()  # edges drawn at the last check
+        self._contour: Optional[List[str]] = None  # the contour at the last check
 
     # -- public -------------------------------------------------------------
 
@@ -750,7 +735,7 @@ class OneBendDrawer:
             self._add_set(sets[i])
             self._post_step(f"set {i}")
         self._place_final(sets[-1].vertices[0])
-        self._post_step("final", full=True)
+        self._post_step("final")
         return self.g
 
     # -- base ---------------------------------------------------------------
@@ -777,7 +762,7 @@ class OneBendDrawer:
             prev = z
         g.draw(_edge_between(self.plane, prev, v2), [g.pos[prev], g.pos[v2]])
         g.contour = [v1] + list(members) + [v2]
-        self._post_step("base", full=True)
+        self._post_step("base")
 
     # -- generic insertion ----------------------------------------------------
 
@@ -1095,11 +1080,13 @@ class OneBendDrawer:
         return g.edge_bend_count(plan.edge) == 0
 
     def _chain_baseline(self, pl: Plan, pr: Plan) -> Optional[Fraction]:
-        """A height where both port rays are live and the span is positive,
-        exact in g's units.
+        """A height above both anchors for the chain's baseline, exact in
+        g's units, such that the two port rays are apart at every height
+        from the higher anchor's up to it, so they do not meet; None when
+        there is none at the current geometry.
 
-        span(Y) is linear, so the feasible interval is computed directly;
-        None when it is empty at the current geometry.
+        span(Y), the gap between the rays, is linear, so it is positive on
+        that range when it is positive at both ends.
         """
         g = self.g
         a, b = g.pos[pl.anchor], g.pos[pr.anchor]
@@ -1108,14 +1095,12 @@ class OneBendDrawer:
         half = Fraction(g.unit, 2)
         slope = Fraction(dxr - dxl)
         c0 = (b.x - dxr * b.y) - (a.x - dxl * a.y)
-        # span(Y) = c0 + slope * Y must be positive with Y > y_min.
-        if slope == 0:
-            return y_min + half if c0 > 0 else None
-        root = -c0 / slope
-        if slope > 0:
-            return max(y_min, root) + half
-        if root <= y_min:
+        # span(Y) = c0 + slope * Y, where both rays are live from y_min.
+        if c0 + slope * y_min <= 0:
             return None
+        if slope >= 0:
+            return y_min + half
+        root = -c0 / slope
         return y_min + min(half, (root - y_min) / 2)
 
     def _try_place_chain(self, members: List[str], pl: Plan, pr: Plan) -> bool:
@@ -1204,16 +1189,18 @@ class OneBendDrawer:
 
     # -- checks -----------------------------------------------------------------
 
-    def _post_step(self, label: str, full: bool = False) -> None:
-        """Check the invariants after a step: in full when asked, otherwise
-        only what the edges drawn since the last check can have broken."""
+    def _post_step(self, label: str) -> None:
+        """Check the drawing after a step: in full once every vertex is
+        placed, and before that what the step can have broken."""
         g = self.g
         self.steps += 1
         if self.trace is not None:
             self.trace.append({e: list(map(g.unscaled, p)) for e, p in g.polylines.items()})
-        drawn = set(g.polylines)
-        problems = check_gamma(g) if full else check_step(g, drawn - self._checked)
-        self._checked = drawn
+        if len(g.placed) == len(self.plane.vertices):
+            problems = check_gamma(g)
+        else:
+            problems = check_step(g, self._contour)
+            self._contour = list(g.contour)
         if problems:
             raise OneBendError(f"invariants broken after {label}: {problems[:4]}")
 
@@ -1250,62 +1237,32 @@ def check_gamma(g: Gamma) -> List[str]:
     return problems
 
 
-def check_step(g: Gamma, new: Set[str]) -> List[str]:
-    """check_gamma for a step that drew the edges `new`.
+def check_step(g: Gamma, old: Optional[List[str]]) -> List[str]:
+    """P4(a) and P4(b) on the attachable pairs, and P6, after a step: the
+    invariants the placement search can break.  They are tested on the
+    span of the contour that differs from `old`, the contour at the last
+    check, widened by one vertex on each side; on the whole contour when
+    `old` is None, after the base.
 
-    Exact when check_gamma passed on the drawing before the step and the
-    drawing has changed since only by the new edges and by stretches.  A
-    stretch keeps every edge's shape, the octant word its record carries
-    (see Gamma), and so every segment's slope, every bend count and every
-    port direction at a vertex; and by the shift lemma (see stretch_cut) it
-    keeps the old segments simple.  So P1, P2, the rotations and simplicity
-    can only break at a new edge, and they, P3's base edge and P4 read the
-    shapes, which the records keep equal to a rebuild from the coordinates.
-
-    P3 to P6 are checked relative to g.checked, the record of the last
-    check_step that found no problem, and on the whole drawing when there
-    is none.  A stretch keeps every y, keeps v1, moves v2 by its amount and
-    every other point by 0 or that amount, rightward; so a point strictly
-    above both base support lines stays there, and when the record says all
-    points were, only the base edge's shape and the new edges' points are
-    tested (otherwise P3 runs in full).  P4(a), P4(b), P5 and P6 depend only
-    on the contour order, the segment directions along contour paths and
-    the ports at contour vertices.  A stretch changes none of these and a
-    step only between its end predecessors, so they are tested on the span
-    of the contour that differs from the recorded one, widened by one
-    vertex on each side.  New edges can join cut-graph components anywhere,
-    so P4(c) tests every pair that needs a cut, the recorded ones outside
-    that span included.  Simplicity is tested on the pairs with a segment
-    of a new edge (see _step_simple).  The problems reported are then
-    exactly those of check_gamma; when there are none, g.checked records
-    this check.
+    They depend only on the contour order, the segment directions along
+    contour paths and the ports at contour vertices.  A stretch changes
+    none of these and a step only between its end predecessors, so the
+    span holds every change.  The other invariants, P1 to P3, P4(c), P5,
+    the rotations and simplicity, the construction keeps at every step,
+    and check_gamma tests them once, on the finished drawing.  In place of
+    a simplicity sweep per step, a step relies on these:
+    - new segments meet the drawing only at their own anchors, which
+      _blockers ensures before a placement is committed;
+    - new segments meet each other only at the new vertices, because the
+      arrival octants at a new vertex are distinct, an elbow bends below
+      and before the apex (_elbows_feasible), and a chain lies on its
+      baseline, which its two connections rise to without meeting
+      (_chain_baseline);
+    - stretches keep the drawing simple (see stretch_cut).
     """
-    new_ends = {v for e in new for v in g.plane.edges[e]}
-    problems: List[str] = []
-    problems.extend(_check_p1(g, new))
-    problems.extend(_check_p2(g, new))
-    rec = g.checked
-    if rec is None:
-        lo, hi = 0, len(g.contour) - 1
-        wedge = _wedge_holds(g, _all_drawing_points(g))
-    else:
-        lo, hi = _window(rec.contour, g.contour)
-        wedge = rec.wedge and _wedge_holds(g, [p for e in new for p in g.polylines[e]])
-    if not wedge:
-        problems.extend(_check_p3(g))
-    p4, cut = _check_p4_pairs(g, _attachable_pairs(g, lo, hi))
-    if rec is not None:
-        cut = _carried_cut_pairs(rec, g.contour, lo, hi, cut)
-    problems.extend(p4)
-    problems.extend(_check_p4c(g, cut))
-    window = g.contour[lo : hi + 1]
-    problems.extend(_check_p5(g, window))
-    problems.extend(_check_p6(g, window))
-    problems.extend(_check_rotations(g, new_ends))
-    problems.extend(_step_simple(g, new))
-    if not problems:
-        g.checked = CheckRecord(list(g.contour), cut, wedge)
-    return problems
+    lo, hi = (0, len(g.contour) - 1) if old is None else _window(old, g.contour)
+    problems, _ = _check_p4_pairs(g, _attachable_pairs(g, lo, hi))
+    return problems + _check_p6(g, g.contour[lo : hi + 1])
 
 
 def _window(old: List[str], new: List[str]) -> Tuple[int, int]:
@@ -1322,39 +1279,10 @@ def _window(old: List[str], new: List[str]) -> Tuple[int, int]:
     return max(p - 1, 0), min(len(new) - s, len(new) - 1)
 
 
-def _carried_cut_pairs(
-    rec: CheckRecord, contour: List[str], lo: int, hi: int, window_cut: List[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """The pairs of the current contour that need a cut: the recorded ones
-    whose span lies before or after the window [lo, hi], reindexed, around
-    window_cut, those of the pairs whose span meets it."""
-    shift = len(contour) - len(rec.contour)
-    return (
-        [(iu, iv) for iu, iv in rec.cut_pairs if iv < lo]
-        + window_cut
-        + [(iu + shift, iv + shift) for iu, iv in rec.cut_pairs if iu + shift > hi]
-    )
-
-
-def _wedge_holds(g: Gamma, points: List[Point]) -> bool:
-    """The base edge has its P3 shape, and every point of `points` other
-    than its three lies strictly above both base support lines."""
-    base = _base_edge(g)
-    # Down SE from v1 to the low point, then up NE to v2.
-    if base not in g.polylines or g.record(base).shape != (_SE, _NE):
-        return False
-    p1, low, p2 = g.polylines[base]
-    left_c, right_c = p1.x + p1.y, p2.y - p2.x
-    return all(
-        q in (p1, low, p2) or (q.x + q.y > left_c and q.y - q.x > right_c) for q in points
-    )
-
-
-def _check_rotations(g: Gamma, vertices: Optional[Set[str]] = None) -> List[str]:
-    """Drawn edge ends must respect the input rotation at every vertex
-    (or at the placed ones among `vertices`)."""
+def _check_rotations(g: Gamma) -> List[str]:
+    """Drawn edge ends must respect the input rotation at every vertex."""
     out = []
-    for v in sorted(g.placed if vertices is None else g.placed & vertices):
+    for v in sorted(g.placed):
         drawn_cyc = _drawn_cyclic(g, v)
         if drawn_cyc is None or len(drawn_cyc) <= 2:
             continue
@@ -1363,19 +1291,19 @@ def _check_rotations(g: Gamma, vertices: Optional[Set[str]] = None) -> List[str]
     return out
 
 
-def _check_p1(g: Gamma, edges: Optional[Set[str]] = None) -> List[str]:
+def _check_p1(g: Gamma) -> List[str]:
     out = []
-    for e in g.drawn_edges() if edges is None else sorted(edges):
+    for e in g.drawn_edges():
         for o in g.record(e).shape:
             if o is None:
                 out.append(f"P1: segment of {e} off the canonical slopes")
     return out
 
 
-def _check_p2(g: Gamma, edges: Optional[Set[str]] = None) -> List[str]:
+def _check_p2(g: Gamma) -> List[str]:
     out = []
     seen: Set[str] = set()
-    for e in g.drawn_edges() if edges is None else sorted(edges):
+    for e in g.drawn_edges():
         orig = g.plane.original_edge_of(e)
         if orig in seen:
             continue
@@ -1518,10 +1446,10 @@ def _r_used(g: Gamma, v: str) -> bool:
     return any(p in ("NW",) for p in g.used_ports(v)) and not g.plane.is_dummy(v)
 
 
-def _check_p5(g: Gamma, vertices: Optional[List[str]] = None) -> List[str]:
-    """P5 at the contour vertices, or at `vertices`, a span of them."""
+def _check_p5(g: Gamma) -> List[str]:
+    """P5 at the contour vertices."""
     out = []
-    for v in g.contour if vertices is None else vertices:
+    for v in g.contour:
         if g.plane.is_dummy(v) or not g.attachable(v):
             continue
         used = g.used_ports(v)
@@ -1573,38 +1501,11 @@ def _cyclic_subsequence(sub: List[str], full: List[str]) -> bool:
     return False
 
 
-# Segment groups of a step check: sweep_hits skips the pairs of two
-# _STATIONARY segments, and tests every pair with a _RESHAPED one.
-_STATIONARY, _RESHAPED = 0, None
-
-
 def _check_simple(g: Gamma) -> List[str]:
     """Every pair of drawn segments meets only at a common vertex, and no
     two vertices coincide."""
     labels, prepared = g.indexed()
-    return _improper_pairs(g, labels, prepared, [_RESHAPED] * len(labels))
-
-
-def _step_simple(g: Gamma, new: Set[str]) -> List[str]:
-    """_check_simple for a step that drew the edges `new` on a simple
-    drawing: only pairs with a segment of a new edge can meet improperly.
-
-    The new segments are tested against each other by the sweep and
-    against the rest by hits_across.  Only when a pair meets improperly or
-    two vertices coincide does the full sweep run, so that the message
-    names the pair it meets first.
-    """
-    new_labels, new_segs = g.indexed(sorted(new))
-    old_labels, old_segs = g.indexed(e for e in g.polylines if e not in new)
-    pairs = itertools.chain(
-        ((new_labels[i], new_labels[j], res) for i, j, res in sweep_hits(new_segs)),
-        ((new_labels[i], old_labels[j], res) for i, j, res in hits_across(new_segs, old_segs)),
-    )
-    if any(_improper(g, e1, e2, res) for e1, e2, res in pairs) or _coincident(g):
-        labels, prepared = g.indexed()
-        return _improper_pairs(
-            g, labels, prepared, [_RESHAPED if e in new else _STATIONARY for e in labels])
-    return []
+    return _improper_pairs(g, labels, sweep_hits(prepared))
 
 
 def _improper(g: Gamma, e1: str, e2: str, res: Intersection) -> bool:
@@ -1618,20 +1519,14 @@ def _improper(g: Gamma, e1: str, e2: str, res: Intersection) -> bool:
     return not any(g.pos.get(vv) == res.point for vv in common)
 
 
-def _coincident(g: Gamma) -> bool:
-    """Whether two placed vertices share a position."""
-    at = {(p.x, p.y) for p in map(g.pos.__getitem__, g.placed)}
-    return len(at) < len(g.placed)
-
-
 def _improper_pairs(
-    g: Gamma, labels: List[str], prepared: List[Prepared], groups: List[Optional[int]]
+    g: Gamma, labels: List[str], hits: Iterable[Tuple[int, int, Intersection]]
 ) -> List[str]:
-    """Sweep the segments, edge labels[i] for prepared[i], for the first
-    improper intersection, skipping each pair whose groups are equal and
-    not _RESHAPED; then test vertex coincidence."""
+    """The first improper intersection among `hits`, meetings of segments
+    i and j, of the edges labels[i] and labels[j], in sweep order; then
+    vertex coincidence."""
     out = []
-    for i, j, res in sweep_hits(prepared, groups):
+    for i, j, res in hits:
         e1, e2 = labels[i], labels[j]
         if _improper(g, e1, e2, res):
             out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")

@@ -22,7 +22,8 @@ sorted rotation to give the same darts, from the same start.
 check_gamma_by_points is the 1-bend checker with P1 to P4 decided on
 segments rebuilt from the polylines, and ports read off the coordinates,
 where onebend reads the shapes its edge records carry.  The tests require
-onebend.check_step to report the same problems at every step.
+it to report what onebend.check_gamma reports, and both of them what
+onebend.check_step reports, at every step.
 
 stretch_by_fractions is the 1-bend stretch on true Fraction coordinates,
 read off the polylines.  The tests require onebend.stretch, which works on
@@ -85,6 +86,7 @@ from slopeforge.geometry import (
     slope_of,
     sort_directions_ccw,
     strip_collinear,
+    sweep_hits,
 )
 from slopeforge.graphutil import Adj
 from slopeforge.model import DUMMY_PREFIX, Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, connectivity
@@ -628,7 +630,10 @@ def check_stretch(g: onebend.Gamma, left: Set[str]) -> List[str]:
             group_of[e] = reshaped
         else:
             group_of[e] = stationary if a in left else translated
-    return onebend._improper_pairs(g, labels, prepared, [group_of[e] for e in labels])
+    groups = [group_of[e] for e in labels]
+    hits = ((i, j, res) for i, j, res in sweep_hits(prepared)
+            if groups[i] is reshaped or groups[i] != groups[j])
+    return onebend._improper_pairs(g, labels, hits)
 
 
 def check_gamma_by_points(g: onebend.Gamma) -> List[str]:

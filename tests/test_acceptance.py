@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 
-from slopeforge import graphutil, twobend
+from slopeforge import graphutil, onebend, twobend
 from slopeforge.docio import drawing_to_doc, dumps, graph_to_doc
 from slopeforge.families import (
     gen_2reg,
@@ -24,7 +24,7 @@ from slopeforge.families import (
 )
 from slopeforge.geometry import SlopeKind
 from slopeforge.model import connectivity, find_real_real_face
-from slopeforge.onebend import OneBendDrawer, draw_onebend
+from slopeforge.onebend import OneBendDrawer, check_gamma, draw_onebend
 from slopeforge.ordering import canonical_order, st_order, verify_canonical
 from slopeforge.reembed import count_dummy_cutvertices, normalize_embedding
 from slopeforge.render import render_svg
@@ -101,9 +101,20 @@ class TestAcceptance:
         _report("1 (Theorem 1 suite)", elapsed < 5.0,
                 f"{len(graphs)} graphs in {elapsed:.2f}s (budget 5s)")
 
-    def test_2_per_step_invariants(self):
+    def test_2_per_step_invariants(self, monkeypatch):
         """P1-P6 checker green after every insertion of every corpus run
-        (thousands of intermediate states); < 30 s."""
+        (thousands of intermediate states); < 30 s.  The drawer checks
+        P4(a), P4(b) and P6 after each step and runs the full checker on
+        the finished drawing, so the full checker after the other steps
+        runs here, next to the step check."""
+        real_check_step = onebend.check_step
+        problems = []
+
+        def fully_checked(g, old):
+            problems.extend(check_gamma(g))
+            return real_check_step(g, old)
+
+        monkeypatch.setattr(onebend, "check_step", fully_checked)
         t0 = time.perf_counter()
         graphs = [g for g in _onebend_graphs() if len(g.vertices) <= 60]
         for seed in range(400, 580):
@@ -122,9 +133,10 @@ class TestAcceptance:
                 plane = plane.with_outer(face.darts[0])
             delta = canonical_order(plane, head, tail)
             drawer = OneBendDrawer(plane, delta)
-            drawer.run()  # raises on any per-step P1-P6 violation
+            drawer.run()
             steps += drawer.steps
         elapsed = time.perf_counter() - t0
+        assert problems == []
         _report("2 (per-step P1-P6)", steps >= 2000 and elapsed < 30.0,
                 f"{steps} checked intermediate drawings in {elapsed:.2f}s (budget 30s)")
 
@@ -154,11 +166,16 @@ class TestAcceptance:
         """I1-I6 hold after draw_liu and after every C-shape elimination
         step; final drawings have no dummy-incident C-shapes.  The drawer
         checks only the finished component, so the checks after each step
-        run here, at the top of each elimination round."""
+        run here, at the top of each elimination round.  The subcubic
+        corpus needs no elimination step; the cubic3con graphs do."""
         rounds = InvariantRounds()
         monkeypatch.setattr(twobend, "dummy_c_shapes", rounds)
         checked = 0
-        for g in _twobend_graphs():
+        graphs = _twobend_graphs() + [
+            gen_corpus(seed=seed, n_target=32, profile="cubic3con", count=1)[0]
+            for seed in range(1000, 1010)
+        ]
+        for g in graphs:
             norm = normalize_embedding(g)
             tree = bridge_decomposition(norm)
             for i, comp in enumerate(tree.components):
@@ -168,8 +185,10 @@ class TestAcceptance:
                 assert dummy_c_shapes(d) == []
                 checked += 1
         assert rounds.problems == []
+        assert rounds.steps >= 5
         _report("4 (I1-I6 maintenance)", True,
-                f"{checked} components, {rounds.drawings + rounds.steps} checked rounds")
+                f"{checked} components, {rounds.drawings + rounds.steps} checked rounds, "
+                f"{rounds.steps} after an elimination step")
 
     def test_5_lemma1_contract(self):
         """>= 20 adversarial instances: zero dummy cutvertices after

@@ -1,21 +1,27 @@
 """The checks the drawers trust the construction for, run as oracles.
 
 The 1-bend drawer does not re-sweep the drawing after a stretch: a stretch
-along a stretch_cut keeps it simple by the shift lemma.  The 2-bend drawer
-does not check I1 to I6 after draw_liu or after a C-shape elimination
-step: Liu, Morgana and Simeone's construction keeps them.  Here the moved
-checks run after every stretch and every step on the corpora, and must
-find nothing; a minimum count keeps either test from passing vacuously.
+along a stretch_cut keeps it simple by the shift lemma.  After a step it
+checks only P4(a), P4(b) and P6 on the contour span the step replaced
+(check_step), and the full check_gamma once, on the finished drawing.  The
+2-bend drawer does not check I1 to I6 after draw_liu or after a C-shape
+elimination step: Liu, Morgana and Simeone's construction keeps them.
+Here the moved checks run after every stretch and every step on the
+corpora.  The stretch re-sweep and the 2-bend invariant checker must find
+nothing; after every 1-bend step, check_gamma and the checker on rebuilt
+segments must find exactly what check_step found, which holds only while
+the checks it leaves out find nothing.  A minimum count keeps each test
+from passing vacuously.
 """
 
 from __future__ import annotations
 
 from slopeforge import onebend, twobend
 from slopeforge.families import gen_corpus
-from slopeforge.onebend import OneBendError, draw_onebend
+from slopeforge.onebend import OneBendError, check_gamma, draw_onebend
 from slopeforge.twobend import TwoBendError, draw_twobend
 
-from oracles import InvariantRounds, check_stretch
+from oracles import InvariantRounds, check_gamma_by_points, check_stretch
 
 # The onebend-cubic benchmark inputs, then the two smallest known 1-bend
 # failures; cubic3con (n_target, seed) pairs.
@@ -57,6 +63,31 @@ class TestStretchOracle:
                 assert (n_target, seed) in ONEBEND_FAILURES
         assert rejected == []
         assert stretches >= 400
+
+
+class TestStepCheckOracle:
+    def test_full_checks_agree_with_every_step_check(self, monkeypatch):
+        """Two of the failures stop at a step check: 90/1024 at P6 and
+        32/499 at P4(b)."""
+        real_check_step = onebend.check_step
+        steps = []
+
+        def both(g, old):
+            problems = real_check_step(g, old)
+            assert check_gamma(g) == problems
+            assert check_gamma_by_points(g) == problems
+            steps.append(problems)
+            return problems
+
+        monkeypatch.setattr(onebend, "check_step", both)
+        for n_target, seed in ONEBEND_INPUTS:
+            g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+            try:
+                draw_onebend(g)
+            except OneBendError:
+                assert (n_target, seed) in ONEBEND_FAILURES
+        assert sum(1 for problems in steps if problems) == 2
+        assert len(steps) >= 600
 
 
 class TestInvariantOracle:

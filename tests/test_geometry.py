@@ -613,22 +613,20 @@ class TestStripCollinear:
         assert strip_collinear(reversal) == reversal
 
 
-def _brute_hits(segs, groups=None):
+def _brute_hits(segs):
     """The oracle: intersect on every pair, keyed by (lower, higher) index."""
     out = {}
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
-            if groups is not None and groups[i] is not None and groups[i] == groups[j]:
-                continue
             res = intersect(segs[i], segs[j])
             if res.kind is not IntersectKind.DISJOINT:
                 out[(i, j)] = res
     return out
 
 
-def _swept_hits(segs, groups=None):
+def _swept_hits(segs):
     out = {}
-    for i, j, res in sweep_hits([prepare(s) for s in segs], groups):
+    for i, j, res in sweep_hits([prepare(s) for s in segs]):
         key = (min(i, j), max(i, j))
         assert i != j and key not in out
         out[key] = res
@@ -719,13 +717,6 @@ class TestSegmentHits:
             want = [(i, j, intersect(a, b)) for j, b in enumerate(old) for i, a in enumerate(new)]
             found = list(hits_across([prepare(a) for a in new], [prepare(b) for b in old]))
             assert found == [hit for hit in want if hit[2].kind is not IntersectKind.DISJOINT]
-
-    def test_skips_pairs_inside_one_group(self):
-        rng = random.Random(23)
-        for _ in range(6):
-            segs = _segment_soup(rng, 50, 10**14 + rng.randint(0, 10**6))
-            groups = [rng.choice((None, 0, 1, "x")) for _ in segs]
-            assert _swept_hits(segs, groups) == _brute_hits(segs, groups)
 
 
 def test_no_float_calls_outside_the_renderer():

@@ -14,14 +14,14 @@ from slopeforge.families import (
     gen_prism,
 )
 from slopeforge.geometry import (
-    IntersectKind, Point, Segment, SlopeKind, prepare, strip_collinear, sweep_hits,
+    Point, Segment, SlopeKind, prepare, strip_collinear, sweep_hits,
 )
 from slopeforge.model import EmbeddedGraph, PlaneGraph, find_real_real_face
 from slopeforge.onebend import (
-    CheckRecord,
     Gamma,
     OneBendDrawer,
     OneBendError,
+    Plan,
     _base_edge,
     _blockers,
     _check_simple,
@@ -145,38 +145,19 @@ def rebuilt_segments(g):
 
 def blockers_by_sweep(g, new_segments, allowed_points):
     """Reference for onebend._blockers: sweeps every drawn segment, rebuilt,
-    together with the new ones."""
+    together with the new ones, and keeps the pairs of a drawn and a new
+    segment that meet anywhere but at an allowed end of the new one."""
     drawn = rebuilt_segments(g)
     segs = [s for _, s in drawn] + new_segments
-    groups = [0] * len(drawn) + [1] * len(new_segments)
     blocked = set()
-    for i, j, res in sweep_hits([prepare(s, g.unit) for s in segs], groups):
-        if res.point is None or res.point not in allowed_points:
-            blocked.add(min(i, j))
+    for i, j, res in sweep_hits([prepare(s, g.unit) for s in segs]):
+        old, new = min(i, j), max(i, j)
+        if new < len(drawn) or old >= len(drawn):
+            continue
+        seg = segs[new]
+        if res.point not in allowed_points or res.point not in (seg.a, seg.b):
+            blocked.add(old)
     return [drawn[k] for k in sorted(blocked)]
-
-
-def step_simple_by_sweep(g, new):
-    """Reference for the simplicity part of onebend.check_step: one sweep
-    over every drawn segment, rebuilt, that skips the pairs of two old
-    ones; then vertex coincidence."""
-    segs = rebuilt_segments(g)
-    groups = [None if e in new else 0 for e, _ in segs]
-    for i, j, res in sweep_hits([prepare(s, g.unit) for _, s in segs], groups):
-        e1, e2 = segs[i][0], segs[j][0]
-        if res.kind is IntersectKind.SHARED_ENDPOINT:
-            if e1 == e2:
-                continue
-            common = set(g.plane.edges[e1]) & set(g.plane.edges[e2])
-            if any(g.pos.get(v) == res.point for v in common):
-                continue
-        return [f"simple: {e1} and {e2} intersect improperly ({res.kind.value})"]
-    seen = {}
-    for v in sorted(g.placed):
-        if g.pos[v] in seen:
-            return [f"simple: vertices {seen[g.pos[v]]} and {v} coincide at {g.unscaled(g.pos[v])}"]
-        seen[g.pos[v]] = v
-    return []
 
 
 def assert_index_is_fresh(g):
@@ -484,62 +465,17 @@ class TestStretchPlan:
 
 
 class TestStepCheck:
-    def test_agrees_with_full_check_at_every_step(self, monkeypatch):
-        """check_step reports what check_gamma and the checker on rebuilt
-        segments report, at every step."""
-        seen = []
-        real_check_step = onebend.check_step
-
-        def both(g, new):
-            problems = real_check_step(g, new)
-            assert check_gamma_by_points(g) == problems
-            seen.append((problems, check_gamma(g)))
-            return problems
-
-        monkeypatch.setattr(onebend, "check_step", both)
-        graphs = []
-        for seed in range(60, 84):
-            target = (12, 16, 20, 24)[seed % 4]
-            graphs += gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)
-        for g in graphs:
-            draw_onebend(g)
-        assert len(graphs) >= 20 and len(seen) >= 100
-        assert all(step == full for step, full in seen)
-
-    def test_agrees_with_full_check_on_larger_contours(self, monkeypatch):
-        """The same on 70- to 90-vertex graphs, and on the two known failing
-        inputs up to the P6 and P4b breaks that stop them."""
-        seen = []
-        real_check_step = onebend.check_step
-
-        def both(g, new):
-            problems = real_check_step(g, new)
-            assert check_gamma_by_points(g) == problems
-            seen.append((problems, check_gamma(g)))
-            return problems
-
-        monkeypatch.setattr(onebend, "check_step", both)
-        inputs = [(1024, 90), (1025, 90), (1026, 90), (499, 32)]
-        for seed, target in inputs:
-            g = gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0]
-            try:
-                draw_onebend(g)
-            except OneBendError:
-                assert seed in (1024, 499)
-        assert all(step == full for step, full in seen)
-        assert sum(1 for step, _ in seen if step) == 2
-        assert len(seen) >= 100
-
     @staticmethod
     def _step_onto_c_and_e(spare_at_c):
-        """A drawing whose contour v1, a, b, c, e, d, v2 passes its step
-        check, then the step that draws w on the contour between c and e.
+        """A drawing whose contour v1, a, b, c, e, d, v2 passes its checks,
+        then the step that draws w on the contour between c and e.
 
         The path from v1 to b holds a vertical, so P4(c) must separate
         them: v1 lies in the cut-graph component of a, i, d and e, and b in
         that of c.  The new edges cw and ew join the two.  With
         `spare_at_c`, c keeps a free edge, so it stays attachable with the
-        upper port NE in use.  Returns the drawing and the new edges.
+        upper port NE in use.  Returns the drawing and the contour before
+        the step.
         """
         edges = {
             "base": ("v1", "v2"), "s": ("v1", "a"), "h": ("a", "b"), "bc": ("b", "c"),
@@ -575,37 +511,40 @@ class TestStepCheck:
             },
             contour=["v1", "a", "b", "c", "e", "d", "v2"],
         )
-        assert check_step(g, set()) == [] == check_gamma(g)
-        assert g.checked.cut_pairs == [(0, 2)]
+        assert check_step(g, None) == [] == check_gamma(g)
+        old = g.contour
         g.pos["w"] = Point(14, 12)
         g.placed.add("w")
         g.draw("cw", [Point(12, 10), Point(14, 12)])
         g.draw("ew", [Point(16, 10), Point(14, 12)])
         g.contour = ["v1", "a", "b", "c", "w", "e", "d", "v2"]
-        return g, {"cw", "ew"}
+        return g, old
 
     def test_p4c_rechecks_a_pair_outside_the_window(self):
-        g, new = self._step_onto_c_and_e(spare_at_c=False)
-        problems = check_step(g, new)
+        """The step leaves its window sound; the full check finds the pair
+        before it that the new edges joined."""
+        g, old = self._step_onto_c_and_e(spare_at_c=False)
+        assert check_step(g, old) == []
+        problems = check_gamma(g)
         assert problems == ["P4c: no all-horizontal cut separates v1 from b"]
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
     def test_end_predecessor_that_stays_attachable_is_rechecked(self):
-        g, new = self._step_onto_c_and_e(spare_at_c=True)
-        problems = check_step(g, new)
+        g, old = self._step_onto_c_and_e(spare_at_c=True)
+        assert check_step(g, old) == []
+        problems = check_gamma(g)
         assert problems == [
             "P4c: no all-horizontal cut separates v1 from b",
             "P5: attachable real c has occupied upper ports ['NE']",
         ]
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
     def test_new_point_outside_the_base_wedge_gets_the_full_p3(self):
         """Over the unit 2, the message names the point in true coordinates."""
         g = self._gamma_with_new_edge([(-2, 2), (-2, 4)], unit=2)
-        g.checked = CheckRecord(contour=[], cut_pairs=[], wedge=True)
-        problems = check_step(g, {"t"})
+        problems = check_gamma(g)
         assert problems == [f"P3: {Point(-2, 2)} lies on a base support line"]
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
     def test_a_vertical_before_the_first_horizontal_is_found_from_either_end(self):
         """The contour path v1, a, v2 runs N, E, then E, S.  Read from v1 it
@@ -627,16 +566,20 @@ class TestStepCheck:
             },
             contour=["v1", "a", "v2"],
         )
-        problems = check_step(g, {"t"})
-        assert problems == [
+        p4a = [
             "P4a: vertical before any horizontal between v1 and v2",
             "P4a: vertical before any horizontal between v2 and v1 (reverse)",
+        ]
+        assert check_step(g, None) == p4a
+        assert check_step(g, ["v1", "v2"]) == p4a
+        problems = check_gamma(g)
+        assert problems == p4a + [
             "P5: attachable real v1 has occupied upper ports ['N']",
             "P5: attachable real v2 has occupied upper ports ['N']",
         ]
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
-    def test_full_check_after_base_and_final(self, monkeypatch):
+    def test_full_check_after_the_final_vertex_only(self, monkeypatch):
         drawer = build_drawer(gen_corpus(seed=61, n_target=16, profile="cubic3con", count=1)[0])
         full, steps = [], []
         real_check_gamma, real_check_step = onebend.check_gamma, onebend.check_step
@@ -645,16 +588,16 @@ class TestStepCheck:
             full.append(drawer.steps)
             return real_check_gamma(g)
 
-        def counted_step(g, new):
+        def counted_step(g, old):
             steps.append(drawer.steps)
-            return real_check_step(g, new)
+            return real_check_step(g, old)
 
         monkeypatch.setattr(onebend, "check_gamma", counted_full)
         monkeypatch.setattr(onebend, "check_step", counted_step)
         drawer.run()
         n = drawer.steps
-        assert full == [1, n]
-        assert steps == list(range(2, n))
+        assert full == [n]
+        assert steps == list(range(1, n))
 
     @staticmethod
     def _gamma_with_new_edge(t_pts, unit=1):
@@ -670,26 +613,26 @@ class TestStepCheck:
 
     def test_rejects_new_edge_crossing_an_old_segment(self):
         clear = self._gamma_with_new_edge([(6, 2), (6, 3)])
-        assert check_step(clear, {"t"}) == [] == check_gamma(clear)
+        assert check_gamma(clear) == []
         crossing = self._gamma_with_new_edge([(2, 2), (2, 6)])
-        problems = check_step(crossing, {"t"})
+        problems = check_gamma(crossing)
         assert "simple: t and s intersect improperly (proper_crossing)" in problems
-        assert problems == check_gamma(crossing) == check_gamma_by_points(crossing)
+        assert problems == check_gamma_by_points(crossing)
 
     def test_rejects_new_edge_off_the_slopes(self):
         g = self._gamma_with_new_edge([(6, 2), (6, 3), (7, 5), (7, 6)])
-        problems = check_step(g, {"t"})
+        problems = check_gamma(g)
         assert "P1: segment of t off the canonical slopes" in problems
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
     def test_a_reversal_is_not_a_bend(self):
         """t runs up, back down over itself and up again: no bend, as the
         coordinates count bends, but its segments overlap."""
         g = self._gamma_with_new_edge([(6, 2), (6, 5), (6, 3), (6, 6)])
-        problems = check_step(g, {"t"})
+        problems = check_gamma(g)
         assert not any(p.startswith("P2") for p in problems)
         assert "simple: t and t intersect improperly (overlap)" in problems
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
     @pytest.mark.parametrize("t_pts, bends", [
         ([(6, 2), (6, 3), (7, 5), (8, 7), (8, 8)], 2),
@@ -700,11 +643,11 @@ class TestStepCheck:
         slopes between.  They have no octant: on one line they make no bend,
         and on two lines they make one."""
         g = self._gamma_with_new_edge(t_pts)
-        problems = check_step(g, {"t"})
+        problems = check_gamma(g)
         assert "P1: segment of t off the canonical slopes" in problems
         assert g.edge_bend_count("t") == bends
         assert f"P2: edge t has {bends} bends" in problems
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
     @staticmethod
     def _gamma_with_third_edge_at_v1(port_end):
@@ -728,11 +671,11 @@ class TestStepCheck:
 
     def test_rejects_new_edge_out_of_rotation_order(self):
         in_order = self._gamma_with_third_edge_at_v1((-2, 0))
-        assert check_step(in_order, {"u"}) == [] == check_gamma(in_order)
+        assert check_gamma(in_order) == []
         out_of_order = self._gamma_with_third_edge_at_v1((2, 2))
-        problems = check_step(out_of_order, {"u"})
+        problems = check_gamma(out_of_order)
         assert "rotation at v1 not preserved" in problems
-        assert problems == check_gamma(out_of_order) == check_gamma_by_points(out_of_order)
+        assert problems == check_gamma_by_points(out_of_order)
 
 
 class TestSegmentIndex:
@@ -742,8 +685,8 @@ class TestSegmentIndex:
 
     def test_queries_match_the_sweeps_at_every_step_and_attempt(self, monkeypatch):
         """At every placement attempt and every step check, the index equals
-        a rebuild, and the blocked segments and the step check's problems
-        equal those of the sweeps over rebuilt segments."""
+        a rebuild, and at every attempt the blocked segments equal those of
+        the sweep over rebuilt segments."""
         real_blockers, real_check_step = onebend._blockers, onebend.check_step
         attempts, steps, blocked, broken = 0, 0, 0, 0
 
@@ -757,13 +700,11 @@ class TestSegmentIndex:
             blocked += bool(found)
             return found
 
-        def checked_step(g, new):
+        def checked_step(g, old):
             nonlocal steps, broken
             steps += 1
             assert_index_is_fresh(g)
-            expected = step_simple_by_sweep(g, new)
-            problems = real_check_step(g, new)
-            assert problems == [p for p in problems if not p.startswith("simple:")] + expected
+            problems = real_check_step(g, old)
             broken += bool(problems)
             return problems
 
@@ -782,11 +723,10 @@ class TestSegmentIndex:
         """t crosses the horizontal of s and, lower down, the base edge.  The
         base edge comes first in drawing order, but the sweep meets s first."""
         g = TestStepCheck._gamma_with_new_edge([(1, 6), (1, 2), (1, -3)])
-        problems = check_step(g, {"t"})
+        problems = check_gamma(g)
         simple = [p for p in problems if p.startswith("simple:")]
         assert simple == ["simple: t and s intersect improperly (proper_crossing)"]
-        assert simple == step_simple_by_sweep(g, {"t"})
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
     def test_new_edges_meeting_each_other_are_caught(self):
         """Two new edges that cross only each other, over the unit 2."""
@@ -795,19 +735,18 @@ class TestSegmentIndex:
         g.plane.rotation["a"].append("u")
         g.plane.rotation["v2"].append("u")
         g.draw("u", [g.pos["a"], Point(11, 5), Point(15, 5), g.pos["v2"]])
-        problems = check_step(g, {"t", "u"})
+        problems = check_gamma(g)
         assert problems[-1] == "simple: t and u intersect improperly (proper_crossing)"
-        assert problems[-1:] == step_simple_by_sweep(g, {"t", "u"})
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
     def test_coinciding_vertices_without_a_meeting_pair_are_caught(self):
         """Over the unit 2, the message names the point in true coordinates."""
         g = TestStepCheck._gamma_with_new_edge([(6, 2), (6, 3)], unit=2)
         del g.polylines["t"]
         g.pos["b"] = g.pos["c"]
-        problems = check_step(g, {"s"})
+        problems = check_gamma(g)
         assert problems[-1] == f"simple: vertices b and c coincide at {Point(6, 2)}"
-        assert problems == check_gamma(g) == check_gamma_by_points(g)
+        assert problems == check_gamma_by_points(g)
 
     def test_a_stretch_prepares_only_what_it_reshapes(self, monkeypatch):
         """A stretch prepares the segments of its split edges, shifts those
@@ -884,6 +823,15 @@ class TestBlockers:
         assert _blockers(g, new, {a}) == []
         assert _blockers(g, new, set()) == [rebuilt_segments(g)[3]]
 
+    def test_a_ray_through_another_anchor_blocks(self):
+        """A ray from v1 up NE through the anchor a, which ends the
+        horizontal of s: a is allowed only where a new segment ends."""
+        g = self._drawing()
+        drawn = rebuilt_segments(g)
+        allowed = {g.pos["v1"], g.pos["a"]}
+        assert _blockers(g, self._segs((0, 0, 4, 4)), allowed) == []
+        assert _blockers(g, self._segs((0, 0, 6, 6)), allowed) == [drawn[3]]
+
     def test_new_vertex_on_an_existing_point_blocks(self):
         g = self._drawing()
         drawn = rebuilt_segments(g)
@@ -892,6 +840,22 @@ class TestBlockers:
         assert _blockers(g, on_s, allowed) == [drawn[3]]
         on_v2 = self._segs((4, 4, 10, 10), (10, 10, 10, 0))
         assert _blockers(g, on_v2, allowed) == [drawn[1]]
+
+
+class TestChainBaseline:
+    def test_rays_that_cross_above_the_higher_anchor_get_no_baseline(self):
+        """The left anchor a = (10, 0) takes NW and the right anchor b takes
+        N.  With b at (0, 5), a's ray is right of b at b's height and
+        crosses b's column at y = 10, so no baseline keeps the two
+        connections apart.  With b at (6, 5), the rays diverge from b's
+        height up, and the baseline lies half a unit above b."""
+        drawer = build_drawer(gen_prism())
+        pl = Plan("a", "s", "NW", corner=False)
+        pr = Plan("b", "t", "N", corner=False)
+        drawer.g = hand_built(_base_s_t_plane(), {"a": (10, 0), "b": (0, 5)}, {})
+        assert drawer._chain_baseline(pl, pr) is None
+        drawer.g = hand_built(_base_s_t_plane(), {"a": (10, 0), "b": (6, 5)}, {})
+        assert drawer._chain_baseline(pl, pr) == F(11, 2)
 
 
 class TestPipeline:
@@ -995,7 +959,7 @@ class TestOneBendInts:
         def ints(values):
             return all(type(c) is int for c in values)
 
-        def checked_post_step(self, label, full=False):
+        def checked_post_step(self, label):
             nonlocal steps
             g = self.g
             steps += 1
@@ -1006,7 +970,7 @@ class TestOneBendInts:
                 assert ints(c for p in rec.pts for c in (p.x, p.y))
                 for seg, form, box in rec.segs:
                     assert ints((seg.a.x, seg.a.y, seg.b.x, seg.b.y) + form + box)
-            return real_post_step(self, label, full)
+            return real_post_step(self, label)
 
         monkeypatch.setattr(OneBendDrawer, "_post_step", checked_post_step)
         for n_target in (12, 20, 32):
