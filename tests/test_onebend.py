@@ -465,6 +465,52 @@ class TestStretchPlan:
 
 
 class TestStepCheck:
+    def test_agrees_with_full_check_at_every_step(self, monkeypatch):
+        """check_step reports what check_gamma and the checker on rebuilt
+        segments report, at every step."""
+        seen = []
+        real_check_step = onebend.check_step
+
+        def both(g, old):
+            problems = real_check_step(g, old)
+            assert check_gamma_by_points(g) == problems
+            seen.append((problems, check_gamma(g)))
+            return problems
+
+        monkeypatch.setattr(onebend, "check_step", both)
+        graphs = []
+        for seed in range(60, 84):
+            target = (12, 16, 20, 24)[seed % 4]
+            graphs += gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)
+        for g in graphs:
+            draw_onebend(g)
+        assert len(graphs) >= 20 and len(seen) >= 100
+        assert all(step == full for step, full in seen)
+
+    def test_agrees_with_full_check_on_larger_contours(self, monkeypatch):
+        """The same on 70- to 90-vertex graphs, and on the two known failing
+        inputs up to the P6 and P4b breaks that stop them."""
+        seen = []
+        real_check_step = onebend.check_step
+
+        def both(g, old):
+            problems = real_check_step(g, old)
+            assert check_gamma_by_points(g) == problems
+            seen.append((problems, check_gamma(g)))
+            return problems
+
+        monkeypatch.setattr(onebend, "check_step", both)
+        inputs = [(1024, 90), (1025, 90), (1026, 90), (499, 32)]
+        for seed, target in inputs:
+            g = gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0]
+            try:
+                draw_onebend(g)
+            except OneBendError:
+                assert seed in (1024, 499)
+        assert all(step == full for step, full in seen)
+        assert sum(1 for step, _ in seen if step) == 2
+        assert len(seen) >= 100
+
     @staticmethod
     def _step_onto_c_and_e(spare_at_c):
         """A drawing whose contour v1, a, b, c, e, d, v2 passes its checks,
