@@ -3,10 +3,31 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .geometry import Point, Segment
-from .model import EmbeddedGraph
+from .model import EmbeddedGraph, PlaneGraph
+
+
+def join_fragments(plane: PlaneGraph, lines: Dict[str, List[Point]], orig: str) -> Optional[List[Point]]:
+    """The drawn part of original edge `orig`, as a new list: its own
+    polyline in `lines`, or its two drawn fragments joined at their common
+    point, the dummy.  One drawn fragment gives that fragment's points, and
+    nothing drawn gives None.  Raises ValueError when two drawn fragments
+    do not meet."""
+    drawn = [lines[e] for e in plane.fragments_of_original(orig) or [orig] if e in lines]
+    if not drawn:
+        return None
+    if len(drawn) == 1:
+        return list(drawn[0])
+    pa, pb = drawn
+    if pa[-1] not in (pb[0], pb[-1]):
+        pa = pa[::-1]
+    if pb[0] != pa[-1]:
+        pb = pb[::-1]
+    if pa[-1] != pb[0]:
+        raise ValueError(f"fragments of {orig} do not meet at their crossing")
+    return pa + pb[1:]
 
 
 @dataclass

@@ -109,10 +109,6 @@ class Slope:
             kind = SlopeKind.OTHER
         return Slope(kind, (ix, iy))
 
-    @property
-    def canonical(self) -> bool:
-        return self.kind is not SlopeKind.OTHER
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -179,6 +175,16 @@ def strip_collinear(pts: List[Point]) -> List[Point]:
         cleaned.append(b)
     cleaned.append(out[-1])
     return cleaned
+
+
+def bend_count(pts: Sequence[Point]) -> int:
+    """The interior points where a polyline turns or folds back."""
+    bends = 0
+    for a, b, c in zip(pts, pts[1:], pts[2:]):
+        d1, d2 = (b.x - a.x, b.y - a.y), (c.x - b.x, c.y - b.y)
+        if cross(d1, d2) != 0 or dot(d1, d2) < 0:
+            bends += 1
+    return bends
 
 
 class IntersectKind(Enum):

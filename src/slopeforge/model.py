@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import graphutil
 
@@ -28,6 +28,12 @@ Dart = Tuple[str, str]  # (edge id, tail vertex id)
 
 class EmbeddingError(Exception):
     """Raised when data does not describe a consistent 1-plane embedding."""
+
+
+def cyclic_key(seq: Sequence) -> Tuple:
+    """The least rotation of seq: two lists of distinct items are in the
+    same cyclic order exactly when their keys are equal."""
+    return min((tuple(seq[i:]) + tuple(seq[:i]) for i in range(len(seq))), default=())
 
 
 @dataclass
@@ -41,9 +47,6 @@ class Face:
 
     def __len__(self) -> int:
         return len(self.darts)
-
-    def __contains__(self, vertex: str) -> bool:
-        return any(d[1] == vertex for d in self.darts)
 
 
 @dataclass
@@ -193,6 +196,19 @@ class PlaneGraph:
             rotation={v: list(r) for v, r in self.rotation.items()},
             fragment_of=dict(self.fragment_of),
             outer_darts=tuple(self.outer_darts),
+        )
+
+    def induced(self, keep: Set[str]) -> "PlaneGraph":
+        """The sub-plane on the vertices in keep, sorted, with the edges
+        between them and no outer face recorded."""
+        vertices = sorted(keep)
+        edges = {e: ab for e, ab in self.edges.items() if ab[0] in keep and ab[1] in keep}
+        return PlaneGraph(
+            vertices=vertices,
+            real=self.real & keep,
+            edges=edges,
+            rotation={v: [e for e in self.rotation[v] if e in edges] for v in vertices},
+            fragment_of={e: o for e, o in self.fragment_of.items() if e in edges},
         )
 
     # ---- the original (abstract, 1-plane) view -------------------------
@@ -441,8 +457,6 @@ def connectivity(adj_or_graph, cap: int = 3) -> int:
     workload passes cap=3."""
     if isinstance(adj_or_graph, EmbeddedGraph):
         adj = adj_or_graph.abstract_adjacency()
-    elif isinstance(adj_or_graph, PlaneGraph):
-        adj = adj_or_graph.adjacency()
     else:
         adj = adj_or_graph
     return min(graphutil.vertex_connectivity(adj), cap)

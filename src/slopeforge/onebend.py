@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .drawing import PolylineDrawing
+from .drawing import PolylineDrawing, join_fragments
 from .geometry import (
     Coord,
     IntersectKind,
@@ -37,6 +37,7 @@ from .geometry import (
     Point,
     Prepared,
     Segment,
+    bend_count,
     hits_across,
     line_intersection,
     octant,
@@ -47,7 +48,7 @@ from .geometry import (
     strip_collinear,
     sweep_hits,
 )
-from .model import EmbeddedGraph, PlaneGraph, connectivity
+from .model import EmbeddedGraph, PlaneGraph, connectivity, cyclic_key
 from .ordering import CanonicalOrdering, canonical_order_on_real_edge
 from .reembed import normalize_embedding
 
@@ -274,10 +275,11 @@ class Gamma:
         """Bends of the drawn part of an original edge: changes of slope
         between consecutive segments, a reversal being none.  A shape names
         no slope off the canonical ones, so an edge with such a segment is
-        counted on its points, where collinear segments make no bend."""
+        counted on its points by geometry.bend_count, as the validator
+        counts: there a turn and a fold back each make a bend."""
         shape = self._original_shape(orig)
         if None in shape:
-            return _count_turns(self._joined_original(orig))
+            return bend_count(join_fragments(self.plane, self.polylines, orig))
         return sum(1 for o1, o2 in zip(shape, shape[1:]) if o1 % 4 != o2 % 4)
 
     def _original_shape(self, orig: str) -> Tuple[Optional[int], ...]:
@@ -290,37 +292,6 @@ class Gamma:
         fa, fb = drawn
         x = next(v for v in self.plane.edges[fa] if self.plane.is_dummy(v))
         return self.shape_from(fa, self.plane.other_end(fa, x)) + self.shape_from(fb, x)
-
-    def _joined_original(self, orig: str) -> Optional[List[Point]]:
-        frags = self.plane.fragments_of_original(orig)
-        if not frags:
-            pts = self.polylines.get(orig)
-            return list(pts) if pts else None
-        drawn = [f for f in frags if f in self.polylines]
-        if not drawn:
-            return None
-        if len(drawn) == 1:
-            return list(self.polylines[drawn[0]])
-        fa, fb = drawn
-        pa, pb = list(self.polylines[fa]), list(self.polylines[fb])
-        x = next(v for v in self.plane.edges[fa] if self.plane.is_dummy(v))
-        xp = self.pos[x]
-        if pa[-1] != xp:
-            pa.reverse()
-        if pb[0] != xp:
-            pb.reverse()
-        return pa + pb[1:]
-
-
-def _count_turns(pts: Sequence[Point]) -> int:
-    """The points of a polyline where consecutive segments are not collinear."""
-    bends = 0
-    for i in range(1, len(pts) - 1):
-        d1 = (pts[i].x - pts[i - 1].x, pts[i].y - pts[i - 1].y)
-        d2 = (pts[i + 1].x - pts[i].x, pts[i + 1].y - pts[i].y)
-        if d1[0] * d2[1] - d1[1] * d2[0] != 0:
-            bends += 1
-    return bends
 
 
 # ---------------------------------------------------------------------------
@@ -1283,10 +1254,9 @@ def _check_rotations(g: Gamma) -> List[str]:
     """Drawn edge ends must respect the input rotation at every vertex."""
     out = []
     for v in sorted(g.placed):
-        drawn_cyc = _drawn_cyclic(g, v)
-        if drawn_cyc is None or len(drawn_cyc) <= 2:
-            continue
-        if not _cyclic_subsequence(drawn_cyc, g.plane.rotation[v]):
+        ports = g.port_dirs(v)
+        drawn = sorted(ports, key=lambda e: PORTS.index(ports[e]))
+        if cyclic_key(drawn) != cyclic_key([e for e in g.plane.rotation[v] if e in ports]):
             out.append(f"rotation at {v} not preserved")
     return out
 
@@ -1474,33 +1444,6 @@ def _check_p6(g: Gamma, vertices: Optional[List[str]] = None) -> List[str]:
     return out
 
 
-def _drawn_cyclic(g: Gamma, v: str) -> Optional[List[str]]:
-    ports = g.port_dirs(v)
-    if not ports:
-        return None
-    return sorted(ports, key=lambda e: PORTS.index(ports[e]))
-
-
-def _cyclic_subsequence(sub: List[str], full: List[str]) -> bool:
-    n = len(full)
-    positions = {e: i for i, e in enumerate(full)}
-    if any(e not in positions for e in sub):
-        return False
-    idx = [positions[e] for e in sub]
-    k = len(idx)
-    if k <= 2:
-        return True
-    for start in range(k):
-        rotated = idx[start:] + idx[:start]
-        gaps_ok = all(
-            (rotated[(j + 1) % k] - rotated[j]) % n > 0 for j in range(k)
-        )
-        total = sum((rotated[(j + 1) % k] - rotated[j]) % n for j in range(k))
-        if gaps_ok and total == n:
-            return True
-    return False
-
-
 def _check_simple(g: Gamma) -> List[str]:
     """Every pair of drawn segments meets only at a common vertex, and no
     two vertices coincide."""
@@ -1562,7 +1505,7 @@ def _run_pipeline(g: EmbeddedGraph, trace: bool = False) -> Tuple[OneBendDrawer,
         raise OneBendError("input must be cubic")
     if connectivity(g) < 3:
         raise OneBendError("input must be 3-connected")
-    norm = normalize_embedding(g, three_connected=True)
+    norm = normalize_embedding(g)
     plane, delta = canonical_order_on_real_edge(norm.plane)
     drawer = OneBendDrawer(plane, delta, trace=trace)
     gamma = drawer.run()
@@ -1576,7 +1519,7 @@ def _finalize(norm: EmbeddedGraph, plane: PlaneGraph, gamma: Gamma) -> PolylineD
     true = gamma.unscaled
     polylines: Dict[str, List[Point]] = {}
     for orig, (a, b) in sorted(target.edges.items()):
-        pts = gamma._joined_original(orig)
+        pts = join_fragments(plane, gamma.polylines, orig)
         if pts is None:
             raise OneBendError(f"edge {orig} never drawn")
         if pts[0] != gamma.pos[a]:

@@ -49,19 +49,12 @@ class CanonicalSet:
     kind: str  # "singleton" | "chain"
     vertices: List[str]  # in contour order, left to right
 
-    def __iter__(self):
-        return iter(self.vertices)
-
 
 @dataclass
 class CanonicalOrdering:
     sets: List[CanonicalSet]
     v1: str
     v2: str
-
-    @property
-    def vn(self) -> str:
-        return self.sets[-1].vertices[0]
 
     def vertex_order(self) -> List[str]:
         return [v for s in self.sets for v in s.vertices]
@@ -72,9 +65,6 @@ class StOrdering:
     sigma: Dict[str, int]
     s: str
     t: str
-
-    def rank(self, v: str) -> int:
-        return self.sigma[v]
 
     def order(self) -> List[str]:
         return sorted(self.sigma, key=lambda v: self.sigma[v])
@@ -266,7 +256,7 @@ def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bo
         sub = {v: adj_full[v] & placed for v in placed}
         if i == 0:
             continue
-        gi = _induced_plane(plane, placed)
+        gi = plane.induced(placed)
         try:
             contour = gi.trace_face(base_dart).vertices()
         except (OrderingError, EmbeddingError, ValueError, KeyError) as exc:
@@ -318,20 +308,6 @@ def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bo
         placed.update(cs.vertices)
 
     return not problems, problems
-
-
-def _induced_plane(plane: PlaneGraph, keep: Set[str]) -> PlaneGraph:
-    edges = {e: ab for e, ab in plane.edges.items() if ab[0] in keep and ab[1] in keep}
-    rotation = {
-        v: [e for e in plane.rotation[v] if e in edges] for v in plane.vertices if v in keep
-    }
-    return PlaneGraph(
-        vertices=[v for v in plane.vertices if v in keep],
-        real={v for v in plane.real if v in keep},
-        edges=edges,
-        rotation=rotation,
-        fragment_of={e: o for e, o in plane.fragment_of.items() if e in edges},
-    )
 
 
 def _base_outer_dart(plane: PlaneGraph, v1: str, v2: str) -> Dart:

@@ -65,19 +65,16 @@ def dummy_two_cuts(plane: PlaneGraph) -> List[Tuple[str, str]]:
     return [(w, x) for x in plane.dummies() for w in partners.get(x, ())]
 
 
-def normalize_embedding(g: EmbeddedGraph, three_connected: Optional[bool] = None) -> EmbeddedGraph:
+def normalize_embedding(g: EmbeddedGraph) -> EmbeddedGraph:
     """Re-embed so that no cutvertex of the planarization is a dummy and,
     for 3-connected graphs, the planarization is 3-connected.
 
-    `three_connected` says whether the abstract graph is 3-connected, for a
-    caller that has tested it already; None tests it here.  The abstract
-    graph (vertices, edges, degrees) is unchanged and the crossing count
-    never increases.
+    The abstract graph (vertices, edges, degrees) is unchanged and the
+    crossing count never increases.
     """
     plane = g.plane.copy()
     start_crossings = len(plane.dummies())
-    if three_connected is None:
-        three_connected = connectivity(g) >= 3
+    three_connected = connectivity(g) >= 3
     budget = start_crossings + 1
     while budget >= 0:
         cuts = sorted(

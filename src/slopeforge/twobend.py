@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from . import graphutil
-from .drawing import PolylineDrawing
+from .drawing import PolylineDrawing, join_fragments
 from .geometry import IntersectKind, Point, Segment, quotient, segment_hits, strip_collinear
-from .model import Dart, EmbeddedGraph, EmbeddingError, PlaneGraph
+from .model import Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, cyclic_key
 from .ordering import StOrdering, st_order
 from .reembed import normalize_embedding
 
@@ -393,17 +393,10 @@ def check_invariants(d: OrthoDrawing) -> List[str]:
             if len(ps) == 2 and _opposite(ps[0]) != ps[1]:
                 problems.append(f"fragments of {orig} not at opposite ports of {x}")
         # Rotation preserved at the crossing.
-        want = [d.plane.rotation[x][i] for i in range(len(d.plane.rotation[x]))]
         drawn = [at[p] for p in ("E", "N", "W", "S") if p in at]
-        if len(drawn) == 4 and not _cyclic_equal(want, drawn):
+        if len(drawn) == 4 and cyclic_key(drawn) != cyclic_key(d.plane.rotation[x]):
             problems.append(f"rotation at dummy {x} not preserved")
     return problems
-
-
-def _cyclic_equal(a: List[str], b: List[str]) -> bool:
-    if len(a) != len(b):
-        return False
-    return any(a == b[i:] + b[:i] for i in range(len(b)))
 
 
 def _planarity_problems(d: OrthoDrawing) -> List[str]:
@@ -621,12 +614,12 @@ def bridge_decomposition(g: EmbeddedGraph) -> BridgeTree:
 
 
 def component_plane(g: EmbeddedGraph, comp: Set[str]) -> PlaneGraph:
-    """Induced planarization of one 2-edge-connected component, with no
-    outer face recorded: draw_component picks one at the attachment vertex.
-    It is not validated again: the plane it is cut from is, and
-    tests/test_twobend.py validates the cut planes of braids and subcubic
-    corpus inputs."""
-    plane = g.plane
+    """Induced planarization of one 2-edge-connected component: its real
+    vertices and the dummies of the crossings inside it (see
+    PlaneGraph.induced).  No outer face is recorded: draw_component picks
+    one at the attachment vertex.  It is not validated again: the plane it
+    is cut from is, and tests/test_twobend.py validates the cut planes of
+    braids and subcubic corpus inputs."""
     dummies = set()
     for x, (e1, e2) in g.crossings().items():
         ends = set(g.edges[e1]) | set(g.edges[e2])
@@ -634,21 +627,7 @@ def component_plane(g: EmbeddedGraph, comp: Set[str]) -> PlaneGraph:
             dummies.add(x)
         elif ends & comp:
             raise TwoBendError("a crossing spans two components (input not normalized)")
-    keep = comp | dummies
-    edges = {
-        e: ab
-        for e, ab in plane.edges.items()
-        if ab[0] in keep and ab[1] in keep
-        and set(g.edges[plane.original_edge_of(e)]) <= comp
-    }
-    rotation = {v: [e for e in plane.rotation[v] if e in edges] for v in keep}
-    return PlaneGraph(
-        vertices=sorted(keep),
-        real=set(comp),
-        edges=edges,
-        rotation=rotation,
-        fragment_of={e: o for e, o in plane.fragment_of.items() if e in edges},
-    )
+    return g.plane.induced(comp | dummies)
 
 
 def _outer_face(sub: PlaneGraph, u_i: str) -> Tuple[Dart, ...]:
@@ -796,28 +775,12 @@ def draw_twobend(g: EmbeddedGraph) -> PolylineDrawing:
         drawings[i] = draw_component(sub, tree.attach[i])
     assembled = assemble(drawings, tree, bridge_ids)
 
-    # Join fragments through dummies into original-edge polylines.
     polylines: Dict[str, List[Point]] = {}
-    for orig, (a, b) in sorted(norm.edges.items()):
-        frags = norm.plane.fragments_of_original(orig)
-        if not frags:
-            pts = list(assembled.polylines[orig])
-            if pts[0] != assembled.pos[a]:
-                pts.reverse()
-            polylines[orig] = pts
-        else:
-            fa = next(f for f in frags if a in norm.plane.edges[f])
-            fb = next(f for f in frags if f != fa)
-            pa = list(assembled.polylines[fa])
-            pb = list(assembled.polylines[fb])
-            if pa[0] != assembled.pos[a]:
-                pa.reverse()
-            if pb[-1] != assembled.pos[b]:
-                pb.reverse()
-            if pa[-1] != pb[0]:
-                raise TwoBendError(f"fragments of {orig} do not meet at their crossing")
-            joined = pa + pb[1:]
-            polylines[orig] = strip_collinear(joined)
+    for orig, (a, _) in sorted(norm.edges.items()):
+        pts = join_fragments(norm.plane, assembled.polylines, orig)
+        if pts[0] != assembled.pos[a]:
+            pts.reverse()
+        polylines[orig] = strip_collinear(pts)
     positions = {v: assembled.pos[v] for v in norm.vertices}
     return _rank_grid(PolylineDrawing(graph=norm, positions=positions, polylines=polylines))
 

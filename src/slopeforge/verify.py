@@ -23,13 +23,14 @@ from .geometry import (
     SlopeKind,
     CANONICAL_SLOPES,
     angular_compare,
+    bend_count,
     cross,
     min_angle_eighths_lower_bound,
     on_segment,
     segment_hits,
     slope_of,
 )
-from .model import DUMMY_PREFIX, EmbeddedGraph, EmbeddingError, PlaneGraph
+from .model import DUMMY_PREFIX, EmbeddedGraph, EmbeddingError, PlaneGraph, cyclic_key
 
 PROFILES = ("ONEBEND", "TWOBEND", "STRAIGHT")
 
@@ -265,17 +266,7 @@ def _slope_summary(segs: Segments) -> Tuple[Set[SlopeKind], int]:
 
 
 def max_bends(d: PolylineDrawing) -> int:
-    worst = 0
-    for e in d.polylines:
-        pts = d.polylines[e]
-        bends = 0
-        for i in range(1, len(pts) - 1):
-            d1 = (pts[i].x - pts[i - 1].x, pts[i].y - pts[i - 1].y)
-            d2 = (pts[i + 1].x - pts[i].x, pts[i + 1].y - pts[i].y)
-            if d1[0] * d2[1] - d1[1] * d2[0] != 0 or (d1[0] * d2[0] + d1[1] * d2[1]) < 0:
-                bends += 1
-        worst = max(worst, bends)
-    return worst
+    return max((bend_count(pts) for pts in d.polylines.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +413,13 @@ def embedding_from_geometry(
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_normalize(seq: List) -> Tuple:
-    if not seq:
-        return ()
-    best = None
-    for i in range(len(seq)):
-        cand = tuple(seq[i:] + seq[:i])
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def _rotation_signature(g: EmbeddedGraph) -> Dict[str, Tuple]:
     """Per real vertex: cyclic rotation as original edge ids."""
     plane = g.plane
     sig = {}
     for v in g.vertices:
         orig = [plane.original_edge_of(e) for e in plane.rotation[v]]
-        sig[v] = _cyclic_normalize(orig)
+        sig[v] = cyclic_key(orig)
     return sig
 
 
@@ -454,7 +434,7 @@ def _dummy_signature(g: EmbeddedGraph) -> Dict[Tuple[str, str], Tuple]:
             # Which real endpoint does this fragment lead to?
             v = plane.other_end(e, x)
             entries.append((orig, v))
-        out[pair] = _cyclic_normalize(entries)
+        out[pair] = cyclic_key(entries)
     return out
 
 
@@ -467,7 +447,7 @@ def _outer_signature(g: EmbeddedGraph) -> Tuple:
         orig = plane.original_edge_of(e)
         label = tail if tail in plane.real else ("#x", tuple(sorted(g.crossings()[tail])))
         entries.append((orig, label))
-    return _cyclic_normalize(entries)
+    return cyclic_key(entries)
 
 
 def embeddings_equivalent(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:

@@ -71,7 +71,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from slopeforge import graphutil, onebend, twobend
-from slopeforge.drawing import PolylineDrawing
+from slopeforge.drawing import PolylineDrawing, join_fragments
 from slopeforge.geometry import (
     CANONICAL_SLOPES,
     Direction,
@@ -196,12 +196,11 @@ def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> b
 # ---------------------------------------------------------------------------
 
 
-def normalize_by_retracing(g: EmbeddedGraph, three_connected: Optional[bool] = None) -> EmbeddedGraph:
+def normalize_by_retracing(g: EmbeddedGraph) -> EmbeddedGraph:
     """reembed.normalize_embedding, with each surgery on a copy that is
     validated in full, and each re-insertion decided by a face test."""
     plane = g.plane.copy()
-    if three_connected is None:
-        three_connected = connectivity(g) >= 3
+    three_connected = connectivity(g) >= 3
     budget = len(plane.dummies()) + 1
     while budget >= 0:
         cuts = sorted(
@@ -654,11 +653,14 @@ def _p1_by_points(g: onebend.Gamma) -> List[str]:
 
 
 def _count_bends(pts: Sequence[Point]) -> int:
+    """The turns of a polyline; on an edge with a segment off the four
+    slopes, where no shape is read, a fold back is a bend too."""
+    off = any(slope_of(Segment(p, q)).kind is SlopeKind.OTHER for p, q in zip(pts, pts[1:]))
     bends = 0
     for i in range(1, len(pts) - 1):
         d1 = (pts[i].x - pts[i - 1].x, pts[i].y - pts[i - 1].y)
         d2 = (pts[i + 1].x - pts[i].x, pts[i + 1].y - pts[i].y)
-        if d1[0] * d2[1] - d1[1] * d2[0] != 0:
+        if d1[0] * d2[1] - d1[1] * d2[0] != 0 or (off and d1[0] * d2[0] + d1[1] * d2[1] < 0):
             bends += 1
     return bends
 
@@ -671,7 +673,7 @@ def _p2_by_points(g: onebend.Gamma) -> List[str]:
         if orig in seen:
             continue
         seen.add(orig)
-        pts = g._joined_original(orig)
+        pts = join_fragments(g.plane, g.polylines, orig)
         if pts and _count_bends(pts) > 1:
             out.append(f"P2: edge {orig} has {_count_bends(pts)} bends")
     return out

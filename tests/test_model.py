@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from slopeforge import graphutil as gu
+from slopeforge.drawing import join_fragments
 from slopeforge.families import gen_corpus
 from slopeforge.geometry import Point
 from slopeforge.model import (
@@ -15,6 +17,7 @@ from slopeforge.model import (
     EmbeddingError,
     PlaneGraph,
     connectivity,
+    cyclic_key,
     find_real_real_face,
     planarize,
 )
@@ -103,6 +106,47 @@ class TestFaces:
         p = k4_one_crossing()
         outer = p.outer_face()
         assert sorted(set(outer.vertices())) == ["1", "2", "3", "4"]
+
+
+class TestJoinFragments:
+    """e13 of k4_one_crossing runs 1 -> _x0 -> 3 with a bend on each
+    fragment: (0, 0) -> (2, 0) -> (2, 2) at the dummy -> (4, 2) -> (4, 4)."""
+
+    A = [Point(0, 0), Point(2, 0), Point(2, 2)]
+    B = [Point(2, 2), Point(4, 2), Point(4, 4)]
+
+    @pytest.mark.parametrize("flip_a, flip_b", itertools.product([False, True], repeat=2))
+    def test_either_direction_of_each_fragment_joins_alike(self, flip_a, flip_b):
+        lines = {"e13$a": self.A[::-1] if flip_a else list(self.A),
+                 "e13$b": self.B[::-1] if flip_b else list(self.B)}
+        assert join_fragments(k4_one_crossing(), lines, "e13") == self.A + self.B[1:]
+
+    def test_a_single_drawn_piece_is_copied(self):
+        plane = k4_one_crossing()
+        lines = {"e13$b": list(self.B), "e12": [Point(0, 0), Point(4, 0)]}
+        for orig, piece in (("e13", "e13$b"), ("e12", "e12")):
+            got = join_fragments(plane, lines, orig)
+            assert got == lines[piece] and got is not lines[piece]
+
+    def test_nothing_drawn_is_none(self):
+        plane = k4_one_crossing()
+        assert join_fragments(plane, {"e24$a": [Point(4, 0), Point(2, 2)]}, "e13") is None
+        assert join_fragments(plane, {}, "e12") is None
+
+    def test_fragments_that_do_not_meet_raise(self):
+        lines = {"e13$a": list(self.A), "e13$b": [Point(3, 3), Point(4, 4)]}
+        with pytest.raises(ValueError, match="fragments of e13 do not meet at their crossing"):
+            join_fragments(k4_one_crossing(), lines, "e13")
+
+
+class TestCyclicKey:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_equal_keys_exactly_for_rotations(self, n):
+        perms = list(itertools.permutations("abcde"[:n]))
+        for a in perms:
+            rotations = {a[i:] + a[:i] for i in range(n)}
+            for b in perms:
+                assert (cyclic_key(list(a)) == cyclic_key(list(b))) == (b in rotations)
 
 
 class TestEmbeddedGraph:

@@ -13,8 +13,9 @@ from slopeforge.families import (
     gen_k4_embedded,
     gen_prism,
 )
+from slopeforge.drawing import PolylineDrawing
 from slopeforge.geometry import (
-    Point, Segment, SlopeKind, prepare, strip_collinear, sweep_hits,
+    Point, Segment, SlopeKind, bend_count, prepare, strip_collinear, sweep_hits,
 )
 from slopeforge.model import EmbeddedGraph, PlaneGraph, find_real_real_face
 from slopeforge.onebend import (
@@ -35,7 +36,7 @@ from slopeforge.onebend import (
 )
 from slopeforge.ordering import canonical_order
 from slopeforge.reembed import normalize_embedding
-from slopeforge.verify import validate
+from slopeforge.verify import max_bends, validate
 
 from builders import gen_fig_like
 from oracles import (
@@ -693,6 +694,18 @@ class TestStepCheck:
         assert "P1: segment of t off the canonical slopes" in problems
         assert g.edge_bend_count("t") == bends
         assert f"P2: edge t has {bends} bends" in problems
+        assert problems == check_gamma_by_points(g)
+
+    def test_a_fold_off_the_slopes_is_a_bend(self):
+        """t climbs off the slopes to (8, 7) and folds back along that line
+        to (7, 5): a turn, a fold and a turn, which the drawer, the
+        polyline count and the validator all count as 3 bends."""
+        g = self._gamma_with_new_edge([(6, 2), (6, 3), (8, 7), (7, 5), (7, 6)])
+        pts = g.polylines["t"]
+        assert g.edge_bend_count("t") == bend_count(pts) == 3
+        assert max_bends(PolylineDrawing(EmbeddedGraph(g.plane), {}, {"t": pts})) == 3
+        problems = check_gamma(g)
+        assert "P2: edge t has 3 bends" in problems
         assert problems == check_gamma_by_points(g)
 
     @staticmethod

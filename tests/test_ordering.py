@@ -168,7 +168,7 @@ class TestRetracingEquivalence:
 
     def test_a_normalized_planarization_of_about_1000_vertices(self):
         g = gen_corpus(seed=3, n_target=1000, profile="cubic3con")[0]
-        norm = normalize_embedding(g, three_connected=True)
+        norm = normalize_embedding(g)
         plane, delta = canonical_order_on_real_edge(norm.plane)
         assert len(plane.vertices) > 900
         assert ([(s.kind, s.vertices) for s in delta.sets]
@@ -218,7 +218,7 @@ def internal_problems_by_scan(plane, delta):
         sub = {v: adj[v] & placed for v in placed}
         if i == 0 or not graphutil.is_biconnected(sub):
             continue
-        contour = ordering._induced_plane(plane, placed).trace_face(base).vertices()
+        contour = plane.induced(placed).trace_face(base).vertices()
         interior = placed - set(contour)
         for u in sorted(interior):
             bad = graphutil.articulation_points(sub, {u}) & interior

@@ -376,7 +376,8 @@ def check_rank_grid(g: EmbeddedGraph) -> None:
 
 class TestComponentPlanes:
     def test_every_component_plane_validates(self):
-        # draw_twobend validates no component plane; each must be valid as cut.
+        # draw_twobend validates no component plane; each must be valid as
+        # cut, and each edge must be part of an original edge inside comp.
         graphs = [gen_2reg(k) for k in (1, 2, 3, 8, 20)]
         graphs += [g for n_target in (20, 60) for seed in range(1000, 1006)
                    for g in gen_corpus(seed=seed, n_target=n_target, profile="subcubic")]
@@ -386,6 +387,7 @@ class TestComponentPlanes:
             for comp in bridge_decomposition(norm).components:
                 sub = component_plane(norm, comp)
                 sub.validate()
+                assert all(set(norm.edges[sub.original_edge_of(e)]) <= comp for e in sub.edges)
                 multi += len(sub.vertices) > 1
         assert multi >= 20
 
