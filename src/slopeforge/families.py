@@ -297,10 +297,16 @@ def _gen_cubic3con(rng: random.Random, n_target: int) -> EmbeddedGraph:
         raise EmbeddingError("corpus graph not cubic")
     if connectivity(g) != 3:
         raise EmbeddingError("corpus graph not 3-connected")
-    if not plane.is_triconnected():
-        raise EmbeddingError("planarization not 3-connected")
+    _check_planarization(record)
     find_real_real_face(plane)
     return g
+
+
+def _check_planarization(record: FaceRecord) -> None:
+    """Raise unless the recorded plane is 3-connected, decided from the
+    faces the record holds."""
+    if not record.is_triconnected():
+        raise EmbeddingError("planarization not 3-connected")
 
 
 def _k4_plane_skeleton() -> PlaneGraph:
@@ -511,7 +517,7 @@ def _gen_subcubic(rng: random.Random, n_target: int) -> EmbeddedGraph:
     """Blocks (cycles, some with a crossing chord pair) joined by bridges."""
     pos: Dict[str, Point] = {}
     edges: Dict[str, Tuple[str, str]] = {}
-    offset = F(0)
+    offset = 0
     prev_attach: Optional[str] = None
     block_idx = 0
     total = 0
@@ -521,7 +527,7 @@ def _gen_subcubic(rng: random.Random, n_target: int) -> EmbeddedGraph:
         with_cross = m >= 6 and rng.random() < 0.6
         names = [f"b{block_idx}_{i}" for i in range(m)]
         for i in range(m):
-            pos[names[i]] = Point(offset + i, F(i * i))
+            pos[names[i]] = Point(offset + i, i * i)
         for i in range(m):
             edges[f"cyc{block_idx}_{i}"] = (names[i], names[(i + 1) % m])
         if with_cross:
@@ -543,7 +549,7 @@ def _gen_subcubic(rng: random.Random, n_target: int) -> EmbeddedGraph:
         deg = sum(1 for ab in edges.values() if bname in ab)
         if deg <= 2 and pos[bname].y == 0:
             pv = f"p{pend}"
-            pos[pv] = Point(pos[bname].x, F(-2 - pend))
+            pos[pv] = Point(pos[bname].x, -2 - pend)
             edges[f"pb{pend}"] = (bname, pv)
             pend += 1
     g = embedding_from_geometry(pos, edges)

@@ -7,10 +7,11 @@ angle/resolution claims can be decided by sign tests instead of epsilons.
 
 A coordinate is an ``int`` when it is integral and otherwise a
 ``Fraction``; never a float or a bool.  docio reads integral values as
-ints and the 2-bend drawer emits int ranks.  The 1-bend drawer computes on
-ints too: its drawing (``onebend.Gamma``) holds every coordinate as the
-true value times one drawing-wide denominator ``unit``, and hands
-``unit`` to ``prepare`` so that the sweep boxes hold the true values.
+ints, the 2-bend drawer emits int ranks and the subcubic corpus generator
+places its blocks on ints.  The 1-bend drawer computes on ints too: its
+drawing (``onebend.Gamma``) holds every coordinate as the true value
+times one drawing-wide denominator ``unit``, and hands ``unit`` to
+``prepare`` so that the sweep boxes hold the true values.
 Python makes an int and the Fraction of the same value compare and hash
 alike, so either form gives the same results.  Only a true division can
 leave the rationals (two ints give a float), so every ``/`` that

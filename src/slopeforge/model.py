@@ -101,24 +101,41 @@ class PlaneGraph:
         return (nxt, head)
 
     def trace_face(self, start: Dart) -> Face:
+        """The face to the left of start, as its darts from start on: the
+        walk of next_in_face, with its lookups done in place."""
+        edges, rotation = self.edges, self.rotation
+        limit = 4 * len(edges) + 4
         darts = [start]
-        d = self.next_in_face(start)
-        while d != start:
+        e, tail = start
+        while True:
+            a, b = edges[e]
+            if tail == a:
+                tail = b
+            elif tail == b:
+                tail = a
+            else:
+                raise KeyError(f"{tail} is not an endpoint of {e}")
+            rot = rotation[tail]
+            e = rot[rot.index(e) - 1]
+            d = (e, tail)
+            if d == start:
+                return Face(tuple(darts))
             darts.append(d)
-            d = self.next_in_face(d)
-            if len(darts) > 4 * len(self.edges) + 4:
+            if len(darts) > limit:
                 raise EmbeddingError("face trace does not close; rotation system broken")
-        return Face(tuple(darts))
 
     def faces(self) -> List[Face]:
+        """Every face, each traced once from its first dart in darts() order."""
         seen: Set[Dart] = set()
         out: List[Face] = []
-        for d in self.darts():
-            if d in seen:
-                continue
-            f = self.trace_face(d)
-            seen.update(f.darts)
-            out.append(f)
+        for e, ab in self.edges.items():
+            for tail in ab:
+                d = (e, tail)
+                if d in seen:
+                    continue
+                f = self.trace_face(d)
+                seen.update(f.darts)
+                out.append(f)
         return out
 
     def separating_pairs(self) -> Optional[List[Tuple[str, str]]]:
@@ -138,33 +155,7 @@ class PlaneGraph:
         that is not a cycle (a connected graph with a cut vertex), or has
         rotations that break Euler's formula.
         """
-        adj = self.adjacency()
-        m = len(self.edges)
-        if sum(len(ns) for ns in adj.values()) != 2 * m or not graphutil.is_connected(adj):
-            return None
-        face_of: Dict[Dart, int] = {}
-        n_faces = 0
-        for d in self.darts():
-            if d in face_of:
-                continue
-            darts = self.trace_face(d).darts
-            if len({fd[1] for fd in darts}) != len(darts):
-                return None
-            for fd in darts:
-                face_of[fd] = n_faces
-            n_faces += 1
-        if len(adj) - m + n_faces != 2:
-            return None
-        # With every face a cycle, the deg(v) faces at v are distinct.
-        shared: Dict[Tuple[int, int], List[str]] = {}
-        for v in self.vertices:
-            for pair in combinations(sorted(face_of[(e, v)] for e in self.rotation[v]), 2):
-                shared.setdefault(pair, []).append(v)
-        sides = {tuple(sorted(ab)): tuple(sorted((face_of[(e, ab[0])], face_of[(e, ab[1])])))
-                 for e, ab in self.edges.items()}
-        pairs = {uv for pair, vs in shared.items() if len(vs) > 1
-                 for uv in combinations(sorted(vs), 2) if sides.get(uv) != pair}
-        return sorted(pairs)
+        return _separating_pairs(self, [f.darts for f in self.faces()])
 
     def is_triconnected(self) -> bool:
         """Whether the graph is 3-connected: at least 4 vertices and no
@@ -173,10 +164,7 @@ class PlaneGraph:
         graphutil.vertex_connectivity; for a simple plane graph that is one
         that is disconnected or has a cut vertex, which one DFS finds.
         """
-        pairs = self.separating_pairs() if len(self.vertices) >= 4 else None
-        if pairs is None:
-            return graphutil.vertex_connectivity(self.adjacency()) >= 3
-        return not pairs
+        return _triconnected(self, self.separating_pairs)
 
     def outer_face(self) -> Face:
         if not self.outer_darts:
@@ -249,7 +237,9 @@ class PlaneGraph:
 
     # ---- validation -----------------------------------------------------
 
-    def validate(self) -> None:
+    def validate(self) -> Dict[str, Tuple[str, str]]:
+        """Raise EmbeddingError unless this is the planarization of a
+        1-plane graph; return original_edges(), which the check builds."""
         vids = set(self.vertices)
         if len(vids) != len(self.vertices):
             raise EmbeddingError("duplicate vertex ids")
@@ -274,14 +264,15 @@ class PlaneGraph:
                 raise EmbeddingError(f"no rotation for {v}")
             if set(rot) != incident[v] or len(rot) != len(incident[v]):
                 raise EmbeddingError(f"rotation at {v} does not list its incident edges")
-        self._validate_dummies()
+        original = self._validate_dummies()
         self._validate_euler()
         if self.outer_darts:
             f = self.trace_face(self.outer_darts[0])
             if set(f.darts) != set(self.outer_darts):
                 raise EmbeddingError("outer face record does not match traced face")
+        return original
 
-    def _validate_dummies(self) -> None:
+    def _validate_dummies(self) -> Dict[str, Tuple[str, str]]:
         for x in self.dummies():
             rot = self.rotation[x]
             if len(rot) != 4:
@@ -298,7 +289,10 @@ class PlaneGraph:
         for orig, k in Counter(self.fragment_of.values()).items():
             if k != 2:
                 raise EmbeddingError(f"original edge {orig} split into {k} fragments")
-        self.original_edges()
+        for e in self.fragment_of:
+            if e not in self.edges or sum(v not in self.real for v in self.edges[e]) != 1:
+                raise EmbeddingError(f"fragment {e} is not an edge with exactly one dummy end")
+        return self.original_edges()
 
     def _validate_euler(self) -> None:
         # Face orbits are traced per component, so each component contributes
@@ -350,10 +344,6 @@ class FaceRecord:
         return FaceRecord(self.plane.copy(), dict(self.number), dict(self.face_of),
                           dict(self.darts), self.numbered)
 
-    def rank(self, d: Dart) -> int:
-        e, tail = d
-        return 2 * self.number[e] + (tail != self.plane.edges[e][0])
-
     def inner_faces(self) -> List[Tuple[Dart, ...]]:
         """The darts of each face but the recorded outer one, in faces() order."""
         outer = self.face_of[self.plane.outer_darts[0]] if self.plane.outer_darts else None
@@ -390,14 +380,55 @@ class FaceRecord:
                 if (e, tail) not in self.face_of:
                     self._add_face((e, tail))
 
+    def is_triconnected(self) -> bool:
+        """PlaneGraph.is_triconnected, read off the recorded faces instead
+        of tracing them."""
+        return _triconnected(self.plane, lambda: _separating_pairs(self.plane, list(self.darts.values())))
+
     def _add_face(self, start: Dart) -> None:
         darts = self.plane.trace_face(start).darts
-        ranks = [self.rank(d) for d in darts]
+        number, edges = self.number, self.plane.edges
+        ranks = [2 * number[e] + (tail != edges[e][0]) for e, tail in darts]
         key = min(ranks)
         i = ranks.index(key)
         self.darts[key] = darts[i:] + darts[:i]
         for d in darts:
             self.face_of[d] = key
+
+
+def _separating_pairs(plane: PlaneGraph,
+                      faces: Sequence[Sequence[Dart]]) -> Optional[List[Tuple[str, str]]]:
+    """PlaneGraph.separating_pairs, given the darts of every face."""
+    adj = plane.adjacency()
+    m = len(plane.edges)
+    if sum(len(ns) for ns in adj.values()) != 2 * m or not graphutil.is_connected(adj):
+        return None
+    face_of: Dict[Dart, int] = {}
+    for i, darts in enumerate(faces):
+        if len({d[1] for d in darts}) != len(darts):
+            return None
+        for d in darts:
+            face_of[d] = i
+    if len(adj) - m + len(faces) != 2:
+        return None
+    # With every face a cycle, the deg(v) faces at v are distinct.
+    shared: Dict[Tuple[int, int], List[str]] = {}
+    for v in plane.vertices:
+        for pair in combinations(sorted(face_of[(e, v)] for e in plane.rotation[v]), 2):
+            shared.setdefault(pair, []).append(v)
+    sides = {tuple(sorted(ab)): tuple(sorted((face_of[(e, ab[0])], face_of[(e, ab[1])])))
+             for e, ab in plane.edges.items()}
+    pairs = {uv for pair, vs in shared.items() if len(vs) > 1
+             for uv in combinations(sorted(vs), 2) if sides.get(uv) != pair}
+    return sorted(pairs)
+
+
+def _triconnected(plane: PlaneGraph, pairs_of) -> bool:
+    """is_triconnected, with the separating pairs from pairs_of()."""
+    pairs = pairs_of() if len(plane.vertices) >= 4 else None
+    if pairs is None:
+        return graphutil.vertex_connectivity(plane.adjacency()) >= 3
+    return not pairs
 
 
 @dataclass
@@ -409,8 +440,7 @@ class EmbeddedGraph:
 
     @staticmethod
     def from_plane(plane: PlaneGraph) -> "EmbeddedGraph":
-        plane.validate()
-        return EmbeddedGraph(plane=plane, original=plane.original_edges())
+        return EmbeddedGraph(plane=plane, original=plane.validate())
 
     @property
     def vertices(self) -> List[str]:

@@ -347,6 +347,23 @@ class TestCli:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("command", [
+        ["draw", "--mode", "onebend"],
+        ["draw", "--mode", "twobend"],
+        ["normalize"],
+        ["validate", "--profile", "onebend"],
+    ])
+    def test_fragments_that_are_no_edges_of_the_plane_exit_2(self, capsys, command):
+        _, graph_json = run_cli(["gen", "--family", "k4"])
+        _, drawing_json = run_cli(["draw", "--mode", "onebend"], graph_json)
+        doc = json.loads(drawing_json if command[0] == "validate" else graph_json)
+        graph = doc["graph"] if command[0] == "validate" else doc
+        graph["fragment_map"] = {"_xZ": [["bogus1", "ab"], ["bogus2", "ab"]]}
+        code, out = run_cli(command, json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: fragment bogus1 is not an edge with exactly one dummy end\n"
+
 
 # (command, family, path, value): the document is the family's graph for
 # "draw" and its 1-bend drawing otherwise, with doc[path[0]]...[path[-1]]

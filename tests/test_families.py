@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -173,6 +174,31 @@ class TestCorpus:
                 g = gen_corpus(seed=seed, n_target=60, profile=profile, count=1)[0]
                 h.update(docio.dumps(docio.graph_to_doc(g)).encode())
         assert h.hexdigest() == "17ab1ce478eaee1db566634e5fc9d6479d867c88befeab87e04e7c121ae7df67"
+
+    def test_subcubic_bytes_are_pinned(self):
+        """The subcubic bytes of the sizes the benchmark generates."""
+        h = hashlib.sha256()
+        for n_target in (20, 60, 120):
+            for seed in range(1000, 1006):
+                g = gen_corpus(seed=seed, n_target=n_target, profile="subcubic", count=1)[0]
+                h.update(docio.dumps(docio.graph_to_doc(g)).encode())
+        assert h.hexdigest() == "9be9654e177798ce1a0c0cda72f48b4ccb53336561b2555d35698e3419965a1d"
+
+    def test_a_cubic3con_graph_traces_one_face_list_after_its_insertions(self, monkeypatch):
+        """The finished plane is validated once, in full, and that
+        validation's Euler check is the only faces() call: the record's
+        faces decide 3-connectivity, and validate's original-edge map is
+        the graph's."""
+        calls = Counter()
+        for name in ("validate", "faces", "separating_pairs", "original_edges"):
+            method = getattr(PlaneGraph, name)
+            monkeypatch.setattr(PlaneGraph, name,
+                                lambda plane, name=name, method=method: calls.update([name]) or method(plane))
+        for n_target in (20, 60, 200):
+            for seed in range(1000, 1004):
+                calls.clear()
+                gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)
+                assert calls == {"validate": 1, "faces": 1, "original_edges": 1}, (n_target, seed)
 
 
 def fresh_by_scan(plane, prefix: str) -> str:
@@ -388,6 +414,13 @@ class TestFaceWith:
             _face_with(record, ["z"])
 
 
+def rank(record, d) -> int:
+    """The rank of the dart d = (e, tail): 2 * number(e), plus 1 when tail
+    is not the first end of e."""
+    e, tail = d
+    return 2 * record.number[e] + (tail != record.plane.edges[e][0])
+
+
 def must_match_faces(record):
     """The record's inner faces are faces() without the outer face, in the
     same order and from the same darts, and every dart maps to its face."""
@@ -397,7 +430,7 @@ def must_match_faces(record):
         "inner faces differ from faces()"
     assert record.face_of == {d: k for k, darts in record.darts.items() for d in darts}, \
         "a dart maps to a face that does not hold it"
-    assert all(record.rank(darts[0]) == k for k, darts in record.darts.items()), \
+    assert all(rank(record, darts[0]) == k for k, darts in record.darts.items()), \
         "a face key is not the rank of its first dart"
 
 

@@ -10,17 +10,29 @@ import pytest
 
 from slopeforge import graphutil as gu
 from slopeforge.drawing import join_fragments
-from slopeforge.families import gen_corpus
+from slopeforge.families import (
+    _check_planarization,
+    gen_2reg,
+    gen_3reg18,
+    gen_corpus,
+    gen_crossed_k4,
+    gen_k4_embedded,
+    gen_maxdeg,
+    gen_prism,
+)
 from slopeforge.geometry import Point
 from slopeforge.model import (
     EmbeddedGraph,
     EmbeddingError,
+    Face,
+    FaceRecord,
     PlaneGraph,
     connectivity,
     cyclic_key,
     find_real_real_face,
     planarize,
 )
+from slopeforge.reembed import normalize_embedding
 from slopeforge.verify import embedding_from_geometry
 
 from builders import build_plane_graph
@@ -108,6 +120,59 @@ class TestFaces:
         assert sorted(set(outer.vertices())) == ["1", "2", "3", "4"]
 
 
+def trace_by_next_in_face(plane: PlaneGraph, start) -> Face:
+    """The reference walk: next_in_face from start until it comes back."""
+    darts = [start]
+    d = plane.next_in_face(start)
+    while d != start:
+        darts.append(d)
+        d = plane.next_in_face(d)
+    return Face(tuple(darts))
+
+
+def face_walk_planes():
+    """(name, plane): generated planes of both profiles, the fixed
+    families and the normalized braids."""
+    for profile, sizes in (("cubic3con", (20, 60, 200)), ("subcubic", (20, 60, 120))):
+        for n_target in sizes:
+            for seed in range(1000, 1003):
+                yield f"{profile} {n_target}/{seed}", gen_corpus(seed, n_target, profile)[0].plane
+    fixed = [("k4", gen_k4_embedded()), ("prism", gen_prism()), ("crossedk4", gen_crossed_k4()),
+             ("3reg18", gen_3reg18())]
+    fixed += [(f"maxdeg {delta}", gen_maxdeg(delta)) for delta in (4, 6, 8)]
+    fixed += [(f"2reg {k}", gen_2reg(k)) for k in (1, 3, 8)]
+    for name, g in fixed:
+        yield name, g.plane
+    for k in (1, 2, 5, 16):
+        yield f"normalized 2reg {k}", normalize_embedding(gen_2reg(k)).plane
+
+
+class TestFaceWalk:
+    def test_matches_the_next_in_face_walk_from_every_dart(self):
+        names = []
+        for name, plane in face_walk_planes():
+            for d in plane.darts():
+                assert plane.trace_face(d) == trace_by_next_in_face(plane, d), (name, d)
+            seen = set()
+            reference = []
+            for d in plane.darts():
+                if d not in seen:
+                    reference.append(trace_by_next_in_face(plane, d))
+                    seen.update(reference[-1].darts)
+            assert plane.faces() == reference, name
+            names.append(name)
+        assert len(names) == 32
+
+    def test_a_rotation_listing_an_edge_twice_does_not_close(self):
+        # bd is listed twice at b: arrivals along bc and ab both leave
+        # along bd, and none leaves along ab, so the walk from (ab, b)
+        # never comes back to it.
+        p = k4_plane()
+        p.rotation["b"] = ["bc", "bd", "ab", "bd"]
+        with pytest.raises(EmbeddingError, match="^face trace does not close; rotation system broken$"):
+            p.trace_face(("ab", "b"))
+
+
 class TestJoinFragments:
     """e13 of k4_one_crossing runs 1 -> _x0 -> 3 with a bend on each
     fragment: (0, 0) -> (2, 0) -> (2, 2) at the dummy -> (4, 2) -> (4, 4)."""
@@ -173,6 +238,16 @@ class TestEmbeddedGraph:
         g = EmbeddedGraph.from_plane(k4_plane())
         assert g.crossings() == {}
         assert planarize(g).dummies() == []
+
+    def test_from_plane_builds_the_original_edges_once(self, monkeypatch):
+        plane = k4_one_crossing()
+        calls = []
+        original_edges = PlaneGraph.original_edges
+        monkeypatch.setattr(PlaneGraph, "original_edges",
+                            lambda plane: calls.append(1) or original_edges(plane))
+        g = EmbeddedGraph.from_plane(plane)
+        assert len(calls) == 1
+        assert g.edges == original_edges(plane)
 
 
 class TestValidation:
@@ -250,6 +325,18 @@ class TestValidation:
         p = k4_one_crossing()
         p.fragment_of["e12"] = "e13"
         with pytest.raises(EmbeddingError, match="^original edge e13 split into 3 fragments$"):
+            p.validate()
+
+    def test_fragments_that_are_not_edges_of_the_plane(self):
+        p = k4_one_crossing()
+        p.fragment_of.update({"bogus1": "e12", "bogus2": "e12"})
+        with pytest.raises(EmbeddingError, match="^fragment bogus1 is not an edge with exactly one dummy end$"):
+            p.validate()
+
+    def test_a_fragment_with_no_dummy_end(self):
+        p = k4_one_crossing()
+        p.fragment_of.update({"e12": "e99", "e23": "e99"})
+        with pytest.raises(EmbeddingError, match="^fragment e12 is not an edge with exactly one dummy end$"):
             p.validate()
 
 
@@ -398,6 +485,17 @@ class TestTriconnected:
         p.rotation["a"].insert(1, "ab2")
         p.rotation["b"].insert(2, "ab2")
         assert p.is_triconnected()
+
+    def test_the_face_record_agrees_on_planarizations(self):
+        for n_target, seed, kind, p in planarization_cases():
+            assert FaceRecord.of(p).is_triconnected() == p.is_triconnected(), (n_target, seed, kind)
+
+    def test_the_generator_check_rejects_a_record_with_a_separating_pair(self):
+        p = two_diamonds()
+        assert gu.is_biconnected(p.adjacency()) and p.separating_pairs() == [("u", "v")]
+        with pytest.raises(EmbeddingError, match="^planarization not 3-connected$"):
+            _check_planarization(FaceRecord.of(p))
+        _check_planarization(FaceRecord.of(k4_one_crossing()))
 
     def test_rotations_that_are_not_plane_take_the_scan(self):
         p = k4_plane()

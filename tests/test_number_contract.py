@@ -16,13 +16,13 @@ from pathlib import Path
 import pytest
 
 import slopeforge
-from slopeforge import docio, render
+from slopeforge import docio, families, render
 from slopeforge.drawing import PolylineDrawing
-from slopeforge.families import gen_2reg, gen_3reg18, gen_crossed_k4, gen_maxdeg, gen_prism
+from slopeforge.families import gen_2reg, gen_3reg18, gen_corpus, gen_crossed_k4, gen_maxdeg, gen_prism
 from slopeforge.geometry import Point, line_intersection
 from slopeforge.onebend import draw_onebend
 from slopeforge.twobend import TwoBendError, draw_twobend
-from slopeforge.verify import PROFILES, embedding_of, validate
+from slopeforge.verify import PROFILES, embedding_from_geometry, embedding_of, validate
 
 from test_twobend import block_chain, cubic3con
 from test_verify import _moved, _outcome, folded_edge_drawing, low_bend_drawing
@@ -111,6 +111,23 @@ class TestTwoBendInts:
         assert len(drawn) >= 12
         for d in drawn:
             assert all(type(c) is int for c in _coordinates(d))
+
+
+class TestSubcubicInts:
+    def test_the_generator_places_every_vertex_on_ints(self, monkeypatch):
+        seen = []
+
+        def recorded(positions, edges, polylines=None):
+            seen.extend(c for p in positions.values() for c in (p.x, p.y))
+            assert polylines is None
+            return embedding_from_geometry(positions, edges, polylines)
+
+        monkeypatch.setattr(families, "embedding_from_geometry", recorded)
+        for n_target in (20, 60, 120):
+            for seed in range(1000, 1006):
+                gen_corpus(seed=seed, n_target=n_target, profile="subcubic")
+        assert len(seen) >= 2 * 18 * 20
+        assert all(type(c) is int for c in seen)
 
 
 class TestLineIntersection:
