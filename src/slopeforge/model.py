@@ -128,14 +128,12 @@ class PlaneGraph:
         """Every face, each traced once from its first dart in darts() order."""
         seen: Set[Dart] = set()
         out: List[Face] = []
-        for e, ab in self.edges.items():
-            for tail in ab:
-                d = (e, tail)
-                if d in seen:
-                    continue
-                f = self.trace_face(d)
-                seen.update(f.darts)
-                out.append(f)
+        for d in self.darts():
+            if d in seen:
+                continue
+            f = self.trace_face(d)
+            seen.update(f.darts)
+            out.append(f)
         return out
 
     def separating_pairs(self) -> Optional[List[Tuple[str, str]]]:
