@@ -182,9 +182,9 @@ def _cmd_canon(args) -> int:
 def _cmd_storder(args) -> int:
     g = docio.graph_from_doc(docio.loads(_read(args)), strict=args.strict)
     adj = g.plane.adjacency()
-    names = sorted(adj)
-    s = args.s_vertex or names[0]
-    t = args.t_vertex or names[-1]
+    # No vertex gives None for both, which st_order rejects as for one.
+    s = args.s_vertex or min(adj, default=None)
+    t = args.t_vertex or max(adj, default=None)
     st = st_order(adj, s, t)
     _write(args, docio.dumps({"s": st.s, "t": st.t, "sigma": st.sigma}))
     return 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import Point, Segment
+from .geometry import Point, Segment, strip_collinear
 from .model import EmbeddedGraph, PlaneGraph
 
 
@@ -28,6 +28,24 @@ def join_fragments(plane: PlaneGraph, lines: Dict[str, List[Point]], orig: str) 
     if pa[-1] != pb[0]:
         raise ValueError(f"fragments of {orig} do not meet at their crossing")
     return pa + pb[1:]
+
+
+def finished_polylines(
+    graph: EmbeddedGraph, lines: Dict[str, List[Point]], pos: Dict[str, Point]
+) -> Dict[str, List[Point]]:
+    """The polyline of each original edge of graph, in edge order: its
+    fragments in `lines`, drawn over graph's plane, joined, oriented from
+    the position in `pos` of the edge's first end and stripped of collinear
+    points.  Raises ValueError for an edge never drawn."""
+    out: Dict[str, List[Point]] = {}
+    for orig, (a, _) in sorted(graph.edges.items()):
+        pts = join_fragments(graph.plane, lines, orig)
+        if pts is None:
+            raise ValueError(f"edge {orig} never drawn")
+        if pts[0] != pos[a]:
+            pts.reverse()
+        out[orig] = strip_collinear(pts)
+    return out
 
 
 @dataclass
@@ -56,7 +74,7 @@ class PolylineDrawing:
 
     def check_structure(self) -> List[str]:
         """Structural problems: missing endpoints, repeated points, polylines
-        of edges the graph lacks, etc."""
+        of edges and positions of vertices the graph lacks, etc."""
         problems: List[str] = []
         for v in self.graph.vertices:
             if v not in self.positions:
@@ -75,6 +93,8 @@ class PolylineDrawing:
                     break
         for e in sorted(set(self.polylines) - set(self.graph.edges)):
             problems.append(f"polyline of unknown edge {e}")
+        for v in sorted(set(self.positions) - set(self.graph.vertices)):
+            problems.append(f"position of unknown vertex {v}")
         pos_list = sorted(self.positions.items())
         seen: Dict[Point, str] = {}
         for v, p in pos_list:

@@ -293,9 +293,10 @@ def _gen_cubic3con(rng: random.Random, n_target: int) -> EmbeddedGraph:
     # The insertions keep the plane valid; this validates it once, in full.
     plane = record.plane
     g = EmbeddedGraph.from_plane(plane)
-    if not g.is_cubic():
+    adj = g.abstract_adjacency()
+    if any(len(ns) != 3 for ns in adj.values()):
         raise EmbeddingError("corpus graph not cubic")
-    if connectivity(g) != 3:
+    if connectivity(adj) != 3:
         raise EmbeddingError("corpus graph not 3-connected")
     _check_planarization(record)
     find_real_real_face(plane)

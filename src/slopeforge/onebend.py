@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .drawing import PolylineDrawing, join_fragments
+from .drawing import PolylineDrawing, finished_polylines, join_fragments
 from .geometry import (
     Coord,
     IntersectKind,
@@ -45,7 +45,6 @@ from .geometry import (
     prepare_shifted,
     prepared_octant,
     quotient,
-    strip_collinear,
     sweep_hits,
 )
 from .model import EmbeddedGraph, PlaneGraph, connectivity, cyclic_key
@@ -85,13 +84,11 @@ _TURNED[None] = None
 class EdgeRecord(NamedTuple):
     """What Gamma knows of one drawn edge."""
 
-    pts: List[Point]  # the polyline list the record describes
     segs: List[Prepared]  # its segments, prepared for the pair queries
-    labels: List[str]  # the edge id once per segment
     # The edge's shape: the octant of each segment in the orientation of
-    # pts, None for a segment off the canonical slopes.
+    # its polyline, None for a segment off the canonical slopes.
     shape: Tuple[Optional[int], ...]
-    start: str  # the end vertex pts starts at
+    start: str  # the end vertex its polyline starts at
 
 
 def _reversed_shape(shape: Tuple[Optional[int], ...]) -> Tuple[Optional[int], ...]:
@@ -105,32 +102,31 @@ class Gamma:
 
     Every coordinate Gamma stores is an int: the true value times `unit`,
     one denominator for the whole drawing, which starts at 1.  That covers
-    the positions, the polylines and each record's points and prepared
-    segments (prepared with `unit`, so their sweep boxes hold the true
-    values).  The four slopes meet at rational points, so a new point or a
-    stretch amount can fall off this grid: the drawer computes it exactly,
-    in Gamma's units, and writes it through `grid_ints` or `on_grid`, which
-    first rescale every stored int by the missing factor.  Only the
-    constants tied to length scale with `unit`; every check is homogeneous
-    in the coordinates and reads them as they are.  `unscaled` gives the
-    true point, for the output, the step trace and messages.
+    the positions, the polylines and each record's prepared segments
+    (prepared with `unit`, so their sweep boxes hold the true values).  The
+    four slopes meet at rational points, so a new point or a stretch amount
+    can fall off this grid: the drawer computes it exactly, in Gamma's
+    units, and writes it through `grid_ints` or `on_grid`, which first
+    rescale every stored int by the missing factor.  Only the constants
+    tied to length scale with `unit`; every check is homogeneous in the
+    coordinates and reads them as they are.  `unscaled` gives the true
+    point, for the output, the step trace and messages.  The placed
+    vertices are the keys of `pos`.
 
     `_index` holds a record per drawn edge (see EdgeRecord), the drawer's
-    one per-edge cache.  Its invariant: a record whose `pts` is the edge's
-    polyline list holds exactly what a rebuild from that list gives, that
-    is each segment prepared, each segment's octant (the shape) and the end
-    vertex the list starts at.  Polylines are replaced, never changed in
-    place, so a record whose list is no longer the edge's polyline is stale
-    and `record` rebuilds it from the coordinates.  Stretches keep the
-    records current instead: a stretch only translates edges, or lengthens
-    one horizontal of a split edge, so every shape stays, reversed when a
-    split edge is redrawn from its other end, and a translated edge's
-    prepared segments are shifted (see stretch).  Ports,
-    bends, horizontal segments and the P1 to P4 tests read the shapes.
+    one per-edge cache.  Its invariant: a record is written with its
+    polyline.  `draw` builds it from the points, each segment prepared,
+    each segment's octant (the shape) and the end vertex the polyline
+    starts at; a stretch, which keeps every shape (the shift lemma of de
+    Fraysseix, Pach and Pollack, Combinatorica 1990), installs through
+    `redraw` the record it carried, a split edge's shape reversed when it
+    is redrawn from its other end and a translated edge's prepared
+    segments shifted (see stretch); a rescale scales both.  Ports, bends,
+    horizontal segments and the P1 to P4 tests read the shapes.
 
-    New edges are drawn with `draw`, which keeps the set of the drawn edges
-    other than the base edge that have a horizontal segment; a stretch
-    keeps every shape, and so that set.
+    `draw` also keeps the set of the drawn edges other than the base edge
+    that have a horizontal segment; a stretch keeps every shape, and so
+    that set.
     """
 
     plane: PlaneGraph
@@ -139,14 +135,15 @@ class Gamma:
     pos: Dict[str, Point] = field(default_factory=dict)
     polylines: Dict[str, List[Point]] = field(default_factory=dict)  # plane-edge id
     contour: List[str] = field(default_factory=list)
-    placed: Set[str] = field(default_factory=set)
     unit: int = 1
+    base_edge: str = field(init=False)  # the plane edge v1-v2
     _index: Dict[str, EdgeRecord] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _horizontal: Set[str] = field(
         default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.base_edge = _edge_between(self.plane, self.v1, self.v2)
         for e, pts in self.polylines.items():
             self.draw(e, pts)
 
@@ -178,12 +175,10 @@ class Gamma:
             pos[v] = Point(p.x * k, p.y * k)
         for e, pts in self.polylines.items():
             new = [Point(p.x * k, p.y * k) for p in pts]
-            self.polylines[e] = new
-            rec = index.pop(e, None)
-            if rec is not None and rec.pts is pts:
-                segs = [(Segment(p, q), (1, p.x, p.y, q.x, q.y), s[2])
-                        for s, p, q in zip(rec.segs, new, new[1:])]
-                index[e] = EdgeRecord(new, segs, rec.labels, rec.shape, rec.start)
+            rec = index[e]
+            segs = [(Segment(p, q), (1, p.x, p.y, q.x, q.y), s[2])
+                    for s, p, q in zip(rec.segs, new, new[1:])]
+            self.redraw(e, new, EdgeRecord(segs, rec.shape, rec.start))
         self.unit *= k
 
     def unscaled(self, p: Point) -> Point:
@@ -193,26 +188,22 @@ class Gamma:
     # -- edge records -------------------------------------------------------
 
     def record(self, e: str) -> EdgeRecord:
-        """The current record of drawn edge e, rebuilt when stale."""
-        pts = self.polylines[e]
-        rec = self._index.get(e)
-        if rec is None or rec.pts is not pts:
-            segs = [prepare(Segment(p, q), self.unit) for p, q in zip(pts, pts[1:])]
-            a, b = self.plane.edges[e]
-            rec = self._index[e] = EdgeRecord(
-                pts, segs, [e] * len(segs), tuple(map(prepared_octant, segs)),
-                a if pts[0] == self.pos.get(a) else b)
-        return rec
+        """The record of drawn edge e."""
+        return self._index[e]
 
     def draw(self, e: str, pts: List[Point]) -> None:
-        """Draw the new edge e along pts."""
-        self.polylines[e] = pts
-        if e != _base_edge(self) and any(p.y == q.y for p, q in zip(pts, pts[1:])):
+        """Draw edge e along pts, with the record built from them; both ends
+        of e are placed."""
+        segs = [prepare(Segment(p, q), self.unit) for p, q in zip(pts, pts[1:])]
+        a, b = self.plane.edges[e]
+        start = a if pts[0] == self.pos.get(a) else b
+        self.redraw(e, pts, EdgeRecord(segs, tuple(map(prepared_octant, segs)), start))
+        if e != self.base_edge and any(p.y == q.y for p, q in zip(pts, pts[1:])):
             self._horizontal.add(e)
 
     def redraw(self, e: str, pts: List[Point], rec: EdgeRecord) -> None:
         """Draw e along pts, with rec, a record of pts of e's shape, as its
-        record."""
+        record: how a stretch installs the record it carried."""
         self.polylines[e] = pts
         self._index[e] = rec
 
@@ -231,13 +222,11 @@ class Gamma:
         edge of each."""
         labels: List[str] = []
         prepared: List[Prepared] = []
-        index, polylines = self._index, self.polylines
+        index = self._index
         for e in self.drawn_edges():
-            rec = index.get(e)
-            if rec is None or rec.pts is not polylines[e]:
-                rec = self.record(e)
-            prepared += rec.segs
-            labels += rec.labels
+            segs = index[e].segs
+            prepared += segs
+            labels += [e] * len(segs)
         return labels, prepared
 
     def horizontal_edges(self) -> Set[str]:
@@ -265,7 +254,7 @@ class Gamma:
         return [e for e in self.plane.rotation[v] if e not in self.polylines]
 
     def attachable(self, v: str) -> bool:
-        return v in self.placed and bool(self.undrawn_at(v)) and v in self.contour
+        return v in self.pos and bool(self.undrawn_at(v)) and v in self.contour
 
     def edge_bend_count(self, plane_edge: str) -> int:
         """Bends of the original edge drawn so far (corners at dummies count)."""
@@ -396,10 +385,6 @@ def _edge_between(plane: PlaneGraph, a: str, b: str) -> str:
     raise OneBendError(f"no planarization edge between {a} and {b}")
 
 
-def _base_edge(g: Gamma) -> str:
-    return _edge_between(g.plane, g.v1, g.v2)
-
-
 def _find(parent: Dict[str, str], v: str) -> str:
     while parent[v] != v:
         parent[v] = parent[parent[v]]
@@ -417,8 +402,8 @@ def _cut_forest(g: Gamma, cut: Set[str]) -> Dict[str, str]:
     """Union-find forest of the placed vertices over the drawn edges that a
     stretch does not cut: all but the base edge and the edges in `cut`, a
     set of horizontal-bearing edges."""
-    base = _base_edge(g)
-    parent = {v: v for v in g.placed}
+    base = g.base_edge
+    parent = {v: v for v in g.pos}
     for e in g.polylines:
         if e != base and e not in cut:
             _union(parent, *g.plane.edges[e])
@@ -427,7 +412,7 @@ def _cut_forest(g: Gamma, cut: Set[str]) -> Dict[str, str]:
 
 def _split_edges(g: Gamma, left: Set[str]) -> List[str]:
     """Drawn edges other than the base edge with exactly one end in `left`."""
-    base = _base_edge(g)
+    base = g.base_edge
     out = []
     for e in g.drawn_edges():
         a, b = g.plane.edges[e]
@@ -468,7 +453,7 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     # The components and their vertices; rigid edges merge them,
     # relabelling the smaller one.  Whether a buried component lies left of
     # t_lo is kept until t_lo changes or the component merges.
-    root = {v: _find(parent, v) for v in g.placed}
+    root = {v: _find(parent, v) for v in g.pos}
     members: Dict[str, List[str]] = {}
     for v, r in root.items():
         members.setdefault(r, []).append(v)
@@ -530,51 +515,47 @@ def stretch(g: Gamma, left: Set[str], delta: Coord) -> int:
     delta is exact in g's units.  g is first rescaled so that delta and the
     base edge's new low point lie on its grid.  Edges with no end in `left`
     translate; each split edge is redrawn from its stationary end with its
-    first rightward horizontal lengthened; the base edge re-derives its low
-    point.  Every shape but the base edge's is kept, and the drawing stays
-    simple by the property of the cut (see stretch_cut).  Returns the
-    amount, an int in g's new units.
+    first rightward horizontal lengthened; the base edge is drawn anew
+    through that low point: v1 lies in every cut's stationary contour
+    prefix, and v2 moves by exactly delta.  Every shape is kept, and the
+    drawing stays simple by the property of the cut (see stretch_cut).
+    Returns the amount, an int in g's new units.
     """
     if delta <= 0:
         raise ValueError("stretch needs a positive amount")
     p2 = g.pos[g.v2]
     low = _base_low(g.pos[g.v1], Point(p2.x + delta, p2.y))
-    delta = g.grid_ints([delta, low.x, low.y])[0]
+    delta, low_x, low_y = g.grid_ints([delta, low.x, low.y])
     for e in _split_edges(g, left):
         rec = g.record(e)
-        start, pts, shape = rec.start, rec.pts, rec.shape
+        start, pts, shape = rec.start, g.polylines[e], rec.shape
         if start not in left:
             start, pts, shape = g.plane.other_end(e, start), pts[::-1], _reversed_shape(shape)
         k = shape.index(_E)
         pts = pts[: k + 1] + [Point(p.x + delta, p.y) for p in pts[k + 1 :]]
         segs = [prepare(Segment(p, q), g.unit) for p, q in zip(pts, pts[1:])]
-        g.redraw(e, pts, EdgeRecord(pts, segs, rec.labels, shape, start))
+        g.redraw(e, pts, EdgeRecord(segs, shape, start))
     _translate(g, left, delta)
-    _redraw_base(g)
+    g.draw(g.base_edge, [g.pos[g.v1], Point(low_x, low_y), g.pos[g.v2]])
     return delta
 
 
 def _translate(g: Gamma, left: Set[str], delta: int) -> None:
     """Shift the placed vertices outside `left`, and the edges with no end
     in it, by delta in x, with their records."""
-    edges, index = g.plane.edges, g._index
-    moved = []
-    for e, pts in g.polylines.items():
-        a, b = edges[e]
-        if a not in left and b not in left:
-            rec = index.get(e)
-            moved.append((e, rec if rec is not None and rec.pts is pts else g.record(e)))
+    edges, index, polylines = g.plane.edges, g._index, g.polylines
+    moved = [e for e in polylines if edges[e][0] not in left and edges[e][1] not in left]
     pos, unit = g.pos, g.unit
-    for v in g.placed:
+    for v, p in pos.items():
         if v not in left:
-            p = pos[v]
             pos[v] = Point(p.x + delta, p.y)
-    for e, rec in moved:
-        pts = [pos[rec.start]] + [Point(p.x + delta, p.y) for p in rec.pts[1:-1]]
+    for e in moved:
+        rec = index[e]
+        pts = [pos[rec.start]] + [Point(p.x + delta, p.y) for p in polylines[e][1:-1]]
         pts.append(pos[g.plane.other_end(e, rec.start)])
         segs = [prepare_shifted(s, Segment(p, q), delta, unit)
                 for s, p, q in zip(rec.segs, pts, pts[1:])]
-        g.redraw(e, pts, EdgeRecord(pts, segs, rec.labels, rec.shape, rec.start))
+        g.redraw(e, pts, EdgeRecord(segs, rec.shape, rec.start))
 
 
 def _base_low(p1: Point, p2: Point) -> Point:
@@ -587,7 +568,7 @@ def _base_low(p1: Point, p2: Point) -> Point:
 
 def _redraw_base(g: Gamma) -> None:
     low = g.on_grid([_base_low(g.pos[g.v1], g.pos[g.v2])])[0]
-    g.polylines[_base_edge(g)] = [g.pos[g.v1], low, g.pos[g.v2]]
+    g.draw(g.base_edge, [g.pos[g.v1], low, g.pos[g.v2]])
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +704,10 @@ class OneBendDrawer:
         u = g.unit
         g.pos[v1] = Point(0, 0)
         g.pos[v2] = Point((2 * l + 2) * u, 0)
-        g.placed.update((v1, v2))
         _redraw_base(g)
         prev = v1
         for k, z in enumerate(members):
             g.pos[z] = Point((2 * k + 2) * u, 0)
-            g.placed.add(z)
             g.draw(_edge_between(self.plane, prev, z), [g.pos[prev], g.pos[z]])
             prev = z
         g.draw(_edge_between(self.plane, prev, v2), [g.pos[prev], g.pos[v2]])
@@ -1014,7 +993,6 @@ class OneBendDrawer:
         g = self.g
         apex = g.on_grid([apex])[0]
         g.pos[v] = apex
-        g.placed.add(v)
         for e, pts in self._connection_polylines(apex, plans).items():
             g.draw(e, pts)
         li = g.contour.index(plans[0].anchor)
@@ -1136,7 +1114,6 @@ class OneBendDrawer:
             q1, q2, *positions = g.on_grid([q1, q2] + positions)
             for k, z in enumerate(members):
                 g.pos[z] = positions[k]
-                g.placed.add(z)
             for e, pts in polylines(q1, q2, positions).items():
                 g.draw(e, pts)
             li = g.contour.index(pl.anchor)
@@ -1167,7 +1144,7 @@ class OneBendDrawer:
         self.steps += 1
         if self.trace is not None:
             self.trace.append({e: list(map(g.unscaled, p)) for e, p in g.polylines.items()})
-        if len(g.placed) == len(self.plane.vertices):
+        if len(g.pos) == len(self.plane.vertices):
             problems = check_gamma(g)
         else:
             problems = check_step(g, self._contour)
@@ -1253,7 +1230,7 @@ def _window(old: List[str], new: List[str]) -> Tuple[int, int]:
 def _check_rotations(g: Gamma) -> List[str]:
     """Drawn edge ends must respect the input rotation at every vertex."""
     out = []
-    for v in sorted(g.placed):
+    for v in sorted(g.pos):
         ports = g.port_dirs(v)
         drawn = sorted(ports, key=lambda e: PORTS.index(ports[e]))
         if cyclic_key(drawn) != cyclic_key([e for e in g.plane.rotation[v] if e in ports]):
@@ -1286,7 +1263,7 @@ def _check_p2(g: Gamma) -> List[str]:
 
 def _check_p3(g: Gamma) -> List[str]:
     out = []
-    base = _base_edge(g)
+    base = g.base_edge
     if base not in g.polylines:
         return ["P3: base edge not drawn"]
     pts = g.polylines[base]
@@ -1475,7 +1452,7 @@ def _improper_pairs(
             out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")
             return out
     seen_pos: Dict[Tuple[int, int], str] = {}
-    for v in sorted(g.placed):
+    for v in sorted(g.pos):
         p = g.pos[v]
         at = (p.x, p.y)
         if at in seen_pos:
@@ -1500,10 +1477,10 @@ def _run_pipeline(g: EmbeddedGraph, trace: bool = False) -> Tuple[OneBendDrawer,
     """Check the input, normalize it, run the drawer along a canonical
     ordering and finalize; the drawer is returned for its step trace, which
     is recorded only with `trace`."""
-    degs = g.degrees()
-    if any(d != 3 for d in degs.values()):
+    adj = g.abstract_adjacency()
+    if any(len(ns) != 3 for ns in adj.values()):
         raise OneBendError("input must be cubic")
-    if connectivity(g) < 3:
+    if connectivity(adj) < 3:
         raise OneBendError("input must be 3-connected")
     norm = normalize_embedding(g)
     plane, delta = canonical_order_on_real_edge(norm.plane)
@@ -1517,13 +1494,8 @@ def _finalize(norm: EmbeddedGraph, plane: PlaneGraph, gamma: Gamma) -> PolylineD
     perhaps another outer face: the same edges, so norm's original edges."""
     target = EmbeddedGraph(plane=plane, original=norm.original)
     true = gamma.unscaled
-    polylines: Dict[str, List[Point]] = {}
-    for orig, (a, b) in sorted(target.edges.items()):
-        pts = join_fragments(plane, gamma.polylines, orig)
-        if pts is None:
-            raise OneBendError(f"edge {orig} never drawn")
-        if pts[0] != gamma.pos[a]:
-            pts.reverse()
-        polylines[orig] = [true(p) for p in strip_collinear(pts)]
+    # Stripping collinear points commutes with the scaling by 1 / unit.
+    lines = finished_polylines(target, gamma.polylines, gamma.pos)
+    polylines = {e: [true(p) for p in pts] for e, pts in lines.items()}
     positions = {v: true(gamma.pos[v]) for v in target.vertices}
     return PolylineDrawing(graph=target, positions=positions, polylines=polylines)

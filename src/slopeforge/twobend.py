@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from . import graphutil
-from .drawing import PolylineDrawing, join_fragments
+from .drawing import PolylineDrawing, finished_polylines
 from .geometry import IntersectKind, Point, Segment, quotient, segment_hits, strip_collinear
 from .model import Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, cyclic_key
 from .ordering import StOrdering, st_order
@@ -762,6 +762,8 @@ def draw_twobend(g: EmbeddedGraph) -> PolylineDrawing:
     if not graphutil.is_connected(adj):
         raise TwoBendError("input must be connected")
     norm = normalize_embedding(g)
+    if not norm.vertices:
+        return PolylineDrawing(graph=norm, positions={}, polylines={})
     tree = bridge_decomposition(norm)
     bridge_ids: Dict[Tuple[str, str], str] = {}
     bridge_set = {tuple(sorted(x)) for x in tree.bridges}
@@ -775,12 +777,7 @@ def draw_twobend(g: EmbeddedGraph) -> PolylineDrawing:
         drawings[i] = draw_component(sub, tree.attach[i])
     assembled = assemble(drawings, tree, bridge_ids)
 
-    polylines: Dict[str, List[Point]] = {}
-    for orig, (a, _) in sorted(norm.edges.items()):
-        pts = join_fragments(norm.plane, assembled.polylines, orig)
-        if pts[0] != assembled.pos[a]:
-            pts.reverse()
-        polylines[orig] = strip_collinear(pts)
+    polylines = finished_polylines(norm, assembled.polylines, assembled.pos)
     positions = {v: assembled.pos[v] for v in norm.vertices}
     return _rank_grid(PolylineDrawing(graph=norm, positions=positions, polylines=polylines))
 

@@ -550,7 +550,7 @@ def port_dirs_by_points(g: onebend.Gamma, v: str) -> Dict[str, str]:
 
 
 def horizontal_edges_by_points(g: onebend.Gamma) -> Set[str]:
-    base = onebend._base_edge(g)
+    base = g.base_edge
     return {
         e for e, pts in g.polylines.items()
         if e != base and any(p.y == q.y for p, q in zip(pts, pts[1:]))
@@ -620,7 +620,7 @@ def check_stretch(g: onebend.Gamma, left: Set[str]) -> List[str]:
     before the stretch it rejects exactly what _check_simple rejects.
     """
     stationary, translated, reshaped = 0, 1, None
-    base = onebend._base_edge(g)
+    base = g.base_edge
     labels, prepared = g.indexed()
     group_of = {}
     for e in set(labels):
@@ -680,7 +680,7 @@ def _p2_by_points(g: onebend.Gamma) -> List[str]:
 
 
 def _p3_by_points(g: onebend.Gamma) -> List[str]:
-    base = onebend._base_edge(g)
+    base = g.base_edge
     if base not in g.polylines:
         return ["P3: base edge not drawn"]
     pts = g.polylines[base]
@@ -734,9 +734,9 @@ def check_p4_by_points(g: onebend.Gamma) -> List[str]:
         if any(s.a.x == s.b.x for s in plain):
             cut.append((u, v))
     if cut:
-        base = onebend._base_edge(g)
+        base = g.base_edge
         hor = horizontal_edges_by_points(g)
-        adj: Dict[str, Set[str]] = {v: set() for v in g.placed}
+        adj: Dict[str, Set[str]] = {v: set() for v in g.pos}
         for e in g.polylines:
             if e != base and e not in hor:
                 a, b = g.plane.edges[e]

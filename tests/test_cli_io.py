@@ -253,6 +253,28 @@ class TestCli:
         code, svg = run_cli(["render"], drawing_json)
         assert code == 0 and svg.startswith("<svg")
 
+    def test_empty_graph(self):
+        """The empty graph draws as the empty 2-bend drawing, which every
+        profile validates and which renders."""
+        graph = {"version": 1, "vertices": [], "edges": [], "rotations": {}}
+        code, drawing_json = run_cli(["draw", "--mode", "twobend"], json.dumps(graph))
+        assert code == 0
+        doc = json.loads(drawing_json)
+        assert (doc["positions"], doc["polylines"], doc["graph"]["vertices"]) == ({}, {}, [])
+        for profile in ("onebend", "twobend", "straight"):
+            code, report_json = run_cli(["validate", "--profile", profile], drawing_json)
+            assert (code, json.loads(report_json)["passed"]) == (0, True)
+        code, svg = run_cli(["render"], drawing_json)
+        assert code == 0 and svg.startswith("<svg")
+
+    @pytest.mark.parametrize("vertices", ["", "a"])
+    def test_storder_on_fewer_than_two_vertices_exits_2(self, capsys, vertices):
+        graph = {"version": 1, "vertices": [{"id": v, "real": True} for v in vertices],
+                 "edges": [], "rotations": {v: [] for v in vertices}}
+        code, out = run_cli(["storder"], json.dumps(graph))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: s, t must be distinct vertices of the graph\n"
+
     @pytest.mark.parametrize("profile", ["onebend", "twobend", "straight"])
     def test_validate_with_an_isolated_lowest_vertex(self, profile):
         # c lies below the edge a-b and has no edge of its own.

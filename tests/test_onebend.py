@@ -23,7 +23,6 @@ from slopeforge.onebend import (
     OneBendDrawer,
     OneBendError,
     Plan,
-    _base_edge,
     _blockers,
     _check_simple,
     _middle_mismatch,
@@ -77,10 +76,10 @@ def _base_s_t_plane():
 def stretch_cut_by_rebuild(g, left_anchor):
     """Reference for onebend.stretch_cut: rebuilds the cut graph and its
     components on every round of the rigid-edge loop."""
-    base = _base_edge(g)
+    base = g.base_edge
 
     def cut_graph(cut):
-        adj = {v: set() for v in g.placed}
+        adj = {v: set() for v in g.pos}
         for e in g.drawn_edges():
             if e == base or e in cut:
                 continue
@@ -108,7 +107,7 @@ def stretch_cut_by_rebuild(g, left_anchor):
                     continue
                 if max(g.pos[v].x for v in comp) <= t_lo:
                     stay_comps.add(ci)
-        left = {v for v in g.placed if comp_of[v] in stay_comps}
+        left = {v for v in g.pos if comp_of[v] in stay_comps}
         newly_rigid = {
             e for e in _split_edges(g, left)
             if first_rightward_horizontal(from_stationary_end(g, e, left)) is None
@@ -133,8 +132,7 @@ def hand_built(plane, pos, polylines, unit=1, **rest):
 
     return Gamma(plane=plane, v1="v1", v2="v2", unit=unit,
                  pos={v: at(xy) for v, xy in pos.items()},
-                 polylines={e: [at(xy) for xy in pts] for e, pts in polylines.items()},
-                 placed=set(pos), **rest)
+                 polylines={e: [at(xy) for xy in pts] for e, pts in polylines.items()}, **rest)
 
 
 def rebuilt_segments(g):
@@ -162,16 +160,20 @@ def blockers_by_sweep(g, new_segments, allowed_points):
 
 
 def assert_index_is_fresh(g):
-    """The edge records equal a rebuild from the polylines: the prepared
-    segments, each edge's shape and first vertex, the ports at every placed
-    vertex and the horizontal-bearing edges."""
+    """The record that g._index holds for each drawn edge, the base edge's
+    included, equals a rebuild from its polyline: the prepared segments,
+    the shape and the end the polyline starts at.  So do the flat segment
+    lists, the ports at every placed vertex and the horizontal-bearing
+    edges."""
+    for e, pts in g.polylines.items():
+        a, b = g.plane.edges[e]
+        segs = [prepare(Segment(p, q), g.unit) for p, q in zip(pts, pts[1:])]
+        start = a if pts[0] == g.pos[a] else b
+        rec = g._index[e]
+        assert (rec.segs, rec.shape, rec.start) == (segs, shape_by_points(pts), start), e
     drawn = rebuilt_segments(g)
     assert g.indexed() == ([e for e, _ in drawn], [prepare(s, g.unit) for _, s in drawn])
-    for e, pts in g.polylines.items():
-        rec = g.record(e)
-        assert rec.shape == shape_by_points(pts), e
-        assert pts[0] == g.pos[rec.start], e
-    for v in g.placed:
+    for v in g.pos:
         assert g.port_dirs(v) == port_dirs_by_points(g, v), v
     assert g.horizontal_edges() == horizontal_edges_by_points(g)
 
@@ -429,7 +431,7 @@ class TestStretchPlan:
                 trial = Gamma(
                     plane=g.plane, v1=g.v1, v2=g.v2, pos=dict(g.pos),
                     polylines={e: list(p) for e, p in g.polylines.items()},
-                    contour=list(g.contour), placed=set(g.placed), unit=g.unit,
+                    contour=list(g.contour), unit=g.unit,
                 )
                 try:
                     left = stretch_cut(trial, cut)
@@ -561,7 +563,6 @@ class TestStepCheck:
         assert check_step(g, None) == [] == check_gamma(g)
         old = g.contour
         g.pos["w"] = Point(14, 12)
-        g.placed.add("w")
         g.draw("cw", [Point(12, 10), Point(14, 12)])
         g.draw("ew", [Point(16, 10), Point(14, 12)])
         g.contour = ["v1", "a", "b", "c", "w", "e", "d", "v2"]
@@ -808,9 +809,10 @@ class TestSegmentIndex:
         assert problems == check_gamma_by_points(g)
 
     def test_a_stretch_prepares_only_what_it_reshapes(self, monkeypatch):
-        """A stretch prepares the segments of its split edges, shifts those
-        of the edges it translates and leaves the redrawn base edge to be
-        prepared when it is read."""
+        """A stretch prepares the segments of its split edges and the two of
+        the base edge, which it draws anew, and shifts those of the edges it
+        translates; every record, the base edge's included, is then
+        current."""
         real_prepare = onebend.prepare
         prepared = []
         stretches = 0
@@ -822,7 +824,6 @@ class TestSegmentIndex:
         monkeypatch.setattr(onebend, "prepare", counted_prepare)
         for drawer in _drawing_stages(gen_corpus(**TestStretchPlan.GRAPH)[0]):
             g = drawer.g
-            base = _base_edge(g)
             for v in g.contour[:-1]:
                 assert_index_is_fresh(g)
                 try:
@@ -832,30 +833,36 @@ class TestSegmentIndex:
                 split = _split_edges(g, left)
                 start = len(prepared)
                 assert drawer._stretch_between(v, g.v2, F(3))
-                assert len(prepared) - start == sum(len(g.polylines[e]) - 1 for e in split)
-                assert all(g._index[e].pts is pts for e, pts in g.polylines.items() if e != base)
+                assert len(prepared) - start == 2 + sum(len(g.polylines[e]) - 1 for e in split)
+                assert_index_is_fresh(g)
                 stretches += 1
         assert stretches >= 20
 
     def test_records_are_carried_through_every_stretch(self, monkeypatch):
-        """After every stretch, each record but the redrawn base edge's is
-        current, and all of them equal a rebuild."""
+        """After every stretch and every rescale, each record, the base
+        edge's included, equals a rebuild."""
         real_stretch = onebend.stretch
-        stretches = 0
+        real_scale = Gamma._scale
+        stretches = scales = 0
 
         def checked_stretch(g, left, delta):
             nonlocal stretches
             done = real_stretch(g, left, delta)
-            base = _base_edge(g)
-            assert all(g._index[e].pts is pts for e, pts in g.polylines.items() if e != base)
             assert_index_is_fresh(g)
             stretches += 1
             return done
 
+        def checked_scale(g, k):
+            nonlocal scales
+            real_scale(g, k)
+            assert_index_is_fresh(g)
+            scales += 1
+
         monkeypatch.setattr(onebend, "stretch", checked_stretch)
+        monkeypatch.setattr(Gamma, "_scale", checked_scale)
         for target, seed in ((20, 1000), (20, 1006), (90, 1031), (90, 1028)):
             draw_onebend(gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0])
-        assert stretches >= 100
+        assert stretches >= 100 and scales >= 10
 
 
 class TestBlockers:
@@ -1009,10 +1016,12 @@ class TestRepairBytes:
 class TestOneBendInts:
     def test_every_stored_coordinate_is_an_int_after_every_step(self, monkeypatch):
         """After every step of cubic3con draws, every coordinate in the
-        positions, the polylines and every edge record (its points, its
-        segments, their integer forms and boxes) is an int, not a bool."""
+        positions, the polylines and every edge record (its segments, their
+        integer forms and boxes) is an int, not a bool; after every draw,
+        each record, the base edge's included, equals a rebuild."""
         real_post_step = OneBendDrawer._post_step
-        steps = 0
+        real_draw = Gamma.draw
+        steps = draws = 0
         units = set()
 
         def ints(values):
@@ -1026,12 +1035,18 @@ class TestOneBendInts:
             assert ints(c for p in g.pos.values() for c in (p.x, p.y))
             assert ints(c for pts in g.polylines.values() for p in pts for c in (p.x, p.y))
             for rec in g._index.values():
-                assert ints(c for p in rec.pts for c in (p.x, p.y))
                 for seg, form, box in rec.segs:
                     assert ints((seg.a.x, seg.a.y, seg.b.x, seg.b.y) + form + box)
             return real_post_step(self, label)
 
+        def checked_draw(g, e, pts):
+            nonlocal draws
+            real_draw(g, e, pts)
+            assert_index_is_fresh(g)
+            draws += 1
+
         monkeypatch.setattr(OneBendDrawer, "_post_step", checked_post_step)
+        monkeypatch.setattr(Gamma, "draw", checked_draw)
         for n_target in (12, 20, 32):
             for seed in range(1000, 1020):
                 g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
@@ -1039,7 +1054,7 @@ class TestOneBendInts:
                     draw_onebend(g)
                 except OneBendError:
                     pass
-        assert steps >= 500 and max(units) > 1
+        assert steps >= 500 and draws >= 1000 and max(units) > 1
 
 
 class TestOneBendBytes:

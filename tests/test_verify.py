@@ -191,6 +191,20 @@ class TestMeasurements:
         with pytest.raises(DrawingError, match="edge e12 has a zero-length segment"):
             validate(d, "TWOBEND")
 
+    @pytest.mark.parametrize("profile", ["ONEBEND", "TWOBEND", "STRAIGHT"])
+    @pytest.mark.parametrize("field, message", [
+        ("polylines", "polyline of unknown edge zz"),
+        ("positions", "position of unknown vertex zz"),
+    ])
+    def test_an_entry_the_graph_lacks_is_rejected(self, profile, field, message):
+        d = square_drawing()
+        if field == "polylines":
+            d.polylines["zz"] = [P(0, 0), P(5, 5)]
+        else:
+            d.positions["zz"] = P(5, 5)
+        with pytest.raises(DrawingError, match=f"^{message}$"):
+            validate(d, profile)
+
     def test_crossing_at_an_edge_end_is_measured(self):
         # e1 bends at c, where e2 starts and which e2's second segment
         # passes through: the crossing directions of e2 there include a zero
