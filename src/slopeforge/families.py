@@ -27,6 +27,7 @@ from .model import (
     PlaneGraph,
     connectivity,
     find_real_real_face,
+    is_cubic,
 )
 from .verify import embedding_from_geometry
 
@@ -294,7 +295,7 @@ def _gen_cubic3con(rng: random.Random, n_target: int) -> EmbeddedGraph:
     plane = record.plane
     g = EmbeddedGraph.from_plane(plane)
     adj = g.abstract_adjacency()
-    if any(len(ns) != 3 for ns in adj.values()):
+    if not is_cubic(adj):
         raise EmbeddingError("corpus graph not cubic")
     if connectivity(adj) != 3:
         raise EmbeddingError("corpus graph not 3-connected")

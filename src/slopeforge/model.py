@@ -459,7 +459,7 @@ class EmbeddedGraph:
         return {v: len(adj[v]) for v in adj}
 
     def is_cubic(self) -> bool:
-        return all(d == 3 for d in self.degrees().values())
+        return is_cubic(self.abstract_adjacency())
 
     def is_subcubic(self) -> bool:
         return all(d <= 3 for d in self.degrees().values())
@@ -476,6 +476,11 @@ def planarize(g: EmbeddedGraph) -> PlaneGraph:
     """
     g.validate()
     return g.plane
+
+
+def is_cubic(adj: graphutil.Adj) -> bool:
+    """Whether every vertex of the adjacency has exactly three neighbours."""
+    return all(len(ns) == 3 for ns in adj.values())
 
 
 def connectivity(adj_or_graph, cap: int = 3) -> int:

@@ -47,7 +47,7 @@ from .geometry import (
     quotient,
     sweep_hits,
 )
-from .model import EmbeddedGraph, PlaneGraph, connectivity, cyclic_key
+from .model import EmbeddedGraph, PlaneGraph, connectivity, cyclic_key, is_cubic
 from .ordering import CanonicalOrdering, canonical_order_on_real_edge
 from .reembed import normalize_embedding
 
@@ -187,10 +187,6 @@ class Gamma:
 
     # -- edge records -------------------------------------------------------
 
-    def record(self, e: str) -> EdgeRecord:
-        """The record of drawn edge e."""
-        return self._index[e]
-
     def draw(self, e: str, pts: List[Point]) -> None:
         """Draw edge e along pts, with the record built from them; both ends
         of e are placed."""
@@ -209,7 +205,7 @@ class Gamma:
 
     def shape_from(self, e: str, v: str) -> Tuple[Optional[int], ...]:
         """The shape of drawn edge e read from its end v."""
-        rec = self.record(e)
+        rec = self._index[e]
         return rec.shape if rec.start == v else _reversed_shape(rec.shape)
 
     # -- drawn geometry queries -------------------------------------------
@@ -240,7 +236,7 @@ class Gamma:
         for e in self.plane.rotation[v]:
             if e not in self.polylines:
                 continue
-            rec = self.record(e)
+            rec = self._index[e]
             o = rec.shape[0] if rec.start == v else _TURNED[rec.shape[-1]]
             if o is None:
                 raise OneBendError(f"edge {e} leaves {v} off the canonical slopes")
@@ -277,7 +273,7 @@ class Gamma:
         frags = self.plane.fragments_of_original(orig)
         drawn = [f for f in frags or [orig] if f in self.polylines]
         if len(drawn) < 2:
-            return self.record(drawn[0]).shape if drawn else ()
+            return self._index[drawn[0]].shape if drawn else ()
         fa, fb = drawn
         x = next(v for v in self.plane.edges[fa] if self.plane.is_dummy(v))
         return self.shape_from(fa, self.plane.other_end(fa, x)) + self.shape_from(fb, x)
@@ -470,7 +466,7 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     # east.
     rigid_if = []
     for e in hor:
-        rec = g.record(e)
+        rec = g._index[e]
         a, b = rec.start, g.plane.other_end(e, rec.start)
         if _E not in rec.shape:
             rigid_if.append((a, b))
@@ -517,17 +513,20 @@ def stretch(g: Gamma, left: Set[str], delta: Coord) -> int:
     translate; each split edge is redrawn from its stationary end with its
     first rightward horizontal lengthened; the base edge is drawn anew
     through that low point: v1 lies in every cut's stationary contour
-    prefix, and v2 moves by exactly delta.  Every shape is kept, and the
-    drawing stays simple by the property of the cut (see stretch_cut).
-    Returns the amount, an int in g's new units.
+    prefix, and v2 moves by exactly delta; OneBendError for a `left` that
+    breaks this.  Every shape is kept, and the drawing stays simple by the
+    property of the cut (see stretch_cut).  Returns the amount, an int in
+    g's new units.
     """
     if delta <= 0:
         raise ValueError("stretch needs a positive amount")
+    if g.v1 not in left or g.v2 in left:
+        raise OneBendError("stretch cut must keep v1 and move v2")
     p2 = g.pos[g.v2]
     low = _base_low(g.pos[g.v1], Point(p2.x + delta, p2.y))
     delta, low_x, low_y = g.grid_ints([delta, low.x, low.y])
     for e in _split_edges(g, left):
-        rec = g.record(e)
+        rec = g._index[e]
         start, pts, shape = rec.start, g.polylines[e], rec.shape
         if start not in left:
             start, pts, shape = g.plane.other_end(e, start), pts[::-1], _reversed_shape(shape)
@@ -1241,7 +1240,7 @@ def _check_rotations(g: Gamma) -> List[str]:
 def _check_p1(g: Gamma) -> List[str]:
     out = []
     for e in g.drawn_edges():
-        for o in g.record(e).shape:
+        for o in g._index[e].shape:
             if o is None:
                 out.append(f"P1: segment of {e} off the canonical slopes")
     return out
@@ -1270,7 +1269,7 @@ def _check_p3(g: Gamma) -> List[str]:
     if len(pts) != 3:
         return [f"P3: base edge drawn with {len(pts) - 2} bends"]
     p1, low, p2 = pts
-    left_octant, right_octant = g.record(base).shape
+    left_octant, right_octant = g._index[base].shape
     if left_octant not in (_NW, _SE):
         out.append("P3: left base segment not on the SE port slope")
     if right_octant not in (_NE, _SW):
@@ -1478,7 +1477,7 @@ def _run_pipeline(g: EmbeddedGraph, trace: bool = False) -> Tuple[OneBendDrawer,
     ordering and finalize; the drawer is returned for its step trace, which
     is recorded only with `trace`."""
     adj = g.abstract_adjacency()
-    if any(len(ns) != 3 for ns in adj.values()):
+    if not is_cubic(adj):
         raise OneBendError("input must be cubic")
     if connectivity(adj) < 3:
         raise OneBendError("input must be 3-connected")

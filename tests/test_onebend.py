@@ -166,11 +166,11 @@ def assert_index_is_fresh(g):
     lists, the ports at every placed vertex and the horizontal-bearing
     edges."""
     for e, pts in g.polylines.items():
-        a, b = g.plane.edges[e]
         segs = [prepare(Segment(p, q), g.unit) for p, q in zip(pts, pts[1:])]
-        start = a if pts[0] == g.pos[a] else b
         rec = g._index[e]
-        assert (rec.segs, rec.shape, rec.start) == (segs, shape_by_points(pts), start), e
+        assert (rec.segs, rec.shape) == (segs, shape_by_points(pts)), e
+        assert pts[0] == g.pos[rec.start], e
+        assert pts[-1] == g.pos[g.plane.other_end(e, rec.start)], e
     drawn = rebuilt_segments(g)
     assert g.indexed() == ([e for e, _ in drawn], [prepare(s, g.unit) for _, s in drawn])
     for v in g.pos:
@@ -223,6 +223,21 @@ class TestStretch:
         g = drawer.g
         stretch(g, stretch_cut(g, g.contour[1]), 5 * g.unit)
         assert check_gamma(g) == []
+
+    def test_rejects_a_left_side_that_moves_v1_or_keeps_v2(self):
+        """The base edge is drawn through a low point that holds only when
+        v1 stays and v2 moves; any other `left` is refused untouched."""
+        drawer = build_drawer(gen_prism())
+        drawer._draw_base(drawer.delta.sets[1])
+        for i in range(2, len(drawer.delta.sets) - 1):
+            drawer._add_set(drawer.delta.sets[i])
+        g = drawer.g
+        left = stretch_cut(g, g.contour[1])
+        pos, lines = dict(g.pos), dict(g.polylines)
+        for bad in (left - {g.v1}, left | {g.v2}):
+            with pytest.raises(OneBendError, match="keep v1 and move v2"):
+                stretch(g, bad, 5 * g.unit)
+            assert (g.pos, g.polylines) == (pos, lines)
 
 
 class TestStretchCheck:
@@ -308,7 +323,7 @@ class TestRescale:
             assert {v: g.unscaled(p) for v, p in g.pos.items()} == pos
             assert {e: [g.unscaled(p) for p in pts] for e, pts in g.polylines.items()} == lines
             for e, pts in lines.items():
-                rec = g.record(e)
+                rec = g._index[e]
                 assert rec.shape == shape_by_points(pts), e
                 assert [s[2] for s in rec.segs] == [prepare(Segment(p, q))[2] for p, q in zip(pts, pts[1:])]
             assert_index_is_fresh(g)
