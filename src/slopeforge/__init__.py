@@ -17,7 +17,7 @@ from .onebend import OneBendError, draw_onebend
 from .ordering import canonical_order, st_order, verify_canonical
 from .reembed import count_dummy_cutvertices, normalize_embedding
 from .twobend import TwoBendError, draw_twobend
-from .verify import ValidationReport, count_slopes, embedding_of, validate
+from .verify import ValidationReport, embedding_of, validate
 
 __all__ = [
     "PolylineDrawing",
@@ -36,7 +36,6 @@ __all__ = [
     "normalize_embedding",
     "count_dummy_cutvertices",
     "ValidationReport",
-    "count_slopes",
     "embedding_of",
     "validate",
 ]

@@ -22,7 +22,7 @@ from .onebend import OneBendError, _run_pipeline, draw_onebend
 from .ordering import OrderingError, canonical_order_on_real_edge, st_order
 from .reembed import ReembedError, normalize_embedding
 from .twobend import TwoBendError, draw_twobend
-from .verify import DrawingError, validate
+from .verify import DrawingError, require_sound, validate
 
 ENV_SEED = "SLOPEFORGE_SEED"
 
@@ -240,6 +240,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_render(args) -> int:
     d = docio.drawing_from_doc(docio.loads(_read(args)), strict=args.strict)
+    require_sound(d)
     _write(args, render.render_svg(d))
     return 0
 

@@ -11,7 +11,10 @@ ints, the 2-bend drawer emits int ranks and the subcubic corpus generator
 places its blocks on ints.  The 1-bend drawer computes on ints too: its
 drawing (``onebend.Gamma``) holds every coordinate as the true value
 times one drawing-wide denominator ``unit``, and hands ``unit`` to
-``prepare`` so that the sweep boxes hold the true values.
+``prepare`` so that the sweep boxes hold the true values.  The validator
+and the embedding extraction (``verify``) clear a drawing's common
+denominator once, at entry, so they too compute on ints only, 1-bend
+drawings included.
 Python makes an int and the Fraction of the same value compare and hash
 alike, so either form gives the same results.  Only a true division can
 leave the rationals (two ints give a float), so every ``/`` that

@@ -1,15 +1,22 @@
 """Geometric validator: measure a drawing and check it against a profile.
 
 The validator never looks inside a drawer; it re-derives everything from
-the exact coordinates.  All checks are sign tests on rationals, so claims
-like "crossing resolution exactly pi/2" are decided exactly, never with
-an epsilon.
+the exact coordinates.  All checks are sign tests, so claims like
+"crossing resolution exactly pi/2" are decided exactly, never with an
+epsilon.  ``validate`` and ``embedding_of`` first clear the drawing's
+common denominator once (``_on_grid``): every coordinate times the lcm of
+the denominators, as an int.  Everything after that, the structure check,
+the sweep, the rays, the resolutions, the slopes and the embedding, runs
+on ints and does no ``Fraction`` arithmetic, 1-bend drawings included.
+Only a crossing that falls between grid points would be a Fraction; on
+the drawers' outputs (tests/test_number_contract.py) none does.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -27,6 +34,7 @@ from .geometry import (
     cross,
     min_angle_eighths_lower_bound,
     on_segment,
+    quotient,
     segment_hits,
     slope_of,
 )
@@ -95,17 +103,56 @@ def _corner_corner_crossing(d: PolylineDrawing, e1: str, e2: str, pt: Point) -> 
     return owners in ([1, 2, 1, 2], [2, 1, 2, 1])
 
 
-def _survey(d: PolylineDrawing) -> Tuple[Segments, Interactions]:
-    """The segments of a structurally sound drawing, and how they meet."""
-    structural = d.check_structure()
-    if structural:
-        raise DrawingError("; ".join(structural))
-    segs = d.all_segments()
-    return segs, _analyze(d, segs)
+def require_sound(d: PolylineDrawing) -> None:
+    """Raise DrawingError listing d's structural problems, if it has any."""
+    problems = d.check_structure()
+    if problems:
+        raise DrawingError("; ".join(problems))
 
 
-def _analyze(d: PolylineDrawing, segs: Segments) -> Interactions:
-    """Classify all segment interactions of a drawing."""
+def _on_grid(d: PolylineDrawing) -> Tuple[PolylineDrawing, int]:
+    """d on the integer grid, and its scale D: the lcm of the denominators
+    of d's coordinates.  An all-int d comes back itself with D = 1;
+    otherwise the copy holds every coordinate times D, as an int.
+
+    A uniform scale by D > 0 keeps every orientation sign, primitive slope
+    vector, bend, angular order of rays and lexicographic order of points,
+    so the reports and the embedding read off the copy are d's, crossing
+    order, dummy numbering and outer face included.  Only a printed point
+    must be scaled back (_true).
+    """
+    points = [*d.positions.values(), *(p for pts in d.polylines.values() for p in pts)]
+    if all(type(p.x) is int and type(p.y) is int for p in points):
+        return d, 1
+    D = math.lcm(*{c.denominator for p in points for c in (p.x, p.y)})
+
+    def scaled(p: Point) -> Point:
+        x, y = p.x, p.y
+        return Point(x.numerator * (D // x.denominator), y.numerator * (D // y.denominator))
+
+    positions = {v: scaled(p) for v, p in d.positions.items()}
+    polylines = {e: [scaled(p) for p in pts] for e, pts in d.polylines.items()}
+    return PolylineDrawing(d.graph, positions, polylines), D
+
+
+def _true(pt: Point, D: int) -> Point:
+    """A point of a drawing put on the grid by D, at the drawing's scale."""
+    return Point(quotient(pt.x, D), quotient(pt.y, D))
+
+
+def _survey(d: PolylineDrawing) -> Tuple[PolylineDrawing, Segments, Interactions]:
+    """d on the integer grid, the grid drawing's segments, and how they
+    meet.  Raises DrawingError for a structurally broken d."""
+    grid, D = _on_grid(d)
+    if grid.check_structure():
+        require_sound(d)  # the same problems, with d's own points
+    segs = grid.all_segments()
+    return grid, segs, _analyze(grid, segs, D)
+
+
+def _analyze(d: PolylineDrawing, segs: Segments, D: int) -> Interactions:
+    """Classify all segment interactions of a drawing put on the grid by D.
+    Messages print the points at the original scale."""
     violations: List[str] = []
     crossings: Dict[Point, Set[str]] = {}
     for i, j, res in segment_hits([seg for _, _, seg in segs]):
@@ -125,7 +172,7 @@ def _analyze(d: PolylineDrawing, segs: Segments) -> Interactions:
             # A transversal crossing where one edge has its bend exactly at
             # the crossing point is a legal proper intersection.
             if not (_corner_crossing(d, e1, pt, s2) or _corner_crossing(d, e2, pt, s1)):
-                violations.append(f"edges {e1} and {e2} touch at {pt} (non-simple)")
+                violations.append(f"edges {e1} and {e2} touch at {_true(pt, D)} (non-simple)")
                 continue
         elif res.kind is IntersectKind.SHARED_ENDPOINT:
             shared = set(d.graph.edges[e1]) & set(d.graph.edges[e2])
@@ -133,7 +180,7 @@ def _analyze(d: PolylineDrawing, segs: Segments) -> Interactions:
                 continue
             if not _corner_corner_crossing(d, e1, e2, pt):
                 violations.append(
-                    f"edges {e1} and {e2} meet at {pt}, not a common endpoint (non-simple)"
+                    f"edges {e1} and {e2} meet at {_true(pt, D)}, not a common endpoint (non-simple)"
                 )
                 continue
         crossings.setdefault(pt, set()).update((e1, e2))
@@ -141,7 +188,7 @@ def _analyze(d: PolylineDrawing, segs: Segments) -> Interactions:
     one_planar = True
     for pt, edges_here in sorted(crossings.items()):
         if len(edges_here) > 2:
-            violations.append(f"more than two edges cross at {pt}")
+            violations.append(f"more than two edges cross at {_true(pt, D)}")
             simple = False
     per_pair = Counter(
         tuple(sorted(edges_here)) for edges_here in crossings.values() if len(edges_here) == 2
@@ -251,14 +298,6 @@ def _min_resolution(rays: Dict[object, List[Ray]]) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def count_slopes(d: PolylineDrawing) -> int:
-    return len(slope_set(d))
-
-
-def slope_set(d: PolylineDrawing) -> Set[SlopeKind]:
-    return _slope_summary(d.all_segments())[0]
-
-
 def _slope_summary(segs: Segments) -> Tuple[Set[SlopeKind], int]:
     """The slope kinds and the number of distinct slopes, from one pass."""
     slopes = {slope_of(seg) for _, _, seg in segs}
@@ -280,10 +319,10 @@ def embedding_of(d: PolylineDrawing) -> EmbeddedGraph:
     Raises DrawingError for non-simple drawings (overlaps, touches, double
     crossings), identifying an offending pair.
     """
-    _, inter = _survey(d)
+    grid, _, inter = _survey(d)
     if inter.violations:
         raise DrawingError(inter.violations[0])
-    return _embedding_from(d, _rays(d, inter.crossings))
+    return _embedding_from(grid, _rays(grid, inter.crossings))
 
 
 def _embedding_from(d: PolylineDrawing, rays: RayTable) -> EmbeddedGraph:
@@ -478,13 +517,13 @@ def embeddings_equivalent(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
 def validate(d: PolylineDrawing, profile: str) -> ValidationReport:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    segs, inter = _survey(d)
-    rays = _rays(d, inter.crossings)
+    grid, segs, inter = _survey(d)
+    rays = _rays(grid, inter.crossings)
     violations: List[str] = list(inter.violations)
     crossings = inter.crossings
 
     slopes, n_slopes = _slope_summary(segs)
-    bends = max_bends(d)
+    bends = max_bends(grid)
     v_res = _min_resolution(rays.at_vertex)
     c_res = _min_resolution(rays.at_crossing)
     one_planar = inter.one_planar
@@ -492,7 +531,7 @@ def validate(d: PolylineDrawing, profile: str) -> ValidationReport:
     embedding_ok = False
     if inter.simple and one_planar:
         try:
-            induced = _embedding_from(d, rays)
+            induced = _embedding_from(grid, rays)
             embedding_ok = embeddings_equivalent(induced, d.graph)
         except (DrawingError, EmbeddingError) as exc:
             if profile == "ONEBEND":

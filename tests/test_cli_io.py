@@ -302,6 +302,23 @@ class TestCli:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: zero denominator in [1, 0]\n"
 
+    @pytest.mark.parametrize("command", [["validate", "--profile", "onebend"], ["render"]])
+    def test_entries_the_graph_lacks_exit_2(self, tmp_path, capsys, command):
+        """K4's drawing with a position of no vertex and a polyline of no
+        edge: validate and render both exit 2 with the structural message,
+        and render writes no SVG."""
+        _, graph_json = run_cli(["gen", "--family", "k4"])
+        _, drawing_json = run_cli(["draw", "--mode", "onebend"], graph_json)
+        doc = json.loads(drawing_json)
+        far = [[99, 1], [99, 1]]
+        doc["positions"]["zz"] = far
+        doc["polylines"]["qq"] = [doc["positions"]["a"], far]
+        out_path = tmp_path / "out"
+        code, out = run_cli([*command, "--out", str(out_path)], json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: polyline of unknown edge qq; position of unknown vertex zz\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("command", [
         ["draw", "--mode", "onebend"],
         ["validate", "--profile", "onebend"],

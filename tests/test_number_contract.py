@@ -10,13 +10,15 @@ by two ints.
 from __future__ import annotations
 
 import ast
+import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import slopeforge
-from slopeforge import docio, families, render
+from slopeforge import docio, families, render, verify
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.families import gen_2reg, gen_3reg18, gen_corpus, gen_crossed_k4, gen_maxdeg, gen_prism
 from slopeforge.geometry import Point, line_intersection
@@ -179,6 +181,69 @@ class TestIntFractionEquivalence:
                 as_fraction.polylines
             )
         assert fractional >= 2  # 1-bend drawings keep their non-integral Fractions
+
+
+class TestOnGrid:
+    """validate and embedding_of clear a drawing's common denominator once
+    (verify._on_grid) and decide everything after on ints."""
+
+    def test_an_int_drawing_is_its_own_grid(self):
+        d = draw_twobend(gen_2reg(3))
+        assert verify._on_grid(d) == (d, 1)
+        assert verify._on_grid(d)[0] is d
+
+    def test_integral_fractions_come_back_as_ints(self):
+        d = draw_twobend(block_chain(3))
+        grid, D = verify._on_grid(_with(d, Fraction))
+        assert D == 1
+        assert all(type(c) is int for c in _coordinates(grid))
+        assert (grid.positions, grid.polylines) == (d.positions, d.polylines)
+
+    def test_a_onebend_drawing_is_scaled_by_the_lcm_of_its_denominators(self):
+        d = draw_onebend(cubic3con(1000, 20))
+        denominators = {c.denominator for c in _coordinates(d)}
+        grid, D = verify._on_grid(d)
+        assert D == math.lcm(*denominators) > 1
+        assert all(type(c) is int for c in _coordinates(grid))
+        assert grid.graph is d.graph
+        assert grid.positions == {v: Point(p.x * D, p.y * D) for v, p in d.positions.items()}
+        assert grid.polylines == {e: [Point(p.x * D, p.y * D) for p in pts] for e, pts in d.polylines.items()}
+
+    def test_no_fraction_arithmetic_after_the_grid_step(self, monkeypatch):
+        drawings = [draw_onebend(g) for g in (gen_crossed_k4(), gen_prism(), gen_3reg18())]
+        drawings += [draw_onebend(cubic3con(seed, n_target)) for seed, n_target in ((1000, 20), (1001, 20), (1000, 90))]
+        assert sum(any(type(c) is Fraction for c in _coordinates(d)) for d in drawings) >= 4
+        counted = Counter()
+        after_grid = []
+
+        def counting(name):
+            op = getattr(Fraction, name)
+
+            def wrapped(*args):
+                if after_grid:
+                    counted[name] += 1
+                return op(*args)
+
+            return wrapped
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                     "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__divmod__",
+                     "__neg__", "__abs__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+            monkeypatch.setattr(Fraction, name, counting(name))
+        on_grid = verify._on_grid
+
+        def grid_then_count(d):
+            out = on_grid(d)
+            after_grid.append(d)
+            return out
+
+        monkeypatch.setattr(verify, "_on_grid", grid_then_count)
+        for d in drawings:
+            for entry in (lambda: validate(d, "ONEBEND").passed, lambda: embedding_of(d) is not None):
+                after_grid.clear()
+                assert entry()
+                assert len(after_grid) == 1
+        assert counted == Counter()
 
 
 # Every true division in the package, by (module, enclosing function,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from slopeforge.verify import (
     PROFILES,
     DrawingError,
     ValidationReport,
-    count_slopes,
     embedding_from_geometry,
     embedding_of,
     embeddings_equivalent,
@@ -123,7 +123,7 @@ class TestMeasurements:
             {"a": P(0, 0), "b": P(1, 0), "c": P(2, 0)},
             {"ab": [P(0, 0), P(1, 0)], "bc": [P(1, 0), P(2, 0)]},
         )
-        assert count_slopes(d) == 1
+        assert validate(d, "STRAIGHT").slope_count == 1
 
     def test_two_other_slopes_count_apart(self):
         d = PolylineDrawing(
@@ -134,7 +134,6 @@ class TestMeasurements:
         report = validate(d, "STRAIGHT")
         assert report.slope_set == {SlopeKind.OTHER}
         assert report.slope_count == distinct_slope_count(d) == 2
-        assert count_slopes(d) == 1
 
     def test_staircase_has_two_slopes(self):
         g = EmbeddedGraph.from_plane(
@@ -152,7 +151,7 @@ class TestMeasurements:
             {"a": P(0, 0), "b": P(2, 1)},
             {"ab": [P(0, 0), P(1, 0), P(1, 1), P(2, 1)]},
         )
-        assert count_slopes(d) == 2
+        assert validate(d, "TWOBEND").slope_count == 2
         assert max_bends(d) == 2
 
     def test_three_bend_edge_fails_twobend(self):
@@ -213,6 +212,56 @@ class TestMeasurements:
         report = validate(folded_edge_drawing(), "ONEBEND")
         assert report.min_crossing_angle == 2
         assert not any("crossing resolution" in v for v in report.violations)
+
+
+def loose_edges_drawing(polylines) -> PolylineDrawing:
+    """One edge per polyline, each between two vertices of its own: edge e
+    runs from ea to eb."""
+    edges = {e: (f"{e}a", f"{e}b") for e in polylines}
+    first = min(edges)
+    g = EmbeddedGraph.from_plane(
+        build_plane_graph(
+            real_vertices=[v for ends in edges.values() for v in ends],
+            dummy_vertices=[],
+            edges=edges,
+            rotation={v: [e] for e, ends in edges.items() for v in ends},
+            fragment_of={},
+            outer_dart=(first, f"{first}a"),
+        )
+    )
+    pos = {v: pts[end] for e, pts in polylines.items() for v, end in zip(edges[e], (0, -1))}
+    return PolylineDrawing(g, pos, dict(polylines))
+
+
+class TestTruePoints:
+    """The validator decides on the drawing scaled to integers, and every
+    message that names a point prints it at the drawing's own scale."""
+
+    @pytest.mark.parametrize("polylines, message", [
+        (
+            {"e": [P(0, 0), P(8, 0)], "f": [P("63/16", 0), P("63/16", 1)]},
+            "edges f and e touch at (63/16,0) (non-simple)",
+        ),
+        (
+            {"e": [P(0, 0), P("5/2", 1), P(5, 0)], "f": [P(0, 2), P("5/2", 1), P(5, 2)]},
+            "edges f and e meet at (5/2,1), not a common endpoint (non-simple)",
+        ),
+        (
+            {"e": [P(0, 0), P(1, 1)], "f": [P(0, 1), P(1, 0)], "g": [P("1/2", 0), P("1/2", 1)]},
+            "more than two edges cross at (1/2,1/2)",
+        ),
+    ])
+    def test_interaction_messages(self, polylines, message):
+        d = loose_edges_drawing(polylines)
+        for profile in PROFILES:
+            assert message in validate(d, profile).violations
+        with pytest.raises(DrawingError, match=f"^{re.escape(message)}$"):
+            embedding_of(d)
+
+    def test_coincidence_message(self):
+        d = loose_edges_drawing({"e": [P(0, 0), P("7/3", 1)], "f": [P("7/3", 1), P(3, 3)]})
+        with pytest.raises(DrawingError, match=re.escape("vertices eb and fa coincide at (7/3,1)")):
+            validate(d, "STRAIGHT")
 
 
 class TestOnePass:
