@@ -12,10 +12,10 @@ rational validator.
 """
 
 from .drawing import PolylineDrawing
-from .model import EmbeddedGraph, PlaneGraph, connectivity, find_real_real_face, planarize
+from .model import EmbeddedGraph, PlaneGraph, connectivity, find_real_real_face
 from .onebend import OneBendError, draw_onebend
-from .ordering import canonical_order, st_order, verify_canonical
-from .reembed import count_dummy_cutvertices, normalize_embedding
+from .ordering import canonical_order, st_order
+from .reembed import normalize_embedding
 from .twobend import TwoBendError, draw_twobend
 from .verify import ValidationReport, embedding_of, validate
 
@@ -25,16 +25,13 @@ __all__ = [
     "PlaneGraph",
     "connectivity",
     "find_real_real_face",
-    "planarize",
     "draw_onebend",
     "draw_twobend",
     "OneBendError",
     "TwoBendError",
     "canonical_order",
     "st_order",
-    "verify_canonical",
     "normalize_embedding",
-    "count_dummy_cutvertices",
     "ValidationReport",
     "embedding_of",
     "validate",

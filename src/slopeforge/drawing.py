@@ -85,7 +85,8 @@ class PolylineDrawing:
                 problems.append(f"edge {e} has no polyline")
                 continue
             if a in self.positions and b in self.positions:
-                if {pts[0], pts[-1]} != {self.positions[a], self.positions[b]}:
+                pa, pb = self.positions[a], self.positions[b]
+                if (pts[0], pts[-1]) not in ((pa, pb), (pb, pa)):
                     problems.append(f"polyline of {e} does not join its endpoints")
             for i in range(len(pts) - 1):
                 if pts[i] == pts[i + 1]:

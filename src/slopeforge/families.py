@@ -3,9 +3,12 @@
 The fixed families are constructed geometrically with exact rational
 coordinates and their embeddings extracted from the drawing, so adjacency,
 rotation system, and crossing pattern come from one source of truth.
-The corpus generator works combinatorially: it grows random cubic
-3-connected plane skeletons by face-edge-pair insertion and then inserts
-crossing gadgets inside faces, in place; a failed profile check raises.
+The corpus generator works combinatorially, in place: it grows a random
+cubic 3-connected 1-plane graph from K4 by one move, which subdivides two
+edges of an inner face and joins the new vertices across that face, by
+one edge (an edge pair) or by two edges crossing at a new dummy (a
+crossing gadget).  The face the move splits is read off the face record.
+A failed move or profile check raises.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .model import (
     Dart,
     EmbeddedGraph,
     EmbeddingError,
-    Face,
     FaceRecord,
     PlaneGraph,
     connectivity,
@@ -287,10 +289,8 @@ def _gen_cubic3con(rng: random.Random, n_target: int) -> EmbeddedGraph:
     record = _K4_SKELETON.copy()
     counters: IdCounters = {}
     while len(record.plane.vertices) + 4 <= n_target:
-        if rng.random() < 0.25 and len(record.plane.vertices) >= 6:
-            _insert_crossing_gadget(record, counters, rng)
-        else:
-            _insert_edge_pair(record, counters, rng)
+        crossing = rng.random() < 0.25 and len(record.plane.vertices) >= 6
+        _grow(record, counters, rng, crossing)
     # The insertions keep the plane valid; this validates it once, in full.
     plane = record.plane
     g = EmbeddedGraph.from_plane(plane)
@@ -413,10 +413,13 @@ def _insert_into_corner(plane: PlaneGraph, v: str, face_darts, new_edge: str) ->
     raise EmbeddingError(f"{v} has no corner on the chosen face")
 
 
-def _insert_edge_pair(record: FaceRecord, counters: IdCounters, rng: random.Random) -> None:
-    """Cubic-preserving growth: subdivide two edges of one inner face and
-    join the subdivision vertices.  Edits record, its plane and counters
-    in place."""
+def _grow(record: FaceRecord, counters: IdCounters, rng: random.Random, crossing: bool) -> None:
+    """The cubic-preserving growth move: subdivide two edges of one inner
+    face, each once for an edge pair or twice for a crossing gadget, and
+    join the new vertices across the face.  Edits record, its plane and
+    counters in place."""
+    name, cuts, join = (("a crossing gadget", 2, _join_by_crossing) if crossing
+                        else ("an edge-pair insertion", 1, _join_by_edge))
     plane = record.plane
     inner = record.inner_faces()
     rng.shuffle(inner)
@@ -425,68 +428,60 @@ def _insert_edge_pair(record: FaceRecord, counters: IdCounters, rng: random.Rand
         if d1 is None:
             continue
         record.forget_edges([d1[0], d2[0]])
-        va = _fresh(plane, "v", counters)
-        _subdivide_dart(plane, d1, va)
-        vb = _fresh(plane, "v", counters)
-        _subdivide_dart(plane, d2, vb)
+        new: List[str] = []
+        for dart in (d1, d2):
+            for _ in range(cuts):
+                v = _fresh(plane, "v", counters)
+                tail_piece, head_piece = _subdivide_dart(plane, dart, v)
+                if not new:
+                    first = (tail_piece, dart[1])
+                new.append(v)
+                dart = (head_piece, v)
         record.trace_new()
-        target = _face_with(record, [va, vb])
-        record.forget_face(record.face_of[target.darts[0]])
-        bridge = _fresh(plane, "g", counters)
-        plane.edges[bridge] = (va, vb)
-        _insert_into_corner(plane, va, target.darts, bridge)
-        _insert_into_corner(plane, vb, target.darts, bridge)
+        # The picked face is left of its dart's tail piece, and lists the
+        # new vertices in order.
+        key = record.face_of[first]
+        face = record.darts[key]
+        record.forget_face(key)
+        join(plane, counters, new, face)
         record.trace_new()
         # No face of a 3-connected plane but the working face meets both
-        # subdivided edges, so the bridge left the outer face as
-        # _subdivide recorded it.
+        # subdivided edges, so the joins left the outer face as _subdivide
+        # recorded it.
         return
-    raise EmbeddingError("no face admits an edge-pair insertion")
+    raise EmbeddingError(f"no face admits {name}")
 
 
-def _insert_crossing_gadget(record: FaceRecord, counters: IdCounters, rng: random.Random) -> None:
-    """Insert a crossing pair inside an inner face: subdivide two face edges
-    twice and join the four new vertices by two crossing edges.  Edits
-    record, its plane and counters in place."""
-    plane = record.plane
-    inner = record.inner_faces()
-    rng.shuffle(inner)
-    for darts in inner:
-        d1, d2 = _pick_two_edges(plane, darts, rng)
-        if d1 is None:
-            continue
-        record.forget_edges([d1[0], d2[0]])
-        p = _fresh(plane, "v", counters)
-        _, head_piece = _subdivide_dart(plane, d1, p)
-        q = _fresh(plane, "v", counters)
-        _subdivide_dart(plane, (head_piece, p), q)
-        r = _fresh(plane, "v", counters)
-        _, head_piece2 = _subdivide_dart(plane, d2, r)
-        s = _fresh(plane, "v", counters)
-        _subdivide_dart(plane, (head_piece2, r), s)
-        record.trace_new()
-        # Face order is (p, q, r, s): the interleaved chords are (p,r), (q,s).
-        target = _face_with(record, [p, q, r, s])
-        record.forget_face(record.face_of[target.darts[0]])
-        ex1 = _fresh(plane, "x", counters)
-        fa, fb = f"{ex1}$a", f"{ex1}$b"
-        plane.fragment_of.update({fa: ex1, fb: ex1})
-        ex2 = _fresh(plane, "x", counters)
-        fc, fd = f"{ex2}$a", f"{ex2}$b"
-        plane.fragment_of.update({fc: ex2, fd: ex2})
-        dummy = _fresh(plane, DUMMY_PREFIX, counters)
-        plane.vertices.append(dummy)
-        plane.edges[fa] = (p, dummy)
-        plane.edges[fb] = (dummy, r)
-        plane.edges[fc] = (q, dummy)
-        plane.edges[fd] = (dummy, s)
-        for v, enew in ((p, fa), (q, fc), (r, fb), (s, fd)):
-            _insert_into_corner(plane, v, target.darts, enew)
-        plane.rotation[dummy] = [fa, fc, fb, fd]
-        record.trace_new()
-        # As in _insert_edge_pair, the outer face is as _subdivide left it.
-        return
-    raise EmbeddingError("no face admits a crossing gadget")
+def _join_by_edge(plane: PlaneGraph, counters: IdCounters, new: List[str],
+                  face: Sequence[Dart]) -> None:
+    """Join the two new vertices by one edge across the face."""
+    va, vb = new
+    bridge = _fresh(plane, "g", counters)
+    plane.edges[bridge] = (va, vb)
+    _insert_into_corner(plane, va, face, bridge)
+    _insert_into_corner(plane, vb, face, bridge)
+
+
+def _join_by_crossing(plane: PlaneGraph, counters: IdCounters, new: List[str],
+                      face: Sequence[Dart]) -> None:
+    """Join the four new vertices, in face order (p, q, r, s), by the
+    interleaved chords (p, r) and (q, s), crossing at a new dummy."""
+    p, q, r, s = new
+    ex1 = _fresh(plane, "x", counters)
+    fa, fb = f"{ex1}$a", f"{ex1}$b"
+    plane.fragment_of.update({fa: ex1, fb: ex1})
+    ex2 = _fresh(plane, "x", counters)
+    fc, fd = f"{ex2}$a", f"{ex2}$b"
+    plane.fragment_of.update({fc: ex2, fd: ex2})
+    dummy = _fresh(plane, DUMMY_PREFIX, counters)
+    plane.vertices.append(dummy)
+    plane.edges[fa] = (p, dummy)
+    plane.edges[fb] = (dummy, r)
+    plane.edges[fc] = (q, dummy)
+    plane.edges[fd] = (dummy, s)
+    for v, enew in ((p, fa), (q, fc), (r, fb), (s, fd)):
+        _insert_into_corner(plane, v, face, enew)
+    plane.rotation[dummy] = [fa, fc, fb, fd]
 
 
 def _pick_two_edges(plane: PlaneGraph, darts: Sequence[Dart], rng: random.Random):
@@ -498,18 +493,6 @@ def _pick_two_edges(plane: PlaneGraph, darts: Sequence[Dart], rng: random.Random
     if d1[0] == d2[0]:
         return None, None
     return d1, d2
-
-
-def _face_with(record: FaceRecord, verts: Sequence[str]) -> Face:
-    """The first face in faces() order that holds every vertex of verts,
-    looked up among the recorded faces at verts[0]."""
-    v0 = verts[0]
-    for key in sorted({record.face_of[(e, v0)] for e in record.plane.rotation[v0]}):
-        darts = record.darts[key]
-        tails = {d[1] for d in darts}
-        if all(v in tails for v in verts):
-            return Face(darts)
-    raise EmbeddingError("expansion lost its working face")
 
 
 # -- subcubic profile ----------------------------------------------------------

@@ -468,16 +468,6 @@ class EmbeddedGraph:
         self.plane.validate()
 
 
-def planarize(g: EmbeddedGraph) -> PlaneGraph:
-    """The plane graph obtained by replacing each crossing with a dummy.
-
-    The model stores the planarization as primary data, so this validates
-    and returns it.
-    """
-    g.validate()
-    return g.plane
-
-
 def is_cubic(adj: graphutil.Adj) -> bool:
     """Whether every vertex of the adjacency has exactly three neighbours."""
     return all(len(ns) == 3 for ns in adj.values())

@@ -675,7 +675,9 @@ class OneBendDrawer:
         self.steps = 0
         # With `trace`, a copy of every polyline after each step.
         self.trace: Optional[List[Dict[str, List[Point]]]] = [] if trace else None
-        self._contour: Optional[List[str]] = None  # the contour at the last check
+        # The contour span [lo, hi] the last step replaced, widened by one
+        # vertex on each side: what check_step tests.
+        self._span: Tuple[int, int] = (0, 0)
 
     # -- public -------------------------------------------------------------
 
@@ -711,6 +713,7 @@ class OneBendDrawer:
             prev = z
         g.draw(_edge_between(self.plane, prev, v2), [g.pos[prev], g.pos[v2]])
         g.contour = [v1] + list(members) + [v2]
+        self._span = (0, len(g.contour) - 1)
         self._post_step("base")
 
     # -- generic insertion ----------------------------------------------------
@@ -994,9 +997,16 @@ class OneBendDrawer:
         g.pos[v] = apex
         for e, pts in self._connection_polylines(apex, plans).items():
             g.draw(e, pts)
-        li = g.contour.index(plans[0].anchor)
-        ri = g.contour.index(plans[1].anchor)
-        g.contour = g.contour[: li + 1] + [v] + g.contour[ri:]
+        self._replace_contour(plans[0].anchor, plans[1].anchor, [v])
+
+    def _replace_contour(self, u_l: str, u_r: str, members: List[str]) -> None:
+        """Put members on the contour between u_l and u_r in place of what
+        lay there, and record the span for check_step: from u_l to u_r."""
+        g = self.g
+        li = g.contour.index(u_l)
+        ri = g.contour.index(u_r)
+        g.contour = g.contour[: li + 1] + members + g.contour[ri:]
+        self._span = (li, li + len(members) + 1)
 
     # -- chains -----------------------------------------------------------------
 
@@ -1115,9 +1125,7 @@ class OneBendDrawer:
                 g.pos[z] = positions[k]
             for e, pts in polylines(q1, q2, positions).items():
                 g.draw(e, pts)
-            li = g.contour.index(pl.anchor)
-            ri = g.contour.index(pr.anchor)
-            g.contour = g.contour[: li + 1] + members + g.contour[ri:]
+            self._replace_contour(pl.anchor, pr.anchor, members)
             return True
         return False
 
@@ -1146,8 +1154,7 @@ class OneBendDrawer:
         if len(g.pos) == len(self.plane.vertices):
             problems = check_gamma(g)
         else:
-            problems = check_step(g, self._contour)
-            self._contour = list(g.contour)
+            problems = check_step(g, self._span)
         if problems:
             raise OneBendError(f"invariants broken after {label}: {problems[:4]}")
 
@@ -1184,12 +1191,12 @@ def check_gamma(g: Gamma) -> List[str]:
     return problems
 
 
-def check_step(g: Gamma, old: Optional[List[str]]) -> List[str]:
+def check_step(g: Gamma, span: Tuple[int, int]) -> List[str]:
     """P4(a) and P4(b) on the attachable pairs, and P6, after a step: the
     invariants the placement search can break.  They are tested on the
-    span of the contour that differs from `old`, the contour at the last
-    check, widened by one vertex on each side; on the whole contour when
-    `old` is None, after the base.
+    contour span [lo, hi] the step replaced, widened by one vertex on each
+    side, from its left end predecessor to its right one; on the whole
+    contour after the base.
 
     They depend only on the contour order, the segment directions along
     contour paths and the ports at contour vertices.  A stretch changes
@@ -1207,23 +1214,9 @@ def check_step(g: Gamma, old: Optional[List[str]]) -> List[str]:
       (_chain_baseline);
     - stretches keep the drawing simple (see stretch_cut).
     """
-    lo, hi = (0, len(g.contour) - 1) if old is None else _window(old, g.contour)
+    lo, hi = span
     problems, _ = _check_p4_pairs(g, _attachable_pairs(g, lo, hi))
     return problems + _check_p6(g, g.contour[lo : hi + 1])
-
-
-def _window(old: List[str], new: List[str]) -> Tuple[int, int]:
-    """The index span [lo, hi] of contour `new` that differs from contour
-    `old`, widened by one vertex on each side.  The vertices after hi are
-    those after hi - len(new) + len(old) in `old`."""
-    n = min(len(old), len(new))
-    p = 0
-    while p < n and old[p] == new[p]:
-        p += 1
-    s = 0
-    while s < n - p and old[-1 - s] == new[-1 - s]:
-        s += 1
-    return max(p - 1, 0), min(len(new) - s, len(new) - 1)
 
 
 def _check_rotations(g: Gamma) -> List[str]:

@@ -37,7 +37,7 @@ from itertools import groupby
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import graphutil
-from .model import Dart, EmbeddingError, PlaneGraph, find_real_real_face
+from .model import Dart, PlaneGraph, find_real_real_face
 
 
 class OrderingError(Exception):
@@ -203,111 +203,6 @@ def canonical_order_on_real_edge(plane: PlaneGraph) -> Tuple[PlaneGraph, Canonic
     if set(face.darts) != set(plane.outer_face().darts):
         plane = plane.with_outer(face.darts[0])
     return plane, canonical_order(plane, head, tail)
-
-
-# ---------------------------------------------------------------------------
-# Full condition checker
-# ---------------------------------------------------------------------------
-
-
-def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bool, List[str]]:
-    """Check conditions (i)-(v) directly on every prefix graph.
-
-    Internal 3-connectivity is read off the faces of G_i: no separating
-    pair of G_i may have both vertices inside C_i (see
-    PlaneGraph.separating_pairs).
-    """
-    problems: List[str] = []
-    sets = ordering.sets
-    v1, v2 = ordering.v1, ordering.v2
-
-    if not sets or sets[0].vertices != [v1, v2]:
-        return False, ["(i) first set is not {v1, v2}"]
-    outer_vertices = set(plane.outer_face().vertices())
-    if v1 not in outer_vertices or v2 not in outer_vertices:
-        problems.append("(i) v1, v2 not on the outer face")
-    adj_full = plane.adjacency()
-    if v2 not in adj_full[v1]:
-        problems.append("(i) (v1, v2) is not an edge")
-    order = ordering.vertex_order()
-    if sorted(order) != sorted(plane.vertices):
-        problems.append("partition does not cover the vertex set exactly")
-        return False, problems
-    last = sets[-1]
-    if len(last.vertices) != 1:
-        problems.append("(ii) last set is not a singleton")
-    else:
-        vn = last.vertices[0]
-        if vn not in outer_vertices:
-            problems.append("(ii) vn not on the outer face")
-        if vn not in adj_full[v1]:
-            problems.append("(ii) (v1, vn) is not an edge")
-
-    try:
-        base_dart = _base_outer_dart(plane, v1, v2)
-    except OrderingError as exc:
-        return False, [str(exc)]
-
-    # Incremental prefixes.
-    placed: Set[str] = set()
-    contour_of: Dict[int, List[str]] = {}
-    for i, cs in enumerate(sets):
-        placed.update(cs.vertices)
-        sub = {v: adj_full[v] & placed for v in placed}
-        if i == 0:
-            continue
-        gi = plane.induced(placed)
-        try:
-            contour = gi.trace_face(base_dart).vertices()
-        except (OrderingError, EmbeddingError, ValueError, KeyError) as exc:
-            problems.append(f"(iii) G_{i + 1}: {exc}")
-            break
-        contour_of[i] = contour
-        if len(set(contour)) != len(contour):
-            problems.append(f"(iii) C_{i + 1} is not a simple cycle")
-        if not graphutil.is_biconnected(sub) and len(placed) > 2:
-            problems.append(f"(iv) G_{i + 1} is not 2-connected")
-        interior = placed - set(contour)
-        bad = [uw for uw in gi.separating_pairs() or () if interior.issuperset(uw)]
-        if bad:
-            problems.append(
-                f"(iv) G_{i + 1} not internally 3-connected: interior pair ({bad[0][0]}, {bad[0][1]})"
-            )
-
-    # Condition (v) per set.
-    placed = set(sets[0].vertices)
-    for i in range(1, len(sets)):
-        cs = sets[i]
-        prev_contour = contour_of.get(i - 1) if i >= 2 else [v1, v2]
-        cur_contour = contour_of.get(i, [])
-        is_last = i == len(sets) - 1
-        if cs.kind == "singleton" or len(cs.vertices) == 1:
-            z = cs.vertices[0]
-            if cur_contour and z not in cur_contour:
-                problems.append(f"(v) singleton {z} not on C_{i + 1}")
-            succ = [w for w in adj_full[z] if w not in placed and w != z]
-            if not is_last and not succ:
-                problems.append(f"(v-a) singleton {z} has no successor")
-            preds = [w for w in adj_full[z] if w in placed]
-            if len(preds) < 2:
-                problems.append(f"(v-a) singleton {z} has fewer than two predecessors")
-        else:
-            chain = cs.vertices
-            prevc = set(prev_contour or [])
-            for idx, z in enumerate(chain):
-                preds = [w for w in adj_full[z] if w in placed]
-                succ = [w for w in adj_full[z] if w not in placed and w not in chain]
-                if idx in (0, len(chain) - 1):
-                    if len(preds) != 1 or (preds and preds[0] not in prevc):
-                        problems.append(f"(v-b) chain end {z} lacks exactly one contour predecessor")
-                else:
-                    if preds:
-                        problems.append(f"(v-b) chain interior {z} has a predecessor")
-                if not is_last and not succ:
-                    problems.append(f"(v-b) chain vertex {z} has no successor")
-        placed.update(cs.vertices)
-
-    return not problems, problems
 
 
 def _base_outer_dart(plane: PlaneGraph, v1: str, v2: str) -> Dart:

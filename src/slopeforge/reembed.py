@@ -45,11 +45,6 @@ class ReembedError(Exception):
     pass
 
 
-def count_dummy_cutvertices(plane: PlaneGraph) -> int:
-    cuts = graphutil.articulation_points(plane.adjacency())
-    return sum(1 for v in cuts if plane.is_dummy(v))
-
-
 def dummy_two_cuts(plane: PlaneGraph) -> List[Tuple[str, str]]:
     """Separating pairs (w, x) of a 2-connected planarization with x a
     dummy: dummies in plane order, each one's partners sorted."""

@@ -475,33 +475,40 @@ def dummy_c_shapes(d: OrthoDrawing) -> List[str]:
 
 
 def eliminate_cshapes(d: OrthoDrawing) -> int:
-    """Remove every C-shape incident to a dummy; each step keeps I1 to I6
-    by the same construction, and is not checked.
+    """Remove every C-shape incident to a dummy, in one pass over those
+    dummy_c_shapes finds at the start; each step keeps I1 to I6 by the
+    same construction, and is not checked.
+
+    A step turns only its own C into an edge that leaves its real end at
+    N.  It moves an N blocker to port W and keeps the blocker's head port,
+    and refuses a W-W C into a dummy, so it makes no new dummy-incident C.
 
     Returns the number of elimination steps performed.  Raises TwoBendError
-    with diagnostics when an unhandled port configuration appears.
+    with diagnostics when an unhandled port configuration appears, or when
+    a dummy-incident C is left.
     """
-    steps = 0
-    guard = 4 * len(d.edges) + 8
-    while True:
-        targets = dummy_c_shapes(d)
-        if not targets:
-            return steps
-        if steps > guard:
-            raise TwoBendError("C-shape elimination stopped making progress")
-        eid = targets[0]
-        e = d.edges[eid]
-        if d.plane.is_dummy(e.head) and not d.plane.is_dummy(e.tail):
+    targets = dummy_c_shapes(d)
+    for eid in targets:
+        _eliminate_cshape(d, eid)
+    left = dummy_c_shapes(d)
+    if left:
+        raise TwoBendError(f"C-shape elimination left {left}")
+    return len(targets)
+
+
+def _eliminate_cshape(d: OrthoDrawing, eid: str) -> None:
+    """One step: eliminate the C-shape eid from its real end."""
+    e = d.edges[eid]
+    if d.plane.is_dummy(e.head) and not d.plane.is_dummy(e.tail):
+        _eliminate_into_dummy(d, eid)
+    elif d.plane.is_dummy(e.tail) and not d.plane.is_dummy(e.head):
+        _flip_180(d)
+        try:
             _eliminate_into_dummy(d, eid)
-        elif d.plane.is_dummy(e.tail) and not d.plane.is_dummy(e.head):
+        finally:
             _flip_180(d)
-            try:
-                _eliminate_into_dummy(d, eid)
-            finally:
-                _flip_180(d)
-        else:
-            raise TwoBendError(f"C-shape {eid} joins two dummies (impossible fragment)")
-        steps += 1
+    else:
+        raise TwoBendError(f"C-shape {eid} joins two dummies (impossible fragment)")
 
 
 def _flip_180(d: OrthoDrawing) -> None:

@@ -23,7 +23,14 @@ check_gamma_by_points is the 1-bend checker with P1 to P4 decided on
 segments rebuilt from the polylines, and ports read off the coordinates,
 where onebend reads the shapes its edge records carry.  The tests require
 it to report what onebend.check_gamma reports, and both of them what
-onebend.check_step reports, at every step.
+onebend.check_step reports, at every step.  window is the span check_step
+once read off a diff of the contours before and after a step; the tests
+require it to equal the span the drawer records when it commits the step.
+
+count_dummy_cutvertices and verify_canonical check the normalizer's and
+the canonical ordering's contracts directly: the dummies among the
+planarization's cutvertices, and conditions (i) to (v) on every prefix
+graph.
 
 stretch_by_fractions is the 1-bend stretch on true Fraction coordinates,
 read off the polylines.  The tests require onebend.stretch, which works on
@@ -90,7 +97,7 @@ from slopeforge.geometry import (
 )
 from slopeforge.graphutil import Adj
 from slopeforge.model import DUMMY_PREFIX, Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, connectivity
-from slopeforge.ordering import CanonicalOrdering, CanonicalSet, OrderingError
+from slopeforge.ordering import CanonicalOrdering, CanonicalSet, OrderingError, _base_outer_dart
 from slopeforge.reembed import (
     ReembedError,
     _alternates,
@@ -194,6 +201,11 @@ def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> b
 # ---------------------------------------------------------------------------
 # Normalization by retracing faces
 # ---------------------------------------------------------------------------
+
+
+def count_dummy_cutvertices(plane: PlaneGraph) -> int:
+    cuts = graphutil.articulation_points(plane.adjacency())
+    return sum(1 for v in cuts if plane.is_dummy(v))
 
 
 def normalize_by_retracing(g: EmbeddedGraph) -> EmbeddedGraph:
@@ -635,6 +647,20 @@ def check_stretch(g: onebend.Gamma, left: Set[str]) -> List[str]:
     return onebend._improper_pairs(g, labels, hits)
 
 
+def window(old: List[str], new: List[str]) -> Tuple[int, int]:
+    """The index span [lo, hi] of contour `new` that differs from contour
+    `old`, widened by one vertex on each side.  The vertices after hi are
+    those after hi - len(new) + len(old) in `old`."""
+    n = min(len(old), len(new))
+    p = 0
+    while p < n and old[p] == new[p]:
+        p += 1
+    s = 0
+    while s < n - p and old[-1 - s] == new[-1 - s]:
+        s += 1
+    return max(p - 1, 0), min(len(new) - s, len(new) - 1)
+
+
 def check_gamma_by_points(g: onebend.Gamma) -> List[str]:
     """onebend.check_gamma with P1 to P4 on rebuilt segments."""
     return (
@@ -990,6 +1016,106 @@ def canonical_order_by_retracing(plane: PlaneGraph, v1: str, v2: str) -> Canonic
                              v1=v1, v2=v2)
 
 
+def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bool, List[str]]:
+    """Check conditions (i)-(v) directly on every prefix graph.
+
+    Internal 3-connectivity is read off the faces of G_i: no separating
+    pair of G_i may have both vertices inside C_i (see
+    PlaneGraph.separating_pairs).
+    """
+    problems: List[str] = []
+    sets = ordering.sets
+    v1, v2 = ordering.v1, ordering.v2
+
+    if not sets or sets[0].vertices != [v1, v2]:
+        return False, ["(i) first set is not {v1, v2}"]
+    outer_vertices = set(plane.outer_face().vertices())
+    if v1 not in outer_vertices or v2 not in outer_vertices:
+        problems.append("(i) v1, v2 not on the outer face")
+    adj_full = plane.adjacency()
+    if v2 not in adj_full[v1]:
+        problems.append("(i) (v1, v2) is not an edge")
+    order = ordering.vertex_order()
+    if sorted(order) != sorted(plane.vertices):
+        problems.append("partition does not cover the vertex set exactly")
+        return False, problems
+    last = sets[-1]
+    if len(last.vertices) != 1:
+        problems.append("(ii) last set is not a singleton")
+    else:
+        vn = last.vertices[0]
+        if vn not in outer_vertices:
+            problems.append("(ii) vn not on the outer face")
+        if vn not in adj_full[v1]:
+            problems.append("(ii) (v1, vn) is not an edge")
+
+    try:
+        base_dart = _base_outer_dart(plane, v1, v2)
+    except OrderingError as exc:
+        return False, [str(exc)]
+
+    # Incremental prefixes.
+    placed: Set[str] = set()
+    contour_of: Dict[int, List[str]] = {}
+    for i, cs in enumerate(sets):
+        placed.update(cs.vertices)
+        sub = {v: adj_full[v] & placed for v in placed}
+        if i == 0:
+            continue
+        gi = plane.induced(placed)
+        try:
+            contour = gi.trace_face(base_dart).vertices()
+        except (OrderingError, EmbeddingError, ValueError, KeyError) as exc:
+            problems.append(f"(iii) G_{i + 1}: {exc}")
+            break
+        contour_of[i] = contour
+        if len(set(contour)) != len(contour):
+            problems.append(f"(iii) C_{i + 1} is not a simple cycle")
+        if not graphutil.is_biconnected(sub) and len(placed) > 2:
+            problems.append(f"(iv) G_{i + 1} is not 2-connected")
+        interior = placed - set(contour)
+        bad = [uw for uw in gi.separating_pairs() or () if interior.issuperset(uw)]
+        if bad:
+            problems.append(
+                f"(iv) G_{i + 1} not internally 3-connected: interior pair ({bad[0][0]}, {bad[0][1]})"
+            )
+
+    # Condition (v) per set.
+    placed = set(sets[0].vertices)
+    for i in range(1, len(sets)):
+        cs = sets[i]
+        prev_contour = contour_of.get(i - 1) if i >= 2 else [v1, v2]
+        cur_contour = contour_of.get(i, [])
+        is_last = i == len(sets) - 1
+        if cs.kind == "singleton" or len(cs.vertices) == 1:
+            z = cs.vertices[0]
+            if cur_contour and z not in cur_contour:
+                problems.append(f"(v) singleton {z} not on C_{i + 1}")
+            succ = [w for w in adj_full[z] if w not in placed and w != z]
+            if not is_last and not succ:
+                problems.append(f"(v-a) singleton {z} has no successor")
+            preds = [w for w in adj_full[z] if w in placed]
+            if len(preds) < 2:
+                problems.append(f"(v-a) singleton {z} has fewer than two predecessors")
+        else:
+            chain = cs.vertices
+            prevc = set(prev_contour or [])
+            for idx, z in enumerate(chain):
+                preds = [w for w in adj_full[z] if w in placed]
+                succ = [w for w in adj_full[z] if w not in placed and w not in chain]
+                if idx in (0, len(chain) - 1):
+                    if len(preds) != 1 or (preds and preds[0] not in prevc):
+                        problems.append(f"(v-b) chain end {z} lacks exactly one contour predecessor")
+                else:
+                    if preds:
+                        problems.append(f"(v-b) chain interior {z} has a predecessor")
+                if not is_last and not succ:
+                    problems.append(f"(v-b) chain vertex {z} has no successor")
+        placed.update(cs.vertices)
+
+    return not problems, problems
+
+
 # ---------------------------------------------------------------------------
 # C-shape elimination along staircases, with a compaction per step
 # ---------------------------------------------------------------------------
@@ -1105,14 +1231,14 @@ def eliminate_cshapes_by_staircase(d: twobend.OrthoDrawing) -> int:
 
 
 class InvariantRounds:
-    """A stand-in for twobend.dummy_c_shapes that first runs
-    twobend.check_invariants on the drawing and keeps what it finds.
+    """Stand-ins for twobend.dummy_c_shapes and twobend._eliminate_cshape
+    that run twobend.check_invariants on the drawing and keep what it finds.
 
-    eliminate_cshapes calls dummy_c_shapes at the top of each round: right
-    after draw_liu, and after each elimination step once its _flip_180
-    pair is undone.  In place of it, this checks I1 to I6 at exactly those
-    points; inside _eliminate_into_dummy the drawing may still be flipped,
-    and I2 would misfire there.
+    eliminate_cshapes calls dummy_c_shapes first, right after draw_liu, and
+    then _eliminate_cshape once per step, which returns with its _flip_180
+    pair undone.  This checks I1 to I6 at exactly those points: on each
+    new drawing, and after each step; inside _eliminate_into_dummy the
+    drawing may still be flipped, and I2 would misfire there.
     """
 
     def __init__(self) -> None:
@@ -1120,16 +1246,24 @@ class InvariantRounds:
         self.steps = 0  # rounds after an elimination step
         self.problems: List[str] = []
         self._dummy_c_shapes = twobend.dummy_c_shapes
+        self._eliminate_cshape = twobend._eliminate_cshape
         self._last: Optional[twobend.OrthoDrawing] = None
 
-    def __call__(self, d: twobend.OrthoDrawing) -> List[str]:
-        if d is self._last:
-            self.steps += 1
-        else:
+    def install(self, monkeypatch) -> None:
+        monkeypatch.setattr(twobend, "dummy_c_shapes", self.c_shapes)
+        monkeypatch.setattr(twobend, "_eliminate_cshape", self.step)
+
+    def c_shapes(self, d: twobend.OrthoDrawing) -> List[str]:
+        if d is not self._last:
             self.drawings += 1
             self._last = d
-        self.problems += twobend.check_invariants(d)
+            self.problems += twobend.check_invariants(d)
         return self._dummy_c_shapes(d)
+
+    def step(self, d: twobend.OrthoDrawing, eid: str) -> None:
+        self._eliminate_cshape(d, eid)
+        self.steps += 1
+        self.problems += twobend.check_invariants(d)
 
 
 def _eliminate_by_staircase(d: twobend.OrthoDrawing, eid: str) -> None:

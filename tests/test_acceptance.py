@@ -25,8 +25,8 @@ from slopeforge.families import (
 from slopeforge.geometry import SlopeKind
 from slopeforge.model import connectivity, find_real_real_face
 from slopeforge.onebend import OneBendDrawer, check_gamma, draw_onebend
-from slopeforge.ordering import canonical_order, st_order, verify_canonical
-from slopeforge.reembed import count_dummy_cutvertices, normalize_embedding
+from slopeforge.ordering import canonical_order, st_order
+from slopeforge.reembed import normalize_embedding
 from slopeforge.render import render_svg
 from slopeforge.twobend import (
     bridge_decomposition,
@@ -40,7 +40,7 @@ from slopeforge.verify import validate
 
 from adversarial import adversarial_suite
 from builders import chain_edges_3reg18, gen_fig_like
-from oracles import InvariantRounds, normalized_reembedding_exists
+from oracles import InvariantRounds, count_dummy_cutvertices, normalized_reembedding_exists, verify_canonical
 
 # Deterministic 1-bend corpus: (seed, target) pairs, 50 random graphs with
 # sizes from 8 up to 200 vertices.
@@ -166,10 +166,10 @@ class TestAcceptance:
         """I1-I6 hold after draw_liu and after every C-shape elimination
         step; final drawings have no dummy-incident C-shapes.  The drawer
         checks only the finished component, so the checks after each step
-        run here, at the top of each elimination round.  The subcubic
+        run here, through InvariantRounds.  The subcubic
         corpus needs no elimination step; the cubic3con graphs do."""
         rounds = InvariantRounds()
-        monkeypatch.setattr(twobend, "dummy_c_shapes", rounds)
+        rounds.install(monkeypatch)
         checked = 0
         graphs = _twobend_graphs() + [
             gen_corpus(seed=seed, n_target=32, profile="cubic3con", count=1)[0]

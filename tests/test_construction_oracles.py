@@ -93,7 +93,7 @@ class TestStepCheckOracle:
 class TestInvariantOracle:
     def test_no_step_breaks_the_invariants(self, monkeypatch):
         rounds = InvariantRounds()
-        monkeypatch.setattr(twobend, "dummy_c_shapes", rounds)
+        rounds.install(monkeypatch)
         failed = 0
         for profile, n_target, seeds in TWOBEND_INPUTS:
             for seed in seeds:

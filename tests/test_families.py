@@ -13,7 +13,6 @@ import pytest
 
 from slopeforge import docio, families, graphutil
 from slopeforge.families import (
-    _face_with,
     _fresh,
     _k4_plane_skeleton,
     gen_2reg,
@@ -26,6 +25,7 @@ from slopeforge.families import (
 )
 from slopeforge.model import (
     EmbeddingError,
+    Face,
     FaceRecord,
     PlaneGraph,
     connectivity,
@@ -296,18 +296,17 @@ class TestInsertions:
             calls["fresh"] += 1
             return expected
 
-        def checked(insert):
-            def run(record, counters, rng):
+        def checked(grow):
+            def run(record, counters, rng, crossing):
                 plane = record.plane
-                assert insert(record, counters, rng) is None
+                assert grow(record, counters, rng, crossing) is None
                 assert record.plane is plane, "an insertion replaced the plane"
                 plane.validate()
                 calls["insertions"] += 1
             return run
 
         monkeypatch.setattr(families, "_fresh", checked_fresh)
-        for name in ("_insert_edge_pair", "_insert_crossing_gadget"):
-            monkeypatch.setattr(families, name, checked(getattr(families, name)))
+        monkeypatch.setattr(families, "_grow", checked(families._grow))
         # The scan takes quadratic time, so the largest size gets few seeds.
         for n_target, seeds in ((20, range(1000, 1020)), (60, range(1000, 1010)),
                                 (200, range(1000, 1003))):
@@ -318,12 +317,30 @@ class TestInsertions:
     def test_a_lost_working_face_raises_out_of_gen_corpus(self, monkeypatch):
         """A failed insertion is a generator fault: gen_corpus neither
         retries the graph nor returns a smaller one."""
-        def lost(record, verts):
+        def lost(plane, counters, new, face):
             raise EmbeddingError("expansion lost its working face")
 
-        monkeypatch.setattr(families, "_face_with", lost)
+        monkeypatch.setattr(families, "_join_by_edge", lost)
         with pytest.raises(EmbeddingError, match="lost its working face"):
             gen_corpus(seed=1000, n_target=60, profile="cubic3con")
+
+    def test_no_face_admits_the_move_raises_out_of_gen_corpus(self, monkeypatch):
+        """With no pair of darts to pick past the first move, the move
+        that comes next raises, named: an edge pair or a crossing gadget."""
+        real_pick = families._pick_two_edges
+
+        def picky(plane, darts, rng):
+            d1, d2 = real_pick(plane, darts, rng)
+            return (None, None) if len(plane.vertices) > 4 else (d1, d2)
+
+        monkeypatch.setattr(families, "_pick_two_edges", picky)
+        messages = set()
+        for seed in range(1000, 1040):
+            with pytest.raises(EmbeddingError, match="no face admits") as info:
+                gen_corpus(seed=seed, n_target=60, profile="cubic3con")
+            messages.add(str(info.value))
+        assert messages == {"no face admits an edge-pair insertion",
+                            "no face admits a crossing gadget"}
 
     def test_a_failed_profile_check_raises_out_of_gen_corpus(self, monkeypatch):
         monkeypatch.setattr(families, "connectivity", lambda g: 2)
@@ -380,38 +397,53 @@ def four_cycle_plane():
 
 class TestFaceWith:
     def test_agrees_with_the_scan_during_generation(self, monkeypatch):
+        """The face each join gets is the first face of faces() that holds
+        the new vertices."""
         calls = []
 
-        def checked(record, verts):
-            face = _face_with(record, verts)
-            assert face == face_with_by_scan(record.plane, verts), "working face differs from the scan's"
-            calls.append(verts)
-            return face
+        def checked(join):
+            def run(plane, counters, new, face):
+                assert Face(face) == face_with_by_scan(plane, new), "working face differs from the scan's"
+                calls.append(new)
+                return join(plane, counters, new, face)
+            return run
 
-        monkeypatch.setattr(families, "_face_with", checked)
+        for name in ("_join_by_edge", "_join_by_crossing"):
+            monkeypatch.setattr(families, name, checked(getattr(families, name)))
         for n_target in (20, 60, 200):
             for seed in range(1000, 1020):
                 gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)
         assert len(calls) >= 1000
 
-    def test_two_matching_faces_give_the_one_faces_lists_first(self):
-        plane = four_cycle_plane()
-        first = plane.faces()[0]
-        assert first.darts[0] == ("e0", "a")
-        assert ("e1", "c") not in first.darts
-        record = FaceRecord.of(plane)
-        for verts in (["c", "a"], ["c"], ["a", "b", "c", "d"], ["d", "b"]):
-            assert _face_with(record, verts) == first == face_with_by_scan(plane, verts)
+    def test_the_join_gets_the_picked_face_when_two_faces_hold_the_new_vertices(self, monkeypatch):
+        """On the 4-cycle both faces hold every vertex, so a search for the
+        face with the new vertices cannot tell them apart; the record's
+        lookup gives the face the move picked, whichever faces() lists
+        first."""
+        picked, joined, first_by_scan = [], [], []
+        real_pick, real_join = families._pick_two_edges, families._join_by_edge
 
-    def test_no_matching_face_raises(self):
-        plane = four_cycle_plane()
-        plane.vertices.append("z")
-        plane.rotation["z"] = []
-        record = FaceRecord.of(plane)
-        with pytest.raises(EmbeddingError, match="expansion lost its working face"):
-            _face_with(record, ["a", "z"])
-        with pytest.raises(EmbeddingError, match="expansion lost its working face"):
-            _face_with(record, ["z"])
+        def pick(plane, darts, rng):
+            d1, d2 = real_pick(plane, darts, rng)
+            picked.append((darts, d1, d2))
+            return d1, d2
+
+        def join(plane, counters, new, face):
+            assert all(v in f.vertices() for f in plane.faces() for v in new)
+            joined.append(face)
+            first_by_scan.append(Face(face) == face_with_by_scan(plane, new))
+            real_join(plane, counters, new, face)
+
+        monkeypatch.setattr(families, "_pick_two_edges", pick)
+        monkeypatch.setattr(families, "_join_by_edge", join)
+        for seed in range(10):
+            record = FaceRecord.of(four_cycle_plane())
+            families._grow(record, {}, random.Random(seed), False)
+            record.plane.validate()
+        for (darts, d1, d2), face in zip(picked, joined):
+            kept = [d for d in darts if d[0] not in (d1[0], d2[0])]
+            assert set(kept) <= set(face), "the join got a face the move did not pick"
+        assert len(joined) == 10 and set(first_by_scan) == {True, False}
 
 
 def rank(record, d) -> int:
@@ -419,6 +451,16 @@ def rank(record, d) -> int:
     is not the first end of e."""
     e, tail = d
     return 2 * record.number[e] + (tail != record.plane.edges[e][0])
+
+
+def with_face(record, face):
+    """A copy of the record with the face it forgot before a join put
+    back."""
+    out = record.copy()
+    key = rank(out, face[0])
+    out.darts[key] = tuple(face)
+    out.face_of.update((d, key) for d in face)
+    return out
 
 
 def must_match_faces(record):
@@ -438,29 +480,32 @@ class TestFaceRecord:
     def test_matches_faces_at_every_insertion(self, monkeypatch):
         """The record agrees with faces() before and after every insertion,
         and after the subdivisions inside one, where the working face is
-        looked up."""
+        read off the record."""
         calls = {"insertions": 0, "lookups": 0}
+        growing = []
 
-        def checked(insert):
-            def run(record, counters, rng):
+        def checked(grow):
+            def run(record, counters, rng, crossing):
                 must_match_faces(record)
                 plane = record.plane
-                assert insert(record, counters, rng) is None
+                growing.append(record)
+                assert grow(record, counters, rng, crossing) is None
                 assert record.plane is plane, "an insertion replaced the plane"
                 must_match_faces(record)
                 calls["insertions"] += 1
             return run
 
-        def checked_face_with(record, verts):
-            must_match_faces(record)
-            face = _face_with(record, verts)
-            assert face == face_with_by_scan(record.plane, verts), "working face differs from the scan's"
-            calls["lookups"] += 1
-            return face
+        def checked_join(join):
+            def run(plane, counters, new, face):
+                must_match_faces(with_face(growing[-1], face))
+                assert Face(face) == face_with_by_scan(plane, new), "working face differs from the scan's"
+                calls["lookups"] += 1
+                return join(plane, counters, new, face)
+            return run
 
-        for name in ("_insert_edge_pair", "_insert_crossing_gadget"):
-            monkeypatch.setattr(families, name, checked(getattr(families, name)))
-        monkeypatch.setattr(families, "_face_with", checked_face_with)
+        monkeypatch.setattr(families, "_grow", checked(families._grow))
+        for name in ("_join_by_edge", "_join_by_crossing"):
+            monkeypatch.setattr(families, name, checked_join(getattr(families, name)))
         for n_target, seeds in ((20, range(1000, 1020)), (60, range(1000, 1010)),
                                 (200, range(1000, 1003))):
             for seed in seeds:

@@ -30,7 +30,6 @@ from slopeforge.model import (
     connectivity,
     cyclic_key,
     find_real_real_face,
-    planarize,
 )
 from slopeforge.reembed import normalize_embedding
 from slopeforge.verify import embedding_from_geometry
@@ -227,8 +226,9 @@ class TestEmbeddedGraph:
         assert sorted(g.edges["e13"]) == ["1", "3"]
 
     def test_planarize_is_identity_on_planarization(self):
-        g = EmbeddedGraph.from_plane(k4_one_crossing())
-        p = planarize(g)
+        p = k4_one_crossing()
+        g = EmbeddedGraph.from_plane(p)
+        g.validate()
         assert p is g.plane
 
     def test_abstract_graph_preserved_through_fragments(self):
@@ -239,7 +239,8 @@ class TestEmbeddedGraph:
     def test_crossing_free_planarization(self):
         g = EmbeddedGraph.from_plane(k4_plane())
         assert g.crossings() == {}
-        assert planarize(g).dummies() == []
+        g.validate()
+        assert g.plane.dummies() == []
 
     def test_from_plane_builds_the_original_edges_once(self, monkeypatch):
         plane = k4_one_crossing()

@@ -47,6 +47,7 @@ from oracles import (
     port_dirs_by_points,
     shape_by_points,
     stretch_by_fractions,
+    window,
 )
 
 F = Fraction
@@ -505,6 +506,29 @@ class TestStepCheck:
         assert len(graphs) >= 20 and len(seen) >= 100
         assert all(step == full for step, full in seen)
 
+    def test_the_recorded_span_is_the_contour_diff(self, monkeypatch):
+        """The span each step hands check_step is the span of the contour
+        that differs from the one before the step, widened by one vertex
+        on each side; after the base, the whole contour."""
+        spans = []
+        real_check_step = onebend.check_step
+        last = {"g": None, "contour": None}
+
+        def recorded(g, span):
+            if g is last["g"]:
+                assert span == window(last["contour"], g.contour), "span differs from the contour diff"
+            else:
+                assert span == (0, len(g.contour) - 1), "the base step checks less than the contour"
+            last.update(g=g, contour=list(g.contour))
+            spans.append(span)
+            return real_check_step(g, span)
+
+        monkeypatch.setattr(onebend, "check_step", recorded)
+        for seed in range(60, 84):
+            target = (12, 16, 20, 24)[seed % 4]
+            draw_onebend(gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0])
+        assert len(spans) >= 100 and any(hi - lo > 2 for lo, hi in spans)
+
     def test_agrees_with_full_check_on_larger_contours(self, monkeypatch):
         """The same on 70- to 90-vertex graphs, and on the two known failing
         inputs up to the P6 and P4b breaks that stop them."""
@@ -538,8 +562,8 @@ class TestStepCheck:
         them: v1 lies in the cut-graph component of a, i, d and e, and b in
         that of c.  The new edges cw and ew join the two.  With
         `spare_at_c`, c keeps a free edge, so it stays attachable with the
-        upper port NE in use.  Returns the drawing and the contour before
-        the step.
+        upper port NE in use.  Returns the drawing and the contour span
+        the step replaced, from c to e.
         """
         edges = {
             "base": ("v1", "v2"), "s": ("v1", "a"), "h": ("a", "b"), "bc": ("b", "c"),
@@ -575,26 +599,25 @@ class TestStepCheck:
             },
             contour=["v1", "a", "b", "c", "e", "d", "v2"],
         )
-        assert check_step(g, None) == [] == check_gamma(g)
-        old = g.contour
+        assert check_step(g, (0, len(g.contour) - 1)) == [] == check_gamma(g)
         g.pos["w"] = Point(14, 12)
         g.draw("cw", [Point(12, 10), Point(14, 12)])
         g.draw("ew", [Point(16, 10), Point(14, 12)])
         g.contour = ["v1", "a", "b", "c", "w", "e", "d", "v2"]
-        return g, old
+        return g, (3, 5)
 
     def test_p4c_rechecks_a_pair_outside_the_window(self):
         """The step leaves its window sound; the full check finds the pair
         before it that the new edges joined."""
-        g, old = self._step_onto_c_and_e(spare_at_c=False)
-        assert check_step(g, old) == []
+        g, span = self._step_onto_c_and_e(spare_at_c=False)
+        assert check_step(g, span) == []
         problems = check_gamma(g)
         assert problems == ["P4c: no all-horizontal cut separates v1 from b"]
         assert problems == check_gamma_by_points(g)
 
     def test_end_predecessor_that_stays_attachable_is_rechecked(self):
-        g, old = self._step_onto_c_and_e(spare_at_c=True)
-        assert check_step(g, old) == []
+        g, span = self._step_onto_c_and_e(spare_at_c=True)
+        assert check_step(g, span) == []
         problems = check_gamma(g)
         assert problems == [
             "P4c: no all-horizontal cut separates v1 from b",
@@ -633,8 +656,10 @@ class TestStepCheck:
             "P4a: vertical before any horizontal between v1 and v2",
             "P4a: vertical before any horizontal between v2 and v1 (reverse)",
         ]
-        assert check_step(g, None) == p4a
-        assert check_step(g, ["v1", "v2"]) == p4a
+        # The whole contour, as after the base, and the span of the step
+        # that put a between v1 and v2: the same three vertices.
+        assert check_step(g, (0, len(g.contour) - 1)) == p4a
+        assert check_step(g, (0, 2)) == p4a
         problems = check_gamma(g)
         assert problems == p4a + [
             "P5: attachable real v1 has occupied upper ports ['N']",

@@ -13,12 +13,11 @@ from slopeforge.ordering import (
     canonical_order,
     canonical_order_on_real_edge,
     st_order,
-    verify_canonical,
 )
 from slopeforge.reembed import normalize_embedding
 
 from builders import build_plane_graph
-from oracles import canonical_order_by_retracing
+from oracles import canonical_order_by_retracing, verify_canonical
 from test_model import k4_one_crossing, k4_plane
 
 

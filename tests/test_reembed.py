@@ -9,13 +9,17 @@ from slopeforge.families import gen_2reg, gen_corpus, gen_crossed_k4, gen_k4_emb
 from slopeforge.model import PlaneGraph, connectivity
 from slopeforge.reembed import (
     ReembedError,
-    count_dummy_cutvertices,
     dummy_two_cuts,
     normalize_embedding,
 )
 
 from adversarial import adversarial_suite, crossed_prism, two_blocks_crossed, two_crossing_edges
-from oracles import normalize_by_retracing, normalized_reembedding_exists, uncross_by_retracing
+from oracles import (
+    count_dummy_cutvertices,
+    normalize_by_retracing,
+    normalized_reembedding_exists,
+    uncross_by_retracing,
+)
 
 
 class TestCountDummyCutvertices:

@@ -180,6 +180,13 @@ class TestEliminationOracle:
         assert counts["eliminations"] >= 50, counts
         assert counts["flips"] > 0 and counts["drawings"] > 0 and counts["errors"] > 0, counts
 
+    def test_a_c_shape_left_after_the_pass_raises(self, monkeypatch):
+        """The pass visits the dummy-incident C-shapes found at its start;
+        one still there at its end is named in the error."""
+        monkeypatch.setattr(twobend, "_eliminate_cshape", lambda d, eid: None)
+        with pytest.raises(TwoBendError, match=r"s=r1: C-shape elimination left \['x1\$a'\]"):
+            draw_twobend(cubic3con(1035, 24))
+
 
 class TestPipeline:
     def test_c4_cycle(self):

@@ -190,6 +190,16 @@ class TestMeasurements:
         with pytest.raises(DrawingError, match="edge e12 has a zero-length segment"):
             validate(d, "TWOBEND")
 
+    def test_a_polyline_joins_its_endpoints_in_either_direction(self):
+        d = square_drawing()
+        d.polylines["e23"].reverse()
+        assert d.check_structure() == []
+        assert validate(d, "STRAIGHT").passed
+        for pts in ([P(1, 0), P(2, 1), P(1, 0)], [P(1, 1), P(2, 1), P(1, 1)],
+                    [P(1, 0), P(2, 1), P(2, 2)]):
+            d.polylines["e23"] = pts
+            assert d.check_structure() == ["polyline of e23 does not join its endpoints"]
+
     @pytest.mark.parametrize("profile", ["ONEBEND", "TWOBEND", "STRAIGHT"])
     @pytest.mark.parametrize("field, message", [
         ("polylines", "polyline of unknown edge zz"),
