@@ -2,16 +2,16 @@
 
 Per biconnected piece, vertices go one per row in st-order and every edge
 rises through a dedicated column, entering and leaving through ports
-assigned from the embedding (outgoing N/E/W, incoming S/W/E).  That
-realization produces only the I/L/C shape catalog and satisfies the
-orthogonal invariants; C-shapes touching a dummy are then removed by
-stretching along a curve hugging the real endpoint and rerouting, which
-is what keeps every original edge within two bends after the crossing
-dummies are replaced by crossing points.  Components are finally glued
-along the bridge decomposition tree with quarter-turn rotations on a rank
-grid: each component is read as the ranks of its coordinates, nested in a
-pocket of its parent, and the result is rank-compressed in both axes, so
-every coordinate is an integer below the number of points.
+assigned from the embedding (outgoing N/E/W, incoming S/W/E).  Each
+vertex's port pattern or its left-right mirror is chosen by 2-SAT so that
+no edge with a crossing dummy at an end leaves and enters through
+horizontal ports: such an edge is an I or an L, so each original edge
+keeps at most two bends once the dummies are replaced by crossing points.
+Edges between real vertices may be I, L, C or Z.  Components are finally
+glued along the bridge decomposition tree with quarter-turn rotations on a
+rank grid: each component is read as the ranks of its coordinates, nested
+in a pocket of its parent, and the result is rank-compressed in both
+axes, so every coordinate is an integer below the number of points.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from . import graphutil
 from .drawing import PolylineDrawing, finished_polylines
-from .geometry import IntersectKind, Point, Segment, quotient, segment_hits, strip_collinear
+from .geometry import IntersectKind, Point, Segment, quotient, segment_hits
 from .model import Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, cyclic_key
 from .ordering import StOrdering, st_order
 from .reembed import normalize_embedding
@@ -52,6 +52,8 @@ class OrthoEdge:
             return "L"
         if pair in (("E", "E"), ("W", "W")):
             return "C"
+        if pair in (("E", "W"), ("W", "E")):
+            return "Z"
         return "?"
 
 
@@ -107,10 +109,9 @@ def compute_ports(plane: PlaneGraph, st: StOrdering) -> Dict[str, Dict[str, str]
     Outgoing edges use the N, E, W ports and incoming S, W, E (by count);
     which edge gets which port is pinned by matching the counterclockwise
     port order against the vertex rotation.  Each pattern also admits a
-    left-right mirror; a 2-SAT instance picks per-vertex variants so that
-    no edge becomes a Z-shape, no C-shape ends in a dummy on W ports, and
-    none starts in a dummy on E ports.  Source/sink ambiguity is resolved
-    so the free gap faces the outer face.
+    left-right mirror; eliminate_cshapes picks per-vertex variants so that
+    no edge with a dummy end is a C- or a Z-shape.  Source/sink ambiguity
+    is resolved so the free gap faces the outer face.
     """
     outer = set(plane.outer_darts)
     per_vertex: Dict[str, List[Dict[str, str]]] = {}
@@ -145,21 +146,20 @@ def compute_ports(plane: PlaneGraph, st: StOrdering) -> Dict[str, Dict[str, str]
             raise TwoBendError(f"rotation at {v} is inconsistent with its in/out pattern")
         per_vertex[v] = options
 
-    return _choose_variants(plane, st, per_vertex)
+    return eliminate_cshapes(plane, st, per_vertex)
 
 
-_BAD_PAIRS = {("E", "W"), ("W", "E")}  # Z-shapes
-
-
-def _choose_variants(
+def eliminate_cshapes(
     plane: PlaneGraph, st: StOrdering, per_vertex: Dict[str, List[Dict[str, str]]]
 ) -> Dict[str, Dict[str, str]]:
-    """Pick a pattern variant per vertex via 2-SAT.
+    """Pick a pattern variant per vertex via 2-SAT, so that no edge with a
+    dummy end is a C- or a Z-shape.
 
     Variable x_v is true when vertex v uses the mirrored pattern.  Every
-    (tail variant, head variant) combination that would give an edge a
-    Z-shape, a W-W C-shape into a dummy, or an E-E C-shape out of a dummy
-    contributes a clause forbidding it.
+    (tail variant, head variant) combination that would give an edge with
+    a dummy end two horizontal ports contributes a clause forbidding it: a
+    C or a Z spends two bends, and a fragment of a crossed edge may spend
+    only one.
     """
     names = sorted(v for v in per_vertex if len(per_vertex[v]) > 1)
     var_of = {v: i + 1 for i, v in enumerate(names)}
@@ -177,12 +177,8 @@ def _choose_variants(
             for hvar, hlit in variant_literals(head):
                 out_port = per_vertex[tail][tvar][e]
                 in_port = per_vertex[head][hvar][e]
-                bad = (out_port, in_port) in _BAD_PAIRS
-                if (out_port, in_port) == ("W", "W") and plane.is_dummy(head):
-                    bad = True
-                if (out_port, in_port) == ("E", "E") and plane.is_dummy(tail):
-                    bad = True
-                if not bad:
+                horizontal = out_port in ("E", "W") and in_port in ("E", "W")
+                if not horizontal or not (plane.is_dummy(tail) or plane.is_dummy(head)):
                     continue
                 if tlit == 0 and hlit == 0:
                     raise TwoBendError(f"edge {e} is forced into an illegal shape")
@@ -195,7 +191,9 @@ def _choose_variants(
 
     solution = graphutil.two_sat(len(names), clauses)
     if solution is None:
-        raise TwoBendError("no Z-free port variant assignment exists for this orientation")
+        raise TwoBendError(
+            "no port variant assignment keeps every edge at a dummy free of C- and Z-shapes"
+        )
     result: Dict[str, Dict[str, str]] = {}
     for v, options in per_vertex.items():
         if v in var_of and solution[var_of[v] - 1]:
@@ -373,16 +371,16 @@ def check_invariants(d: OrthoDrawing) -> List[str]:
         bends = len(e.points) - 2
         if bends > 2:
             problems.append(f"I4: {e.edge_id} has {bends} bends")
-        if bends == 2 and e.shape() != "C":
-            problems.append(f"I4: {e.edge_id} has 2 bends but is no C-shape")
-    # I5 / I6.
+        if bends == 2 and e.shape() not in ("C", "Z"):
+            problems.append(f"I4: {e.edge_id} has 2 bends but is no C- or Z-shape")
+    # I5 / I6: no C or Z at a dummy.
     for e in d.edges.values():
-        if e.shape() != "C":
+        if e.shape() not in ("C", "Z"):
             continue
-        if d.plane.is_dummy(e.head) and (e.out_port, e.in_port) != ("E", "E"):
-            problems.append(f"I5: C-shape {e.edge_id} into dummy {e.head} not on E ports")
-        if d.plane.is_dummy(e.tail) and (e.out_port, e.in_port) != ("W", "W"):
-            problems.append(f"I6: C-shape {e.edge_id} out of dummy {e.tail} not on W ports")
+        if d.plane.is_dummy(e.head):
+            problems.append(f"I5: {e.shape()}-shape {e.edge_id} into dummy {e.head}")
+        if d.plane.is_dummy(e.tail):
+            problems.append(f"I6: {e.shape()}-shape {e.edge_id} out of dummy {e.tail}")
     # Crossing validity: same-edge fragments occupy opposite ports at dummies.
     for x in d.plane.dummies():
         at = d.ports_at(x)
@@ -435,7 +433,8 @@ def stretch_curve(d: OrthoDrawing, x_low: int, x_high: int, y: int, delta: int) 
     p.x >= x_low below the jog, or p.x > x_high at or above it.  A vertical
     segment whose two ends move differently crosses the jog and gains two
     jog points on it; horizontal segments just get longer.  Planarity,
-    shapes of untouched edges, and y-monotonicity are preserved.
+    shapes of untouched edges, and y-monotonicity are preserved.  No
+    package code calls it; the benchmark traces it by this name.
     """
     if delta <= 0:
         raise ValueError("stretch amount must be positive")
@@ -458,112 +457,6 @@ def stretch_curve(d: OrthoDrawing, x_low: int, x_high: int, y: int, delta: int) 
                 pts += [Point(pts[-1].x, jog), Point(q.x, jog)]
             pts.append(q)
         e.points = pts
-
-
-# ---------------------------------------------------------------------------
-# C-shape elimination (the biconnected-case cleanup)
-# ---------------------------------------------------------------------------
-
-
-def dummy_c_shapes(d: OrthoDrawing) -> List[str]:
-    out = []
-    for eid in sorted(d.edges):
-        e = d.edges[eid]
-        if e.shape() == "C" and (d.plane.is_dummy(e.tail) or d.plane.is_dummy(e.head)):
-            out.append(eid)
-    return out
-
-
-def eliminate_cshapes(d: OrthoDrawing) -> int:
-    """Remove every C-shape incident to a dummy, in one pass over those
-    dummy_c_shapes finds at the start; each step keeps I1 to I6 by the
-    same construction, and is not checked.
-
-    A step turns only its own C into an edge that leaves its real end at
-    N.  It moves an N blocker to port W and keeps the blocker's head port,
-    and refuses a W-W C into a dummy, so it makes no new dummy-incident C.
-
-    Returns the number of elimination steps performed.  Raises TwoBendError
-    with diagnostics when an unhandled port configuration appears, or when
-    a dummy-incident C is left.
-    """
-    targets = dummy_c_shapes(d)
-    for eid in targets:
-        _eliminate_cshape(d, eid)
-    left = dummy_c_shapes(d)
-    if left:
-        raise TwoBendError(f"C-shape elimination left {left}")
-    return len(targets)
-
-
-def _eliminate_cshape(d: OrthoDrawing, eid: str) -> None:
-    """One step: eliminate the C-shape eid from its real end."""
-    e = d.edges[eid]
-    if d.plane.is_dummy(e.head) and not d.plane.is_dummy(e.tail):
-        _eliminate_into_dummy(d, eid)
-    elif d.plane.is_dummy(e.tail) and not d.plane.is_dummy(e.head):
-        _flip_180(d)
-        try:
-            _eliminate_into_dummy(d, eid)
-        finally:
-            _flip_180(d)
-    else:
-        raise TwoBendError(f"C-shape {eid} joins two dummies (impossible fragment)")
-
-
-def _flip_180(d: OrthoDrawing) -> None:
-    """Point-reflect the drawing; tails and heads swap roles."""
-    for v in list(d.pos):
-        p = d.pos[v]
-        d.pos[v] = Point(-p.x, -p.y)
-    for e in d.edges.values():
-        e.points = [Point(-p.x, -p.y) for p in reversed(e.points)]
-        e.tail, e.head = e.head, e.tail
-        e.out_port, e.in_port = _opposite(e.in_port), _opposite(e.out_port)
-
-
-def _eliminate_into_dummy(d: OrthoDrawing, eid: str) -> None:
-    """Handle a C-shape from a real vertex u into a dummy v (E->E ports).
-
-    A stretch by the distance from u to the C's riser column moves u onto
-    that column, so the C leaves u at N and rises straight to v.  An
-    outgoing edge blocking N moves to u's W port and rises in u's old
-    column."""
-    e = d.edges[eid]
-    u, v = e.tail, e.head
-    if (e.out_port, e.in_port) != ("E", "E"):
-        raise TwoBendError(f"dummy-incident C {eid} uses ports {e.out_port}->{e.in_port}")
-    at_u = d.ports_at(u)
-    blocker = at_u.get("N")
-    if blocker is not None:
-        be = d.edges[blocker]
-        if be.tail != u:
-            raise TwoBendError(f"N port of real vertex {u} is used by an incoming edge")
-        if "W" in at_u:
-            raise TwoBendError(
-                f"cannot eliminate {eid}: N and W of {u} both busy "
-                f"(ports {sorted(at_u)})"
-            )
-        if be.in_port == "W" and d.plane.is_dummy(be.head):
-            raise TwoBendError(
-                f"cannot eliminate {eid}: rerouting {blocker} would make a W-C into a dummy"
-            )
-        if be.in_port == "E":
-            raise TwoBendError(
-                f"cannot eliminate {eid}: blocker {blocker} enters its head at E"
-            )
-    rc = max(p.x for p in e.points)  # the riser column of the C
-    xu, yu = d.pos[u].x, d.pos[u].y
-    stretch_curve(d, xu, rc, yu, rc - xu)
-    e.points = strip_collinear([Point(rc, yu), Point(rc, d.pos[v].y), d.pos[v]])
-    e.out_port = "N"
-    if blocker is None:
-        return
-    rest = [p for p in be.points if 2 * p.y > 2 * yu + 1]  # above the jog
-    if not rest or rest[0].x != xu:
-        raise TwoBendError(f"blocker {blocker} lost its riser during the stretch")
-    be.points = strip_collinear([Point(rc, yu), Point(xu, yu)] + rest)
-    be.out_port = "W"
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +541,8 @@ def _outer_face(sub: PlaneGraph, u_i: str) -> Tuple[Dart, ...]:
 
 def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:
     """Draw one component with t = u_i: records _outer_face as sub's outer
-    face, and tries each source on it until the drawing, its C-shapes
-    eliminated, passes check_invariants: the 2-bend drawer's one check."""
+    face, and tries each source on it until draw_liu's drawing passes
+    check_invariants: the 2-bend drawer's one check."""
     if len(sub.vertices) == 1:
         v = sub.vertices[0]
         return OrthoDrawing(plane=sub, t=v, pos={v: Point(0, 0)}, edges={})
@@ -659,11 +552,6 @@ def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:
         try:
             d = draw_liu(sub, s, u_i)
         except (TwoBendError, EmbeddingError, ValueError) as exc:
-            errors.append(f"s={s}: {exc}")
-            continue
-        try:
-            eliminate_cshapes(d)
-        except TwoBendError as exc:
             errors.append(f"s={s}: {exc}")
             continue
         problems = check_invariants(d)

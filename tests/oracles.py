@@ -58,22 +58,14 @@ the embedding extraction derives the same rays a second time.  The tests
 require verify.validate and verify.embedding_of, which find and sort each
 ray once, to give the same reports and the same embeddings or errors.
 
-InvariantRounds runs the 2-bend invariant checker after draw_liu and after
-every C-shape elimination step, which the drawer no longer does: it
-checks each finished component once.  The tests require that it find
-nothing on the corpora.
-
-eliminate_cshapes_by_staircase is the 2-bend C-shape elimination with a
-general staircase stretch, a stretch path per state of the real vertex's N
-port, and a compaction of the columns after every step.  The tests require
-twobend.eliminate_cshapes, which stretches along one fixed one-jog cut on
-integer columns and never compacts, to give the same drawing up to the
-ranks of its coordinates, or the same error.
+InvariantRounds runs the 2-bend invariant checker on every drawing
+draw_liu returns, and lists each edge with a dummy end and two horizontal
+ports.  The drawer checks only the drawing it keeps; the tests require
+that both find nothing on the corpora.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -92,7 +84,6 @@ from slopeforge.geometry import (
     segment_hits,
     slope_of,
     sort_directions_ccw,
-    strip_collinear,
     sweep_hits,
 )
 from slopeforge.graphutil import Adj
@@ -1117,211 +1108,39 @@ def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bo
 
 
 # ---------------------------------------------------------------------------
-# C-shape elimination along staircases, with a compaction per step
+# The 2-bend invariants on every drawing draw_liu returns
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Staircase:
-    """An increasing y-monotone orthogonal curve: vertical at xs[i] between
-    ys[i-1] and ys[i], horizontal jogs at ys[i] from xs[i] to xs[i+1]."""
-
-    xs: List[Fraction]
-    ys: List[Fraction]
-
-    def threshold(self, y: Fraction) -> Fraction:
-        for j, jog_y in enumerate(self.ys):
-            if y < jog_y:
-                return self.xs[j]
-        return self.xs[-1]
-
-    def right_of(self, p: Point) -> bool:
-        return p.x > self.threshold(p.y)
-
-    def hits_vertex(self, d: twobend.OrthoDrawing) -> bool:
-        for p in d.pos.values():
-            if p.x == self.threshold(p.y):
-                return True
-            for j, jy in enumerate(self.ys):
-                if p.y == jy and self.xs[j] <= p.x <= self.xs[j + 1]:
-                    return True
-        return False
-
-
-def stretch_staircase(d: twobend.OrthoDrawing, curve: Staircase, delta: Fraction) -> None:
-    """Move the curve and everything right of it rightward by delta.
-
-    Crossed vertical segments gain a horizontal run at the jog height;
-    crossed horizontal segments just get longer."""
-    if delta <= 0:
-        raise ValueError("stretch amount must be positive")
-    if curve.hits_vertex(d):
-        raise twobend.TwoBendError("stretch curve passes through a vertex")
-    for v in list(d.pos):
-        p = d.pos[v]
-        if curve.right_of(p):
-            d.pos[v] = Point(p.x + delta, p.y)
-    for e in d.edges.values():
-        new_pts: List[Point] = []
-        pts = e.points
-        for i, p in enumerate(pts):
-            if new_pts and pts[i - 1].x == p.x:
-                # Vertical segment: insert a run at every jog it crosses.
-                prev = pts[i - 1]
-                jogs = [jy for jy in curve.ys if min(prev.y, p.y) < jy < max(prev.y, p.y)]
-                jogs.sort(reverse=prev.y > p.y)
-                for jy in jogs:
-                    below = curve.right_of(Point(p.x, min(prev.y, p.y)))
-                    above = curve.right_of(Point(p.x, max(prev.y, p.y)))
-                    if below == above:
-                        continue
-                    below_pt = Point(p.x + (delta if below else 0), jy)
-                    above_pt = Point(p.x + (delta if above else 0), jy)
-                    if prev.y < p.y:
-                        new_pts.extend([below_pt, above_pt])
-                    else:
-                        new_pts.extend([above_pt, below_pt])
-            new_pts.append(Point(p.x + delta, p.y) if curve.right_of(p) else p)
-        dedup: List[Point] = []
-        for p in new_pts:
-            if not dedup or p != dedup[-1]:
-                dedup.append(p)
-        e.points = dedup
-
-
-def _compact_columns(d: twobend.OrthoDrawing) -> None:
-    """Renumber x-coordinates onto consecutive integers, preserving order."""
-    xs = [p.x for p in d.pos.values()] + [p.x for e in d.edges.values() for p in e.points]
-    remap = {x: Fraction(r) for r, x in enumerate(sorted(set(xs)))}
-    for v in list(d.pos):
-        p = d.pos[v]
-        d.pos[v] = Point(remap[p.x], p.y)
-    for e in d.edges.values():
-        e.points = strip_collinear([Point(remap[p.x], p.y) for p in e.points])
-
-
-def eliminate_cshapes_by_staircase(d: twobend.OrthoDrawing) -> int:
-    """twobend.eliminate_cshapes with a staircase stretch and a column
-    compaction after every step."""
-    steps = 0
-    guard = 4 * len(d.edges) + 8
-    while True:
-        targets = twobend.dummy_c_shapes(d)
-        if not targets:
-            return steps
-        if steps > guard:
-            raise twobend.TwoBendError("C-shape elimination stopped making progress")
-        eid = targets[0]
-        e = d.edges[eid]
-        if d.plane.is_dummy(e.head) and not d.plane.is_dummy(e.tail):
-            _eliminate_by_staircase(d, eid)
-        elif d.plane.is_dummy(e.tail) and not d.plane.is_dummy(e.head):
-            twobend._flip_180(d)
-            try:
-                _eliminate_by_staircase(d, eid)
-            finally:
-                twobend._flip_180(d)
-        else:
-            raise twobend.TwoBendError(f"C-shape {eid} joins two dummies (impossible fragment)")
-        _compact_columns(d)
-        steps += 1
-        problems = twobend.check_invariants(d)
-        if problems:
-            raise twobend.TwoBendError(f"invariants broken after eliminating {eid}: {problems[:3]}")
-
-
 class InvariantRounds:
-    """Stand-ins for twobend.dummy_c_shapes and twobend._eliminate_cshape
-    that run twobend.check_invariants on the drawing and keep what it finds.
+    """A stand-in for twobend.draw_liu that runs twobend.check_invariants on
+    each drawing it returns and keeps what it finds.
 
-    eliminate_cshapes calls dummy_c_shapes first, right after draw_liu, and
-    then _eliminate_cshape once per step, which returns with its _flip_180
-    pair undone.  This checks I1 to I6 at exactly those points: on each
-    new drawing, and after each step; inside _eliminate_into_dummy the
-    drawing may still be flipped, and I2 would misfire there.
+    It also keeps, as dummy_bends, every edge with a dummy end that leaves
+    and enters through horizontal ports, read off the ports alone: a C or a
+    Z there would give its crossed edge more than two bends.
     """
 
     def __init__(self) -> None:
-        self.drawings = 0  # rounds right after draw_liu
-        self.steps = 0  # rounds after an elimination step
+        self.drawings = 0
         self.problems: List[str] = []
-        self._dummy_c_shapes = twobend.dummy_c_shapes
-        self._eliminate_cshape = twobend._eliminate_cshape
-        self._last: Optional[twobend.OrthoDrawing] = None
+        self.dummy_bends: List[str] = []
+        self._draw_liu = twobend.draw_liu
 
     def install(self, monkeypatch) -> None:
-        monkeypatch.setattr(twobend, "dummy_c_shapes", self.c_shapes)
-        monkeypatch.setattr(twobend, "_eliminate_cshape", self.step)
+        monkeypatch.setattr(twobend, "draw_liu", self.draw)
 
-    def c_shapes(self, d: twobend.OrthoDrawing) -> List[str]:
-        if d is not self._last:
-            self.drawings += 1
-            self._last = d
-            self.problems += twobend.check_invariants(d)
-        return self._dummy_c_shapes(d)
-
-    def step(self, d: twobend.OrthoDrawing, eid: str) -> None:
-        self._eliminate_cshape(d, eid)
-        self.steps += 1
+    def draw(self, plane: PlaneGraph, s: str, t: str) -> twobend.OrthoDrawing:
+        d = self._draw_liu(plane, s, t)
+        self.drawings += 1
         self.problems += twobend.check_invariants(d)
-
-
-def _eliminate_by_staircase(d: twobend.OrthoDrawing, eid: str) -> None:
-    """twobend._eliminate_into_dummy with one stretch-and-reroute path for
-    a free N port of the real vertex and one for a busy N port."""
-    TwoBendError = twobend.TwoBendError
-    half = Fraction(1, 2)
-    e = d.edges[eid]
-    u, v = e.tail, e.head
-    if (e.out_port, e.in_port) != ("E", "E"):
-        raise TwoBendError(f"dummy-incident C {eid} uses ports {e.out_port}->{e.in_port}")
-    at_u = d.ports_at(u)
-    rc = max(p.x for p in e.points)  # the riser column of the C
-    xu, yu = d.pos[u].x, d.pos[u].y
-
-    if "N" not in at_u:
-        curve = Staircase(xs=[xu - half, rc + half], ys=[yu + half])
-        stretch_staircase(d, curve, rc - xu)
-        xu2 = d.pos[u].x
-        yv = d.pos[v].y
-        e.points = [Point(xu2, yu), Point(xu2, yv), d.pos[v]]
-        e.out_port = "N"
-        e.points = strip_collinear(e.points)
-        return
-
-    # N occupied: free it by moving its edge to the W port, then reroute.
-    blocker = at_u["N"]
-    be = d.edges[blocker]
-    if be.tail != u:
-        raise TwoBendError(f"N port of real vertex {u} is used by an incoming edge")
-    if "W" in at_u:
-        raise TwoBendError(
-            f"cannot eliminate {eid}: N and W of {u} both busy "
-            f"(ports {sorted(at_u)})"
-        )
-    if be.in_port == "W" and d.plane.is_dummy(be.head):
-        raise TwoBendError(
-            f"cannot eliminate {eid}: rerouting {blocker} would make a W-C into a dummy"
-        )
-    if be.in_port == "E":
-        raise TwoBendError(
-            f"cannot eliminate {eid}: blocker {blocker} enters its head at E"
-        )
-    curve = Staircase(xs=[xu - half, rc + half], ys=[yu + half])
-    stretch_staircase(d, curve, rc - xu)
-    xu2 = d.pos[u].x
-    yv = d.pos[v].y
-    # Reroute the C through N.
-    e.points = [Point(xu2, yu), Point(xu2, yv), d.pos[v]]
-    e.out_port = "N"
-    e.points = strip_collinear(e.points)
-    # Reroute the blocker through W along u's old (now vacated) column.
-    rest = [p for p in be.points if p.y > yu + half]
-    if not rest or rest[0].x != xu:
-        raise TwoBendError(f"blocker {blocker} lost its riser during the stretch")
-    be.points = [Point(xu2, yu), Point(xu, yu)] + rest
-    be.out_port = "W"
-    be.points = strip_collinear(be.points)
+        horizontal = ("E", "W")
+        self.dummy_bends += [
+            e.edge_id for e in d.edges.values()
+            if e.out_port in horizontal and e.in_port in horizontal
+            and (plane.is_dummy(e.tail) or plane.is_dummy(e.head))
+        ]
+        return d
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -22,7 +21,6 @@ from slopeforge.twobend import (
     PORT_ROT,
     ROT,
     Assembled,
-    OrthoDrawing,
     TwoBendError,
     bridge_decomposition,
     check_invariants,
@@ -31,12 +29,11 @@ from slopeforge.twobend import (
     draw_component,
     draw_liu,
     draw_twobend,
-    dummy_c_shapes,
     stretch_curve,
 )
 from slopeforge.verify import embedding_from_geometry, validate
 
-from oracles import eliminate_cshapes_by_staircase
+from oracles import InvariantRounds
 from test_verify import square_graph
 
 F = Fraction
@@ -75,7 +72,7 @@ class TestDrawLiu:
         d = draw_liu(plane, "1", "3")
         assert check_invariants(d) == []
         shapes = sorted(e.shape() for e in d.edges.values())
-        assert set(shapes) <= {"I", "L", "C"}
+        assert set(shapes) <= {"I", "L", "C", "Z"}
 
     def test_draw_liu_leaves_int_ranks(self):
         d = draw_liu(square_plane(), "1", "3")
@@ -100,7 +97,22 @@ class TestDrawLiu:
         plane = g.plane.copy()
         d = draw_component(plane, sorted(plane.real)[0])
         assert check_invariants(d) == []
-        assert dummy_c_shapes(d) == []
+
+
+class TestPortRule:
+    def test_no_c_or_z_at_a_dummy(self, monkeypatch):
+        """Every draw_liu drawing draw_component tries, on every component
+        of a cubic3con and a subcubic corpus, passes check_invariants and
+        has no C- or Z-shaped edge with a dummy end."""
+        rounds = InvariantRounds()
+        rounds.install(monkeypatch)
+        graphs = [cubic3con(seed, n_target) for n_target in (24, 32, 40) for seed in range(1000, 1040)]
+        graphs += [gen_corpus(seed=seed, n_target=n_target, profile="subcubic", count=1)[0]
+                   for n_target in (20, 60) for seed in range(1000, 1020)]
+        for g in graphs:
+            draw_twobend(g)
+        assert rounds.problems == [] and rounds.dummy_bends == []
+        assert rounds.drawings >= len(graphs)
 
 
 class TestStretch:
@@ -130,62 +142,6 @@ class TestStretch:
         for cut in ((F(1, 2), 1, 0), (0, F(1, 2), 0), (0, 1, F(1, 2)), (F(0), 1, 0)):
             with pytest.raises(TwoBendError, match="integer columns and rows"):
                 stretch_curve(d, *cut, 1)
-
-
-def ranked_drawing(d: OrthoDrawing):
-    """d's points with both axes ranked, and each edge's ends and ports."""
-    at, _ = twobend._rank_points(list(d.pos.values()) + [p for e in d.edges.values() for p in e.points])
-    edges = {k: (e.tail, e.head, e.out_port, e.in_port, [at(p) for p in e.points]) for k, e in d.edges.items()}
-    return {v: at(p) for v, p in d.pos.items()}, edges
-
-
-class TestEliminationOracle:
-    def test_matches_the_staircase_elimination(self, monkeypatch):
-        """Every elimination run on the components of a cubic3con corpus
-        gives the staircase oracle's drawing up to ranks, or its error."""
-        eliminate = twobend.eliminate_cshapes
-        counts = {"eliminations": 0, "flips": 0, "drawings": 0, "errors": 0}
-
-        def counted(name, fn):
-            def call(*args):
-                counts[name] += 1
-                return fn(*args)
-            return call
-
-        def both(d):
-            ref = OrthoDrawing(d.plane, d.t, dict(d.pos), {
-                k: dataclasses.replace(e, points=list(e.points)) for k, e in d.edges.items()
-            })
-            try:
-                eliminate_cshapes_by_staircase(ref)
-                want = ranked_drawing(ref)
-            except TwoBendError as exc:
-                want = str(exc)
-            try:
-                steps = eliminate(d)
-            except TwoBendError as exc:
-                assert str(exc) == want
-                counts["errors"] += 1
-                raise
-            assert ranked_drawing(d) == want
-            counts["drawings"] += steps > 0
-            return steps
-
-        monkeypatch.setattr(twobend, "eliminate_cshapes", both)
-        monkeypatch.setattr(twobend, "_eliminate_into_dummy", counted("eliminations", twobend._eliminate_into_dummy))
-        monkeypatch.setattr(twobend, "_flip_180", counted("flips", twobend._flip_180))
-        for n_target in (24, 32, 40):
-            for seed in range(1000, 1040):
-                draw_twobend(cubic3con(seed, n_target))
-        assert counts["eliminations"] >= 50, counts
-        assert counts["flips"] > 0 and counts["drawings"] > 0 and counts["errors"] > 0, counts
-
-    def test_a_c_shape_left_after_the_pass_raises(self, monkeypatch):
-        """The pass visits the dummy-incident C-shapes found at its start;
-        one still there at its end is named in the error."""
-        monkeypatch.setattr(twobend, "_eliminate_cshape", lambda d, eid: None)
-        with pytest.raises(TwoBendError, match=r"s=r1: C-shape elimination left \['x1\$a'\]"):
-            draw_twobend(cubic3con(1035, 24))
 
 
 class TestPipeline:
@@ -415,19 +371,14 @@ class TestRankGrid:
         for seed in range(1000, 1004):
             check_rank_grid(gen_corpus(seed=seed, n_target=n_target, profile="subcubic", count=1)[0])
 
-    def test_edge_deleted_cubic3con(self, monkeypatch):
-        calls = []
-        eliminate = twobend._eliminate_into_dummy
-
-        def counted(d, eid):
-            calls.append(eid)
-            return eliminate(d, eid)
-
-        monkeypatch.setattr(twobend, "_eliminate_into_dummy", counted)
+    def test_edge_deleted_cubic3con(self):
         inputs = [(seed, 40) for seed in range(1000, 1012)] + [(1000, 90), (1001, 90)]
+        crossed = 0
         for seed, n_target in inputs:
-            check_rank_grid(edge_deleted(seed, n_target))
-        assert calls, "no input reached C-shape elimination"
+            g = edge_deleted(seed, n_target)
+            check_rank_grid(g)
+            crossed += bool(g.crossings())
+        assert crossed, "no input has a crossing"
 
     def test_chain_grid_stays_small(self):
         """The old assembly needed a new factor per block: 40 blocks took
@@ -438,17 +389,33 @@ class TestRankGrid:
 
 
 class TestLaterSourceBytes:
-    """The output bytes of edge-deleted inputs with a component that the
-    first source on its outer face does not draw, so that a change to the
-    source order or to the outer face shows."""
+    """The output bytes of each input, and the sources draw_liu is called
+    at, so that a change to the source order or to the outer face shows.
+    The one component of cubic3con 90/1062 (80 vertices) the first source
+    on its outer face, v12, does not draw (the 2-SAT forces edge x0$a into
+    a C or a Z at its dummy) and v15 does. The edge_deleted inputs needed a
+    later source while dummy C-shapes were eliminated after drawing; each
+    id ends with the sha256 of that drawing. The port rule draws each of
+    their components from its first source."""
 
-    @pytest.mark.parametrize("n_target, seed, digest", [
-        (20, 1011, "ccb537fa819afdd3f9a2d155b9980dbc21a1ba40a733fc39ed4a764fd0a2e785"),
-        (40, 1011, "b1900e74109f6d1cfd282eca7233c4efbc8af15073bd756fbae1ca9010ec6e70"),
-        (40, 1015, "ad2573e4cd30f89a9de0316056f92c8b0388deaee8bb7dbad386a60ada1ac4a4"),
-        (90, 1007, "13ff3587dd0bfba0e9114a1438e239702d1c7d9fd5431fbadf3aec75e35d8db4"),
+    @pytest.mark.parametrize("build, n_target, seed, tried, digest", [
+        pytest.param(edge_deleted, 20, 1011, ["r2"],
+                     "1817c24deb701fd670497b45e742829d6a614393234af6b303507e7eebf8ea12",
+                     id="20-1011-ccb537fa819afdd3f9a2d155b9980dbc21a1ba40a733fc39ed4a764fd0a2e785"),
+        pytest.param(edge_deleted, 40, 1011, ["r1"],
+                     "d05f7cf2f297c9a77ca6a5bb226a92ef779b43be7de9177c066edaf14d4eb8d3",
+                     id="40-1011-b1900e74109f6d1cfd282eca7233c4efbc8af15073bd756fbae1ca9010ec6e70"),
+        pytest.param(edge_deleted, 40, 1015, ["r3", "v11"],
+                     "5077b724679dc9e7ed8f20e30187c2a3d464b8e18f8ec969b26e7fd9c8943146",
+                     id="40-1015-ad2573e4cd30f89a9de0316056f92c8b0388deaee8bb7dbad386a60ada1ac4a4"),
+        pytest.param(edge_deleted, 90, 1007, ["r1"],
+                     "a38f928744388497b0b4fb0fcccc01c4f0b035fe5a05bc1978a43224e4180c01",
+                     id="90-1007-13ff3587dd0bfba0e9114a1438e239702d1c7d9fd5431fbadf3aec75e35d8db4"),
+        pytest.param(cubic3con, 90, 1062, ["v12", "v15"],
+                     "a35e4372cc2249771c05539e40f70e598eb8f0a2761655e9c852d12436c07441",
+                     id="cubic3con-90-1062"),
     ])
-    def test_drawing_bytes_are_pinned(self, monkeypatch, n_target, seed, digest):
+    def test_drawing_bytes_are_pinned(self, monkeypatch, build, n_target, seed, tried, digest):
         sources = []
         draw = twobend.draw_liu
 
@@ -457,57 +424,33 @@ class TestLaterSourceBytes:
             return draw(plane, s, t)
 
         monkeypatch.setattr(twobend, "draw_liu", counted)
-        g = edge_deleted(seed, n_target)
+        g = build(seed, n_target)
         d = draw_twobend(g)
         drawn = [c for c in bridge_decomposition(g).components if len(c) > 1]
-        assert len(sources) > len(drawn)
+        assert sources == tried
+        assert (len(sources) > len(drawn)) == (build is cubic3con)
         assert hashlib.sha256(dumps(drawing_to_doc(d)).encode()).hexdigest() == digest
 
 
 class TestCubic3conBytes:
     def test_drawing_bytes_are_pinned(self):
-        """The sha256 over the 2-bend drawings of cubic3con graphs, with
-        each failure's message in place of its drawing."""
+        """The sha256 over the 2-bend drawings of cubic3con graphs."""
         h = hashlib.sha256()
         for n_target in (24, 32, 40):
             for seed in range(1000, 1020):
-                g = cubic3con(seed, n_target)
-                try:
-                    out = dumps(drawing_to_doc(draw_twobend(g)))
-                except TwoBendError as exc:
-                    out = f"TwoBendError: {exc}"
+                out = dumps(drawing_to_doc(draw_twobend(cubic3con(seed, n_target))))
                 h.update(f"{n_target}/{seed}\n{out}\n".encode())
-        assert h.hexdigest() == "24c0187e2cf2471db54205cfb820968cfa32fd77a430025ea3a46d658b18db0b"
+        assert h.hexdigest() == "5dd4ab2ebd6dfbc5bab063eece29c310af9d3c98c45ce5e29b288597e33893b9"
 
 
-# Inputs the 2-bend drawer fails on today: the builder and (n_target, seed)
-# of the input, the component's attachment vertex, the C-shape elimination
-# every source on its outer face fails at, and those sources.
-KNOWN_FAILURES = [
-    (edge_deleted, 60, 1055, "r0", "cannot eliminate x7$a: blocker g11<> enters its head at E",
-     ["r1", "r3", "v13", "v20", "v21", "v27", "v31", "v32", "v40", "v41", "v44", "v45", "v47"]),
-    # The smallest known failing cubic3con input: 26 vertices.
-    (cubic3con, 32, 1077, "r0", "cannot eliminate x1$b: blocker g5<> enters its head at E",
-     ["v0", "v18", "v19", "v21", "v3"]),
-]
+class TestFormerFailures:
+    """Inputs on which every source failed while dummy C-shapes were
+    eliminated after drawing: "blocker ... enters its head at E"."""
 
-
-class TestKnownFailures:
-    """Each known failure must fail with exactly its message: a changed
-    message fails the test, and a fix shows up as a strict XPASS."""
-
-    @pytest.mark.xfail(strict=True, raises=TwoBendError)
-    @pytest.mark.parametrize(
-        "build, n_target, seed, u_i, reason, sources",
-        [pytest.param(*case, id=f"{case[0].__name__}-n{case[1]}-seed{case[2]}") for case in KNOWN_FAILURES],
-    )
-    def test_draws_and_validates(self, build, n_target, seed, u_i, reason, sources):
-        g = build(seed, n_target)
-        try:
-            d = draw_twobend(g)
-        except TwoBendError as exc:
-            errors = [f"s={s}: {reason}" for s in sources]
-            assert str(exc) == f"no source candidate worked for component at {u_i}: {errors}"
-            raise
-        report = validate(d, "TWOBEND")
+    @pytest.mark.parametrize("build, n_target, seed", [
+        (edge_deleted, 60, 1055),
+        (cubic3con, 32, 1077),  # 26 vertices
+    ], ids=["edge_deleted-n60-seed1055", "cubic3con-n32-seed1077"])
+    def test_draws_and_validates(self, build, n_target, seed):
+        report = validate(draw_twobend(build(seed, n_target)), "TWOBEND")
         assert report.passed, report.violations
