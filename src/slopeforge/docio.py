@@ -43,6 +43,24 @@ def _point_in(v) -> Point:
     return Point(_rat_in(v[0]), _rat_in(v[1]))
 
 
+def _points_in(values) -> List[Point]:
+    """Each of values read as a point.  The common form, [[x, 1], [y, 1]]
+    with int x and y, is read inline; every other one goes to _point_in."""
+    out = []
+    for v in values:
+        if type(v) is list and len(v) == 2:
+            px, py = v
+            if type(px) is list and type(py) is list and len(px) == 2 and len(py) == 2:
+                x, dx = px
+                y, dy = py
+                if type(x) is int and type(y) is int and type(dx) is int and type(dy) is int:
+                    if dx == 1 and dy == 1:
+                        out.append(Point(x, y))
+                        continue
+        out.append(_point_in(v))
+    return out
+
+
 def _list_in(v) -> List[Any]:
     if not isinstance(v, list):
         raise DocumentError(f"expected a list, got {v!r}")
@@ -186,8 +204,8 @@ def drawing_from_doc(doc: Dict[str, Any], strict: bool = False) -> PolylineDrawi
         if not isinstance(doc.get(key), dict):
             raise DocumentError(f"drawing document needs an object {key!r}")
     graph = graph_from_doc(doc["graph"], strict=strict)
-    positions = {v: _point_in(xy) for v, xy in doc["positions"].items()}
-    polylines = {e: [_point_in(p) for p in _list_in(pts)] for e, pts in doc["polylines"].items()}
+    positions = dict(zip(doc["positions"], _points_in(doc["positions"].values())))
+    polylines = {e: _points_in(_list_in(pts)) for e, pts in doc["polylines"].items()}
     return PolylineDrawing(graph=graph, positions=positions, polylines=polylines)
 
 

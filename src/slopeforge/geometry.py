@@ -19,16 +19,24 @@ Python makes an int and the Fraction of the same value compare and hash
 alike, so either form gives the same results.  Only a true division can
 leave the rationals (two ints give a float), so every ``/`` that
 coordinates reach divides a Fraction.
+
+``Point`` and ``Segment`` are tuple types (``typing.NamedTuple``), so
+building, comparing and hashing them runs in C.  They keep the value
+semantics of the frozen dataclasses they replace: the same field names,
+``repr``, ``str`` and lexicographic order, and the same hash, since such a
+dataclass hashes as the tuple of its fields.  So every set and dict of
+points iterates in the same order as before.  Rays around a point sort by
+``angle_key``, an exact key (a quarter turn and a tangent) that orders
+directions as the comparator ``angular_compare`` does.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 # An exact coordinate, or a difference or product of coordinates.
 Coord = Union[int, Fraction]
@@ -41,8 +49,7 @@ def quotient(num: Coord, den: int) -> Coord:
     return q if r == 0 else Fraction(num, den)
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(NamedTuple):
     x: Coord
     y: Coord
 
@@ -114,14 +121,18 @@ class Slope:
         return Slope(kind, (ix, iy))
 
 
-@dataclass(frozen=True)
-class Segment:
+class _SegmentFields(NamedTuple):
     a: Point
     b: Point
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"degenerate segment at {self.a}")
+
+class Segment(_SegmentFields):
+    __slots__ = ()
+
+    def __new__(cls, a: Point, b: Point) -> "Segment":
+        if a == b:
+            raise ValueError(f"degenerate segment at {a}")
+        return tuple.__new__(cls, (a, b))
 
     def dir(self) -> Direction:
         return direction(self.a, self.b)
@@ -451,8 +462,37 @@ def _half_turn(d: Direction) -> int:
     return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
 
 
+def angle_key(d: Direction) -> Tuple[int, Coord]:
+    """An exact sort key that orders non-zero directions as angular_compare
+    does: the quarter turn [k*pi/2, (k+1)*pi/2) holding d, counting
+    counterclockwise from east, then the tangent of d's angle past the
+    quarter's start, which grows with the angle.  Two directions get equal
+    keys exactly when they lie on one ray.  The zero vector is no ray, and
+    sorts after every ray: angular_compare ranks it after the first half
+    turn and level with the whole second one, which no order can match."""
+    dx, dy = d
+    if dx > 0 and dy >= 0:
+        return 0, _ratio(dy, dx)
+    if dy > 0:
+        return 1, _ratio(-dx, dy)
+    if dx < 0:
+        return 2, _ratio(-dy, -dx)
+    if dy < 0:
+        return 3, _ratio(dx, -dy)
+    return 4, 0
+
+
+def _ratio(num: Coord, den: Coord) -> Coord:
+    """num / den for num >= 0 < den, as an int when it is 0 or 1."""
+    if num == 0:
+        return 0
+    if num == den:
+        return 1
+    return Fraction(num, den)
+
+
 def sort_directions_ccw(dirs: list) -> list:
-    return sorted(dirs, key=functools.cmp_to_key(angular_compare))
+    return sorted(dirs, key=angle_key)
 
 
 def _directed_gap_at_least(d1: Direction, d2: Direction, eighths: int) -> bool:

@@ -13,6 +13,25 @@ uncrossing edits the working plane in place (a flip works on a copy, which
 replaces it only when the flip is taken), and the whole plane is validated
 once, when the result is built.
 
+The normalizer always uncrosses the least dummy cutvertex, and finds it
+without a search of the whole plane per uncrossing.  One lowpoint DFS
+(Hopcroft and Tarjan) gives the blocks and the cutvertices; a heap keeps
+the dummy ones.  Uncrossing a cutvertex x takes that status from no other
+vertex v: x and its neighbors other than v lie in one component C of
+G - v, and the re-added edges a-b and c-d join only vertices of C or v, so
+each other component of G - v stays one.  It can give the status, but only to
+vertices of the blocks that held x.  Those blocks meet the rest of the
+graph only at single cutvertices, so no cycle runs from them into another
+block, and the other blocks stay blocks.  So after each uncrossing one DFS
+of the plane restricted to those blocks' vertices, x left out and a-b and
+c-d in, gives their new blocks and cutvertices.  That status does grow:
+in tests/test_reembed.py's uncrossing_makes_a_cutvertex, _x0 and _x1 both
+cross edges at a and c, and uncrossing _x1 leaves _x0 the only link
+between a's side and c's, so _x0 becomes a cutvertex and is uncrossed
+before _x2.  Uncrossing in the order of the first list of cutvertices
+instead would end with another edge order.  The outer face is retraced
+only when one of its darts was a fragment at x.
+
 The rule for an uncrossing: it fails iff x's rotation alternates and all
 four neighbors of x lie in one component of G - x.  Let x's edges be a-b
 and c-d.  Deleting x merges the faces around x into one face F.  Each
@@ -24,9 +43,10 @@ component, a-b is a chord of that walk and splits F in two.  The walk of
 any other component lies wholly on one side, so c-d fails only if c and d
 lie on the same walk as a and b and interleave with them along it, that
 is, around x.  One search of G - x decides the rule, and no face is
-traced.  Both callers meet it: a dummy cutvertex has neighbors in at least
-two components, and _fix_two_cut uncrosses x only once a flip has stopped
-its rotation alternating.  The search guards that contract.
+traced.  A dummy cutvertex has neighbors in at least two components, so
+it always meets the rule and is uncrossed with no search.  _fix_two_cut
+runs the search on each flip: there x is no cutvertex, so the rule holds
+exactly when the flip has stopped x's rotation alternating.
 
 The tests cross-check this against a brute-force existence oracle on small
 instances, and the whole normalizer against one that decides each
@@ -35,7 +55,8 @@ re-insertion by tracing faces (tests/oracles.py).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import heapq
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import graphutil
 from .model import EmbeddedGraph, EmbeddingError, PlaneGraph, connectivity
@@ -71,18 +92,17 @@ def normalize_embedding(g: EmbeddedGraph) -> EmbeddedGraph:
     start_crossings = len(plane.dummies())
     three_connected = connectivity(g) >= 3
     budget = start_crossings + 1
+    cuts = _DummyCuts(plane)
     while budget >= 0:
-        cuts = sorted(
-            v for v in graphutil.articulation_points(plane.adjacency()) if plane.is_dummy(v)
-        )
-        if cuts:
-            _uncross(plane, cuts[0])
+        if cuts.heap:
+            cuts.uncross_least()
             budget -= 1
             continue
         if three_connected:
             pairs = dummy_two_cuts(plane)
             if pairs:
                 plane = _fix_two_cut(plane, pairs)
+                cuts = _DummyCuts(plane)
                 budget -= 1
                 continue
         break
@@ -91,6 +111,48 @@ def normalize_embedding(g: EmbeddedGraph) -> EmbeddedGraph:
     out = EmbeddedGraph.from_plane(plane)
     _check_same_abstract_graph(g, out)
     return out
+
+
+class _DummyCuts:
+    """A plane's blocks and a heap of its dummy cutvertices, kept through
+    its uncrossings by one lowpoint DFS of the whole plane and then one of
+    the blocks that held each uncrossed dummy (see the module docstring)."""
+
+    def __init__(self, plane: PlaneGraph) -> None:
+        self.plane = plane
+        # Each vertex's blocks, a block as its vertex set: two blocks share
+        # at most one vertex, so the set names the block.
+        self.blocks_at: Dict[str, Set[FrozenSet[str]]] = {v: set() for v in plane.vertices}
+        self.heap: List[str] = []
+        self._queued: Set[str] = set()
+        self._add(plane.adjacency())
+
+    def _add(self, adj: graphutil.Adj) -> None:
+        """Record the blocks of adj, a subgraph of the plane whose blocks
+        are blocks of the plane, and queue its dummy cutvertices."""
+        blocks, cuts = graphutil.blocks_and_cut_vertices(adj)
+        for block in blocks:
+            verts = frozenset(v for edge in block for v in edge)
+            for v in verts:
+                self.blocks_at[v].add(verts)
+        for v in cuts - self._queued:
+            if self.plane.is_dummy(v):
+                self._queued.add(v)
+                heapq.heappush(self.heap, v)
+
+    def uncross_least(self) -> None:
+        """Uncross the least dummy cutvertex x, then redo the blocks that
+        held x: the plane restricted to their vertices but x."""
+        x = heapq.heappop(self.heap)
+        _uncross(self.plane, x)
+        held: Set[str] = set()
+        for block in self.blocks_at.pop(x):
+            held |= block
+        held.discard(x)
+        for v in held:
+            self.blocks_at[v] = {b for b in self.blocks_at[v] if x not in b}
+        rotation, edges = self.plane.rotation, self.plane.edges
+        self._add({v: {w for e in rotation[v] for w in edges[e] if w != v and w in held} for v in held})
 
 
 def _check_same_abstract_graph(before: EmbeddedGraph, after: EmbeddedGraph) -> None:
@@ -110,18 +172,19 @@ def _check_same_abstract_graph(before: EmbeddedGraph, after: EmbeddedGraph) -> N
 def _uncross(plane: PlaneGraph, x: str) -> None:
     """Delete dummy x and re-add each original edge through it, uncrossed,
     at the corners its two fragments leave at their far ends.  Edits plane
-    in place; ReembedError, before any edit, when no such re-insertion is
-    planar (see _uncrossable).
+    in place.  The caller has decided that the re-insertion is planar: x is
+    a cutvertex, or _uncrossable(plane, x) holds.
 
     The edges are re-added in the order x's rotation first meets them, and
-    each end goes into the rotation index its fragment occupied.
+    each end goes into the rotation index its fragment occupied.  The outer
+    face is retraced only when one of its darts was a fragment at x; else
+    its walk meets no changed corner and keeps its darts.
     """
-    if not _uncrossable(plane, x):
-        raise ReembedError(f"could not re-insert edges of crossing {x} without a crossing")
+    frags = plane.rotation[x]
     ends: Dict[str, List[str]] = {}
     # Each neighbor's corner: the index its fragment occupied.
     corner: Dict[str, int] = {}
-    for frag in plane.rotation[x]:
+    for frag in frags:
         u = plane.other_end(frag, x)
         ends.setdefault(plane.fragment_of[frag], []).append(u)
         corner[u] = plane.rotation[u].index(frag)
@@ -132,7 +195,8 @@ def _uncross(plane: PlaneGraph, x: str) -> None:
     del plane.rotation[x]
     for orig, (a, b) in ends.items():
         _insert_uncrossed_edge(plane, orig, a, corner[a], b, corner[b])
-    _refresh_outer_after_surgery(plane)
+    if any(e in frags for e, _ in plane.outer_darts):
+        _refresh_outer_after_surgery(plane)
 
 
 def _uncrossable(plane: PlaneGraph, x: str) -> bool:
@@ -191,7 +255,9 @@ def _fix_two_cut(plane: PlaneGraph, pairs: Sequence[Tuple[str, str]]) -> PlaneGr
             flipped = _flip_component(plane, comp, w, x)
             if flipped is None:
                 continue
-            if _alternates(flipped, x):
+            # x is no cutvertex, as the flip kept the graph, so this holds
+            # exactly when the flip stopped x's rotation alternating.
+            if not _uncrossable(flipped, x):
                 continue  # flip did not break the crossing
             _uncross(flipped, x)
             return flipped

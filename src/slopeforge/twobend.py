@@ -64,13 +64,13 @@ class OrthoDrawing:
     pos: Dict[str, Point]
     edges: Dict[str, OrthoEdge]
 
-    def ports_at(self, v: str) -> Dict[str, str]:
-        out: Dict[str, str] = {}
+    def port_maps(self) -> Dict[str, Dict[str, str]]:
+        """Each vertex's port -> edge id map, from one pass over the edges:
+        at a vertex, an edge's ends are read in edge order, tail first."""
+        out: Dict[str, Dict[str, str]] = {}
         for e in self.edges.values():
-            if e.tail == v:
-                out[e.out_port] = e.edge_id
-            if e.head == v:
-                out[e.in_port] = e.edge_id
+            out.setdefault(e.tail, {})[e.out_port] = e.edge_id
+            out.setdefault(e.head, {})[e.in_port] = e.edge_id
         return out
 
 
@@ -103,6 +103,19 @@ def _variant_patterns(n_in: int, n_out: int) -> List[Tuple[List[str], List[str]]
     return variants
 
 
+# Each degree profile's pattern variants, as (ports in ccw order, whether
+# each is an out port), built once for every profile up to degree 3 each way.
+_PROFILES = {
+    (n_in, n_out): [
+        (ports_ccw, tuple(p in outs for p in ports_ccw))
+        for outs, ins in _variant_patterns(n_in, n_out)
+        for ports_ccw in [tuple(sorted(outs + ins, key=PORT_ANGLE.get))]
+    ]
+    for n_in in range(4)
+    for n_out in range(4)
+}
+
+
 def compute_ports(plane: PlaneGraph, st: StOrdering) -> Dict[str, Dict[str, str]]:
     """Per vertex: edge id -> port, derived from the rotation.
 
@@ -117,25 +130,15 @@ def compute_ports(plane: PlaneGraph, st: StOrdering) -> Dict[str, Dict[str, str]
     per_vertex: Dict[str, List[Dict[str, str]]] = {}
     for v in plane.vertices:
         rot = plane.rotation[v]
-        flags = []
-        for e in rot:
-            tail, _ = _edge_dir(plane, st, e)
-            flags.append("out" if tail == v else "in")
-        n_out = flags.count("out")
-        n_in = flags.count("in")
+        flags = tuple(_edge_dir(plane, st, e)[0] == v for e in rot)
+        n_out = flags.count(True)
+        n_in = len(flags) - n_out
         if n_out > 3 or n_in > 3:
             raise TwoBendError(f"vertex {v} exceeds the supported degree pattern")
         options: List[Dict[str, str]] = []
-        for outs, ins in _variant_patterns(n_in, n_out):
-            ports_ccw = sorted(list(outs) + list(ins), key=lambda p: PORT_ANGLE[p])
-            out_set = set(outs)
-            want_flags = ["out" if p in out_set else "in" for p in ports_ccw]
-            k = len(rot)
-            matches = [
-                off
-                for off in range(k)
-                if all(flags[(off + i) % k] == want_flags[i] for i in range(k))
-            ]
+        k = len(rot)
+        for ports_ccw, want_flags in _PROFILES[n_in, n_out]:
+            matches = [off for off in range(k) if flags[off:] + flags[:off] == want_flags]
             if not matches:
                 continue
             chosen = matches[0]
@@ -212,7 +215,7 @@ def _disambiguate(plane, v, rot, matches, ports_ccw, outer) -> int:
     # the first listed port's edge when the hole spans the wrap, otherwise
     # between the specific neighbors of the hole.
     hole = "N" if "N" not in ports_ccw else "S"
-    order = sorted(ports_ccw + [hole], key=lambda p: PORT_ANGLE[p])
+    order = sorted([*ports_ccw, hole], key=lambda p: PORT_ANGLE[p])
     hi = order.index(hole)
     before = order[hi - 1]
     i_before = ports_ccw.index(before)
@@ -359,7 +362,8 @@ def check_invariants(d: OrthoDrawing) -> List[str]:
     top = max(p.y for p in d.pos.values())
     if d.pos[d.t].y != top:
         problems.append("I2: the sink is not topmost")
-    if "N" in d.ports_at(d.t):
+    ports = d.port_maps()
+    if "N" in ports.get(d.t, {}):
         problems.append("I2: the sink's N port is not free")
     # I3: y-monotone from source to target.
     for e in d.edges.values():
@@ -383,7 +387,7 @@ def check_invariants(d: OrthoDrawing) -> List[str]:
             problems.append(f"I6: {e.shape()}-shape {e.edge_id} out of dummy {e.tail}")
     # Crossing validity: same-edge fragments occupy opposite ports at dummies.
     for x in d.plane.dummies():
-        at = d.ports_at(x)
+        at = ports.get(x, {})
         by_orig: Dict[str, List[str]] = {}
         for port, e in at.items():
             by_orig.setdefault(d.plane.original_edge_of(e), []).append(port)

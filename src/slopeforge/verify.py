@@ -14,7 +14,6 @@ the drawers' outputs (tests/test_number_contract.py) none does.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -29,6 +28,7 @@ from .geometry import (
     Segment,
     SlopeKind,
     CANONICAL_SLOPES,
+    angle_key,
     angular_compare,
     bend_count,
     cross,
@@ -98,8 +98,7 @@ def _corner_corner_crossing(d: PolylineDrawing, e1: str, e2: str, pt: Point) -> 
         if at % 2:
             return False
         labeled += [(back, owner), (ahead, owner)]
-    labeled.sort(key=functools.cmp_to_key(lambda p, q: angular_compare(p[0], q[0])))
-    owners = [o for _, o in labeled]
+    owners = [o for _, o in _sort_edge_dirs_ccw(labeled)]
     return owners in ([1, 2, 1, 2], [2, 1, 2, 1])
 
 
@@ -175,8 +174,8 @@ def _analyze(d: PolylineDrawing, segs: Segments, D: int) -> Interactions:
                 violations.append(f"edges {e1} and {e2} touch at {_true(pt, D)} (non-simple)")
                 continue
         elif res.kind is IntersectKind.SHARED_ENDPOINT:
-            shared = set(d.graph.edges[e1]) & set(d.graph.edges[e2])
-            if any(d.positions.get(v) == pt for v in shared):
+            ends2 = d.graph.edges[e2]
+            if any(v in ends2 and d.positions.get(v) == pt for v in d.graph.edges[e1]):
                 continue
             if not _corner_corner_crossing(d, e1, e2, pt):
                 violations.append(
@@ -281,7 +280,7 @@ def _rays(d: PolylineDrawing, crossings: Dict[Point, Set[str]]) -> RayTable:
 
 
 def _sort_edge_dirs_ccw(dir_edges: Sequence[Tuple]):
-    return sorted(dir_edges, key=functools.cmp_to_key(lambda p, q: angular_compare(p[0], q[0])))
+    return sorted(dir_edges, key=lambda ray: angle_key(ray[0]))
 
 
 def _min_resolution(rays: Dict[object, List[Ray]]) -> Optional[int]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import math
 import random
@@ -20,6 +21,8 @@ from slopeforge.geometry import (
     SlopeKind,
     _directed_gap_at_least,
     _ints,
+    angle_key,
+    angular_compare,
     cross,
     dot,
     hits_across,
@@ -512,6 +515,78 @@ class TestAngles:
         ]
         assert min_angle_eighths_lower_bound(dirs45) == 1
         assert min_angle_eighths_lower_bound([(Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))]) is None
+
+
+def _direction_set():
+    """The eight canonical directions, three others, some with Fraction
+    components and some near 10**30, then each again scaled by 2 and by
+    1/3: the copies lie on the same rays, so every ray has ties."""
+    big = 10**30
+    dirs = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    dirs += [(1, 2), (-3, 1), (2, -5)]
+    dirs += [(Fraction(1, 3), Fraction(2, 3)), (Fraction(-5, 2), 0), (0, Fraction(-7, 3)),
+             (Fraction(-1, 2), Fraction(-7, 3)), (Fraction(3, 4), Fraction(-3, 4))]
+    dirs += [(big, big + 1), (big + 1, big), (-big, 1), (-big, -1), (1, -big), (big, -big - 1),
+             (-1, big), (big, 1)]
+    return dirs + [(2 * dx, 2 * dy) for dx, dy in dirs] + [
+        (Fraction(dx, 3), Fraction(dy, 3)) for dx, dy in dirs]
+
+
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+class TestAngleKey:
+    def test_every_pair_orders_as_the_comparator_does(self):
+        dirs = _direction_set()
+        keys = [angle_key(d) for d in dirs]
+        ties = 0
+        for (d1, k1), (d2, k2) in itertools.product(zip(dirs, keys), repeat=2):
+            assert _sign(k1, k2) == angular_compare(d1, d2), (d1, d2)
+            ties += k1 == k2 and d1 != d2
+        assert ties >= 2 * len(dirs)
+
+    def test_the_sort_equals_the_comparator_sort_on_repeated_directions(self):
+        rng = random.Random(35)
+        dirs = _direction_set()
+        for _ in range(200):
+            picked = [rng.choice(dirs) for _ in range(rng.randrange(2, 12))]
+            picked += picked[: rng.randrange(len(picked))]
+            rng.shuffle(picked)
+            assert sort_directions_ccw(picked) == sorted(picked, key=functools.cmp_to_key(angular_compare))
+
+    def test_the_zero_vector_sorts_after_every_ray(self):
+        assert all(angle_key((0, 0)) > angle_key(d) for d in _direction_set())
+
+
+class TestTupleValues:
+    """Points and segments are tuples, with the value semantics of the
+    frozen dataclasses they were: a set or dict of them keeps its order."""
+
+    def test_a_point_hashes_as_its_coordinates(self):
+        for x, y in [(1, 2), (-3, 0), (Fraction(1, 2), 7), (10**30, -(10**30))]:
+            assert hash(Point(x, y)) == hash((x, y))
+        a, b = Point(0, 1), Point(Fraction(1, 3), 2)
+        assert hash(Segment(a, b)) == hash((a, b))
+
+    def test_points_order_lexicographically(self):
+        rng = random.Random(5)
+        coords = [0, 1, -1, Fraction(1, 2), Fraction(-7, 3), 10**30]
+        pts = [Point(rng.choice(coords), rng.choice(coords)) for _ in range(60)]
+        assert sorted(pts) == sorted(pts, key=lambda p: (p.x, p.y))
+        assert Point(1, 5) < Point(2, 0) and Point(1, 0) < Point(1, 5)
+
+    def test_repr_and_str(self):
+        assert repr(Point(1, 2)) == "Point(x=1, y=2)"
+        assert str(Point(1, 2)) == "(1,2)"
+        assert repr(Segment(Point(0, 0), Point(1, 0))) == "Segment(a=Point(x=0, y=0), b=Point(x=1, y=0))"
+
+    def test_a_degenerate_segment_is_refused(self):
+        p = Point(1, Fraction(5, 2))
+        with pytest.raises(ValueError, match=r"^degenerate segment at \(1,5/2\)$"):
+            Segment(p, p)
+        with pytest.raises(ValueError, match="degenerate segment"):
+            Segment(Point(3, 4), Point(Fraction(3), Fraction(8, 2)))
 
 
 def primitive_by_fractions(d):

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from slopeforge import graphutil, reembed
 from slopeforge.families import gen_2reg, gen_corpus, gen_crossed_k4, gen_k4_embedded
+from slopeforge.geometry import Point
 from slopeforge.model import PlaneGraph, connectivity
 from slopeforge.reembed import (
     ReembedError,
     dummy_two_cuts,
     normalize_embedding,
 )
+from slopeforge.verify import embedding_from_geometry
 
 from adversarial import adversarial_suite, crossed_prism, two_blocks_crossed, two_crossing_edges
 from oracles import (
@@ -93,6 +96,39 @@ class TestNormalize:
         # The one faces() call is the validation's Euler check.
         assert calls == {"validate": 1, "faces": 1}
 
+    def test_64_uncrossings_search_no_component_and_redo_only_the_blocks_that_held_each(self, monkeypatch):
+        g = gen_2reg(64)
+        searches, handed = [], []
+        uncrossable = reembed._uncrossable
+        monkeypatch.setattr(reembed, "_uncrossable",
+                            lambda plane, x: searches.append(x) or uncrossable(plane, x))
+        dfs = graphutil.blocks_and_cut_vertices
+        monkeypatch.setattr(graphutil, "blocks_and_cut_vertices",
+                            lambda adj, removed=frozenset(): handed.append(len(adj)) or dfs(adj, removed))
+        out = normalize_embedding(g)
+        assert (len(g.crossings()), len(out.crossings())) == (64, 0)
+        # A dummy cutvertex passes the search by definition.
+        assert searches == []
+        # One whole-plane DFS (194 vertices), then one per uncrossing of the
+        # blocks that held the dummy.  A whole-plane DFS after each of the 64
+        # uncrossings would be handed 194 + 193 + ... + 130 = 10,530.
+        assert handed[0] == 194 and len(handed) == 65
+        assert sum(handed) < sum(range(130, 195)) // 2, sum(handed)
+
+    def test_an_uncrossing_can_make_another_dummy_a_cutvertex(self, monkeypatch):
+        g = uncrossing_makes_a_cutvertex()
+        assert g.crossings() == {"_x0": ("ac", "pq"), "_x1": ("ab", "cd"), "_x2": ("dh", "ij")}
+        assert sorted(graphutil.articulation_points(g.plane.adjacency()) & set(g.plane.dummies())) == [
+            "_x1", "_x2"]
+        order = []
+        uncross = reembed._uncross
+        monkeypatch.setattr(reembed, "_uncross", lambda plane, x: order.append(x) or uncross(plane, x))
+        out = normalize_embedding(g)
+        # Uncrossing _x1 rejoins ab and cd, and leaves _x0 the only link
+        # between a's side and c's: _x0 comes before _x2.
+        assert order == ["_x1", "_x0", "_x2"]
+        assert list(out.plane.edges) == ["ap", "cq", "di", "cd", "ab", "pq", "ac", "ij", "dh"]
+
     def test_the_outer_face_falls_back_when_every_outer_dart_was_a_fragment(self):
         # The outer face of the first vertex, a, is the one left.
         out = normalize_embedding(two_crossing_edges())
@@ -135,8 +171,21 @@ class TestNormalize:
             assert len(out.crossings()) == len(g.crossings())
 
 
+def uncrossing_makes_a_cutvertex():
+    """Three crossings, _x0 = ac x pq, _x1 = ab x cd and _x2 = dh x ij.  _x1
+    and _x2 are cutvertices; _x0 becomes one once _x1 is uncrossed."""
+    pos = {
+        "a": Point(-1, 1), "c": Point(-1, -1), "b": Point(1, -1), "d": Point(1, 1),
+        "p": Point(-2, 0), "q": Point(Fraction(-1, 2), 0),
+        "h": Point(3, 3), "i": Point(1, 2), "j": Point(3, 2),
+    }
+    names = ("ab", "cd", "ac", "pq", "ap", "cq", "dh", "di", "ij")
+    return embedding_from_geometry(pos, {e: (e[0], e[1]) for e in names})
+
+
 def equivalence_inputs():
     graphs = [g for _, g in adversarial_suite()]
+    graphs.append(uncrossing_makes_a_cutvertex())
     graphs += [gen_2reg(k) for k in (3, 5, 8, 16, 32, 64)]
     graphs.append(crossed_prism())
     for profile in ("cubic3con", "subcubic"):

@@ -207,8 +207,9 @@ def assemble_by_scaling(drawings, tree, bridge_ids) -> Assembled:
                 out.pos[v] = transform(p)
         for e in d.edges.values():
             out.polylines[e.edge_id] = [transform(p) for p in e.points]
+        ports = d.port_maps()
         for v in d.plane.real:
-            rotated = {PORT_ROT[theta][p] for p in d.ports_at(v)}
+            rotated = {PORT_ROT[theta][p] for p in ports.get(v, {})}
             out.used_ports.setdefault(v, set()).update(rotated)
 
     def scale_all(k):
