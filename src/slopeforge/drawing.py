@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .geometry import Point, Segment, strip_collinear
+from .geometry import IntersectKind, Intersection, Point, Segment, strip_collinear
 from .model import EmbeddedGraph, PlaneGraph
 
 
@@ -46,6 +46,32 @@ def finished_polylines(
             pts.reverse()
         out[orig] = strip_collinear(pts)
     return out
+
+
+def improper_hits(
+    hits: Iterable[Tuple[int, int, Intersection]],
+    labels: Sequence[str],
+    ends: Mapping[str, Tuple[str, str]],
+    pos: Mapping[str, Point],
+) -> Iterator[Tuple[int, int, Intersection]]:
+    """The improper meetings among `hits`, in their order.
+
+    hits are meetings (i, j, res) of segments i and j of a drawing, where
+    segment k lies on the edge labels[k] and each edge's segments are
+    listed one after another along it; ends maps each edge to its end
+    vertices and pos places them.  Two segments may meet only at the joint
+    of consecutive segments of one edge, or at a common end vertex's
+    position.
+    """
+    for i, j, res in hits:
+        e1, e2 = labels[i], labels[j]
+        if res.kind is IntersectKind.SHARED_ENDPOINT:
+            if e1 == e2:
+                if abs(i - j) == 1:
+                    continue
+            elif any(pos.get(v) == res.point for v in set(ends[e1]) & set(ends[e2])):
+                continue
+        yield i, j, res
 
 
 @dataclass

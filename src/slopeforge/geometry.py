@@ -10,15 +10,20 @@ A coordinate is an ``int`` when it is integral and otherwise a
 ints, the 2-bend drawer emits int ranks and the subcubic corpus generator
 places its blocks on ints.  The 1-bend drawer computes on ints too: its
 drawing (``onebend.Gamma``) holds every coordinate as the true value
-times one drawing-wide denominator ``unit``, and hands ``unit`` to
-``prepare`` so that the sweep boxes hold the true values.  The validator
-and the embedding extraction (``verify``) clear a drawing's common
-denominator once, at entry, so they too compute on ints only, 1-bend
-drawings included.
+times one drawing-wide denominator.  The validator and the embedding
+extraction (``verify``) clear a drawing's common denominator once, at
+entry, so they too compute on ints only, 1-bend drawings included.
 Python makes an int and the Fraction of the same value compare and hash
 alike, so either form gives the same results.  Only a true division can
 leave the rationals (two ints give a float), so every ``/`` that
 coordinates reach divides a Fraction.
+
+Every predicate is decided on the coordinates as given: the segment
+kernel (``intersect`` and the sweeps over prepared segments) reads its
+orientation signs and crossing points, and the sweeps their bounding
+boxes, straight off the segments, in Python's exact int and Fraction
+arithmetic.  Nothing is rescaled or rounded first, so ints stay fast and
+rational inputs stay exact.
 
 ``Point`` and ``Segment`` are tuple types (``typing.NamedTuple``), so
 building, comparing and hashing them runs in C.  They keep the value
@@ -27,7 +32,7 @@ semantics of the frozen dataclasses they replace: the same field names,
 dataclass hashes as the tuple of its fields.  So every set and dict of
 points iterates in the same order as before.  Rays around a point sort by
 ``angle_key``, an exact key (a quarter turn and a tangent) that orders
-directions as the comparator ``angular_compare`` does.
+directions counterclockwise from east.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 Coord = Union[int, Fraction]
 
 
-def quotient(num: Coord, den: int) -> Coord:
+def quotient(num: Coord, den: Coord) -> Coord:
     """num / den as a coordinate: an int when it is integral, else a
     Fraction.  den must not be 0."""
     q, r = divmod(num, den)
@@ -227,36 +232,12 @@ def line_intersection(p: Point, d1: Direction, q: Point, d2: Direction) -> Optio
     return Point(quotient(p.x * den + t * d1[0], den), quotient(p.y * den + t * d1[1], den))
 
 
-# A segment in integer form: (L, ax, ay, bx, by), the endpoint coordinates
-# times L, the lcm of their four denominators.  Each segment keeps its own L:
-# one lcm over a whole drawing could grow with the number of segments.
-_IntSegment = Tuple[int, int, int, int, int]
-
-
-def _ints(seg: Segment) -> _IntSegment:
-    a, b = seg.a, seg.b
-    dax, day, dbx, dby = a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator
-    L = math.lcm(dax, day, dbx, dby)
-    return (
-        L,
-        a.x.numerator * (L // dax),
-        a.y.numerator * (L // day),
-        b.x.numerator * (L // dbx),
-        b.y.numerator * (L // dby),
-    )
-
-
-def _classify(s1: Segment, f1: _IntSegment, s2: Segment, f2: _IntSegment) -> Intersection:
-    """intersect(s1, s2), decided by orientation signs on the integer forms
-    f1 = _ints(s1) and f2 = _ints(s2).  Only a proper crossing point is
-    computed; every other point returned is an endpoint of s1 or s2."""
-    L, ax, ay, bx, by = f1
-    L2, cx, cy, dx, dy = f2
-    if L != L2:
-        # Bring both onto the common scale L * L2.
-        ax, ay, bx, by = ax * L2, ay * L2, bx * L2, by * L2
-        cx, cy, dx, dy = cx * L, cy * L, dx * L, dy * L
-        L *= L2
+def _classify(s1: Segment, s2: Segment) -> Intersection:
+    """intersect(s1, s2), decided by orientation signs on the segments' own
+    coordinates.  Only a proper crossing point is computed; every other
+    point returned is an endpoint of s1 or s2."""
+    (ax, ay), (bx, by) = s1
+    (cx, cy), (dx, dy) = s2
     ux, uy = bx - ax, by - ay
     vx, vy = dx - cx, dy - cy
     cr = ux * vy - uy * vx
@@ -265,9 +246,8 @@ def _classify(s1: Segment, f1: _IntSegment, s2: Segment, f2: _IntSegment) -> Int
         # Parallel: either collinear or disjoint.
         if o1 != 0:
             return Intersection(IntersectKind.DISJOINT)
-        # Integer keys on the common scale order as the Points do.
-        p0, p1 = sorted([(ax, ay), (bx, by)])
-        q0, q1 = sorted([(cx, cy), (dx, dy)])
+        p0, p1 = sorted(s1)
+        q0, q1 = sorted(s2)
         lo, hi = max(p0, q0), min(p1, q1)
         if lo > hi:
             return Intersection(IntersectKind.DISJOINT)
@@ -275,7 +255,7 @@ def _classify(s1: Segment, f1: _IntSegment, s2: Segment, f2: _IntSegment) -> Int
             # lo is the low end of one segment and hi the high end of the
             # other, so collinear segments that meet in one point meet at an
             # endpoint of both.
-            return Intersection(IntersectKind.SHARED_ENDPOINT, s1.a if lo == (ax, ay) else s1.b)
+            return Intersection(IntersectKind.SHARED_ENDPOINT, s1.a if lo == s1.a else s1.b)
         return Intersection(IntersectKind.OVERLAP)
     o2 = ux * (dy - ay) - uy * (dx - ax)  # orient(A, B, D)
     if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
@@ -293,10 +273,9 @@ def _classify(s1: Segment, f1: _IntSegment, s2: Segment, f2: _IntSegment) -> Int
     if end2:
         return Intersection(IntersectKind.TOUCH, s2.a if o1 == 0 else s2.b)
     # A + (o3 / cr) * (B - A), as o3 = cross(C - A, D - C).
-    den = L * cr
     return Intersection(
         IntersectKind.PROPER_CROSSING,
-        Point(quotient(ax * cr + o3 * ux, den), quotient(ay * cr + o3 * uy, den)),
+        Point(quotient(ax * cr + o3 * ux, cr), quotient(ay * cr + o3 * uy, cr)),
     )
 
 
@@ -307,79 +286,50 @@ def intersect(s1: Segment, s2: Segment) -> Intersection:
     separately from SHARED_ENDPOINT so the validator can flag non-simple
     drawings precisely.
     """
-    return _classify(s1, _ints(s1), s2, _ints(s2))
+    return _classify(s1, s2)
 
 
-# Sweep boxes live on the grid of step 2**-_GRID_BITS: integer keys sort and
-# compare fast, and a grid this fine keeps the boxes of segments that pass
-# close to each other apart, so few DISJOINT pairs reach the classifier.
-_GRID_BITS = 16
+# A segment prepared for the pair queries: the segment and its exact
+# bounding box (lo_x, lo_y, hi_x, hi_y).
+Prepared = Tuple[Segment, Tuple[Coord, Coord, Coord, Coord]]
 
 
-# A segment prepared for the pair queries: the segment, its integer form and
-# its box (lo_x, lo_y, hi_x, hi_y) on the sweep grid.
-Prepared = Tuple[Segment, _IntSegment, Tuple[int, int, int, int]]
+def prepare(seg: Segment) -> Prepared:
+    """seg prepared for the pair queries."""
+    return seg, seg.bbox()
 
 
-def prepare(seg: Segment, unit: int = 1) -> Prepared:
-    """seg prepared for the pair queries, its coordinates read as true
-    values times `unit`.  The integer form keeps those units, so a proper
-    crossing point comes back in them; the box holds the true values, so
-    that segments sweep in the same order at any unit."""
-    form = _ints(seg)
-    return seg, form, _box(form, unit)
-
-
-def prepare_shifted(prep: Prepared, seg: Segment, dx: int, unit: int) -> Prepared:
-    """prepare(seg, unit) for seg, the segment of `prep` moved by dx in x,
-    built from prep's integer form instead of seg's coordinates.  The
-    coordinates and dx are ints, so the form's L is 1, and the box keeps
-    its y range."""
-    _, ax, ay, bx, by = prep[1]
-    _, lo_y, _, hi_y = prep[2]
-    ax += dx
-    bx += dx
-    lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
-    box = ((lo_x << _GRID_BITS) // unit, lo_y, (hi_x << _GRID_BITS) // unit, hi_y)
-    return seg, (1, ax, ay, bx, by), box
-
-
-def _box(form: _IntSegment, unit: int = 1) -> Tuple[int, int, int, int]:
-    L, ax, ay, bx, by = form
-    # Each box coordinate v becomes floor(v * 2**_GRID_BITS), v the true
-    # value.  Floor is monotone, so two grid boxes are disjoint only if the
-    # exact boxes are.
-    L *= unit
-    ax, ay = (ax << _GRID_BITS) // L, (ay << _GRID_BITS) // L
-    bx, by = (bx << _GRID_BITS) // L, (by << _GRID_BITS) // L
-    return (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+def prepare_shifted(prep: Prepared, seg: Segment, dx: Coord) -> Prepared:
+    """prepare(seg) for seg, the segment of `prep` moved by dx in x: prep's
+    box moved with it."""
+    lo_x, lo_y, hi_x, hi_y = prep[1]
+    return seg, (lo_x + dx, lo_y, hi_x + dx, hi_y)
 
 
 def segment_hits(segs: Sequence[Segment]) -> Iterator[Tuple[int, int, Intersection]]:
     """Every pair of segments that is not DISJOINT, as (i, j, intersect(...)).
 
-    A sweep in x over the segments' boxes, with integer keys that never
-    separate two segments that meet, hands each candidate pair to the
-    exact classifier.  Pairs come in sweep order, and j is the segment
-    that entered the sweep first.
+    A sweep in x over the segments' exact boxes, which never separate two
+    segments that meet, hands each candidate pair to the exact classifier.
+    Pairs come in sweep order, and j is the segment that entered the sweep
+    first.
     """
     return sweep_hits([prepare(s) for s in segs])
 
 
 def sweep_hits(prepared: Sequence[Prepared]) -> Iterator[Tuple[int, int, Intersection]]:
     """segment_hits on segments that are already prepared."""
-    boxes = [p[2] for p in prepared]
+    boxes = [p[1] for p in prepared]
     active: List[int] = []
     for i in sorted(range(len(prepared)), key=lambda k: boxes[k][0]):
         lo_x, lo_y, _, hi_y = boxes[i]
-        seg, form, _ = prepared[i]
+        seg = prepared[i][0]
         active = [j for j in active if boxes[j][2] >= lo_x]
         for j in active:
             box = boxes[j]
             if hi_y < box[1] or box[3] < lo_y:
                 continue
-            other, other_form, _ = prepared[j]
-            res = _classify(seg, form, other, other_form)
+            res = _classify(seg, prepared[j][0])
             if res.kind is not IntersectKind.DISJOINT:
                 yield i, j, res
         active.append(i)
@@ -396,20 +346,19 @@ def hits_across(
     """
     if not new:
         return
-    hull_lo_x = min(p[2][0] for p in new)
-    hull_lo_y = min(p[2][1] for p in new)
-    hull_hi_x = max(p[2][2] for p in new)
-    hull_hi_y = max(p[2][3] for p in new)
-    for j, (other, other_form, (lo_x, lo_y, hi_x, hi_y)) in enumerate(old):
+    hull_lo_x = min(p[1][0] for p in new)
+    hull_lo_y = min(p[1][1] for p in new)
+    hull_hi_x = max(p[1][2] for p in new)
+    hull_hi_y = max(p[1][3] for p in new)
+    for j, (other, (lo_x, lo_y, hi_x, hi_y)) in enumerate(old):
         if hi_x < hull_lo_x or hull_hi_x < lo_x or hi_y < hull_lo_y or hull_hi_y < lo_y:
             continue
-        for i, (seg, form, box) in enumerate(new):
+        for i, (seg, box) in enumerate(new):
             if hi_x < box[0] or box[2] < lo_x or hi_y < box[1] or box[3] < lo_y:
                 continue
-            res = _classify(seg, form, other, other_form)
+            res = _classify(seg, other)
             if res.kind is not IntersectKind.DISJOINT:
                 yield i, j, res
-
 
 # ---------------------------------------------------------------------------
 # Angles.  Directions on canonical slopes have octant indices 0..7 counting
@@ -440,36 +389,21 @@ def octant(d: Direction) -> Optional[int]:
 
 
 def prepared_octant(prep: Prepared) -> Optional[int]:
-    """octant of a prepared segment's direction, read off its integer form."""
-    _, ax, ay, bx, by = prep[1]
+    """octant of a prepared segment's direction, read off its coordinates."""
+    (ax, ay), (bx, by) = prep[0]
     dx, dy = bx - ax, by - ay
     if dx and dy and dx != dy and dx != -dy:
         return None
     return _OCTANTS[((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))]
 
 
-def angular_compare(d1: Direction, d2: Direction) -> int:
-    """Exact counterclockwise angular order from east: -1, 0, or 1."""
-    h1, h2 = _half_turn(d1), _half_turn(d2)
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    c = cross(d1, d2)
-    return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
-def _half_turn(d: Direction) -> int:
-    dx, dy = d
-    return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-
 def angle_key(d: Direction) -> Tuple[int, Coord]:
-    """An exact sort key that orders non-zero directions as angular_compare
-    does: the quarter turn [k*pi/2, (k+1)*pi/2) holding d, counting
+    """An exact sort key that orders non-zero directions counterclockwise
+    from east: the quarter turn [k*pi/2, (k+1)*pi/2) holding d, counting
     counterclockwise from east, then the tangent of d's angle past the
     quarter's start, which grows with the angle.  Two directions get equal
     keys exactly when they lie on one ray.  The zero vector is no ray, and
-    sorts after every ray: angular_compare ranks it after the first half
-    turn and level with the whole second one, which no order can match."""
+    sorts after every ray."""
     dx, dy = d
     if dx > 0 and dy >= 0:
         return 0, _ratio(dy, dx)
@@ -495,23 +429,21 @@ def sort_directions_ccw(dirs: list) -> list:
     return sorted(dirs, key=angle_key)
 
 
-def _directed_gap_at_least(d1: Direction, d2: Direction, eighths: int) -> bool:
-    """Counterclockwise gap from d1 to d2 is >= eighths*pi/4 (eighths in 1..4)."""
+def _gap_eighths(d1: Direction, d2: Direction) -> Optional[int]:
+    """Largest k in 0..4 such that the counterclockwise gap from ray d1 to
+    ray d2 is >= k*pi/4; None when the two rays coincide."""
     c = cross(d1, d2)
     d = dot(d1, d2)
     if c == 0:
-        return d < 0  # gap exactly pi covers any threshold up to 4
-    if c > 0:
-        # gap in (0, pi)
-        if eighths == 4:
-            return False
-        if eighths == 1:
-            return d <= 0 or c >= d
-        if eighths == 2:
-            return d <= 0
-        return d < 0 and c <= -d
-    # c < 0: gap in (pi, 2pi), exceeds every threshold up to pi
-    return True
+        return 4 if d < 0 else None
+    if c < 0:
+        return 4  # gap in (pi, 2pi)
+    # gap in (0, pi); c and d are its sine and cosine times |d1| |d2|.
+    if d < 0 and c <= -d:
+        return 3
+    if d <= 0:
+        return 2
+    return 1 if c >= d else 0
 
 
 def min_angle_eighths_lower_bound(dirs: list) -> Optional[int]:
@@ -520,25 +452,16 @@ def min_angle_eighths_lower_bound(dirs: list) -> Optional[int]:
     Directions are taken as rays around a common point.  A zero direction
     is no ray (a point where an edge ends has no ray along that edge) and
     is ignored.  Returns None when two rays coincide (zero angle, i.e.
-    overlapping segments).  The tests run on integer vectors: a positive
-    scale keeps every sign they read.
+    overlapping segments).  The signs the gaps are read from are exact on
+    any rational input.
     """
-    rays = [_cleared(d) for d in dirs if d[0] or d[1]]
-    n = len(rays)
-    if n < 2:
+    rays = sort_directions_ccw([d for d in dirs if d[0] or d[1]])
+    if len(rays) < 2:
         return 4
-    ordered = sort_directions_ccw(rays)
     best = 4
-    for i in range(n):
-        d1 = ordered[i]
-        d2 = ordered[(i + 1) % n]
-        if cross(d1, d2) == 0 and dot(d1, d2) > 0:
+    for d1, d2 in zip(rays, rays[1:] + rays[:1]):
+        k = _gap_eighths(d1, d2)
+        if k is None:
             return None
-        k = 0
-        for cand in (1, 2, 3, 4):
-            if _directed_gap_at_least(d1, d2, cand):
-                k = cand
-            else:
-                break
         best = min(best, k)
     return best

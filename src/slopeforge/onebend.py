@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .drawing import PolylineDrawing, finished_polylines, join_fragments
+from .drawing import PolylineDrawing, finished_polylines, improper_hits, join_fragments
 from .geometry import (
     Coord,
-    IntersectKind,
     Intersection,
     Point,
     Prepared,
@@ -102,16 +101,17 @@ class Gamma:
 
     Every coordinate Gamma stores is an int: the true value times `unit`,
     one denominator for the whole drawing, which starts at 1.  That covers
-    the positions, the polylines and each record's prepared segments
-    (prepared with `unit`, so their sweep boxes hold the true values).  The
-    four slopes meet at rational points, so a new point or a stretch amount
-    can fall off this grid: the drawer computes it exactly, in Gamma's
-    units, and writes it through `grid_ints` or `on_grid`, which first
-    rescale every stored int by the missing factor.  Only the constants
-    tied to length scale with `unit`; every check is homogeneous in the
-    coordinates and reads them as they are.  `unscaled` gives the true
-    point, for the output, the step trace and messages.  The placed
-    vertices are the keys of `pos`.
+    the positions, the polylines and each record's prepared segments, with
+    their boxes.  The four slopes meet at rational points, so a new point
+    or a stretch amount can fall off this grid: the drawer computes it
+    exactly, in Gamma's units, and writes it through `grid_ints` or
+    `on_grid`, which first rescale every stored int by the missing factor;
+    a placement is put on the grid before its blockers are sought, so the
+    segment queries only ever see ints.  Only the constants tied to length
+    scale with `unit`; every check is homogeneous in the coordinates and
+    reads them as they are.  `unscaled` gives the true point, for the
+    output, the step trace and messages.  The placed vertices are the keys
+    of `pos`.
 
     `_index` holds a record per drawn edge (see EdgeRecord), the drawer's
     one per-edge cache.  Its invariant: a record is written with its
@@ -121,8 +121,10 @@ class Gamma:
     Fraysseix, Pach and Pollack, Combinatorica 1990), installs through
     `redraw` the record it carried, a split edge's shape reversed when it
     is redrawn from its other end and a translated edge's prepared
-    segments shifted (see stretch); a rescale scales both.  Ports, bends,
-    horizontal segments and the P1 to P4 tests read the shapes.
+    segments and boxes shifted (see stretch); `_scale` multiplies the
+    segments and the boxes by its factor with every other coordinate.
+    Ports, bends, horizontal segments and the P1 to P4 tests read the
+    shapes.
 
     `draw` also keeps the set of the drawn edges other than the base edge
     that have a horizontal segment; a stretch keeps every shape, and so
@@ -167,16 +169,15 @@ class Gamma:
         return [Point(x, y) for x, y in zip(flat[::2], flat[1::2])]
 
     def _scale(self, k: int) -> None:
-        """Hold the drawing over unit * k instead: every stored int is
-        multiplied by k.  The records stay current; their sweep boxes hold
-        the true values, which stay."""
+        """Hold the drawing over unit * k instead: every stored int, the
+        records' boxes included, is multiplied by k."""
         pos, index = self.pos, self._index
         for v, p in pos.items():
             pos[v] = Point(p.x * k, p.y * k)
         for e, pts in self.polylines.items():
             new = [Point(p.x * k, p.y * k) for p in pts]
             rec = index[e]
-            segs = [(Segment(p, q), (1, p.x, p.y, q.x, q.y), s[2])
+            segs = [(Segment(p, q), tuple(c * k for c in s[1]))
                     for s, p, q in zip(rec.segs, new, new[1:])]
             self.redraw(e, new, EdgeRecord(segs, rec.shape, rec.start))
         self.unit *= k
@@ -190,7 +191,7 @@ class Gamma:
     def draw(self, e: str, pts: List[Point]) -> None:
         """Draw edge e along pts, with the record built from them; both ends
         of e are placed."""
-        segs = [prepare(Segment(p, q), self.unit) for p, q in zip(pts, pts[1:])]
+        segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
         a, b = self.plane.edges[e]
         start = a if pts[0] == self.pos.get(a) else b
         self.redraw(e, pts, EdgeRecord(segs, tuple(map(prepared_octant, segs)), start))
@@ -532,7 +533,7 @@ def stretch(g: Gamma, left: Set[str], delta: Coord) -> int:
             start, pts, shape = g.plane.other_end(e, start), pts[::-1], _reversed_shape(shape)
         k = shape.index(_E)
         pts = pts[: k + 1] + [Point(p.x + delta, p.y) for p in pts[k + 1 :]]
-        segs = [prepare(Segment(p, q), g.unit) for p, q in zip(pts, pts[1:])]
+        segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
         g.redraw(e, pts, EdgeRecord(segs, shape, start))
     _translate(g, left, delta)
     g.draw(g.base_edge, [g.pos[g.v1], Point(low_x, low_y), g.pos[g.v2]])
@@ -544,7 +545,7 @@ def _translate(g: Gamma, left: Set[str], delta: int) -> None:
     in it, by delta in x, with their records."""
     edges, index, polylines = g.plane.edges, g._index, g.polylines
     moved = [e for e in polylines if edges[e][0] not in left and edges[e][1] not in left]
-    pos, unit = g.pos, g.unit
+    pos = g.pos
     for v, p in pos.items():
         if v not in left:
             pos[v] = Point(p.x + delta, p.y)
@@ -552,7 +553,7 @@ def _translate(g: Gamma, left: Set[str], delta: int) -> None:
         rec = index[e]
         pts = [pos[rec.start]] + [Point(p.x + delta, p.y) for p in polylines[e][1:-1]]
         pts.append(pos[g.plane.other_end(e, rec.start)])
-        segs = [prepare_shifted(s, Segment(p, q), delta, unit)
+        segs = [prepare_shifted(s, Segment(p, q), delta)
                 for s, p, q in zip(rec.segs, pts, pts[1:])]
         g.redraw(e, pts, EdgeRecord(segs, rec.shape, rec.start))
 
@@ -650,7 +651,7 @@ def _blockers(
     labels, drawn = g.indexed()
     excused = [{s.a, s.b} & allowed_points for s in new_segments]
     blocked = set()
-    for i, j, res in hits_across([prepare(s, g.unit) for s in new_segments], drawn):
+    for i, j, res in hits_across([prepare(s) for s in new_segments], drawn):
         if res.point not in excused[i]:
             blocked.add(j)
     return [(labels[j], drawn[j][0]) for j in sorted(blocked)]
@@ -853,6 +854,8 @@ class OneBendDrawer:
                 arrivals.add(o)
             if clash:
                 return False
+            # The segment queries run on ints: the apex goes on the grid.
+            apex = g.on_grid([apex])[0]
             plans = [pl, pr] + plans_m
             polys = self._connection_polylines(apex, plans)
             segs = [Segment(p[i], p[i + 1]) for p in polys.values() for i in range(len(p) - 1)]
@@ -990,10 +993,10 @@ class OneBendDrawer:
         return out
 
     def _commit(self, v, apex: Point, plans: List[Plan]) -> None:
-        """Place v at apex, exact in g's units, and draw its connections
-        along plans, the left one first and the right one second."""
+        """Place v at apex, an int point in g's units, and draw its
+        connections along plans, the left one first and the right one
+        second."""
         g = self.g
-        apex = g.on_grid([apex])[0]
         g.pos[v] = apex
         for e, pts in self._connection_polylines(apex, plans).items():
             g.draw(e, pts)
@@ -1106,12 +1109,14 @@ class OneBendDrawer:
             x_hi = q2.x - (span / 4 if elbow_r else 0)
             step = (x_hi - x_lo) / (l - 1) if l > 1 else 0
             positions = [Point(x_lo + step * k, y_b) for k in range(l)]
+            # The segment queries run on ints: the chain goes on the grid.
+            q1, q2, *positions = g.on_grid([q1, q2] + positions)
             polys = polylines(q1, q2, positions)
             segs = [Segment(p[i], p[i + 1]) for p in polys.values() for i in range(len(p) - 1)]
             allowed = {g.pos[pl.anchor], g.pos[pr.anchor]}
             blockers = _blockers(g, segs, allowed)
             if blockers:
-                mid = Point((q1.x + q2.x) / 2, y_b)
+                mid = Point(quotient(q1.x + q2.x, 2), q1.y)
                 block = blockers[0][1]
                 sig = (true(block.a), true(block.b), true(mid))
                 if sig == last_sig:
@@ -1120,10 +1125,9 @@ class OneBendDrawer:
                 if not self._resolve_blocker(pl, pr, blockers[0], mid):
                     return False
                 continue
-            q1, q2, *positions = g.on_grid([q1, q2] + positions)
             for k, z in enumerate(members):
                 g.pos[z] = positions[k]
-            for e, pts in polylines(q1, q2, positions).items():
+            for e, pts in polys.items():
                 g.draw(e, pts)
             self._replace_contour(pl.anchor, pr.anchor, members)
             return True
@@ -1420,38 +1424,22 @@ def _check_simple(g: Gamma) -> List[str]:
     return _improper_pairs(g, labels, sweep_hits(prepared))
 
 
-def _improper(g: Gamma, e1: str, e2: str, res: Intersection) -> bool:
-    """Whether a meeting res of a segment of e1 and one of e2 is improper:
-    anything but consecutive segments of one edge, or a common end vertex."""
-    if res.kind is not IntersectKind.SHARED_ENDPOINT:
-        return True
-    if e1 == e2:
-        return False
-    common = set(g.plane.edges[e1]) & set(g.plane.edges[e2])
-    return not any(g.pos.get(vv) == res.point for vv in common)
-
-
 def _improper_pairs(
     g: Gamma, labels: List[str], hits: Iterable[Tuple[int, int, Intersection]]
 ) -> List[str]:
     """The first improper intersection among `hits`, meetings of segments
-    i and j, of the edges labels[i] and labels[j], in sweep order; then
+    i and j, of the edges labels[i] and labels[j], in sweep order; else
     vertex coincidence."""
-    out = []
-    for i, j, res in hits:
-        e1, e2 = labels[i], labels[j]
-        if _improper(g, e1, e2, res):
-            out.append(f"simple: {e1} and {e2} intersect improperly ({res.kind.value})")
-            return out
+    for i, j, res in improper_hits(hits, labels, g.plane.edges, g.pos):
+        return [f"simple: {labels[i]} and {labels[j]} intersect improperly ({res.kind.value})"]
     seen_pos: Dict[Tuple[int, int], str] = {}
     for v in sorted(g.pos):
         p = g.pos[v]
         at = (p.x, p.y)
         if at in seen_pos:
-            out.append(f"simple: vertices {seen_pos[at]} and {v} coincide at {g.unscaled(p)}")
-            break
+            return [f"simple: vertices {seen_pos[at]} and {v} coincide at {g.unscaled(p)}"]
         seen_pos[at] = v
-    return out
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,6 @@ class CanonicalOrdering:
     v1: str
     v2: str
 
-    def vertex_order(self) -> List[str]:
-        return [v for s in self.sets for v in s.vertices]
-
 
 @dataclass
 class StOrdering:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from . import graphutil
-from .drawing import PolylineDrawing, finished_polylines
-from .geometry import IntersectKind, Point, Segment, quotient, segment_hits
+from .drawing import PolylineDrawing, finished_polylines, improper_hits
+from .geometry import Point, Segment, quotient, segment_hits
 from .model import Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, cyclic_key
 from .ordering import StOrdering, st_order
 from .reembed import normalize_embedding
@@ -402,26 +402,18 @@ def check_invariants(d: OrthoDrawing) -> List[str]:
 
 
 def _planarity_problems(d: OrthoDrawing) -> List[str]:
-    segs: List[Tuple[str, int, Segment]] = []
+    labels: List[str] = []
+    segs: List[Segment] = []
     for eid in sorted(d.edges):
         pts = d.edges[eid].points
-        for i in range(len(pts) - 1):
-            segs.append((eid, i, Segment(pts[i], pts[i + 1])))
-    hits = sorted(
-        (min(i, j), max(i, j), res) for i, j, res in segment_hits([s for _, _, s in segs])
-    )
-    problems = []
-    for i, j, res in hits:
-        (e1, i1, _), (e2, i2, _) = segs[i], segs[j]
-        if e1 == e2 and abs(i1 - i2) == 1 and res.kind is IntersectKind.SHARED_ENDPOINT:
-            continue
-        if e1 != e2 and res.kind is IntersectKind.SHARED_ENDPOINT:
-            ea, eb = d.edges[e1], d.edges[e2]
-            shared = {ea.tail, ea.head} & {eb.tail, eb.head}
-            if any(d.pos[v] == res.point for v in shared):
-                continue
-        problems.append(f"I1: {e1} and {e2} intersect ({res.kind.value})")
-    return problems
+        segs += [Segment(p, q) for p, q in zip(pts, pts[1:])]
+        labels += [eid] * (len(pts) - 1)
+    ends = {eid: (e.tail, e.head) for eid, e in d.edges.items()}
+    hits = improper_hits(segment_hits(segs), labels, ends, d.pos)
+    return [
+        f"I1: {labels[i]} and {labels[j]} intersect ({res.kind.value})"
+        for i, j, res in sorted((min(i, j), max(i, j), res) for i, j, res in hits)
+    ]
 
 
 # ---------------------------------------------------------------------------

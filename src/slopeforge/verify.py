@@ -29,7 +29,6 @@ from .geometry import (
     SlopeKind,
     CANONICAL_SLOPES,
     angle_key,
-    angular_compare,
     bend_count,
     cross,
     min_angle_eighths_lower_bound,
@@ -408,7 +407,7 @@ def _outer_face_darts(
     _, back, ahead = _locate(polylines[e], polylines[e][k])
     # Walk through the bend arriving along the low-angle ray: the tail is the
     # end on that side, so the unbounded region lies left of the dart.
-    tail = first if angular_compare(back, ahead) <= 0 else second
+    tail = first if angle_key(back) <= angle_key(ahead) else second
     return plane.trace_face((piece, tail)).darts
 
 

@@ -30,7 +30,11 @@ require it to equal the span the drawer records when it commits the step.
 count_dummy_cutvertices and verify_canonical check the normalizer's and
 the canonical ordering's contracts directly: the dummies among the
 planarization's cutvertices, and conditions (i) to (v) on every prefix
-graph.
+graph.  vertex_order lists an ordering's vertices set by set.
+
+angular_compare is the comparator that once sorted rays: the half turn,
+then the sign of one cross product.  The tests require geometry.angle_key
+to order every pair of directions as it does.
 
 stretch_by_fractions is the 1-bend stretch on true Fraction coordinates,
 read off the polylines.  The tests require onebend.stretch, which works on
@@ -78,6 +82,7 @@ from slopeforge.geometry import (
     Point,
     Segment,
     SlopeKind,
+    cross,
     min_angle_eighths_lower_bound,
     octant,
     on_segment,
@@ -1007,6 +1012,10 @@ def canonical_order_by_retracing(plane: PlaneGraph, v1: str, v2: str) -> Canonic
                              v1=v1, v2=v2)
 
 
+def vertex_order(ordering: CanonicalOrdering) -> List[str]:
+    return [v for s in ordering.sets for v in s.vertices]
+
+
 def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bool, List[str]]:
     """Check conditions (i)-(v) directly on every prefix graph.
 
@@ -1026,7 +1035,7 @@ def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bo
     adj_full = plane.adjacency()
     if v2 not in adj_full[v1]:
         problems.append("(i) (v1, v2) is not an edge")
-    order = ordering.vertex_order()
+    order = vertex_order(ordering)
     if sorted(order) != sorted(plane.vertices):
         problems.append("partition does not cover the vertex set exactly")
         return False, problems
@@ -1141,6 +1150,25 @@ class InvariantRounds:
             and (plane.is_dummy(e.tail) or plane.is_dummy(e.head))
         ]
         return d
+
+
+# ---------------------------------------------------------------------------
+# The angular order by comparison
+# ---------------------------------------------------------------------------
+
+
+def angular_compare(d1: Direction, d2: Direction) -> int:
+    """Exact counterclockwise angular order from east: -1, 0, or 1."""
+    h1, h2 = _half_turn(d1), _half_turn(d2)
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    c = cross(d1, d2)
+    return 0 if c == 0 else (-1 if c > 0 else 1)
+
+
+def _half_turn(d: Direction) -> int:
+    dx, dy = d
+    return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -269,8 +269,6 @@ class TestAcceptance:
     def test_8_determinism(self):
         """Identical input and seed give byte-identical graph, drawing, and
         SVG outputs across two runs."""
-        for run in ("a", "b"):
-            pass
         g1 = gen_corpus(seed=42, n_target=18, profile="cubic3con", count=1)[0]
         g2 = gen_corpus(seed=42, n_target=18, profile="cubic3con", count=1)[0]
         assert dumps(graph_to_doc(g1)) == dumps(graph_to_doc(g2))

@@ -19,10 +19,8 @@ from slopeforge.geometry import (
     Point,
     Segment,
     SlopeKind,
-    _directed_gap_at_least,
-    _ints,
+    _gap_eighths,
     angle_key,
-    angular_compare,
     cross,
     dot,
     hits_across,
@@ -36,6 +34,7 @@ from slopeforge.geometry import (
     prepare_shifted,
     prepared_octant,
     primitive,
+    quotient,
     slope_of,
     sort_directions_ccw,
     strip_collinear,
@@ -43,6 +42,7 @@ from slopeforge.geometry import (
 )
 
 from builders import point, shifted
+from oracles import angular_compare
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +350,19 @@ def _kernel_pair(rng):
 class TestIntegerKernel:
     def test_matches_fractions_on_random_pairs(self):
         rng = random.Random(31)
-        kinds, same_l, other_l = set(), 0, 0
+        kinds = set()
         for _ in range(1000):
             s1, s2 = _kernel_pair(rng)
-            kinds.add(_check_against_fractions(s1, s2).kind)
-            if _ints(s1)[0] == _ints(s2)[0]:
-                same_l += 1
-            else:
-                other_l += 1
+            res = _check_against_fractions(s1, s2)
+            kinds.add(res.kind)
+            # The same pair on ints, times the lcm of its denominators.
+            scale = math.lcm(*(c.denominator for s in (s1, s2) for p in s for c in p))
+            on_ints = [Segment(*(Point(int(p.x * scale), int(p.y * scale)) for p in s)) for s in (s1, s2)]
+            got = intersect(*on_ints)
+            assert got.kind == res.kind
+            if res.point is not None:
+                assert got.point == Point(res.point.x * scale, res.point.y * scale)
         assert kinds == set(IntersectKind)
-        assert same_l >= 100 and other_l >= 100
 
     def test_matches_fractions_beyond_float_range(self):
         big = 2 ** 1100
@@ -416,27 +419,29 @@ class TestIntegerKernel:
 
 class TestPrepareShifted:
     def test_equals_prepare_on_the_moved_segment(self):
-        """Shifting a prepared int segment by an int dx gives what prepare
-        builds on the moved coordinates at the same unit, whose box holds
-        the true values: coordinates over the unit, which may not divide
-        them, so that the box corners fall inside grid cells too."""
+        """Shifting a prepared segment by dx gives what prepare builds on
+        the moved coordinates, whose box is exact: on ints, as the 1-bend
+        drawing holds them, and on Fractions."""
         rng = random.Random(33)
-        off_grid = 0
+        fractions = 0
         for _ in range(2000):
-            unit = rng.choice(_DENOMINATORS)
-            a, b = (Point(rng.randint(-8 * unit, 8 * unit), rng.randint(-8 * unit, 8 * unit))
-                    for _ in range(2))
+            den = rng.choice(_DENOMINATORS) if rng.random() < 0.5 else 1
+
+            def coord():
+                return quotient(rng.randint(-8 * den, 8 * den), den)
+
+            a, b = Point(coord(), coord()), Point(coord(), coord())
             if a == b:
                 continue
             s = Segment(a, b)
-            dx = rng.randint(-8 * unit, 8 * unit)
+            dx = coord()
             moved = Segment(Point(s.a.x + dx, s.a.y), Point(s.b.x + dx, s.b.y))
-            shifted = prepare_shifted(prepare(s, unit), moved, dx, unit)
-            assert shifted == prepare(moved, unit)
-            assert shifted[2] == prepare(Segment(*(P(Fraction(p.x, unit), Fraction(p.y, unit))
-                                                  for p in (moved.a, moved.b))))[2]
-            off_grid += any((c << 16) % unit for p in (moved.a, moved.b) for c in (p.x, p.y))
-        assert off_grid >= 1000
+            shifted = prepare_shifted(prepare(s), moved, dx)
+            assert shifted == prepare(moved)
+            assert shifted[1] == (min(moved.a.x, moved.b.x), min(moved.a.y, moved.b.y),
+                                  max(moved.a.x, moved.b.x), max(moved.a.y, moved.b.y))
+            fractions += any(type(c) is not int for p in moved for c in p)
+        assert fractions >= 500
 
     def test_octant_of_a_prepared_segment(self):
         for dx in range(-3, 4):
@@ -473,7 +478,7 @@ class TestAngles:
             for d2 in dirs:
                 if cross(d1, d2) > 0:
                     for k in (1, 2, 3, 4):
-                        assert _directed_gap_at_least(d1, d2, k) == angle_at_least(d1, d2, k), (d1, d2, k)
+                        assert (_gap_eighths(d1, d2) >= k) == angle_at_least(d1, d2, k), (d1, d2, k)
                     checked += 1
         assert checked > 500
 
@@ -612,12 +617,11 @@ def min_angle_by_fractions(dirs):
         d2 = ordered[(i + 1) % n]
         if cross(d1, d2) == 0 and dot(d1, d2) > 0:
             return None
-        k = 0
-        for cand in (1, 2, 3, 4):
-            if _directed_gap_at_least(d1, d2, cand):
-                k = cand
-            else:
-                break
+        # A gap of pi or more clears every threshold; a smaller one is the
+        # undirected angle.
+        k = 4
+        if cross(d1, d2) > 0:
+            k = max(k for k in range(4) if k == 0 or angle_at_least(d1, d2, k))
         best = min(best, k)
     return best
 
@@ -765,6 +769,8 @@ class TestSegmentHits:
             assert {k: r.kind for k, r in hits.items()} == {k: r.kind for k, r in _swept_hits(segs).items()}
 
     def test_finer_than_the_box_grid(self):
+        """Segments 2**-20 apart, finer than the 2**-16 grid the sweep
+        boxes were once floored to, are told apart."""
         eps = Fraction(1, 2 ** 20)
         base = S(0, 0, 1, 0)
         touching = Segment(P(Fraction(1, 2), 0), P(Fraction(1, 2), 1))
@@ -777,7 +783,7 @@ class TestSegmentHits:
 
     def test_hits_across_matches_brute_force(self):
         """A few new segments against the rest, the soup's near misses and
-        the box grid's finest case included."""
+        the 2**-20 case of test_finer_than_the_box_grid included."""
         rng = random.Random(24)
         eps = Fraction(1, 2 ** 20)
         fine = [S(0, 0, 1, 0), Segment(P(Fraction(1, 2), 0), P(Fraction(1, 2), 1)),

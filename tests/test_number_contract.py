@@ -264,8 +264,6 @@ DIVISIONS = {
         "span is a Fraction: the baseline y_b adds Fraction(g.unit, 2) or half of a Fraction",
     ("onebend.py", "_try_place_chain", "(x_hi - x_lo) / (l - 1)"):
         "x_lo is a Fraction: q1 sits on the Fraction baseline y_b",
-    ("onebend.py", "_try_place_chain", "(q1.x + q2.x) / 2"):
-        "q1.x is a Fraction: q1 sits on the Fraction baseline y_b",
 }
 
 

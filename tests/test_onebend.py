@@ -150,7 +150,7 @@ def blockers_by_sweep(g, new_segments, allowed_points):
     drawn = rebuilt_segments(g)
     segs = [s for _, s in drawn] + new_segments
     blocked = set()
-    for i, j, res in sweep_hits([prepare(s, g.unit) for s in segs]):
+    for i, j, res in sweep_hits([prepare(s) for s in segs]):
         old, new = min(i, j), max(i, j)
         if new < len(drawn) or old >= len(drawn):
             continue
@@ -167,13 +167,13 @@ def assert_index_is_fresh(g):
     lists, the ports at every placed vertex and the horizontal-bearing
     edges."""
     for e, pts in g.polylines.items():
-        segs = [prepare(Segment(p, q), g.unit) for p, q in zip(pts, pts[1:])]
+        segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
         rec = g._index[e]
         assert (rec.segs, rec.shape) == (segs, shape_by_points(pts)), e
         assert pts[0] == g.pos[rec.start], e
         assert pts[-1] == g.pos[g.plane.other_end(e, rec.start)], e
     drawn = rebuilt_segments(g)
-    assert g.indexed() == ([e for e, _ in drawn], [prepare(s, g.unit) for _, s in drawn])
+    assert g.indexed() == ([e for e, _ in drawn], [prepare(s) for _, s in drawn])
     for v in g.pos:
         assert g.port_dirs(v) == port_dirs_by_points(g, v), v
     assert g.horizontal_edges() == horizontal_edges_by_points(g)
@@ -308,8 +308,9 @@ class TestRescale:
 
     def test_stretches_off_the_grid_match_the_fraction_reference(self):
         """Stretched by 1/3, then 1/2, then 2/7, the int drawing rescales
-        and keeps the points, shapes and boxes that Fraction coordinates
-        give; every record is current and every coordinate an int."""
+        and keeps the points, shapes and boxes (in its units) that Fraction
+        coordinates give; every record is current and every coordinate an
+        int."""
         g = self._drawing()
         pos = {v: g.unscaled(p) for v, p in g.pos.items()}
         lines = {e: [g.unscaled(p) for p in pts] for e, pts in g.polylines.items()}
@@ -326,7 +327,8 @@ class TestRescale:
             for e, pts in lines.items():
                 rec = g._index[e]
                 assert rec.shape == shape_by_points(pts), e
-                assert [s[2] for s in rec.segs] == [prepare(Segment(p, q))[2] for p, q in zip(pts, pts[1:])]
+                assert [s[1] for s in rec.segs] == [tuple(c * g.unit for c in prepare(Segment(p, q))[1])
+                                                    for p, q in zip(pts, pts[1:])]
             assert_index_is_fresh(g)
             assert all(type(c) is int for p in g.pos.values() for c in (p.x, p.y))
         # The low point lies half of v2's x right of v1: 1/3 and then the low
@@ -857,9 +859,9 @@ class TestSegmentIndex:
         prepared = []
         stretches = 0
 
-        def counted_prepare(seg, unit):
+        def counted_prepare(seg):
             prepared.append(seg)
-            return real_prepare(seg, unit)
+            return real_prepare(seg)
 
         monkeypatch.setattr(onebend, "prepare", counted_prepare)
         for drawer in _drawing_stages(gen_corpus(**TestStretchPlan.GRAPH)[0]):
@@ -1056,8 +1058,8 @@ class TestRepairBytes:
 class TestOneBendInts:
     def test_every_stored_coordinate_is_an_int_after_every_step(self, monkeypatch):
         """After every step of cubic3con draws, every coordinate in the
-        positions, the polylines and every edge record (its segments, their
-        integer forms and boxes) is an int, not a bool; after every draw,
+        positions, the polylines and every edge record (its segments and
+        their boxes) is an int, not a bool; after every draw,
         each record, the base edge's included, equals a rebuild."""
         real_post_step = OneBendDrawer._post_step
         real_draw = Gamma.draw
@@ -1075,8 +1077,8 @@ class TestOneBendInts:
             assert ints(c for p in g.pos.values() for c in (p.x, p.y))
             assert ints(c for pts in g.polylines.values() for p in pts for c in (p.x, p.y))
             for rec in g._index.values():
-                for seg, form, box in rec.segs:
-                    assert ints((seg.a.x, seg.a.y, seg.b.x, seg.b.y) + form + box)
+                for seg, box in rec.segs:
+                    assert ints((seg.a.x, seg.a.y, seg.b.x, seg.b.y) + box)
             return real_post_step(self, label)
 
         def checked_draw(g, e, pts):
