@@ -449,15 +449,25 @@ def _gap_eighths(d1: Direction, d2: Direction) -> Optional[int]:
 def min_angle_eighths_lower_bound(dirs: list) -> Optional[int]:
     """Largest k in 0..4 such that every consecutive angular gap >= k*pi/4.
 
-    Directions are taken as rays around a common point.  A zero direction
-    is no ray (a point where an edge ends has no ray along that edge) and
-    is ignored.  Returns None when two rays coincide (zero angle, i.e.
-    overlapping segments).  The signs the gaps are read from are exact on
-    any rational input.
+    Directions are taken as rays around a common point, in any order.  A
+    zero direction is no ray (a point where an edge ends has no ray along
+    that edge) and is ignored.  Returns None when two rays coincide (zero
+    angle, i.e. overlapping segments).  The signs the gaps are read from
+    are exact on any rational input.
     """
-    rays = sort_directions_ccw([d for d in dirs if d[0] or d[1]])
-    if len(rays) < 2:
+    return min_gap_eighths(sort_directions_ccw(dirs))
+
+
+def min_gap_eighths(rays: Sequence[Direction]) -> Optional[int]:
+    """min_angle_eighths_lower_bound of rays already in counterclockwise
+    order from the east, as angle_key sorts them: any zero directions
+    come last, and are dropped."""
+    n = len(rays)
+    while n and not (rays[n - 1][0] or rays[n - 1][1]):
+        n -= 1
+    if n < 2:
         return 4
+    rays = list(rays[:n])
     best = 4
     for d1, d2 in zip(rays, rays[1:] + rays[:1]):
         k = _gap_eighths(d1, d2)

@@ -23,6 +23,7 @@ once on the finished drawing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -113,22 +114,38 @@ class Gamma:
     output, the step trace and messages.  The placed vertices are the keys
     of `pos`.
 
-    `_index` holds a record per drawn edge (see EdgeRecord), the drawer's
-    one per-edge cache.  Its invariant: a record is written with its
-    polyline.  `draw` builds it from the points, each segment prepared,
-    each segment's octant (the shape) and the end vertex the polyline
-    starts at; a stretch, which keeps every shape (the shift lemma of de
-    Fraysseix, Pach and Pollack, Combinatorica 1990), installs through
-    `redraw` the record it carried, a split edge's shape reversed when it
-    is redrawn from its other end and a translated edge's prepared
-    segments and boxes shifted (see stretch); `_scale` multiplies the
-    segments and the boxes by its factor with every other coordinate.
-    Ports, bends, horizontal segments and the P1 to P4 tests read the
-    shapes.
+    `_index` holds a record per drawn edge (see EdgeRecord).  Its
+    invariant: a record is written with its polyline.  `draw` builds it
+    from the points, each segment prepared, each segment's octant (the
+    shape) and the end vertex the polyline starts at; a stretch, which
+    keeps every shape (the shift lemma of de Fraysseix, Pach and Pollack,
+    Combinatorica 1990), installs through `redraw` the record it carried,
+    a split edge's shape reversed when it is redrawn from its other end
+    and a translated edge's prepared segments and boxes shifted (see
+    stretch); `_scale` multiplies the segments and the boxes by its factor
+    with every other coordinate.  Ports, bends, horizontal segments and
+    the P1 to P4 tests read the shapes.
 
-    `draw` also keeps the set of the drawn edges other than the base edge
-    that have a horizontal segment; a stretch keeps every shape, and so
-    that set.
+    Since no stretch changes a shape and no edge is ever undrawn, what
+    depends only on which edges are drawn and on their shapes is kept as
+    the edges are drawn, and written only through `draw` and `redraw`:
+    - the unabsorbing ends: a pair (a, b) for each drawn edge other than
+      the base edge that has a horizontal segment, and so is cut by every
+      stretch, but no segment running east when read from its end a: a
+      stretch that keeps a and moves b cannot lengthen it (see
+      stretch_cut);
+    - the cut forest: the components of the placed vertices over the
+      drawn edges that no stretch cuts, all but the base edge and the
+      horizontal-bearing ones (`_comp` maps a vertex to its component's
+      label, `_members` a label to its vertices).  `draw` joins the two
+      components a new such edge connects.  A placed vertex that no
+      drawn edge reaches is a component of its own;
+    - the flat segment index: the drawn edges in order (`_edges`), their
+      segments in that order, prepared, the edge of each, and where each
+      edge's segments start (`_slot`).  `redraw` writes a record into its
+      edge's slot, which holds as many segments, so a stretch or a
+      rescale keeps the index current; a new edge first opens its slot
+      at its place in edge order, and the slots after it move.
     """
 
     plane: PlaneGraph
@@ -141,8 +158,20 @@ class Gamma:
     base_edge: str = field(init=False)  # the plane edge v1-v2
     _index: Dict[str, EdgeRecord] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _horizontal: Set[str] = field(
-        default_factory=set, init=False, repr=False, compare=False)
+    _unabsorbing: List[Tuple[str, str]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    _comp: Dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _members: Dict[str, List[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _edges: List[str] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    _labels: List[str] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    _flat: List[Prepared] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    _slot: Dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.base_edge = _edge_between(self.plane, self.v1, self.v2)
@@ -190,19 +219,67 @@ class Gamma:
 
     def draw(self, e: str, pts: List[Point]) -> None:
         """Draw edge e along pts, with the record built from them; both ends
-        of e are placed."""
+        of e are placed.  A new edge puts its ends in the cut forest, as
+        components of their own if they were not, and then, other than the
+        base edge, joins them, or, with a horizontal segment, enters the
+        unabsorbing ends where it cannot absorb."""
         segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
         a, b = self.plane.edges[e]
-        start = a if pts[0] == self.pos.get(a) else b
-        self.redraw(e, pts, EdgeRecord(segs, tuple(map(prepared_octant, segs)), start))
-        if e != self.base_edge and any(p.y == q.y for p, q in zip(pts, pts[1:])):
-            self._horizontal.add(e)
+        start, end = (a, b) if pts[0] == self.pos.get(a) else (b, a)
+        shape = tuple(map(prepared_octant, segs))
+        if e not in self._index:
+            for v in (a, b):
+                if v not in self._comp:
+                    self._comp[v] = v
+                    self._members[v] = [v]
+            if e != self.base_edge:
+                if any(p.y == q.y for p, q in zip(pts, pts[1:])):
+                    if _E not in shape:
+                        self._unabsorbing.append((start, end))
+                    if _W not in shape:
+                        self._unabsorbing.append((end, start))
+                else:
+                    self._join(start, end)
+        self.redraw(e, pts, EdgeRecord(segs, shape, start))
 
     def redraw(self, e: str, pts: List[Point], rec: EdgeRecord) -> None:
         """Draw e along pts, with rec, a record of pts of e's shape, as its
-        record: how a stretch installs the record it carried."""
+        record: how a stretch installs the record it carried.  rec's
+        segments go into e's slot of the flat index, which a new edge first
+        opens at its place in edge order."""
         self.polylines[e] = pts
         self._index[e] = rec
+        at = self._slot.get(e)
+        if at is None:
+            self._open_slot(e, rec.segs)
+        else:
+            self._flat[at : at + len(rec.segs)] = rec.segs
+
+    def _open_slot(self, e: str, segs: List[Prepared]) -> None:
+        """Insert the segments of new edge e into the flat index after those
+        of the edges before it, and move the slots of the edges after it."""
+        edges, slot, n = self._edges, self._slot, len(segs)
+        k = bisect.bisect(edges, e)
+        edges.insert(k, e)
+        at = slot[edges[k + 1]] if k + 1 < len(edges) else len(self._flat)
+        for f in itertools.islice(edges, k + 1, None):
+            slot[f] += n
+        slot[e] = at
+        self._labels[at:at] = [e] * n
+        self._flat[at:at] = segs
+
+    def _join(self, a: str, b: str) -> None:
+        """Merge the cut-forest components of a and b, relabelling the
+        smaller one."""
+        comp, members = self._comp, self._members
+        small, big = comp[a], comp[b]
+        if small == big:
+            return
+        if len(members[small]) > len(members[big]):
+            small, big = big, small
+        for v in members[small]:
+            comp[v] = big
+        members[big] += members.pop(small)
 
     def shape_from(self, e: str, v: str) -> Tuple[Optional[int], ...]:
         """The shape of drawn edge e read from its end v."""
@@ -216,20 +293,32 @@ class Gamma:
 
     def indexed(self) -> Tuple[List[str], List[Prepared]]:
         """The segments of the drawn edges in edge order, prepared, and the
-        edge of each."""
-        labels: List[str] = []
-        prepared: List[Prepared] = []
-        index = self._index
-        for e in self.drawn_edges():
-            segs = index[e].segs
-            prepared += segs
-            labels += [e] * len(segs)
-        return labels, prepared
+        edge of each: the lists Gamma keeps, not copies."""
+        return self._labels, self._flat
 
-    def horizontal_edges(self) -> Set[str]:
-        """The drawn edges other than the base edge that have a horizontal
-        segment; the set Gamma keeps, not a copy."""
-        return self._horizontal
+    def component(self, v: str) -> str:
+        """The label of placed vertex v's component in the cut forest."""
+        return self._comp.get(v, v)
+
+    def cut_components(self) -> Tuple[Dict[str, str], Dict[str, List[str]]]:
+        """The cut forest's components as a map from each placed vertex to
+        its component's label and one from each label to its vertices: new
+        dicts, but the vertex lists are the ones Gamma keeps, so a caller
+        that merges components must build new lists."""
+        root, members = dict(self._comp), dict(self._members)
+        if len(root) < len(self.pos):  # a placed vertex with no drawn edge
+            for v in self.pos:
+                if v not in root:
+                    root[v] = v
+                    members[v] = [v]
+        return root, members
+
+    def unabsorbing_ends(self) -> List[Tuple[str, str]]:
+        """The ends (a, b) of each drawn edge other than the base edge that
+        has a horizontal segment but none running east read from a, so
+        that a stretch keeping a and moving b cannot lengthen it.  The list
+        Gamma keeps, not a copy."""
+        return self._unabsorbing
 
     def port_dirs(self, v: str) -> Dict[str, str]:
         """Drawn edge id -> port name at v."""
@@ -382,31 +471,6 @@ def _edge_between(plane: PlaneGraph, a: str, b: str) -> str:
     raise OneBendError(f"no planarization edge between {a} and {b}")
 
 
-def _find(parent: Dict[str, str], v: str) -> str:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
-def _union(parent: Dict[str, str], a: str, b: str) -> None:
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[ra] = rb
-
-
-def _cut_forest(g: Gamma, cut: Set[str]) -> Dict[str, str]:
-    """Union-find forest of the placed vertices over the drawn edges that a
-    stretch does not cut: all but the base edge and the edges in `cut`, a
-    set of horizontal-bearing edges."""
-    base = g.base_edge
-    parent = {v: v for v in g.pos}
-    for e in g.polylines:
-        if e != base and e not in cut:
-            _union(parent, *g.plane.edges[e])
-    return parent
-
-
 def _split_edges(g: Gamma, left: Set[str]) -> List[str]:
     """Drawn edges other than the base edge with exactly one end in `left`."""
     base = g.base_edge
@@ -422,15 +486,18 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     """The placed vertices that a stretch just right of left_anchor keeps in
     place; the drawing is not changed.
 
-    The cut graph drops the base edge and every horizontal-bearing
-    edge; the stationary side is the union of the
-    components of the contour prefix ending at left_anchor's component (the
-    stretch curve leaves the contour through the gap after it).  A split
-    edge absorbs the motion at its first horizontal segment running
-    rightward from its stationary end; edges without one are made rigid,
-    joining the components of their ends, and the cut is redone.  Each
-    round makes at least one more edge rigid, and rigid edges are never
-    split, so the loop ends with every split edge able to absorb.  Raises
+    The cut graph drops the base edge and every horizontal-bearing edge;
+    its components are the cut forest Gamma keeps as edges are drawn, and
+    each call starts from a copy of them.  The stationary side is the
+    union of the components of the contour prefix ending at left_anchor's
+    component (the stretch curve leaves the contour through the gap after
+    it).  A split edge absorbs the motion at its first horizontal segment
+    running rightward from its stationary end; edges without one are made
+    rigid, joining the components of their ends, and the cut is redone.
+    Whether an edge has one from a given end is fixed by its shape, so
+    Gamma keeps the ends it has none from (`unabsorbing_ends`).  Each round
+    makes at least one more edge rigid, and rigid edges are never split, so
+    the loop ends with every split edge able to absorb.  Raises
     OneBendError when the right base vertex would stay.
 
     Such a cut makes a stretch safe: it runs down from the contour gap
@@ -445,15 +512,11 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
     lies left of everything moving along the contour; and the base edge is
     redrawn.  The full check after the final vertex sweeps every pair.
     """
-    hor = g.horizontal_edges()
-    parent = _cut_forest(g, hor)
-    # The components and their vertices; rigid edges merge them,
-    # relabelling the smaller one.  Whether a buried component lies left of
-    # t_lo is kept until t_lo changes or the component merges.
-    root = {v: _find(parent, v) for v in g.pos}
-    members: Dict[str, List[str]] = {}
-    for v, r in root.items():
-        members.setdefault(r, []).append(v)
+    # The components and their vertices, from a copy of Gamma's cut forest;
+    # rigid edges merge them, relabelling the smaller one into a new list.
+    # Whether a buried component lies left of t_lo is kept until t_lo
+    # changes or the component merges.
+    root, members = g.cut_components()
     t_lo: Optional[int] = None
     left_of: Dict[str, bool] = {}
 
@@ -462,17 +525,7 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
             left_of[r] = all(g.pos[v].x <= t_lo for v in members[r])
         return left_of[r]
 
-    # The ends (a, b) of each horizontal-bearing edge that cannot absorb
-    # when split with a stationary: read from a, none of its segments runs
-    # east.
-    rigid_if = []
-    for e in hor:
-        rec = g._index[e]
-        a, b = rec.start, g.plane.other_end(e, rec.start)
-        if _E not in rec.shape:
-            rigid_if.append((a, b))
-        if _W not in rec.shape:
-            rigid_if.append((b, a))
+    rigid_if = g.unabsorbing_ends()
     contour = g.contour
     prefix_x = list(itertools.accumulate((g.pos[v].x for v in contour), max))
     while True:
@@ -498,7 +551,7 @@ def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
                 small, big = big, small
             for v in members[small]:
                 root[v] = big
-            members[big] += members.pop(small)
+            members[big] = members[big] + members.pop(small)
             left_of.pop(small, None)
             left_of.pop(big, None)
     if g.v2 in left:
@@ -1372,11 +1425,10 @@ def _check_p4c(g: Gamma, cut_pairs: List[Tuple[int, int]]) -> List[str]:
     after cutting every horizontal-bearing edge."""
     if not cut_pairs:
         return []
-    parent = _cut_forest(g, g.horizontal_edges())
     out = []
     for iu, iv in cut_pairs:
         u, v = g.contour[iu], g.contour[iv]
-        if _find(parent, u) == _find(parent, v):
+        if g.component(u) == g.component(v):
             out.append(f"P4c: no all-horizontal cut separates {u} from {v}")
     return out
 

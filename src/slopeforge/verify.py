@@ -31,7 +31,7 @@ from .geometry import (
     angle_key,
     bend_count,
     cross,
-    min_angle_eighths_lower_bound,
+    min_gap_eighths,
     on_segment,
     quotient,
     segment_hits,
@@ -284,10 +284,10 @@ def _sort_edge_dirs_ccw(dir_edges: Sequence[Tuple]):
 
 def _min_resolution(rays: Dict[object, List[Ray]]) -> Optional[int]:
     """Largest k with every angle between neighbouring rays >= k*pi/4, at
-    every point; None if two rays at a point coincide.  The rays come
-    sorted, so the sort inside min_angle_eighths_lower_bound only confirms
-    their order."""
-    eighths = [min_angle_eighths_lower_bound([ray[0] for ray in here]) for here in rays.values()]
+    every point; None if two rays at a point coincide.  The gaps are read
+    from the rays in the order they come, counterclockwise from the east,
+    with any zero direction last, as _sort_edge_dirs_ccw sorts them."""
+    eighths = [min_gap_eighths([ray[0] for ray in here]) for here in rays.values()]
     return None if None in eighths else min(eighths, default=4)
 
 

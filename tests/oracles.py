@@ -565,6 +565,33 @@ def horizontal_edges_by_points(g: onebend.Gamma) -> Set[str]:
     }
 
 
+def unabsorbing_ends_by_points(g: onebend.Gamma) -> List[Tuple[str, str]]:
+    """Reference for the unabsorbing ends Gamma keeps, sorted: the ends
+    (a, b) of each horizontal-bearing edge whose polyline, read from a,
+    has no rightward horizontal segment."""
+    out = []
+    for e in horizontal_edges_by_points(g):
+        for a in g.plane.edges[e]:
+            if first_rightward_horizontal(from_stationary_end(g, e, {a})) is None:
+                out.append((a, g.plane.other_end(e, a)))
+    return sorted(out)
+
+
+def cut_components_by_rebuild(g: onebend.Gamma) -> List[Set[str]]:
+    """Reference for the cut forest Gamma keeps: the components of the
+    placed vertices over the drawn edges other than the base edge and the
+    horizontal-bearing ones, the latter read off the points."""
+    base = g.base_edge
+    hor = horizontal_edges_by_points(g)
+    adj: Dict[str, Set[str]] = {v: set() for v in g.pos}
+    for e in g.polylines:
+        if e != base and e not in hor:
+            a, b = g.plane.edges[e]
+            adj[a].add(b)
+            adj[b].add(a)
+    return graphutil.components(adj)
+
+
 def from_stationary_end(g: onebend.Gamma, e: str, left: Set[str]) -> List[Point]:
     """The polyline of a split edge, oriented from its end in `left`."""
     a, b = g.plane.edges[e]
@@ -756,15 +783,7 @@ def check_p4_by_points(g: onebend.Gamma) -> List[str]:
         if any(s.a.x == s.b.x for s in plain):
             cut.append((u, v))
     if cut:
-        base = g.base_edge
-        hor = horizontal_edges_by_points(g)
-        adj: Dict[str, Set[str]] = {v: set() for v in g.pos}
-        for e in g.polylines:
-            if e != base and e not in hor:
-                a, b = g.plane.edges[e]
-                adj[a].add(b)
-                adj[b].add(a)
-        comp_of = {v: i for i, comp in enumerate(graphutil.components(adj)) for v in comp}
+        comp_of = {v: i for i, comp in enumerate(cut_components_by_rebuild(g)) for v in comp}
         for u, v in cut:
             if comp_of[u] == comp_of[v]:
                 out.append(f"P4c: no all-horizontal cut separates {u} from {v}")

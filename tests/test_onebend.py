@@ -41,12 +41,14 @@ from builders import gen_fig_like
 from oracles import (
     check_gamma_by_points,
     check_stretch,
+    cut_components_by_rebuild,
     first_rightward_horizontal,
     from_stationary_end,
     horizontal_edges_by_points,
     port_dirs_by_points,
     shape_by_points,
     stretch_by_fractions,
+    unabsorbing_ends_by_points,
     window,
 )
 
@@ -164,8 +166,8 @@ def assert_index_is_fresh(g):
     """The record that g._index holds for each drawn edge, the base edge's
     included, equals a rebuild from its polyline: the prepared segments,
     the shape and the end the polyline starts at.  So do the flat segment
-    lists, the ports at every placed vertex and the horizontal-bearing
-    edges."""
+    lists, the ports at every placed vertex and the ends of the edges that
+    cannot absorb a stretch."""
     for e, pts in g.polylines.items():
         segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
         rec = g._index[e]
@@ -176,7 +178,16 @@ def assert_index_is_fresh(g):
     assert g.indexed() == ([e for e, _ in drawn], [prepare(s) for _, s in drawn])
     for v in g.pos:
         assert g.port_dirs(v) == port_dirs_by_points(g, v), v
-    assert g.horizontal_edges() == horizontal_edges_by_points(g)
+    assert sorted(g.unabsorbing_ends()) == unabsorbing_ends_by_points(g)
+
+
+def assert_cut_forest_is_fresh(g):
+    """The cut forest g keeps equals a rebuild: the same components of the
+    placed vertices, each vertex labelled with its own component."""
+    root, members = g.cut_components()
+    assert sorted(map(sorted, members.values())) == sorted(map(sorted, cut_components_by_rebuild(g)))
+    assert root == {v: r for r, vs in members.items() for v in vs}
+    assert all(g.component(v) == r for v, r in root.items())
 
 
 class TestBase:
@@ -905,6 +916,60 @@ class TestSegmentIndex:
         for target, seed in ((20, 1000), (20, 1006), (90, 1031), (90, 1028)):
             draw_onebend(gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0])
         assert stretches >= 100 and scales >= 10
+
+
+class TestKeptStructures:
+    """The cut forest, the flat segment index and the unabsorbing ends,
+    which Gamma keeps across steps and writes only through draw and
+    redraw."""
+
+    INPUTS = [(200, 13)] + [(90, seed) for seed in range(1025, 1029)]
+
+    def test_match_a_rebuild_at_every_step_and_after_a_rescale(self, monkeypatch):
+        """After every step of the drawer, and after a rescale of each
+        finished drawing, the components equal a rebuild over the drawn
+        edges other than the base edge and the horizontal-bearing ones, and
+        the flat index and the unabsorbing ends equal rebuilds from the
+        polylines."""
+        real_post_step = OneBendDrawer._post_step
+        steps = 0
+
+        def checked_post_step(self, label):
+            nonlocal steps
+            assert_cut_forest_is_fresh(self.g)
+            assert_index_is_fresh(self.g)
+            steps += 1
+            return real_post_step(self, label)
+
+        monkeypatch.setattr(OneBendDrawer, "_post_step", checked_post_step)
+        graphs = [gen_fig_like()] + [
+            gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0]
+            for target, seed in self.INPUTS]
+        for graph in graphs:
+            g = onebend._run_pipeline(graph)[0].g
+            labels, _ = g.indexed()
+            g._scale(3)
+            assert g.indexed()[0] is labels
+            assert_cut_forest_is_fresh(g)
+            assert_index_is_fresh(g)
+        assert steps >= 300
+
+    def test_a_vertex_no_uncut_edge_reaches_is_a_component_of_its_own(self):
+        """Over the base edge, s from v1 to a, and t from c to b: before t
+        is drawn, b and c are placed and reached by no drawn edge; once
+        drawn, t joins them unless it has a horizontal segment, and the
+        base edge joins nothing."""
+        for t, joined in (([(4, 4), (6, 6)], True), ([(4, 4), (6, 4), (8, 6)], False)):
+            g = hand_built(_base_s_t_plane(),
+                           {"v1": (0, 0), "v2": (10, 0), "a": (0, 4), "c": (4, 4), "b": t[-1]},
+                           {"base": [(0, 0), (5, -5), (10, 0)], "s": [(0, 0), (0, 4)]})
+            assert_cut_forest_is_fresh(g)
+            assert len({g.component(v) for v in g.pos}) == 4
+            g.draw("t", [Point(*xy) for xy in t])
+            assert_cut_forest_is_fresh(g)
+            assert_index_is_fresh(g)
+            assert (g.component("b") == g.component("c")) == joined
+            assert g.component("v1") == g.component("a") != g.component("v2")
 
 
 class TestBlockers:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import oracles
 from slopeforge import docio, verify
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.families import gen_2reg, gen_3reg18, gen_corpus, gen_crossed_k4, gen_k4_embedded, gen_maxdeg, gen_prism
-from slopeforge.geometry import Point, SlopeKind, slope_of
+from slopeforge.geometry import Point, SlopeKind, min_angle_eighths_lower_bound, slope_of
 from slopeforge.model import EmbeddedGraph
 from slopeforge.onebend import draw_onebend
 from slopeforge.twobend import draw_twobend
@@ -23,6 +24,7 @@ from slopeforge.verify import (
     max_bends,
     validate,
 )
+from slopeforge.verify import _min_resolution, _sort_edge_dirs_ccw
 
 from adversarial import adversarial_suite
 from builders import build_plane_graph, point
@@ -419,3 +421,28 @@ class TestRayTableOracle:
         kinds = ("overlap", "touch at", "meet at", "times", "adjacent edges", "resolution below", "crossing resolution")
         for kind in kinds:
             assert any(kind in v for v in violations), kind
+
+
+class TestMinResolution:
+    def test_sorted_rays_give_the_lower_bound_of_any_order(self):
+        """_min_resolution reads the gaps of the rays the ray table holds
+        sorted, zero rays last; min_angle_eighths_lower_bound sorts its
+        rays first.  On random ray sets, zero rays, equal and opposite rays
+        included, both give the same answer."""
+        dirs = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
+                (2, 1), (-1, 3), (5, -2), (0, 0)]
+        rng = random.Random(37)
+        answers = set()
+        zeros = 0
+        for _ in range(600):
+            rays = []
+            for i in range(rng.randint(0, 7)):
+                dx, dy = rng.choice(dirs)
+                scale = rng.choice((1, 3, Fraction(2, 7)))
+                rays.append(((dx * scale, dy * scale), f"e{i}", "a"))
+            zeros += any(r[0] == (0, 0) for r in rays)
+            want = min_angle_eighths_lower_bound([r[0] for r in rays])
+            assert _min_resolution({"p": _sort_edge_dirs_ccw(rays)}) == want, rays
+            answers.add(want)
+        assert answers == {None, 0, 1, 2, 3, 4}
+        assert zeros >= 100
