@@ -17,6 +17,7 @@ from .geometry import Coord, Point, quotient
 from .model import EmbeddedGraph, PlaneGraph
 
 _BIG = 2**53 - 1
+_STR = {str}
 
 
 class DocumentError(Exception):
@@ -35,6 +36,16 @@ def _int_in(v) -> int:
 
 def _rat_out(q: Coord):
     return [_int_out(q.numerator), _int_out(q.denominator)]
+
+
+def _point_out(p: Point):
+    """p written as [x, y].  The common form, int x and y within +-_BIG,
+    is written inline as [[x, 1], [y, 1]]; every other one goes through
+    _rat_out."""
+    x, y = p
+    if type(x) is int and type(y) is int and -_BIG <= x <= _BIG and -_BIG <= y <= _BIG:
+        return [[x, 1], [y, 1]]
+    return [_rat_out(x), _rat_out(y)]
 
 
 def _point_in(v) -> Point:
@@ -126,8 +137,7 @@ def graph_from_doc(doc: Dict[str, Any], strict: bool = False) -> EmbeddedGraph:
     try:
         vertices = [(_id_in(v["id"]), bool(v["real"])) for v in doc["vertices"]]
         edges = {_id_in(e["id"]): _pair_in(e["endpoints"]) for e in doc["edges"]}
-        rotations = {_id_in(v): [_id_in(e) for e in r]
-                     for v, r in _object_in(doc["rotations"]).items()}
+        rotations = {_id_in(v): _ids_in(r) for v, r in _object_in(doc["rotations"]).items()}
         fragment_of = dict(_pair_in(pair)
                            for pairs in _object_in(doc.get("fragment_map", {})).values()
                            for pair in pairs)
@@ -158,7 +168,21 @@ def _id_in(v) -> str:
     return v
 
 
+def _ids_in(values) -> List[str]:
+    """Each of values read as an id.  The common form, a list of str, is
+    copied inline; every other one goes to _id_in item by item."""
+    if type(values) is list and {*map(type, values)} <= _STR:
+        return list(values)
+    return [_id_in(v) for v in values]
+
+
 def _pair_in(v) -> Tuple[str, str]:
+    """v read as a pair of ids.  The common form, a list of two str, is
+    read inline; every other one goes to _id_in item by item."""
+    if type(v) is list and len(v) == 2:
+        a, b = v
+        if type(a) is str and type(b) is str:
+            return a, b
     if not isinstance(v, list) or len(v) != 2:
         raise DocumentError(f"expected a pair of ids, got {v!r}")
     return _id_in(v[0]), _id_in(v[1])
@@ -181,13 +205,8 @@ def drawing_to_doc(d: PolylineDrawing) -> Dict[str, Any]:
     return {
         "version": 1,
         "graph": graph_to_doc(d.graph),
-        "positions": {
-            v: [_rat_out(p.x), _rat_out(p.y)] for v, p in sorted(d.positions.items())
-        },
-        "polylines": {
-            e: [[_rat_out(p.x), _rat_out(p.y)] for p in pts]
-            for e, pts in sorted(d.polylines.items())
-        },
+        "positions": {v: _point_out(p) for v, p in sorted(d.positions.items())},
+        "polylines": {e: [_point_out(p) for p in pts] for e, pts in sorted(d.polylines.items())},
     }
 
 

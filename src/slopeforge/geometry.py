@@ -425,10 +425,6 @@ def _ratio(num: Coord, den: Coord) -> Coord:
     return Fraction(num, den)
 
 
-def sort_directions_ccw(dirs: list) -> list:
-    return sorted(dirs, key=angle_key)
-
-
 def _gap_eighths(d1: Direction, d2: Direction) -> Optional[int]:
     """Largest k in 0..4 such that the counterclockwise gap from ray d1 to
     ray d2 is >= k*pi/4; None when the two rays coincide."""
@@ -446,22 +442,14 @@ def _gap_eighths(d1: Direction, d2: Direction) -> Optional[int]:
     return 1 if c >= d else 0
 
 
-def min_angle_eighths_lower_bound(dirs: list) -> Optional[int]:
-    """Largest k in 0..4 such that every consecutive angular gap >= k*pi/4.
-
-    Directions are taken as rays around a common point, in any order.  A
-    zero direction is no ray (a point where an edge ends has no ray along
-    that edge) and is ignored.  Returns None when two rays coincide (zero
-    angle, i.e. overlapping segments).  The signs the gaps are read from
-    are exact on any rational input.
-    """
-    return min_gap_eighths(sort_directions_ccw(dirs))
-
-
 def min_gap_eighths(rays: Sequence[Direction]) -> Optional[int]:
-    """min_angle_eighths_lower_bound of rays already in counterclockwise
-    order from the east, as angle_key sorts them: any zero directions
-    come last, and are dropped."""
+    """Largest k in 0..4 such that every consecutive angular gap between
+    rays >= k*pi/4, or None when two rays coincide (zero angle, i.e.
+    overlapping segments).  The rays come in counterclockwise order from
+    the east, as angle_key sorts them: any zero directions, which are no
+    rays (a point where an edge ends has no ray along that edge), come
+    last and are dropped.  The signs the gaps are read from are exact on
+    any rational input."""
     n = len(rays)
     while n and not (rays[n - 1][0] or rays[n - 1][1]):
         n -= 1

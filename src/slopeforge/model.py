@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import graphutil
 
@@ -208,11 +208,20 @@ class PlaneGraph:
     def original_edges(self) -> Dict[str, Tuple[str, str]]:
         """Original edge id -> (real endpoint, real endpoint)."""
         ends: Dict[str, List[str]] = {}
+        real, fragment_of = self.real, self.fragment_of
         for e, (a, b) in sorted(self.edges.items()):
-            orig = self.original_edge_of(e)
-            for v in (a, b):
-                if v in self.real:
-                    ends.setdefault(orig, []).append(v)
+            if a in real:
+                vs = [a, b] if b in real else [a]
+            elif b in real:
+                vs = [b]
+            else:
+                continue
+            orig = fragment_of.get(e, e)
+            have = ends.get(orig)
+            if have is None:
+                ends[orig] = vs
+            else:
+                have += vs
         out: Dict[str, Tuple[str, str]] = {}
         for orig, vs in ends.items():
             if len(vs) != 2:
@@ -237,73 +246,135 @@ class PlaneGraph:
 
     def validate(self) -> Dict[str, Tuple[str, str]]:
         """Raise EmbeddingError unless this is the planarization of a
-        1-plane graph; return original_edges(), which the check builds."""
-        vids = set(self.vertices)
-        if len(vids) != len(self.vertices):
+        1-plane graph; return original_edges(), which the check builds.
+
+        One linear pass that traces no face as a list: the darts of the
+        i-th edge (a, b) are numbered 2i (tail a) and 2i + 1 (tail b), the
+        rotations give next_in_face as a list over those numbers, and
+        Euler's check counts its orbits, the faces (Muller and Preparata's
+        face cycles), and the components of a union-find over the edges."""
+        vertices, edges, rotation = self.vertices, self.edges, self.rotation
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise EmbeddingError("duplicate vertex ids")
-        if not self.real <= vids:
+        if not self.real <= index.keys():
             raise EmbeddingError("real flag on unknown vertex")
-        seen_pairs: Set[FrozenSet[str]] = set()
-        incident: Dict[str, Set[str]] = {v: set() for v in self.vertices}
-        for e, (a, b) in self.edges.items():
+        leaving: Dict[str, Dict[str, int]] = {v: {} for v in vertices}
+        seen_pairs: Set[Tuple[str, str]] = set()
+        for i, (e, (a, b)) in enumerate(edges.items()):
             if a == b:
                 raise EmbeddingError(f"self-loop {e}")
-            if a not in vids or b not in vids:
+            if a not in index or b not in index:
                 raise EmbeddingError(f"edge {e} has unknown endpoint")
-            pair = frozenset((a, b))
+            pair = (a, b) if a < b else (b, a)
             if pair in seen_pairs:
                 raise EmbeddingError(f"multi-edge between {a} and {b}")
             seen_pairs.add(pair)
-            incident[a].add(e)
-            incident[b].add(e)
-        for v in self.vertices:
-            rot = self.rotation.get(v)
+            leaving[a][e] = 2 * i
+            leaving[b][e] = 2 * i + 1
+        for v in vertices:
+            rot = rotation.get(v)
             if rot is None:
                 raise EmbeddingError(f"no rotation for {v}")
-            if set(rot) != incident[v] or len(rot) != len(incident[v]):
+            out = leaving[v]
+            if len(rot) != len(out) or set(rot) != out.keys():
                 raise EmbeddingError(f"rotation at {v} does not list its incident edges")
         original = self._validate_dummies()
-        self._validate_euler()
+        succ = self._check_euler(index, leaving)
         if self.outer_darts:
-            f = self.trace_face(self.outer_darts[0])
-            if set(f.darts) != set(self.outer_darts):
+            start = self.outer_darts[0]
+            s = leaving.get(start[1], {}).get(start[0])
+            if s is None:
+                self.trace_face(start)  # raises: start is no dart
+            face = {s}
+            d = succ[s]
+            while d != s:
+                face.add(d)
+                d = succ[d]
+            if {leaving.get(t, {}).get(e) for e, t in self.outer_darts} != face:
                 raise EmbeddingError("outer face record does not match traced face")
         return original
 
     def _validate_dummies(self) -> Dict[str, Tuple[str, str]]:
+        real, edges, fragment_of = self.real, self.edges, self.fragment_of
         for x in self.dummies():
             rot = self.rotation[x]
             if len(rot) != 4:
                 raise EmbeddingError(f"dummy {x} has degree {len(rot)}, expected 4")
-            origs = [self.original_edge_of(e) for e in rot]
+            origs = [fragment_of.get(e, e) for e in rot]
             if origs[0] != origs[2] or origs[1] != origs[3] or origs[0] == origs[1]:
                 raise EmbeddingError(f"rotation at dummy {x} does not alternate its two edges")
             for e in rot:
-                if e not in self.fragment_of:
+                if e not in fragment_of:
                     raise EmbeddingError(f"edge {e} at dummy {x} is not a fragment")
-                if self.is_dummy(self.other_end(e, x)):
+                a, b = edges[e]
+                if (b if a == x else a) not in real:
                     raise EmbeddingError(f"edge {e} joins two dummies (edge crossed twice)")
         # Each original edge is covered by 0 or exactly 2 fragments.
-        for orig, k in Counter(self.fragment_of.values()).items():
+        for orig, k in Counter(fragment_of.values()).items():
             if k != 2:
                 raise EmbeddingError(f"original edge {orig} split into {k} fragments")
-        for e in self.fragment_of:
-            if e not in self.edges or sum(v not in self.real for v in self.edges[e]) != 1:
+        for e in fragment_of:
+            ab = edges.get(e)
+            if ab is None or (ab[0] in real) == (ab[1] in real):
                 raise EmbeddingError(f"fragment {e} is not an edge with exactly one dummy end")
         return self.original_edges()
 
     def _validate_euler(self) -> None:
-        # Face orbits are traced per component, so each component contributes
-        # its own copy of the unbounded face: V - E + F = 2C.  An edgeless
-        # vertex has no dart to trace, but it is a component with one face.
-        n = len(self.vertices)
-        m = len(self.edges)
-        f = len(self.faces()) + sum(1 for v in self.vertices if not self.rotation[v])
-        c = len(graphutil.components(self.adjacency()))
-        if n - m + f != 2 * c:
+        """validate's Euler check alone, for rotations that list each
+        vertex's incident edges."""
+        leaving: Dict[str, Dict[str, int]] = {v: {} for v in self.vertices}
+        for i, (e, (a, b)) in enumerate(self.edges.items()):
+            leaving[a][e] = 2 * i
+            leaving[b][e] = 2 * i + 1
+        self._check_euler({v: i for i, v in enumerate(self.vertices)}, leaving)
+
+    def _check_euler(self, index: Dict[str, int], leaving: Dict[str, Dict[str, int]]) -> List[int]:
+        """Check V - E + F = 2C and return next_in_face over the dart
+        numbers; leaving[v][e] is the number of e's dart with tail v.
+
+        Faces are counted per component, so each component contributes its
+        own copy of the unbounded face.  An edgeless vertex has no dart, but
+        it is a component with one face."""
+        succ = [0] * (2 * len(self.edges))
+        faces = 0
+        for v, out in leaving.items():
+            rot = self.rotation[v]
+            if not rot:
+                faces += 1
+                continue
+            # The dart into v along rot[k] is followed by the dart out
+            # along rot[k - 1]; the two darts of an edge differ in bit 0.
+            prev = out[rot[-1]]
+            for e in rot:
+                d = out[e]
+                succ[d ^ 1] = prev
+                prev = d
+        seen = bytearray(len(succ))
+        for s in range(len(succ)):
+            if not seen[s]:
+                faces += 1
+                d = s
+                while not seen[d]:
+                    seen[d] = 1
+                    d = succ[d]
+        parent = list(range(len(index)))
+        components = len(index)
+        for a, b in self.edges.values():
+            i, j = index[a], index[b]
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i != j:
+                parent[i] = j
+                components -= 1
+        n, m = len(index), len(self.edges)
+        if n - m + faces != 2 * components:
             raise EmbeddingError(
-                f"Euler check failed: V={n} E={m} F={f} C={c} (V-E+F != 2C)"
+                f"Euler check failed: V={n} E={m} F={faces} C={components} (V-E+F != 2C)"
             )
+        return succ
 
 
 @dataclass

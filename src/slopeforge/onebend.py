@@ -773,15 +773,12 @@ class OneBendDrawer:
     # -- generic insertion ----------------------------------------------------
 
     def _preds_on_contour(self, members: List[str]) -> List[str]:
-        g = self.g
-        member_set = set(members)
-        preds = []
-        for v in g.contour:
-            for e in self.plane.rotation[v]:
-                if self.plane.other_end(e, v) in member_set:
-                    preds.append(v)
-                    break
-        return preds
+        """The contour vertices adjacent to a member, in contour order: the
+        contour is read against the members' neighbours, off their own
+        rotations."""
+        edges = self.plane.edges
+        near = {w for m in members for e in self.plane.rotation[m] for w in edges[e] if w != m}
+        return [v for v in self.g.contour if v in near]
 
     def _add_set(self, cs) -> None:
         members = list(cs.vertices)

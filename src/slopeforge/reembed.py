@@ -29,8 +29,11 @@ in tests/test_reembed.py's uncrossing_makes_a_cutvertex, _x0 and _x1 both
 cross edges at a and c, and uncrossing _x1 leaves _x0 the only link
 between a's side and c's, so _x0 becomes a cutvertex and is uncrossed
 before _x2.  Uncrossing in the order of the first list of cutvertices
-instead would end with another edge order.  The outer face is retraced
-only when one of its darts was a fragment at x.
+instead would end with another edge order.  The outer face changes only
+when one of its darts was a fragment at x, and then it is spliced from the
+old one: the runs of the old walk between x's fragments, joined at the
+re-added edges, and the runs of the other faces at x where the new face
+takes them in.  It is not retraced.
 
 The rule for an uncrossing: it fails iff x's rotation alternates and all
 four neighbors of x lie in one component of G - x.  Let x's edges be a-b
@@ -56,10 +59,11 @@ re-insertion by tracing faces (tests/oracles.py).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import graphutil
-from .model import EmbeddedGraph, EmbeddingError, PlaneGraph, connectivity
+from .model import Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, connectivity
 
 
 class ReembedError(Exception):
@@ -170,33 +174,44 @@ def _check_same_abstract_graph(before: EmbeddedGraph, after: EmbeddedGraph) -> N
 
 
 def _uncross(plane: PlaneGraph, x: str) -> None:
-    """Delete dummy x and re-add each original edge through it, uncrossed,
-    at the corners its two fragments leave at their far ends.  Edits plane
+    """Delete dummy x and re-add each original edge through it, uncrossed
+    (_reinsert), then splice the outer face (_splice_outer).  Edits plane
     in place.  The caller has decided that the re-insertion is planar: x is
-    a cutvertex, or _uncrossable(plane, x) holds.
+    a cutvertex, or _uncrossable(plane, x) holds.  The outer face changes
+    only when one of its darts was a fragment at x; else its walk meets no
+    changed corner and keeps its darts.
+    """
+    cut = set(plane.rotation[x])
+    halves = _reinsert(plane, x)
+    hits = [i for i, (e, _) in enumerate(plane.outer_darts) if e in cut]
+    if hits:
+        _splice_outer(plane, x, hits, halves)
+
+
+def _reinsert(plane: PlaneGraph, x: str) -> Dict[str, List[Tuple[str, str]]]:
+    """Delete dummy x and re-add each original edge through it at the
+    corners its two fragments leave at their far ends; leave the outer
+    face record as it is.  Returns each original edge's two (far end,
+    fragment) pairs.
 
     The edges are re-added in the order x's rotation first meets them, and
-    each end goes into the rotation index its fragment occupied.  The outer
-    face is retraced only when one of its darts was a fragment at x; else
-    its walk meets no changed corner and keeps its darts.
+    each end goes into the rotation index its fragment occupied.
     """
-    frags = plane.rotation[x]
-    ends: Dict[str, List[str]] = {}
+    halves: Dict[str, List[Tuple[str, str]]] = {}
     # Each neighbor's corner: the index its fragment occupied.
     corner: Dict[str, int] = {}
-    for frag in frags:
+    for frag in plane.rotation[x]:
         u = plane.other_end(frag, x)
-        ends.setdefault(plane.fragment_of[frag], []).append(u)
+        halves.setdefault(plane.fragment_of[frag], []).append((u, frag))
         corner[u] = plane.rotation[u].index(frag)
         plane.rotation[u].remove(frag)
         del plane.edges[frag]
         del plane.fragment_of[frag]
     plane.vertices.remove(x)
     del plane.rotation[x]
-    for orig, (a, b) in ends.items():
+    for orig, ((a, _), (b, _)) in halves.items():
         _insert_uncrossed_edge(plane, orig, a, corner[a], b, corner[b])
-    if any(e in frags for e, _ in plane.outer_darts):
-        _refresh_outer_after_surgery(plane)
+    return halves
 
 
 def _uncrossable(plane: PlaneGraph, x: str) -> bool:
@@ -231,6 +246,65 @@ def _insert_uncrossed_edge(plane: PlaneGraph, orig: str, a: str, ia: int, b: str
     plane.rotation[b].insert(ib % max(1, len(plane.rotation[b]) + 1), orig)
 
 
+def _splice_outer(plane: PlaneGraph, x: str, hits: List[int],
+                  halves: Dict[str, List[Tuple[str, str]]]) -> None:
+    """Replace plane's outer face, after _reinsert uncrossed x and
+    returned halves, by the face _refresh_outer_after_surgery would
+    retrace, spliced from the old one.  hits are the indices of the old
+    face's darts on fragments at x.
+
+    A corner at x's neighbors keeps its place in their rotations, so the
+    walk changes only where it entered x: the re-added edge's dart from
+    the same tail takes the place of the dart into x, and is followed by
+    what followed its exit, the dart out of x toward its head.  So the new
+    face is the old one from its first dart on no fragment, cut at each
+    dart into x, with the run after that dart's exit spliced in.  An exit
+    on the old face jumps within it; the run after any other exit lies on
+    another face around x, and is walked until it meets a re-added dart.
+    """
+    renamed: Dict[Dart, Dart] = {}  # a dart into x -> the re-added edge's dart
+    exit_of: Dict[Dart, Dart] = {}  # a re-added edge's dart -> its exit
+    for orig, ((a, fa), (b, fb)) in halves.items():
+        renamed[(fa, a)], exit_of[(orig, a)] = (orig, a), (fb, x)
+        renamed[(fb, b)], exit_of[(orig, b)] = (orig, b), (fa, x)
+    old = plane.outer_darts
+    n = len(old)
+    first = next((k for k, i in enumerate(hits) if k != i), len(hits))
+    if first == n:
+        _refresh_outer_after_surgery(plane)
+        return
+    edges, rotation = plane.edges, plane.rotation
+    walk = old[first:] + old[:first]
+    at = {old[i]: (i - first) % n for i in hits}
+    into = sorted(at[d] for d in renamed if d in at)
+    out: List[Dart] = []
+    i = 0
+    while i < n:
+        k = bisect_left(into, i)
+        if k == len(into):
+            out.extend(walk[i:])
+            break
+        out.extend(walk[i:into[k]])
+        new = renamed[walk[into[k]]]
+        while True:
+            out.append(new)
+            q = at.get(exit_of[new])
+            if q is not None:
+                i = q + 1
+                break
+            e, v = new
+            while True:  # next_in_face, inline
+                a, b = edges[e]
+                v = b if v == a else a
+                rot = rotation[v]
+                e = rot[rot.index(e) - 1]
+                if (e, v) in exit_of:
+                    break
+                out.append((e, v))
+            new = (e, v)
+    plane.outer_darts = tuple(out)
+
+
 def _refresh_outer_after_surgery(plane: PlaneGraph) -> None:
     if not plane.outer_darts:
         return
@@ -259,7 +333,12 @@ def _fix_two_cut(plane: PlaneGraph, pairs: Sequence[Tuple[str, str]]) -> PlaneGr
             # exactly when the flip stopped x's rotation alternating.
             if not _uncrossable(flipped, x):
                 continue  # flip did not break the crossing
-            _uncross(flipped, x)
+            # The flip leaves the outer face record as it was, which need
+            # not be a face of the flipped plane: retrace it, not splice.
+            cut = set(flipped.rotation[x])
+            _reinsert(flipped, x)
+            if any(e in cut for e, _ in flipped.outer_darts):
+                _refresh_outer_after_surgery(flipped)
             return flipped
     raise ReembedError(
         "3-connectivity fix: no split component flip removes a dummy 2-cut "

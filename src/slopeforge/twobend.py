@@ -509,15 +509,17 @@ def bridge_decomposition(g: EmbeddedGraph) -> BridgeTree:
     return BridgeTree(comp_sets, bridges, root, parent, attach)
 
 
-def component_plane(g: EmbeddedGraph, comp: Set[str]) -> PlaneGraph:
+def component_plane(g: EmbeddedGraph, comp: Set[str],
+                    crossings: Dict[str, Tuple[str, str]]) -> PlaneGraph:
     """Induced planarization of one 2-edge-connected component: its real
     vertices and the dummies of the crossings inside it (see
-    PlaneGraph.induced).  No outer face is recorded: draw_component picks
-    one at the attachment vertex.  It is not validated again: the plane it
-    is cut from is, and tests/test_twobend.py validates the cut planes of
-    braids and subcubic corpus inputs."""
+    PlaneGraph.induced), crossings being g.crossings(), read once for all
+    components.  No outer face is recorded: draw_component picks one at
+    the attachment vertex.  It is not validated again: the plane it is cut
+    from is, and tests/test_twobend.py validates the cut planes of braids
+    and subcubic corpus inputs."""
     dummies = set()
-    for x, (e1, e2) in g.crossings().items():
+    for x, (e1, e2) in crossings.items():
         ends = set(g.edges[e1]) | set(g.edges[e2])
         if ends <= comp:
             dummies.add(x)
@@ -663,8 +665,9 @@ def draw_twobend(g: EmbeddedGraph) -> PolylineDrawing:
             bridge_ids[(a, b)] = e
             bridge_ids[(b, a)] = e
     drawings: Dict[int, OrthoDrawing] = {}
+    crossings = norm.crossings()
     for i, comp in enumerate(tree.components):
-        sub = component_plane(norm, comp)
+        sub = component_plane(norm, comp, crossings)
         drawings[i] = draw_component(sub, tree.attach[i])
     assembled = assemble(drawings, tree, bridge_ids)
 

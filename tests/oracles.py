@@ -1,5 +1,11 @@
 """Brute-force references that only the tests use.
 
+validate_by_tracing is PlaneGraph.validate as it was before it counted
+face orbits: Euler's check on the traced faces() list and the components
+of the adjacency, and original_edges through original_edge_of.  The tests
+require PlaneGraph.validate to give the same message, or the same dict in
+the same key order, on generated, adversarial and mutated planes.
+
 normalized_reembedding_exists decides, for small instances, whether a
 normalized re-embedding exists at all, by enumerating crossing sets and
 testing planarity of the kite-augmented planarization, where a wheel gadget
@@ -34,7 +40,9 @@ graph.  vertex_order lists an ordering's vertices set by set.
 
 angular_compare is the comparator that once sorted rays: the half turn,
 then the sign of one cross product.  The tests require geometry.angle_key
-to order every pair of directions as it does.
+to order every pair of directions as it does.  min_angle_eighths_lower_bound
+is geometry.min_gap_eighths on rays in any order, sorted first; the tests
+require the validator's scan of the rays it holds sorted to equal it.
 
 stretch_by_fractions is the 1-bend stretch on true Fraction coordinates,
 read off the polylines.  The tests require onebend.stretch, which works on
@@ -70,6 +78,7 @@ that both find nothing on the corpora.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -82,13 +91,13 @@ from slopeforge.geometry import (
     Point,
     Segment,
     SlopeKind,
+    angle_key,
     cross,
-    min_angle_eighths_lower_bound,
+    min_gap_eighths,
     octant,
     on_segment,
     segment_hits,
     slope_of,
-    sort_directions_ccw,
     sweep_hits,
 )
 from slopeforge.graphutil import Adj
@@ -116,6 +125,79 @@ from slopeforge.verify import (
     embeddings_equivalent,
     max_bends,
 )
+
+
+def validate_by_tracing(plane: PlaneGraph) -> Dict[str, Tuple[str, str]]:
+    """PlaneGraph.validate as it was: every check in the same order, with
+    Euler's check on the faces() list and the components of the
+    adjacency, and the outer face retraced as darts."""
+    vids = set(plane.vertices)
+    if len(vids) != len(plane.vertices):
+        raise EmbeddingError("duplicate vertex ids")
+    if not plane.real <= vids:
+        raise EmbeddingError("real flag on unknown vertex")
+    seen_pairs: Set[FrozenSet[str]] = set()
+    incident: Dict[str, Set[str]] = {v: set() for v in plane.vertices}
+    for e, (a, b) in plane.edges.items():
+        if a == b:
+            raise EmbeddingError(f"self-loop {e}")
+        if a not in vids or b not in vids:
+            raise EmbeddingError(f"edge {e} has unknown endpoint")
+        pair = frozenset((a, b))
+        if pair in seen_pairs:
+            raise EmbeddingError(f"multi-edge between {a} and {b}")
+        seen_pairs.add(pair)
+        incident[a].add(e)
+        incident[b].add(e)
+    for v in plane.vertices:
+        rot = plane.rotation.get(v)
+        if rot is None:
+            raise EmbeddingError(f"no rotation for {v}")
+        if set(rot) != incident[v] or len(rot) != len(incident[v]):
+            raise EmbeddingError(f"rotation at {v} does not list its incident edges")
+    original = _validate_dummies_by_scan(plane)
+    n, m = len(plane.vertices), len(plane.edges)
+    f = len(plane.faces()) + sum(1 for v in plane.vertices if not plane.rotation[v])
+    c = len(graphutil.components(plane.adjacency()))
+    if n - m + f != 2 * c:
+        raise EmbeddingError(f"Euler check failed: V={n} E={m} F={f} C={c} (V-E+F != 2C)")
+    if plane.outer_darts:
+        face = plane.trace_face(plane.outer_darts[0])
+        if set(face.darts) != set(plane.outer_darts):
+            raise EmbeddingError("outer face record does not match traced face")
+    return original
+
+
+def _validate_dummies_by_scan(plane: PlaneGraph) -> Dict[str, Tuple[str, str]]:
+    for x in plane.dummies():
+        rot = plane.rotation[x]
+        if len(rot) != 4:
+            raise EmbeddingError(f"dummy {x} has degree {len(rot)}, expected 4")
+        origs = [plane.original_edge_of(e) for e in rot]
+        if origs[0] != origs[2] or origs[1] != origs[3] or origs[0] == origs[1]:
+            raise EmbeddingError(f"rotation at dummy {x} does not alternate its two edges")
+        for e in rot:
+            if e not in plane.fragment_of:
+                raise EmbeddingError(f"edge {e} at dummy {x} is not a fragment")
+            if plane.is_dummy(plane.other_end(e, x)):
+                raise EmbeddingError(f"edge {e} joins two dummies (edge crossed twice)")
+    for orig, k in Counter(plane.fragment_of.values()).items():
+        if k != 2:
+            raise EmbeddingError(f"original edge {orig} split into {k} fragments")
+    for e in plane.fragment_of:
+        if e not in plane.edges or sum(v not in plane.real for v in plane.edges[e]) != 1:
+            raise EmbeddingError(f"fragment {e} is not an edge with exactly one dummy end")
+    ends: Dict[str, List[str]] = {}
+    for e, (a, b) in sorted(plane.edges.items()):
+        for v in (a, b):
+            if v in plane.real:
+                ends.setdefault(plane.original_edge_of(e), []).append(v)
+    out: Dict[str, Tuple[str, str]] = {}
+    for orig, vs in ends.items():
+        if len(vs) != 2:
+            raise EmbeddingError(f"original edge {orig} has {len(vs)} real endpoints")
+        out[orig] = (vs[0], vs[1])
+    return out
 
 
 def normalized_reembedding_exists(g: EmbeddedGraph, max_vertices: int = 10) -> bool:
@@ -670,6 +752,20 @@ def check_stretch(g: onebend.Gamma, left: Set[str]) -> List[str]:
     return onebend._improper_pairs(g, labels, hits)
 
 
+def preds_on_contour_by_scan(drawer: onebend.OneBendDrawer, members: List[str]) -> List[str]:
+    """The contour vertices adjacent to a member, found by scanning every
+    contour vertex's rotation."""
+    plane = drawer.plane
+    member_set = set(members)
+    preds = []
+    for v in drawer.g.contour:
+        for e in plane.rotation[v]:
+            if plane.other_end(e, v) in member_set:
+                preds.append(v)
+                break
+    return preds
+
+
 def window(old: List[str], new: List[str]) -> Tuple[int, int]:
     """The index span [lo, hi] of contour `new` that differs from contour
     `old`, widened by one vertex on each side.  The vertices after hi are
@@ -1174,6 +1270,20 @@ class InvariantRounds:
 # ---------------------------------------------------------------------------
 # The angular order by comparison
 # ---------------------------------------------------------------------------
+
+
+def sort_directions_ccw(dirs: list) -> list:
+    return sorted(dirs, key=angle_key)
+
+
+def min_angle_eighths_lower_bound(dirs: list) -> Optional[int]:
+    """Largest k in 0..4 such that every consecutive angular gap >= k*pi/4.
+
+    Directions are taken as rays around a common point, in any order; the
+    sorting form of geometry.min_gap_eighths.  A zero direction is no ray
+    and is ignored.  Returns None when two rays coincide.
+    """
+    return min_gap_eighths(sort_directions_ccw(dirs))
 
 
 def angular_compare(d1: Direction, d2: Direction) -> int:

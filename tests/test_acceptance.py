@@ -177,7 +177,7 @@ class TestAcceptance:
             norm = normalize_embedding(g)
             tree = bridge_decomposition(norm)
             for i, comp in enumerate(tree.components):
-                sub = component_plane(norm, comp)
+                sub = component_plane(norm, comp, norm.crossings())
                 d = draw_component(sub, tree.attach[i])
                 assert check_invariants(d) == []
                 checked += len(comp) > 1  # a one-vertex component is not drawn by draw_liu

@@ -14,6 +14,7 @@ from slopeforge import docio, render
 from slopeforge.cli import _build_parser, main
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.families import gen_2reg, gen_crossed_k4, gen_k4_embedded
+from slopeforge.geometry import Point
 from slopeforge.model import PlaneGraph
 from slopeforge.onebend import draw_onebend
 from slopeforge.twobend import draw_twobend
@@ -62,6 +63,51 @@ class TestDocumentRoundTrip:
 
         assert docio._rat_out(Fraction(2**60, 3)) == [str(2**60), 3]
         assert docio._rat_in([str(2**60), 3]) == Fraction(2**60, 3)
+
+
+def pair_by_items(v):
+    """The per-item pair reader: a list of two ids, each read by _id_in."""
+    if not isinstance(v, list) or len(v) != 2:
+        raise docio.DocumentError(f"expected a pair of ids, got {v!r}")
+    return docio._id_in(v[0]), docio._id_in(v[1])
+
+
+def outcome(read, v):
+    try:
+        return "ok", read(v)
+    except docio.DocumentError as exc:
+        return "error", str(exc)
+
+
+class TestInlineForms:
+    """docio reads and writes the common forms inline; every value gives
+    what the per-item readers and writers give."""
+
+    class Tag(str):
+        pass
+
+    def test_ids_and_pairs_read_as_the_per_item_readers_do(self):
+        tag = self.Tag("t")
+        lists = [[], ["a", "b", "c"], ["a", 5], [None], "ab", ("a", "b"), [tag, "b"], {"a": 1}]
+        for v in lists:
+            got = outcome(docio._ids_in, v)
+            assert got == outcome(lambda r: [docio._id_in(e) for e in r], v), v
+            assert got[0] == "error" or type(got[1]) is list
+        pairs = [["a", "b"], ["a"], ["a", "b", "c"], [1, "b"], ["a", None], ("a", "b"), "ab", [tag, "b"], 5]
+        for v in pairs:
+            assert outcome(docio._pair_in, v) == outcome(pair_by_items, v), v
+
+    def test_points_write_as_the_per_coordinate_writer_does(self):
+        from fractions import Fraction
+
+        big = 2**53 - 1
+        values = [0, 1, -1, big, -big, big + 1, -big - 1, 2**60, Fraction(1, 3), Fraction(2**60, 3)]
+        for x in values:
+            for y in values:
+                want = [docio._rat_out(x), docio._rat_out(y)]
+                assert docio._point_out(Point(x, y)) == want, (x, y)
+        assert docio._point_out(Point(big, 3)) == [[big, 1], [3, 1]]
+        assert docio._point_out(Point(big + 1, 3)) == [[str(big + 1), 1], [3, 1]]
 
 
 class TestRenderBytes:

@@ -184,13 +184,13 @@ class TestCorpus:
                 h.update(docio.dumps(docio.graph_to_doc(g)).encode())
         assert h.hexdigest() == "9be9654e177798ce1a0c0cda72f48b4ccb53336561b2555d35698e3419965a1d"
 
-    def test_a_cubic3con_graph_traces_one_face_list_after_its_insertions(self, monkeypatch):
-        """The finished plane is validated once, in full, and that
-        validation's Euler check is the only faces() call: the record's
-        faces decide 3-connectivity, and validate's original-edge map is
-        the graph's."""
+    def test_a_cubic3con_graph_traces_no_face_list_after_its_insertions(self, monkeypatch):
+        """The finished plane is validated once, in full, and traces no
+        face list: validate's Euler check counts face orbits, the record's
+        faces decide 3-connectivity, the separating-pair search builds the
+        one adjacency, and validate's original-edge map is the graph's."""
         calls = Counter()
-        for name in ("validate", "faces", "separating_pairs", "original_edges"):
+        for name in ("validate", "faces", "separating_pairs", "original_edges", "adjacency"):
             method = getattr(PlaneGraph, name)
             monkeypatch.setattr(PlaneGraph, name,
                                 lambda plane, name=name, method=method: calls.update([name]) or method(plane))
@@ -198,7 +198,7 @@ class TestCorpus:
             for seed in range(1000, 1004):
                 calls.clear()
                 gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)
-                assert calls == {"validate": 1, "faces": 1, "original_edges": 1}, (n_target, seed)
+                assert calls == {"validate": 1, "original_edges": 1, "adjacency": 1}, (n_target, seed)
 
 
 def fresh_by_scan(plane, prefix: str) -> str:

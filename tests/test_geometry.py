@@ -26,7 +26,6 @@ from slopeforge.geometry import (
     hits_across,
     intersect,
     line_intersection,
-    min_angle_eighths_lower_bound,
     octant,
     on_segment,
     orient,
@@ -36,13 +35,12 @@ from slopeforge.geometry import (
     primitive,
     quotient,
     slope_of,
-    sort_directions_ccw,
     strip_collinear,
     sweep_hits,
 )
 
 from builders import point, shifted
-from oracles import angular_compare
+from oracles import angular_compare, min_angle_eighths_lower_bound, sort_directions_ccw
 
 
 # ---------------------------------------------------------------------------

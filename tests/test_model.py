@@ -34,7 +34,9 @@ from slopeforge.model import (
 from slopeforge.reembed import normalize_embedding
 from slopeforge.verify import embedding_from_geometry
 
-from builders import build_plane_graph
+from adversarial import adversarial_suite
+from builders import build_plane_graph, gen_fig_like
+from oracles import validate_by_tracing
 
 
 def triangle() -> PlaneGraph:
@@ -127,6 +129,102 @@ def trace_by_next_in_face(plane: PlaneGraph, start) -> Face:
         darts.append(d)
         d = plane.next_in_face(d)
     return Face(tuple(darts))
+
+
+def validation_outcome(validate, plane: PlaneGraph):
+    """What validate does on a copy of plane: the error's type and message,
+    or the returned dict as a list, so its key order counts."""
+    plane = plane.copy()
+    try:
+        return "ok", list(validate(plane).items())
+    except (EmbeddingError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _swap_first_two(items: list) -> None:
+    items[0], items[1] = items[1], items[0]
+
+
+def _mutations(plane: PlaneGraph):
+    """(name, mutated copy of plane): one fault each, at fixed places."""
+    def changed(edit):
+        p = plane.copy()
+        edit(p)
+        return p
+
+    verts, edges = plane.vertices, list(plane.edges.items())
+    mid = len(verts) // 2
+    e0, (a0, b0) = edges[len(edges) // 3]
+    yield "duplicate vertex", changed(lambda p: p.vertices.insert(mid, verts[1]))
+    yield "unknown real flag", changed(lambda p: p.real.add("zz"))
+    yield "self-loop", changed(lambda p: p.edges.update({e0: (a0, a0)}))
+    yield "unknown endpoint", changed(lambda p: p.edges.update({e0: (a0, "zz")}))
+    yield "multi-edge", changed(lambda p: p.edges.update({"zz": (b0, a0)}))
+    v3 = next(v for v in verts[mid:] + verts[:mid] if len(plane.rotation[v]) >= 3)
+    yield "rotation entry dropped", changed(lambda p: p.rotation[v3].pop(1))
+    yield "rotation entries swapped", changed(lambda p: _swap_first_two(p.rotation[v3]))
+    yield "no rotation", changed(lambda p: p.rotation.pop(verts[-1]))
+    dummies = plane.dummies()
+    if dummies:
+        x = dummies[len(dummies) // 2]
+        yield "broken alternation", changed(lambda p: _swap_first_two(p.rotation[x]))
+        frag = plane.rotation[x][0]
+        plain = next(e for e, _ in edges if e not in plane.fragment_of)
+        yield "1 fragment", changed(lambda p: p.fragment_of.update({plain: "zz"}))
+        yield "3 fragments", changed(lambda p: p.fragment_of.update({plain: plane.fragment_of[frag]}))
+        yield "dummy made real", changed(lambda p: p.real.add(x))
+    if plane.outer_darts:
+        outer = plane.outer_darts
+        other = next(d for d in plane.darts() if d not in set(outer))
+        yield "outer face short", changed(lambda p: setattr(p, "outer_darts", outer[:-1]))
+        yield "outer face with a foreign dart", changed(lambda p: setattr(p, "outer_darts", outer + (other,)))
+        yield "outer face from no dart", changed(lambda p: setattr(p, "outer_darts", (("zz", a0),) + outer))
+        yield "outer face of the wrong tail", changed(lambda p: setattr(p, "outer_darts", ((e0, "zz"),) + outer))
+
+
+class TestValidateOracle:
+    """PlaneGraph.validate counts face orbits; validate_by_tracing traces
+    the faces() list.  Both give the same message or the same dict, key
+    order included."""
+
+    @staticmethod
+    def mutation_planes():
+        """20 cubic3con and 10 subcubic planes."""
+        planes = []
+        for profile, count in (("cubic3con", 20), ("subcubic", 10)):
+            for i in range(count):
+                g = gen_corpus(seed=2000 + i, n_target=(20, 60)[i % 2], profile=profile)[0]
+                planes.append(g.plane)
+        return planes
+
+    def test_the_same_result_on_every_corpus_and_adversarial_plane(self):
+        planes = [(name, plane) for name, plane in face_walk_planes()]
+        planes += [(name, g.plane) for name, g in adversarial_suite()]
+        planes += [(f"normalized {name}", normalize_embedding(g).plane) for name, g in adversarial_suite()]
+        planes += [("fig-like", gen_fig_like().plane), ("k4 crossing", k4_one_crossing())]
+        planes += [(f"mutation base {i}", p) for i, p in enumerate(self.mutation_planes())]
+        for name, plane in planes:
+            want = validation_outcome(validate_by_tracing, plane)
+            assert want[0] == "ok", name
+            assert validation_outcome(PlaneGraph.validate, plane) == want, name
+        assert sum(1 for _, p in planes if p.outer_darts) >= 20
+        assert sum(1 for _, p in planes if p.dummies()) >= 20
+
+    def test_the_same_result_on_every_mutation(self):
+        results = Counter()
+        planes = self.mutation_planes()
+        for plane in planes:
+            for kind, mutated in _mutations(plane):
+                want = validation_outcome(validate_by_tracing, mutated)
+                assert validation_outcome(PlaneGraph.validate, mutated) == want, kind
+                results[want[0], want[1].split(" ")[0] if want[0] != "ok" else ""] += 1
+        assert sum(1 for p in planes if p.dummies()) >= 20
+        assert ("ok", "") not in results
+        # Every check fails on some mutation.  An outer face that starts
+        # at no dart raises the trace's KeyError on both sides.
+        assert {start for _, start in results} == {
+            "duplicate", "real", "self-loop", "edge", "multi-edge", "no", "rotation", "original",
+            "fragment", "Euler", "outer", "'zz'", "'zz"}, results
 
 
 def face_walk_planes():

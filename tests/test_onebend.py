@@ -46,6 +46,7 @@ from oracles import (
     from_stationary_end,
     horizontal_edges_by_points,
     port_dirs_by_points,
+    preds_on_contour_by_scan,
     shape_by_points,
     stretch_by_fractions,
     unabsorbing_ends_by_points,
@@ -565,6 +566,30 @@ class TestStepCheck:
         assert all(step == full for step, full in seen)
         assert sum(1 for step, _ in seen if step) == 2
         assert len(seen) >= 100
+
+    def test_the_predecessors_are_the_contour_scans(self, monkeypatch):
+        """_preds_on_contour reads the members' own rotations.  At every
+        step of the two corpora above it gives the list the scan of every
+        contour vertex's rotation gives, in contour order."""
+        seen = []
+        preds_on_contour = OneBendDrawer._preds_on_contour
+
+        def both(drawer, members):
+            got = preds_on_contour(drawer, members)
+            assert got == preds_on_contour_by_scan(drawer, members), members
+            seen.append(len(got))
+            return got
+
+        monkeypatch.setattr(OneBendDrawer, "_preds_on_contour", both)
+        inputs = [(seed, (12, 16, 20, 24)[seed % 4]) for seed in range(60, 84)]
+        inputs += [(1024, 90), (1025, 90), (1026, 90), (499, 32)]
+        for seed, target in inputs:
+            g = gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0]
+            try:
+                draw_onebend(g)
+            except OneBendError:
+                assert seed in (1024, 499)
+        assert len(seen) >= 300 and set(seen) >= {2, 3}, (len(seen), set(seen))
 
     @staticmethod
     def _step_onto_c_and_e(spare_at_c):

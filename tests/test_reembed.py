@@ -93,8 +93,44 @@ class TestNormalize:
                                 lambda plane, name=name, method=method: calls.update([name]) or method(plane))
         out = normalize_embedding(g)
         assert (len(g.crossings()), len(out.crossings())) == (64, 0)
-        # The one faces() call is the validation's Euler check.
-        assert calls == {"validate": 1, "faces": 1}
+        # The validation's Euler check counts face orbits: no faces() call.
+        assert calls == {"validate": 1}
+
+    def test_the_spliced_outer_face_is_the_retrace_after_every_uncrossing(self, monkeypatch):
+        """After every uncrossing of gen_2reg(k), k = 8 ... 64, the outer
+        face equals the retrace from the old face's first dart on no
+        fragment, and no face was traced to get it.  On the adversarial
+        planes it equals the retrace too; the crossing of two lone edges
+        has an outer face all on fragments, which is retraced."""
+        retrace = reembed._refresh_outer_after_surgery
+        uncross = reembed._uncross
+        trace_face = PlaneGraph.trace_face
+        traced = []
+        monkeypatch.setattr(PlaneGraph, "trace_face", lambda plane, d: traced.append(d) or trace_face(plane, d))
+        changed = []
+
+        def checked(plane, x):
+            before = plane.outer_darts
+            traced.clear()
+            uncross(plane, x)
+            changed.append((plane.outer_darts != before, bool(traced)))
+            want = plane.copy()
+            want.outer_darts = before
+            retrace(want)
+            assert plane.outer_darts == want.outer_darts, x
+
+        monkeypatch.setattr(reembed, "_uncross", checked)
+        for k in range(8, 65):
+            changed.clear()
+            assert normalize_embedding(gen_2reg(k)).crossings() == {}
+            assert len(changed) == k and sum(c for c, _ in changed) > k // 2, k
+            assert not any(t for _, t in changed), k
+        # Of gen_2reg(64)'s 64 uncrossings, 40 change the outer face.
+        assert sum(c for c, _ in changed) == 40
+        changed.clear()
+        for g in [g for _, g in adversarial_suite()] + [two_crossing_edges(), uncrossing_makes_a_cutvertex()]:
+            normalize_embedding(g)
+        assert sum(c for c, _ in changed) >= 10 and sum(t for _, t in changed) == 1, changed
 
     def test_64_uncrossings_search_no_component_and_redo_only_the_blocks_that_held_each(self, monkeypatch):
         g = gen_2reg(64)

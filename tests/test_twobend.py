@@ -349,7 +349,7 @@ class TestComponentPlanes:
         for g in graphs:
             norm = normalize_embedding(g)
             for comp in bridge_decomposition(norm).components:
-                sub = component_plane(norm, comp)
+                sub = component_plane(norm, comp, norm.crossings())
                 sub.validate()
                 assert all(set(norm.edges[sub.original_edge_of(e)]) <= comp for e in sub.edges)
                 multi += len(sub.vertices) > 1

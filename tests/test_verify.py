@@ -10,7 +10,7 @@ import oracles
 from slopeforge import docio, verify
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.families import gen_2reg, gen_3reg18, gen_corpus, gen_crossed_k4, gen_k4_embedded, gen_maxdeg, gen_prism
-from slopeforge.geometry import Point, SlopeKind, min_angle_eighths_lower_bound, slope_of
+from slopeforge.geometry import Point, SlopeKind, slope_of
 from slopeforge.model import EmbeddedGraph
 from slopeforge.onebend import draw_onebend
 from slopeforge.twobend import draw_twobend
@@ -28,6 +28,7 @@ from slopeforge.verify import _min_resolution, _sort_edge_dirs_ccw
 
 from adversarial import adversarial_suite
 from builders import build_plane_graph, point
+from oracles import min_angle_eighths_lower_bound
 from test_model import k4_one_crossing
 
 
