@@ -111,7 +111,7 @@ def graph_to_doc(g: EmbeddedGraph) -> Dict[str, Any]:
         ],
         "rotations": {v: list(plane.rotation[v]) for v in sorted(plane.vertices)},
         "fragment_map": _fragment_map_out(plane),
-        "outer_face": [[e, tail] for e, tail in plane.outer_darts],
+        "outer_face": [] if plane.outer is None else [[e, tail] for e, tail in plane.outer_face().darts],
     }
 
 
@@ -156,9 +156,9 @@ def graph_from_doc(doc: Dict[str, Any], strict: bool = False) -> EmbeddedGraph:
         for e, tail in outer:
             if tail not in edges.get(e, ()):
                 raise DocumentError(f"outer_face dart ({e}, {tail}) is not a dart of the graph")
-        plane.outer_darts = tuple(plane.trace_face(outer[0]).darts)
-        if set(outer) != set(plane.outer_darts):
+        if set(outer) != set(plane.trace_face(outer[0]).darts):
             raise DocumentError("outer_face does not describe a face of the rotation system")
+        plane.outer = outer[0]
     return g
 
 

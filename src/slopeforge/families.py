@@ -374,16 +374,8 @@ def _subdivide(plane: PlaneGraph, e: str, new_v: str) -> Tuple[str, str]:
     plane.rotation[new_v] = [e1, e2]
     plane.rotation[a][plane.rotation[a].index(e)] = e1
     plane.rotation[b][plane.rotation[b].index(e)] = e2
-    if plane.outer_darts:
-        new_darts: List[Dart] = []
-        for de, dt in plane.outer_darts:
-            if de != e:
-                new_darts.append((de, dt))
-            elif dt == a:
-                new_darts.extend([(e1, a), (e2, new_v)])
-            else:
-                new_darts.extend([(e2, b), (e1, new_v)])
-        plane.outer_darts = tuple(new_darts)
+    if plane.outer is not None and plane.outer[0] == e:
+        plane.outer = (e1, a) if plane.outer[1] == a else (e2, b)
     return e1, e2
 
 

@@ -9,7 +9,11 @@ describe the planarization directly and the abstract 1-plane view
 
 Rotations are counterclockwise lists of edge ids.  A dart is a pair
 (edge id, tail vertex); the face to the left of a dart is traced by the
-rule next(u -> v) = the ccw-successor at v of the reversed dart.
+rule next(u -> v) = the ccw-successor at v of the reversed dart.  The outer
+face is recorded by one dart, the face to its left, as a doubly connected
+edge list names a face by one half-edge (Muller and Preparata 1978): its
+walk is traced on demand (outer_face()), so a surgery keeps the record
+exact by keeping that one dart alive.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class PlaneGraph:
     edges: Dict[str, Tuple[str, str]]
     rotation: Dict[str, List[str]]
     fragment_of: Dict[str, str]
-    outer_darts: Tuple[Dart, ...] = ()
+    outer: Optional[Dart] = None  # the outer face is the face to its left
 
     # ---- basic queries -------------------------------------------------
 
@@ -165,13 +169,13 @@ class PlaneGraph:
         return _triconnected(self, self.separating_pairs)
 
     def outer_face(self) -> Face:
-        if not self.outer_darts:
+        if self.outer is None:
             raise EmbeddingError("no outer face recorded")
-        return self.trace_face(self.outer_darts[0])
+        return self.trace_face(self.outer)
 
     def with_outer(self, dart: Dart) -> "PlaneGraph":
         g = self.copy()
-        g.outer_darts = tuple(g.trace_face(dart).darts)
+        g.outer = dart
         return g
 
     def copy(self) -> "PlaneGraph":
@@ -181,7 +185,7 @@ class PlaneGraph:
             edges=dict(self.edges),
             rotation={v: list(r) for v, r in self.rotation.items()},
             fragment_of=dict(self.fragment_of),
-            outer_darts=tuple(self.outer_darts),
+            outer=self.outer,
         )
 
     def induced(self, keep: Set[str]) -> "PlaneGraph":
@@ -246,7 +250,9 @@ class PlaneGraph:
 
     def validate(self) -> Dict[str, Tuple[str, str]]:
         """Raise EmbeddingError unless this is the planarization of a
-        1-plane graph; return original_edges(), which the check builds.
+        1-plane graph, and the trace's KeyError unless the outer face
+        record is a dart of it; return original_edges(), which the check
+        builds.
 
         One linear pass that traces no face as a list: the darts of the
         i-th edge (a, b) are numbered 2i (tail a) and 2i + 1 (tail b), the
@@ -280,19 +286,9 @@ class PlaneGraph:
             if len(rot) != len(out) or set(rot) != out.keys():
                 raise EmbeddingError(f"rotation at {v} does not list its incident edges")
         original = self._validate_dummies()
-        succ = self._check_euler(index, leaving)
-        if self.outer_darts:
-            start = self.outer_darts[0]
-            s = leaving.get(start[1], {}).get(start[0])
-            if s is None:
-                self.trace_face(start)  # raises: start is no dart
-            face = {s}
-            d = succ[s]
-            while d != s:
-                face.add(d)
-                d = succ[d]
-            if {leaving.get(t, {}).get(e) for e, t in self.outer_darts} != face:
-                raise EmbeddingError("outer face record does not match traced face")
+        self._check_euler(index, leaving)
+        if self.outer is not None and self.outer[0] not in leaving.get(self.outer[1], ()):
+            self.trace_face(self.outer)  # raises: the outer face record is no dart
         return original
 
     def _validate_dummies(self) -> Dict[str, Tuple[str, str]]:
@@ -329,9 +325,9 @@ class PlaneGraph:
             leaving[b][e] = 2 * i + 1
         self._check_euler({v: i for i, v in enumerate(self.vertices)}, leaving)
 
-    def _check_euler(self, index: Dict[str, int], leaving: Dict[str, Dict[str, int]]) -> List[int]:
-        """Check V - E + F = 2C and return next_in_face over the dart
-        numbers; leaving[v][e] is the number of e's dart with tail v.
+    def _check_euler(self, index: Dict[str, int], leaving: Dict[str, Dict[str, int]]) -> None:
+        """Check V - E + F = 2C, counting the orbits of next_in_face over
+        the dart numbers; leaving[v][e] is the number of e's dart with tail v.
 
         Faces are counted per component, so each component contributes its
         own copy of the unbounded face.  An edgeless vertex has no dart, but
@@ -374,7 +370,6 @@ class PlaneGraph:
             raise EmbeddingError(
                 f"Euler check failed: V={n} E={m} F={faces} C={components} (V-E+F != 2C)"
             )
-        return succ
 
 
 @dataclass
@@ -415,7 +410,7 @@ class FaceRecord:
 
     def inner_faces(self) -> List[Tuple[Dart, ...]]:
         """The darts of each face but the recorded outer one, in faces() order."""
-        outer = self.face_of[self.plane.outer_darts[0]] if self.plane.outer_darts else None
+        outer = None if self.plane.outer is None else self.face_of[self.plane.outer]
         return [self.darts[k] for k in sorted(self.darts) if k != outer]
 
     def forget_face(self, key: int) -> None:
@@ -567,7 +562,7 @@ def find_real_real_face(p: PlaneGraph) -> Tuple[Face, Tuple[str, str], str]:
     """
 
     def candidates() -> Iterator[Face]:
-        if p.outer_darts:
+        if p.outer is not None:
             yield p.outer_face()
         yield from sorted(p.faces(), key=lambda f: tuple(sorted(d[0] for d in f.darts)))
 

@@ -388,13 +388,6 @@ def natural_port(g: Gamma, x: str, frag: str) -> str:
     return OPP[ports[partner]]
 
 
-def _connecting_drawn_edge(g: Gamma, v: str, w: str) -> str:
-    for e in g.plane.rotation[v]:
-        if e in g.polylines and g.plane.other_end(e, v) == w:
-            return e
-    raise OneBendError(f"no drawn edge between contour neighbors {v}, {w}")
-
-
 # ---------------------------------------------------------------------------
 # Connection plans
 # ---------------------------------------------------------------------------
@@ -1377,7 +1370,7 @@ def _check_p4_pairs(g: Gamma, pairs: List[Tuple[int, int]]) -> Tuple[List[str], 
     for iu, iv in pairs:
         u, v = contour[iu], contour[iv]
         path = contour[iu : iv + 1]
-        shapes = [g.shape_from(_connecting_drawn_edge(g, a, b), a) for a, b in zip(path, path[1:])]
+        shapes = [g.shape_from(_edge_between(g.plane, a, b), a) for a, b in zip(path, path[1:])]
         word = [o for shape in shapes for o in shape]
         # (b) both real attachable: a horizontal segment exists, or nothing
         # on the path could ever block a stretch (no verticals at all).

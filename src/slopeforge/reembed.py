@@ -29,11 +29,12 @@ in tests/test_reembed.py's uncrossing_makes_a_cutvertex, _x0 and _x1 both
 cross edges at a and c, and uncrossing _x1 leaves _x0 the only link
 between a's side and c's, so _x0 becomes a cutvertex and is uncrossed
 before _x2.  Uncrossing in the order of the first list of cutvertices
-instead would end with another edge order.  The outer face changes only
-when one of its darts was a fragment at x, and then it is spliced from the
-old one: the runs of the old walk between x's fragments, joined at the
-re-added edges, and the runs of the other faces at x where the new face
-takes them in.  It is not retraced.
+instead would end with another edge order.  The outer face is recorded
+by one dart (see model), and an uncrossing moves it in O(1) only when it
+was a fragment at x: to the first dart after it on its face that is on no
+fragment at x, whose face is the old outer face with x's corners joined.
+A flip mirrors rotations and keeps that dart, so its face is the flipped
+plane's face to the dart's left, and the record never goes stale.
 
 The rule for an uncrossing: it fails iff x's rotation alternates and all
 four neighbors of x lie in one component of G - x.  Let x's edges be a-b
@@ -59,11 +60,10 @@ re-insertion by tracing faces (tests/oracles.py).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import graphutil
-from .model import Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, connectivity
+from .model import EmbeddedGraph, EmbeddingError, PlaneGraph, connectivity
 
 
 class ReembedError(Exception):
@@ -174,44 +174,43 @@ def _check_same_abstract_graph(before: EmbeddedGraph, after: EmbeddedGraph) -> N
 
 
 def _uncross(plane: PlaneGraph, x: str) -> None:
-    """Delete dummy x and re-add each original edge through it, uncrossed
-    (_reinsert), then splice the outer face (_splice_outer).  Edits plane
-    in place.  The caller has decided that the re-insertion is planar: x is
-    a cutvertex, or _uncrossable(plane, x) holds.  The outer face changes
-    only when one of its darts was a fragment at x; else its walk meets no
-    changed corner and keeps its darts.
-    """
-    cut = set(plane.rotation[x])
-    halves = _reinsert(plane, x)
-    hits = [i for i, (e, _) in enumerate(plane.outer_darts) if e in cut]
-    if hits:
-        _splice_outer(plane, x, hits, halves)
-
-
-def _reinsert(plane: PlaneGraph, x: str) -> Dict[str, List[Tuple[str, str]]]:
     """Delete dummy x and re-add each original edge through it at the
-    corners its two fragments leave at their far ends; leave the outer
-    face record as it is.  Returns each original edge's two (far end,
-    fragment) pairs.
+    corners its two fragments leave at their far ends.  Edits plane in
+    place.  The caller has decided that the re-insertion is planar: x is a
+    cutvertex, or _uncrossable(plane, x) holds.
 
     The edges are re-added in the order x's rotation first meets them, and
-    each end goes into the rotation index its fragment occupied.
+    each end goes into the rotation index its fragment occupied.  The
+    outer face record moves only when it is a fragment at x: to the first
+    dart after it on its face that is on none, as a corner at x's
+    neighbors keeps its place in their rotations.  When every dart of the
+    face is such a fragment, it falls back to the first face of the first
+    vertex (normalization is allowed to re-embed).
     """
-    halves: Dict[str, List[Tuple[str, str]]] = {}
+    cut = set(plane.rotation[x])
+    outer = plane.outer
+    if outer is not None and outer[0] in cut:
+        outer = plane.next_in_face(outer)
+        while outer[0] in cut and outer != plane.outer:
+            outer = plane.next_in_face(outer)
+    ends: Dict[str, List[str]] = {}
     # Each neighbor's corner: the index its fragment occupied.
     corner: Dict[str, int] = {}
     for frag in plane.rotation[x]:
         u = plane.other_end(frag, x)
-        halves.setdefault(plane.fragment_of[frag], []).append((u, frag))
+        ends.setdefault(plane.fragment_of[frag], []).append(u)
         corner[u] = plane.rotation[u].index(frag)
         plane.rotation[u].remove(frag)
         del plane.edges[frag]
         del plane.fragment_of[frag]
     plane.vertices.remove(x)
     del plane.rotation[x]
-    for orig, ((a, _), (b, _)) in halves.items():
+    for orig, (a, b) in ends.items():
         _insert_uncrossed_edge(plane, orig, a, corner[a], b, corner[b])
-    return halves
+    if outer is not None and outer[0] in cut:
+        v = plane.vertices[0]
+        outer = (plane.rotation[v][0], v)
+    plane.outer = outer
 
 
 def _uncrossable(plane: PlaneGraph, x: str) -> bool:
@@ -246,79 +245,6 @@ def _insert_uncrossed_edge(plane: PlaneGraph, orig: str, a: str, ia: int, b: str
     plane.rotation[b].insert(ib % max(1, len(plane.rotation[b]) + 1), orig)
 
 
-def _splice_outer(plane: PlaneGraph, x: str, hits: List[int],
-                  halves: Dict[str, List[Tuple[str, str]]]) -> None:
-    """Replace plane's outer face, after _reinsert uncrossed x and
-    returned halves, by the face _refresh_outer_after_surgery would
-    retrace, spliced from the old one.  hits are the indices of the old
-    face's darts on fragments at x.
-
-    A corner at x's neighbors keeps its place in their rotations, so the
-    walk changes only where it entered x: the re-added edge's dart from
-    the same tail takes the place of the dart into x, and is followed by
-    what followed its exit, the dart out of x toward its head.  So the new
-    face is the old one from its first dart on no fragment, cut at each
-    dart into x, with the run after that dart's exit spliced in.  An exit
-    on the old face jumps within it; the run after any other exit lies on
-    another face around x, and is walked until it meets a re-added dart.
-    """
-    renamed: Dict[Dart, Dart] = {}  # a dart into x -> the re-added edge's dart
-    exit_of: Dict[Dart, Dart] = {}  # a re-added edge's dart -> its exit
-    for orig, ((a, fa), (b, fb)) in halves.items():
-        renamed[(fa, a)], exit_of[(orig, a)] = (orig, a), (fb, x)
-        renamed[(fb, b)], exit_of[(orig, b)] = (orig, b), (fa, x)
-    old = plane.outer_darts
-    n = len(old)
-    first = next((k for k, i in enumerate(hits) if k != i), len(hits))
-    if first == n:
-        _refresh_outer_after_surgery(plane)
-        return
-    edges, rotation = plane.edges, plane.rotation
-    walk = old[first:] + old[:first]
-    at = {old[i]: (i - first) % n for i in hits}
-    into = sorted(at[d] for d in renamed if d in at)
-    out: List[Dart] = []
-    i = 0
-    while i < n:
-        k = bisect_left(into, i)
-        if k == len(into):
-            out.extend(walk[i:])
-            break
-        out.extend(walk[i:into[k]])
-        new = renamed[walk[into[k]]]
-        while True:
-            out.append(new)
-            q = at.get(exit_of[new])
-            if q is not None:
-                i = q + 1
-                break
-            e, v = new
-            while True:  # next_in_face, inline
-                a, b = edges[e]
-                v = b if v == a else a
-                rot = rotation[v]
-                e = rot[rot.index(e) - 1]
-                if (e, v) in exit_of:
-                    break
-                out.append((e, v))
-            new = (e, v)
-    plane.outer_darts = tuple(out)
-
-
-def _refresh_outer_after_surgery(plane: PlaneGraph) -> None:
-    if not plane.outer_darts:
-        return
-    for d in plane.outer_darts:
-        if d[0] in plane.edges and d[1] in plane.rotation:
-            plane.outer_darts = tuple(plane.trace_face(d).darts)
-            return
-    # The old outer boundary vanished entirely; fall back to any face of the
-    # first vertex (normalization is allowed to re-embed).
-    v = plane.vertices[0]
-    e = plane.rotation[v][0]
-    plane.outer_darts = tuple(plane.trace_face((e, v)).darts)
-
-
 def _fix_two_cut(plane: PlaneGraph, pairs: Sequence[Tuple[str, str]]) -> PlaneGraph:
     """Fix some separating pair (w, x) with x dummy by flipping a split
     component so the crossing at x stops alternating, then uncrossing it."""
@@ -333,12 +259,7 @@ def _fix_two_cut(plane: PlaneGraph, pairs: Sequence[Tuple[str, str]]) -> PlaneGr
             # exactly when the flip stopped x's rotation alternating.
             if not _uncrossable(flipped, x):
                 continue  # flip did not break the crossing
-            # The flip leaves the outer face record as it was, which need
-            # not be a face of the flipped plane: retrace it, not splice.
-            cut = set(flipped.rotation[x])
-            _reinsert(flipped, x)
-            if any(e in cut for e, _ in flipped.outer_darts):
-                _refresh_outer_after_surgery(flipped)
+            _uncross(flipped, x)
             return flipped
     raise ReembedError(
         "3-connectivity fix: no split component flip removes a dummy 2-cut "

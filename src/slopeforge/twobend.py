@@ -126,7 +126,7 @@ def compute_ports(plane: PlaneGraph, st: StOrdering) -> Dict[str, Dict[str, str]
     no edge with a dummy end is a C- or a Z-shape.  Source/sink ambiguity
     is resolved so the free gap faces the outer face.
     """
-    outer = set(plane.outer_darts)
+    outer = set(plane.outer_face().darts) if plane.outer is not None else set()
     per_vertex: Dict[str, List[Dict[str, str]]] = {}
     for v in plane.vertices:
         rot = plane.rotation[v]
@@ -539,14 +539,16 @@ def _outer_face(sub: PlaneGraph, u_i: str) -> Tuple[Dart, ...]:
 
 def draw_component(sub: PlaneGraph, u_i: str) -> OrthoDrawing:
     """Draw one component with t = u_i: records _outer_face as sub's outer
-    face, and tries each source on it until draw_liu's drawing passes
-    check_invariants: the 2-bend drawer's one check."""
+    face, by the walk's first dart, and tries each source on the walk until
+    draw_liu's drawing passes check_invariants: the 2-bend drawer's one
+    check."""
     if len(sub.vertices) == 1:
         v = sub.vertices[0]
         return OrthoDrawing(plane=sub, t=v, pos={v: Point(0, 0)}, edges={})
-    sub.outer_darts = _outer_face(sub, u_i)
+    walk = _outer_face(sub, u_i)
+    sub.outer = walk[0]
     errors = []
-    for s in sorted({v for _, v in sub.outer_darts if v in sub.real and v != u_i}):
+    for s in sorted({v for _, v in walk if v in sub.real and v != u_i}):
         try:
             d = draw_liu(sub, s, u_i)
         except (TwoBendError, EmbeddingError, ValueError) as exc:

@@ -37,7 +37,7 @@ from .geometry import (
     segment_hits,
     slope_of,
 )
-from .model import DUMMY_PREFIX, EmbeddedGraph, EmbeddingError, PlaneGraph, cyclic_key
+from .model import DUMMY_PREFIX, Dart, EmbeddedGraph, EmbeddingError, PlaneGraph, cyclic_key
 
 PROFILES = ("ONEBEND", "TWOBEND", "STRAIGHT")
 
@@ -358,7 +358,7 @@ def _embedding_from(d: PolylineDrawing, rays: RayTable) -> EmbeddedGraph:
         rotation=rotation,
         fragment_of=fragment_of,
     )
-    plane.outer_darts = tuple(_outer_face_darts(plane, positions, rays.oriented, rays.crossing_at))
+    plane.outer = _outer_face_dart(plane, positions, rays.oriented, rays.crossing_at)
     return EmbeddedGraph.from_plane(plane)
 
 
@@ -370,15 +370,15 @@ def _fresh_ids(taken: Set[str]) -> Iterator[str]:
             yield x
 
 
-def _outer_face_darts(
+def _outer_face_dart(
     plane: PlaneGraph,
     positions: Dict[str, Point],
     polylines: Dict[str, List[Point]],
     crossing_at: Dict[str, int],
-):
-    """Darts of the unbounded face, read at the lowest, then leftmost, point
-    of the drawing: the boundary through it is that face's.  () when there
-    are no edges.
+) -> Optional[Dart]:
+    """A dart with the unbounded face to its left, read at the lowest, then
+    leftmost, point of the drawing: the boundary through it is that face's.
+    None when there are no edges.
 
     polylines are the original edges oriented from their first end, and
     crossing_at says where a crossed edge's crossing lies on it (see
@@ -386,7 +386,7 @@ def _outer_face_darts(
     is strictly lower, so a bend at a crossing leaves it to the dummy there.
     """
     if not plane.edges:
-        return ()
+        return None
     low, v = min(((positions[u].y, positions[u].x), u) for u in plane.vertices if plane.rotation[u])
     bend: Optional[Tuple[str, int]] = None
     for e in sorted(polylines):
@@ -399,7 +399,7 @@ def _outer_face_darts(
         # runs counterclockwise from the east: the unbounded region lies left
         # of the dart arriving along its first edge.
         e = plane.rotation[v][0]
-        return plane.trace_face((e, plane.other_end(e, v))).darts
+        return (e, plane.other_end(e, v))
     e, k = bend
     at = crossing_at.get(e)
     piece = e if at is None else f"{e}$a" if 2 * k < at else f"{e}$b"
@@ -408,7 +408,7 @@ def _outer_face_darts(
     # Walk through the bend arriving along the low-angle ray: the tail is the
     # end on that side, so the unbounded region lies left of the dart.
     tail = first if angle_key(back) <= angle_key(ahead) else second
-    return plane.trace_face((piece, tail)).darts
+    return (piece, tail)
 
 
 @dataclass
@@ -477,10 +477,10 @@ def _dummy_signature(g: EmbeddedGraph) -> Dict[Tuple[str, str], Tuple]:
 
 def _outer_signature(g: EmbeddedGraph) -> Tuple:
     plane = g.plane
-    if not plane.outer_darts:
+    if plane.outer is None:
         return ()
     entries = []
-    for e, tail in plane.outer_darts:
+    for e, tail in plane.outer_face().darts:
         orig = plane.original_edge_of(e)
         label = tail if tail in plane.real else ("#x", tuple(sorted(g.crossings()[tail])))
         entries.append((orig, label))

@@ -135,7 +135,7 @@ def two_crossing_edges() -> EmbeddedGraph:
         rotation={"_x0": ["e1", "f1", "e2", "f2"], "a": ["e1"], "b": ["e2"], "c": ["f1"], "d": ["f2"]},
         fragment_of={"e1": "e", "e2": "e", "f1": "f", "f2": "f"},
     )
-    plane.outer_darts = plane.trace_face(("e1", "a")).darts
+    plane.outer = ("e1", "a")
     return EmbeddedGraph.from_plane(plane)
 
 
@@ -162,5 +162,4 @@ def _mirror(g: EmbeddedGraph) -> EmbeddedGraph:
     plane = g.plane.copy()
     for v in plane.rotation:
         plane.rotation[v] = list(reversed(plane.rotation[v]))
-    plane.outer_darts = tuple(plane.trace_face(plane.outer_darts[0]).darts) if plane.outer_darts else ()
     return EmbeddedGraph.from_plane(plane)

@@ -34,8 +34,8 @@ def build_plane_graph(
     fragment_of: Dict[str, str],
     outer_dart: Optional[Dart] = None,
 ) -> PlaneGraph:
-    """A validated plane graph from its parts, its outer face traced from
-    outer_dart when one is given."""
+    """A validated plane graph from its parts, its outer face the one to
+    the left of outer_dart when one is given."""
     reals = list(real_vertices)
     dummies = list(dummy_vertices)
     g = PlaneGraph(
@@ -45,8 +45,7 @@ def build_plane_graph(
         rotation={v: list(r) for v, r in rotation.items()},
         fragment_of=dict(fragment_of),
     )
-    if outer_dart is not None:
-        g.outer_darts = tuple(g.trace_face(outer_dart).darts)
+    g.outer = outer_dart
     g.validate()
     return g
 

@@ -108,7 +108,6 @@ from slopeforge.reembed import (
     _alternates,
     _check_same_abstract_graph,
     _flip_component,
-    _refresh_outer_after_surgery,
     dummy_two_cuts,
 )
 from slopeforge.verify import (
@@ -119,7 +118,7 @@ from slopeforge.verify import (
     _corner_corner_crossing,
     _corner_crossing,
     _locate,
-    _outer_face_darts,
+    _outer_face_dart,
     _slope_summary,
     _sort_edge_dirs_ccw,
     embeddings_equivalent,
@@ -130,7 +129,7 @@ from slopeforge.verify import (
 def validate_by_tracing(plane: PlaneGraph) -> Dict[str, Tuple[str, str]]:
     """PlaneGraph.validate as it was: every check in the same order, with
     Euler's check on the faces() list and the components of the
-    adjacency, and the outer face retraced as darts."""
+    adjacency, and the outer face record traced."""
     vids = set(plane.vertices)
     if len(vids) != len(plane.vertices):
         raise EmbeddingError("duplicate vertex ids")
@@ -161,10 +160,8 @@ def validate_by_tracing(plane: PlaneGraph) -> Dict[str, Tuple[str, str]]:
     c = len(graphutil.components(plane.adjacency()))
     if n - m + f != 2 * c:
         raise EmbeddingError(f"Euler check failed: V={n} E={m} F={f} C={c} (V-E+F != 2C)")
-    if plane.outer_darts:
-        face = plane.trace_face(plane.outer_darts[0])
-        if set(face.darts) != set(plane.outer_darts):
-            raise EmbeddingError("outer face record does not match traced face")
+    if plane.outer is not None:
+        plane.trace_face(plane.outer)  # raises unless the record is a dart
     return original
 
 
@@ -318,6 +315,7 @@ def uncross_by_retracing(plane: PlaneGraph, x: str) -> Optional[PlaneGraph]:
     """A copy of plane with dummy x uncrossed, or None when some re-added
     edge would join two corners of one component on different faces."""
     plane = plane.copy()
+    old_walk = () if plane.outer is None else plane.outer_face().darts
     ends: Dict[str, List[str]] = {}
     corner: Dict[str, int] = {}
     for frag in plane.rotation[x]:
@@ -340,8 +338,23 @@ def uncross_by_retracing(plane: PlaneGraph, x: str) -> Optional[PlaneGraph]:
         plane.edges[orig] = (a, b)
         plane.rotation[a].insert(ia % max(1, len(plane.rotation[a]) + 1), orig)
         plane.rotation[b].insert(ib % max(1, len(plane.rotation[b]) + 1), orig)
-    _refresh_outer_after_surgery(plane)
+    refresh_outer_after_surgery(plane, old_walk)
     return plane
+
+
+def refresh_outer_after_surgery(plane: PlaneGraph, old_walk: Sequence[Dart]) -> None:
+    """Record plane's outer face after a surgery by retracing the old one:
+    the first dart of the old outer walk that survived the surgery, else,
+    when none did, the first face of the first vertex.  No record when
+    there was no old walk."""
+    if not old_walk:
+        return
+    for e, tail in old_walk:
+        if e in plane.edges and tail in plane.rotation:
+            plane.outer = (e, tail)
+            return
+    v = plane.vertices[0]
+    plane.outer = (plane.rotation[v][0], v)
 
 
 def _checked_uncross(plane: PlaneGraph, x: str) -> PlaneGraph:
@@ -894,7 +907,7 @@ def _without_vertical_edges(g: onebend.Gamma, path: List[str], segs: List[Segmen
     """Drop segments of edges drawn as single vertical segments."""
     vertical_edges = set()
     for a, b in zip(path, path[1:]):
-        pts = g.polylines[onebend._connecting_drawn_edge(g, a, b)]
+        pts = g.polylines[onebend._edge_between(g.plane, a, b)]
         if len(pts) == 2 and pts[0].x == pts[1].x:
             vertical_edges.add((pts[0], pts[1]))
             vertical_edges.add((pts[1], pts[0]))
@@ -904,7 +917,7 @@ def _without_vertical_edges(g: onebend.Gamma, path: List[str], segs: List[Segmen
 def _contour_path_segments(g: onebend.Gamma, path: List[str]) -> List[Segment]:
     segs: List[Segment] = []
     for a, b in zip(path, path[1:]):
-        pts = list(g.polylines[onebend._connecting_drawn_edge(g, a, b)])
+        pts = list(g.polylines[onebend._edge_between(g.plane, a, b)])
         if pts[0] != g.pos[a]:
             pts.reverse()
         segs.extend(Segment(p, q) for p, q in zip(pts, pts[1:]))
@@ -1507,7 +1520,7 @@ def embedding_from_by_rederiving(
         rotation=rotation,
         fragment_of=fragment_of,
     )
-    plane.outer_darts = tuple(_outer_face_darts(plane, positions, oriented, crossing_at))
+    plane.outer = _outer_face_dart(plane, positions, oriented, crossing_at)
     return EmbeddedGraph.from_plane(plane)
 
 

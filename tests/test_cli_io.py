@@ -449,6 +449,24 @@ class TestCli:
         assert capsys.readouterr().err == \
             "error: fragment bogus1 is not an edge with exactly one dummy end\n"
 
+    @pytest.mark.parametrize("darts", ["a face less a dart", "a face and a foreign dart", "darts of two faces"])
+    def test_an_outer_face_that_is_no_face_exits_2(self, capsys, darts):
+        """The reader checks the whole outer_face list against the face
+        traced from its first dart, and keeps only that dart."""
+        _, graph_json = run_cli(["gen", "--family", "k4"])
+        doc = json.loads(graph_json)
+        plane = docio.graph_from_doc(doc).plane
+        outer = [list(d) for d in plane.outer_face().darts]
+        other = [list(d) for d in next(f.darts for f in plane.faces() if list(f.darts[0]) not in outer)]
+        doc["outer_face"] = {
+            "a face less a dart": outer[:-1],
+            "a face and a foreign dart": outer + other[:1],
+            "darts of two faces": outer[:2] + other[:2],
+        }[darts]
+        code, out = run_cli(["draw", "--mode", "onebend"], json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: outer_face does not describe a face of the rotation system\n"
+
 
 # (command, family, path, value): the document is the family's graph for
 # "draw" and its 1-bend drawing otherwise, with doc[path[0]]...[path[-1]]

@@ -467,7 +467,7 @@ def must_match_faces(record):
     """The record's inner faces are faces() without the outer face, in the
     same order and from the same darts, and every dart maps to its face."""
     plane = record.plane
-    outer = set(plane.outer_darts)
+    outer = set(plane.outer_face().darts) if plane.outer is not None else set()
     assert record.inner_faces() == [f.darts for f in plane.faces() if set(f.darts) != outer], \
         "inner faces differ from faces()"
     assert record.face_of == {d: k for k, darts in record.darts.items() for d in darts}, \

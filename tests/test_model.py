@@ -173,13 +173,9 @@ def _mutations(plane: PlaneGraph):
         yield "1 fragment", changed(lambda p: p.fragment_of.update({plain: "zz"}))
         yield "3 fragments", changed(lambda p: p.fragment_of.update({plain: plane.fragment_of[frag]}))
         yield "dummy made real", changed(lambda p: p.real.add(x))
-    if plane.outer_darts:
-        outer = plane.outer_darts
-        other = next(d for d in plane.darts() if d not in set(outer))
-        yield "outer face short", changed(lambda p: setattr(p, "outer_darts", outer[:-1]))
-        yield "outer face with a foreign dart", changed(lambda p: setattr(p, "outer_darts", outer + (other,)))
-        yield "outer face from no dart", changed(lambda p: setattr(p, "outer_darts", (("zz", a0),) + outer))
-        yield "outer face of the wrong tail", changed(lambda p: setattr(p, "outer_darts", ((e0, "zz"),) + outer))
+    if plane.outer is not None:
+        yield "outer face from no dart", changed(lambda p: setattr(p, "outer", ("zz", a0)))
+        yield "outer face of the wrong tail", changed(lambda p: setattr(p, "outer", (e0, "zz")))
 
 
 class TestValidateOracle:
@@ -207,24 +203,29 @@ class TestValidateOracle:
             want = validation_outcome(validate_by_tracing, plane)
             assert want[0] == "ok", name
             assert validation_outcome(PlaneGraph.validate, plane) == want, name
-        assert sum(1 for _, p in planes if p.outer_darts) >= 20
+        assert sum(1 for _, p in planes if p.outer is not None) >= 20
         assert sum(1 for _, p in planes if p.dummies()) >= 20
 
     def test_the_same_result_on_every_mutation(self):
-        results = Counter()
+        results, valid = Counter(), Counter()
         planes = self.mutation_planes()
         for plane in planes:
             for kind, mutated in _mutations(plane):
                 want = validation_outcome(validate_by_tracing, mutated)
                 assert validation_outcome(PlaneGraph.validate, mutated) == want, kind
-                results[want[0], want[1].split(" ")[0] if want[0] != "ok" else ""] += 1
+                if want[0] == "ok":
+                    valid[kind] += 1
+                else:
+                    results[want[0], want[1].split(" ")[0]] += 1
         assert sum(1 for p in planes if p.dummies()) >= 20
-        assert ("ok", "") not in results
-        # Every check fails on some mutation.  An outer face that starts
-        # at no dart raises the trace's KeyError on both sides.
+        # Two swapped rotation entries can leave Euler's formula true and
+        # the outer face record a dart: then the plane is a valid one.
+        assert valid == {"rotation entries swapped": 6}, valid
+        # Every check fails on some mutation.  An outer face record that is
+        # no dart raises the trace's KeyError on both sides.
         assert {start for _, start in results} == {
             "duplicate", "real", "self-loop", "edge", "multi-edge", "no", "rotation", "original",
-            "fragment", "Euler", "outer", "'zz'", "'zz"}, results
+            "fragment", "Euler", "'zz'", "'zz"}, results
 
 
 def face_walk_planes():

@@ -30,22 +30,23 @@ def P(x, y):
 
 @pytest.fixture
 def outer_pairs(monkeypatch):
-    """(verify's outer darts, the oracle's) for every embedding extracted
-    while the test runs."""
+    """(the face left of verify's outer dart, the oracle's) for every
+    embedding extracted while the test runs."""
     drawings, pairs = [], []
-    embedding_from, outer_face_darts = verify._embedding_from, verify._outer_face_darts
+    embedding_from, outer_face_dart = verify._embedding_from, verify._outer_face_dart
 
     def extract(d, rays):
         drawings.append(d)
         return embedding_from(d, rays)
 
     def outer(plane, positions, polylines, crossing_at):
-        got = tuple(outer_face_darts(plane, positions, polylines, crossing_at))
-        pairs.append((got, tuple(outer_face_by_pieces(plane, positions, drawings[-1]))))
+        got = outer_face_dart(plane, positions, polylines, crossing_at)
+        walk = () if got is None else plane.trace_face(got).darts
+        pairs.append((walk, tuple(outer_face_by_pieces(plane, positions, drawings[-1]))))
         return got
 
     monkeypatch.setattr(verify, "_embedding_from", extract)
-    monkeypatch.setattr(verify, "_outer_face_darts", outer)
+    monkeypatch.setattr(verify, "_outer_face_dart", outer)
     return pairs
 
 
@@ -133,7 +134,7 @@ class TestOuterFaceOracle:
     def test_branch_is_pinned(self, outer_pairs, branch):
         pos, edges, polylines, pinned = self.BRANCHES[branch]
         g = embedding_from_geometry(pos, edges, polylines)
-        assert g.plane.outer_darts == pinned
+        assert g.plane.outer_face().darts == pinned
         assert outer_pairs == [(pinned, pinned)]
 
 

@@ -8,7 +8,7 @@ import pytest
 from slopeforge import graphutil, reembed
 from slopeforge.families import gen_2reg, gen_corpus, gen_crossed_k4, gen_k4_embedded
 from slopeforge.geometry import Point
-from slopeforge.model import PlaneGraph, connectivity
+from slopeforge.model import EmbeddedGraph, PlaneGraph, connectivity
 from slopeforge.reembed import (
     ReembedError,
     dummy_two_cuts,
@@ -21,6 +21,7 @@ from oracles import (
     count_dummy_cutvertices,
     normalize_by_retracing,
     normalized_reembedding_exists,
+    refresh_outer_after_surgery,
     uncross_by_retracing,
 )
 
@@ -96,13 +97,12 @@ class TestNormalize:
         # The validation's Euler check counts face orbits: no faces() call.
         assert calls == {"validate": 1}
 
-    def test_the_spliced_outer_face_is_the_retrace_after_every_uncrossing(self, monkeypatch):
-        """After every uncrossing of gen_2reg(k), k = 8 ... 64, the outer
-        face equals the retrace from the old face's first dart on no
-        fragment, and no face was traced to get it.  On the adversarial
-        planes it equals the retrace too; the crossing of two lone edges
-        has an outer face all on fragments, which is retraced."""
-        retrace = reembed._refresh_outer_after_surgery
+    def test_the_outer_face_is_the_retrace_after_every_uncrossing(self, monkeypatch):
+        """After every uncrossing of gen_2reg(k), k = 8 ... 64, of the
+        adversarial planes and of the flips they take, the outer face
+        record equals the retrace's (oracles.refresh_outer_after_surgery),
+        and no face was traced to get it.  The crossing of two lone edges
+        has an outer face all on fragments, and falls back."""
         uncross = reembed._uncross
         trace_face = PlaneGraph.trace_face
         traced = []
@@ -110,27 +110,66 @@ class TestNormalize:
         changed = []
 
         def checked(plane, x):
-            before = plane.outer_darts
+            before = plane.outer_face().darts
             traced.clear()
             uncross(plane, x)
-            changed.append((plane.outer_darts != before, bool(traced)))
+            assert not traced, x
             want = plane.copy()
-            want.outer_darts = before
-            retrace(want)
-            assert plane.outer_darts == want.outer_darts, x
+            refresh_outer_after_surgery(want, before)
+            assert plane.outer == want.outer, x
+            assert plane.outer_face().darts == want.outer_face().darts, x
+            changed.append(plane.outer_face().darts != before)
 
         monkeypatch.setattr(reembed, "_uncross", checked)
         for k in range(8, 65):
             changed.clear()
             assert normalize_embedding(gen_2reg(k)).crossings() == {}
-            assert len(changed) == k and sum(c for c, _ in changed) > k // 2, k
-            assert not any(t for _, t in changed), k
+            assert len(changed) == k and sum(changed) > k // 2, k
         # Of gen_2reg(64)'s 64 uncrossings, 40 change the outer face.
-        assert sum(c for c, _ in changed) == 40
+        assert sum(changed) == 40
         changed.clear()
         for g in [g for _, g in adversarial_suite()] + [two_crossing_edges(), uncrossing_makes_a_cutvertex()]:
             normalize_embedding(g)
-        assert sum(c for c, _ in changed) >= 10 and sum(t for _, t in changed) == 1, changed
+        assert sum(changed) >= 10, changed
+
+    def test_every_flip_leaves_a_valid_plane_and_the_flipped_outer_face(self, monkeypatch):
+        """_fix_two_cut uncrosses a flip through _uncross, so the outer face
+        of the plane it returns is the flipped plane's, joined at x: on the
+        3 flips the equivalence inputs take, and on the crossed prism with
+        the triangle abc outer, whose old walk holds no fragment at x and
+        whose face to the left of ab's dart from a the flip changes."""
+        flipped, fixed = [], []
+        flip, fix = reembed._flip_component, reembed._fix_two_cut
+
+        def flip_recorded(plane, comp, w, x):
+            out = flip(plane, comp, w, x)
+            if out is not None:
+                flipped.append(out.copy())
+            return out
+
+        def fix_recorded(plane, pairs):
+            out = fix(plane, pairs)
+            fixed.append((flipped[-1], out))
+            return out
+
+        monkeypatch.setattr(reembed, "_flip_component", flip_recorded)
+        monkeypatch.setattr(reembed, "_fix_two_cut", fix_recorded)
+        for g in equivalence_inputs():
+            normalize_embedding(g)
+        assert len(fixed) == 3
+        prism = crossed_prism().plane
+        abc = prism.with_outer(("ab", "a"))
+        normalize_embedding(EmbeddedGraph.from_plane(abc))
+        assert len(fixed) == 4
+        for before, out in fixed:
+            out.validate()
+            (x,) = set(before.dummies()) - set(out.dummies())
+            kept = {d for d in before.outer_face().darts if d[0] not in before.rotation[x]}
+            assert kept and kept <= set(out.outer_face().darts)
+        before, out = fixed[-1]
+        (x,) = set(before.dummies()) - set(out.dummies())
+        assert not any(e in prism.rotation[x] for e, _ in abc.outer_face().darts)
+        assert set(abc.outer_face().darts) != set(before.outer_face().darts)
 
     def test_64_uncrossings_search_no_component_and_redo_only_the_blocks_that_held_each(self, monkeypatch):
         g = gen_2reg(64)
@@ -168,7 +207,8 @@ class TestNormalize:
     def test_the_outer_face_falls_back_when_every_outer_dart_was_a_fragment(self):
         # The outer face of the first vertex, a, is the one left.
         out = normalize_embedding(two_crossing_edges())
-        assert out.plane.outer_darts == (("e", "a"), ("e", "b"))
+        assert out.plane.outer == ("e", "a")
+        assert out.plane.outer_face().darts == (("e", "a"), ("e", "b"))
         assert out.crossings() == {}
 
     def test_uncrosses_cutvertex_gadget(self):
@@ -243,7 +283,8 @@ class TestRetracingEquivalence:
             assert list(got.edges.items()) == list(want.edges.items())
             assert got.rotation == want.rotation
             assert list(got.fragment_of.items()) == list(want.fragment_of.items())
-            assert got.outer_darts == want.outer_darts
+            assert got.outer == want.outer
+            assert got.outer_face().darts == want.outer_face().darts
             surgeries += len(g.crossings()) - len(got.dummies())
         assert surgeries >= 150, surgeries
 
