@@ -835,11 +835,6 @@ class OneBendDrawer:
         if defined is False:
             return False
         da, db, rest = defined
-        last_sig = None
-        spread_tried = False
-        # The signatures that detect a repeated round hold true coordinates,
-        # which a rescale between two rounds does not change.
-        true = g.unscaled
         for _ in range(MAX_REPAIRS):
             apex = self._apex_of(da, db)
             if apex is None:
@@ -850,38 +845,14 @@ class OneBendDrawer:
                 if not self._stretch_between(da.anchor, db.anchor, need):
                     return False
                 continue
-            # Keep the drawing chunky: spread once when the tent is cramped.
-            top = max(g.pos[pl.anchor].y, g.pos[pr.anchor].y)
-            if not spread_tried and apex.y - top < g.unit and da and db:
-                spread_tried = True
-                need = _needed_gap(g, da, db, extra=2) + g.unit
-                if need > 0 and self._stretch_between(da.anchor, db.anchor, need):
-                    continue
             # The apex must sit strictly above every middle anchor.
-            too_low = [pm for pm in plans_m if apex.y <= g.pos[pm.anchor].y]
-            if too_low:
-                sig = ("low", true(apex))
-                if sig == last_sig:
-                    return False
-                last_sig = sig
-                if not self._stretch_between(pl.anchor, pr.anchor, 2 * g.unit):
-                    return False
-                continue
+            if any(apex.y <= g.pos[pm.anchor].y for pm in plans_m):
+                return False
             # Remaining constrained plans: their lines must pass the apex.
-            realign = False
-            for pm in rest:
-                m = _middle_mismatch(g.pos, da, db, pm) if da and db else None
-                if m is None or m == 0:
-                    continue
-                sig = ("align", pm.anchor, true(apex), quotient(m, g.unit))
-                if sig == last_sig:
-                    return False
-                last_sig = sig
+            pm = next((pm for pm in rest if _middle_mismatch(g.pos, da, db, pm)), None)
+            if pm is not None:
                 if not self._align_middle(da, db, pm):
                     return False
-                realign = True
-                break
-            if realign:
                 continue
             if not self._elbows_feasible(apex, [pl, pr]):
                 if not self._stretch_between(pl.anchor, pr.anchor, 2 * g.unit):
@@ -907,11 +878,6 @@ class OneBendDrawer:
             if not blockers:
                 self._commit(v, apex, plans)
                 return True
-            block = blockers[0][1]
-            sig = ("block", true(block.a), true(block.b), true(apex))
-            if sig == last_sig:
-                return False
-            last_sig = sig
             if not self._resolve_blocker(pl, pr, blockers[0], apex):
                 return False
         return False
@@ -1000,26 +966,18 @@ class OneBendDrawer:
         g = self.g
         e, seg = blocker
         a, b = g.plane.edges[e]
-        contour_pos = {v: i for i, v in enumerate(g.contour)}
         mid_x2 = seg.a.x + seg.b.x  # twice the blocker's middle x
         if mid_x2 <= 2 * apex.x:
             # Blocker under the left ray: push it (and the right part) right.
             amount = _clear_amount(g, pl, seg)
             return self._stretch_between(pl.anchor, a if 2 * g.pos[a].x >= mid_x2 else b, amount)
         # Blocker under the right ray: move the right anchor away while the
-        # blocker's whole cluster stays, so cut at its rightmost contour
-        # vertex rather than dragging it along.
-        amount = _clear_amount(g, pr, seg)
-        cands = sorted(
-            (v for v in (a, b) if v in contour_pos),
-            key=lambda v: -contour_pos[v],
-        ) + [v for v in (a, b) if v not in contour_pos]
-        for cand in cands:
-            if cand == pr.anchor:
-                continue
-            if self._stretch_between(cand, pr.anchor, amount):
-                return True
-        return False
+        # blocker's whole cluster stays, so cut at its end furthest right on
+        # the contour (an end off the contour comes last) rather than
+        # dragging it along.
+        rank = {v: i for i, v in enumerate(g.contour)}
+        cut = max((v for v in (a, b) if v != pr.anchor), key=lambda v: rank.get(v, -1))
+        return self._stretch_between(cut, pr.anchor, _clear_amount(g, pr, seg))
 
     # -- committing a placement ------------------------------------------------
 
@@ -1112,9 +1070,6 @@ class OneBendDrawer:
         l = len(members)
         elbow_l = self._chain_elbow_ok(pl, members[0])
         elbow_r = self._chain_elbow_ok(pr, members[-1])
-        last_sig = None
-        spread_tried = False
-        true = g.unscaled
 
         def polylines(q1: Point, q2: Point, positions: List[Point]) -> Dict[str, List[Point]]:
             polys: Dict[str, List[Point]] = {}
@@ -1144,14 +1099,10 @@ class OneBendDrawer:
             q1 = _ray_point_at_height(g.pos[pl.anchor], pl.port, y_b)
             q2 = _ray_point_at_height(g.pos[pr.anchor], pr.port, y_b)
             span = q2.x - q1.x
-            if not spread_tried and span < g.unit:
-                spread_tried = True
-                if self._stretch_between(pl.anchor, pr.anchor, (l + 2) * g.unit):
-                    continue
             x_lo = q1.x + (span / 4 if elbow_l else 0)
             x_hi = q2.x - (span / 4 if elbow_r else 0)
-            step = (x_hi - x_lo) / (l - 1) if l > 1 else 0
-            positions = [Point(x_lo + step * k, y_b) for k in range(l)]
+            step = _dyadic_step(x_hi - x_lo, l - 1, g.unit)
+            positions = [Point(x_lo + step * k, y_b) for k in range(l - 1)] + [Point(x_hi, y_b)]
             # The segment queries run on ints: the chain goes on the grid.
             q1, q2, *positions = g.on_grid([q1, q2] + positions)
             polys = polylines(q1, q2, positions)
@@ -1160,11 +1111,6 @@ class OneBendDrawer:
             blockers = _blockers(g, segs, allowed)
             if blockers:
                 mid = Point(quotient(q1.x + q2.x, 2), q1.y)
-                block = blockers[0][1]
-                sig = (true(block.a), true(block.b), true(mid))
-                if sig == last_sig:
-                    return False
-                last_sig = sig
                 if not self._resolve_blocker(pl, pr, blockers[0], mid):
                     return False
                 continue
@@ -1218,6 +1164,17 @@ def _clear_amount(g: Gamma, plan: Plan, seg: Segment) -> int:
         sx = max(seg.a.x, seg.b.x)
         return (top - a.y) - (a.x - sx) + g.unit
     return 2 * g.unit
+
+
+def _dyadic_step(width: Coord, n: int, unit: int) -> Coord:
+    """The largest unit * 2**k, k any integer, with n steps within width > 0:
+    a chain's members sit that far apart, so that spacing them adds no odd
+    factor to the unit."""
+    r = Fraction(width, n * unit)
+    k = r.numerator.bit_length() - r.denominator.bit_length()  # 2**(k-1) < r < 2**(k+1)
+    if r < Fraction(2) ** k:
+        k -= 1
+    return unit * 2**k if k >= 0 else Fraction(unit, 2**-k)
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ def draw_liu(plane: PlaneGraph, s: str, t: str) -> OrthoDrawing:
 
     # Only the order of the coordinates matters from here on, so the
     # drawing is kept on int ranks; the rows are the st-ranks less one.
-    at, _ = _rank_points(list(pos.values()) + [p for e in edges_out.values() for p in e.points])
+    at = _rank_points(list(pos.values()) + [p for e in edges_out.values() for p in e.points])
     for e in edges_out.values():
         e.points = [at(p) for p in e.points]
     return OrthoDrawing(plane=plane, t=t, pos={v: at(p) for v, p in pos.items()}, edges=edges_out)
@@ -331,12 +331,12 @@ def _ranks(values: Iterable) -> Dict:
     return {v: i for i, v in enumerate(sorted(set(values)))}
 
 
-def _rank_points(points: List[Point]) -> Tuple[Callable[[Point], Point], int]:
+def _rank_points(points: List[Point]) -> Callable[[Point], Point]:
     """The map sending each of `points` to the int ranks of its coordinates
-    in their axes, and the extent w + h of the ranked points."""
+    in their axes."""
     xr = _ranks(p.x for p in points)
     yr = _ranks(p.y for p in points)
-    return (lambda p: Point(xr[p.x], yr[p.y])), len(xr) + len(yr) - 2
+    return lambda p: Point(xr[p.x], yr[p.y])
 
 
 # ---------------------------------------------------------------------------
@@ -589,33 +589,31 @@ def assemble(
 ) -> Assembled:
     """Glue per-component drawings along the bridge tree on a rank grid.
 
-    Each component is read as the ranks of its coordinates in each axis.
-    Children are rotated by quarter turns so the attachment vertex's free N
-    port faces its parent, and the bridge is one child unit long.  A
-    component's unit is the product of the factors 2(w + h) + 8 of the
-    components placed after it, w and h being a component's extent in
-    ranks, so each child lies in a pocket of its parent's grid that nothing
-    placed later enters.  Every point is placed once, with int coordinates.
+    draw_liu leaves each component on the int ranks of its coordinates in
+    each axis, from 0.  Children are rotated by quarter turns so the
+    attachment vertex's free N port faces its parent, and the bridge is
+    one child unit long.  A component's unit is the product of the factors
+    2(w + h) + 8 of the components placed after it, w and h being a
+    component's largest x and largest y, bends included, so each child
+    lies in a pocket of its parent's grid that nothing placed later
+    enters.  Every point is placed once, with int coordinates.
     """
     order = tree.order()
-    ranked: Dict[int, Callable[[Point], Point]] = {}
     unit: Dict[int, int] = {}
     u = 1
     for i in reversed(order):
         d = drawings[i]
-        ranked[i], extent = _rank_points(
-            list(d.pos.values()) + [p for e in d.edges.values() for p in e.points]
-        )
+        pts = list(d.pos.values()) + [p for e in d.edges.values() for p in e.points]
         unit[i] = u
-        u *= 2 * extent + 8
+        u *= 2 * (max(p.x for p in pts) + max(p.y for p in pts)) + 8
     out = Assembled({}, {}, {})
 
     def add_component(i: int, place: Callable[[Point], Point], theta: int) -> None:
-        d, at = drawings[i], ranked[i]
+        d = drawings[i]
         for v in d.plane.real:
-            out.pos[v] = place(at(d.pos[v]))
+            out.pos[v] = place(d.pos[v])
         for e in d.edges.values():
-            out.polylines[e.edge_id] = [place(at(p)) for p in e.points]
+            out.polylines[e.edge_id] = [place(p) for p in e.points]
             for v, port in ((e.tail, e.out_port), (e.head, e.in_port)):
                 if v in d.plane.real:
                     out.used_ports.setdefault(v, set()).add(PORT_ROT[theta][port])
@@ -634,7 +632,7 @@ def assemble(
         rot = ROT[theta]
         base = out.pos[v_i]
         dx, dy = DIR[port]
-        anchor = rot(ranked[i](drawings[i].pos[u_j]))
+        anchor = rot(drawings[i].pos[u_j])
         k = unit[i]
         ox, oy = base.x + k * (dx - anchor.x), base.y + k * (dy - anchor.y)
 
@@ -681,7 +679,7 @@ def draw_twobend(g: EmbeddedGraph) -> PolylineDrawing:
 def _rank_grid(d: PolylineDrawing) -> PolylineDrawing:
     """d with every coordinate replaced by its int rank in its axis."""
     pts = list(d.positions.values()) + [p for line in d.polylines.values() for p in line]
-    at, _ = _rank_points(pts)
+    at = _rank_points(pts)
     return PolylineDrawing(
         graph=d.graph,
         positions={v: at(p) for v, p in d.positions.items()},

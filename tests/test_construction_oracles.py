@@ -56,7 +56,7 @@ class TestStretchOracle:
             return amount
 
         monkeypatch.setattr(onebend, "stretch", checked_stretch)
-        for n_target, seed in ONEBEND_INPUTS:
+        for n_target, seed in ONEBEND_INPUTS + [(32, seed) for seed in range(1000, 1010)]:
             g = gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
             try:
                 draw_onebend(g)

@@ -262,8 +262,6 @@ DIVISIONS = {
         "root is a Fraction, a quotient by slope",
     ("onebend.py", "_try_place_chain", "span / 4"):
         "span is a Fraction: the baseline y_b adds Fraction(g.unit, 2) or half of a Fraction",
-    ("onebend.py", "_try_place_chain", "(x_hi - x_lo) / (l - 1)"):
-        "x_lo is a Fraction: q1 sits on the Fraction baseline y_b",
 }
 
 
