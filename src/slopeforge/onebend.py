@@ -91,6 +91,11 @@ class EdgeRecord(NamedTuple):
     start: str  # the end vertex its polyline starts at
 
 
+# The headroom of a rescale, in bits: when a value falls off Gamma's grid,
+# the drawing is rescaled by the missing factor times 2**_HEADROOM.
+_HEADROOM = 16
+
+
 def _reversed_shape(shape: Tuple[Optional[int], ...]) -> Tuple[Optional[int], ...]:
     """The shape of the reversed polyline: each octant turned by 4."""
     return tuple(_TURNED[o] for o in reversed(shape))
@@ -106,13 +111,22 @@ class Gamma:
     their boxes.  The four slopes meet at rational points, so a new point
     or a stretch amount can fall off this grid: the drawer computes it
     exactly, in Gamma's units, and writes it through `grid_ints` or
-    `on_grid`, which first rescale every stored int by the missing factor;
-    a placement is put on the grid before its blockers are sought, so the
-    segment queries only ever see ints.  Only the constants tied to length
-    scale with `unit`; every check is homogeneous in the coordinates and
-    reads them as they are.  `unscaled` gives the true point, for the
-    output, the step trace and messages.  The placed vertices are the keys
-    of `pos`.
+    `on_grid`, which first rescale every stored int by the missing factor
+    times 2**_HEADROOM; a placement is put on the grid before its blockers
+    are sought, so the segment queries only ever see ints.  The headroom
+    makes every stored int a multiple of 2**_HEADROOM after a rescale, so
+    the halvings that most off-grid values need (the base edge's low
+    point, an apex between two anchors) land on the grid for a while and
+    rescale nothing.  Only the constants tied to length scale with `unit`;
+    every check is homogeneous in the coordinates and reads them as they
+    are.  `unscaled` gives the true point, for the output, the step trace
+    and messages.  So no output, trace or message depends on `unit`, only
+    the size of the ints does.  The headroom is a constant and not a power
+    of `unit`: a rescale by lcm(k, unit) would square `unit`, and a drawing
+    that goes off the grid at every stretch would grow doubly
+    exponentially; with a constant, a rescale adds at most
+    _HEADROOM + log2(k) bits to each int.  The placed vertices are the
+    keys of `pos`.
 
     `_index` holds a record per drawn edge (see EdgeRecord).  Its
     invariant: a record is written with its polyline.  `draw` builds it
@@ -182,13 +196,20 @@ class Gamma:
 
     def grid_ints(self, values: Sequence[Coord]) -> List[int]:
         """`values`, exact in Gamma's units, as ints in its units after the
-        call: the drawing is first rescaled by the least factor that puts
-        every one of them on the grid."""
+        call.  When one of them is off the grid, the drawing is first
+        rescaled by k * 2**_HEADROOM, k the least factor that puts every
+        one of them on it, and then every stored int and every int returned
+        is a multiple of 2**_HEADROOM.  Values already on the grid rescale
+        nothing.  The extra factor changes no output, since every output
+        divides by `unit` and every check is homogeneous; and it never
+        depends on `unit`, which would square it, so `unit` gains at most
+        _HEADROOM + log2(k) bits per rescale (see Gamma)."""
         k = 1
         for c in values:
             if type(c) is not int:
                 k = math.lcm(k, c.denominator)
         if k != 1:
+            k <<= _HEADROOM
             self._scale(k)
         return [c * k if type(c) is int else c.numerator * (k // c.denominator) for c in values]
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -511,3 +513,108 @@ def test_a_malformed_document_exits_2(capsys, case):
     err = capsys.readouterr().err
     assert (code, out) == (2, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _node_paths(node, path=()):
+    """The path of every node under node, node itself excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _names(node):
+    """Every string in node, dict keys included."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, list):
+        for child in node:
+            yield from _names(child)
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            yield key
+            yield from _names(child)
+
+
+# Values a retyped node takes: one of another type than it had.
+RETYPED = [None, True, 0, -1, 2.5, "x", [], {}]
+MUTATIONS = ("delete", "retype", "duplicate", "swap", "rename")
+
+
+def mutated(doc, rng):
+    """A copy of doc with one node deleted, retyped, duplicated, swapped
+    with a sibling or renamed to another name in doc, and what was done."""
+    doc = copy.deepcopy(doc)
+    path = rng.choice(list(_node_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    other = rng.choice(list(parent) if isinstance(parent, dict) else range(len(parent)))
+    name = rng.choice(sorted(set(_names(doc))) + ["zz"])
+    kind = rng.choice(MUTATIONS)
+    if kind == "delete":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = rng.choice([v for v in RETYPED if type(v) is not type(parent[key])])
+    elif kind == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    elif kind == "duplicate":
+        parent[name] = copy.deepcopy(parent[key])
+    elif kind == "swap":
+        parent[key], parent[other] = parent[other], parent[key]
+    elif isinstance(parent, dict):
+        parent[name] = parent.pop(key)
+    else:
+        parent[key] = name
+    return doc, f"{kind} {list(path)}"
+
+
+class TestMutationFuzz:
+    """Seeded one-node mutations of graph and drawing documents keep the
+    exit-code contract: 0, 1 or 2, no exception, an error line on 2."""
+
+    GRAPHS = [(["gen", "--family", "k4"], "onebend"), (["gen", "--family", "crossedk4"], "onebend"),
+              (["gen", "--family", "prism"], "onebend"), (["gen", "--family", "2reg", "--k", "2"], "twobend")]
+
+    @staticmethod
+    def _run(args, text, capsys, what):
+        try:
+            code, out = run_cli(args, text)
+        except Exception as exc:
+            pytest.fail(f"{what}: {args[0]} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (what, args)
+        assert code != 2 or (err.startswith("error: ") and err.count("\n") == 1), (what, args, err)
+        return code, out
+
+    def test_300_mutations_exit_0_1_or_2_and_every_drawing_validates(self, capsys):
+        sources = []
+        for gen, mode in self.GRAPHS:
+            _, graph = run_cli(gen)
+            _, drawing = run_cli(["draw", "--mode", mode], graph)
+            sources += [("graph", mode, json.loads(graph)), ("drawing", mode, json.loads(drawing))]
+        rng = random.Random(41)
+        codes, drawn = [], 0
+        for i in range(300):
+            role, mode, doc = sources[i % len(sources)]
+            doc, what = mutated(doc, rng)
+            text = json.dumps(doc)
+            if role == "drawing":
+                codes.append(self._run(["validate", "--profile", mode], text, capsys, what)[0])
+                codes.append(self._run(["render"], text, capsys, what)[0])
+                continue
+            for command in (["normalize"], ["canon"], ["storder"]):
+                codes.append(self._run(command, text, capsys, what)[0])
+            code, drawing = self._run(["draw", "--mode", mode], text, capsys, what)
+            codes.append(code)
+            if code == 0:
+                drawn += 1
+                report = self._run(["validate", "--profile", mode], drawing, capsys, what)
+                assert report[0] == 0 and json.loads(report[1])["passed"], what
+        assert drawn >= 20 and {0, 2} <= set(codes)

@@ -345,9 +345,78 @@ class TestRescale:
             assert_index_is_fresh(g)
             assert all(type(c) is int for p in g.pos.values() for c in (p.x, p.y))
         # The low point lies half of v2's x right of v1: 1/3 and then the low
-        # point's 1/2 (v2 at 20 + 1/3), the low point's 1/2 again (v2 at
-        # 20 + 5/6), and 2/7.
-        assert units == [6, 12, 84]
+        # point's 1/2 (v2 at 20 + 1/3) rescale by 6 and the headroom; the low
+        # point's 1/2 again (v2 at 20 + 5/6) fits in the headroom; 2/7
+        # rescales by 7 and the headroom.
+        h = 2 ** onebend._HEADROOM
+        assert units == [6 * h, 6 * h, 42 * h * h]
+
+    # onebend-cubic's 40 inputs (perfbench's ONEBEND_TIERS), where 90/1024
+    # and 90/1029 fail.
+    ONEBEND_CUBIC = [(20, seed) for seed in range(1000, 1033)] + [
+        (90, seed) for seed in range(1024, 1030)] + [(200, 13)]
+
+    def test_outputs_do_not_depend_on_the_starting_unit(self, monkeypatch):
+        """A drawer whose Gamma starts at unit 3 or 640 gives the bytes, or
+        the failure message, of one that starts at 1: every output divides
+        by the unit and every check is homogeneous in the coordinates,
+        which is what lets a rescale take headroom."""
+        inputs = sorted(set(self.ONEBEND_CUBIC) | {(90, seed) for seed in range(1000, 1040)})
+        graphs = [gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0]
+                  for n_target, seed in inputs]
+
+        def outcomes():
+            out = []
+            for graph in graphs:
+                try:
+                    out.append(dumps(drawing_to_doc(draw_onebend(graph))))
+                except OneBendError as exc:
+                    out.append(str(exc))
+            return out
+
+        at_1 = outcomes()
+        assert sum(not out.startswith("{") for out in at_1) == 6
+        for unit in (3, 640):
+            made = []
+
+            def starting_at_unit(**fields):
+                made.append(Gamma(unit=unit, **fields))
+                return made[-1]
+
+            monkeypatch.setattr(onebend, "Gamma", starting_at_unit)
+            assert outcomes() == at_1, unit
+            assert len(made) == len(graphs) and all(g.unit % unit == 0 for g in made)
+
+    def test_a_rescale_leaves_every_int_a_multiple_of_the_headroom(self, monkeypatch):
+        """Right after every rescale inside grid_ints, every stored
+        coordinate (the positions, the polylines, the records' segments
+        and boxes) and every int grid_ints returns is a multiple of
+        2**_HEADROOM."""
+        real_grid_ints = Gamma.grid_ints
+        step = 2 ** onebend._HEADROOM
+        rescales = 0
+
+        def checked_grid_ints(g, values):
+            nonlocal rescales
+            unit = g.unit
+            out = real_grid_ints(g, values)
+            if g.unit != unit:
+                rescales += 1
+                stored = [c for p in g.pos.values() for c in p]
+                stored += [c for pts in g.polylines.values() for p in pts for c in p]
+                for rec in g._index.values():
+                    for seg, box in rec.segs:
+                        stored += [*seg.a, *seg.b, *box]
+                assert all(c % step == 0 for c in stored + out)
+            return out
+
+        monkeypatch.setattr(Gamma, "grid_ints", checked_grid_ints)
+        for n_target, seed in self.ONEBEND_CUBIC:
+            try:
+                draw_onebend(gen_corpus(seed=seed, n_target=n_target, profile="cubic3con", count=1)[0])
+            except OneBendError:
+                assert (n_target, seed) in ((90, 1024), (90, 1029))
+        assert rescales >= 40
 
 
 def _state(g):
@@ -939,7 +1008,8 @@ class TestSegmentIndex:
 
         monkeypatch.setattr(onebend, "stretch", checked_stretch)
         monkeypatch.setattr(Gamma, "_scale", checked_scale)
-        for target, seed in ((20, 1000), (20, 1006), (20, 1013), (90, 1031), (90, 1028)):
+        inputs = [(20, seed) for seed in (*range(1000, 1007), 1013)] + [(90, 1031), (90, 1028)]
+        for target, seed in inputs:
             draw_onebend(gen_corpus(seed=seed, n_target=target, profile="cubic3con", count=1)[0])
         assert stretches >= 100 and scales >= 10
 
