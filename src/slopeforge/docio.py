@@ -18,6 +18,7 @@ from .model import EmbeddedGraph, PlaneGraph
 
 _BIG = 2**53 - 1
 _STR = {str}
+_DICT = {dict}
 
 
 class DocumentError(Exception):
@@ -31,7 +32,10 @@ def _int_out(v: int):
 def _int_in(v) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise DocumentError(f"expected integer or string, got {v!r}")
-    return int(v)
+    try:
+        return int(v)
+    except ValueError:
+        raise DocumentError(f"expected an integer, got {v!r}") from None
 
 
 def _rat_out(q: Coord):
@@ -135,15 +139,18 @@ def graph_from_doc(doc: Dict[str, Any], strict: bool = False) -> EmbeddedGraph:
     if doc.get("version") != 1:
         raise DocumentError("unsupported graph document version")
     try:
-        vertices = [(_id_in(v["id"]), bool(v["real"])) for v in doc["vertices"]]
-        edges = {_id_in(e["id"]): _pair_in(e["endpoints"]) for e in doc["edges"]}
-        rotations = {_id_in(v): _ids_in(r) for v, r in _object_in(doc["rotations"]).items()}
+        vertices = [(_id_in(v["id"]), v["real"]) for v in _objects_in(doc["vertices"], "vertices")]
+        edges = {_id_in(e["id"]): _pair_in(e["endpoints"]) for e in _objects_in(doc["edges"], "edges")}
+        rotations = {_id_in(v): _ids_in(r) for v, r in _object_in(doc["rotations"], "rotations").items()}
         fragment_of = dict(_pair_in(pair)
-                           for pairs in _object_in(doc.get("fragment_map", {})).values()
+                           for pairs in _object_in(doc.get("fragment_map", {}), "fragment_map").values()
                            for pair in pairs)
         outer = [_pair_in(d) for d in doc.get("outer_face", [])]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed graph document: {exc}")
+    for v, is_real in vertices:
+        if type(is_real) is not bool:
+            raise DocumentError(f"vertex {v}: real must be true or false, got {is_real!r}")
     plane = PlaneGraph(
         vertices=[v for v, _ in vertices],
         real={v for v, is_real in vertices if is_real},
@@ -188,10 +195,21 @@ def _pair_in(v) -> Tuple[str, str]:
     return _id_in(v[0]), _id_in(v[1])
 
 
-def _object_in(v) -> Dict[str, Any]:
+def _object_in(v, key: str) -> Dict[str, Any]:
+    """v, an object, the value of or an entry under document key `key`."""
     if not isinstance(v, dict):
-        raise DocumentError(f"expected an object, got {v!r}")
+        raise DocumentError(f"{key}: expected an object, got {v!r}")
     return v
+
+
+def _objects_in(values, key: str) -> List[Dict[str, Any]]:
+    """values, the list of objects under document key `key`.  The common
+    form, a list of dicts, is checked inline; every other one goes to
+    _object_in item by item."""
+    values = _list_in(values)
+    if {*map(type, values)} <= _DICT:
+        return values
+    return [_object_in(v, key) for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .geometry import (
     bend_count,
     hits_across,
     line_intersection,
-    octant,
     prepare,
     prepare_shifted,
     prepared_octant,
@@ -422,12 +421,6 @@ class Plan:
     corner: bool       # the edge spends its bend at the anchor dummy
     style: str = "ray"  # "ray" straight; "elbow" diagonal then horizontal
 
-    def arrival_dir(self, anchor_pos: Point, apex: Point) -> Tuple[Coord, Coord]:
-        """Direction of the edge end at the new vertex (pointing away)."""
-        if self.style == "elbow":
-            return (-1, 0) if apex.x > anchor_pos.x else (1, 0)
-        return (anchor_pos.x - apex.x, anchor_pos.y - apex.y)
-
 
 def connection_plans(g: Gamma, anchor: str, side: str, edge: str) -> List[Plan]:
     """Candidate plans for drawing the plane edge from a contour anchor to a
@@ -483,17 +476,6 @@ def _edge_between(plane: PlaneGraph, a: str, b: str) -> str:
         if plane.other_end(e, a) == b:
             return e
     raise OneBendError(f"no planarization edge between {a} and {b}")
-
-
-def _split_edges(g: Gamma, left: Set[str]) -> List[str]:
-    """Drawn edges other than the base edge with exactly one end in `left`."""
-    base = g.base_edge
-    out = []
-    for e in g.drawn_edges():
-        a, b = g.plane.edges[e]
-        if e != base and (a in left) != (b in left):
-            out.append(e)
-    return out
 
 
 def stretch_cut(g: Gamma, left_anchor: str) -> Set[str]:
@@ -593,36 +575,31 @@ def stretch(g: Gamma, left: Set[str], delta: Coord) -> int:
     p2 = g.pos[g.v2]
     low = _base_low(g.pos[g.v1], Point(p2.x + delta, p2.y))
     delta, low_x, low_y = g.grid_ints([delta, low.x, low.y])
-    for e in _split_edges(g, left):
-        rec = g._index[e]
-        start, pts, shape = rec.start, g.polylines[e], rec.shape
-        if start not in left:
-            start, pts, shape = g.plane.other_end(e, start), pts[::-1], _reversed_shape(shape)
-        k = shape.index(_E)
-        pts = pts[: k + 1] + [Point(p.x + delta, p.y) for p in pts[k + 1 :]]
-        segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
-        g.redraw(e, pts, EdgeRecord(segs, shape, start))
-    _translate(g, left, delta)
-    g.draw(g.base_edge, [g.pos[g.v1], Point(low_x, low_y), g.pos[g.v2]])
-    return delta
-
-
-def _translate(g: Gamma, left: Set[str], delta: int) -> None:
-    """Shift the placed vertices outside `left`, and the edges with no end
-    in it, by delta in x, with their records."""
-    edges, index, polylines = g.plane.edges, g._index, g.polylines
-    moved = [e for e in polylines if edges[e][0] not in left and edges[e][1] not in left]
-    pos = g.pos
+    pos, edges, base = g.pos, g.plane.edges, g.base_edge
     for v, p in pos.items():
         if v not in left:
             pos[v] = Point(p.x + delta, p.y)
-    for e in moved:
-        rec = index[e]
-        pts = [pos[rec.start]] + [Point(p.x + delta, p.y) for p in polylines[e][1:-1]]
-        pts.append(pos[g.plane.other_end(e, rec.start)])
-        segs = [prepare_shifted(s, Segment(p, q), delta)
-                for s, p, q in zip(rec.segs, pts, pts[1:])]
-        g.redraw(e, pts, EdgeRecord(segs, rec.shape, rec.start))
+    # Each edge's record goes into its own slot of the flat index, so the
+    # edges can be redrawn in any order.
+    for e, pts in g.polylines.items():
+        a, b = edges[e]
+        if (a in left and b in left) or e == base:
+            continue
+        rec = g._index[e]
+        start, shape = rec.start, rec.shape
+        if a in left or b in left:
+            if start not in left:
+                start, pts, shape = g.plane.other_end(e, start), pts[::-1], _reversed_shape(shape)
+            k = shape.index(_E)
+            pts = pts[: k + 1] + [Point(p.x + delta, p.y) for p in pts[k + 1 :]]
+            segs = [prepare(Segment(p, q)) for p, q in zip(pts, pts[1:])]
+        else:
+            pts = [Point(p.x + delta, p.y) for p in pts]
+            segs = [prepare_shifted(s, Segment(p, q), delta)
+                    for s, p, q in zip(rec.segs, pts, pts[1:])]
+        g.redraw(e, pts, EdgeRecord(segs, shape, start))
+    g.draw(base, [pos[g.v1], Point(low_x, low_y), pos[g.v2]])
+    return delta
 
 
 def _base_low(p1: Point, p2: Point) -> Point:
@@ -642,31 +619,36 @@ def _redraw_base(g: Gamma) -> None:
 # Geometry of a step
 # ---------------------------------------------------------------------------
 
+# Each connection leaves its anchor on a port line x = a.x + dx * (y - a.y),
+# dx in {1, 0, -1}.  Every condition of a step reads these lines through
+# _ray_x and _meeting_height, so each is linear in the anchors' x.
 
-def _ray_point_at_height(anchor: Point, port: str, y: Coord) -> Point:
-    dx, dy = DIRS[port]
-    if dy != 1:
-        raise OneBendError(f"{port} is not an upward port")
-    return Point(anchor.x + dx * (y - anchor.y), y)
+
+def _ray_x(pos: Dict[str, Point], plan: Plan, y: Coord) -> Coord:
+    """The x of plan's port line at height y: x = a.x + dx * (y - a.y), a
+    its anchor at `pos` and (dx, 1) its port.  Every port points up, so the
+    line above the anchor is the ray."""
+    a = pos[plan.anchor]
+    return a.x + DIRS[plan.port][0] * (y - a.y)
+
+
+def _meeting_height(pos: Dict[str, Point], pl: Plan, pr: Plan) -> Optional[Coord]:
+    """The height where the port lines of pl and pr meet, with the anchors
+    at `pos`; None when they are parallel."""
+    a, b = pos[pl.anchor], pos[pr.anchor]
+    dl, dr = DIRS[pl.port][0], DIRS[pr.port][0]
+    if dl == dr:
+        return None
+    return quotient((b.x - dr * b.y) - (a.x - dl * a.y), dl - dr)
 
 
 def _apex(pos: Dict[str, Point], pl: Plan, pr: Plan) -> Optional[Point]:
-    a, b = pos[pl.anchor], pos[pr.anchor]
-    pt = line_intersection(a, DIRS[pl.port], b, DIRS[pr.port])
-    if pt is None:
+    """Where the rays of pl and pr meet, strictly above both anchors; None
+    when they do not."""
+    y = _meeting_height(pos, pl, pr)
+    if y is None or y <= pos[pl.anchor].y or y <= pos[pr.anchor].y:
         return None
-    if pt.y <= a.y or pt.y <= b.y:
-        return None
-    # Must lie forward along both port rays.
-    for anchor, port in ((a, pl.port), (b, pr.port)):
-        dx = DIRS[port][0]
-        if dx > 0 and pt.x <= anchor.x:
-            return None
-        if dx < 0 and pt.x >= anchor.x:
-            return None
-        if dx == 0 and pt.x != anchor.x:
-            return None
-    return pt
+    return Point(_ray_x(pos, pl, y), y)
 
 
 def _middle_mismatch(pos: Dict[str, Point], pl: Plan, pr: Plan, pm: Plan) -> Optional[Coord]:
@@ -675,31 +657,26 @@ def _middle_mismatch(pos: Dict[str, Point], pl: Plan, pr: Plan, pm: Plan) -> Opt
     apex = _apex(pos, pl, pr)
     if apex is None:
         return None
-    w = pos[pm.anchor]
-    dxm = DIRS[pm.port][0]
-    return apex.x - (w.x + dxm * (apex.y - w.y))
+    return apex.x - _ray_x(pos, pm, apex.y)
 
 
 def _needed_gap(g: Gamma, pl: Plan, pr: Plan, extra: int = 1) -> int:
     """Extra horizontal separation so the port rays meet at least `extra`
-    (a length, scaled by g.unit here) above both anchors."""
-    a, b = g.pos[pl.anchor], g.pos[pr.anchor]
-    dl, dr = DIRS[pl.port][0], DIRS[pr.port][0]
-    gap = b.x - a.x
-    extra *= g.unit
-    if dl == 1 and dr == -1:
-        # The apex lies (gap + (b.y - a.y)) / 2 above a and
-        # (gap + (a.y - b.y)) / 2 above b.
-        return 2 * extra - min(gap + (b.y - a.y), gap + (a.y - b.y))
-    if dl == 0 and dr == -1:
-        ta = (b.y + gap) - a.y
-        tb = gap
-        return extra - min(ta, tb)
-    if dl == 1 and dr == 0:
-        ta = gap
-        tb = (a.y + gap) - b.y
-        return extra - min(ta, tb)
-    raise OneBendError("parallel vertical connection rays cannot meet")
+    (a length, scaled by g.unit here) above both anchors: how far pl's line
+    lies right of pr's at that height.  Only lines that close in going up
+    meet above their anchors."""
+    if DIRS[pl.port][0] <= DIRS[pr.port][0]:
+        raise OneBendError("parallel vertical connection rays cannot meet")
+    y = max(g.pos[pl.anchor].y, g.pos[pr.anchor].y) + extra * g.unit
+    return _ray_x(g.pos, pl, y) - _ray_x(g.pos, pr, y)
+
+
+def _arrival_port(pos: Dict[str, Point], plan: Plan, apex: Point) -> str:
+    """The port at the new vertex, at apex, of plan's edge: a ray arrives
+    through the opposite of its port, and an elbow horizontally."""
+    if plan.style == "elbow":
+        return "W" if apex.x > pos[plan.anchor].x else "E"
+    return OPP[plan.port]
 
 
 def _blockers(
@@ -880,18 +857,11 @@ class OneBendDrawer:
                     return False
                 continue
             # Arrival directions at the new vertex must be distinct ports.
-            arrivals = set()
-            clash = False
-            for plan in [pl, pr] + plans_m:
-                o = octant(plan.arrival_dir(g.pos[plan.anchor], apex))
-                if o is None or o in arrivals:
-                    clash = True
-                arrivals.add(o)
-            if clash:
+            plans = [pl, pr] + plans_m
+            if len({_arrival_port(g.pos, plan, apex) for plan in plans}) < len(plans):
                 return False
             # The segment queries run on ints: the apex goes on the grid.
             apex = g.on_grid([apex])[0]
-            plans = [pl, pr] + plans_m
             polys = self._connection_polylines(apex, plans)
             segs = [Segment(p[i], p[i + 1]) for p in polys.values() for i in range(len(p) - 1)]
             allowed = {g.pos[plan.anchor] for plan in plans}
@@ -907,23 +877,19 @@ class OneBendDrawer:
         g = self.g
         if da is not None and db is not None:
             return _apex(g.pos, da, db)
-        plan = da or db
-        tops = max(p.y for p in g.pos.values())
-        return _ray_point_at_height(g.pos[plan.anchor], plan.port, tops + g.unit)
+        y = max(p.y for p in g.pos.values()) + g.unit
+        return Point(_ray_x(g.pos, da or db, y), y)
 
     def _elbows_feasible(self, apex: Point, plans: List[Plan]) -> bool:
-        g = self.g
+        """Each elbow's diagonal, NE or NW, bends strictly below the apex and
+        short of it, so its horizontal runs toward it."""
+        pos = self.g.pos
         for plan in plans:
-            if plan.style != "elbow":
-                continue
-            a = g.pos[plan.anchor]
-            if apex.y <= a.y:
-                return False
-            bend_x = a.x + DIRS[plan.port][0] * (apex.y - a.y)
-            if plan.port == "NE" and apex.x <= bend_x:
-                return False
-            if plan.port == "NW" and apex.x >= bend_x:
-                return False
+            if plan.style == "elbow":
+                if apex.y <= pos[plan.anchor].y:
+                    return False
+                if DIRS[plan.port][0] * (apex.x - _ray_x(pos, plan, apex.y)) <= 0:
+                    return False
         return True
 
     # -- stretch drivers ------------------------------------------------------
@@ -1008,8 +974,7 @@ class OneBendDrawer:
         for plan in plans:
             a = g.pos[plan.anchor]
             if plan.style == "elbow":
-                bend = Point(a.x + DIRS[plan.port][0] * (apex.y - a.y), apex.y)
-                out[plan.edge] = [a, bend, apex]
+                out[plan.edge] = [a, Point(_ray_x(g.pos, plan, apex.y), apex.y), apex]
             else:
                 out[plan.edge] = [a, apex]
         return out
@@ -1068,23 +1033,19 @@ class OneBendDrawer:
         from the higher anchor's up to it, so they do not meet; None when
         there is none at the current geometry.
 
-        span(Y), the gap between the rays, is linear, so it is positive on
-        that range when it is positive at both ends.
+        The gap between the rays is linear in the height, so it is positive
+        on that range when it is positive at both ends: it is at y_min, and
+        the baseline lies below where the lines meet, if they meet above.
         """
-        g = self.g
-        a, b = g.pos[pl.anchor], g.pos[pr.anchor]
-        dxl, dxr = DIRS[pl.port][0], DIRS[pr.port][0]
-        y_min = max(a.y, b.y)
-        half = Fraction(g.unit, 2)
-        slope = Fraction(dxr - dxl)
-        c0 = (b.x - dxr * b.y) - (a.x - dxl * a.y)
-        # span(Y) = c0 + slope * Y, where both rays are live from y_min.
-        if c0 + slope * y_min <= 0:
+        pos = self.g.pos
+        y_min = max(pos[pl.anchor].y, pos[pr.anchor].y)
+        half = Fraction(self.g.unit, 2)
+        if _ray_x(pos, pr, y_min) <= _ray_x(pos, pl, y_min):
             return None
-        if slope >= 0:
+        root = _meeting_height(pos, pl, pr)
+        if root is None or root < y_min:
             return y_min + half
-        root = -c0 / slope
-        return y_min + min(half, (root - y_min) / 2)
+        return y_min + min(half, Fraction(root - y_min, 2))
 
     def _try_place_chain(self, members: List[str], pl: Plan, pr: Plan) -> bool:
         g = self.g
@@ -1117,8 +1078,8 @@ class OneBendDrawer:
                 if not self._stretch_between(pl.anchor, pr.anchor, need):
                     return False
                 continue
-            q1 = _ray_point_at_height(g.pos[pl.anchor], pl.port, y_b)
-            q2 = _ray_point_at_height(g.pos[pr.anchor], pr.port, y_b)
+            q1 = Point(_ray_x(g.pos, pl, y_b), y_b)
+            q2 = Point(_ray_x(g.pos, pr, y_b), y_b)
             span = q2.x - q1.x
             x_lo = q1.x + (span / 4 if elbow_l else 0)
             x_hi = q2.x - (span / 4 if elbow_r else 0)
@@ -1174,17 +1135,14 @@ class OneBendDrawer:
 
 
 def _clear_amount(g: Gamma, plan: Plan, seg: Segment) -> int:
-    """Horizontal separation needed for the plan's ray to clear a segment."""
-    a = g.pos[plan.anchor]
+    """Horizontal separation needed for the plan's ray to clear a segment:
+    a diagonal ray passes a unit beyond the segment's near end at the
+    segment's top."""
     dx = DIRS[plan.port][0]
-    top = max(seg.a.y, seg.b.y)
-    if dx == 1:
-        sx = min(seg.a.x, seg.b.x)
-        return (top - a.y) - (sx - a.x) + g.unit
-    if dx == -1:
-        sx = max(seg.a.x, seg.b.x)
-        return (top - a.y) - (a.x - sx) + g.unit
-    return 2 * g.unit
+    if dx == 0:
+        return 2 * g.unit
+    near = min(seg.a.x, seg.b.x) if dx == 1 else max(seg.a.x, seg.b.x)
+    return dx * (_ray_x(g.pos, plan, max(seg.a.y, seg.b.y)) - near) + g.unit
 
 
 def _dyadic_step(width: Coord, n: int, unit: int) -> Coord:

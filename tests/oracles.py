@@ -74,6 +74,15 @@ InvariantRounds runs the 2-bend invariant checker on every drawing
 draw_liu returns, and lists each edge with a dummy end and two horizontal
 ports.  The drawer checks only the drawing it keeps; the tests require
 that both find nothing on the corpora.
+
+apex_by_line_intersection, needed_gap_by_cases, chain_baseline_by_span,
+clear_amount_by_cases, elbows_feasible_by_cases and arrival_dir are the
+1-bend step geometry as it was written before the ray model: each its own
+case table over the ports, the apex a line intersection checked forward
+along both rays.  The tests require onebend's forms, which read every
+port line through _ray_x and _meeting_height, to give the same values,
+the same None results and the same errors.  split_edges is the rule by
+which a stretch once picked the edges it lengthens.
 """
 
 from __future__ import annotations
@@ -93,6 +102,7 @@ from slopeforge.geometry import (
     SlopeKind,
     angle_key,
     cross,
+    line_intersection,
     min_gap_eighths,
     octant,
     on_segment,
@@ -701,6 +711,18 @@ def first_rightward_horizontal(pts: List[Point]) -> Optional[int]:
     return None
 
 
+def split_edges(g: onebend.Gamma, left: Set[str]) -> List[str]:
+    """Drawn edges other than the base edge with exactly one end in `left`:
+    those a stretch keeping `left` lengthens."""
+    base = g.base_edge
+    out = []
+    for e in g.drawn_edges():
+        a, b = g.plane.edges[e]
+        if e != base and (a in left) != (b in left):
+            out.append(e)
+    return out
+
+
 def stretch_by_fractions(
     plane: PlaneGraph, v1: str, v2: str, pos: Dict[str, Point],
     polylines: Dict[str, List[Point]], left: Set[str], delta: Fraction,
@@ -1242,6 +1264,101 @@ def verify_canonical(plane: PlaneGraph, ordering: CanonicalOrdering) -> Tuple[bo
         placed.update(cs.vertices)
 
     return not problems, problems
+
+
+# ---------------------------------------------------------------------------
+# The 1-bend step geometry by case tables
+# ---------------------------------------------------------------------------
+
+
+def apex_by_line_intersection(pos: Dict[str, Point], pl, pr) -> Optional[Point]:
+    """Where the rays of plans pl and pr meet above both anchors, found as
+    a line intersection and checked forward along both rays."""
+    a, b = pos[pl.anchor], pos[pr.anchor]
+    pt = line_intersection(a, onebend.DIRS[pl.port], b, onebend.DIRS[pr.port])
+    if pt is None:
+        return None
+    if pt.y <= a.y or pt.y <= b.y:
+        return None
+    for anchor, port in ((a, pl.port), (b, pr.port)):
+        dx = onebend.DIRS[port][0]
+        if dx > 0 and pt.x <= anchor.x:
+            return None
+        if dx < 0 and pt.x >= anchor.x:
+            return None
+        if dx == 0 and pt.x != anchor.x:
+            return None
+    return pt
+
+
+def needed_gap_by_cases(g, pl, pr, extra: int = 1):
+    """Extra horizontal separation so the port rays of pl and pr meet at
+    least `extra` units above both anchors, one case per port pair."""
+    a, b = g.pos[pl.anchor], g.pos[pr.anchor]
+    dl, dr = onebend.DIRS[pl.port][0], onebend.DIRS[pr.port][0]
+    gap = b.x - a.x
+    extra *= g.unit
+    if dl == 1 and dr == -1:
+        return 2 * extra - min(gap + (b.y - a.y), gap + (a.y - b.y))
+    if dl == 0 and dr == -1:
+        return extra - min((b.y + gap) - a.y, gap)
+    if dl == 1 and dr == 0:
+        return extra - min(gap, (a.y + gap) - b.y)
+    raise onebend.OneBendError("parallel vertical connection rays cannot meet")
+
+
+def chain_baseline_by_span(g, pl, pr) -> Optional[Fraction]:
+    """A chain's baseline height: the gap between the two port rays is
+    c0 + slope * Y, positive from the higher anchor up to the baseline."""
+    a, b = g.pos[pl.anchor], g.pos[pr.anchor]
+    dxl, dxr = onebend.DIRS[pl.port][0], onebend.DIRS[pr.port][0]
+    y_min = max(a.y, b.y)
+    half = Fraction(g.unit, 2)
+    slope = Fraction(dxr - dxl)
+    c0 = (b.x - dxr * b.y) - (a.x - dxl * a.y)
+    if c0 + slope * y_min <= 0:
+        return None
+    if slope >= 0:
+        return y_min + half
+    root = -c0 / slope
+    return y_min + min(half, (root - y_min) / 2)
+
+
+def clear_amount_by_cases(g, plan, seg: Segment):
+    """Horizontal separation needed for the plan's ray to clear a segment,
+    one case per port."""
+    a = g.pos[plan.anchor]
+    dx = onebend.DIRS[plan.port][0]
+    top = max(seg.a.y, seg.b.y)
+    if dx == 1:
+        return (top - a.y) - (min(seg.a.x, seg.b.x) - a.x) + g.unit
+    if dx == -1:
+        return (top - a.y) - (a.x - max(seg.a.x, seg.b.x)) + g.unit
+    return 2 * g.unit
+
+
+def elbows_feasible_by_cases(pos: Dict[str, Point], apex: Point, plans) -> bool:
+    """Each elbow plan's bend lies below the apex and short of it."""
+    for plan in plans:
+        if plan.style != "elbow":
+            continue
+        a = pos[plan.anchor]
+        if apex.y <= a.y:
+            return False
+        bend_x = a.x + onebend.DIRS[plan.port][0] * (apex.y - a.y)
+        if plan.port == "NE" and apex.x <= bend_x:
+            return False
+        if plan.port == "NW" and apex.x >= bend_x:
+            return False
+    return True
+
+
+def arrival_dir(plan, anchor_pos: Point, apex: Point) -> Direction:
+    """Direction of plan's edge end at the new vertex at apex, pointing
+    away from it; its octant names the arrival port."""
+    if plan.style == "elbow":
+        return (-1, 0) if apex.x > anchor_pos.x else (1, 0)
+    return (anchor_pos.x - apex.x, anchor_pos.y - apex.y)
 
 
 # ---------------------------------------------------------------------------

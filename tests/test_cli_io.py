@@ -489,6 +489,23 @@ MALFORMED = {
     "render-no-graph": ("render", "k4", ["graph"], None),
     "render-no-positions": ("render", "k4", ["positions"], None),
     "render-position-not-a-pair": ("render", "k4", ["positions", "a"], 7),
+    "vertex-real-a-string": ("draw", "k4", ["vertices", 0, "real"], "no"),
+    "vertex-real-an-int": ("draw", "k4", ["vertices", 0, "real"], 1),
+    "vertex-entry-a-string": ("draw", "k4", ["vertices", 0], "x"),
+    "edge-entry-a-list": ("draw", "k4", ["edges", 0], ["ab"]),
+    "validate-numerator-not-an-integer": ("validate", "k4", ["positions", "a", 0, 0], "x"),
+    "render-denominator-not-an-integer": ("render", "k4", ["positions", "a", 1, 1], "1.5"),
+}
+
+# The whole error line of the cases whose message names the bad value, and
+# the document key or the vertex it sits under.
+MESSAGES = {
+    "vertex-real-a-string": "vertex a: real must be true or false, got 'no'",
+    "vertex-real-an-int": "vertex a: real must be true or false, got 1",
+    "vertex-entry-a-string": "vertices: expected an object, got 'x'",
+    "edge-entry-a-list": "edges: expected an object, got ['ab']",
+    "validate-numerator-not-an-integer": "expected an integer, got 'x'",
+    "render-denominator-not-an-integer": "expected an integer, got '1.5'",
 }
 
 COMMANDS = {"draw": ["draw", "--mode", "onebend"], "validate": ["validate", "--profile", "onebend"],
@@ -513,6 +530,8 @@ def test_a_malformed_document_exits_2(capsys, case):
     err = capsys.readouterr().err
     assert (code, out) == (2, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if case in MESSAGES:
+        assert err == f"error: {MESSAGES[case]}\n"
 
 
 def _node_paths(node, path=()):

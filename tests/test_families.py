@@ -359,8 +359,6 @@ class TestInsertions:
             families.connectivity = lambda g: 2
             with pytest.raises(EmbeddingError, match="corpus graph not 3-connected"):
                 families.gen_corpus(seed=1000, n_target=60, profile="cubic3con")
-            with pytest.raises(onebend.OneBendError, match="not an upward port"):
-                onebend._ray_point_at_height(Point(0, 0), "E", 1)
             plane = families.gen_k4_embedded().plane
             gamma = onebend.Gamma(plane=plane, v1=plane.vertices[0], v2=plane.vertices[1])
             gamma.pos = {v: Point(0, 0) for v in plane.vertices}

@@ -256,12 +256,8 @@ DIVISIONS = {
         "det is a Fraction: the source triangle _REF_TRIANGLE has Fraction corners",
     ("onebend.py", "_align_middle", "-m / rate"):
         "rate is Fraction(m2 - m, shift)",
-    ("onebend.py", "_chain_baseline", "-c0 / slope"):
-        "slope is Fraction(dxr - dxl)",
-    ("onebend.py", "_chain_baseline", "(root - y_min) / 2"):
-        "root is a Fraction, a quotient by slope",
     ("onebend.py", "_try_place_chain", "span / 4"):
-        "span is a Fraction: the baseline y_b adds Fraction(g.unit, 2) or half of a Fraction",
+        "span is a Fraction: the baseline y_b adds Fraction(g.unit, 2) or a Fraction(root - y_min, 2)",
 }
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,18 +18,22 @@ from slopeforge.families import (
 )
 from slopeforge.drawing import PolylineDrawing
 from slopeforge.geometry import (
-    Point, Segment, SlopeKind, bend_count, prepare, strip_collinear, sweep_hits,
+    Point, Segment, SlopeKind, bend_count, octant, prepare, strip_collinear, sweep_hits,
 )
 from slopeforge.model import EmbeddedGraph, PlaneGraph, find_real_real_face
 from slopeforge.onebend import (
     Gamma,
     OneBendDrawer,
     OneBendError,
+    PORTS,
     Plan,
+    _apex,
+    _arrival_port,
     _blockers,
     _check_simple,
+    _clear_amount,
     _middle_mismatch,
-    _split_edges,
+    _needed_gap,
     check_gamma,
     check_step,
     draw_onebend,
@@ -39,15 +46,22 @@ from slopeforge.verify import max_bends, validate
 
 from builders import gen_fig_like
 from oracles import (
+    apex_by_line_intersection,
+    arrival_dir,
+    chain_baseline_by_span,
     check_gamma_by_points,
     check_stretch,
+    clear_amount_by_cases,
     cut_components_by_rebuild,
+    elbows_feasible_by_cases,
     first_rightward_horizontal,
     from_stationary_end,
     horizontal_edges_by_points,
+    needed_gap_by_cases,
     port_dirs_by_points,
     preds_on_contour_by_scan,
     shape_by_points,
+    split_edges,
     stretch_by_fractions,
     unabsorbing_ends_by_points,
     window,
@@ -113,7 +127,7 @@ def stretch_cut_by_rebuild(g, left_anchor):
                     stay_comps.add(ci)
         left = {v for v in g.pos if comp_of[v] in stay_comps}
         newly_rigid = {
-            e for e in _split_edges(g, left)
+            e for e in split_edges(g, left)
             if first_rightward_horizontal(from_stationary_end(g, e, left)) is None
         }
         if not newly_rigid:
@@ -978,7 +992,7 @@ class TestSegmentIndex:
                     left = stretch_cut(g, v)
                 except OneBendError:
                     continue
-                split = _split_edges(g, left)
+                split = split_edges(g, left)
                 start = len(prepared)
                 assert drawer._stretch_between(v, g.v2, F(3))
                 assert len(prepared) - start == 2 + sum(len(g.polylines[e]) - 1 for e in split)
@@ -1125,6 +1139,114 @@ class TestChainBaseline:
         assert drawer._chain_baseline(pl, pr) is None
         drawer.g = hand_built(_base_s_t_plane(), {"a": (10, 0), "b": (6, 5)}, {})
         assert drawer._chain_baseline(pl, pr) == F(11, 2)
+
+
+class TestRayModel:
+    """The step geometry read off the port lines, against its case tables
+    (see oracles), on every pair of upward ports and seeded int and
+    Fraction anchors."""
+
+    PAIRS = list(itertools.product(onebend.UP_PORTS, repeat=2))
+
+    @staticmethod
+    def _coord(rng, fractions):
+        c = rng.randint(-12, 12)
+        return Fraction(c, rng.choice((1, 2, 3, 4))) if fractions else c
+
+    def _cases(self):
+        """(pos, unit) over anchors a, b and m, each seed once with ints and
+        once with Fractions; every third seed puts b at a's height."""
+        for seed in range(60):
+            for fractions in (False, True):
+                rng = random.Random(seed)
+                pos = {v: Point(self._coord(rng, fractions), self._coord(rng, fractions))
+                       for v in "abm"}
+                if seed % 3 == 0:
+                    pos["b"] = Point(pos["b"].x, pos["a"].y)
+                yield pos, rng.choice((1, 2, 6))
+
+    @staticmethod
+    def _same(new, old):
+        """new() and old() give equal values, or raise equal messages."""
+        try:
+            expected = old()
+        except OneBendError as exc:
+            with pytest.raises(OneBendError) as info:
+                new()
+            assert str(info.value) == str(exc)
+            return
+        assert new() == expected
+
+    def test_apex_needed_gap_and_mismatch_match_the_case_tables(self):
+        nones = raises = 0
+        for pos, unit in self._cases():
+            g = SimpleNamespace(pos=pos, unit=unit)
+            for lp, rp in self.PAIRS:
+                pl, pr = Plan("a", "s", lp, corner=False), Plan("b", "t", rp, corner=False)
+                old = apex_by_line_intersection(pos, pl, pr)
+                assert _apex(pos, pl, pr) == old
+                nones += old is None
+                w = pos["m"]
+                for mp in onebend.UP_PORTS:
+                    pm = Plan("m", "u", mp, corner=False)
+                    want = None if old is None else old.x - (w.x + onebend.DIRS[mp][0] * (old.y - w.y))
+                    assert _middle_mismatch(pos, pl, pr, pm) == want
+                for extra in (1, 3):
+                    self._same(lambda: _needed_gap(g, pl, pr, extra),
+                               lambda: needed_gap_by_cases(g, pl, pr, extra))
+                raises += onebend.DIRS[lp][0] <= onebend.DIRS[rp][0]
+        assert nones > 100 and raises > 100
+
+    def test_chain_baselines_match_the_span_form(self):
+        drawer = build_drawer(gen_prism())
+        nones = 0
+        for pos, unit in self._cases():
+            drawer.g = SimpleNamespace(pos=pos, unit=unit)
+            for lp, rp in self.PAIRS:
+                pl, pr = Plan("a", "s", lp, corner=False), Plan("b", "t", rp, corner=False)
+                old = chain_baseline_by_span(drawer.g, pl, pr)
+                assert drawer._chain_baseline(pl, pr) == old
+                nones += old is None
+        assert nones > 100
+
+    def test_clear_amounts_and_elbows_match_the_case_tables(self):
+        """The elbow apexes lie beyond, on and short of each bend, and at
+        the anchor's height."""
+        drawer = build_drawer(gen_prism())
+        outcomes = []
+        for pos, unit in self._cases():
+            drawer.g = g = SimpleNamespace(pos=pos, unit=unit)
+            seg = Segment(pos["m"], Point(pos["m"].x + 3, pos["b"].y))
+            for port in onebend.UP_PORTS:
+                plan = Plan("a", "s", port, corner=False)
+                assert _clear_amount(g, plan, seg) == clear_amount_by_cases(g, plan, seg)
+            a = pos["a"]
+            shifts = ((5, 2), (-5, 2), (2, 2), (-2, 2), (1, 2), (3, 0))
+            for port, (dx, dy) in itertools.product(("NE", "NW"), shifts):
+                apex = Point(a.x + dx, a.y + dy)
+                plans = [Plan("a", "s", port, corner=False, style="elbow"),
+                         Plan("b", "t", "N", corner=False)]
+                old = elbows_feasible_by_cases(pos, apex, plans)
+                assert drawer._elbows_feasible(apex, plans) == old
+                outcomes.append(old)
+        assert outcomes.count(True) > 200 and outcomes.count(False) > 500
+
+    def test_arrival_ports_are_the_octants_of_the_arrival_directions(self):
+        """A ray arrives at an apex on its line above its anchor, an elbow
+        at any apex."""
+        checked = 0
+        for pos, _ in self._cases():
+            for lp, rp in self.PAIRS:
+                pl, pr = Plan("a", "s", lp, corner=False), Plan("b", "t", rp, corner=False)
+                apex = _apex(pos, pl, pr)
+                if apex is None:
+                    continue
+                plans = [pl, pr] + [Plan("m", "u", p, corner=False, style="elbow") for p in ("NE", "NW")]
+                for plan in plans:
+                    old = PORTS[octant(arrival_dir(plan, pos[plan.anchor], apex))]
+                    assert _arrival_port(pos, plan, apex) == old
+                    checked += 1
+        assert checked > 500
 
 
 class TestChainSpacing:
